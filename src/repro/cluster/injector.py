@@ -1,205 +1,16 @@
-"""Flow injection into a live fluid program between saturation rounds.
+"""The flow-injection adapter cluster jobs use: the engine's flow arena.
 
-The single-collective engine compiles one :class:`~repro.simulator.engine.
-FlowProgram` and runs it to completion.  Cluster co-simulation needs the
-opposite: flow *sets* appear when a job's comm phase starts and retire when
-it drains, while the survivors keep max-min fair sharing the same fabric.
-:class:`FlowInjector` owns that live program — it compiles each injected
-batch with the engine's own :func:`~repro.simulator.engine.compile_flows`
-(so degraded fabrics, injection and forwarding caps behave identically)
-and concatenates the sparse incidence onto the live arrays.  Rates always
-come from the engine's :func:`~repro.simulator.engine.fill_rates`, which is
-why the zero-contention limit reproduces single-collective runs exactly.
-
-Retirement is lazy, the same delta move :mod:`repro.perf.delta` makes for
-fabric epochs: a completed flow is only *deactivated* (its row leaves the
-fill mask, so the kernels pin its rate to zero) and the arrays are
-compacted wholesale only once dead rows outnumber live ones — turning the
-per-completion O(nnz) rebuild into an amortized one.  ``compactions``
-counts the sweeps.
+Cluster co-simulation needs a live flow program: flow *sets* appear when a
+job's comm phase starts and retire when it drains, while the survivors keep
+max-min fair sharing the same fabric.  That program is the simulator's one
+mutable arena, :class:`~repro.perf.delta.DeltaProgram`, bound here under the
+name the cluster layer uses; a
+:class:`~repro.simulator.engine.FluidRun` drives it
+(:meth:`~repro.simulator.engine.FluidRun.inject`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
-
-from ..constants import SIM_BYTES_EPS
-from ..perf.fillkernel import FillWorkspace
-from ..simulator.engine import FlowProgram, FluidFlow, compile_flows, fill_rates
-from ..simulator.fabric import FabricModel
-from ..topology.base import Topology
+from ..perf.delta import DeltaProgram as FlowInjector
 
 __all__ = ["FlowInjector"]
-
-
-class FlowInjector:
-    """A live, mutable flow program over one fabric: inject, fill, retire."""
-
-    def __init__(self, topology: Topology,
-                 fabric: Optional[FabricModel] = None) -> None:
-        """Compile the (empty) resource layout once for ``topology``/``fabric``."""
-        self.topology = topology
-        self.fabric = fabric or FabricModel()
-        base = compile_flows(topology, [], self.fabric)
-        self.res_cap = base.res_cap
-        self.num_links = len(topology.edges)
-        self.link_bytes = 0.0           # total bytes x links-crossed injected
-        self._sizes = np.zeros(0)
-        self._remaining = np.zeros(0)
-        self._delays = np.zeros(0)
-        self._set_ids = np.zeros(0, dtype=np.int64)
-        self._inc_res = np.zeros(0, dtype=np.int64)
-        self._inc_flow = np.zeros(0, dtype=np.int64)
-        self._live = np.zeros(0, dtype=bool)
-        self._live_count = 0
-        self.compactions = 0
-        self._set_names: List[str] = []
-        self._program: Optional[FlowProgram] = None
-        self._workspace: Optional[FillWorkspace] = None
-
-    @property
-    def num_flows(self) -> int:
-        """Number of live (not yet retired) flows.
-
-        Dead rows may still sit in the arrays until the next lazy
-        compaction; they are invisible here and carry zero rate in fills.
-        """
-        return self._live_count
-
-    @property
-    def remaining(self) -> np.ndarray:
-        """Bytes left to transfer per live flow (parallel to fill rates)."""
-        return self._remaining
-
-    @property
-    def link_capacity_total(self) -> float:
-        """Sum of all directed-link capacities in bytes/second."""
-        return float(self.res_cap[: self.num_links].sum())
-
-    def inject(self, flows: Sequence[FluidFlow], name: str) -> int:
-        """Add a flow set to the live program; returns its set id.
-
-        The batch is compiled with the engine's ``compile_flows`` (same
-        resource layout as the base compile by construction) and its
-        incidence concatenated onto the live arrays with the flow indices
-        offset past the current flows.
-        """
-        compiled = compile_flows(self.topology, flows, self.fabric)
-        set_id = len(self._set_names)
-        self._set_names.append(name)
-        offset = len(self._sizes)
-        self._inc_res = np.concatenate([self._inc_res, compiled.inc_res])
-        self._inc_flow = np.concatenate(
-            [self._inc_flow, compiled.inc_flow + offset])
-        self._sizes = np.concatenate([self._sizes, compiled.sizes])
-        self._remaining = np.concatenate(
-            [self._remaining, compiled.sizes.copy()])
-        self._delays = np.concatenate([self._delays, compiled.start_delays])
-        self._set_ids = np.concatenate(
-            [self._set_ids,
-             np.full(len(flows), set_id, dtype=np.int64)])
-        self._live = np.concatenate(
-            [self._live, np.ones(len(flows), dtype=bool)])
-        self._live_count += len(flows)
-        link_entries = compiled.inc_res < self.num_links
-        self.link_bytes += float(
-            compiled.sizes[compiled.inc_flow[link_entries]].sum())
-        self._invalidate()
-        return set_id
-
-    def _invalidate(self) -> None:
-        """Drop the cached program/workspace after the flow set changed."""
-        self._program = None
-        self._workspace = None
-
-    def program(self) -> FlowProgram:
-        """A :class:`FlowProgram` view over the current live arrays.
-
-        Cached until :meth:`inject` / :meth:`retire` change the flow set,
-        so back-to-back fills between topology-of-flows changes skip the
-        rebuild (and keep one :class:`FillWorkspace` warm).
-        """
-        if self._program is None:
-            self._program = FlowProgram(
-                num_flows=len(self._sizes),
-                sizes=self._sizes,
-                start_delays=self._delays,
-                set_ids=self._set_ids,
-                set_names=tuple(self._set_names),
-                res_cap=self.res_cap,
-                inc_res=self._inc_res,
-                inc_flow=self._inc_flow,
-            )
-        return self._program
-
-    def workspace(self) -> FillWorkspace:
-        """The reusable fill workspace for the current program."""
-        if self._workspace is None:
-            self._workspace = FillWorkspace(self.program())
-        return self._workspace
-
-    def fill(self) -> Tuple[np.ndarray, int]:
-        """Max-min fair rates over all live flows (engine ``fill_rates``).
-
-        The returned rate vector aliases the cached workspace and is
-        overwritten by the next fill; the cluster runner integrates it
-        before re-filling, so no copy is taken.  Rows retired but not yet
-        compacted are inactive — the kernels pin their rate to zero.
-        """
-        return fill_rates(self.program(), self._live, self.workspace())
-
-    def advance(self, rates: np.ndarray, dt: float) -> None:
-        """Drain ``rates * dt`` bytes from every live flow."""
-        self._remaining -= rates * dt
-
-    def force_finish(self, mask: np.ndarray) -> None:
-        """Zero the remaining bytes of the masked flows.
-
-        Used by the cluster runner for flows whose analytic finish time is
-        closer to the current event time than one float ulp: the event
-        queue cannot represent the sub-ulp edge, so the flows are declared
-        done at the edge they were scheduled for instead of spinning on a
-        delay that never advances the clock.
-        """
-        self._remaining[mask] = 0.0
-
-    def retire(self) -> List[Tuple[int, float]]:
-        """Retire completed flows (remaining <= eps); lazily compact.
-
-        Returns one ``(set_id, start_delay)`` pair per retired flow — the
-        caller timestamps the completion as ``now + start_delay``, matching
-        the engine's completion semantics (latency lands after the
-        transfer, without the flow holding bandwidth meanwhile).
-
-        Retired rows are only deactivated here (O(live) per call, and the
-        cached program/workspace stay warm); the O(nnz) array compaction
-        runs once dead rows outnumber live ones.
-        """
-        done = self._live & (self._remaining <= SIM_BYTES_EPS)
-        if not done.any():
-            return []
-        retired = [(int(self._set_ids[i]), float(self._delays[i]))
-                   for i in np.nonzero(done)[0]]
-        self._live &= ~done
-        self._live_count -= int(done.sum())
-        dead = len(self._sizes) - self._live_count
-        if dead > self._live_count and len(self._sizes) >= 16:
-            self._compact()
-        return retired
-
-    def _compact(self) -> None:
-        """Drop every dead row and reindex the incidence entries."""
-        keep = self._live
-        new_index = np.cumsum(keep) - 1
-        entry_keep = keep[self._inc_flow]
-        self._inc_res = self._inc_res[entry_keep]
-        self._inc_flow = new_index[self._inc_flow[entry_keep]]
-        self._sizes = self._sizes[keep]
-        self._remaining = self._remaining[keep]
-        self._delays = self._delays[keep]
-        self._set_ids = self._set_ids[keep]
-        self._live = np.ones(self._live_count, dtype=bool)
-        self.compactions += 1
-        self._invalidate()

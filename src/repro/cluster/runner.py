@@ -3,10 +3,11 @@
 :func:`run_cluster` executes a trace of jobs — each a barrier-separated
 sequence of compute and all-to-all comm phases — over one synthesized
 routed schedule, with every live comm phase's flows max-min fair sharing
-the fabric.  Arrivals, phase barriers and flow completions all advance
-through the engine's :class:`~repro.simulator.events.EventQueue`; flow
-sets are injected and retired at event boundaries with incremental
-re-fills over the survivors (see :mod:`.injector`).
+the fabric.  The jobs are event sources on one
+:class:`~repro.simulator.engine.FluidRun`: arrivals, compute timers and
+phase barriers inject flow sets into the run's arena (see :mod:`.injector`)
+and the run calls back when a set drains, which closes the job's comm
+phase.
 
 Reported metrics:
 
@@ -24,14 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
-from ..constants import SIM_BYTES_EPS, SIM_EPS
 from ..schedule.ir import LinkSchedule, RoutedSchedule
 from ..schedule.validate import validate_routed_schedule
-from ..simulator.engine import (FluidFlow, compile_flows, execute,
-                                record_simulation)
-from ..simulator.events import EventQueue
+from ..simulator.engine import FluidFlow, FluidRun, compile_flows, execute
 from ..simulator.fabric import FabricModel
 from .injector import FlowInjector
 from .job import CommPhase, ComputePhase, jobs_from_spec
@@ -81,11 +77,6 @@ class ClusterResult:
         return [j.slowdown for j in self.jobs]
 
 
-def _isolated_comm_seconds(topology, flows, fabric) -> float:
-    """Completion time of one comm phase run alone (engine differential)."""
-    return execute(compile_flows(topology, flows, fabric)).completion_time
-
-
 def run_cluster(schedule: Union[RoutedSchedule, LinkSchedule],
                 spec: Union[ClusterSpec, str],
                 fabric: Optional[FabricModel] = None,
@@ -115,9 +106,12 @@ def run_cluster(schedule: Union[RoutedSchedule, LinkSchedule],
     fabric = fabric or FabricModel()
     jobs = jobs_from_spec(spec, default_buffer=default_buffer)
 
-    # Placed flow template per job (route, bytes), reused every round, and
-    # the per-job isolated comm time (cached per distinct placement).
+    # Placed flow template per job (route, bytes), reused every round, its
+    # bytes x links-crossed, and the per-job isolated comm time: the placed
+    # flows run alone through the single-collective engine (cached per
+    # distinct placement).
     templates: Dict[int, List[Tuple[Tuple[int, ...], float]]] = {}
+    link_bytes: Dict[int, float] = {}
     isolated_comm: Dict[int, float] = {}
     iso_cache: Dict[Tuple[Tuple[int, ...], float], float] = {}
     for job in jobs:
@@ -129,126 +123,57 @@ def run_cluster(schedule: Union[RoutedSchedule, LinkSchedule],
         template = [(place_route(a.route, perm, topology),
                      a.chunk.bytes(shard)) for a in schedule.assignments]
         templates[job.job_id] = template
+        link_bytes[job.job_id] = sum(size * (len(path) - 1)
+                                     for path, size in template)
         key = (perm, float(buffer))
         if key not in iso_cache:
             flows = [FluidFlow(path=path, size_bytes=size)
                      for path, size in template]
-            iso_cache[key] = _isolated_comm_seconds(topology, flows, fabric)
+            iso_cache[key] = execute(
+                compile_flows(topology, flows, fabric)).completion_time
         isolated_comm[job.job_id] = iso_cache[key]
 
-    queue = EventQueue()
-    injector = FlowInjector(topology, fabric)
-    state: Dict[str, object] = {"last": 0.0, "rates": np.zeros(0),
-                                "fill_rounds": 0, "pending": None,
-                                "edge_mask": None}
+    arena = FlowInjector(topology, fabric)
+    run = FluidRun(arena, max_events=max_events)
     job_by_id = {job.job_id: job for job in jobs}
     phase_index = {job.job_id: 0 for job in jobs}
     comm_round = {job.job_id: 0 for job in jobs}
     spans: Dict[int, List[List[object]]] = {job.job_id: [] for job in jobs}
     finish: Dict[int, float] = {}
-    # set id -> [job_id, flows outstanding, max completion time seen]
-    set_state: Dict[int, List[object]] = {}
-
-    def _advance() -> None:
-        """Integrate the current rates from the last fill time to now."""
-        dt = queue.now - state["last"]
-        if dt > 0 and injector.num_flows:
-            injector.advance(state["rates"], dt)
-        state["last"] = queue.now
-
-    def _refill() -> None:
-        """Re-fill over the surviving flows; (re)schedule the next edge."""
-        pending = state["pending"]
-        if pending is not None:
-            pending.cancel()
-            state["pending"] = None
-        state["last"] = queue.now
-        if injector.num_flows == 0:
-            state["rates"] = np.zeros(0)
-            state["edge_mask"] = None
-            return
-        rates, rounds = injector.fill()
-        state["rates"] = rates
-        state["fill_rounds"] = int(state["fill_rounds"]) + rounds
-        eligible = rates > SIM_EPS
-        if not eligible.any():
-            raise RuntimeError(
-                "cluster simulation stalled: live flows have zero rate")
-        dt = max(0.0, float(np.min(
-            injector.remaining[eligible] / rates[eligible])))
-        # Flows whose analytic finish lands on this edge.  They are forced
-        # done when the edge fires: if ``now + dt == now`` in floats (late
-        # arrival, sub-ulp dt), time cannot advance past the edge and the
-        # residual bytes would respawn the same edge forever.
-        state["edge_mask"] = eligible & (
-            injector.remaining <= rates * (dt * (1.0 + 1e-12)) + SIM_BYTES_EPS)
-        state["pending"] = queue.schedule(dt, _on_transfer_edge)
-
-    def _drain_retired() -> None:
-        """Retire drained flows; finish comm phases whose set is empty."""
-        for set_id, delay in injector.retire():
-            entry = set_state[set_id]
-            entry[1] = int(entry[1]) - 1
-            entry[2] = max(float(entry[2]), queue.now + delay)
-            if entry[1] == 0:
-                job_id = int(entry[0])
-                queue.schedule_at(
-                    float(entry[2]),
-                    lambda job_id=job_id: _phase_done(job_id))
-
-    def _on_transfer_edge() -> None:
-        """A flow ran dry: retire completions, then re-fill the survivors."""
-        state["pending"] = None
-        _advance()
-        if state["edge_mask"] is not None:
-            injector.force_finish(state["edge_mask"])
-            state["edge_mask"] = None
-        _drain_retired()
-        _refill()
 
     def _phase_done(job_id: int) -> None:
         """Barrier: close the job's running phase and start the next one."""
-        _advance()
-        spans[job_id][-1][2] = queue.now
+        spans[job_id][-1][2] = run.now
         _start_next_phase(job_id)
 
     def _start_next_phase(job_id: int) -> None:
         """Start the job's next phase, or record its finish time."""
         job = job_by_id[job_id]
         index = phase_index[job_id]
+        now = run.now
         if index >= len(job.phases):
-            finish[job_id] = queue.now
+            finish[job_id] = now
             return
         phase_index[job_id] = index + 1
         phase = job.phases[index]
         if isinstance(phase, ComputePhase):
-            spans[job_id].append(["compute", queue.now, queue.now])
-            queue.schedule(phase.seconds,
-                           lambda job_id=job_id: _phase_done(job_id))
+            spans[job_id].append(["compute", now, now])
+            run.schedule_at(now + phase.seconds,
+                            lambda: _phase_done(job_id))
             return
-        spans[job_id].append(["comm", queue.now, queue.now])
+        spans[job_id].append(["comm", now, now])
         round_id = comm_round[job_id]
         comm_round[job_id] = round_id + 1
         flows = [FluidFlow(path=path, size_bytes=size, tag=(job_id, round_id))
                  for path, size in templates[job_id]]
-        set_id = injector.inject(flows, name=f"job{job_id}/round{round_id}")
-        set_state[set_id] = [job_id, len(flows), queue.now]
-        _drain_retired()        # zero-byte flows complete at injection
-        _refill()
-
-    def _on_arrival(job_id: int) -> None:
-        """A job arrives: advance the fluid state and start its first phase."""
-        _advance()
-        _start_next_phase(job_id)
+        run.inject(flows, name=f"job{job_id}/round{round_id}",
+                   on_done=lambda t: run.schedule_at(
+                       t, lambda: _phase_done(job_id)))
 
     for job in jobs:
-        queue.schedule_at(job.arrival,
-                          lambda job_id=job.job_id: _on_arrival(job_id))
-
-    try:
-        queue.run(max_events=max_events)
-    except RuntimeError as exc:
-        raise RuntimeError("cluster simulation did not converge") from exc
+        run.schedule_at(job.arrival,
+                        lambda job_id=job.job_id: _start_next_phase(job_id))
+    run.run()
     if len(finish) != len(jobs):
         missing = sorted(set(job_by_id) - set(finish))
         raise RuntimeError(
@@ -275,17 +200,16 @@ def run_cluster(schedule: Union[RoutedSchedule, LinkSchedule],
 
     first_arrival = min(job.arrival for job in jobs)
     makespan = max(finish.values()) - first_arrival
-    capacity = injector.link_capacity_total
-    utilization = (injector.link_bytes / (capacity * makespan)
+    injected = sum(comm_round[j] * link_bytes[j] for j in job_by_id)
+    capacity = float(arena.res_cap[:len(topology.edges)].sum())
+    utilization = (injected / (capacity * makespan)
                    if makespan > 0 and capacity > 0 else 0.0)
-    fill_rounds = int(state["fill_rounds"])
-    record_simulation(fill_rounds, queue.processed)
     return ClusterResult(
         jobs=job_results,
         makespan_seconds=makespan,
         fabric_utilization=utilization,
-        fill_rounds=fill_rounds,
-        events=queue.processed,
+        fill_rounds=run.fill_rounds,
+        events=run.queue.processed,
         meta={
             "spec": spec.canonical(),
             "placement": spec.placement,

@@ -9,7 +9,7 @@ links (:mod:`.reroute`, certified deadlock-free through LASH / DF-SSSP)
 and re-filling incrementally over the survivors; :mod:`.adversarial`
 searches worst-case k-link failure sets against a schedule (optionally in
 parallel via ``jobs``).  :mod:`.context` hoists per-flow arrays, the
-compiled delta template (:mod:`repro.perf.delta`) and the shared
+compiled arena template (:mod:`repro.perf.delta`) and the shared
 reroute/certification caches so sweeps and searches pay the setup once.
 
 Correctness is pinned by ``tests/test_faults.py``: every faulted run must
@@ -30,8 +30,8 @@ from .reroute import (
     repair_path,
     surviving_adjacency,
 )
-from .runner import (FaultPrefix, StrandedScheduleError, capture_fault_prefix,
-                     run_faulted, run_faulted_sweep)
+from .runner import (StrandedScheduleError, capture_fault_prefix, run_faulted,
+                     run_faulted_sweep)
 from .spec import (
     VC_POLICIES,
     FaultEvent,
@@ -51,7 +51,6 @@ __all__ = [
     "surviving_adjacency",
     "PreparedFaultContext",
     "RerouteCache",
-    "FaultPrefix",
     "StrandedScheduleError",
     "capture_fault_prefix",
     "run_faulted",

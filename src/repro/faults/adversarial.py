@@ -23,11 +23,11 @@ searches failure sets against one schedule + buffer point:
 
 The search batches its shared work.  One
 :class:`~repro.faults.context.PreparedFaultContext` hoists the per-flow
-arrays, the compiled delta template and the reroute caches for every
+arrays, the compiled arena template and the reroute caches for every
 candidate; the healthy pre-strike prefix — identical for every candidate,
-which only diverges at ``at`` — is simulated once
-(:func:`~repro.faults.runner.capture_fault_prefix`) and resumed per
-evaluation.  Candidate evaluations fan out across the shared
+which only diverges at ``at`` — is run once
+(:func:`~repro.faults.runner.capture_fault_prefix`) and each evaluation
+resumes from a clone of it.  Candidate evaluations fan out across the shared
 :class:`~repro.engine.runner.ParallelRunner` (``jobs``); the merge is
 order-preserving and scoring is pure, so serial and parallel searches
 return identical evaluation tables and worst sets.
@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..engine.runner import ParallelRunner
-from ..perf.delta import delta_enabled
 from ..schedule.ir import RoutedSchedule
 from ..simulator.collective import run_routed_collective
 from ..simulator.fabric import FabricModel
@@ -151,10 +150,10 @@ def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
         raise ValueError(
             f"schedule only loads {len(pool)} physical links; cannot fail {k}")
 
-    # Every candidate evolves identically until the strike instant: simulate
-    # that healthy prefix once and resume each evaluation from the snapshot.
+    # Every candidate evolves identically until the strike instant: run that
+    # healthy prefix once and resume each evaluation from a clone of it.
     prefix = None
-    if delta_enabled() and context.num_flows and at_seconds > 0:
+    if at_seconds > 0:
         prefix = capture_fault_prefix(
             context, buffer_bytes, at_seconds,
             vc=_failure_spec((), at_seconds, seed).vc)

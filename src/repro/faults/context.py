@@ -12,9 +12,9 @@ run_faulted_sweep`), fault-grid sweeps and the adversarial search
   the hoisted per-flow arrays (sizes are memoized per buffer point with
   bit-identical floats: ``fraction * shard`` exactly as the runner
   computed them inline);
-* :meth:`PreparedFaultContext.delta_program` — a compiled
-  :class:`~repro.perf.delta.DeltaProgram` template, cloned per run so
-  concurrent evaluations mutate independent arenas;
+* :meth:`PreparedFaultContext.delta_program` — the schedule's flow set
+  compiled once into a :class:`~repro.perf.delta.DeltaProgram` arena,
+  cloned per run so concurrent evaluations mutate independent copies;
 * :class:`RerouteCache` — BFS repair and LASH/DF-SSSP certification
   memoized by ``(canonical down-set, planned path)`` and
   ``(vc, distinct route set)``, shared (and locked) across every run that
@@ -23,7 +23,7 @@ run_faulted_sweep`), fault-grid sweeps and the adversarial search
 All caches are insertion-order faithful: the certification key is the
 ordered first-seen distinct route tuple — the exact sequence
 :func:`~repro.faults.reroute.certify_routes` feeds LASH — because layer
-counts depend on insertion order and must match the uncached oracle.
+counts depend on insertion order and must match the uncached call.
 """
 
 from __future__ import annotations
@@ -150,7 +150,8 @@ class PreparedFaultContext:
         self.reroute_cache = RerouteCache(self.topology)
         self._lock = threading.Lock()
         self._sizes: Dict[float, np.ndarray] = {}
-        self._template: Optional[DeltaProgram] = None
+        self._template = DeltaProgram(self.topology, self.fabric,
+                                      self.orig_paths, self._fractions)
 
     def sizes_for(self, buffer_bytes: float) -> np.ndarray:
         """Per-flow byte sizes at one buffer point (memoized, read-only)."""
@@ -166,13 +167,4 @@ class PreparedFaultContext:
 
     def delta_program(self) -> DeltaProgram:
         """A fresh :class:`DeltaProgram` clone of the compiled template."""
-        with self._lock:
-            template = self._template
-        if template is None:
-            template = DeltaProgram(self.topology, self.fabric,
-                                    self.orig_paths, self._fractions)
-            with self._lock:
-                if self._template is None:
-                    self._template = template
-                template = self._template
-        return template.clone()
+        return self._template.clone()

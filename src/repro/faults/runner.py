@@ -1,75 +1,66 @@
 """Event-driven execution of a schedule under timed fabric faults.
 
 :func:`run_faulted` executes one routed collective while the fabric mutates
-underneath it.  Fault epochs and flow completions share one
-:class:`~repro.simulator.events.EventQueue`; every fabric epoch:
+underneath it.  Fault epochs are an event source on one
+:class:`~repro.simulator.engine.FluidRun`; the run integrates the fluid
+state to each epoch instant and retires finished flows, then the epoch
 
-1. integrates the fluid state to the epoch instant and retires finished
-   flows (cancelling the in-flight completion event);
-2. materializes the epoch's effective fabric
+1. materializes the epoch's effective fabric
    (:meth:`~repro.faults.spec.FaultTimeline.fabric_at`) and recomputes each
    survivor's route — original route if still clear, deterministic BFS
    repair otherwise, *stranded* if disconnected (:mod:`.reroute`);
-3. re-targets the compiled program at the epoch state and certifies the
-   active route set deadlock-free through LASH / DF-SSSP;
-4. re-fills incrementally over the survivors and schedules the next
-   completion edge, with mechanics identical to
-   :func:`~repro.simulator.engine.execute`.
+2. certifies the active route set deadlock-free through LASH / DF-SSSP;
+3. patches the run's :class:`~repro.perf.delta.DeltaProgram` arena in
+   place — link capacities and the incidence slots of rerouted flows —
+   and masks stranded flows out of the fill.
 
-Step 3 has two engines.  The default **delta** path
-(:mod:`repro.perf.delta`) compiles the full flow set once per context and
-then patches capacities and rerouted incidence slots in place, with repairs
-and certifications memoized in the context's
-:class:`~repro.faults.context.RerouteCache`; epochs that change no route
-skip compilation entirely.  ``REPRO_DELTA=off`` selects the retained
-**oracle** path, which recompiles the survivors from scratch with
-:func:`~repro.simulator.engine.compile_flows` every epoch (the
-differential reference, like ``REPRO_KERNEL=python-csr``).  The two agree
-bit-for-bit on rates — the fill kernels never read flow sizes, so a full
-program under an active mask is the same fill as a compacted survivor
-program — and the fuzz suite pins them at 1e-9 end to end.
-
-Between epochs the run *is* the engine: max-min fair rates, completion-to-
-completion advancement, latency stamped after the transfer.  Completion
-latency always uses the flow's **originally planned** route (the repair
-happens mid-flight; the planned-path latency was already committed), so a
-zero-fault spec reproduces the plain engine byte-for-byte — the
-differential suite pins every faulted run to a hand-stitched sequence of
-piecewise-static engine runs at 1e-9.
+Repairs and certifications are memoized in the context's
+:class:`~repro.faults.context.RerouteCache`, and the arena is cloned from
+a template compiled once per context.  Between epochs the run *is* the
+engine: max-min fair rates, completion-to-completion advancement, latency
+stamped after the transfer.  Completion latency always uses the flow's
+**originally planned** route (the repair happens mid-flight; the
+planned-path latency was already committed), so a zero-fault spec
+reproduces the plain engine byte-for-byte — the differential suite pins
+every faulted run to a hand-stitched sequence of piecewise-static scalar
+runs at 1e-9, and the per-epoch arena to fresh ``compile_flows`` output.
 
 Two fault events at the same timestamp fire in spec-canonical order inside
 one epoch; a fault epoch colliding with a flow-completion instant fires
 *first* (epoch events are scheduled before any completion, and the queue
 breaks time ties by insertion order — see
-:class:`~repro.simulator.events.Event`).
+:class:`~repro.simulator.events.Event`).  The adversarial search
+(:mod:`.adversarial`) shares the healthy prefix of its candidates:
+:func:`capture_fault_prefix` runs it once up to the strike instant and each
+evaluation resumes from a clone.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..constants import SIM_BYTES_EPS, SIM_EPS
-from ..perf.delta import delta_enabled
 from ..schedule.ir import LinkSchedule, RoutedSchedule
 from ..schedule.validate import validate_routed_schedule
 from ..simulator.collective import CollectiveResult, run_routed_collective
-from ..simulator.engine import (FillWorkspace, FluidFlow, compile_flows,
-                                fill_rates, record_fault_events,
-                                record_simulation)
-from ..simulator.events import EventQueue
+from ..simulator.engine import FluidRun, record_fault_events
 from ..simulator.fabric import FabricModel
 from .context import PreparedFaultContext
-from .reroute import certify_routes, effective_path, surviving_adjacency
 from .spec import FaultSpec, FaultTimeline, parse_fault_spec
 
-__all__ = ["StrandedScheduleError", "FaultPrefix", "capture_fault_prefix",
-           "run_faulted", "run_faulted_sweep"]
+__all__ = ["StrandedScheduleError", "capture_fault_prefix", "run_faulted",
+           "run_faulted_sweep"]
 
 Path = Tuple[int, ...]
+
+#: Counters measuring the work one call did (time, cache and arena
+#: operations): a run resumed from a prefix starts them at zero.
+_WORK = ("compile_seconds", "reroute_seconds", "delta_hits", "delta_rebuilds",
+         "route_cache_hits", "route_cache_misses")
 
 
 class StrandedScheduleError(RuntimeError):
@@ -95,88 +86,107 @@ class _EpochRecord:
     stranded: Tuple[int, ...]
 
 
-@dataclass
-class FaultPrefix:
-    """Fluid state at an instant of the *pre-fault* (healthy) timeline.
+class _FaultedRun:
+    """Fabric epochs as an event source on one :class:`FluidRun`.
 
-    Every candidate of an adversarial search evolves identically until the
-    strike instant — same fabric, same fills, same completions — so the
-    search captures this state once (:func:`capture_fault_prefix`) and each
-    evaluation resumes from it instead of re-simulating the shared prefix.
-    Arrays are read-only snapshots; :func:`run_faulted` copies them.
+    Holds the run over a clone of the context's arena plus the epoch
+    state: the route in force per flow (``None`` while stranded), the
+    stranded mask and the per-run counters.
     """
 
-    at: float                          # capture instant (= first epoch time)
-    vc: str                            # certification policy captured with
-    vc_layers: int                     # layers certified at the t=0 epoch
-    remaining: np.ndarray              # residual bytes per flow at ``at``
-    completion: np.ndarray             # completion instants committed so far
-    active: np.ndarray                 # live-flow mask at ``at``
-    fill_rounds: int                   # saturation rounds spent in the prefix
-    events: int                        # completion events fired in the prefix
+    def __init__(self, context: PreparedFaultContext, buffer_bytes: float,
+                 spec: FaultSpec, collect_trace: bool,
+                 max_events: int) -> None:
+        self.context = context
+        self.spec = spec
+        self.timeline = FaultTimeline(spec)
+        self.run = FluidRun(context.delta_program(),
+                            sizes=context.sizes_for(buffer_bytes),
+                            delays=context.delays, max_events=max_events)
+        self.paths: List[Optional[Path]] = list(context.orig_paths)
+        self.stranded = np.zeros(context.num_flows, dtype=bool)
+        self.counters: Dict[str, float] = dict.fromkeys(
+            ("fault_events", "reroutes", "stranded_bytes", "vc_layers")
+            + _WORK, 0)
+        self.trace: Optional[List[_EpochRecord]] = [] if collect_trace else None
+
+    def epoch(self, t: float, initial: bool = False) -> None:
+        """A fabric epoch at ``t``: reroute, certify, patch the arena."""
+        run, context, counters = self.run, self.context, self.counters
+        if not initial:
+            counters["fault_events"] += 1
+        epoch_fabric = self.timeline.fabric_at(context.fabric, t, context.edges)
+        t0 = time.perf_counter()
+        down_key = epoch_fabric.down_links
+        down = set(down_key)
+        cache = context.reroute_cache
+        for i in np.nonzero(run.active | self.stranded)[0]:
+            path, hit = cache.effective(down_key, down, context.orig_paths[i])
+            counters["route_cache_hits" if hit else "route_cache_misses"] += 1
+            if path is None:
+                if not self.stranded[i]:
+                    self.stranded[i] = True
+                    counters["stranded_bytes"] += float(run.remaining[i])
+            else:
+                if path != self.paths[i]:
+                    counters["reroutes"] += 1
+                self.stranded[i] = False
+            run.active[i] = path is not None
+            self.paths[i] = path
+        live = np.nonzero(run.active)[0]
+        layers, hit = cache.certify([self.paths[i] for i in live],
+                                    self.spec.vc)
+        if self.spec.vc != "off":
+            counters["route_cache_hits" if hit else "route_cache_misses"] += 1
+        counters["vc_layers"] = max(counters["vc_layers"], layers)
+        counters["reroute_seconds"] += time.perf_counter() - t0
+        if self.trace is not None:
+            self.trace.append(_EpochRecord(
+                time=t, down=tuple(sorted(down)),
+                paths={int(i): self.paths[i] for i in live},
+                stranded=tuple(int(i) for i in np.nonzero(self.stranded)[0])))
+        if len(live):
+            t0 = time.perf_counter()
+            rebuilds = run.arena.apply(epoch_fabric, self.paths)
+            if rebuilds:
+                counters["delta_rebuilds"] += rebuilds
+            else:
+                counters["delta_hits"] += 1
+            counters["compile_seconds"] += time.perf_counter() - t0
+        run.changed()
+
+    def resume(self, spec: FaultSpec, collect_trace: bool,
+               max_events: int) -> "_FaultedRun":
+        """A copy of this paused run that continues under ``spec``."""
+        new = copy.copy(self)
+        new.spec = spec
+        new.timeline = FaultTimeline(spec)
+        new.run = self.run.clone()
+        new.run.max_events = max_events
+        new.paths = list(self.paths)
+        new.stranded = self.stranded.copy()
+        new.counters = {**self.counters, **dict.fromkeys(_WORK, 0)}
+        new.trace = [] if collect_trace else None
+        return new
 
 
 def capture_fault_prefix(context: PreparedFaultContext, buffer_bytes: float,
-                         at_seconds: float, vc: str = "lash") -> FaultPrefix:
-    """Simulate the healthy prefix of a faulted run up to ``at_seconds``.
+                         at_seconds: float, vc: str = "lash") -> _FaultedRun:
+    """Run the healthy prefix of a faulted run up to ``at_seconds`` and pause.
 
-    Mirrors :func:`run_faulted`'s pre-epoch mechanics exactly (same fill
-    kernel, same float expressions, same tie-break: an epoch colliding with
-    a completion instant fires first), so a run resumed from the returned
-    prefix is bit-identical to one simulated from t=0.  Requires the delta
-    engine (the oracle path recomputes everything from scratch by design).
+    Every candidate of an adversarial search evolves identically until the
+    strike instant, so the search runs that prefix once and passes the
+    paused run as ``run_faulted(..., _prefix=...)``; each evaluation
+    resumes from a clone.  The resumed run is bit-identical to one
+    simulated from t=0: the same loop ran up to ``at_seconds``, and the
+    epoch there still fires before a completion edge colliding with it.
     """
-    sizes = context.sizes_for(buffer_bytes)
-    delays = context.delays
-    remaining = sizes.astype(float, copy=True)
-    active = remaining > SIM_EPS
-    completion = np.where(active, 0.0, delays)
-    fill_rounds = 0
-    events = 0
-    layers = 0
-    if active.any():
-        live = np.nonzero(active)[0]
-        layers, _ = context.reroute_cache.certify(
-            [context.orig_paths[i] for i in live], vc)
-        delta = context.delta_program()
-        delta.apply(context.fabric, context.orig_paths)
-        program, workspace = delta.program, delta.workspace
-        now = 0.0
-        while active.any():
-            rates, rounds = fill_rates(program, active, workspace)
-            fill_rounds += rounds
-            eligible = active & (rates > SIM_EPS)
-            if not eligible.any():
-                raise RuntimeError(
-                    "faulted simulation stalled: active flows have zero rate")
-            dt = float(np.min(remaining[eligible] / rates[eligible]))
-            t_next = now + dt
-            if t_next >= at_seconds:
-                # The epoch at ``at_seconds`` fires before this completion
-                # (epochs hold the lowest sequence numbers): integrate the
-                # partial interval exactly as the epoch's _integrate would.
-                dt_eff = at_seconds - now
-                if dt_eff > 0:
-                    remaining[active] -= rates[active] * dt_eff
-                    done = active & (remaining <= SIM_BYTES_EPS)
-                    if done.any():
-                        remaining[done] = 0.0
-                        completion[done] = at_seconds + delays[done]
-                        active[done] = False
-                break
-            events += 1
-            dt_eff = t_next - now
-            remaining[active] -= rates[active] * dt_eff
-            done = active & (remaining <= SIM_BYTES_EPS)
-            if done.any():
-                remaining[done] = 0.0
-                completion[done] = t_next + delays[done]
-                active[done] = False
-            now = t_next
-    record_simulation(fill_rounds, events)
-    return FaultPrefix(at=float(at_seconds), vc=vc, vc_layers=layers,
-                       remaining=remaining, completion=completion,
-                       active=active, fill_rounds=fill_rounds, events=events)
+    prefix = _FaultedRun(context, buffer_bytes, FaultSpec(events=(), vc=vc),
+                         collect_trace=False, max_events=1_000_000)
+    prefix.epoch(0.0, initial=True)
+    prefix.run.run(until=at_seconds)
+    record_fault_events(**{key: prefix.counters[key] for key in _WORK})
+    return prefix
 
 
 def run_faulted(schedule: RoutedSchedule, buffer_bytes: float,
@@ -188,7 +198,7 @@ def run_faulted(schedule: RoutedSchedule, buffer_bytes: float,
                 collect_trace: bool = False,
                 baseline_seconds: Optional[float] = None,
                 context: Optional[PreparedFaultContext] = None,
-                _prefix: Optional[FaultPrefix] = None) -> CollectiveResult:
+                _prefix: Optional[_FaultedRun] = None) -> CollectiveResult:
     """Execute a routed schedule under a fault timeline at one buffer size.
 
     ``baseline_seconds`` (the zero-fault completion time on the same base
@@ -200,9 +210,9 @@ def run_faulted(schedule: RoutedSchedule, buffer_bytes: float,
     in ``meta["epoch_trace"]`` for the differential tests.  ``context`` is
     a :class:`~repro.faults.context.PreparedFaultContext` for this schedule
     and fabric — pass one when running the schedule repeatedly so the
-    hoisted arrays, compiled delta template and reroute caches are shared;
-    ``_prefix`` resumes from a :func:`capture_fault_prefix` snapshot whose
-    capture instant equals the first epoch (adversarial search internal).
+    hoisted arrays, compiled arena template and reroute caches are shared;
+    ``_prefix`` resumes from a :func:`capture_fault_prefix` run paused at
+    the first epoch instant (adversarial search internal).
     """
     if isinstance(spec, str):
         spec = parse_fault_spec(spec)
@@ -225,254 +235,49 @@ def run_faulted(schedule: RoutedSchedule, buffer_bytes: float,
             schedule, buffer_bytes, fabric=fabric,
             validate=False).completion_time
 
-    if spec.trivial:
-        # Literal delegation: a no-op fault timeline must be byte-identical
-        # to today's engine output, so it *is* today's engine.
-        result = run_routed_collective(schedule, buffer_bytes, fabric=fabric,
-                                       validate=False)
-        result.meta.update(
-            robustness_slowdown=(result.completion_time / baseline_seconds
-                                 if baseline_seconds > 0 else 1.0),
-            baseline_seconds=float(baseline_seconds),
-            reroute_count=0, stranded_bytes=0.0, fault_events=0,
-            vc_layers=0, fault_spec=spec.canonical())
-        return result
-
     fabric = fabric or FabricModel()
     if context is None:
         context = PreparedFaultContext(schedule, fabric)
-    timeline = FaultTimeline(spec)
-    topology = schedule.topology
-    edges = context.edges
-    n = topology.num_nodes
-    shard = buffer_bytes / n
-
-    orig_paths = context.orig_paths
-    sizes = context.sizes_for(buffer_bytes)
-    delays = context.delays
-    num_flows = context.num_flows
-    cache = context.reroute_cache
-
-    delta = (context.delta_program()
-             if delta_enabled() and num_flows else None)
     if _prefix is not None:
-        if delta is None:
-            _prefix = None             # oracle leg: simulate from scratch
-        elif (_prefix.vc != spec.vc or not timeline.epochs
-              or timeline.epochs[0] != _prefix.at):
+        epochs = FaultTimeline(spec).epochs
+        if (_prefix.spec.vc != spec.vc or not epochs
+                or epochs[0] != _prefix.run.now):
             raise ValueError(
                 "fault prefix does not match the spec timeline "
                 "(capture instant must equal the first epoch)")
-
-    remaining = sizes.astype(float, copy=True)
-    active = remaining > SIM_EPS
-    completion = np.where(active, 0.0, delays)
-    stranded = np.zeros(num_flows, dtype=bool)
-    current_paths: List[Optional[Path]] = list(orig_paths)
-
-    queue = EventQueue()
-    counters = {"fill_rounds": 0, "reroutes": 0, "stranded_bytes": 0.0,
-                "fault_events": 0, "vc_layers": 0,
-                "compile_seconds": 0.0, "reroute_seconds": 0.0,
-                "delta_hits": 0, "delta_rebuilds": 0,
-                "route_cache_hits": 0, "route_cache_misses": 0}
-    trace: List[_EpochRecord] = []
-    # Live-subprogram state: the compiled program, the global ids of its
-    # rows, the local active mask, the workspace-aliased rates and the
-    # pending completion event.  The delta engine keeps one full-flow-set
-    # program (gids = identity, mask = live flows); the oracle compacts the
-    # survivors per epoch.
-    state: Dict[str, object] = {"program": None, "workspace": None,
-                                "gids": np.zeros(0, dtype=np.int64),
-                                "local_active": np.zeros(0, dtype=bool),
-                                "rates": np.zeros(0), "last": 0.0,
-                                "pending": None}
-    all_gids = np.arange(num_flows, dtype=np.int64)
-
-    def _compile_epoch(epoch_fabric: FabricModel) -> None:
-        """Target the program at the epoch fabric (delta patch or rebuild)."""
-        t0 = time.perf_counter()
-        if delta is not None:
-            live = active & ~stranded
-            state["gids"] = all_gids
-            if not live.any():
-                state["program"] = None
-                state["workspace"] = None
-                state["local_active"] = np.zeros(num_flows, dtype=bool)
-                state["rates"] = np.zeros(0)
-            else:
-                rebuilds = delta.apply(epoch_fabric, current_paths)
-                if rebuilds:
-                    counters["delta_rebuilds"] += rebuilds
-                else:
-                    counters["delta_hits"] += 1
-                state["program"] = delta.program
-                state["workspace"] = delta.workspace
-                state["local_active"] = live
-        else:
-            gids = np.nonzero(active & ~stranded)[0]
-            state["gids"] = gids
-            if len(gids) == 0:
-                state["program"] = None
-                state["workspace"] = None
-                state["local_active"] = np.zeros(0, dtype=bool)
-                state["rates"] = np.zeros(0)
-            else:
-                flows = [FluidFlow(path=current_paths[i],
-                                   size_bytes=remaining[i])
-                         for i in gids]
-                program = compile_flows(topology, flows, epoch_fabric,
-                                        include_latency=False)
-                state["program"] = program
-                state["workspace"] = FillWorkspace(program)
-                state["local_active"] = np.ones(len(gids), dtype=bool)
-        counters["compile_seconds"] += time.perf_counter() - t0
-
-    def _refill() -> None:
-        """Engine-identical re-fill over the survivors; schedule the edge."""
-        pending = state["pending"]
-        if pending is not None:
-            pending.cancel()
-            state["pending"] = None
-        local = state["local_active"]
-        if state["program"] is None or not local.any():
-            return
-        rates, rounds = fill_rates(state["program"], local, state["workspace"])
-        state["rates"] = rates
-        counters["fill_rounds"] += rounds
-        eligible = local & (rates > SIM_EPS)
-        if not eligible.any():
-            raise RuntimeError(
-                "faulted simulation stalled: active flows have zero rate")
-        state["last"] = queue.now
-        gids = state["gids"]
-        dt = float(np.min(remaining[gids[eligible]] / rates[eligible]))
-        state["pending"] = queue.schedule(dt, _on_completion)
-
-    def _integrate() -> None:
-        """Drain the current rates into the global residuals up to now."""
-        dt = queue.now - state["last"]
-        state["last"] = queue.now
-        local = state["local_active"]
-        if dt <= 0 or state["program"] is None or not local.any():
-            return
-        gids = state["gids"]
-        rates = state["rates"]
-        live = gids[local]
-        remaining[live] -= rates[local] * dt
-        done = live[remaining[live] <= SIM_BYTES_EPS]
-        if len(done):
-            remaining[done] = 0.0
-            completion[done] = queue.now + delays[done]
-            active[done] = False
-            local[np.isin(gids, done)] = False
-
-    def _on_completion() -> None:
-        state["pending"] = None
-        _integrate()
-        _refill()
-
-    def _apply_route(i: int, new_path: Optional[Path]) -> None:
-        """Credit one flow's epoch route decision into the run state."""
-        if new_path is None:
-            if not stranded[i]:
-                stranded[i] = True
-                counters["stranded_bytes"] += float(remaining[i])
-            current_paths[i] = None
-        else:
-            stranded[i] = False
-            if new_path != current_paths[i]:
-                counters["reroutes"] += 1
-            current_paths[i] = new_path
-
-    def _on_epoch(t: float, initial: bool = False) -> None:
-        """A fabric epoch: mutate the fabric, reroute, recompile, refill."""
-        if not initial:
-            counters["fault_events"] += 1
-        _integrate()
-        pending = state["pending"]
-        if pending is not None:
-            pending.cancel()
-            state["pending"] = None
-        epoch_fabric = timeline.fabric_at(fabric, t, edges)
-        t0 = time.perf_counter()
-        down: Set[Tuple[int, int]] = set(epoch_fabric.down_links)
-        if delta is not None:
-            down_key = epoch_fabric.down_links
-            for i in np.nonzero(active)[0]:
-                new_path, hit = cache.effective(down_key, down, orig_paths[i])
-                counters["route_cache_hits" if hit
-                         else "route_cache_misses"] += 1
-                _apply_route(i, new_path)
-        else:
-            adjacency = surviving_adjacency(topology, down)
-            for i in np.nonzero(active)[0]:
-                _apply_route(i, effective_path(orig_paths[i], down, adjacency))
-        live_ids = np.nonzero(active & ~stranded)[0]
-        routes = [current_paths[i] for i in live_ids]
-        if delta is not None:
-            layers, hit = cache.certify(routes, spec.vc)
-            if spec.vc != "off":
-                counters["route_cache_hits" if hit
-                         else "route_cache_misses"] += 1
-        else:
-            layers = certify_routes(routes, spec.vc)
-        counters["vc_layers"] = max(counters["vc_layers"], layers)
-        counters["reroute_seconds"] += time.perf_counter() - t0
-        if collect_trace:
-            trace.append(_EpochRecord(
-                time=t, down=tuple(sorted(down)),
-                paths={int(i): current_paths[i] for i in live_ids},
-                stranded=tuple(int(i) for i in np.nonzero(stranded & active)[0])))
-        _compile_epoch(epoch_fabric)
-        _refill()
-
-    # Fabric epochs are scheduled before any completion event exists, so
-    # their sequence numbers are the lowest in the queue: an epoch colliding
-    # with a completion instant deterministically fires first.
-    if _prefix is not None:
-        np.copyto(remaining, _prefix.remaining)
-        np.copyto(active, _prefix.active)
-        np.copyto(completion, _prefix.completion)
-        counters["fill_rounds"] = _prefix.fill_rounds
-        counters["vc_layers"] = _prefix.vc_layers
-        queue.now = _prefix.at
-        state["last"] = _prefix.at
-        for t in timeline.epochs:
-            queue.schedule_at(t, lambda t=t: _on_epoch(t))
+        faulted = _prefix.resume(spec, collect_trace, max_events)
     else:
-        for t in timeline.epochs:
-            queue.schedule_at(t, lambda t=t: _on_epoch(t))
-        _on_epoch(0.0, initial=True)   # fold t=0 events into the start state
-    try:
-        queue.run(max_events=max_events)
-    except RuntimeError as exc:
-        raise RuntimeError("faulted simulation did not converge") from exc
+        faulted = _FaultedRun(context, buffer_bytes, spec, collect_trace,
+                              max_events)
+        faulted.epoch(0.0, initial=True)   # fold t=0 events into the start
+    run = faulted.run
+    # Fabric epochs are scheduled before any completion edge exists, so an
+    # epoch colliding with a completion instant deterministically fires
+    # first.
+    for t in faulted.timeline.epochs:
+        run.schedule_at(t, lambda t=t: faulted.epoch(t))
+    run.run()
 
-    prefix_rounds = _prefix.fill_rounds if _prefix is not None else 0
-    prefix_events = _prefix.events if _prefix is not None else 0
-    record_simulation(counters["fill_rounds"] - prefix_rounds, queue.processed)
-    record_fault_events(
-        counters["fault_events"], counters["reroutes"],
-        compile_seconds=counters["compile_seconds"],
-        reroute_seconds=counters["reroute_seconds"],
-        delta_hits=counters["delta_hits"],
-        delta_rebuilds=counters["delta_rebuilds"],
-        route_cache_hits=counters["route_cache_hits"],
-        route_cache_misses=counters["route_cache_misses"])
+    counters = faulted.counters
+    record_fault_events(fabric_events=counters["fault_events"],
+                        reroutes=counters["reroutes"],
+                        **{key: counters[key] for key in _WORK})
 
-    if active.any():
-        stuck = np.nonzero(active)[0]
+    n = schedule.topology.num_nodes
+    if faulted.stranded.any():
+        stuck = np.nonzero(faulted.stranded)[0]
         if not allow_stranded:
-            raise StrandedScheduleError(stuck, float(remaining[stuck].sum()))
+            raise StrandedScheduleError(stuck,
+                                        float(run.remaining[stuck].sum()))
         completion_time = float("inf")
     else:
-        completion_time = float(completion.max()) if num_flows else 0.0
+        completion_time = (float(run.completion.max()) if context.num_flows
+                           else 0.0)
 
     meta: Dict[str, object] = {
-        "num_flows": num_flows,
-        "fill_rounds": counters["fill_rounds"],
-        "events": queue.processed + prefix_events,
+        "num_flows": context.num_flows,
+        "fill_rounds": run.fill_rounds,
+        "events": run.queue.processed,
         "fault_events": counters["fault_events"],
         "reroute_count": counters["reroutes"],
         "stranded_bytes": float(counters["stranded_bytes"]),
@@ -481,7 +286,6 @@ def run_faulted(schedule: RoutedSchedule, buffer_bytes: float,
         "robustness_slowdown": (completion_time / baseline_seconds
                                 if baseline_seconds > 0 else float("inf")),
         "fault_spec": spec.canonical(),
-        "delta": "on" if delta is not None else "off",
         "delta_hits": counters["delta_hits"],
         "delta_rebuilds": counters["delta_rebuilds"],
         "route_cache_hits": counters["route_cache_hits"],
@@ -490,10 +294,10 @@ def run_faulted(schedule: RoutedSchedule, buffer_bytes: float,
         "reroute_seconds": counters["reroute_seconds"],
     }
     if collect_trace:
-        meta["epoch_trace"] = trace
+        meta["epoch_trace"] = faulted.trace
     return CollectiveResult(
         buffer_bytes=buffer_bytes,
-        shard_bytes=shard,
+        shard_bytes=buffer_bytes / n,
         completion_time=completion_time,
         num_nodes=n,
         schedule_kind="routed",
@@ -511,7 +315,7 @@ def run_faulted_sweep(schedule: Union[RoutedSchedule, LinkSchedule],
 
     The schedule is validated once and one
     :class:`~repro.faults.context.PreparedFaultContext` backs every buffer
-    point, so the per-flow arrays, compiled delta template and reroute
+    point, so the per-flow arrays, compiled arena template and reroute
     caches are built once for the whole sweep.  The zero-fault baseline is
     still computed per buffer point so every result carries its own
     ``robustness_slowdown``.

@@ -120,8 +120,8 @@ class FaultSpec:
 
         No epoch boundaries after t=0 and nothing degrading the initial
         state: ``up`` events over a pristine fault layer are no-ops, so a
-        spec made only of those (e.g. ``faults:up@0``) is trivial and the
-        runner delegates to the plain engine path byte-for-byte.
+        spec made only of those (e.g. ``faults:up@0``) is trivial and a
+        faulted run under it reproduces the plain engine byte-for-byte.
         """
         if FaultTimeline(self).epochs:
             return False

@@ -10,10 +10,10 @@ The performance layer behind the simulator and the solve engine:
   uniform-RHS-scaling detection for LP families;
 * :mod:`repro.perf.batch` — :func:`solve_family`, the batched multi-RHS
   solver that degraded-fabric sweeps route through;
-* :mod:`repro.perf.delta` — :class:`DeltaProgram`, the incremental
-  mutation layer for compiled flow programs: fabric epochs patch
-  capacities and rerouted incidence slots in place instead of recompiling
-  (``REPRO_DELTA=off`` selects the recompile-from-scratch oracle).
+* :mod:`repro.perf.delta` — :class:`DeltaProgram`, the one mutable flow
+  arena: cluster runs append and retire flow sets in it, fault epochs
+  patch its capacities and rerouted incidence slots in place instead of
+  recompiling.
 
 Everything here degrades gracefully: without ``numba`` the fills run the
 numpy kernel, without ``highspy`` the warm-started backend falls back to
@@ -23,7 +23,7 @@ with the ``perf`` extra (``pip install -e '.[perf]'``); see
 """
 
 from .batch import solve_family
-from .delta import DeltaProgram, delta_enabled, set_delta_enabled
+from .delta import DeltaProgram
 from .fillkernel import (FillWorkspace, fill_kernel_name, fill_rates_csr,
                          fill_rates_numpy, numba_available, run_fill,
                          set_fill_kernel)
@@ -44,6 +44,4 @@ __all__ = [
     "uniform_rhs_scale",
     "solve_family",
     "DeltaProgram",
-    "delta_enabled",
-    "set_delta_enabled",
 ]

@@ -1,48 +1,50 @@
-"""In-place delta mutation of compiled flow programs (``REPRO_DELTA``).
+"""The one mutable flow arena behind every :class:`~repro.simulator.engine.FluidRun`.
 
-The fault runner (:mod:`repro.faults.runner`) used to rebuild its
-:class:`~repro.simulator.engine.FlowProgram` with ``compile_flows`` and
-allocate a fresh :class:`~repro.perf.fillkernel.FillWorkspace` at every
-fabric epoch.  :class:`DeltaProgram` makes those epochs incremental: the
-full flow set is compiled **once** per (schedule, fabric) into a slotted
-incidence arena, and each epoch then
+A run whose flow program changes between events keeps it in a
+:class:`DeltaProgram`.  Cluster co-simulation appends a flow set when a
+job's comm phase starts and drops it once drained; the fault runner keeps
+one flow set for the whole run and, at every fabric epoch, re-posts link
+capacities and moves rerouted flows onto their repair paths.  Both work on
+one slotted incidence arena:
 
-* patches the per-link capacities in place for ``down`` / ``up`` /
-  ``scale`` events (:meth:`DeltaProgram.set_capacities` — injection and
-  forwarding rows never change across epochs, the fault timeline only
-  touches links);
-* swaps the incidence slots of rerouted flows
-  (:meth:`DeltaProgram.set_paths`) — untouched flows keep their entries,
-  retired or stranded flows are simply masked out of the fill;
-* refreshes the resource-major CSR view of the shared workspace without
-  re-allocating any arena.
+* every flow owns a span of incidence slots, flow-major, so the fill
+  workspace's flow-major view aliases the arena and slot writes need no
+  re-sorting.  Unused slots point at an appended **slack resource** whose
+  capacity (:data:`SLACK_CAP`) can never be a bottleneck, so they are
+  invisible to the max-min fill;
+* :meth:`DeltaProgram.inject` compiles a flow set with the engine's
+  ``compile_flows`` (degraded fabrics, injection and forwarding caps behave
+  identically) and appends it with no spare slots;
+* finished rows stay in place — the run's fill mask pins their rate to
+  zero — until :meth:`DeltaProgram.compact` sees dead rows outnumber live
+  ones and drops them all at once, turning the per-completion O(nnz)
+  rebuild into an amortized one (``compactions`` counts the sweeps);
+* :meth:`DeltaProgram.apply` re-posts capacities for an epoch fabric and
+  swaps the slots of rerouted flows in place.  The flow set
+  given to the constructor (the fault runner's full schedule) gets
+  :data:`_PAD_SLOTS` spare slots per flow so common BFS repairs fit; a
+  longer route regrows the arena once with doubled spans.  That arena
+  never compacts: the fault runner addresses its flows by index;
+* :meth:`DeltaProgram.clone` copies the mutable state for concurrent
+  adversarial evaluations.
 
-Every flow owns a fixed span of incidence slots; unused slots point at an
-appended **slack resource** whose capacity (:data:`SLACK_CAP`) is so large
-it can never be a bottleneck, so slot padding is invisible to the max-min
-fill (the rates are bit-identical to a fresh ``compile_flows`` of the
-survivors — asserted by the fuzz leg in ``tests/test_faults.py``).  A
-reroute that overflows its span triggers one geometric regrow of the whole
-arena (``rebuilds`` counts them; spans double, so regrows amortize out).
-
-``REPRO_DELTA=off`` (or :func:`set_delta_enabled`) disables the layer and
-restores the recompile-from-scratch path, which is retained as the
-differential oracle exactly like ``REPRO_KERNEL=python-csr`` and
-``simulator/reference.py``.
+Rates over the arena are bit-identical to a fresh ``compile_flows`` of the
+live flows — the fill kernels read only the incidence, capacities and the
+active mask, never sizes — which the per-epoch fuzz in
+``tests/test_faults.py`` checks slot by slot.
 """
 
 from __future__ import annotations
 
-import os
-import threading
+import copy
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fillkernel import FillWorkspace
 
-__all__ = ["DeltaProgram", "SLACK_CAP", "delta_enabled", "set_delta_enabled"]
+__all__ = ["DeltaProgram", "SLACK_CAP"]
 
 Path = Tuple[int, ...]
 
@@ -51,129 +53,125 @@ Path = Tuple[int, ...]
 #: kernels never do ``inf`` arithmetic.
 SLACK_CAP = 1e30
 
-#: Free incidence slots appended to every flow's span at build time, so the
+#: Free incidence slots per flow of the constructor's flow set, so the
 #: common BFS repair (same length or slightly longer than the planned path)
 #: fits without a regrow.
 _PAD_SLOTS = 2
 
-_override_lock = threading.Lock()
-_override: Optional[bool] = None
 
-_ON_VALUES = ("on", "1", "true", "yes", "auto")
-_OFF_VALUES = ("off", "0", "false", "no")
-
-
-def set_delta_enabled(value: Optional[bool]) -> None:
-    """Force the delta layer on/off programmatically (``None`` restores env)."""
-    global _override
-    with _override_lock:
-        _override = value
-
-
-def delta_enabled() -> bool:
-    """Whether faulted runs use the in-place delta engine.
-
-    Resolution order: :func:`set_delta_enabled` override, then the
-    ``REPRO_DELTA`` environment variable (default on).  ``off`` selects the
-    recompile-from-scratch differential oracle.
-    """
-    with _override_lock:
-        value = _override
-    if value is not None:
-        return value
-    raw = os.environ.get("REPRO_DELTA", "on").strip().lower()
-    if raw in _ON_VALUES:
-        return True
-    if raw in _OFF_VALUES:
-        return False
-    raise ValueError(
-        f"REPRO_DELTA must be one of {_ON_VALUES + _OFF_VALUES}, got {raw!r}")
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Span start offsets: exclusive prefix sums with the total appended."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
 
 
 class DeltaProgram:
     """A mutable compiled flow program: slotted incidence + warm workspace.
 
-    Built once over the **full** flow set (original planned paths, against
-    the base fabric with its down set stripped — a planned path may cross a
-    base down link only if the caller reroutes it before the first fill).
-    The runner masks inactive flows instead of compacting them, which is
-    rate-identical to compiling the survivors: the fill kernels read only
-    the incidence, capacities and active mask, never the sizes.
-
-    ``program`` / ``workspace`` are live views over the mutable arrays —
-    :meth:`apply` edits them in place between fills.  :meth:`clone` gives an
-    independent copy sharing the immutable layout (used by concurrent
-    adversarial evaluations).
+    ``paths``/``sizes`` are the fixed flow set, compiled against ``fabric``
+    with its down set stripped (a planned path may cross a base down link
+    only if the caller reroutes it before the first fill); more sets are
+    appended with :meth:`inject`.  ``program``/``workspace`` are live views
+    over the arena: in-place edits show through them, and a mutation that
+    reallocates the arena replaces them.
     """
 
-    def __init__(self, topology, fabric, paths: Sequence[Path],
-                 sizes: Sequence[float]) -> None:
-        from ..simulator.engine import FluidFlow, compile_flows
+    def __init__(self, topology, fabric=None, paths: Sequence[Path] = (),
+                 sizes: Sequence[float] = ()) -> None:
+        from ..simulator.fabric import FabricModel
 
         self.topology = topology
-        self.base_fabric = fabric
-        template_fabric = replace(fabric, down_links=())
-        flows = [FluidFlow(path=tuple(p), size_bytes=max(float(s), 0.0))
-                 for p, s in zip(paths, sizes)]
-        base = compile_flows(topology, flows, template_fabric,
-                             include_latency=False)
-        self.num_flows = int(base.num_flows)
-        self.num_real_res = len(base.res_cap)
-        self.slack = self.num_real_res
-        self._edges = tuple(topology.edges)
-        self._num_links = len(self._edges)
-        self._edge_index = {e: i for i, e in enumerate(self._edges)}
-        self._topo_cap = np.array(
-            [topology.capacity(u, v) for u, v in self._edges], dtype=float)
-        max_deg = topology.max_degree()
-        self._inj_base = (self._num_links
-                          if fabric.injection_limited(max_deg) else None)
-        fwd_base = self._num_links + (
-            topology.num_nodes if self._inj_base is not None else 0)
-        self._fwd_base = (fwd_base if fabric.forwarding_bandwidth is not None
-                          else None)
-        self.res_cap = np.concatenate([base.res_cap, [SLACK_CAP]])
+        self.fabric = fabric or FabricModel()
+        # Routes are lowered against the fabric without its down set; the
+        # capacities, down links included, are posted by set_capacities.
+        self._layout_fabric = replace(self.fabric, down_links=())
+        template = self._compile(paths, sizes)
+        self.slack = len(template.res_cap)
+        self.res_cap = np.full(self.slack + 1, SLACK_CAP)
         self._cap_key: Optional[Tuple[object, object]] = None
+        self.set_capacities(self.fabric)
 
-        # One slot span per flow: the template entries (compile_flows emits
-        # them flow-major) plus _PAD_SLOTS of slack headroom.
-        counts = np.bincount(base.inc_flow,
-                             minlength=self.num_flows).astype(np.int64)
-        self._caps = counts + _PAD_SLOTS
-        self._starts = np.zeros(self.num_flows + 1, dtype=np.int64)
-        np.cumsum(self._caps, out=self._starts[1:])
-        self._lens = counts.copy()
-        nnz = int(self._starts[-1])
-        self.ent_flow = np.repeat(
-            np.arange(self.num_flows, dtype=np.int64), self._caps)
-        self.ent_res = np.full(nnz, self.slack, dtype=np.int64)
-        src = np.zeros(self.num_flows + 1, dtype=np.int64)
-        np.cumsum(counts, out=src[1:])
-        for i in range(self.num_flows):
-            s = int(self._starts[i])
-            self.ent_res[s:s + counts[i]] = base.inc_res[src[i]:src[i + 1]]
-        self._encoded: List[Path] = [tuple(p) for p in paths]
-        self._sizes = np.asarray(base.sizes, dtype=float)
-        self.rebuilds = 0
+        self._fixed = bool(len(paths))
+        self.ent_res = np.zeros(0, dtype=np.int64)
+        self.ent_flow = np.zeros(0, dtype=np.int64)
+        self._caps = np.zeros(0, dtype=np.int64)
+        self._lens = np.zeros(0, dtype=np.int64)
+        self._encoded: List[Path] = []
+        self._sizes = np.zeros(0)
+        self._delays = np.zeros(0)
+        self._set_ids = np.zeros(0, dtype=np.int64)
+        self._set_names: List[str] = ["schedule"] if self._fixed else []
+        self.compactions = 0
+        self._append(template, paths, 0, lambda lens: lens + _PAD_SLOTS)
         self._init_views()
 
+    @property
+    def num_flows(self) -> int:
+        """Rows in the arena, dead rows awaiting compaction included."""
+        return len(self._sizes)
+
     # ------------------------------------------------------------------ #
-    # Views
+    # Layout
     # ------------------------------------------------------------------ #
+    def _compile(self, paths: Sequence[Path], sizes: Sequence[float] = ()):
+        """``compile_flows`` of ``paths`` against the layout fabric."""
+        from ..simulator.engine import FluidFlow, compile_flows
+
+        sizes = list(sizes) or [0.0] * len(paths)
+        return compile_flows(
+            self.topology,
+            [FluidFlow(path=tuple(p), size_bytes=max(float(b), 0.0))
+             for p, b in zip(paths, sizes)],
+            self._layout_fabric, include_latency=False)
+
+    def _slots(self, flow: np.ndarray, res: np.ndarray, num_flows: int,
+               spans) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Lay flow-major entries out in spans of ``spans(lens)`` slots.
+
+        ``flow``/``res`` list each flow's entries contiguously, in flow
+        order (as ``compile_flows`` emits them).  Returns ``(ent_res, lens,
+        caps)``; slots past a flow's entries point at the slack resource.
+        """
+        lens = np.bincount(flow, minlength=num_flows).astype(np.int64)
+        caps = spans(lens)
+        starts, src = _offsets(caps), _offsets(lens)
+        ent_res = np.full(int(starts[-1]), self.slack, dtype=np.int64)
+        ent_res[starts[flow] + np.arange(len(flow)) - src[flow]] = res
+        return ent_res, lens, caps
+
+    def _append(self, compiled, paths: Sequence[Path], set_id: int,
+                spans) -> None:
+        """Append a compiled flow set as set ``set_id``."""
+        ent_res, lens, caps = self._slots(compiled.inc_flow, compiled.inc_res,
+                                          compiled.num_flows, spans)
+        first, n = self.num_flows, len(lens)
+        self.ent_res = np.concatenate([self.ent_res, ent_res])
+        self.ent_flow = np.concatenate([
+            self.ent_flow,
+            np.repeat(np.arange(first, first + n, dtype=np.int64), caps)])
+        self._caps = np.concatenate([self._caps, caps])
+        self._lens = np.concatenate([self._lens, lens])
+        self._starts = _offsets(self._caps)
+        self._encoded.extend(tuple(p) for p in paths)
+        self._sizes = np.concatenate([self._sizes, compiled.sizes])
+        self._delays = np.concatenate([self._delays, compiled.start_delays])
+        self._set_ids = np.concatenate([self._set_ids,
+                                        np.full(n, set_id, dtype=np.int64)])
+
     def _init_views(self) -> None:
-        """(Re)build the FlowProgram/FillWorkspace views over the arenas."""
+        """(Re)build the FlowProgram/FillWorkspace views over the arena."""
         from ..simulator.engine import FlowProgram
 
         self.program = FlowProgram(
             num_flows=self.num_flows,
             sizes=self._sizes,
-            start_delays=np.zeros(self.num_flows),
-            set_ids=np.zeros(self.num_flows, dtype=np.int64),
-            set_names=("delta",) if self.num_flows else (),
+            start_delays=self._delays,
+            set_ids=self._set_ids,
+            set_names=tuple(self._set_names),
             res_cap=self.res_cap,
             inc_res=self.ent_res,
             inc_flow=self.ent_flow,
-            meta={"delta": True},
         )
         ws = FillWorkspace(self.program)
         # The flow-major view must alias the slot arena so in-place slot
@@ -182,7 +180,6 @@ class DeltaProgram:
         ws.flow_res = self.ent_res
         ws.res_cap = self.res_cap
         self.workspace = ws
-        self._csr_dirty = False
 
     def _refresh_csr(self) -> None:
         """Recompute the resource-major CSR into the existing arenas."""
@@ -191,117 +188,117 @@ class DeltaProgram:
         np.take(self.ent_flow, order, out=ws.res_flows)
         np.cumsum(np.bincount(self.ent_res, minlength=len(self.res_cap)),
                   out=ws.res_ptr[1:])
-        self._csr_dirty = False
 
     # ------------------------------------------------------------------ #
-    # Delta edits
+    # Flow sets: inject and compact
+    # ------------------------------------------------------------------ #
+    def inject(self, flows, name: str) -> int:
+        """Append a flow set compiled against the arena's fabric; returns its set id."""
+        from ..simulator.engine import compile_flows
+
+        compiled = compile_flows(self.topology, flows, self.fabric)
+        set_id = len(self._set_names)
+        self._set_names.append(name)
+        self._append(compiled, [f.path for f in flows], set_id,
+                     lambda lens: lens)
+        self._init_views()
+        return set_id
+
+    def compact(self, live: np.ndarray) -> Optional[np.ndarray]:
+        """Drop the rows outside ``live`` once they outnumber the live ones.
+
+        Until then dead rows stay in place, masked out of the fill.  The
+        survivors are renumbered in order; returns the kept-row mask when
+        the arena compacted, else None.  An arena built over a fixed flow
+        set never compacts.
+        """
+        n_live = int(np.count_nonzero(live))
+        if (self._fixed or self.num_flows < 16
+                or self.num_flows - n_live <= n_live):
+            return None
+        keep = live
+        new_index = np.cumsum(keep) - 1
+        entry_keep = keep[self.ent_flow]
+        self.ent_res = self.ent_res[entry_keep]
+        self.ent_flow = new_index[self.ent_flow[entry_keep]]
+        self._caps = self._caps[keep]
+        self._lens = self._lens[keep]
+        self._starts = _offsets(self._caps)
+        self._encoded = [p for p, k in zip(self._encoded, keep) if k]
+        self._sizes = self._sizes[keep]
+        self._delays = self._delays[keep]
+        self._set_ids = self._set_ids[keep]
+        self.compactions += 1
+        self._init_views()
+        return keep
+
+    # ------------------------------------------------------------------ #
+    # Fabric epochs: capacities and routes in place
     # ------------------------------------------------------------------ #
     def set_capacities(self, epoch_fabric) -> None:
-        """Patch the per-link capacities for one epoch fabric, in place.
+        """Post the resource capacities of one epoch fabric, in place.
 
         Down links get capacity zero (their flows must have been rerouted
         or masked; a zero-rate stall is the canary for a missed reroute).
-        Injection/forwarding rows are epoch-invariant and never touched.
         Idempotent per ``(down_links, link_scale)`` state, so flapping
-        timelines that revisit a state skip the rebuild entirely.
+        timelines that revisit a state skip the recompute.
         """
+        from ..simulator.engine import compile_flows
+
         key = (epoch_fabric.down_links, epoch_fabric.link_scale)
-        if key == self._cap_key:
-            return
-        bw = epoch_fabric.link_bandwidths(self._edges)
-        self.res_cap[:self._num_links] = self._topo_cap * np.array(
-            [bw[e] for e in self._edges], dtype=float)
-        self._cap_key = key
+        if key != self._cap_key:
+            self.res_cap[:self.slack] = compile_flows(
+                self.topology, [], epoch_fabric).res_cap
+            self._cap_key = key
 
-    def _entries_for(self, path: Path) -> List[int]:
-        """Resource entries for one path, in ``compile_flows`` order."""
-        index = self._edge_index
-        try:
-            ents = [index[e] for e in zip(path[:-1], path[1:])]
-        except KeyError as exc:
-            raise ValueError(
-                f"path {path} uses non-existent link {exc.args[0]}") from exc
-        if self._inj_base is not None:
-            ents.append(self._inj_base + path[0])
-        if self._fwd_base is not None:
-            ents.extend(self._fwd_base + node for node in path[1:-1])
-        return ents
-
-    def set_paths(self, paths: Sequence[Optional[Path]]) -> int:
-        """Point each flow's incidence slots at its route in force.
+    def apply(self, epoch_fabric, paths: Sequence[Optional[Path]]) -> int:
+        """One epoch's delta: capacities, then the slots of rerouted flows.
 
         Only flows whose route differs from the encoded one are touched;
         ``None`` (stranded) keeps the previous slots — the caller masks the
-        flow out of the fill.  Returns the number of arena regrows (0 or 1):
-        a route overflowing its span rebuilds the whole arena with doubled
-        spans for the overflowing flows.
-        """
-        encoded = self._encoded
-        pending: Dict[int, List[int]] = {}
-        overflow = False
-        for i, path in enumerate(paths):
-            if path is None or path == encoded[i]:
-                continue
-            ents = self._entries_for(path)
-            pending[i] = ents
-            if len(ents) > self._caps[i]:
-                overflow = True
-        if not pending:
-            return 0
-        if overflow:
-            self._rebuild(pending, paths)
-            return 1
-        slack = self.slack
-        for i, ents in pending.items():
-            s = int(self._starts[i])
-            ln = len(ents)
-            self.ent_res[s:s + ln] = ents
-            self.ent_res[s + ln:s + int(self._caps[i])] = slack
-            self._lens[i] = ln
-            encoded[i] = paths[i]
-        self._csr_dirty = True
-        return 0
-
-    def apply(self, epoch_fabric, paths: Sequence[Optional[Path]]) -> int:
-        """One epoch's full delta: capacities + routes + CSR refresh.
-
-        Returns the number of arena rebuilds (0 for a pure in-place epoch).
+        flow out of the fill.  Returns the number of arena regrows (0 for a
+        pure in-place epoch, 1 when a route overflowed its span and the
+        whole arena was re-laid with doubled spans for the overflowing
+        flows).
         """
         self.set_capacities(epoch_fabric)
-        rebuilds = self.set_paths(paths)
-        if self._csr_dirty:
-            self._refresh_csr()
-        return rebuilds
+        moved = [i for i, path in enumerate(paths)
+                 if path is not None and path != self._encoded[i]]
+        if not moved:
+            return 0
+        for i in moved:
+            self._encoded[i] = tuple(paths[i])
+        compiled = self._compile([paths[i] for i in moved])
+        lens = np.bincount(compiled.inc_flow, minlength=len(moved))
+        if (lens > self._caps[moved]).any():
+            self._regrow(np.asarray(moved)[compiled.inc_flow], compiled.inc_res)
+            return 1
+        src = _offsets(lens)
+        for j, i in enumerate(moved):
+            s = int(self._starts[i])
+            self.ent_res[s:s + int(self._caps[i])] = self.slack
+            self.ent_res[s:s + int(lens[j])] = compiled.inc_res[src[j]:src[j + 1]]
+        self._lens[moved] = lens
+        self._refresh_csr()
+        return 0
 
-    def _rebuild(self, pending: Dict[int, List[int]],
-                 paths: Sequence[Optional[Path]]) -> None:
-        """Geometric regrow: double the span of every overflowing flow."""
-        per_flow: List[np.ndarray] = [
-            self.ent_res[self._starts[i]:self._starts[i] + self._lens[i]]
-            for i in range(self.num_flows)]
-        encoded = list(self._encoded)
-        new_caps = self._caps.copy()
-        for i, ents in pending.items():
-            per_flow[i] = np.asarray(ents, dtype=np.int64)
-            encoded[i] = paths[i]
-            new_caps[i] = max(int(new_caps[i]), 2 * len(ents))
-        new_lens = np.array([len(e) for e in per_flow], dtype=np.int64)
-        starts = np.zeros(self.num_flows + 1, dtype=np.int64)
-        np.cumsum(new_caps, out=starts[1:])
-        nnz = int(starts[-1])
-        ent_flow = np.repeat(
-            np.arange(self.num_flows, dtype=np.int64), new_caps)
-        ent_res = np.full(nnz, self.slack, dtype=np.int64)
-        for i in range(self.num_flows):
-            s = int(starts[i])
-            ent_res[s:s + new_lens[i]] = per_flow[i]
-        self._caps = new_caps
-        self._starts = starts
-        self._lens = new_lens
-        self.ent_flow = ent_flow
-        self.ent_res = ent_res
-        self._encoded = encoded
-        self.rebuilds += 1
+    def _regrow(self, flow: np.ndarray, res: np.ndarray) -> None:
+        """Re-lay the arena with new entries ``res`` for the flows in ``flow``.
+
+        Every other flow keeps its entries; every overflowing span doubles.
+        """
+        slot = np.arange(len(self.ent_res)) - self._starts[self.ent_flow]
+        kept = ((slot < self._lens[self.ent_flow])
+                & ~np.isin(self.ent_flow, flow))
+        flow = np.concatenate([self.ent_flow[kept], flow])
+        order = np.argsort(flow, kind="stable")
+        self.ent_res, self._lens, self._caps = self._slots(
+            flow[order], np.concatenate([self.ent_res[kept], res])[order],
+            self.num_flows,
+            lambda lens: np.where(lens > self._caps, 2 * lens, self._caps))
+        self._starts = _offsets(self._caps)
+        self.ent_flow = np.repeat(
+            np.arange(self.num_flows, dtype=np.int64), self._caps)
         self._init_views()
 
     # ------------------------------------------------------------------ #
@@ -310,48 +307,16 @@ class DeltaProgram:
     def clone(self) -> "DeltaProgram":
         """An independent mutable copy sharing the immutable layout.
 
-        The slot layout (``ent_flow``, spans) and topology metadata are
-        shared — a regrow *replaces* those arrays rather than mutating
-        them, so sharing is safe even if the clone later rebuilds.  The
-        mutable state (``ent_res``, ``res_cap``, CSR view, scratch arenas)
-        is copied, so clones evolve independently across threads.
+        Arrays that mutations only ever *replace* (``ent_flow``, spans,
+        sizes) are shared; the ones edited in place (``ent_res``,
+        ``res_cap``, slot lengths, routes) and the workspace are copied, so
+        clones evolve independently across threads.
         """
-        from ..simulator.engine import FlowProgram
-
-        new = object.__new__(DeltaProgram)
-        new.__dict__.update(self.__dict__)
+        new = copy.copy(self)
         new.ent_res = self.ent_res.copy()
         new.res_cap = self.res_cap.copy()
         new._lens = self._lens.copy()
         new._encoded = list(self._encoded)
-        new.rebuilds = 0
-        new.program = FlowProgram(
-            num_flows=new.num_flows,
-            sizes=new._sizes,
-            start_delays=np.zeros(new.num_flows),
-            set_ids=np.zeros(new.num_flows, dtype=np.int64),
-            set_names=("delta",) if new.num_flows else (),
-            res_cap=new.res_cap,
-            inc_res=new.ent_res,
-            inc_flow=new.ent_flow,
-            meta={"delta": True},
-        )
-        src = self.workspace
-        ws = object.__new__(FillWorkspace)
-        ws.num_res = src.num_res
-        ws.num_flows = src.num_flows
-        ws.res_cap = new.res_cap
-        ws.res_flows = src.res_flows.copy()
-        ws.res_ptr = src.res_ptr.copy()
-        ws.flow_res = new.ent_res
-        ws.flow_ptr = src.flow_ptr
-        ws.rates = np.zeros(new.num_flows)
-        ws.frozen = np.empty(new.num_flows, dtype=np.bool_)
-        ws.freeze = np.empty(new.num_flows, dtype=np.bool_)
-        ws.stack = np.empty(new.num_flows, dtype=np.int64)
-        ws.residual = np.empty(len(new.res_cap))
-        ws.counts = np.empty(len(new.res_cap), dtype=np.int64)
-        ws.share = np.empty(len(new.res_cap))
-        new.workspace = ws
-        new._csr_dirty = False
+        new._set_names = list(self._set_names)
+        new._init_views()
         return new

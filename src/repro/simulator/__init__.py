@@ -23,12 +23,12 @@ from .engine import (
     EngineResult,
     FillWorkspace,
     FlowProgram,
+    FluidRun,
     compile_flows,
     engine_counters,
     execute,
     fill_rates,
     record_fault_events,
-    record_simulation,
     reset_engine_counters,
     simulate_program,
 )
@@ -60,12 +60,12 @@ __all__ = [
     "EngineResult",
     "FillWorkspace",
     "FlowProgram",
+    "FluidRun",
     "compile_flows",
     "engine_counters",
     "execute",
     "fill_rates",
     "record_fault_events",
-    "record_simulation",
     "reset_engine_counters",
     "simulate_program",
     "Event",

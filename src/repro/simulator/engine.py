@@ -17,9 +17,14 @@ on this engine:
    flows freeze at that rate).  ``REPRO_KERNEL`` selects explicitly;
    scratch arenas live in a :class:`~repro.perf.fillkernel.FillWorkspace`
    reused across fills;
-3. **execute** — :func:`execute` advances from flow completion to flow
-   completion through the :class:`~repro.simulator.events.EventQueue`
-   scheduler, re-filling incrementally over the surviving flows only.
+3. **run** — :class:`FluidRun` is the one fluid event loop: it advances
+   from event to event on the :class:`~repro.simulator.events.EventQueue`,
+   integrating rates, retiring finished flows and re-filling over the
+   survivors.  :func:`execute` runs a compiled program on it; the cluster
+   runner (arrivals, compute timers, phase barriers that inject flow sets)
+   and the fault runner (fabric epochs that reroute and patch the
+   :class:`~repro.perf.delta.DeltaProgram` arena) are event sources on the
+   same loop.
 
 Max-min fair allocations are unique, so freezing *all* minimum-share
 resources per round is exactly equivalent to the classic one-bottleneck-
@@ -40,10 +45,11 @@ for the ``[stats]`` footer; read them with :func:`engine_counters`.
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,8 +60,8 @@ from .events import EventQueue
 from .fabric import FabricModel
 
 __all__ = ["FluidFlow", "FlowProgram", "EngineResult", "FillWorkspace",
-           "compile_flows", "execute", "fill_rates", "simulate_program",
-           "engine_counters", "record_simulation", "record_fault_events",
+           "FluidRun", "compile_flows", "execute", "fill_rates",
+           "simulate_program", "engine_counters", "record_fault_events",
            "reset_engine_counters"]
 
 
@@ -108,7 +114,7 @@ def engine_counters() -> Dict[str, object]:
     ``compile_seconds``/``reroute_seconds`` split that runner's per-epoch
     program-targeting and repair/certification wall time out of
     ``fill_seconds``; ``delta_hits``/``delta_rebuilds`` count fabric epochs
-    the delta engine (:mod:`repro.perf.delta`) absorbed in place versus
+    the flow arena (:mod:`repro.perf.delta`) absorbed in place versus
     arena reallocations, and ``route_cache_hits``/``route_cache_misses``
     track the shared reroute/certification cache.
     """
@@ -126,45 +132,18 @@ def reset_engine_counters() -> None:
                          route_cache_misses=0)
 
 
-def _count(fill_rounds: int, events: int) -> None:
-    with _counters_lock:
-        _counters["fill_rounds"] += fill_rounds
-        _counters["events"] += events
-        _counters["simulations"] += 1
-
-
-def record_simulation(fill_rounds: int, events: int) -> None:
-    """Credit one externally-driven simulation to the engine counters.
-
-    Drivers that run the fill loop themselves (e.g. the cluster runner,
-    which interleaves flow injection with saturation rounds) use this so
-    their work shows up in the same ``[stats]`` footer as :func:`execute`.
-    """
-    _count(fill_rounds, events)
-
-
-def record_fault_events(fabric_events: int, reroutes: int,
-                        compile_seconds: float = 0.0,
-                        reroute_seconds: float = 0.0,
-                        delta_hits: int = 0, delta_rebuilds: int = 0,
-                        route_cache_hits: int = 0,
-                        route_cache_misses: int = 0) -> None:
+def record_fault_events(**counts: float) -> None:
     """Credit fabric mutations / flow re-steers to the engine counters.
 
-    Called by the fault runner after each faulted execution so the
-    ``[stats]`` footer shows dynamic-failure work next to fill rounds,
-    including the per-phase timing split (program targeting vs
-    repair/certification) and the delta-engine / reroute-cache tallies.
+    Called by the fault runner after each faulted execution with
+    ``fabric_events``, ``reroutes``, the per-phase timing split
+    (``compile_seconds``, ``reroute_seconds``) and the delta-engine /
+    reroute-cache tallies, so the ``[stats]`` footer shows dynamic-failure
+    work next to fill rounds.
     """
     with _counters_lock:
-        _counters["fabric_events"] += fabric_events
-        _counters["reroutes"] += reroutes
-        _counters["compile_seconds"] += compile_seconds
-        _counters["reroute_seconds"] += reroute_seconds
-        _counters["delta_hits"] += delta_hits
-        _counters["delta_rebuilds"] += delta_rebuilds
-        _counters["route_cache_hits"] += route_cache_hits
-        _counters["route_cache_misses"] += route_cache_misses
+        for key, value in counts.items():
+            _counters[key] += value
 
 
 # --------------------------------------------------------------------------- #
@@ -319,8 +298,274 @@ def fill_rates(program: FlowProgram, active: np.ndarray,
 
 
 # --------------------------------------------------------------------------- #
-# Event-driven execution
+# The fluid event loop
 # --------------------------------------------------------------------------- #
+#: Relative slack of the completion-edge rule (see :class:`FluidRun`).
+_EDGE_SLACK = 1e-12
+
+
+class FluidRun:
+    """The fluid event loop: one :class:`EventQueue` over one flow program.
+
+    ``program`` is a static :class:`FlowProgram` (what :func:`execute` runs)
+    or a mutable :class:`~repro.perf.delta.DeltaProgram` arena, into which
+    flow sets are injected (:meth:`inject`) and whose capacities and routes
+    event sources patch between events.  The run owns the per-flow state —
+    ``remaining`` bytes, the ``active`` fill mask, ``completion`` instants
+    and start-up ``delays`` (``sizes``/``delays`` default to the program's)
+    — the workspace-aliased ``rates`` and the pending completion edge, and
+    implements the one stepping rule every simulation shares:
+
+    * **integrate** — every event first drains ``rates * dt`` bytes from the
+      active flows since the previous event;
+    * **retire** — flows left with at most ``SIM_BYTES_EPS`` bytes finish
+      now, at ``now + delay``.  At a completion edge every flow whose
+      analytic finish falls on that edge (``remaining <= rates * dt *
+      (1 + 1e-12) + SIM_BYTES_EPS`` when the edge was scheduled) finishes
+      too, whatever residue float round-off left: late in a run ``now + dt``
+      can equal ``now``, and the residue would otherwise respawn the same
+      edge until the event budget runs out;
+    * **refill** — once every event at the current instant has fired, the
+      active flows are re-filled if anything changed (a retirement, an
+      injection, or a source calling :meth:`changed`) and the next
+      completion edge is scheduled.
+
+    Flows of at most ``SIM_EPS`` bytes complete on entry after their start
+    delay, without entering the fill.  Event sources — job arrivals,
+    compute timers, phase barriers, fabric epochs — schedule callbacks with
+    :meth:`schedule_at`.  A source scheduled before a completion edge at the
+    same instant fires first (the queue breaks time ties by insertion
+    order).  Active flows with zero rate raise the stall error; more than
+    ``max_events`` events raise the event-cap error.
+    """
+
+    def __init__(self, program, sizes: Optional[np.ndarray] = None,
+                 delays: Optional[np.ndarray] = None,
+                 max_events: int = 1_000_000) -> None:
+        """Start a run at t=0 over ``program`` (nothing fills until :meth:`run`)."""
+        if isinstance(program, FlowProgram):
+            self.arena = None
+            self._static = (program, FillWorkspace(program))
+        else:
+            self.arena = program
+        program = self.program
+        self.max_events = max_events
+        self.queue = EventQueue()
+        self.remaining = np.array(program.sizes if sizes is None else sizes,
+                                  dtype=float)
+        self.delays = np.asarray(program.start_delays if delays is None
+                                 else delays, dtype=float)
+        self.active = np.ones(len(self.remaining), dtype=bool)
+        self.completion = np.zeros(len(self.remaining))
+        self.rates = np.zeros(len(self.remaining))
+        self.fill_rounds = 0
+        self.last = 0.0
+        self._edge: Optional[np.ndarray] = None
+        self._pending = None
+        self._dirty = True
+        self._sets: Dict[int, list] = {}
+        self._credited = (0, 0)
+        self._enter(0)
+
+    @property
+    def program(self) -> FlowProgram:
+        """The flow program the next fill runs over."""
+        return self._static[0] if self.arena is None else self.arena.program
+
+    @property
+    def workspace(self) -> FillWorkspace:
+        """The fill workspace matching :attr:`program`."""
+        return self._static[1] if self.arena is None else self.arena.workspace
+
+    @property
+    def now(self) -> float:
+        """The current simulated time."""
+        return self.queue.now
+
+    # ------------------------------------------------------------------ #
+    # Event sources
+    # ------------------------------------------------------------------ #
+    def schedule_at(self, time: float, callback: Callable[[], None]):
+        """Schedule an event source's ``callback`` at absolute ``time``.
+
+        The fluid state is integrated to ``time`` (finished flows retired)
+        before the callback runs.
+        """
+        def fire() -> None:
+            self._integrate()
+            callback()
+        return self.queue.schedule_at(time, fire)
+
+    def changed(self) -> None:
+        """Note that capacities, routes or the active mask changed.
+
+        Cancels the pending completion edge; the active flows re-fill once
+        the events at the current instant have fired.
+        """
+        if self._pending is not None:
+            self._pending.cancel()
+            self._pending = None
+        self._dirty = True
+
+    def inject(self, flows: Sequence[FluidFlow], name: str,
+               on_done: Callable[[float], None]) -> int:
+        """Append a flow set to the arena; returns its set id.
+
+        ``on_done(t)`` is called once every flow of the set has finished,
+        with ``t`` the set's last completion instant (start delays
+        included).
+        """
+        start = len(self.remaining)
+        set_id = self.arena.inject(flows, name)
+        program = self.arena.program
+        self.remaining = np.concatenate([self.remaining, program.sizes[start:]])
+        self.delays = np.concatenate([self.delays,
+                                      program.start_delays[start:]])
+        self.active = np.concatenate([self.active,
+                                      np.ones(len(flows), dtype=bool)])
+        self.completion = np.concatenate([self.completion,
+                                          np.zeros(len(flows))])
+        self._sets[set_id] = [len(flows), self.queue.now, on_done]
+        self.changed()
+        self._enter(start)
+        return set_id
+
+    # ------------------------------------------------------------------ #
+    # Stepping
+    # ------------------------------------------------------------------ #
+    def _enter(self, start: int) -> None:
+        """Complete the flows from row ``start`` on that carry no bytes."""
+        empty = self.remaining <= SIM_EPS
+        empty[:start] = False
+        if empty.any():
+            self._retire(empty)
+
+    def _integrate(self, edge: Optional[np.ndarray] = None) -> None:
+        """Drain the rates up to now and retire finished flows."""
+        now = self.queue.now
+        dt = now - self.last
+        self.last = now
+        active = self.active
+        remaining = self.remaining
+        if dt > 0 and active.any():
+            remaining[active] -= self.rates[active] * dt
+        done = active & (remaining <= SIM_BYTES_EPS)
+        if edge is not None:
+            done |= edge
+        if done.any():
+            self._retire(done)
+
+    def _retire(self, done: np.ndarray) -> None:
+        """Finish the ``done`` flows now and report drained flow sets."""
+        self.remaining[done] = 0.0
+        self.completion[done] = self.queue.now + self.delays[done]
+        self.active[done] = False
+        self.changed()
+        if self.arena is None:
+            return
+        drained = []
+        if self._sets:
+            set_ids = self.arena.program.set_ids[done].tolist()
+            for set_id, t in zip(set_ids, self.completion[done].tolist()):
+                entry = self._sets[set_id]
+                entry[0] -= 1
+                entry[1] = max(entry[1], t)
+                if entry[0] == 0:
+                    drained.append(self._sets.pop(set_id))
+        keep = self.arena.compact(self.active)
+        if keep is not None:
+            self.remaining = self.remaining[keep]
+            self.delays = self.delays[keep]
+            self.active = self.active[keep]
+            self.completion = self.completion[keep]
+        for _, finish, on_done in drained:
+            on_done(finish)
+
+    def _on_edge(self) -> None:
+        self._pending = None
+        self._dirty = True
+        self._integrate(self._edge)
+
+    def _refill(self) -> None:
+        """Re-fill the active flows and schedule the next completion edge."""
+        self._dirty = False
+        active = self.active
+        if not active.any():
+            return
+        rates, rounds = fill_rates(self.program, active, self.workspace)
+        self.rates = rates
+        self.fill_rounds += rounds
+        eligible = active & (rates > SIM_EPS)
+        if not eligible.any():
+            raise RuntimeError(
+                "fluid simulation stalled: active flows have zero rate "
+                "(a saturated or downed resource leaves them no bandwidth)")
+        remaining = self.remaining
+        dt = float(np.min(remaining[eligible] / rates[eligible]))
+        self._edge = eligible & (
+            remaining <= rates * (dt * (1.0 + _EDGE_SLACK)) + SIM_BYTES_EPS)
+        self._pending = self.queue.schedule(dt, self._on_edge)
+
+    def run(self, until: Optional[float] = None) -> None:
+        """Fire events until the queue drains, or up to ``until``.
+
+        With ``until``, events strictly before it fire and the fluid state
+        is then integrated to ``until``; an event at exactly ``until`` stays
+        queued, so a source scheduled there later still fires before any
+        completion edge colliding with it.
+        """
+        queue = self.queue
+        stop = float("inf") if until is None else float(until)
+        if stop < queue.now:
+            raise ValueError("cannot run a fluid simulation backwards")
+        while True:
+            nxt = queue.peek()
+            if self._dirty and nxt > queue.now:
+                self._refill()
+                nxt = queue.peek()
+            if nxt >= stop:
+                break
+            if queue.processed >= self.max_events:
+                raise RuntimeError(
+                    f"fluid simulation did not converge: event budget "
+                    f"(max_events={self.max_events}) exhausted")
+            queue.step()
+        if until is not None:
+            queue.now = stop
+            self._integrate()
+        rounds, events = self._credited
+        self._credited = (self.fill_rounds, queue.processed)
+        with _counters_lock:
+            _counters["fill_rounds"] += self.fill_rounds - rounds
+            _counters["events"] += queue.processed - events
+            _counters["simulations"] += until is None
+
+    def clone(self) -> "FluidRun":
+        """An independent copy of the run at its current instant.
+
+        Per-flow state and the arena are copied; the clone's queue starts
+        empty at ``now`` with the event count carried over, and it re-fills
+        before time advances.  Event sources and flow-set callbacks are not
+        copied: the caller schedules its own on the clone.
+        """
+        new = copy.copy(self)
+        if self.arena is None:
+            new._static = (self._static[0], FillWorkspace(self._static[0]))
+        else:
+            new.arena = self.arena.clone()
+        new.remaining = self.remaining.copy()
+        new.active = self.active.copy()
+        new.completion = self.completion.copy()
+        new.queue = EventQueue()
+        new.queue.now = self.queue.now
+        new.queue.processed = self.queue.processed
+        new._edge = None
+        new._pending = None
+        new._dirty = True
+        new._sets = {}
+        return new
+
+
 @dataclass
 class EngineResult:
     """Outcome of executing one :class:`FlowProgram`."""
@@ -335,77 +580,24 @@ class EngineResult:
 
 
 def execute(program: FlowProgram, max_events: int = 1_000_000) -> EngineResult:
-    """Run a compiled program to completion on the event scheduler.
-
-    Rates are re-filled only when a completion event fires, and only over
-    the surviving flows; zero-byte flows complete after their start-up
-    latency without entering the fill at all.
-    """
-    n = program.num_flows
-    if n == 0:
-        result = EngineResult(0.0, [], {}, 0, 0, 0.0, 0.0)
-        _count(0, 0)
-        return result
-
-    remaining = program.sizes.astype(float, copy=True)
-    active = remaining > SIM_EPS
-    completion = np.where(active, 0.0, program.start_delays)
-    queue = EventQueue()
-    # One workspace per run: the CSR incidence is flattened once and every
-    # fill reuses the same scratch arenas (including the rate vector, which
-    # refill_and_schedule aliases into ``state`` instead of copying —
-    # on_completion always drains the previous rates before the next fill
-    # overwrites the buffer).
-    workspace = FillWorkspace(program)
-    state = {"rates": workspace.rates, "last": 0.0, "fill_rounds": 0}
-
-    def refill_and_schedule() -> None:
-        if not active.any():
-            return
-        rates, rounds = fill_rates(program, active, workspace)
-        state["rates"] = rates
-        state["fill_rounds"] += rounds
-        eligible = active & (rates > SIM_EPS)
-        if not eligible.any():
-            raise RuntimeError(
-                "fluid simulation stalled: active flows have zero rate "
-                "(a resource is fully saturated by completed flows?)")
-        state["last"] = queue.now
-        dt = float(np.min(remaining[eligible] / rates[eligible]))
-        queue.schedule(dt, on_completion)
-
-    def on_completion() -> None:
-        dt = queue.now - state["last"]
-        rates = state["rates"]
-        remaining[active] -= rates[active] * dt
-        done = active & (remaining <= SIM_BYTES_EPS)
-        remaining[done] = 0.0
-        completion[done] = queue.now + program.start_delays[done]
-        active[done] = False
-        refill_and_schedule()
-
-    refill_and_schedule()
-    try:
-        queue.run(max_events=max_events)
-    except RuntimeError as exc:
-        raise RuntimeError("fluid simulation did not converge") from exc
-
+    """Run a compiled program to completion on a :class:`FluidRun`."""
+    run = FluidRun(program, max_events=max_events)
+    run.run()
+    completion = run.completion
     set_times: Dict[str, float] = {}
     for idx, name in enumerate(program.set_names):
         members = program.set_ids == idx
         if members.any():
             set_times[name] = float(completion[members].max())
-    result = EngineResult(
-        completion_time=float(completion.max()),
-        flow_completion_times=[float(t) for t in completion],
+    return EngineResult(
+        completion_time=float(completion.max()) if len(completion) else 0.0,
+        flow_completion_times=completion.tolist(),
         set_completion_times=set_times,
-        fill_rounds=state["fill_rounds"],
-        events_processed=queue.processed,
+        fill_rounds=run.fill_rounds,
+        events_processed=run.queue.processed,
         max_link_bytes=program.max_link_bytes,
         total_bytes=program.total_bytes,
     )
-    _count(result.fill_rounds, result.events_processed)
-    return result
 
 
 def simulate_program(topology: Topology, flows: Sequence[FluidFlow],

@@ -8,10 +8,10 @@ engine can report scheduler work alongside its fill-round counters.
 
 Cancelled events are not removed eagerly (heap deletion is O(n)); they are
 skipped when popped, and the heap is compacted lazily once more than half of
-it is dead (:attr:`EventQueue.compactions` counts the sweeps).  Drivers that
-cancel one pending completion per refill — the engine and the fault runner
-both do — therefore keep the heap within a constant factor of the live event
-count instead of growing it linearly with simulated time.
+it is dead (:attr:`EventQueue.compactions` counts the sweeps).  The fluid
+loop cancels one pending completion per refill, so the heap stays within a
+constant factor of the live event count instead of growing linearly with
+simulated time.
 """
 
 from __future__ import annotations
@@ -89,18 +89,28 @@ class EventQueue:
         """Schedule ``callback`` to run ``delay`` seconds from the current time."""
         if delay < 0:
             raise ValueError("cannot schedule events in the past")
-        event = Event(time=self.now + delay, sequence=next(self._counter),
+        return self.schedule_at(self.now + delay, callback)
+
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
+        """Schedule ``callback`` at an absolute simulated time."""
+        if time < self.now:
+            raise ValueError("cannot schedule events in the past")
+        event = Event(time=time, sequence=next(self._counter),
                       callback=callback, queue=self)
         heapq.heappush(self._heap, event)
         return event
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at an absolute simulated time."""
-        return self.schedule(time - self.now, callback)
-
     def empty(self) -> bool:
         """True when no (non-cancelled) events remain."""
         return len(self._heap) == self._dead
+
+    def peek(self) -> float:
+        """Time of the next live event (``inf`` when none remain)."""
+        heap = self._heap
+        while heap and heap[0].cancelled:
+            heapq.heappop(heap)
+            self._dead -= 1
+        return heap[0].time if heap else float("inf")
 
     def _note_cancel(self) -> None:
         self._dead += 1

@@ -205,61 +205,66 @@ class TestRunCluster:
 # Scenario / sweep integration
 # --------------------------------------------------------------------------- #
 class TestInjectorLazyRetire:
-    """The injector deactivates completed rows and compacts only lazily."""
+    """The arena deactivates completed rows and compacts only lazily."""
 
-    def _injector(self):
+    def _run(self, drained):
         from repro.cluster.injector import FlowInjector
-        from repro.simulator import FluidFlow
+        from repro.simulator import FluidFlow, FluidRun
         from repro.topology import hypercube
 
-        topo = hypercube(3)
-        injector = FlowInjector(topo, cerio_hpc_fabric())
-        flows = [FluidFlow(path=(s, s ^ 1), size_bytes=float((i + 1) * 4096))
-                 for i, s in enumerate(range(8)) for _ in [0]]
-        injector.inject(flows, name="batch0")
-        injector.inject(
-            [FluidFlow(path=(s, s ^ 2), size_bytes=float((s + 1) * 4096))
-             for s in range(8)], name="batch1")
-        return injector
+        run = FluidRun(FlowInjector(hypercube(3), cerio_hpc_fabric()))
+        for name, mask in (("batch0", 1), ("batch1", 2)):
+            run.inject([FluidFlow(path=(s, s ^ mask),
+                                  size_bytes=float((s + 1) * 4096))
+                        for s in range(8)], name,
+                       on_done=lambda t, name=name: drained.append(name))
+        run.run(until=1e-9)         # first fill; nothing finishes this early
+        return run
+
+    @staticmethod
+    def _step(run, finish=None):
+        """Advance 1 ns, finishing the ``finish`` rows on the way."""
+        if finish is not None:
+            run.remaining[finish] = 0.0
+        run.run(until=run.now + 1e-9)
 
     def test_retire_is_lazy_then_compacts(self):
-        injector = self._injector()
-        assert injector.num_flows == 16
-        program_before = injector.program()
+        drained = []
+        run = self._run(drained)
+        arena = run.arena
+        assert arena.num_flows == 16
+        program_before = arena.program
         # Finish 6 of 16: dead (6) < live (10) -> rows deactivate, arrays keep
-        # their length and the cached program stays warm.
-        injector._remaining[:6] = 0.0
-        retired = injector.retire()
-        assert len(retired) == 6
-        assert injector.num_flows == 10
-        assert injector.compactions == 0
-        assert injector.program() is program_before
-        assert len(injector.remaining) == 16
+        # their length and the program view stays warm.
+        self._step(run, finish=slice(0, 6))
+        assert int(run.active.sum()) == 10
+        assert arena.compactions == 0
+        assert arena.program is program_before
+        assert len(run.remaining) == 16
         # Dead rows fill at rate zero and are never retired twice.
-        rates, _ = injector.fill()
-        assert (rates[:6] == 0.0).all() and (rates[6:] > 0).all()
-        assert injector.retire() == []
+        self._step(run)
+        assert (run.rates[:6] == 0.0).all() and (run.rates[6:] > 0).all()
+        assert drained == []
         # Finish 6 more: dead (12) > live (4) -> wholesale compaction.
-        injector._remaining[6:12] = 0.0
-        assert len(injector.retire()) == 6
-        assert injector.compactions == 1
-        assert injector.num_flows == 4
-        assert len(injector.remaining) == 4
-        rates, _ = injector.fill()
-        assert (rates > 0).all()
+        self._step(run, finish=slice(6, 12))
+        assert drained == ["batch0"]
+        assert arena.compactions == 1
+        assert arena.num_flows == 4
+        assert len(run.remaining) == 4
+        self._step(run)
+        assert (run.rates > 0).all()
 
     def test_inject_after_lazy_retire_appends_past_dead_rows(self):
         from repro.simulator import FluidFlow
 
-        injector = self._injector()
-        injector._remaining[:4] = 0.0
-        injector.retire()
-        assert injector.num_flows == 12
-        injector.inject([FluidFlow(path=(0, 1), size_bytes=4096.0)],
-                        name="late")
-        assert injector.num_flows == 13
-        rates, _ = injector.fill()
-        assert rates[-1] > 0 and (rates[:4] == 0.0).all()
+        run = self._run([])
+        self._step(run, finish=slice(0, 4))
+        assert int(run.active.sum()) == 12
+        run.inject([FluidFlow(path=(0, 1), size_bytes=4096.0)], "late",
+                   on_done=lambda t: None)
+        assert int(run.active.sum()) == 13
+        self._step(run)
+        assert run.rates[-1] > 0 and (run.rates[:4] == 0.0).all()
 
 
 class TestClusterScenario:

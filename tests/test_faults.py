@@ -4,10 +4,12 @@ The heart is the differential oracle: every faulted run must agree (1e-9)
 with a hand-stitched sequence of piecewise-static degraded runs — the fabric
 materialized per fault epoch, residual bytes carried across the boundary,
 rates from the retained scalar reference (:mod:`repro.simulator.reference`).
-Around it: zero-fault byte-identity with today's engine, seeded fuzz
-invariants (monotonicity under added failures, no-op recoveries, canonical
-hashing, the per-epoch incidence check), spec-grammar errors, adversarial
-search determinism, and the scenario/sweep/CLI wiring.
+Around it: the per-epoch arena against fresh compiles, the reroute cache
+against uncached repair and certification, zero-fault byte-identity with
+today's engine, seeded fuzz invariants (monotonicity under added failures,
+no-op recoveries, canonical hashing, the per-epoch incidence check),
+spec-grammar errors, adversarial search determinism, and the
+scenario/sweep/CLI wiring.
 """
 
 import random
@@ -22,6 +24,7 @@ from repro.experiments import Plan, Scenario, run_sweep
 from repro.faults import (
     FaultSpec,
     PreparedFaultContext,
+    RerouteCache,
     StrandedScheduleError,
     capture_fault_prefix,
     parse_fault_spec,
@@ -32,8 +35,8 @@ from repro.faults import (
     worst_case_failures,
 )
 from repro.faults.spec import FaultEvent, FaultTimeline
-from repro.faults.reroute import effective_path
-from repro.perf import set_delta_enabled, set_fill_kernel
+from repro.faults.reroute import certify_routes, effective_path
+from repro.perf import set_fill_kernel
 from repro.simulator import (
     FluidFlow,
     cerio_hpc_fabric,
@@ -53,25 +56,6 @@ def kernel_guard():
     """Restore env-driven kernel selection after a forced-kernel test."""
     yield
     set_fill_kernel(None)
-
-
-@pytest.fixture()
-def delta_guard():
-    """Restore env-driven REPRO_DELTA selection after a forced-mode test."""
-    yield
-    set_delta_enabled(None)
-
-
-@pytest.fixture()
-def delta_on():
-    """Force the delta engine on for tests that exercise it specifically.
-
-    CI re-runs this whole file under ``REPRO_DELTA=off``; delta-internals
-    tests must not silently degrade to the oracle path there.
-    """
-    set_delta_enabled(True)
-    yield
-    set_delta_enabled(None)
 
 
 def _lowered(topology: str, scheme: str = "ewsp"):
@@ -258,14 +242,14 @@ class TestDifferentialOracle:
 
 
 class TestDeltaEngine:
-    """The incremental delta engine vs the recompile-from-scratch oracle."""
+    """The fault runner's in-place arena, reroute cache and prefix resume."""
 
     CASES = [("ring:n=6", "ewsp"), ("hypercube:dim=3", "ewsp"),
              ("torus:dims=3x3", "ewsp")]
 
     @pytest.mark.parametrize("topology,scheme", CASES)
     def test_delta_program_matches_fresh_compile_every_epoch(
-            self, topology, scheme, delta_on):
+            self, topology, scheme):
         """Fuzz: delta-edited arenas == fresh ``compile_flows``, per epoch.
 
         Replays the epoch trace of randomized faulted runs through a fresh
@@ -291,7 +275,6 @@ class TestDeltaEngine:
             res = run_faulted(schedule, buf, spec, fabric=fabric,
                               validate=False, baseline_seconds=baseline,
                               collect_trace=True)
-            assert res.meta["delta"] == "on"
             context = PreparedFaultContext(schedule, fabric)
             delta = context.delta_program()
             timeline = FaultTimeline(parse_fault_spec(spec))
@@ -318,37 +301,10 @@ class TestDeltaEngine:
                                         s + int(delta._caps[i])]
                     assert (pad == delta.slack).all()
                 np.testing.assert_array_equal(
-                    delta.res_cap[:delta.num_real_res], fresh.res_cap,
+                    delta.res_cap[:delta.slack], fresh.res_cap,
                     err_msg=f"{spec}: capacities diverge at t={rec.time}")
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_oracle_mode_matches_delta_within_1e9(self, kernel, kernel_guard,
-                                                  delta_guard):
-        """``REPRO_DELTA=off`` agrees with delta runs under every kernel."""
-        set_fill_kernel(kernel)
-        schedule = _lowered("hypercube:dim=3")
-        fabric = cerio_hpc_fabric()
-        buf = 2 ** 20
-        baseline = run_routed_collective(schedule, buf, fabric=fabric,
-                                         validate=False).completion_time
-        topo = from_spec("hypercube:dim=3")
-        for seed in range(3):
-            rng = random.Random(f"mode/{kernel}/{seed}")
-            spec = _random_fault_spec(topo, rng, baseline)
-            set_delta_enabled(True)
-            on = run_faulted(schedule, buf, spec, fabric=fabric,
-                             validate=False, baseline_seconds=baseline)
-            set_delta_enabled(False)
-            off = run_faulted(schedule, buf, spec, fabric=fabric,
-                              validate=False, baseline_seconds=baseline)
-            assert on.meta["delta"] == "on" and off.meta["delta"] == "off"
-            assert abs(on.completion_time
-                       - off.completion_time) <= 1e-9, spec
-            for key in ("reroute_count", "fault_events", "fill_rounds",
-                        "vc_layers", "stranded_bytes", "events"):
-                assert on.meta[key] == off.meta[key], (spec, key)
-
-    def test_prefix_resume_is_identical_to_full_run(self, delta_on):
+    def test_prefix_resume_is_identical_to_full_run(self):
         """Resuming from a captured healthy prefix changes nothing."""
         schedule = _lowered("hypercube:dim=3")
         fabric = cerio_hpc_fabric()
@@ -371,7 +327,7 @@ class TestDeltaEngine:
         assert resumed.meta["events"] == full.meta["events"]
         assert resumed.meta["reroute_count"] == full.meta["reroute_count"]
 
-    def test_prefix_not_matching_first_epoch_raises(self, delta_on):
+    def test_prefix_not_matching_first_epoch_raises(self):
         schedule = _lowered("hypercube:dim=3")
         fabric = cerio_hpc_fabric()
         buf = 2 ** 20
@@ -396,7 +352,7 @@ class TestDeltaEngine:
                         fabric=fabric_from_spec("hpc:scale=0~1:0.5"),
                         validate=False, context=context)
 
-    def test_shared_context_hits_the_reroute_cache(self, delta_on):
+    def test_shared_context_hits_the_reroute_cache(self):
         """A second identical run serves repairs/certs from the cache."""
         schedule = _lowered("hypercube:dim=3")
         fabric = cerio_hpc_fabric()
@@ -412,7 +368,7 @@ class TestDeltaEngine:
         assert second.meta["route_cache_hits"] > 0
         assert context.reroute_cache.hits >= second.meta["route_cache_hits"]
 
-    def test_flapping_timeline_reuses_delta_state(self, delta_on):
+    def test_flapping_timeline_reuses_delta_state(self):
         """Revisited fabric states patch in place: hits, no rebuilds."""
         schedule = _lowered("hypercube:dim=3")
         fabric = cerio_hpc_fabric()
@@ -422,13 +378,12 @@ class TestDeltaEngine:
             parts.append(f"up@{16 + 12 * i}us")
         res = run_faulted(schedule, 2 ** 20, "faults:" + ":".join(parts),
                           fabric=fabric, validate=False)
-        assert res.meta["delta"] == "on"
         assert res.meta["delta_hits"] + res.meta["delta_rebuilds"] > 0
         # After the first down/up pair every state has been seen: the
         # remaining epochs must all be in-place hits.
         assert res.meta["delta_hits"] >= 8
 
-    def test_engine_counters_and_footer_carry_delta_stats(self, delta_on):
+    def test_engine_counters_and_footer_carry_delta_stats(self):
         from repro.analysis.report import format_engine_footer
         from repro.simulator.engine import (engine_counters,
                                             reset_engine_counters)
@@ -453,41 +408,55 @@ class TestDeltaEngine:
         finally:
             reset_engine_counters()
 
-    def test_repro_delta_env_values(self, monkeypatch, delta_guard):
-        from repro.perf import delta_enabled
-
-        set_delta_enabled(None)
-        monkeypatch.setenv("REPRO_DELTA", "off")
-        assert delta_enabled() is False
-        monkeypatch.setenv("REPRO_DELTA", "on")
-        assert delta_enabled() is True
-        monkeypatch.setenv("REPRO_DELTA", "sideways")
-        with pytest.raises(ValueError, match="REPRO_DELTA"):
-            delta_enabled()
-        set_delta_enabled(False)   # override beats the (invalid) env
-        assert delta_enabled() is False
-
-    def test_adversarial_serial_parallel_and_oracle_agree(self, delta_guard):
-        """Serial, ``jobs=3`` and oracle searches return identical tables."""
+    def test_adversarial_serial_parallel_and_oracle_agree(self):
+        """Serial and ``jobs=3`` searches return identical tables, and every
+        prefix-resumed evaluation agrees with the piecewise-static oracle."""
         schedule = _lowered("hypercube:dim=3")
         fabric = cerio_hpc_fabric()
         buf = 2 ** 20
         context = PreparedFaultContext(schedule, fabric)
-        set_delta_enabled(True)
         serial = worst_case_failures(schedule, buf, k=2, fabric=fabric,
                                      candidates=5, context=context)
         parallel = worst_case_failures(schedule, buf, k=2, fabric=fabric,
                                        candidates=5, jobs=3, context=context)
-        set_delta_enabled(False)
-        oracle = worst_case_failures(schedule, buf, k=2, fabric=fabric,
-                                     candidates=5, context=context)
         table = lambda a: [(ev["links"], ev["slowdown"], ev["reroute_count"])
                            for ev in a.evaluations]       # noqa: E731
-        assert serial.worst_links == parallel.worst_links == oracle.worst_links
+        assert serial.worst_links == parallel.worst_links
         assert table(serial) == table(parallel)
-        for (l1, s1, r1), (l2, s2, r2) in zip(table(serial), table(oracle)):
-            assert l1 == l2 and r1 == r2
-            assert abs(s1 - s2) <= 1e-9
+        for links, slowdown, _ in table(serial):
+            spec = FaultSpec(events=tuple(
+                FaultEvent(time=serial.at_seconds, kind="down",
+                           links=((u, v), (v, u))) for u, v in links))
+            want, _ = piecewise_static_oracle(schedule, buf, spec, fabric)
+            assert slowdown == pytest.approx(
+                want / serial.baseline_seconds, abs=1e-9), links
+
+    @pytest.mark.parametrize("topology", ["torus:dims=3x3", "hypercube:dim=3"])
+    def test_reroute_cache_matches_uncached_repair_and_certify(self, topology):
+        """Memoized repairs and certifications equal the uncached calls."""
+        schedule = _lowered(topology)
+        topo = schedule.topology
+        planned = [tuple(a.route) for a in schedule.assignments]
+        links = sorted({tuple(sorted(e)) for e in topo.edges})
+        cache = RerouteCache(topo)
+        rng = random.Random(f"cache/{topology}")
+        for _ in range(4):
+            failed = rng.sample(links, rng.randint(1, 3))
+            down = {e for u, v in failed for e in ((u, v), (v, u))}
+            down_key = tuple(sorted(down))
+            adjacency = surviving_adjacency(topo, down)
+            routes = []
+            for path in planned:
+                got, _ = cache.effective(down_key, down, path)
+                assert got == effective_path(path, down, adjacency), path
+                assert cache.effective(down_key, down, path) == (got, True)
+                if got is not None:
+                    routes.append(got)
+            distinct = list(dict.fromkeys(routes))
+            for vc in ("lash", "dfsssp"):
+                layers, _ = cache.certify(routes, vc)
+                assert layers == certify_routes(distinct, vc)
+                assert cache.certify(routes, vc) == (layers, True)
 
 
 class TestZeroFaultIdentity:
@@ -496,6 +465,7 @@ class TestZeroFaultIdentity:
     @pytest.mark.parametrize("spec", ["faults:up@0", "faults:up@0:seed=3",
                                       "faults:up=0~1@0"])
     def test_trivial_specs_delegate_to_plain_engine(self, spec):
+        """A no-op timeline runs the plain engine's loop to the same bytes."""
         schedule = _lowered("hypercube:dim=3", "mcf-extp")
         fabric = cerio_hpc_fabric()
         plain = run_routed_collective(schedule, 2 ** 20, fabric=fabric,
@@ -767,22 +737,18 @@ class TestScenarioWiring:
 
 
 class TestGoldenRobustness:
-    @pytest.mark.parametrize("delta", [True, False],
-                             ids=["delta", "oracle"])
-    def test_fig_robustness_matches_golden_file(self, delta, delta_guard):
-        """Both engines reproduce the golden artifact byte-for-byte.
+    def test_fig_robustness_matches_golden_file(self):
+        """The fault runner reproduces the golden artifact byte-for-byte.
 
-        The oracle leg disables the plan's stage cache so its simulate
-        stages genuinely re-run under ``REPRO_DELTA=off`` instead of being
-        served from the delta leg's cached artifacts.
+        The plan's stage cache is disabled so the simulate stages genuinely
+        run instead of being served from artifacts cached by earlier tests.
         """
         from repro.experiments import get_plan_cache, result_from_plan
         from repro.report.specs import FIG_ROBUSTNESS
 
-        set_delta_enabled(delta)
         cache = get_plan_cache()
         prev = cache.enabled
-        cache.enabled = cache.enabled and delta
+        cache.enabled = False
         try:
             spec = FIG_ROBUSTNESS
             results = [result_from_plan(s, Plan(s).run(through=spec.through),

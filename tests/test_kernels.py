@@ -41,6 +41,7 @@ from repro.perf import _numba_impl
 from repro.simulator import (
     FabricModel,
     FluidFlow,
+    FluidRun,
     cerio_hpc_fabric,
     compile_flows,
     engine_counters,
@@ -156,20 +157,22 @@ class TestKernelDifferential:
         fabric = cerio_hpc_fabric()
         rng = random.Random(23)
         set_fill_kernel(kernel)
-        injector = FlowInjector(topo, fabric)
-        injector.inject(_random_flows(topo, rng, 10, zero_fraction=0.0), "a")
-        rates_a, _ = injector.fill()
-        injector.inject(_random_flows(topo, rng, 10, zero_fraction=0.0), "b")
-        rates_b, _ = injector.fill()
+        run = FluidRun(FlowInjector(topo, fabric))
+        drained = []
+        run.inject(_random_flows(topo, rng, 10, zero_fraction=0.0), "a",
+                   drained.append)
+        run.run(until=1e-12)
+        run.inject(_random_flows(topo, rng, 10, zero_fraction=0.0), "b",
+                   drained.append)
+        run.run(until=2e-12)
         # Compare against a kernel-independent fresh numpy fill.
-        program = injector.program()
+        program = run.program
         expect, _ = fill_rates_numpy(
             program, np.ones(program.num_flows, dtype=bool))
-        np.testing.assert_allclose(rates_b, expect, rtol=1e-9, atol=1e-9)
-        # Drain set "a" and retire it; survivors keep filling consistently.
-        injector.advance(np.full(injector.num_flows, 1e12), 1.0)
-        injector.retire()
-        assert injector.num_flows == 0
+        np.testing.assert_allclose(run.rates, expect, rtol=1e-9, atol=1e-9)
+        # Drain both sets; survivors keep filling consistently.
+        run.run()
+        assert len(drained) == 2 and not run.active.any()
 
     def test_exact_tie_bottlenecks_identical_rounds(self):
         """Adversarial exact ties: every kernel groups them in one round.

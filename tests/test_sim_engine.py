@@ -2,23 +2,31 @@
 
 Covers the differential suite (vectorized engine vs. the retained scalar
 reference on randomized topologies and flow sets), the overlap and
-degraded-fabric axes end-to-end, the golden fig4/table1 report panels
-(byte-identical to the pre-refactor simulator), and the engine counters.
+degraded-fabric axes end-to-end, the fluid loop's edge, stall and
+event-cap rules across every front-end, the golden fig4/table1 report
+panels (byte-identical to the pre-refactor simulator), and the engine
+counters.
 """
 
 import random
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from repro.cluster import FlowInjector, run_cluster
 from repro.experiments import Plan, Scenario
+from repro.faults import run_faulted
 from repro.simulator import (
     FabricModel,
+    FlowProgram,
     FluidFlow,
+    FluidRun,
     cerio_hpc_fabric,
     compile_flows,
     engine_counters,
+    execute,
     fabric_from_spec,
     ideal_fabric,
     parse_link_scales,
@@ -151,6 +159,54 @@ class TestEngineCore:
         assert counters["events"] >= 1
         reset_engine_counters()
         assert engine_counters()["simulations"] == 0
+
+
+class TestFluidRunRules:
+    """One edge rule, one stall error and one event cap for every front-end."""
+
+    @pytest.mark.parametrize("front_end", ["execute", "cluster", "faults"])
+    def test_event_cap_raises_the_same_error(self, front_end,
+                                             genkautz_routed_schedule):
+        schedule = genkautz_routed_schedule
+        with pytest.raises(RuntimeError,
+                           match=r"event budget \(max_events=1\)"):
+            if front_end == "execute":
+                execute(compile_flows(
+                    ring(3), [FluidFlow(path=(0, 1), size_bytes=1000.0),
+                              FluidFlow(path=(1, 2), size_bytes=500.0)],
+                    ideal_fabric()), max_events=1)
+            elif front_end == "cluster":
+                run_cluster(schedule, "cluster:jobs=2", default_buffer=2 ** 20,
+                            max_events=1)
+            else:
+                u, v = schedule.topology.edges[0]
+                run_faulted(schedule, 2 ** 20, f"faults:down={u}-{v}@1us",
+                            validate=False, max_events=1)
+
+    def test_zero_capacity_program_stalls(self):
+        program = FlowProgram(
+            num_flows=1, sizes=np.array([10.0]), start_delays=np.zeros(1),
+            set_ids=np.zeros(1, dtype=np.int64), set_names=("a",),
+            res_cap=np.zeros(1), inc_res=np.zeros(1, dtype=np.int64),
+            inc_flow=np.zeros(1, dtype=np.int64))
+        with pytest.raises(RuntimeError, match="stalled"):
+            FluidRun(program).run()
+
+    def test_sub_ulp_edge_completes_at_a_late_instant(self):
+        """``now + dt == now``: the edge rule finishes the flow at the edge.
+
+        1e-5 bytes at 1e9 B/s take 1e-14 s, far below one ulp of t=1e6 s,
+        and the residue is above ``SIM_BYTES_EPS``; without the edge rule
+        the same edge would respawn until the event budget ran out.
+        """
+        run = FluidRun(FlowInjector(ring(3), ideal_fabric(link_bandwidth=1e9)),
+                       max_events=10)
+        done = []
+        run.schedule_at(1e6, lambda: run.inject(
+            [FluidFlow(path=(0, 1), size_bytes=1e-5)], "late", done.append))
+        run.run()
+        assert done == [1e6]
+        assert run.queue.processed == 2
 
 
 class TestDegradedFabricModel:
