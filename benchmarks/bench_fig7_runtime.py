@@ -42,15 +42,14 @@ def _timed(fn):
     return result, time.perf_counter() - start
 
 
-def test_fig7_lp_phase_breakdown(benchmark, record, record_json, scale):
-    """Fig. 7 companion: per-phase LP timings, machine-readable.
+def test_fig7_lp_phase_breakdown(benchmark, record, scale):
+    """Fig. 7 companion: per-phase LP timings.
 
     Runs the monolithic and decomposed MCF on GenKautz graphs and records
     assembly / solve / extraction wall-clock (plus the optimal objective) per
-    topology size into ``results/BENCH_runtime.json`` — the series the CI
-    perf-smoke job uploads and gates against ``benchmarks/baseline.json``.
-    Sizes are chosen so the whole sweep stays around a CI-friendly minute at
-    the default small scale.
+    topology size in the ``fig7_phase_breakdown`` results table.  Sizes are
+    chosen so the whole sweep stays around a minute at the default small
+    scale.
     """
     if scale == "paper":
         link_sizes = [20, 50, 100]
@@ -93,7 +92,6 @@ def test_fig7_lp_phase_breakdown(benchmark, record, record_json, scale):
             }
 
     benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    record_json("runtime", series)
     record("fig7_phase_breakdown", format_table(
         ["algorithm", "N", "assemble (s)", "solve (s)", "total (s)", "F"],
         [[alg, n, f"{p['assemble_seconds']:.3f}", f"{p['solve_seconds']:.3f}",

@@ -20,49 +20,15 @@ sweeps, per-instance samples) on N threads through the engine's shared
 :class:`~repro.engine.runner.ParallelRunner` via the ``runner`` fixture.
 The default of 1 is serial and byte-identical to previous releases.
 
-Machine-readable results (``BENCH_*.json``) and the perf-smoke gate
--------------------------------------------------------------------
-Benchmarks that participate in perf-regression CI additionally record their
-series through the ``record_json`` fixture, which writes
-``benchmarks/results/BENCH_<name>.json``:
-
-.. code-block:: json
-
-    {
-      "benchmark": "runtime",          // fixture argument <name>
-      "schema_version": 1,
-      "scale": "small",                 // REPRO_BENCH_SCALE in effect
-      "series": {
-        "mcf-link": {                   // one entry per algorithm series
-          "12": {                       // topology size N (stringified)
-            "assemble_seconds": 0.05,   // LP construction + to_arrays()
-            "solve_seconds": 0.45,      // backend (HiGHS) wall clock
-            "extract_seconds": 0.01,    // ndarray -> FlowSolution dicts
-            "total_seconds": 0.51,
-            "objective": 0.153846       // optimal concurrent flow F
-          }
-        }
-      }
-    }
-
-The CI ``perf-smoke`` job runs the Fig. 7 phase-breakdown benchmark, uploads
-``BENCH_runtime.json`` as a build artifact, and gates the build with
-``python benchmarks/check_regression.py``: the current numbers are compared
-against the committed ``benchmarks/baseline.json`` (same schema) and the job
-fails when any phase is more than ``REPRO_BENCH_MAX_SLOWDOWN`` (default 2.0)
-times slower than the baseline, or when an objective drifts beyond
-``FLOW_TOL``.  Phases faster than 250 ms in the baseline are not gated
-(timer/scheduler noise and runner hardware variance dominate there);
-new/removed series entries are reported but only missing ones fail.  The
-committed baseline should come from a trusted run on the same runner class
-as CI — refresh it by copying that run's ``BENCH_runtime.json`` over
-``benchmarks/baseline.json`` (the perf-smoke job uploads it as an artifact
-precisely so a maintainer can promote it).
+Performance record
+------------------
+The figure benchmarks here print timings but gate none.  The one
+performance record is the end-to-end benchmark in ``benchmarks/e2e/``
+(see "Where time goes" in its README).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -147,31 +113,6 @@ def record(results_dir):
     for old in results_dir.glob("*.txt"):
         old.unlink()
     return _record
-
-
-@pytest.fixture(scope="session")
-def record_json(results_dir, scale):
-    """Write a benchmark's series as ``results/BENCH_<name>.json``.
-
-    ``series`` maps algorithm name -> {size -> phase dict}; see the module
-    docstring for the exact schema.  The file is what the CI perf-smoke job
-    uploads and feeds to ``check_regression.py``.
-    """
-
-    def _record_json(name: str, series: dict) -> Path:
-        payload = {
-            "benchmark": name,
-            "schema_version": 1,
-            "scale": scale,
-            "series": {alg: {str(size): dict(phases)
-                             for size, phases in sizes.items()}
-                       for alg, sizes in series.items()},
-        }
-        path = results_dir / f"BENCH_{name}.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return path
-
-    return _record_json
 
 
 @pytest.fixture

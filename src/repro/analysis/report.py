@@ -40,17 +40,12 @@ def format_engine_footer(engine_stats: Mapping[str, object],
             f"backend={engine_stats['backend']}; "
             f"stage-cache: {stage_stats['hits']} hits / "
             f"{stage_stats['misses']} misses")
-    if "basis_hits" in engine_stats:
-        # Warm-started backends (highs-native) report basis reuse.
-        line += (f"; warm-start: {engine_stats['basis_hits']} basis hits / "
-                 f"{engine_stats.get('basis_misses', 0)} cold")
     if sim_stats is not None:
         line += (f"; sim: {sim_stats['fill_rounds']} fill rounds / "
                  f"{sim_stats['events']} events")
-        kernel = sim_stats.get("kernel")
-        if kernel:
-            line += (f" [kernel={kernel}, "
-                     f"{float(sim_stats.get('fill_seconds', 0.0)):.3f}s fill]")
+        fill_s = float(sim_stats.get("fill_seconds", 0.0))
+        if fill_s:
+            line += f" [{fill_s:.3f}s fill]"
         if sim_stats.get("fabric_events"):
             # Dynamic-failure accounting (repro.faults): only shown when a
             # fault runner actually mutated a fabric this process.

@@ -140,9 +140,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     """
     from .experiments import Scenario
 
-    if args.kernel:
-        from .perf import set_fill_kernel
-        set_fill_kernel(args.kernel)
     base = {"scheme": args.scheme, "fabric": args.fabric,
             "buffers": tuple(_buffer_list(args.buffers)), "overlap": args.overlap}
     if args.faults:
@@ -557,10 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="append one sweep JSONL record here")
     p_sim.add_argument("--resume", action="store_true",
                        help="skip the run if --out already has an ok record for it")
-    p_sim.add_argument("--kernel", default=None,
-                       choices=["auto", "numba", "numpy", "python-csr"],
-                       help="fill kernel (default: REPRO_KERNEL env or auto; "
-                            "numba falls back to numpy when not installed)")
     p_sim.add_argument("--jobs", type=int, default=1,
                        help="parallel child-LP workers for the decomposed MCF")
     p_sim.set_defaults(func=_cmd_simulate)

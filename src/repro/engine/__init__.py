@@ -16,7 +16,6 @@ entry point every formulation routes through.
 """
 
 from .backends import (
-    HighsNativeBackend,
     ScipyHighsBackend,
     SolveBackend,
     backend_names,
@@ -34,7 +33,6 @@ from .problem import (
 from .runner import ParallelRunner, run_parallel
 
 __all__ = [
-    "HighsNativeBackend",
     "ScipyHighsBackend",
     "SolveBackend",
     "backend_names",

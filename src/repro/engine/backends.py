@@ -3,8 +3,8 @@
 A backend turns an assembled :class:`~repro.core.solver.LPBuilder` into an
 :class:`~repro.core.solver.LPSolution`.  Formulations never pick a backend —
 the engine does — so swapping HiGHS simplex for the interior-point method (or
-a future warm-started solver for the per-source child-LP batches of the
-decomposed formulations) never touches formulation code.
+a different solver for the per-source child-LP batches of the decomposed
+formulations) never touches formulation code.
 
 The default backend wraps HiGHS via :func:`scipy.optimize.linprog`, exactly
 the solver the seed code called directly.  Variants registered out of the box:
@@ -13,28 +13,21 @@ the solver the seed code called directly.  Variants registered out of the box:
 * ``scipy-highs-ds``   — HiGHS dual simplex, deterministic vertex solutions,
   the better choice for batches of structurally similar child LPs;
 * ``scipy-highs-ipm``  — HiGHS interior point, faster on the largest
-  monolithic time-stepped LPs;
-* ``highs-native``     — the warm-started solver that docstring promised:
-  drives HiGHS directly through the optional ``highspy`` bindings, keeps the
-  model alive between solves keyed by a constraint-structure hash, and
-  re-bounds it (basis intact) when only RHS/bounds changed — adjacent sweep
-  points re-solve from the previous optimal basis instead of from scratch.
-  Falls back to ``scipy-highs`` transparently when ``highspy`` is missing
-  (or ``REPRO_NO_HIGHSPY=1``).
+  monolithic time-stepped LPs.
+
+Families of LPs that differ only in their right-hand sides are batched
+above the backend, by :func:`repro.perf.batch.solve_family`.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import OrderedDict
-from typing import Dict, List, Optional, Protocol, TYPE_CHECKING, runtime_checkable
+from typing import Dict, List, Protocol, TYPE_CHECKING, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.solver import LPBuilder, LPSolution
 
-__all__ = ["SolveBackend", "ScipyHighsBackend", "HighsNativeBackend",
-           "register_backend", "get_backend", "backend_names"]
+__all__ = ["SolveBackend", "ScipyHighsBackend", "register_backend",
+           "get_backend", "backend_names"]
 
 
 @runtime_checkable
@@ -83,195 +76,6 @@ class ScipyHighsBackend:
         return f"ScipyHighsBackend(name={self.name!r}, method={self.method!r})"
 
 
-class HighsNativeBackend:
-    """Warm-started HiGHS via the optional ``highspy`` bindings.
-
-    Live ``Highs`` models are kept in a bounded LRU registry keyed by the
-    :func:`repro.perf.warmstart.structure_hash` of the assembled LP (plus
-    the optimization sense).  A registry hit means the new LP differs from
-    the last solve only in right-hand sides and variable bounds, so the
-    kept model is re-bounded in place and re-solved from its previous
-    optimal basis — the dominant cost of a cold simplex solve (finding a
-    good starting basis) is skipped.  That is exactly the shape of adjacent
-    ``SweepGrid`` points: bandwidth, degradation scale and buffer knobs all
-    land in RHS/bounds while the constraint matrix encodes topology and
-    commodities.
-
-    Counters (``basis_hits`` / ``basis_misses`` / ``fallback_solves``) are
-    surfaced through :meth:`warm_stats` into ``Engine.stats()`` and the
-    ``[stats]`` footer.  Without ``highspy`` (or with ``REPRO_NO_HIGHSPY=1``)
-    every solve silently delegates to ``scipy-highs`` — identical results,
-    no warm starts.
-    """
-
-    def __init__(self, name: str = "highs-native", max_models: int = 8,
-                 highs_module: Optional[object] = None) -> None:
-        """``highs_module`` injects a (fake) ``highspy`` for tests."""
-        self.name = name
-        self.max_models = max_models
-        self.basis_hits = 0
-        self.basis_misses = 0
-        self.fallback_solves = 0
-        self._highs_module = highs_module
-        self._probed = highs_module is not None
-        self._models: "OrderedDict[str, object]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
-    def _module(self) -> Optional[object]:
-        """The ``highspy`` module (real or injected), or None when absent.
-
-        An explicitly injected module (the test seam) always wins;
-        ``REPRO_NO_HIGHSPY`` only suppresses the real import probe, so the
-        kill switch disables the registered backend without breaking
-        fake-module tests.
-        """
-        if self._highs_module is not None:
-            return self._highs_module
-        if self._probed or os.environ.get("REPRO_NO_HIGHSPY"):
-            return None
-        self._probed = True
-        try:  # pragma: no cover - exercised only where highspy exists
-            import highspy
-            self._highs_module = highspy
-        except ImportError:
-            self._highs_module = None
-        return self._highs_module
-
-    def warm_stats(self) -> Dict[str, int]:
-        """Warm-start counter snapshot (merged into ``Engine.stats()``)."""
-        with self._lock:
-            return {"basis_hits": self.basis_hits,
-                    "basis_misses": self.basis_misses,
-                    "fallback_solves": self.fallback_solves,
-                    "live_models": len(self._models)}
-
-    def reset_stats(self) -> None:
-        """Zero the warm-start counters (tests and benchmarks)."""
-        with self._lock:
-            self.basis_hits = 0
-            self.basis_misses = 0
-            self.fallback_solves = 0
-
-    # ------------------------------------------------------------------ #
-    def solve(self, builder: "LPBuilder", maximize: bool = False) -> "LPSolution":
-        """Solve via a kept (warm) or freshly built HiGHS model.
-
-        Any failure of the native path — missing bindings, API drift,
-        non-optimal model status — falls back to the scipy backend so the
-        result is always as correct as the default path.
-        """
-        import numpy as np
-
-        highs = self._module()
-        if highs is None:
-            with self._lock:
-                self.fallback_solves += 1
-            return get_backend("scipy-highs").solve(builder, maximize=maximize)
-
-        n = builder.num_variables
-        if n == 0:
-            return builder.make_solution(np.zeros(0), 0.0)
-        try:
-            return self._solve_native(highs, builder, maximize)
-        except Exception:
-            with self._lock:
-                self.fallback_solves += 1
-            return get_backend("scipy-highs").solve(builder, maximize=maximize)
-
-    def _solve_native(self, highs: object, builder: "LPBuilder",
-                      maximize: bool) -> "LPSolution":
-        """Run one solve on a warm or cold native model."""
-        import numpy as np
-
-        from ..core.solver import SolverError
-        from ..perf.warmstart import structure_hash
-
-        c, a_ub, b_ub, a_eq, b_eq, bounds = builder.to_arrays()
-        n = builder.num_variables
-        cost = -c if maximize else c
-        key = structure_hash(builder) + (":max" if maximize else ":min")
-        m_ub = 0 if b_ub is None else len(b_ub)
-        m_eq = 0 if b_eq is None else len(b_eq)
-        num_rows = m_ub + m_eq
-        row_lower = np.concatenate([
-            np.full(m_ub, -np.inf),
-            np.asarray(b_eq, dtype=float) if m_eq else np.zeros(0)])
-        row_upper = np.concatenate([
-            np.asarray(b_ub, dtype=float) if m_ub else np.zeros(0),
-            np.asarray(b_eq, dtype=float) if m_eq else np.zeros(0)])
-        col_lower = np.ascontiguousarray(bounds[:, 0])
-        col_upper = np.ascontiguousarray(bounds[:, 1])
-
-        with self._lock:
-            model = self._models.pop(key, None)
-        warm = model is not None
-        if warm:
-            # Only RHS/bounds can differ on a structure-hash match; the
-            # kept model's basis stays valid as a warm start.
-            model.changeColsBoundsByRange(0, n - 1, col_lower, col_upper)
-            if num_rows:
-                model.changeRowsBoundsByRange(0, num_rows - 1,
-                                              row_lower, row_upper)
-        else:
-            model = highs.Highs()
-            try:
-                model.setOptionValue("output_flag", False)
-            except Exception:  # pragma: no cover - cosmetic option only
-                pass
-            lp = highs.HighsLp()
-            lp.num_col_ = n
-            lp.num_row_ = num_rows
-            lp.col_cost_ = np.ascontiguousarray(cost, dtype=float)
-            lp.col_lower_ = col_lower
-            lp.col_upper_ = col_upper
-            lp.row_lower_ = row_lower
-            lp.row_upper_ = row_upper
-            matrix = _stack_csc(a_ub, a_eq, n)
-            lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-            lp.a_matrix_.num_col_ = n
-            lp.a_matrix_.num_row_ = num_rows
-            lp.a_matrix_.start_ = matrix.indptr.astype(np.int64)
-            lp.a_matrix_.index_ = matrix.indices.astype(np.int64)
-            lp.a_matrix_.value_ = matrix.data.astype(float)
-            model.passModel(lp)
-        model.run()
-        status = model.getModelStatus()
-        if status != highs.HighsModelStatus.kOptimal:
-            raise SolverError(
-                f"LP solve failed ({self.name}): model status {status}")
-        x = np.asarray(model.getSolution().col_value, dtype=float)
-        objective = float(np.dot(cost, x))
-        if maximize:
-            objective = -objective
-        with self._lock:
-            if warm:
-                self.basis_hits += 1
-            else:
-                self.basis_misses += 1
-            self._models[key] = model
-            while len(self._models) > self.max_models:
-                self._models.popitem(last=False)
-        solution = builder.make_solution(x, objective)
-        solution.info["warm_start"] = "basis" if warm else "cold"
-        return solution
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"HighsNativeBackend(name={self.name!r}, "
-                f"max_models={self.max_models})")
-
-
-def _stack_csc(a_ub, a_eq, num_cols: int):
-    """Stack the <=/== constraint matrices into one CSC matrix."""
-    import scipy.sparse as sp
-
-    parts = [m for m in (a_ub, a_eq) if m is not None]
-    if not parts:
-        return sp.csc_matrix((0, num_cols))
-    stacked = parts[0] if len(parts) == 1 else sp.vstack(parts)
-    return stacked.tocsc()
-
-
 _BACKENDS: Dict[str, SolveBackend] = {}
 
 
@@ -297,4 +101,3 @@ def backend_names() -> List[str]:
 register_backend(ScipyHighsBackend("scipy-highs", method="highs"))
 register_backend(ScipyHighsBackend("scipy-highs-ds", method="highs-ds"))
 register_backend(ScipyHighsBackend("scipy-highs-ipm", method="highs-ipm"))
-register_backend(HighsNativeBackend("highs-native"))

@@ -73,7 +73,6 @@ class Engine:
         t1 = time.perf_counter()
         solution = get_backend(backend_name).solve(builder, maximize=problem.maximize)
         t2 = time.perf_counter()
-        backend_info = solution.info
         solution.info = {
             "cache": "miss" if caching else "bypass",
             "backend": backend_name,
@@ -83,11 +82,6 @@ class Engine:
             "assemble_seconds": t1 - t0,
             "solve_seconds": t2 - t1,
         }
-        # Backends may annotate their solutions (e.g. highs-native's
-        # warm_start status); keep those keys without letting them shadow
-        # the engine's own bookkeeping.
-        for extra_key, extra_value in backend_info.items():
-            solution.info.setdefault(extra_key, extra_value)
         if caching:
             self.cache.put(key, solution)
         return solution
@@ -98,8 +92,8 @@ class Engine:
 
         Delegates to :func:`repro.perf.batch.solve_family`: family members
         whose RHS is a uniform scaling of the previous member's are derived
-        by LP homogeneity without a solver call, and backend solves warm
-        start when the backend supports it.  Returns ``(solutions, stats)``;
+        by LP homogeneity without a solver call; the rest go to the
+        backend.  Returns ``(solutions, stats)``;
         results are cached under the same keys :meth:`solve` uses.
         """
         from ..perf.batch import solve_family
@@ -107,18 +101,8 @@ class Engine:
                             use_cache=use_cache)
 
     def stats(self) -> dict:
-        """Engine-level counter snapshot (cache counters + backend name).
-
-        When the configured backend exposes ``warm_stats()`` (the
-        warm-started ``highs-native`` backend), its basis-reuse counters are
-        merged in so the ``[stats]`` footer can report them.
-        """
-        stats = {"backend": self.backend_name, **self.cache.stats()}
-        backend = get_backend(self.backend_name)
-        warm_stats = getattr(backend, "warm_stats", None)
-        if callable(warm_stats):
-            stats.update(warm_stats())
-        return stats
+        """Engine-level counter snapshot (cache counters + backend name)."""
+        return {"backend": self.backend_name, **self.cache.stats()}
 
 
 _engine: Optional[Engine] = None

@@ -13,16 +13,13 @@ solves them as one sequence instead:
    with the previously solved one and its RHS is a uniform positive
    scaling of it, LP homogeneity yields the optimum directly
    (``x* = s * x0*``, ``objective = s * obj0``) with no solver call;
-3. otherwise the member solves through the configured backend — which,
-   when it is the warm-started :class:`~repro.engine.backends.
-   HighsNativeBackend`, reuses the live model and basis keyed by the same
-   structure hash.
+3. otherwise the member solves through the configured backend and becomes
+   the template for the members after it.
 
 The derivation in step 2 is exact for the repo's MCF formulations (all
 variables bounded ``[0, inf)``, verified per member via
 :func:`~repro.perf.warmstart.scaling_safe_bounds`) and is asserted against
-cold solves to ``FLOW_TOL`` in ``tests/test_kernels.py`` and
-``benchmarks/bench_warmstart.py``.
+cold solves to ``FLOW_TOL`` in ``tests/test_kernels.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ __all__ = ["solve_family"]
 def solve_family(problems: Sequence, backend: Optional[str] = None,
                  engine=None, use_cache: bool = True
                  ) -> Tuple[List, Dict[str, int]]:
-    """Solve a family of problems as one warm-started / scaled sequence.
+    """Solve a family of problems as one scaled sequence.
 
     Parameters mirror :meth:`repro.engine.core.Engine.solve`; ``engine``
     defaults to the process-wide engine.  Returns ``(solutions, stats)``

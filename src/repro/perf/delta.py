@@ -7,9 +7,10 @@ one flow set for the whole run and, at every fabric epoch, re-posts link
 capacities and moves rerouted flows onto their repair paths.  Both work on
 one slotted incidence arena:
 
-* every flow owns a span of incidence slots, flow-major, so the fill
-  workspace's flow-major view aliases the arena and slot writes need no
-  re-sorting.  Unused slots point at an appended **slack resource** whose
+* every flow owns a span of incidence slots, flow-major, and the
+  program's incidence arrays alias the arena, so slot writes show through
+  to the next fill with no re-sorting.  Unused slots point at an appended
+  **slack resource** whose
   capacity (:data:`SLACK_CAP`) can never be a bottleneck, so they are
   invisible to the max-min fill;
 * :meth:`DeltaProgram.inject` compiles a flow set with the engine's
@@ -29,7 +30,7 @@ one slotted incidence arena:
   adversarial evaluations.
 
 Rates over the arena are bit-identical to a fresh ``compile_flows`` of the
-live flows — the fill kernels read only the incidence, capacities and the
+live flows — the fill reads only the incidence, capacities and the
 active mask, never sizes — which the per-epoch fuzz in
 ``tests/test_faults.py`` checks slot by slot.
 """
@@ -50,7 +51,7 @@ Path = Tuple[int, ...]
 
 #: Capacity of the slack resource backing unused incidence slots.  Large
 #: enough that its fair share can never be the round minimum, finite so the
-#: kernels never do ``inf`` arithmetic.
+#: fill never does ``inf`` arithmetic.
 SLACK_CAP = 1e30
 
 #: Free incidence slots per flow of the constructor's flow set, so the
@@ -173,21 +174,7 @@ class DeltaProgram:
             inc_res=self.ent_res,
             inc_flow=self.ent_flow,
         )
-        ws = FillWorkspace(self.program)
-        # The flow-major view must alias the slot arena so in-place slot
-        # writes propagate without re-sorting: ent_flow is sorted, so the
-        # stable argsort inside FillWorkspace is the identity permutation.
-        ws.flow_res = self.ent_res
-        ws.res_cap = self.res_cap
-        self.workspace = ws
-
-    def _refresh_csr(self) -> None:
-        """Recompute the resource-major CSR into the existing arenas."""
-        ws = self.workspace
-        order = np.argsort(self.ent_res, kind="stable")
-        np.take(self.ent_flow, order, out=ws.res_flows)
-        np.cumsum(np.bincount(self.ent_res, minlength=len(self.res_cap)),
-                  out=ws.res_ptr[1:])
+        self.workspace = FillWorkspace(self.program)
 
     # ------------------------------------------------------------------ #
     # Flow sets: inject and compact
@@ -279,7 +266,6 @@ class DeltaProgram:
             self.ent_res[s:s + int(self._caps[i])] = self.slack
             self.ent_res[s:s + int(lens[j])] = compiled.inc_res[src[j]:src[j + 1]]
         self._lens[moved] = lens
-        self._refresh_csr()
         return 0
 
     def _regrow(self, flow: np.ndarray, res: np.ndarray) -> None:

@@ -1,4 +1,4 @@
-"""Constraint-structure hashing and RHS-family detection for warm starts.
+"""Constraint-structure hashing and RHS-family detection for LP families.
 
 Two LPs *share structure* when they differ only in right-hand sides and
 variable bounds: same column count, same objective vector, same constraint
@@ -9,10 +9,9 @@ bandwidth / degradation scale enter only through capacity right-hand
 sides.
 
 :func:`structure_hash` digests that invariant part of an assembled
-:class:`~repro.core.solver.LPBuilder` so the warm-started backends can key
-live solver models (:class:`~repro.engine.backends.HighsNativeBackend`)
-and the batched family solver (:mod:`repro.perf.batch`) can recognize
-family members.  :func:`uniform_rhs_scale` detects the even stronger case
+:class:`~repro.core.solver.LPBuilder` so the batched family solver
+(:mod:`repro.perf.batch`) can recognize family members.
+:func:`uniform_rhs_scale` detects the even stronger case
 — the whole RHS vector scaled by one positive factor — where LP
 homogeneity gives the next optimum as a scalar multiple of the previous
 one, with no solver call at all.
@@ -46,8 +45,8 @@ def structure_hash(builder) -> str:
     Covers the objective vector and both constraint matrices (shape,
     sparsity, coefficient values); excludes ``b_ub``/``b_eq``/``bounds``.
     Two builders with equal hashes therefore describe the same polytope
-    family, and a live solver model built for one can be re-bounded — basis
-    intact — to solve the other.  ``to_arrays`` canonicalizes the CSR
+    family, differing only in right-hand sides and bounds.  ``to_arrays``
+    canonicalizes the CSR
     deterministically, so equal LPs hash equal across builds.
     """
     c, a_ub, _, a_eq, _, _ = builder.to_arrays()

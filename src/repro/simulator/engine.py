@@ -9,14 +9,12 @@ on this engine:
    :class:`FlowProgram`: flows, links, injection caps and forwarding caps
    become sparse resource-incidence arrays (COO triplets plus per-resource
    capacities, built once per schedule);
-2. **fill** — progressive filling (max-min fairness) dispatches through
-   the :mod:`repro.perf` kernel layer: a flat-CSR kernel JIT-compiled with
-   numba when available, or vectorized numpy saturation rounds otherwise
-   (per round, one ``bincount`` yields every resource's unfrozen-user
-   count, the minimum fair share picks the bottleneck(s), and all their
-   flows freeze at that rate).  ``REPRO_KERNEL`` selects explicitly;
-   scratch arenas live in a :class:`~repro.perf.fillkernel.FillWorkspace`
-   reused across fills;
+2. **fill** — progressive filling (max-min fairness) runs the vectorized
+   numpy saturation rounds of :mod:`repro.perf.fillkernel` (per round, one
+   ``bincount`` yields every resource's unfrozen-user count, the minimum
+   fair share picks the bottleneck(s), and all their flows freeze at that
+   rate); scratch arrays live in a
+   :class:`~repro.perf.fillkernel.FillWorkspace` reused across fills;
 3. **run** — :class:`FluidRun` is the one fluid event loop: it advances
    from event to event on the :class:`~repro.simulator.events.EventQueue`,
    integrating rates, retiring finished flows and re-filling over the
@@ -93,8 +91,7 @@ class FluidFlow:
 # --------------------------------------------------------------------------- #
 _counters: Dict[str, object] = {"fill_rounds": 0, "events": 0,
                                 "simulations": 0, "fill_seconds": 0.0,
-                                "kernel": "", "fabric_events": 0,
-                                "reroutes": 0,
+                                "fabric_events": 0, "reroutes": 0,
                                 "compile_seconds": 0.0,
                                 "reroute_seconds": 0.0,
                                 "delta_hits": 0, "delta_rebuilds": 0,
@@ -106,9 +103,8 @@ _counters_lock = threading.Lock()
 def engine_counters() -> Dict[str, object]:
     """Cumulative simulator counters: fill rounds/seconds, events, runs.
 
-    ``kernel`` names the fill kernel used by the most recent fill
-    (``numba``, ``numpy`` or ``python-csr``); ``fill_seconds`` accumulates
-    wall time inside :func:`fill_rates` across the process.
+    ``fill_seconds`` accumulates wall time inside :func:`fill_rates` across
+    the process.
     ``fabric_events``/``reroutes`` count mid-run fabric mutations and flow
     re-steers credited by the fault runner (:mod:`repro.faults.runner`);
     ``compile_seconds``/``reroute_seconds`` split that runner's per-epoch
@@ -126,7 +122,7 @@ def reset_engine_counters() -> None:
     """Zero the cumulative counters (tests and benchmarks)."""
     with _counters_lock:
         _counters.update(fill_rounds=0, events=0, simulations=0,
-                         fill_seconds=0.0, kernel="", fabric_events=0,
+                         fill_seconds=0.0, fabric_events=0,
                          reroutes=0, compile_seconds=0.0, reroute_seconds=0.0,
                          delta_hits=0, delta_rebuilds=0, route_cache_hits=0,
                          route_cache_misses=0)
@@ -272,28 +268,26 @@ def compile_flows(topology: Topology, flows: Sequence[FluidFlow],
 
 
 # --------------------------------------------------------------------------- #
-# Progressive filling (dispatched to the repro.perf kernel layer)
+# Progressive filling (the repro.perf fill kernel)
 # --------------------------------------------------------------------------- #
 def fill_rates(program: FlowProgram, active: np.ndarray,
                workspace: Optional[FillWorkspace] = None
                ) -> Tuple[np.ndarray, int]:
-    """Max-min fair rates for the active flows via the selected fill kernel.
+    """Max-min fair rates for the active flows.
 
-    Dispatches through :func:`repro.perf.fillkernel.run_fill` — the numba
-    CSR kernel when available (``REPRO_KERNEL`` overrides), the vectorized
-    numpy saturation rounds otherwise.  With a ``workspace`` (built once
-    per program) scratch arenas *and the returned rate vector* are reused
-    across calls; callers that keep rates past the next fill must copy
-    them.  Returns the rate vector and the number of saturation rounds
-    (the footer's ``fill_rounds`` counter); wall time and the kernel name
-    accumulate in :func:`engine_counters`.
+    Runs :func:`repro.perf.fillkernel.run_fill`, the vectorized numpy
+    saturation rounds.  With a ``workspace`` (built once per program)
+    scratch arrays *and the returned rate vector* are reused across calls;
+    callers that keep rates past the next fill must copy them.  Returns the
+    rate vector and the number of saturation rounds (the footer's
+    ``fill_rounds`` counter); wall time accumulates in
+    :func:`engine_counters`.
     """
     t0 = time.perf_counter()
-    rates, rounds, kernel = run_fill(program, active, workspace)
+    rates, rounds = run_fill(program, active, workspace)
     elapsed = time.perf_counter() - t0
     with _counters_lock:
         _counters["fill_seconds"] += elapsed
-        _counters["kernel"] = kernel
     return rates, rounds
 
 

@@ -6,8 +6,8 @@ verbatim (plus degraded-fabric awareness) as the trusted oracle:
 
 * the differential test suite checks the vectorized engine against it on
   randomized topologies and flow sets (completion times within 1e-9);
-* ``benchmarks/bench_sim.py`` measures the engine's speedup over it (the
-  acceptance gate is >= 5x on a 1k-flow all-to-all fill).
+* ``tests/test_kernels.py`` checks the numpy fill's rates against
+  :func:`max_min_rates_reference` within 1e-9 on randomized programs.
 
 Do not optimize this module — its value is being obviously correct and
 independent of the engine's numpy formulation.

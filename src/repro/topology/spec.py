@@ -14,7 +14,7 @@ it lives here and ``cli.build_topology`` is an alias.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .base import Topology
 from .bipartite import complete_bipartite
@@ -26,27 +26,62 @@ from .torus import torus
 
 __all__ = ["from_spec", "parse_spec", "spec_families"]
 
+#: Family name (aliases included) -> the parameter keys it accepts.
+_KEYS: Dict[str, Tuple[str, ...]] = {
+    "genkautz": ("d", "n"), "kautz": ("d", "n"),
+    "hypercube": ("dim",),
+    "twisted": ("dim",), "twisted-hypercube": ("dim",),
+    "bipartite": ("left", "right"),
+    "torus": ("dims",), "mesh": ("dims",),
+    "xpander": ("d", "lift", "seed"),
+    "rrg": ("d", "n", "seed"), "random-regular": ("d", "n", "seed"),
+    "jellyfish": ("d", "n", "seed"),
+    "ring": ("n",),
+    "complete": ("n",),
+}
 
-def parse_spec(spec: str) -> Tuple[str, Dict[str, str]]:
-    """Split a ``family:key=value,...`` spec into ``(family, params)``."""
+
+def _split(spec: str) -> Tuple[str, List[Tuple[str, str]]]:
+    """Split a spec into its family and its ``(key, value)`` pairs, in order."""
     if ":" in spec:
         family, rest = spec.split(":", 1)
     else:
         family, rest = spec, ""
-    params: Dict[str, str] = {}
+    items: List[Tuple[str, str]] = []
     for item in rest.split(","):
         if not item:
             continue
         if "=" not in item:
             raise ValueError(f"malformed topology parameter {item!r} (expected key=value)")
         key, value = item.split("=", 1)
-        params[key.strip()] = value.strip()
-    return family.strip().lower(), params
+        items.append((key.strip(), value.strip()))
+    return family.strip().lower(), items
+
+
+def parse_spec(spec: str) -> Tuple[str, Dict[str, str]]:
+    """Split a ``family:key=value,...`` spec into ``(family, params)``."""
+    family, items = _split(spec)
+    return family, dict(items)
 
 
 def from_spec(spec: str) -> Topology:
-    """Build a topology from a ``family:key=value,...`` spec string."""
-    family, params = parse_spec(spec)
+    """Build a topology from a ``family:key=value,...`` spec string.
+
+    Each family accepts a fixed set of keys; an unknown key, or a key given
+    twice, raises ``ValueError``.
+    """
+    family, items = _split(spec)
+    if family not in _KEYS:
+        raise ValueError(f"unknown topology family {family!r}; "
+                         f"known families: {', '.join(spec_families())}")
+    accepted = _KEYS[family]
+    params: Dict[str, str] = {}
+    for key, value in items:
+        if key not in accepted or key in params:
+            problem = "unknown" if key not in accepted else "duplicate"
+            raise ValueError(f"{problem} parameter {key!r} for topology family "
+                             f"{family!r}; accepted keys: {', '.join(accepted)}")
+        params[key] = value
 
     if family in ("genkautz", "kautz"):
         return generalized_kautz(int(params.get("d", 4)), int(params.get("n", 16)))
@@ -69,10 +104,7 @@ def from_spec(spec: str) -> Topology:
                               seed=int(params.get("seed", 0)))
     if family == "ring":
         return ring(int(params.get("n", 5)))
-    if family == "complete":
-        return complete(int(params.get("n", 4)))
-    raise ValueError(f"unknown topology family {family!r}; "
-                     f"known families: {', '.join(spec_families())}")
+    return complete(int(params.get("n", 4)))        # the last family in _KEYS
 
 
 def spec_families() -> Tuple[str, ...]:

@@ -1,43 +1,35 @@
-"""Differential tests for the repro.perf kernel and warm-start layer.
+"""Tests for the repro.perf fill kernel and LP-family layer.
 
-Covers the fill kernels (numpy vs the CSR algorithm the JIT compiles vs the
-scalar reference oracle) on randomized topologies/fabrics/overlap/cluster
-programs, adversarial exact-tie bottleneck patterns, kernel selection and
-numba fallback, constraint-structure hashing, the batched family solver,
-and the warm-started highs-native backend (driven through a fake highspy
-module so the native code path runs everywhere).
+The numpy fill is checked two ways that do not trust it: against the scalar
+reference oracle (:func:`repro.simulator.reference.max_min_rates_reference`)
+and against a max-min certificate (:func:`assert_max_min`) — on randomized
+topologies and fabrics, overlap programs, a cluster arena with retired rows
+and a fault-patched :class:`~repro.perf.delta.DeltaProgram`.  Around it:
+adversarial exact-tie bottleneck patterns with pinned round counts, the
+reusable workspace, the ``[stats]`` footer, constraint-structure hashing and
+the batched family solver.
 """
 
 import random
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from repro.analysis import format_engine_footer
 from repro.cluster import FlowInjector
 from repro.constants import FLOW_TOL
 from repro.core.mcf_link import solve_link_mcf
-from repro.engine import (
-    Engine,
-    HighsNativeBackend,
-    MCFProblem,
-    SolutionCache,
-    backend_names,
-    get_backend,
-)
+from repro.engine import Engine, MCFProblem, SolutionCache
 from repro.perf import (
+    DeltaProgram,
     FillWorkspace,
-    fill_kernel_name,
-    fill_rates_csr,
     fill_rates_numpy,
-    numba_available,
-    run_fill,
-    set_fill_kernel,
     solve_family,
     structure_hash,
     uniform_rhs_scale,
 )
-from repro.perf import _numba_impl
 from repro.simulator import (
     FabricModel,
     FluidFlow,
@@ -51,14 +43,51 @@ from repro.simulator import (
     simulate_flows,
     simulate_flows_reference,
 )
+from repro.simulator.reference import max_min_rates_reference
 from repro.topology import from_spec, hypercube, ring
 
+#: Relative tolerance of the max-min certificate.
+CERT_RTOL = 1e-9
 
-@pytest.fixture(autouse=True)
-def _reset_kernel():
-    """Restore env-driven kernel selection after every test."""
-    yield
-    set_fill_kernel(None)
+
+def assert_max_min(program, active, rates):
+    """Certify ``rates`` as the max-min fair fill of ``program``'s ``active`` flows.
+
+    Reads only the incidence, the capacities and the mask, never the kernel:
+
+    * capacity — on every resource the rates summed over its incidence
+      entries (duplicates included) stay within ``res_cap * (1 + 1e-9)``;
+    * inactive flows have rate 0;
+    * bottleneck — every active flow crosses a resource that is saturated
+      to 1e-9 relative and on which its rate is the maximum.
+    """
+    inc_res = np.asarray(program.inc_res)
+    inc_flow = np.asarray(program.inc_flow)
+    cap = np.asarray(program.res_cap, dtype=float)
+    rates = np.asarray(rates, dtype=float)
+    active = np.asarray(active, dtype=bool)
+    assert (rates[~active] == 0.0).all(), "an inactive flow has a rate"
+    load = np.bincount(inc_res, weights=rates[inc_flow], minlength=len(cap))
+    over = load > cap * (1.0 + CERT_RTOL)
+    assert not over.any(), f"resources {np.flatnonzero(over)} over capacity"
+    top = np.zeros(len(cap))
+    np.maximum.at(top, inc_res, rates[inc_flow])
+    saturated = load >= cap * (1.0 - CERT_RTOL)
+    on_bottleneck = (saturated[inc_res]
+                     & (rates[inc_flow] >= top[inc_res] * (1.0 - CERT_RTOL)))
+    certified = np.zeros(len(rates), dtype=bool)
+    certified[inc_flow[on_bottleneck]] = True
+    missing = active & ~certified
+    assert not missing.any(), f"flows {np.flatnonzero(missing)} have no bottleneck"
+
+
+def assert_matches_reference(rates, flows, active, topology, fabric):
+    """``rates`` equal the scalar oracle's fill of the active ``flows`` to 1e-9."""
+    live = np.flatnonzero(active).tolist()
+    want = max_min_rates_reference(flows, live, topology, fabric)
+    expect = np.zeros(len(flows))
+    expect[live] = [want[i] for i in live]
+    np.testing.assert_allclose(rates, expect, rtol=1e-9, atol=1e-9)
 
 
 def _random_flows(topo, rng, n_flows, zero_fraction=0.1):
@@ -73,20 +102,8 @@ def _random_flows(topo, rng, n_flows, zero_fraction=0.1):
     return flows
 
 
-def _all_kernel_impls(program, active):
-    """Rates/rounds from every kernel implementation available here."""
-    results = {
-        "numpy": fill_rates_numpy(program, active),
-        "python-csr": fill_rates_csr(
-            program, active, impl=_numba_impl.fill_csr_python),
-    }
-    if numba_available():
-        results["numba"] = fill_rates_csr(program, active)
-    return results
-
-
 class TestKernelDifferential:
-    """All kernels agree with each other and with the scalar oracle."""
+    """The numpy fill matches the scalar oracle and passes the certificate."""
 
     TOPOLOGIES = ["ring:n=6", "hypercube:dim=3", "torus:dims=3x3",
                   "rrg:d=3,n=12,seed=5", "genkautz:d=3,n=10"]
@@ -109,24 +126,39 @@ class TestKernelDifferential:
         active = np.ones(program.num_flows, dtype=bool)
         # Randomly deactivate some flows: mid-simulation refill shape.
         active[rng.sample(range(program.num_flows), 8)] = False
-        results = _all_kernel_impls(program, active)
-        base_rates, base_rounds = results["numpy"]
-        for name, (rates, rounds) in results.items():
-            np.testing.assert_allclose(
-                rates, base_rates, rtol=1e-9, atol=1e-9,
-                err_msg=f"kernel {name} disagrees with numpy")
-            assert rounds == base_rounds, f"kernel {name} round count differs"
-        assert not base_rates[active].min() <= 0.0
-        assert (base_rates[~active] == 0.0).all()
+        rates, _ = fill_rates_numpy(program, active)
+        assert_matches_reference(rates, flows, active, topo, fabric)
+        assert_max_min(program, active, rates)
+        assert not rates[active].min() <= 0.0
 
-    @pytest.mark.parametrize("kernel", ["numpy", "python-csr"])
+    def test_certificate_rejects_perturbed_rates(self):
+        """Scaling any one flow's rate by 1.01 or 0.99 fails the certificate."""
+        topo = from_spec("torus:dims=3x3")
+        fabric = cerio_hpc_fabric()
+        flows = _random_flows(topo, random.Random(7), n_flows=30,
+                              zero_fraction=0.0)
+        program = compile_flows(topo, flows, fabric)
+        active = np.ones(program.num_flows, dtype=bool)
+        active[:4] = False
+        rates, _ = fill_rates_numpy(program, active)
+        assert_max_min(program, active, rates)
+        for flow in np.flatnonzero(active):
+            for factor in (1.01, 0.99):
+                bad = rates.copy()
+                bad[flow] *= factor
+                with pytest.raises(AssertionError):
+                    assert_max_min(program, active, bad)
+        bad = rates.copy()
+        bad[0] = 1.0
+        with pytest.raises(AssertionError, match="inactive"):
+            assert_max_min(program, active, bad)
+
     @pytest.mark.parametrize("spec", TOPOLOGIES[:3])
-    def test_simulation_matches_reference_under_each_kernel(self, kernel, spec):
+    def test_simulation_matches_reference_under_each_kernel(self, spec):
         topo = from_spec(spec)
         fabric = cerio_hpc_fabric()
-        rng = random.Random(hash(("sim", kernel, spec)) % (2 ** 31))
+        rng = random.Random(hash(("sim", spec)) % (2 ** 31))
         flows = _random_flows(topo, rng, n_flows=30)
-        set_fill_kernel(kernel)
         fast = simulate_flows(topo, flows, fabric)
         slow = simulate_flows_reference(topo, flows, fabric)
         assert fast.completion_time == pytest.approx(slow.completion_time,
@@ -134,53 +166,79 @@ class TestKernelDifferential:
         for a, b in zip(fast.flow_completion_times, slow.flow_completion_times):
             assert a == pytest.approx(b, abs=1e-9)
 
-    @pytest.mark.parametrize("kernel", ["numpy", "python-csr"])
-    def test_overlap_program_agrees(self, kernel):
+    def test_overlap_program_agrees(self):
         topo = hypercube(3)
+        fabric = cerio_hpc_fabric()
         rng = random.Random(11)
         flows = _random_flows(topo, rng, n_flows=24, zero_fraction=0.0)
         program = compile_flows(
-            topo, flows, cerio_hpc_fabric(),
+            topo, flows, fabric,
             set_ids=[i % 2 for i in range(len(flows))],
             set_names=["a", "b"])
         active = np.ones(program.num_flows, dtype=bool)
-        results = _all_kernel_impls(program, active)
-        base_rates, base_rounds = results["numpy"]
-        rates, rounds = results["python-csr"]
-        np.testing.assert_allclose(rates, base_rates, rtol=1e-9, atol=1e-9)
-        assert rounds == base_rounds
+        rates, _ = fill_rates_numpy(program, active)
+        assert_matches_reference(rates, flows, active, topo, fabric)
+        assert_max_min(program, active, rates)
 
-    @pytest.mark.parametrize("kernel", ["numpy", "python-csr"])
-    def test_cluster_injector_fills_agree(self, kernel):
-        """Injected/retired cluster programs fill identically on all kernels."""
+    def test_cluster_injector_fills_agree(self):
+        """A cluster arena holding retired rows fills like the oracle."""
         topo = hypercube(3)
         fabric = cerio_hpc_fabric()
         rng = random.Random(23)
-        set_fill_kernel(kernel)
         run = FluidRun(FlowInjector(topo, fabric))
         drained = []
-        run.inject(_random_flows(topo, rng, 10, zero_fraction=0.0), "a",
-                   drained.append)
+        flows = _random_flows(topo, rng, 10, zero_fraction=0.0)
+        run.inject(flows, "a", drained.append)
         run.run(until=1e-12)
-        run.inject(_random_flows(topo, rng, 10, zero_fraction=0.0), "b",
-                   drained.append)
+        more = _random_flows(topo, rng, 10, zero_fraction=0.0)
+        flows += more
+        run.inject(more, "b", drained.append)
         run.run(until=2e-12)
-        # Compare against a kernel-independent fresh numpy fill.
         program = run.program
         expect, _ = fill_rates_numpy(
             program, np.ones(program.num_flows, dtype=bool))
         np.testing.assert_allclose(run.rates, expect, rtol=1e-9, atol=1e-9)
+        # Run on until some flows retire; their rows stay in the arena,
+        # masked out of the fill, until dead rows outnumber live ones.
+        until = 2e-12
+        while np.count_nonzero(~run.active) < 3:
+            until *= 2
+            run.run(until=until)
+        assert run.program.num_flows == len(flows) == len(run.active)
+        assert run.active.any()
+        rates, _ = fill_rates_numpy(run.program, run.active, run.workspace)
+        assert_matches_reference(rates, flows, run.active, topo, fabric)
+        assert_max_min(run.program, run.active, rates)
         # Drain both sets; survivors keep filling consistently.
         run.run()
         assert len(drained) == 2 and not run.active.any()
 
+    def test_delta_program_after_apply_certifies(self):
+        """Reroutes that move slots onto the slack resource fill exactly."""
+        topo = hypercube(3)
+        fabric = cerio_hpc_fabric()
+        paths = [(0, 1, 3, 2), (1, 3, 7), (4, 5, 7, 6), (2, 6), (0, 4, 5),
+                 (3, 1, 0), (5, 1, 3)]
+        delta = DeltaProgram(topo, fabric, paths, [1.0] * len(paths))
+        slack_slots = int(np.count_nonzero(delta.ent_res == delta.slack))
+        epoch = replace(fabric, down_links=((0, 1), (1, 0)))
+        moved = list(paths)
+        moved[0] = (0, 2)           # shorter: two slots fall back to slack
+        moved[5] = (3, 2, 0)
+        assert delta.apply(epoch, moved) == 0
+        assert np.count_nonzero(delta.ent_res == delta.slack) > slack_slots
+        active = np.ones(delta.num_flows, dtype=bool)
+        rates, _ = fill_rates_numpy(delta.program, active, delta.workspace)
+        flows = [FluidFlow(path=p, size_bytes=1.0) for p in moved]
+        assert_matches_reference(rates, flows, active, topo, epoch)
+        assert_max_min(delta.program, active, rates)
+
     def test_exact_tie_bottlenecks_identical_rounds(self):
-        """Adversarial exact ties: every kernel groups them in one round.
+        """Adversarial exact ties: the whole tie freezes in one round.
 
         A star of identical-capacity links with one flow each is an exact
         |links|-way tie; integer capacities make the shares exactly
-        representable, so all implementations must freeze the whole tie in
-        the same round and return identical round counts.
+        representable, so the fill must freeze the whole tie in one round.
         """
         edges = [(0, i) for i in range(1, 9)]
         graph = nx.DiGraph()
@@ -193,10 +251,9 @@ class TestKernelDifferential:
         flows = [FluidFlow(path=(0, i), size_bytes=64.0) for i in range(1, 9)]
         program = compile_flows(topo, flows, ideal_fabric(link_bandwidth=2.0))
         active = np.ones(program.num_flows, dtype=bool)
-        results = _all_kernel_impls(program, active)
-        for name, (rates, rounds) in results.items():
-            assert rounds == 1, f"{name} split an exact tie across rounds"
-            np.testing.assert_array_equal(rates, np.full(8, 2.0))
+        rates, rounds = fill_rates_numpy(program, active)
+        assert rounds == 1, "an exact tie was split across rounds"
+        np.testing.assert_array_equal(rates, np.full(8, 2.0))
 
     def test_two_tier_exact_ties(self):
         """Two exact tie groups at different shares: exactly two rounds."""
@@ -207,68 +264,26 @@ class TestKernelDifferential:
                     FluidFlow(path=(3, 4), size_bytes=100.0)])
         program = compile_flows(topo, flows, ideal_fabric(link_bandwidth=8.0))
         active = np.ones(program.num_flows, dtype=bool)
-        results = _all_kernel_impls(program, active)
-        base_rates, base_rounds = results["numpy"]
-        assert base_rounds == 2
-        for name, (rates, rounds) in results.items():
-            assert rounds == base_rounds, name
-            np.testing.assert_array_equal(rates, base_rates)
+        rates, rounds = fill_rates_numpy(program, active)
+        assert rounds == 2
+        np.testing.assert_array_equal(rates, [8.0, 8.0, 8.0, 4.0, 4.0])
 
 
-class TestKernelSelection:
-    def test_auto_resolves(self):
-        set_fill_kernel("auto")
-        assert fill_kernel_name() in ("numba", "numpy")
-
-    def test_numba_request_falls_back_when_unavailable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMBA", "1")
-        set_fill_kernel("numba")
-        assert not numba_available()
-        assert fill_kernel_name() == "numpy"
-        program = compile_flows(
-            ring(4), [FluidFlow(path=(0, 1), size_bytes=10.0)],
-            ideal_fabric(link_bandwidth=5.0))
-        rates, rounds, kernel = run_fill(
-            program, np.ones(1, dtype=bool))
-        assert kernel == "numpy"
-        assert rates[0] == pytest.approx(5.0)
-
-    def test_env_selection(self, monkeypatch):
-        set_fill_kernel(None)
-        monkeypatch.setenv("REPRO_KERNEL", "python-csr")
-        assert fill_kernel_name() == "python-csr"
-        monkeypatch.setenv("REPRO_KERNEL", "bogus")
-        with pytest.raises(ValueError):
-            fill_kernel_name()
-
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ValueError):
-            set_fill_kernel("fortran")
-
-    def test_counters_surface_kernel_and_seconds(self):
+class TestFillCounters:
+    def test_footer_pins_fill_seconds(self):
         reset_engine_counters()
-        set_fill_kernel("python-csr")
         simulate_flows(ring(4), [FluidFlow(path=(0, 1), size_bytes=100.0)],
                        ideal_fabric(link_bandwidth=5.0))
-        counters = engine_counters()
-        assert counters["kernel"] == "python-csr"
-        assert counters["fill_seconds"] > 0.0
+        assert engine_counters()["fill_seconds"] > 0.0
         reset_engine_counters()
-        counters = engine_counters()
-        assert counters["fill_seconds"] == 0.0
-        assert counters["kernel"] == ""
-
-    def test_footer_shows_kernel_and_warm_stats(self):
-        from repro.analysis import format_engine_footer
+        assert engine_counters()["fill_seconds"] == 0.0
         line = format_engine_footer(
-            {"hits": 1, "misses": 2, "disk_hits": 0, "backend": "scipy-highs",
-             "basis_hits": 3, "basis_misses": 1},
+            {"hits": 1, "misses": 2, "disk_hits": 0, "backend": "scipy-highs"},
             {"hits": 0, "misses": 0},
-            sim_stats={"fill_rounds": 10, "events": 5, "kernel": "numpy",
-                       "fill_seconds": 0.25})
-        assert "sim: 10 fill rounds / 5 events" in line
-        assert "[kernel=numpy, 0.250s fill]" in line
-        assert "warm-start: 3 basis hits / 1 cold" in line
+            sim_stats={"fill_rounds": 10, "events": 5, "fill_seconds": 0.25})
+        assert line == ("[stats] lp-cache: 1 hits / 2 misses (0 from disk) "
+                        "backend=scipy-highs; stage-cache: 0 hits / 0 misses; "
+                        "sim: 10 fill rounds / 5 events [0.250s fill]")
 
 
 class TestFillWorkspace:
@@ -280,33 +295,13 @@ class TestFillWorkspace:
         ws = FillWorkspace(program)
         active = np.ones(program.num_flows, dtype=bool)
         for _ in range(4):
-            reused, r1 = fill_rates_csr(program, active, workspace=ws,
-                                        impl=_numba_impl.fill_csr_python)
+            reused, r1 = fill_rates_numpy(program, active, workspace=ws)
             fresh, r2 = fill_rates_numpy(program, active)
             assert reused is ws.rates  # the arena, not a copy
-            np.testing.assert_allclose(reused, fresh, rtol=1e-9, atol=1e-9)
+            np.testing.assert_array_equal(reused, fresh)
             assert r1 == r2
             # Shrink the active set as execute() would between events.
             active[rng.randrange(program.num_flows)] = False
-
-    def test_csr_layout_round_trips_incidence(self):
-        program = compile_flows(
-            hypercube(2),
-            [FluidFlow(path=(0, 1), size_bytes=1.0),
-             FluidFlow(path=(0, 2, 3), size_bytes=2.0)],
-            cerio_hpc_fabric())
-        ws = FillWorkspace(program)
-        entries = set(zip(program.inc_res.tolist(), program.inc_flow.tolist()))
-        rebuilt = set()
-        for r in range(ws.num_res):
-            for k in range(ws.res_ptr[r], ws.res_ptr[r + 1]):
-                rebuilt.add((r, int(ws.res_flows[k])))
-        assert rebuilt == entries
-        rebuilt = set()
-        for f in range(ws.num_flows):
-            for k in range(ws.flow_ptr[f], ws.flow_ptr[f + 1]):
-                rebuilt.add((int(ws.flow_res[k]), f))
-        assert rebuilt == entries
 
 
 class TestStructureHash:
@@ -409,194 +404,3 @@ class TestSolveFamily:
         direct = solve_link_mcf(topo)
         assert solutions[1].objective == pytest.approx(
             direct.concurrent_flow, abs=max(FLOW_TOL, 1e-9))
-
-
-# ----------------------------------------------------------------------- #
-# Fake highspy: the minimal API surface HighsNativeBackend drives, backed
-# by scipy.  Lets the native path (model reuse, re-bounding, basis-hit
-# accounting) run in environments without the real bindings.
-# ----------------------------------------------------------------------- #
-class _FakeMatrix:
-    """Attribute bag mirroring highspy's HighsSparseMatrix."""
-
-    def __init__(self):
-        self.format_ = None
-        self.num_col_ = 0
-        self.num_row_ = 0
-        self.start_ = None
-        self.index_ = None
-        self.value_ = None
-
-
-class _FakeLp:
-    """Attribute bag mirroring highspy's HighsLp."""
-
-    def __init__(self):
-        self.num_col_ = 0
-        self.num_row_ = 0
-        self.col_cost_ = None
-        self.col_lower_ = None
-        self.col_upper_ = None
-        self.row_lower_ = None
-        self.row_upper_ = None
-        self.a_matrix_ = _FakeMatrix()
-
-
-class _FakeSolution:
-    def __init__(self, x):
-        self.col_value = x
-
-
-class _FakeHighs:
-    """Solves the stored LP with scipy; counts re-bound (warm) calls."""
-
-    def __init__(self):
-        self.lp = None
-        self.rebound_calls = 0
-        self._x = None
-        self._status = None
-
-    def setOptionValue(self, name, value):
-        pass
-
-    def passModel(self, lp):
-        self.lp = lp
-
-    def changeColsBoundsByRange(self, start, stop, lower, upper):
-        self.rebound_calls += 1
-        self.lp.col_lower_ = np.asarray(lower, dtype=float)
-        self.lp.col_upper_ = np.asarray(upper, dtype=float)
-
-    def changeRowsBoundsByRange(self, start, stop, lower, upper):
-        self.rebound_calls += 1
-        self.lp.row_lower_ = np.asarray(lower, dtype=float)
-        self.lp.row_upper_ = np.asarray(upper, dtype=float)
-
-    def run(self):
-        import scipy.sparse as sp
-        from scipy.optimize import linprog
-
-        lp = self.lp
-        matrix = sp.csc_matrix(
-            (lp.a_matrix_.value_, lp.a_matrix_.index_, lp.a_matrix_.start_),
-            shape=(lp.num_row_, lp.num_col_)).tocsr()
-        lower = np.asarray(lp.row_lower_, dtype=float)
-        upper = np.asarray(lp.row_upper_, dtype=float)
-        ub_rows = np.isinf(lower) & (lower < 0)
-        eq_rows = ~ub_rows
-        kwargs = {}
-        if ub_rows.any():
-            kwargs["A_ub"] = matrix[ub_rows]
-            kwargs["b_ub"] = upper[ub_rows]
-        if eq_rows.any():
-            kwargs["A_eq"] = matrix[eq_rows]
-            kwargs["b_eq"] = upper[eq_rows]
-        bounds = np.column_stack([lp.col_lower_, lp.col_upper_])
-        result = linprog(lp.col_cost_, bounds=bounds, method="highs", **kwargs)
-        self._x = result.x
-        self._status = "optimal" if result.success else "failed"
-
-    def getModelStatus(self):
-        return self._status
-
-    def getSolution(self):
-        return _FakeSolution(self._x)
-
-
-class _FakeStatus:
-    kOptimal = "optimal"
-
-
-class _FakeFormat:
-    kColwise = "colwise"
-
-
-class _FakeHighspy:
-    Highs = _FakeHighs
-    HighsLp = _FakeLp
-    HighsModelStatus = _FakeStatus
-    MatrixFormat = _FakeFormat
-
-
-class TestHighsNativeBackend:
-    def test_registered(self):
-        assert "highs-native" in backend_names()
-        assert isinstance(get_backend("highs-native"), HighsNativeBackend)
-
-    def test_warm_start_reuses_model(self):
-        backend = HighsNativeBackend("test-native", highs_module=_FakeHighspy())
-        engine = Engine(cache=SolutionCache(enabled=False))
-        cube = hypercube(3)
-        problems = [MCFProblem("mcf-link", cube.with_capacity(s), maximize=True)
-                    for s in (1.0, 2.0, 3.0)]
-        from repro.engine.backends import register_backend
-        register_backend(backend)
-        solutions = [engine.solve(p, backend="test-native", use_cache=False)
-                     for p in problems]
-        stats = backend.warm_stats()
-        assert stats["basis_misses"] == 1
-        assert stats["basis_hits"] == 2
-        assert stats["fallback_solves"] == 0
-        assert solutions[0].info["warm_start"] == "cold"
-        assert solutions[1].info["warm_start"] == "basis"
-        scipy_backend = get_backend("scipy-highs")
-        for problem, solution in zip(problems, solutions):
-            from repro.core.mcf_link import build_link_mcf
-            cold = scipy_backend.solve(build_link_mcf(problem), maximize=True)
-            assert solution.objective == pytest.approx(cold.objective,
-                                                       abs=1e-6)
-
-    def test_engine_stats_merge_warm_counters(self):
-        backend = HighsNativeBackend("test-native-2",
-                                     highs_module=_FakeHighspy())
-        from repro.engine.backends import register_backend
-        register_backend(backend)
-        engine = Engine(backend="test-native-2",
-                        cache=SolutionCache(enabled=False))
-        engine.solve(MCFProblem("mcf-link", hypercube(2), maximize=True),
-                     use_cache=False)
-        stats = engine.stats()
-        assert stats["basis_misses"] == 1
-        assert "basis_hits" in stats
-
-    def test_fallback_without_highspy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_HIGHSPY", "1")
-        backend = HighsNativeBackend("test-fallback")
-        problem = MCFProblem("mcf-link", hypercube(2), maximize=True)
-        engine = Engine(cache=SolutionCache(enabled=False))
-        from repro.engine.backends import register_backend
-        register_backend(backend)
-        solution = engine.solve(problem, backend="test-fallback",
-                                use_cache=False)
-        assert backend.warm_stats()["fallback_solves"] == 1
-        cold = engine.solve(problem, backend="scipy-highs", use_cache=False)
-        assert solution.objective == pytest.approx(cold.objective, abs=1e-6)
-
-    def test_model_registry_bounded(self):
-        backend = HighsNativeBackend("test-lru", max_models=1,
-                                     highs_module=_FakeHighspy())
-        engine = Engine(cache=SolutionCache(enabled=False))
-        from repro.engine.backends import register_backend
-        register_backend(backend)
-        engine.solve(MCFProblem("mcf-link", hypercube(2), maximize=True),
-                     backend="test-lru", use_cache=False)
-        engine.solve(MCFProblem("mcf-link", ring(6), maximize=True),
-                     backend="test-lru", use_cache=False)
-        assert backend.warm_stats()["live_models"] == 1
-
-    def test_family_through_native_backend(self):
-        """solve_family + warm backend: one cold solve, rest scaled."""
-        backend = HighsNativeBackend("test-native-family",
-                                     highs_module=_FakeHighspy())
-        from repro.engine.backends import register_backend
-        register_backend(backend)
-        engine = Engine(cache=SolutionCache())
-        problems = [MCFProblem("mcf-link", hypercube(3).with_capacity(s),
-                               maximize=True) for s in (1.0, 0.5, 0.25)]
-        solutions, stats = solve_family(problems, backend="test-native-family",
-                                        engine=engine, use_cache=False)
-        assert stats["solves"] == 1 and stats["scaled"] == 2
-        assert backend.warm_stats()["basis_misses"] == 1
-        base = solutions[0].objective
-        assert solutions[1].objective == pytest.approx(0.5 * base, rel=1e-9)
-        assert solutions[2].objective == pytest.approx(0.25 * base, rel=1e-9)

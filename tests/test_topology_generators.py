@@ -12,6 +12,7 @@ from repro.topology import (
     coordinate_of,
     dragonfly,
     edge_punctured_torus,
+    from_spec,
     generalized_de_bruijn,
     generalized_kautz,
     hypercube,
@@ -22,6 +23,7 @@ from repro.topology import (
     node_punctured_torus,
     random_regular,
     ring,
+    spec_families,
     torus,
     torus_2d,
     torus_3d,
@@ -239,3 +241,37 @@ class TestExpanders:
         topo = jellyfish(4, 10, seed=1)
         assert topo.metadata["family"] == "jellyfish"
         assert topo.degree() == 4
+
+
+class TestFromSpec:
+    #: A valid parameter string and its node count for every spec family.
+    SPECS = {
+        "genkautz": ("d=3,n=10", 10),
+        "hypercube": ("dim=3", 8),
+        "twisted": ("dim=3", 8),
+        "bipartite": ("left=3,right=3", 6),
+        "torus": ("dims=4x4", 16),
+        "mesh": ("dims=4x4", 16),
+        "xpander": ("d=4,lift=5,seed=0", 25),
+        "rrg": ("d=3,n=12,seed=5", 12),
+        "ring": ("n=6", 6),
+        "complete": ("n=4", 4),
+    }
+
+    @pytest.mark.parametrize("family", spec_families())
+    def test_unknown_and_duplicate_keys_rejected(self, family):
+        params, num_nodes = self.SPECS[family]
+        assert from_spec(f"{family}:{params}").num_nodes == num_nodes
+        keys = [item.split("=")[0] for item in params.split(",")]
+        with pytest.raises(ValueError, match="unknown parameter 'bogus'") as err:
+            from_spec(f"{family}:{params},bogus=1")
+        assert repr(family) in str(err.value)
+        assert all(key in str(err.value).split("accepted keys:")[1] for key in keys)
+        first = params.split(",")[0]
+        with pytest.raises(ValueError, match=f"duplicate parameter '{keys[0]}'"):
+            from_spec(f"{family}:{params},{first}")
+
+    @pytest.mark.parametrize("spec", ["torus:rows=4,cols=4", "hypercube:dim=3,bogus=1"])
+    def test_misspelled_keys_raise(self, spec):
+        with pytest.raises(ValueError, match="accepted keys"):
+            from_spec(spec)
