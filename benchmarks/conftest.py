@@ -11,7 +11,7 @@ The paper's largest experiments (27-node torus hardware runs, 1000-node
 synthesis sweeps) are scaled to laptop/CI sizes by default.  Set
 ``REPRO_BENCH_SCALE=paper`` to run closer to the paper's sizes (minutes to
 hours), ``REPRO_BENCH_SCALE=small`` (default) for the quick configuration.
-EXPERIMENTS.md records results from the default configuration.
+The tables written to ``benchmarks/results/`` come from whichever scale ran.
 
 Parallelism
 -----------

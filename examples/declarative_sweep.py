@@ -1,8 +1,7 @@
 #!/usr/bin/env python
 """Declarative experiment sweep: grid spec -> streaming JSONL -> summary table.
 
-The old way to compare schemes across topologies was a hand-rolled loop over
-``compare_schemes`` calls; the declarative layer replaces it with data: a
+Comparing schemes across topologies is data, not a hand-rolled loop: a
 grid spec (here ``examples/sweep_grid.json``) expands into scenarios, each
 scenario runs the staged synthesize -> lower -> validate -> simulate
 pipeline, and one JSONL record streams out per completed scenario, so a

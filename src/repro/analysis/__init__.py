@@ -7,7 +7,6 @@ from .report import (
     format_throughput_sweep,
     human_bytes,
 )
-from .sweep import PATH_SCHEMES, SchemeResult, available_schemes, compare_schemes, run_scheme
 from .throughput import Envelope, crossover_buffer, envelope, normalize_times, speedup
 
 __all__ = [
@@ -16,11 +15,6 @@ __all__ = [
     "format_table",
     "format_throughput_sweep",
     "human_bytes",
-    "PATH_SCHEMES",
-    "SchemeResult",
-    "available_schemes",
-    "compare_schemes",
-    "run_scheme",
     "Envelope",
     "crossover_buffer",
     "envelope",

@@ -1,8 +1,9 @@
-"""Plain-text table/series formatting for benchmark output and EXPERIMENTS.md.
+"""Plain-text table/series formatting for CLI, report and benchmark output.
 
-The benchmark harness prints the same rows/series the paper's figures report;
-these helpers render them as aligned text tables so the output of
-``pytest benchmarks/ --benchmark-only`` can be pasted into EXPERIMENTS.md.
+The CLI subcommands, ``repro report`` and the benchmark harness print the
+same rows/series the paper's figures report; these helpers render them as
+aligned text tables, plus the ``[stats]`` footer the subcommands print to
+stderr.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ def format_engine_footer(engine_stats: Mapping[str, object],
     """One-line LP/stage-cache/simulator accounting footer.
 
     The single source of the ``[stats] ...`` line printed (to stderr) by
-    ``repro compare``, ``repro sweep``, ``repro simulate`` and
-    ``repro report`` — one format string instead of one per call site, so
-    the footers can never drift apart.  ``engine_stats`` is
+    ``repro compare``, ``repro synthesize``, ``repro sweep``,
+    ``repro simulate`` and ``repro report`` — one format string instead of
+    one per call site, so the footers can never drift apart.  ``engine_stats`` is
     ``Engine.stats()`` (cache counters plus backend name); ``stage_stats``
     is the plan cache's :meth:`~repro.engine.cache.SolutionCache.stats`;
     ``sim_stats`` is :func:`repro.simulator.engine_counters` (fill rounds

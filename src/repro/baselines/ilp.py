@@ -32,7 +32,13 @@ from ..paths.disjoint import edge_disjoint_path_sets
 from ..paths.shortest import all_shortest_path_sets
 from ..topology.base import Edge, Topology
 
-__all__ = ["solve_ilp_path_selection", "ilp_disjoint_schedule", "ilp_shortest_schedule"]
+__all__ = ["ILP_BOUNDED_PARAMS", "solve_ilp_path_selection", "ilp_disjoint_schedule",
+           "ilp_shortest_schedule"]
+
+#: Bounded MIP settings (5% relative gap, 120 s limit) under which the ILP
+#: baselines run in scheme comparisons (``repro compare``, Fig. 4's torus
+#: panel), as ``scheme_params``.
+ILP_BOUNDED_PARAMS: Dict[str, float] = {"mip_rel_gap": 0.05, "time_limit": 120}
 
 
 def solve_ilp_path_selection(topology: Topology,

@@ -26,35 +26,26 @@ Run ``python -m repro.cli --help`` for the full usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional, Sequence
 
 from .analysis import format_engine_footer, format_table
-from .analysis.sweep import available_schemes, compare_schemes
-from .core import (
-    ForwardingModel,
-    SchedulingRequest,
-    generate_schedule,
-)
-from .core.mcf_path import PathSchedule
-from .core.mcf_timestepped import TimeSteppedFlow
+from .baselines import ILP_BOUNDED_PARAMS
 from .experiments import (
+    Plan,
+    Scenario,
     SweepGrid,
     available_scenario_schemes,
     get_plan_cache,
     last_executor_stats,
+    run_scenarios,
     run_sweep,
     sweep_stats,
     write_csv,
 )
 from .routing import lash_sequential_assign
-from .schedule import (
-    chunk_path_schedule,
-    chunk_timestepped_flow,
-    compile_to_msccl_xml,
-    compile_to_ompi_xml,
-)
-from .simulator import fabric_from_spec
+from .schedule import LinkSchedule, RoutedSchedule, compile_to_msccl_xml, compile_to_ompi_xml
 from .topology import Topology, from_spec, properties
 
 __all__ = ["build_topology", "main"]
@@ -63,10 +54,6 @@ __all__ = ["build_topology", "main"]
 def build_topology(spec: str) -> Topology:
     """Build a topology from a spec string (alias of :func:`repro.topology.from_spec`)."""
     return from_spec(spec)
-
-
-def _fabric(name: str):
-    return fabric_from_spec(name)
 
 
 def _buffer_list(spec: str) -> List[float]:
@@ -95,35 +82,39 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
-    topo = build_topology(args.topology)
-    request = SchedulingRequest(
-        forwarding=(ForwardingModel.NIC if _fabric(args.fabric).nic_forwarding
-                    else ForwardingModel.HOST),
-        host_bandwidth=args.host_bandwidth,
-        n_jobs=args.jobs,
-    )
-    schedule = generate_schedule(topo, request)
-    if isinstance(schedule, TimeSteppedFlow):
-        link_schedule = chunk_timestepped_flow(schedule)
-        xml = compile_to_msccl_xml(link_schedule)
+    """The Fig. 1 pipeline as one ``auto`` scenario run through ``validate``.
+
+    Synthesis and lowering go through the stage cache, so a repeat run with
+    the same ``REPRO_CACHE_DIR`` solves no LP.
+    """
+    scenario = Scenario(topology=args.topology, scheme="auto", fabric=args.fabric,
+                        host_bandwidth=args.host_bandwidth)
+    result = Plan(scenario, n_jobs=args.jobs).run("validate")
+    schedule, lowered = result.schedule, result.lowered
+    if isinstance(lowered, LinkSchedule):
+        xml = compile_to_msccl_xml(lowered)
         print(f"tsMCF schedule: {schedule.num_steps} steps, "
               f"total utilization {schedule.total_utilization:.3f} "
               f"(equivalent F = {schedule.equivalent_concurrent_flow():.4f})")
-    elif isinstance(schedule, PathSchedule):
+    elif isinstance(lowered, RoutedSchedule):
         routes = [tuple(p.nodes) for plist in schedule.paths.values() for p in plist]
         layers = lash_sequential_assign(routes)
-        routed = chunk_path_schedule(schedule, layers=layers.layer_of)
+        # The lowered artifact is shared through the stage cache: layer a copy.
+        routed = dataclasses.replace(lowered, assignments=[
+            dataclasses.replace(a, layer=layers.layer_of.get(a.route, 0))
+            for a in lowered.assignments])
         xml = compile_to_ompi_xml(routed)
         print(f"path schedule ({schedule.meta.get('pipeline', 'pmcf')}): "
               f"F = {schedule.concurrent_flow:.4f}, "
               f"{len(routed.assignments)} chunk assignments, "
               f"{layers.num_layers} VC layer(s)")
     else:  # pragma: no cover - defensive
-        raise TypeError(f"unexpected schedule type {type(schedule)!r}")
+        raise TypeError(f"unexpected lowered schedule type {type(lowered)!r}")
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(xml)
         print(f"wrote {len(xml)} bytes of XML to {args.output}")
+    _print_engine_stats()
     return 0
 
 
@@ -138,8 +129,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     JSONL record (resumable with ``--resume``), so ``repro simulate`` output
     composes with the same tooling as ``repro sweep``.
     """
-    from .experiments import Scenario
-
     base = {"scheme": args.scheme, "fabric": args.fabric,
             "buffers": tuple(_buffer_list(args.buffers)), "overlap": args.overlap}
     if args.faults:
@@ -211,19 +200,33 @@ def _print_engine_stats(extra: str = "", executor_stats=None) -> None:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    """One scenario per scheme, plus an ``mcf-extp`` reference for "vs MCF".
+
+    The reference shares its synthesize key with any ``mcf-extp`` entry, so
+    single-flight solves it once.  "vs MCF" is the scheme's all-to-all time
+    times the reference's concurrent flow F (the optimum is 1/F).
+    """
     topo = build_topology(args.topology)
     schemes = args.schemes.split(",") if args.schemes else ["mcf-extp", "ewsp", "sssp", "native"]
-    buffers = _buffer_list(args.buffers) if args.buffers else None
-    results = compare_schemes(topo, schemes, buffer_sizes=buffers, fabric=_fabric(args.fabric),
-                              jobs=args.jobs)
+    buffers = tuple(_buffer_list(args.buffers)) if args.buffers else ()
+    base = Scenario(topology=topo, fabric=args.fabric, max_denominator=16)
+    scenarios = [dataclasses.replace(
+        base, scheme=name, buffers=buffers,
+        scheme_params=ILP_BOUNDED_PARAMS if name.startswith("ilp-") else {})
+        for name in schemes]
+    scenarios.append(dataclasses.replace(base, scheme="mcf-extp"))
+    *results, reference = run_scenarios(scenarios, jobs=args.jobs,
+                                        through="simulate" if buffers else "synthesize")
+    f_ref = reference.metrics.get("concurrent_flow")
     rows = []
-    for r in results:
-        if r.error:
-            rows.append([r.scheme, "error", "-", r.error[:40]])
+    for name, res in zip(schemes, results):
+        if res.error:
+            rows.append([name, "error", "-", res.error[:40]])
             continue
-        rows.append([r.scheme, r.all_to_all_time,
-                     "-" if r.normalized_time is None else round(r.normalized_time, 3),
-                     " ".join(f"{tp / 1e9:.2f}" for tp in r.throughputs.values()) or "-"])
+        time = float(res.metrics.get("all_to_all_time", float("inf")))
+        tps = res.metrics.get("throughput_bytes_per_s") or {}
+        rows.append([name, time, "-" if f_ref is None else round(time * f_ref, 3),
+                     " ".join(f"{tp / 1e9:.2f}" for tp in tps.values()) or "-"])
     print(format_table(["scheme", "all-to-all time", "vs MCF", "throughput GB/s"],
                        rows, title=f"Scheme comparison on {topo.name}"))
     _print_engine_stats()
@@ -240,8 +243,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     exactly as in ``repro sweep``.  Traces share the synthesized schedule
     (the trace enters the simulate stage key only).
     """
-    from .experiments import Scenario
-
     traces = args.trace or [
         "cluster:jobs=4:arrival=poisson~2000:placement=packed:seed=0"]
     scenarios = []
@@ -310,8 +311,6 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     (:func:`~repro.faults.worst_case_failures`), printing the degradation
     table.  See docs/robustness.md for the fault grammar and knobs.
     """
-    from .experiments import Plan, Scenario
-
     specs = args.faults or []
     scenarios = []
     for spec in specs:
@@ -561,7 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="compare schemes on a topology")
     p_cmp.add_argument("topology")
     p_cmp.add_argument("--schemes", default=None,
-                       help=f"comma-separated scheme names from: {', '.join(available_schemes())}")
+                       help="comma-separated scheme names from: "
+                            f"{', '.join(available_scenario_schemes())}")
     p_cmp.add_argument("--buffers", default=None)
     p_cmp.add_argument("--fabric", default="hpc")
     p_cmp.add_argument("--jobs", type=int, default=1,

@@ -30,7 +30,7 @@ from .mcf_timestepped import TimeSteppedFlow, solve_timestepped_mcf
 from .mcf_ts_decomposed import solve_timestepped_mcf_decomposed
 from .path_extraction import extract_paths, solve_mcf_extract_paths
 from .pipeline import ForwardingModel, SchedulingRequest, estimate_path_diversity, generate_schedule
-from .solver import LPBuilder, LPSolution, SolverError, VariableIndex
+from .solver import LPBuilder, LPSolution, SolverError
 
 __all__ = [
     "AugmentedTopology",
@@ -69,5 +69,4 @@ __all__ = [
     "LPBuilder",
     "LPSolution",
     "SolverError",
-    "VariableIndex",
 ]

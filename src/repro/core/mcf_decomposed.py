@@ -88,7 +88,7 @@ def build_master_lp(problem: MCFProblem) -> LPBuilder:
     src_arr = np.asarray(sources, dtype=np.int64)
 
     lp = LPBuilder()
-    f_col = lp.add_variable("F", lb=0.0, objective=1.0)
+    f_col = lp.add_variable_block("F", 1, lb=0.0, objective=1.0)[0]
     g = lp.add_variable_block("g", (S, E), lb=0.0)
 
     # (7) capacity per link over all source groups.
@@ -150,7 +150,7 @@ def solve_master_lp(topology: Topology,
     grouped: Dict[int, Dict[Edge, float]] = {s: {} for s in sources}
     for si, ei in zip(*np.nonzero(g > FLOW_TOL)):
         grouped[sources[si]][edges[ei]] = float(g[si, ei])
-    return MasterSolution(concurrent_flow=float(solution.value("F")),
+    return MasterSolution(concurrent_flow=float(solution.block("F")[0]),
                           grouped_flows=grouped, solve_seconds=elapsed,
                           info=dict(solution.info))
 

@@ -91,7 +91,7 @@ def build_link_mcf(problem: MCFProblem) -> LPBuilder:
                                  dtype=float, count=C)
 
     lp = LPBuilder()
-    f_col = lp.add_variable("F", lb=0.0, objective=1.0)
+    f_col = lp.add_variable_block("F", 1, lb=0.0, objective=1.0)[0]
     f = lp.add_variable_block("f", (C, E), lb=0.0)
 
     # (2) capacity per link: sum over commodities.
@@ -179,7 +179,7 @@ def solve_link_mcf(topology: Topology, repair: bool = True,
     flows = flows_from_array(solution.block("f"), commodities, topology.edges)
 
     result = FlowSolution(
-        concurrent_flow=float(solution.value("F")),
+        concurrent_flow=float(solution.block("F")[0]),
         flows=flows,
         topology=topology,
         solve_seconds=elapsed,

@@ -137,7 +137,7 @@ def build_path_mcf(problem: MCFProblem):
     total_paths = int(counts.sum())
 
     lp = LPBuilder()
-    f_col = lp.add_variable("F", lb=0.0, objective=1.0)
+    f_col = lp.add_variable_block("F", 1, lb=0.0, objective=1.0)[0]
     p_vars = lp.add_variable_block("p", (total_paths,), lb=0.0)
 
     # One pass over the paths: (edge index, path variable) incidence pairs.
@@ -224,7 +224,7 @@ def solve_path_mcf(topology: Topology,
         paths[c] = plist
 
     return PathSchedule(
-        concurrent_flow=float(solution.value("F")),
+        concurrent_flow=float(solution.block("F")[0]),
         paths=paths,
         topology=topology,
         solve_seconds=elapsed,

@@ -7,84 +7,37 @@ the LP optima are solver independent, so HiGHS preserves every result that
 depends on optimal values (only absolute solve times differ, and Fig. 7 is
 about *scaling*, which is preserved).
 
-The :class:`LPBuilder` supports two construction styles that share one column
-space and may be mixed freely in a single build:
+:class:`LPBuilder` has one construction style: variable blocks.
+:meth:`~LPBuilder.add_variable_block` reserves a whole ndarray of variables
+at once (a scalar such as the concurrent flow ``F`` is a block of size 1),
+and :meth:`~LPBuilder.add_le_block` / :meth:`~LPBuilder.add_eq_block` ingest
+constraints as COO triplet arrays, so the large MCF formulations are
+assembled with a handful of numpy operations instead of per-row Python
+calls.  Solved values are read back per block with :meth:`LPSolution.block`.
 
-* the **legacy keyed API** (:meth:`~LPBuilder.add_variable`,
-  :meth:`~LPBuilder.add_le`, :meth:`~LPBuilder.add_eq`) registers one variable
-  per hashable key and one constraint per call — convenient for small LPs,
-  tests and baselines;
-* the **block API** (:meth:`~LPBuilder.add_variable_block`,
-  :meth:`~LPBuilder.add_le_block`, :meth:`~LPBuilder.add_eq_block`) reserves a
-  whole ndarray of variables at once and ingests constraints as COO triplet
-  arrays, so the large MCF formulations are assembled with a handful of numpy
-  operations instead of millions of per-key Python calls.
-
-Either way the LP is accumulated in COO form, which keeps construction
-vectorizable and avoids densifying what are extremely sparse matrices (a
-link-based MCF on N nodes and E edges has ~N^2*E variables but only a handful
-of nonzeros per row).  :meth:`~LPBuilder.to_arrays` canonicalizes the COO
-triplets deterministically (sorted by (row, col), duplicates summed) so two
-builds of the same LP produce bit-identical CSR matrices.
+The LP is accumulated in COO form, which keeps construction vectorizable and
+avoids densifying what are extremely sparse matrices (a link-based MCF on N
+nodes and E edges has ~N^2*E variables but only a handful of nonzeros per
+row).  :meth:`~LPBuilder.to_arrays` canonicalizes the COO triplets
+deterministically (sorted by (row, col), duplicates summed) so two builds of
+the same LP produce bit-identical CSR matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["VariableIndex", "LPBuilder", "LPSolution", "SolverError"]
+__all__ = ["LPBuilder", "LPSolution", "SolverError"]
 
 _EMPTY_EQ_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
     """Raised when the LP solver fails to find an optimal solution."""
-
-
-class VariableIndex:
-    """Bidirectional mapping between hashable variable keys and column indices."""
-
-    def __init__(self) -> None:
-        self._index: Dict[Hashable, int] = {}
-        self._keys: List[Hashable] = []
-
-    def add(self, key: Hashable, index: Optional[int] = None) -> int:
-        """Register ``key`` (idempotent) and return its column index.
-
-        ``index`` pins the column explicitly — used by :class:`LPBuilder`,
-        whose keyed variables share one column space with variable blocks, so
-        columns are allocated by the builder rather than by insertion count.
-        """
-        idx = self._index.get(key)
-        if idx is None:
-            idx = len(self._keys) if index is None else index
-            self._index[key] = idx
-            self._keys.append(key)
-        return idx
-
-    def __getitem__(self, key: Hashable) -> int:
-        return self._index[key]
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._index
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def keys(self) -> List[Hashable]:
-        """All registered keys in registration (= ascending column) order."""
-        return list(self._keys)
-
-    def get(self, key: Hashable, default: Optional[int] = None) -> Optional[int]:
-        return self._index.get(key, default)
-
-    def index_map(self) -> Dict[Hashable, int]:
-        """The live key -> column dict (treat as read-only)."""
-        return self._index
 
 
 @dataclass(frozen=True)
@@ -107,13 +60,9 @@ class LPSolution:
     """Result of an LP solve, backed by the flat solution vector.
 
     The solution holds the solver's raw ``x`` vector (or, for cache-restored
-    copies, per-block sparse arrays) and materializes per-key / per-block
-    views lazily:
-
-    * :meth:`value` / :attr:`values` cover variables registered through the
-      keyed API (``add_variable``);
-    * :meth:`block` returns the value ndarray of a variable block, shaped like
-      the block — the path the vectorized MCF extractors use.
+    copies, per-block sparse arrays) and materializes per-block views lazily:
+    :meth:`block` returns the value ndarray of a variable block, shaped like
+    the block.
 
     Attributes
     ----------
@@ -130,21 +79,18 @@ class LPSolution:
         solved directly.
     """
 
-    def __init__(self, objective: float, values: Optional[Dict[Hashable, float]] = None,
-                 raw: object = None, info: Optional[Dict[str, object]] = None,
+    def __init__(self, objective: float, raw: object = None,
+                 info: Optional[Dict[str, object]] = None,
                  x: Optional[np.ndarray] = None,
-                 key_index: Optional[Dict[Hashable, int]] = None,
                  blocks: Optional[Dict[str, object]] = None) -> None:
         self.objective = objective
         self.raw = raw
         self.info: Dict[str, object] = {} if info is None else info
         self._x = x
-        self._key_index = key_index
         # Block storage: name -> ("slice", start, shape) view into x,
         # ("sparse", shape, idx, vals) compacted form, or a dense ndarray
         # (memoized reconstruction).
         self._blocks: Dict[str, object] = {} if blocks is None else blocks
-        self._values = values
 
     # ------------------------------------------------------------------ #
     @property
@@ -156,27 +102,6 @@ class LPSolution:
         a solved one; treat it as read-only.
         """
         return self._x
-
-    @property
-    def values(self) -> Dict[Hashable, float]:
-        """Keyed-variable values as a dict (materialized lazily, then cached)."""
-        if self._values is None:
-            if self._x is not None and self._key_index:
-                x = self._x
-                self._values = {k: float(x[i]) for k, i in self._key_index.items()}
-            else:
-                self._values = {}
-        return self._values
-
-    def value(self, key: Hashable, default: float = 0.0) -> float:
-        """Optimal value of a keyed variable (``default`` for unknown keys)."""
-        if self._values is not None:
-            return self._values.get(key, default)
-        if self._key_index is not None and self._x is not None:
-            idx = self._key_index.get(key)
-            if idx is not None:
-                return float(self._x[idx])
-        return default
 
     # ------------------------------------------------------------------ #
     def block_names(self) -> List[str]:
@@ -211,20 +136,18 @@ class LPSolution:
     # ------------------------------------------------------------------ #
     def clone(self, info: Optional[Dict[str, object]] = None) -> "LPSolution":
         """Shallow copy, optionally swapping ``info`` (cache-hit bookkeeping)."""
-        return LPSolution(objective=self.objective, values=self._values,
-                          raw=self.raw, info=dict(self.info) if info is None else info,
-                          x=self._x, key_index=self._key_index,
-                          blocks=dict(self._blocks))
+        return LPSolution(objective=self.objective, raw=self.raw,
+                          info=dict(self.info) if info is None else info,
+                          x=self._x, blocks=dict(self._blocks))
 
     def portable(self, tol: float = 0.0) -> "LPSolution":
         """Compact, picklable copy for the solution cache.
 
-        The raw solver result is stripped, keyed values are sparsified
-        (``value()`` defaults missing keys to 0.0 and every consumer
-        thresholds at ``FLOW_TOL`` anyway) and each variable block is stored
-        as flat (index, value) ndarrays of its above-``tol`` entries — MCF
-        solutions are overwhelmingly zeros, so this cuts the cache footprint
-        by orders of magnitude at paper scale.
+        The raw solver result is stripped and each variable block is stored
+        as flat (index, value) ndarrays of its above-``tol`` entries — every
+        consumer thresholds at ``FLOW_TOL`` anyway, and MCF solutions are
+        overwhelmingly zeros, so this cuts the cache footprint by orders of
+        magnitude at paper scale.
         """
         blocks: Dict[str, object] = {}
         for name in self._blocks:
@@ -233,20 +156,17 @@ class LPSolution:
             idx = np.flatnonzero(np.abs(flat) > tol)
             blocks[name] = ("sparse", tuple(arr.shape),
                             idx.astype(np.int64), flat[idx].copy())
-        sparse_values = {k: v for k, v in self.values.items() if abs(v) > tol}
-        return LPSolution(objective=self.objective, values=sparse_values,
-                          raw=None, info=dict(self.info), blocks=blocks)
+        return LPSolution(objective=self.objective, info=dict(self.info),
+                          blocks=blocks)
 
     # Pickle support (the instance has no __dict__-only state worth trimming,
     # but the raw OptimizeResult must never travel; portable() handles that
     # for the cache and this keeps ad-hoc pickles safe too).
     def __getstate__(self):
-        return (self.objective, self._values, None, self.info, self._x,
-                self._key_index, self._blocks)
+        return (self.objective, None, self.info, self._x, self._blocks)
 
     def __setstate__(self, state):
-        (self.objective, self._values, self.raw, self.info, self._x,
-         self._key_index, self._blocks) = state
+        (self.objective, self.raw, self.info, self._x, self._blocks) = state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"LPSolution(objective={self.objective!r}, "
@@ -267,31 +187,19 @@ def _as_bound_array(value: object, shape: Tuple[int, ...], default: float,
 
 
 class LPBuilder:
-    """Incremental sparse LP builder (keyed + block construction styles).
+    """Incremental sparse LP builder over named variable blocks.
 
-    Keyed variables are referenced by arbitrary hashable keys; block variables
-    are referenced by the integer column indices returned from
+    Variables are referenced by the integer column indices returned from
     :meth:`add_variable_block`.  Constraints are ``sum(coeff * var) <= rhs``
-    (:meth:`add_le` / :meth:`add_le_block`) or ``== rhs`` (:meth:`add_eq` /
-    :meth:`add_eq_block`).  The objective is a linear form; set
-    ``maximize=True`` on :meth:`solve` to maximize it.
+    (:meth:`add_le_block`), ``>= rhs`` (:meth:`add_ge_block`) or ``== rhs``
+    (:meth:`add_eq_block`).  The objective is a linear form given per block;
+    backends solve it with ``maximize=True`` or ``False``.
     """
 
     def __init__(self) -> None:
-        self.variables = VariableIndex()
         self._blocks: Dict[str, _Block] = {}
         self._ncols = 0
-        self._objective: Dict[int, float] = {}
-        self._lb: Dict[int, float] = {}
-        self._ub: Dict[int, float] = {}
-        # Legacy per-call COO triplets (rows are absolute row numbers).
-        self._ub_rows: List[int] = []
-        self._ub_cols: List[int] = []
-        self._ub_vals: List[float] = []
         self._ub_rhs: List[float] = []
-        self._eq_rows: List[int] = []
-        self._eq_cols: List[int] = []
-        self._eq_vals: List[float] = []
         self._eq_rhs: List[float] = []
         # Block COO chunks: (rows, cols, vals) ndarray triplets with absolute
         # row numbers, concatenated lazily in to_arrays().
@@ -302,20 +210,6 @@ class LPBuilder:
     # ------------------------------------------------------------------ #
     # Variables
     # ------------------------------------------------------------------ #
-    def add_variable(self, key: Hashable, lb: float = 0.0, ub: Optional[float] = None,
-                     objective: float = 0.0) -> int:
-        """Register a keyed variable with bounds and an objective coefficient."""
-        idx = self.variables.get(key)
-        if idx is None:
-            idx = self.variables.add(key, index=self._ncols)
-            self._ncols += 1
-        if objective:
-            self._objective[idx] = self._objective.get(idx, 0.0) + objective
-        self._lb[idx] = lb
-        self._ub[idx] = np.inf if ub is None else ub
-        self._arrays_cache = None
-        return idx
-
     def add_variable_block(self, name: str, shape: Union[int, Sequence[int]],
                            lb: object = 0.0, ub: object = None,
                            objective: object = 0.0) -> np.ndarray:
@@ -357,58 +251,8 @@ class LPBuilder:
         return np.arange(block.start, block.start + block.size,
                          dtype=np.int64).reshape(shape)
 
-    def set_objective(self, key: Hashable, coeff: float) -> None:
-        """Set (overwrite) the objective coefficient of a keyed variable."""
-        idx = self.variables[key]
-        self._objective[idx] = coeff
-        self._arrays_cache = None
-
     # ------------------------------------------------------------------ #
-    # Constraints — keyed API
-    # ------------------------------------------------------------------ #
-    def add_le(self, terms: Iterable[Tuple[Hashable, float]], rhs: float) -> None:
-        """Add constraint ``sum(coeff * var) <= rhs``."""
-        row = len(self._ub_rhs)
-        wrote = False
-        for key, coeff in terms:
-            if coeff == 0.0:
-                continue
-            self._ub_rows.append(row)
-            self._ub_cols.append(self.variables[key])
-            self._ub_vals.append(float(coeff))
-            wrote = True
-        if not wrote:
-            # A vacuous constraint 0 <= rhs; keep rhs row only if violated.
-            if rhs < 0:
-                raise ValueError("infeasible empty constraint 0 <= negative rhs")
-            return
-        self._ub_rhs.append(float(rhs))
-        self._arrays_cache = None
-
-    def add_ge(self, terms: Iterable[Tuple[Hashable, float]], rhs: float) -> None:
-        """Add constraint ``sum(coeff * var) >= rhs`` (stored as <=)."""
-        self.add_le([(k, -c) for k, c in terms], -rhs)
-
-    def add_eq(self, terms: Iterable[Tuple[Hashable, float]], rhs: float) -> None:
-        """Add constraint ``sum(coeff * var) == rhs``."""
-        row = len(self._eq_rhs)
-        wrote = False
-        for key, coeff in terms:
-            if coeff == 0.0:
-                continue
-            self._eq_rows.append(row)
-            self._eq_cols.append(self.variables[key])
-            self._eq_vals.append(float(coeff))
-            wrote = True
-        if not wrote:
-            if abs(rhs) > _EMPTY_EQ_TOL:
-                raise ValueError("infeasible empty equality constraint")
-            return
-        self._eq_rhs.append(float(rhs))
-        self._arrays_cache = None
-
-    # ------------------------------------------------------------------ #
-    # Constraints — block API
+    # Constraints
     # ------------------------------------------------------------------ #
     def _coerce_triplets(self, rows, cols, vals, rhs):
         rows = np.asarray(rows, dtype=np.int64).ravel()
@@ -432,8 +276,8 @@ class LPBuilder:
         nz = vals != 0.0
         if not nz.all():
             rows, cols, vals = rows[nz], cols[nz], vals[nz]
-        # Vacuous rows (no nonzero entries) are dropped — matching the keyed
-        # API — unless the empty constraint is itself infeasible.
+        # Vacuous rows (no nonzero entries) are dropped unless the empty
+        # constraint is itself infeasible.
         occupied = np.bincount(rows, minlength=len(rhs)) > 0
         if not occupied.all():
             empty_rhs = rhs[~occupied]
@@ -458,12 +302,11 @@ class LPBuilder:
 
         ``rows`` indexes into ``rhs`` (one constraint per rhs entry, local to
         this call), ``cols`` are global column indices (from the index arrays
-        returned by :meth:`add_variable_block`, or keyed-variable indices),
-        ``vals`` the coefficients.  Zero coefficients are dropped; rows left
-        with no entries are dropped like vacuous keyed constraints (raising if
-        the empty constraint ``0 <= rhs`` is infeasible).  Repeated
-        ``(row, col)`` entries are summed deterministically in
-        :meth:`to_arrays`.
+        returned by :meth:`add_variable_block`), ``vals`` the coefficients.
+        Zero coefficients are dropped; rows left with no entries are dropped
+        as vacuous (raising if the empty constraint ``0 <= rhs`` is
+        infeasible).  Repeated ``(row, col)`` entries are summed
+        deterministically in :meth:`to_arrays`.
         """
         self._add_block(rows, cols, vals, rhs, equality=False)
 
@@ -526,19 +369,6 @@ class LPBuilder:
         return sorted(self._blocks)
 
     # ------------------------------------------------------------------ #
-    def _gather_coo(self, legacy_rows, legacy_cols, legacy_vals, chunks):
-        parts = [(np.asarray(legacy_rows, dtype=np.int64),
-                  np.asarray(legacy_cols, dtype=np.int64),
-                  np.asarray(legacy_vals, dtype=float))] if legacy_rows else []
-        parts.extend(chunks)
-        if not parts:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                    np.empty(0))
-        rows = np.concatenate([p[0] for p in parts])
-        cols = np.concatenate([p[1] for p in parts])
-        vals = np.concatenate([p[2] for p in parts])
-        return rows, cols, vals
-
     @staticmethod
     def _dedupe_coo(rows, cols, vals):
         """Canonicalize COO triplets: sort by (row, col), sum duplicates.
@@ -561,6 +391,14 @@ class LPBuilder:
             rows, cols = rows[starts], cols[starts]
         return rows, cols, vals
 
+    def _csr(self, chunks, rhs, n):
+        """One constraint family as canonical CSR plus its rhs (None if empty)."""
+        if not rhs:
+            return None, None
+        rows, cols, vals = self._dedupe_coo(
+            *(np.concatenate(part) for part in zip(*chunks)))
+        return sp.csr_matrix((vals, (rows, cols)), shape=(len(rhs), n)), np.asarray(rhs)
+
     def to_arrays(self):
         """Assemble the LP into scipy-ready arrays (memoized until mutated).
 
@@ -576,39 +414,14 @@ class LPBuilder:
         c = np.zeros(n)
         lb = np.zeros(n)
         ub = np.full(n, np.inf)
-        if self._objective:
-            idx = np.fromiter(self._objective, dtype=np.int64,
-                              count=len(self._objective))
-            c[idx] = np.fromiter(self._objective.values(), dtype=float,
-                                 count=len(self._objective))
-        if self._lb:
-            idx = np.fromiter(self._lb, dtype=np.int64, count=len(self._lb))
-            lb[idx] = np.fromiter(self._lb.values(), dtype=float,
-                                  count=len(self._lb))
-        if self._ub:
-            idx = np.fromiter(self._ub, dtype=np.int64, count=len(self._ub))
-            ub[idx] = np.fromiter(self._ub.values(), dtype=float,
-                                  count=len(self._ub))
         for block in self._blocks.values():
             stop = block.start + block.size
             lb[block.start:stop] = block.lb
             ub[block.start:stop] = block.ub
             c[block.start:stop] = block.objective
 
-        a_ub = b_ub = a_eq = b_eq = None
-        if self._ub_rhs:
-            rows, cols, vals = self._dedupe_coo(*self._gather_coo(
-                self._ub_rows, self._ub_cols, self._ub_vals, self._ub_chunks))
-            a_ub = sp.csr_matrix((vals, (rows, cols)),
-                                 shape=(len(self._ub_rhs), n))
-            b_ub = np.asarray(self._ub_rhs)
-        if self._eq_rhs:
-            rows, cols, vals = self._dedupe_coo(*self._gather_coo(
-                self._eq_rows, self._eq_cols, self._eq_vals, self._eq_chunks))
-            a_eq = sp.csr_matrix((vals, (rows, cols)),
-                                 shape=(len(self._eq_rhs), n))
-            b_eq = np.asarray(self._eq_rhs)
-
+        a_ub, b_ub = self._csr(self._ub_chunks, self._ub_rhs, n)
+        a_eq, b_eq = self._csr(self._eq_chunks, self._eq_rhs, n)
         bounds = np.column_stack([lb, ub])
         self._arrays_cache = (c, a_ub, b_ub, a_eq, b_eq, bounds)
         return self._arrays_cache
@@ -616,33 +429,10 @@ class LPBuilder:
     def make_solution(self, x, objective: float, raw: object = None) -> LPSolution:
         """Wrap a solver's ``x`` vector as an array-backed :class:`LPSolution`.
 
-        Keyed variables stay addressable through :meth:`LPSolution.value`;
-        variable blocks through :meth:`LPSolution.block`.  Nothing is copied
-        or materialized eagerly.
+        Variable blocks stay addressable through :meth:`LPSolution.block`.
+        Nothing is copied or materialized eagerly.
         """
         blocks = {name: ("slice", b.start, b.shape)
                   for name, b in self._blocks.items()}
         return LPSolution(objective=objective, raw=raw,
-                          x=np.asarray(x, dtype=float),
-                          key_index=self.variables.index_map(), blocks=blocks)
-
-    def solve(self, maximize: bool = False, method: str = "highs") -> LPSolution:
-        """Solve the accumulated LP through a registered engine backend.
-
-        Kept for direct LP construction (tests, baselines); the MCF
-        formulations go through :func:`repro.engine.solve` instead, which
-        adds caching on top of the same backends.
-
-        Raises
-        ------
-        SolverError
-            If the solver reports anything other than success.
-        """
-        from ..engine.backends import ScipyHighsBackend, backend_names, get_backend
-
-        name = f"scipy-{method}"
-        if name in backend_names():
-            backend = get_backend(name)
-        else:
-            backend = ScipyHighsBackend(name, method=method)
-        return backend.solve(self, maximize=maximize)
+                          x=np.asarray(x, dtype=float), blocks=blocks)

@@ -69,7 +69,7 @@ class ScipyHighsBackend:
         objective = float(result.fun)
         if maximize:
             objective = -objective
-        # Array-backed solution: per-key / per-block views materialize lazily.
+        # Array-backed solution: per-block views materialize lazily.
         return builder.make_solution(result.x, objective, raw=result)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

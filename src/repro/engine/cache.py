@@ -108,10 +108,8 @@ class SolutionCache:
 
         The stored copy is :meth:`LPSolution.portable`: the raw
         OptimizeResult is stripped (it is large, solver-internal, and never
-        read back from the cache), keyed values are sparsified, and each
-        variable block is stored as flat (index, value) ndarrays of its
-        above-``FLOW_TOL`` entries instead of a full per-key dict —
-        ``LPSolution.value()`` defaults missing keys to 0.0 and every
+        read back from the cache) and each variable block is stored as flat
+        (index, value) ndarrays of its above-``FLOW_TOL`` entries — every
         consumer thresholds at ``FLOW_TOL`` anyway, while MCF solutions are
         overwhelmingly zeros, so this cuts the footprint by orders of
         magnitude at paper scale.

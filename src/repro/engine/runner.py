@@ -46,7 +46,7 @@ class ParallelRunner:
         """Apply ``fn`` to every item, returning results in input order.
 
         Exceptions propagate to the caller; wrap ``fn`` if per-item error
-        capture is wanted (see ``analysis.sweep.compare_schemes``).
+        capture is wanted (see :func:`repro.experiments.run_scenarios`).
         """
         items = list(items)
         if self.mode == "serial" or self.jobs <= 1 or len(items) <= 1:

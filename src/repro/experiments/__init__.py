@@ -18,9 +18,9 @@ simulator) expressed as data instead of glue code:
   (:class:`SharedArtifactPlane`) so workers skip re-synthesizing hot
   ``(topology, scheme)`` artifacts.
 
-``analysis.sweep.compare_schemes``, the ``repro sweep`` CLI subcommand and
-the Fig. 3 / Fig. 4 / Table 1 benchmarks are all thin layers over this
-module, so adding a topology x workload x fabric combination is a data
+The ``repro compare``, ``repro synthesize`` and ``repro sweep`` CLI
+subcommands and the Fig. 3 / Fig. 4 / Table 1 benchmarks are all thin
+layers over this module, so adding a topology x workload x fabric combination is a data
 change, not a code change.
 """
 

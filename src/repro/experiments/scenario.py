@@ -17,11 +17,12 @@ two questions:
   stage depends on, so scenarios differing only in buffer sizes share their
   synthesized schedule artifacts.
 
-The scheme registry here is the experiment-facing superset of
-``analysis.sweep.PATH_SCHEMES``: it adds the link-based schemes (``tsmcf``,
-``taccl``) and the ``auto`` scheme that follows the paper's Fig. 1 decision
-flow, and every entry accepts keyword parameters (``scheme_params``) instead
-of baking them in.
+The scheme registry here, :data:`SCHEMES`, is the only one: it holds the
+path-based schemes the paper's figures compare, the link-based schemes
+(``tsmcf``, ``taccl``, ``sccl``) and the ``auto`` scheme that follows the
+paper's Fig. 1 decision flow.  Every entry accepts keyword parameters
+(``scheme_params``) instead of baking them in, and ``repro compare``,
+``repro synthesize`` and ``repro sweep`` all run schemes through it.
 """
 
 from __future__ import annotations
@@ -147,29 +148,12 @@ def available_scenario_schemes() -> List[str]:
 
 
 def resolve_scheme(scenario: "Scenario", topology: Topology, n_jobs: int = 1):
-    """Run the scenario's scheme, returning a schedule object.
-
-    Falls back to ``analysis.sweep.PATH_SCHEMES`` for names registered there
-    but not here (user-registered schemes keep working through the new layer).
-    """
-    name = scenario.scheme
+    """Run the scenario's scheme, returning a schedule object."""
+    scheme = SCHEMES[scenario.scheme]
     params = dict(scenario.scheme_params)
-    if name in _SCENARIO_AWARE:
-        return SCHEMES[name](topology, scenario=scenario, n_jobs=n_jobs, **params)
-    if name in SCHEMES:
-        return SCHEMES[name](topology, **params)
-    from ..analysis.sweep import PATH_SCHEMES  # lazy: analysis imports us
-
-    if name in PATH_SCHEMES:
-        if params:
-            # PATH_SCHEMES callables take only the topology; silently dropping
-            # params would leave the scenario hash (and JSONL record) claiming
-            # parameters that never applied.
-            raise ValueError(
-                f"scheme {name!r} (from analysis.sweep.PATH_SCHEMES) does not "
-                f"accept scheme_params; got {sorted(params)}")
-        return PATH_SCHEMES[name](topology)
-    raise KeyError(f"unknown scheme {name!r}; available: {available_scenario_schemes()}")
+    if scenario.scheme in _SCENARIO_AWARE:
+        return scheme(topology, scenario=scenario, n_jobs=n_jobs, **params)
+    return scheme(topology, **params)
 
 
 # --------------------------------------------------------------------------- #
@@ -212,7 +196,8 @@ class Scenario:
         ``"auto"`` (derive from the fabric's ``nic_forwarding``), ``"host"``
         or ``"nic"``.  Only consulted by the ``auto`` scheme.
     scheme:
-        Scheme name from :data:`SCHEMES` (or ``analysis.sweep.PATH_SCHEMES``).
+        Scheme name from :data:`SCHEMES`; any other name is rejected at
+        construction.
     scheme_params:
         Keyword arguments for the scheme callable (e.g. ILP gap/time limits).
     host_bandwidth / link_bandwidth / num_steps / path_diversity_threshold /
@@ -279,6 +264,9 @@ class Scenario:
                              f"supported: {_SUPPORTED_WORKLOADS}")
         if self.forwarding not in ("auto", "host", "nic"):
             raise ValueError(f"forwarding must be auto/host/nic, got {self.forwarding!r}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; "
+                             f"available: {available_scenario_schemes()}")
         if self.overlap < 1:
             raise ValueError(f"overlap must be >= 1, got {self.overlap}")
         if self.cluster is not None:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis import format_table
+from ..baselines import ILP_BOUNDED_PARAMS
 from ..core import lower_bound_time_regular
 from ..experiments import Plan, Scenario, ScenarioResult, result_from_plan
 from ..simulator import a100_ml_fabric, cerio_hpc_fabric, steady_state_throughput
@@ -342,8 +343,7 @@ class _Fig4Spec(ThroughputFigureSpec):
                        SeriesSpec("SSSP/C", "sssp"))),
             PanelSpec("torus", f"Torus {dims}", f"torus:dims={dims}",
                       (SeriesSpec("MCF-extP/C", "mcf-extp"),
-                       SeriesSpec("ILP-disjoint/C", "ilp-disjoint",
-                                  {"mip_rel_gap": 0.05, "time_limit": 120}),
+                       SeriesSpec("ILP-disjoint/C", "ilp-disjoint", ILP_BOUNDED_PARAMS),
                        SeriesSpec("DOR/C", "dor"),
                        SeriesSpec("SSSP/C", "sssp"),
                        SeriesSpec("EwSP/C", "ewsp"),

@@ -1,11 +1,12 @@
 """Tests for the block-based LP construction API and array-backed solutions.
 
-Covers the four satellite guarantees of the block layer:
+Covers the guarantees of the block layer:
 
-* block and legacy keyed builds of the same LP produce identical
+* a row-at-a-time build (one scalar block per variable, one call per
+  constraint) and a batched build of the same LP produce identical
   ``to_arrays`` output (matrices, rhs, bounds, objective);
-* vacuous block constraints follow the keyed API's drop/raise semantics;
-* array-backed ``LPSolution.value`` / ``.values`` match the old dict path;
+* vacuous block constraints are dropped, or raise when infeasible;
+* array-backed solutions expose per-block views and sparsify for the cache;
 * array-backed solutions round-trip through the engine's solution cache
   (memory and disk tiers).
 """
@@ -15,18 +16,23 @@ import pytest
 
 from repro.core.solver import LPBuilder, LPSolution
 from repro.engine import Engine, MCFProblem, SolutionCache
+from repro.engine.backends import get_backend
 from repro.topology import hypercube
 
 
+def _solve(lp, maximize=False):
+    return get_backend("scipy-highs").solve(lp, maximize=maximize)
+
+
 def _legacy_build():
-    """3-variable LP via the keyed API."""
+    """3-variable LP built row at a time: one scalar block per variable."""
     lp = LPBuilder()
-    lp.add_variable("x0", lb=0.0, ub=2.0, objective=1.0)
-    lp.add_variable("x1", lb=0.5, objective=2.0)
-    lp.add_variable("x2", lb=0.0, objective=3.0)
-    lp.add_le([("x0", 1.0), ("x1", 1.0)], 4.0)
-    lp.add_le([("x1", 2.0), ("x2", -1.0)], 1.0)
-    lp.add_eq([("x0", 1.0), ("x2", 1.0)], 2.0)
+    x0 = lp.add_variable_block("x0", 1, lb=0.0, ub=2.0, objective=1.0)[0]
+    x1 = lp.add_variable_block("x1", 1, lb=0.5, objective=2.0)[0]
+    x2 = lp.add_variable_block("x2", 1, lb=0.0, objective=3.0)[0]
+    lp.add_le_block(rows=[0, 0], cols=[x0, x1], vals=[1.0, 1.0], rhs=[4.0])
+    lp.add_le_block(rows=[0, 0], cols=[x1, x2], vals=[2.0, -1.0], rhs=[1.0])
+    lp.add_eq_block(rows=[0, 0], cols=[x0, x2], vals=[1.0, 1.0], rhs=[2.0])
     return lp
 
 
@@ -55,6 +61,8 @@ def _as_comparable(arrays):
 
 
 class TestBlockLegacyParity:
+    """Row-at-a-time builds assemble exactly like batched ones."""
+
     def test_identical_to_arrays_output(self):
         for got, want in zip(_as_comparable(_block_build().to_arrays()),
                              _as_comparable(_legacy_build().to_arrays())):
@@ -64,15 +72,15 @@ class TestBlockLegacyParity:
                 np.testing.assert_array_equal(got, want)
 
     def test_identical_optimum(self):
-        a = _legacy_build().solve(maximize=True)
-        b = _block_build().solve(maximize=True)
+        a = _solve(_legacy_build(), maximize=True)
+        b = _solve(_block_build(), maximize=True)
         assert b.objective == pytest.approx(a.objective)
 
     def test_mixed_build_matches_pure_builds(self):
-        # Keyed variable first, then a block, with keyed and block
-        # constraints interleaved — one shared column/row space.
+        # A scalar block first, then a wider block, with row-at-a-time
+        # constraints spanning both — one shared column/row space.
         lp = LPBuilder()
-        x0 = lp.add_variable("x0", lb=0.0, ub=2.0, objective=1.0)
+        x0 = lp.add_variable_block("x0", 1, lb=0.0, ub=2.0, objective=1.0)[0]
         x = lp.add_variable_block("rest", 2, lb=[0.5, 0.0],
                                   objective=[2.0, 3.0])
         lp.add_le_block(rows=[0, 0], cols=[x0, x[0]], vals=[1.0, 1.0],
@@ -108,7 +116,7 @@ class TestVacuousBlockConstraints:
         lp.add_le_block(rows=[0, 1, 2], cols=[x[0], x[1], x[1]],
                         vals=[1.0, 0.0, 1.0], rhs=[1.0, 9.0, 2.0])
         assert lp.num_constraints == 2
-        sol = lp.solve(maximize=True)
+        sol = _solve(lp, maximize=True)
         assert sol.objective == pytest.approx(3.0)
 
     def test_entirely_empty_batch_is_a_no_op(self):
@@ -116,7 +124,7 @@ class TestVacuousBlockConstraints:
         lp.add_variable_block("x", 2, ub=1.0, objective=1.0)
         lp.add_le_block(rows=[], cols=[], vals=[], rhs=[0.0, 5.0])
         assert lp.num_constraints == 0
-        assert lp.solve(maximize=True).objective == pytest.approx(2.0)
+        assert _solve(lp, maximize=True).objective == pytest.approx(2.0)
 
     def test_infeasible_empty_le_row_raises(self):
         lp = LPBuilder()
@@ -146,38 +154,31 @@ class TestVacuousBlockConstraints:
 
 
 class TestArrayBackedSolution:
-    def test_value_parity_with_dict_path(self):
-        lp = _legacy_build()
-        sol = lp.solve(maximize=True)
-        # Lazy per-key access and the materialized dict agree.
-        for key in ("x0", "x1", "x2"):
-            assert sol.value(key) == pytest.approx(sol.values[key])
-        assert sol.value("missing", default=-3.0) == -3.0
-        assert set(sol.values) == {"x0", "x1", "x2"}
-
     def test_block_view_shape_and_values(self):
         lp = LPBuilder()
         x = lp.add_variable_block("x", (2, 2), ub=[[1.0, 2.0], [3.0, 4.0]],
                                   objective=1.0)
         assert x.shape == (2, 2)
-        sol = lp.solve(maximize=True)
+        sol = _solve(lp, maximize=True)
         np.testing.assert_allclose(sol.block("x"), [[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(KeyError):
             sol.block("nope")
 
     def test_mixed_solution_keyed_and_block_access(self):
+        # A named scalar (a one-element block, like the MCF formulations'
+        # ``F``) next to a vector block: each reads back by name.
         lp = LPBuilder()
-        lp.add_variable("y", lb=0.0, ub=5.0, objective=1.0)
+        lp.add_variable_block("y", 1, ub=5.0, objective=1.0)
         lp.add_variable_block("x", 2, ub=2.0, objective=1.0)
-        sol = lp.solve(maximize=True)
-        assert sol.value("y") == pytest.approx(5.0)
+        sol = _solve(lp, maximize=True)
+        assert sol.block("y")[0] == pytest.approx(5.0)
         np.testing.assert_allclose(sol.block("x"), [2.0, 2.0])
 
     def test_portable_sparsifies_blocks(self):
         lp = LPBuilder()
         x = lp.add_variable_block("x", 4, ub=[0.0, 3.0, 0.0, 1.0],
                                   objective=1.0)
-        sol = lp.solve(maximize=True)
+        sol = _solve(lp, maximize=True)
         portable = sol.portable(tol=1e-9)
         assert portable.raw is None
         kind, shape, idx, vals = portable._blocks["x"]
@@ -202,7 +203,7 @@ class TestCacheRoundTrip:
         significant = np.abs(f_fresh) > FLOW_TOL
         np.testing.assert_array_equal(f_cached[significant], f_fresh[significant])
         assert np.all(np.abs(f_cached[~significant]) <= FLOW_TOL)
-        assert cached.value("F") == pytest.approx(fresh.value("F"))
+        assert cached.block("F")[0] == fresh.block("F")[0]
 
     def test_disk_tier_round_trip_of_blocks(self, tmp_path):
         problem = MCFProblem("mcf-link", hypercube(3), maximize=True)
@@ -219,7 +220,7 @@ class TestCacheRoundTrip:
         significant = np.abs(f_fresh) > FLOW_TOL
         np.testing.assert_array_equal(f_restored[significant],
                                       f_fresh[significant])
-        assert restored.value("F") == pytest.approx(fresh.value("F"))
+        assert restored.block("F")[0] == fresh.block("F")[0]
 
     def test_cached_solution_extraction_matches_fresh(self):
         # End to end: a cache-served solve yields the same FlowSolution.
@@ -243,5 +244,5 @@ class TestCacheRoundTrip:
     def test_eviction_still_accepts_plain_solutions(self):
         cache = SolutionCache(max_entries=2)
         for i in range(5):
-            cache.put(f"key-{i}", LPSolution(objective=float(i), values={}))
+            cache.put(f"key-{i}", LPSolution(objective=float(i)))
         assert cache.size == 2

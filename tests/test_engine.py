@@ -1,8 +1,9 @@
 """Tests for the unified solve engine: problems, backends, cache, runner."""
 
+import numpy as np
 import pytest
 
-from repro.analysis import compare_schemes
+from repro.cli import main
 from repro.core import solve_decomposed_mcf, solve_link_mcf
 from repro.engine import (
     Engine,
@@ -13,8 +14,10 @@ from repro.engine import (
     formulation_names,
     get_backend,
     get_engine,
+    reset_engine,
     run_parallel,
 )
+from repro.experiments import Scenario, get_plan_cache, reset_plan_cache, run_scenarios
 from repro.topology import generalized_kautz, hypercube
 
 
@@ -96,11 +99,12 @@ class TestSolutionCache:
         # must round-trip exactly and the rest read back as 0.0.
         from repro.constants import FLOW_TOL
 
-        for key, val in fresh.values.items():
-            if abs(val) > FLOW_TOL:
-                assert cached.value(key) == val
-            else:
-                assert abs(cached.value(key)) <= FLOW_TOL
+        assert cached.block_names() == fresh.block_names() == ["F", "f"]
+        for name in fresh.block_names():
+            significant = np.abs(fresh.block(name)) > FLOW_TOL
+            assert np.array_equal(cached.block(name)[significant],
+                                  fresh.block(name)[significant])
+            assert np.all(cached.block(name)[~significant] == 0.0)
         assert engine.cache.hits == 1 and engine.cache.misses == 1
 
     def test_bypass_flag_skips_cache(self, cube):
@@ -141,8 +145,10 @@ class TestSolutionCache:
         assert restored.objective == fresh.objective
         from repro.constants import FLOW_TOL
 
-        significant = {k: v for k, v in fresh.values.items() if abs(v) > FLOW_TOL}
-        assert restored.values == significant
+        for name in fresh.block_names():
+            values = fresh.block(name)
+            expected = np.where(np.abs(values) > FLOW_TOL, values, 0.0)
+            assert np.array_equal(restored.block(name), expected)
 
     @pytest.mark.parametrize("junk", [b"not a pickle", b"garbage\n", b""])
     def test_corrupt_disk_entry_is_a_miss(self, cube, tmp_path, junk):
@@ -168,23 +174,24 @@ class TestSolutionCache:
         from repro.core.solver import LPSolution
 
         for i in range(5):
-            cache.put(f"key-{i}", LPSolution(objective=float(i), values={}))
+            cache.put(f"key-{i}", LPSolution(objective=float(i)))
         assert cache.size == 2
 
 
 class TestRepeatedSweepUsesCache:
     def test_second_compare_run_solves_no_new_lps(self):
-        """Acceptance: a repeated compare_schemes run is served from cache."""
+        """Acceptance: a repeated comparison is served from the caches."""
         topo = generalized_kautz(3, 8)
-        schemes = ["mcf-extp", "pmcf-disjoint", "sssp"]
-        engine = get_engine()
-        compare_schemes(topo, schemes, normalize=True)
+        scenarios = [Scenario(topology=topo, scheme=name, max_denominator=16)
+                     for name in ("mcf-extp", "pmcf-disjoint", "sssp")]
+        engine, stages = get_engine(), get_plan_cache()
+        run_scenarios(scenarios, through="synthesize")
         misses_after_first = engine.cache.misses
-        hits_after_first = engine.cache.hits
-        second = compare_schemes(topo, schemes, normalize=True)
+        stage_hits_after_first = stages.hits
+        second = run_scenarios(scenarios, through="synthesize")
         assert engine.cache.misses == misses_after_first, \
-            "second run should hit the cache for every LP"
-        assert engine.cache.hits > hits_after_first
+            "second run should solve no new LP"
+        assert stages.hits == stage_hits_after_first + len(scenarios)
         assert all(r.error is None for r in second)
 
 
@@ -219,16 +226,20 @@ class TestParallelRunner:
 
 
 class TestParallelCompare:
-    def test_parallel_compare_identical_to_serial(self):
-        topo = hypercube(3)
-        schemes = ["mcf-extp", "pmcf-disjoint", "ewsp", "sssp"]
-        serial = compare_schemes(topo, schemes, normalize=True, jobs=1)
-        parallel = compare_schemes(topo, schemes, normalize=True, jobs=3)
-        assert [r.scheme for r in parallel] == [r.scheme for r in serial]
-        for a, b in zip(serial, parallel):
-            assert b.concurrent_flow == pytest.approx(a.concurrent_flow, rel=1e-9)
-            assert b.all_to_all_time == pytest.approx(a.all_to_all_time, rel=1e-9)
-            assert b.normalized_time == pytest.approx(a.normalized_time, rel=1e-9)
+    def test_parallel_compare_identical_to_serial(self, capsys):
+        argv = ["compare", "hypercube:dim=3",
+                "--schemes", "mcf-extp,pmcf-disjoint,ewsp,sssp"]
+        outputs = []
+        for jobs in ("1", "3"):
+            # Cold caches, so the parallel run really solves concurrently.
+            reset_engine()
+            reset_plan_cache()
+            assert main(argv + ["--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        reset_engine()
+        reset_plan_cache()
+        assert outputs[1] == outputs[0]
+        assert "pmcf-disjoint" in outputs[0]
 
     def test_decomposed_parallel_child_lps_match_serial(self):
         topo = hypercube(3)

@@ -323,11 +323,13 @@ class TestRunSweepWorkers:
 
     def test_error_scenarios_recorded_not_raised(self, tmp_path):
         good = _grid12().scenarios()[0]
-        bad = dataclasses.replace(good, scheme="no-such-scheme")
+        # DOR is undefined on a bipartite graph: the scheme raises at run time.
+        bad = dataclasses.replace(good, topology="bipartite:left=3,right=3",
+                                  scheme="dor")
         results, _stats = run_sweep_workers(
             [good, bad], out_path=str(tmp_path / "err.jsonl"), workers=2)
         assert [r.status for r in results] == ["ok", "error"]
-        assert "no-such-scheme" in (results[1].error or "")
+        assert "DOR requires" in (results[1].error or "")
 
 
 class TestExecutorStatsSurface:

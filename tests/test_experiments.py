@@ -189,10 +189,9 @@ class TestPlan:
         assert result.schedule.topology.num_nodes == 27
 
     def test_unknown_scheme_is_an_error(self, bipartite44):
-        plan = Plan(Scenario(topology=bipartite44, scheme="does-not-exist"),
-                    cache=_stage_cache())
-        with pytest.raises(KeyError):
-            plan.run(through="synthesize")
+        # Rejected at construction, before any grid point solves an LP.
+        with pytest.raises(ValueError, match="'ewps'.*available: .*'ewsp'"):
+            Scenario(topology=bipartite44, scheme="ewps")
 
 
 class TestSweepGrid:

@@ -1,117 +1,101 @@
-"""Tests for the sparse LP builder / HiGHS wrapper (repro.core.solver)."""
+"""Tests for the sparse LP builder (repro.core.solver) solved through a backend."""
 
+import numpy as np
 import pytest
 
-from repro.core.solver import LPBuilder, SolverError, VariableIndex
+from repro.core.solver import LPBuilder, SolverError
+from repro.engine.backends import get_backend
 
 
-class TestVariableIndex:
-    def test_add_is_idempotent(self):
-        idx = VariableIndex()
-        assert idx.add("x") == 0
-        assert idx.add("y") == 1
-        assert idx.add("x") == 0
-        assert len(idx) == 2
+def _solve(lp, maximize=False):
+    return get_backend("scipy-highs").solve(lp, maximize=maximize)
 
+
+class TestBlockIndex:
     def test_lookup_and_keys(self):
-        idx = VariableIndex()
-        idx.add(("f", 1, 2))
-        assert ("f", 1, 2) in idx
-        assert idx[("f", 1, 2)] == 0
-        assert idx.keys() == [("f", 1, 2)]
-        assert idx.get("missing") is None
+        lp = LPBuilder()
+        f = lp.add_variable_block("f", (2, 3))
+        lp.add_variable_block("F", 1)
+        np.testing.assert_array_equal(lp.block_index("f"), f)
+        assert lp.block_index("F").tolist() == [6]
+        assert lp.block_names() == ["F", "f"]
+        with pytest.raises(KeyError):
+            lp.block_index("missing")
 
 
 class TestLPBuilder:
     def test_simple_maximization(self):
         lp = LPBuilder()
-        lp.add_variable("x", lb=0.0, objective=1.0)
-        lp.add_variable("y", lb=0.0, objective=1.0)
-        lp.add_le([("x", 1.0), ("y", 2.0)], 4.0)
-        lp.add_le([("x", 3.0), ("y", 1.0)], 6.0)
-        sol = lp.solve(maximize=True)
+        x = lp.add_variable_block("x", 2, objective=1.0)
+        lp.add_le_block(rows=[0, 0, 1, 1], cols=[x[0], x[1], x[0], x[1]],
+                        vals=[1.0, 2.0, 3.0, 1.0], rhs=[4.0, 6.0])
+        sol = _solve(lp, maximize=True)
         # max x + y s.t. x+2y<=4, 3x+y<=6 -> x=1.6, y=1.2
         assert sol.objective == pytest.approx(2.8)
-        assert sol.value("x") == pytest.approx(1.6)
-        assert sol.value("y") == pytest.approx(1.2)
+        np.testing.assert_allclose(sol.block("x"), [1.6, 1.2])
 
     def test_simple_minimization_with_ge(self):
         lp = LPBuilder()
-        lp.add_variable("x", lb=0.0, objective=2.0)
-        lp.add_variable("y", lb=0.0, objective=3.0)
-        lp.add_ge([("x", 1.0), ("y", 1.0)], 10.0)
-        sol = lp.solve(maximize=False)
+        x = lp.add_variable_block("x", 2, objective=[2.0, 3.0])
+        lp.add_ge_block(rows=[0, 0], cols=[x[0], x[1]], vals=[1.0, 1.0], rhs=[10.0])
+        sol = _solve(lp, maximize=False)
         assert sol.objective == pytest.approx(20.0)
-        assert sol.value("x") == pytest.approx(10.0)
+        assert sol.block("x")[0] == pytest.approx(10.0)
 
     def test_equality_constraint(self):
         lp = LPBuilder()
-        lp.add_variable("x", lb=0.0, objective=1.0)
-        lp.add_variable("y", lb=0.0, objective=1.0)
-        lp.add_eq([("x", 1.0), ("y", 1.0)], 5.0)
-        sol = lp.solve(maximize=False)
+        x = lp.add_variable_block("x", 2, objective=1.0)
+        lp.add_eq_block(rows=[0, 0], cols=[x[0], x[1]], vals=[1.0, 1.0], rhs=[5.0])
+        sol = _solve(lp, maximize=False)
         assert sol.objective == pytest.approx(5.0)
 
     def test_upper_bound_on_variable(self):
         lp = LPBuilder()
-        lp.add_variable("x", lb=0.0, ub=3.0, objective=1.0)
-        sol = lp.solve(maximize=True)
+        lp.add_variable_block("x", 1, ub=3.0, objective=1.0)
+        sol = _solve(lp, maximize=True)
         assert sol.objective == pytest.approx(3.0)
 
     def test_infeasible_raises(self):
         lp = LPBuilder()
-        lp.add_variable("x", lb=0.0, objective=1.0)
-        lp.add_le([("x", 1.0)], 1.0)
-        lp.add_ge([("x", 1.0)], 2.0)
+        x = lp.add_variable_block("x", 1, objective=1.0)
+        lp.add_le_block(rows=[0], cols=[x[0]], vals=[1.0], rhs=[1.0])
+        lp.add_ge_block(rows=[0], cols=[x[0]], vals=[1.0], rhs=[2.0])
         with pytest.raises(SolverError):
-            lp.solve()
+            _solve(lp)
 
     def test_unbounded_raises(self):
         lp = LPBuilder()
-        lp.add_variable("x", lb=0.0, objective=1.0)
+        lp.add_variable_block("x", 1, objective=1.0)
         with pytest.raises(SolverError):
-            lp.solve(maximize=True)
+            _solve(lp, maximize=True)
 
     def test_empty_problem(self):
-        lp = LPBuilder()
-        sol = lp.solve()
+        sol = _solve(LPBuilder())
         assert sol.objective == 0.0
-        assert sol.values == {}
+        assert sol.block_names() == []
 
     def test_zero_coefficient_terms_dropped(self):
         lp = LPBuilder()
-        lp.add_variable("x", lb=0.0, objective=1.0)
-        lp.add_le([("x", 0.0)], 5.0)        # vacuous, should not constrain
-        lp.add_le([("x", 1.0)], 2.0)
-        sol = lp.solve(maximize=True)
+        x = lp.add_variable_block("x", 1, objective=1.0)
+        lp.add_le_block(rows=[0], cols=[x[0]], vals=[0.0], rhs=[5.0])  # vacuous
+        lp.add_le_block(rows=[0], cols=[x[0]], vals=[1.0], rhs=[2.0])
+        assert lp.num_constraints == 1
+        sol = _solve(lp, maximize=True)
         assert sol.objective == pytest.approx(2.0)
 
     def test_infeasible_empty_constraint_detected(self):
         lp = LPBuilder()
-        lp.add_variable("x")
+        x = lp.add_variable_block("x", 1)
         with pytest.raises(ValueError):
-            lp.add_le([("x", 0.0)], -1.0)
+            lp.add_le_block(rows=[0], cols=[x[0]], vals=[0.0], rhs=[-1.0])
         with pytest.raises(ValueError):
-            lp.add_eq([("x", 0.0)], 3.0)
+            lp.add_eq_block(rows=[0], cols=[x[0]], vals=[0.0], rhs=[3.0])
 
     def test_constraint_and_variable_counts(self):
         lp = LPBuilder()
-        lp.add_variable("a")
-        lp.add_variable("b")
-        lp.add_le([("a", 1.0)], 1.0)
-        lp.add_eq([("b", 1.0)], 0.5)
+        a = lp.add_variable_block("a", 1)
+        b = lp.add_variable_block("b", 1)
+        lp.add_le_block(rows=[0], cols=[a[0]], vals=[1.0], rhs=[1.0])
+        lp.add_eq_block(rows=[0], cols=[b[0]], vals=[1.0], rhs=[0.5])
         assert lp.num_variables == 2
         assert lp.num_constraints == 2
-
-    def test_set_objective_overwrites(self):
-        lp = LPBuilder()
-        lp.add_variable("x", lb=0.0, ub=1.0, objective=1.0)
-        lp.set_objective("x", -1.0)
-        sol = lp.solve(maximize=False)
-        assert sol.value("x") == pytest.approx(1.0)
-
-    def test_solution_default_for_unknown_key(self):
-        lp = LPBuilder()
-        lp.add_variable("x", lb=0.0, ub=1.0, objective=1.0)
-        sol = lp.solve(maximize=True)
-        assert sol.value("nope", default=-7.0) == -7.0

@@ -1,51 +1,65 @@
-"""Tests for the scheme-comparison sweep layer and the command-line interface."""
+"""Tests for the scheme registry, scheme comparison and the command-line interface."""
 
 import json
 
 import pytest
 
-from repro.analysis import available_schemes, compare_schemes, run_scheme
 from repro.cli import build_parser, build_topology, main
-from repro.experiments import scenario_schema_version
+from repro.experiments import (
+    Scenario,
+    available_scenario_schemes,
+    resolve_scheme,
+    run_scenarios,
+    scenario_schema_version,
+)
 
 
 class TestSchemeRegistry:
     def test_available_schemes_contains_paper_schemes(self):
-        names = available_schemes()
+        names = available_scenario_schemes()
         for expected in ("mcf-extp", "pmcf-disjoint", "ewsp", "sssp", "dor",
                          "native", "ilp-disjoint"):
             assert expected in names
 
-    def test_run_scheme_by_name(self, bipartite44):
-        schedule = run_scheme("ewsp", bipartite44)
+    def test_resolve_scheme_by_name(self, bipartite44):
+        schedule = resolve_scheme(Scenario(topology=bipartite44, scheme="ewsp"),
+                                  bipartite44)
         assert schedule.concurrent_flow > 0
 
     def test_unknown_scheme_rejected(self, bipartite44):
-        with pytest.raises(KeyError):
-            run_scheme("does-not-exist", bipartite44)
+        with pytest.raises(ValueError, match="does-not-exist"):
+            Scenario(topology=bipartite44, scheme="does-not-exist")
+
+
+def _compare(topology, schemes, buffers=()):
+    scenarios = [Scenario(topology=topology, scheme=name, buffers=buffers,
+                          max_denominator=16) for name in schemes]
+    return run_scenarios(scenarios, through="simulate" if buffers else "synthesize")
 
 
 class TestCompareSchemes:
-    def test_compare_orders_mcf_first(self, bipartite44):
-        results = compare_schemes(bipartite44, ["mcf-extp", "sssp", "native"],
-                                  normalize=True)
-        by_name = {r.scheme: r for r in results}
-        assert by_name["mcf-extp"].normalized_time == pytest.approx(1.0, abs=0.01)
-        assert by_name["sssp"].normalized_time >= 1.0 - 1e-9
-        assert by_name["native"].normalized_time > by_name["mcf-extp"].normalized_time
+    def test_compare_orders_mcf_first(self, capsys):
+        assert main(["compare", "bipartite:left=4,right=4",
+                     "--schemes", "mcf-extp,sssp,native"]) == 0
+        out = capsys.readouterr().out
+        vs_mcf = {cols[0]: float(cols[2]) for cols in map(str.split, out.splitlines())
+                  if cols and cols[0] in ("mcf-extp", "sssp", "native")}
+        assert vs_mcf["mcf-extp"] == pytest.approx(1.0, abs=0.01)
+        assert vs_mcf["sssp"] >= 1.0 - 1e-9
+        assert vs_mcf["native"] > vs_mcf["mcf-extp"]
 
     def test_compare_with_throughputs(self, bipartite44):
-        results = compare_schemes(bipartite44, ["ewsp"], buffer_sizes=[2 ** 20, 2 ** 24])
-        assert len(results[0].throughputs) == 2
-        assert all(tp > 0 for tp in results[0].throughputs.values())
+        results = _compare(bipartite44, ["ewsp"], buffers=(2.0 ** 20, 2.0 ** 24))
+        throughputs = results[0].metrics["throughput_bytes_per_s"]
+        assert len(throughputs) == 2
+        assert all(tp > 0 for tp in throughputs.values())
 
     def test_failures_are_captured_not_raised(self, bipartite44):
-        # DOR is undefined on a bipartite graph; with skip_failures it reports
-        # the error instead of raising.
-        results = compare_schemes(bipartite44, ["dor"], normalize=False)
-        assert results[0].error is not None
-        with pytest.raises(Exception):
-            compare_schemes(bipartite44, ["dor"], normalize=False, skip_failures=False)
+        # DOR is undefined on a bipartite graph: the error is recorded on the
+        # result instead of aborting the comparison.
+        results = _compare(bipartite44, ["dor", "ewsp"])
+        assert results[0].status == "error" and "DOR" in results[0].error
+        assert results[1].status == "ok"
 
 
 class TestTopologySpecs:
@@ -94,6 +108,22 @@ class TestCLI:
     def test_synthesize_command_ml(self, capsys):
         assert main(["synthesize", "bipartite:left=3,right=3", "--fabric", "ml"]) == 0
         assert "tsMCF" in capsys.readouterr().out
+
+    def test_synthesize_repeat_is_served_by_stage_cache(self, tmp_path, capsys):
+        from repro.engine import get_engine
+        from repro.experiments import get_plan_cache
+
+        argv = ["synthesize", "hypercube:dim=3", "-o", str(tmp_path / "s.xml")]
+        assert main(argv) == 0
+        first = (tmp_path / "s.xml").read_text()
+        lp_cache, stages = get_engine().cache, get_plan_cache()
+        lp_counts, stage_hits = (lp_cache.hits, lp_cache.misses), stages.hits
+        assert main(argv) == 0
+        # synthesize, lower and validate all hit; the LP cache is not consulted.
+        assert (lp_cache.hits, lp_cache.misses) == lp_counts
+        assert stages.hits == stage_hits + 3
+        assert (tmp_path / "s.xml").read_text() == first
+        assert "stage-cache:" in capsys.readouterr().err
 
     def test_simulate_command(self, capsys):
         assert main(["simulate", "hypercube:dim=2", "--buffers", "1048576,16777216"]) == 0
