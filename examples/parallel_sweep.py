@@ -1,13 +1,14 @@
 #!/usr/bin/env python
-"""Multiprocess sweep: work-stealing workers + shared-memory artifacts.
+"""Multiprocess sweep: a process pool over scenarios that share schedules.
 
 The thread-based sweep (``run_sweep(jobs=N)``) parallelises I/O-ish work but
 LP assembly and the simulator still contend on the GIL.  This example runs
-the same grid — overlap x degradation x scheme on a hypercube, so several
-scenarios share hot synthesize/lower artifacts — through the work-stealing
-multiprocess executor instead, and prints the executor accounting the CLI
-surfaces in its ``[stats] ... exec:`` footer: per-worker completed counts,
-steals, shared-artifact plane hits, scenarios/sec.
+a grid — overlap x degradation x scheme on a hypercube, so four scenarios
+share each synthesized schedule — on worker *processes* instead
+(``run_sweep(workers=2)``).  A first pool pass solves each synthesize key
+once and hands the schedule to the parent; a second pool, which inherits
+it, runs every simulation: the per-record ``stage_cache`` shows one
+synthesize miss per key and hits for the rest.
 
 The same sweep is available from the command line::
 
@@ -22,15 +23,8 @@ Run:  python examples/parallel_sweep.py
 import os
 import tempfile
 
-from repro.analysis import format_engine_footer, format_table
-from repro.engine import get_engine
-from repro.experiments import (
-    SweepGrid,
-    get_plan_cache,
-    run_sweep_workers,
-    sweep_stats,
-)
-from repro.simulator import engine_counters
+from repro.analysis import format_table
+from repro.experiments import SweepGrid, run_sweep
 
 
 def main() -> None:
@@ -43,11 +37,13 @@ def main() -> None:
               "fabric": ["hpc", "hpc:scale=0~1:0.5"]},
     )
     scenarios = grid.scenarios()
+    keys = {scenario.stage_key("synthesize") for scenario in scenarios}
     print(f"grid: {len(grid)} scenarios "
-          f"({' x '.join(f'{k}={len(v)}' for k, v in grid.axes.items())})")
+          f"({' x '.join(f'{k}={len(v)}' for k, v in grid.axes.items())}), "
+          f"{len(keys)} synthesize keys")
 
     out = os.path.join(tempfile.mkdtemp(prefix="repro-psweep-"), "results.jsonl")
-    results, stats = run_sweep_workers(scenarios, out_path=out, workers=2)
+    results = run_sweep(scenarios, out_path=out, workers=2)
 
     rows = []
     for res in results:
@@ -58,20 +54,17 @@ def main() -> None:
             "-" if flow is None else round(float(flow), 4),
             "-" if res.metrics.get("all_to_all_time") is None
             else round(float(res.metrics["all_to_all_time"]), 3),
+            res.stage_cache.get("synthesize", "-"),
         ])
-    print(format_table(["scenario", "status", "F", "all-to-all time"],
-                       rows, title="Work-stealing multiprocess sweep"))
+    print(format_table(["scenario", "status", "F", "all-to-all time", "synthesize"],
+                       rows, title="Multiprocess sweep (2 workers)"))
 
-    totals = sweep_stats(results, executor=stats)
-    print(f"\nexecutor: {totals['workers']} workers completed "
-          f"{totals['per_worker_completed']} scenarios "
-          f"({totals['steals']} steals, "
-          f"{totals['shared_hits']} shared-artifact hits, "
-          f"{totals['scenarios_per_sec']:.1f} scenarios/sec)")
-    print(format_engine_footer(get_engine().stats(), get_plan_cache().stats(),
-                               sim_stats=engine_counters(),
-                               executor_stats=stats.to_dict()))
-    print(f"merged JSONL at {out}")
+    solved = sum(1 for res in results if res.stage_cache.get("synthesize") == "miss")
+    print(f"\n{solved} schedule(s) synthesized for {len(keys)} key(s); "
+          f"{len(results) - solved} scenario(s) served from the stage cache")
+    if solved > len(keys):
+        raise SystemExit("a synthesize key was solved more than once")
+    print(f"hash-sorted JSONL at {out}")
 
 
 if __name__ == "__main__":

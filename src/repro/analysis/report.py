@@ -17,8 +17,7 @@ __all__ = ["format_table", "format_series", "format_throughput_sweep",
 def format_engine_footer(engine_stats: Mapping[str, object],
                          stage_stats: Mapping[str, object],
                          extra: str = "",
-                         sim_stats: Optional[Mapping[str, object]] = None,
-                         executor_stats: Optional[Mapping[str, object]] = None) -> str:
+                         sim_stats: Optional[Mapping[str, object]] = None) -> str:
     """One-line LP/stage-cache/simulator accounting footer.
 
     The single source of the ``[stats] ...`` line printed (to stderr) by
@@ -30,10 +29,6 @@ def format_engine_footer(engine_stats: Mapping[str, object],
     ``sim_stats`` is :func:`repro.simulator.engine_counters` (fill rounds
     and completion events processed by the fluid engine), so sweep/report
     runs expose simulation cost the same way they expose LP cost.
-    ``executor_stats`` is the ``to_dict()`` of an
-    :class:`~repro.experiments.executor.ExecutorStats` — multiprocess sweep
-    accounting (per-worker completed counts, steals, shared-artifact
-    hits/misses, scenarios/sec), appended as an ``exec:`` section.
     """
     line = (f"[stats] lp-cache: {engine_stats['hits']} hits / "
             f"{engine_stats['misses']} misses "
@@ -65,14 +60,6 @@ def format_engine_footer(engine_stats: Mapping[str, object],
                      f"{sim_stats.get('delta_rebuilds', 0)} rebuilds, "
                      f"route-cache: {sim_stats.get('route_cache_hits', 0)} "
                      f"hits / {sim_stats.get('route_cache_misses', 0)} misses")
-    if executor_stats is not None:
-        per_worker = "/".join(str(c) for c in executor_stats.get("completed", []))
-        line += (f"; exec: {executor_stats.get('workers', 0)} workers "
-                 f"({per_worker or '-'} per worker), "
-                 f"{executor_stats.get('steals', 0)} steals, "
-                 f"shared-artifacts {executor_stats.get('shared_hits', 0)} hits"
-                 f" / {executor_stats.get('shared_misses', 0)} misses, "
-                 f"{float(executor_stats.get('scenarios_per_sec', 0.0)):.2f} scen/s")
     return line + (f"; {extra}" if extra else "")
 
 

@@ -38,7 +38,6 @@ from .experiments import (
     SweepGrid,
     available_scenario_schemes,
     get_plan_cache,
-    last_executor_stats,
     run_scenarios,
     run_sweep,
     sweep_stats,
@@ -181,21 +180,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_engine_stats(extra: str = "", executor_stats=None) -> None:
+def _print_engine_stats(extra: str = "") -> None:
     """Cache/solve/simulator accounting footer, printed to stderr.
 
     stderr so that stdout stays byte-identical across repeated invocations
     (hit counts and wall-clock seconds legitimately differ run to run).
     The format itself lives in :func:`repro.analysis.format_engine_footer`,
-    shared by every subcommand that prints the footer.  ``executor_stats``
-    (multiprocess sweeps) adds the ``exec:`` counters section.
+    shared by every subcommand that prints the footer.
     """
     from .engine import get_engine
     from .simulator import engine_counters
 
     print(format_engine_footer(get_engine().stats(), get_plan_cache().stats(),
-                               extra, sim_stats=engine_counters(),
-                               executor_stats=executor_stats),
+                               extra, sim_stats=engine_counters()),
           file=sys.stderr)
 
 
@@ -290,12 +287,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         print(f"error: {trace}: {message}")
     if args.out:
         print(f"streaming results in {args.out}")
-    exec_stats = last_executor_stats() if args.workers > 1 else None
-    totals = sweep_stats(results, executor=exec_stats)
+    totals = sweep_stats(results)
     _print_engine_stats(
         f"traces: {totals['ok']} ok / {totals['errors']} error "
-        f"({totals['resumed']} resumed)",
-        executor_stats=exec_stats.to_dict() if exec_stats else None)
+        f"({totals['resumed']} resumed)")
     return 1 if totals["errors"] else 0
 
 
@@ -416,8 +411,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                             resume=args.resume, n_jobs=args.lp_jobs,
                             workers=args.workers)
     except RuntimeError as exc:
-        # A died worker: partial results are merged and resumable; surface
-        # the message and the standard nonzero exit instead of a traceback.
+        # A died worker: the records written so far are compacted and
+        # resumable; surface the message and exit nonzero, not a traceback.
         print(f"error: {exc}")
         return 1
 
@@ -448,13 +443,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out:
         print(f"streaming results in {args.out}")
 
-    exec_stats = last_executor_stats() if args.workers > 1 else None
-    totals = sweep_stats(results, executor=exec_stats)
+    totals = sweep_stats(results)
     _print_engine_stats(
         f"scenarios: {totals['ok']} ok / {totals['errors']} error "
         f"({totals['resumed']} resumed); "
-        f"assemble {totals['assemble_seconds']:.3f}s solve {totals['solve_seconds']:.3f}s",
-        executor_stats=exec_stats.to_dict() if exec_stats else None)
+        f"assemble {totals['assemble_seconds']:.3f}s solve {totals['solve_seconds']:.3f}s")
     return 1 if totals["errors"] else 0
 
 
@@ -487,12 +480,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"error: {err}")
     print(f"wrote {summary.index_path}"
           + (" (+ index.html)" if len(summary.index_files) > 1 else ""))
-    exec_stats = last_executor_stats() if args.workers > 1 else None
     _print_engine_stats(
         f"artifacts: {sum(1 for sr in summary.spec_results if sr.status == 'ok')} ok "
         f"/ {sum(1 for sr in summary.spec_results if sr.status == 'error')} error; "
-        f"new LP solves: {summary.provenance.get('new_lp_solves', 0)}",
-        executor_stats=exec_stats.to_dict() if exec_stats else None)
+        f"new LP solves: {summary.provenance.get('new_lp_solves', 0)}")
     return 1 if summary.errors else 0
 
 
@@ -599,7 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_clu.add_argument("--jobs", type=int, default=1,
                        help="traces executed concurrently (threads)")
     p_clu.add_argument("--workers", type=int, default=1,
-                       help="work-stealing worker processes (as in repro sweep)")
+                       help="worker processes (as in repro sweep): the "
+                            "shared schedule is solved once, then the traces "
+                            "spread over the workers")
     p_clu.add_argument("--lp-jobs", type=int, default=1,
                        help="child-LP workers within each scenario")
     p_clu.set_defaults(func=_cmd_cluster)
@@ -675,9 +668,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSONL results file (appended to, one record per scenario)")
     p_swp.add_argument("--csv", default=None, help="also write a flat CSV here")
     p_swp.add_argument("--workers", type=int, default=1,
-                       help="work-stealing worker processes (per-worker "
-                            "resumable shards + shared artifact plane); "
-                            "1 keeps the in-process path")
+                       help="worker processes, one task per scenario; "
+                            "a schedule shared by several scenarios is "
+                            "solved once; 1 keeps the in-process path")
     p_swp.add_argument("--jobs", type=int, default=1,
                        help="scenarios executed concurrently")
     p_swp.add_argument("--lp-jobs", type=int, default=1,
@@ -702,8 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", "-o", default="report",
                        help="report output directory (default: report/)")
     p_rep.add_argument("--workers", type=int, default=1,
-                       help="work-stealing worker processes per artifact "
-                            "sweep (1 keeps the in-process path)")
+                       help="worker processes per artifact sweep "
+                            "(as in repro sweep; 1 keeps the in-process path)")
     p_rep.add_argument("--jobs", type=int, default=1,
                        help="scenarios executed concurrently")
     p_rep.add_argument("--lp-jobs", type=int, default=1,

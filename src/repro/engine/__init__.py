@@ -30,7 +30,7 @@ from .problem import (
     get_formulation,
     register_formulation,
 )
-from .runner import ParallelRunner, run_parallel
+from .runner import ParallelRunner
 
 __all__ = [
     "ScipyHighsBackend",
@@ -49,5 +49,4 @@ __all__ = [
     "get_formulation",
     "register_formulation",
     "ParallelRunner",
-    "run_parallel",
 ]

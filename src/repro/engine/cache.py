@@ -57,25 +57,11 @@ class SolutionCache:
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
-        self.shared_hits = 0
         self.stores = 0
         self._memory: Dict[str, "LPSolution"] = {}
-        self._shared = None  # optional SharedArtifactPlane tier
         self._lock = threading.Lock()
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
-
-    # ------------------------------------------------------------------ #
-    def attach_shared(self, plane) -> None:
-        """Attach a cross-process shared-artifact tier.
-
-        ``plane`` is a :class:`~repro.experiments.executor.SharedArtifactPlane`
-        (anything with byte-oriented ``get(key)``/``publish(key, payload)``).
-        Lookup order becomes memory -> shared -> disk; stores additionally
-        publish to the plane so sibling worker processes skip recomputation.
-        The plane only accepts its *hot* keys, so cold artifacts stay local.
-        """
-        self._shared = plane
 
     # ------------------------------------------------------------------ #
     def get(self, key: str) -> Optional["LPSolution"]:
@@ -87,17 +73,11 @@ class SolutionCache:
             if solution is not None:
                 self.hits += 1
                 return solution
-        solution = self._shared_get(key)
-        from_shared = solution is not None
-        if solution is None:
-            solution = self._disk_get(key)
+        solution = self._disk_get(key)
         with self._lock:
             if solution is not None:
                 self.hits += 1
-                if from_shared:
-                    self.shared_hits += 1
-                else:
-                    self.disk_hits += 1
+                self.disk_hits += 1
                 self._insert(key, solution)
             else:
                 self.misses += 1
@@ -125,7 +105,6 @@ class SolutionCache:
         with self._lock:
             self._insert(key, portable)
             self.stores += 1
-        self._shared_put(key, portable)
         self._disk_put(key, portable)
 
     def _insert(self, key: str, solution: "LPSolution") -> None:
@@ -145,7 +124,6 @@ class SolutionCache:
         with self._lock:
             self._memory.clear()
             self.hits = self.misses = self.disk_hits = self.stores = 0
-            self.shared_hits = 0
 
     @property
     def size(self) -> int:
@@ -155,8 +133,8 @@ class SolutionCache:
     def stats(self) -> Dict[str, int]:
         """Counter snapshot for reports and assertions."""
         return {"hits": self.hits, "misses": self.misses,
-                "disk_hits": self.disk_hits, "shared_hits": self.shared_hits,
-                "stores": self.stores, "size": self.size}
+                "disk_hits": self.disk_hits, "stores": self.stores,
+                "size": self.size}
 
     # ------------------------------------------------------------------ #
     def _path(self, key: str) -> str:
@@ -168,29 +146,6 @@ class SolutionCache:
 
             return LPSolution
         return self._payload_type
-
-    def _shared_get(self, key: str) -> Optional["LPSolution"]:
-        if self._shared is None:
-            return None
-        try:
-            payload = self._shared.get(key)
-            if payload is None:
-                return None
-            artifact = pickle.loads(payload)
-        except Exception:  # noqa: BLE001 - a torn/foreign segment reads as a miss
-            return None
-        if not isinstance(artifact, self._expected_type()):
-            return None
-        return artifact
-
-    def _shared_put(self, key: str, solution: "LPSolution") -> None:
-        """Publish to the shared plane; best effort (plane filters cold keys)."""
-        if self._shared is None:
-            return
-        try:
-            self._shared.publish(key, pickle.dumps(solution))
-        except Exception:  # noqa: BLE001 - sharing is an optimization, never fatal
-            pass
 
     def _disk_get(self, key: str) -> Optional["LPSolution"]:
         if not self.cache_dir:

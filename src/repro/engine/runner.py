@@ -21,9 +21,9 @@ to serial ones for deterministic work.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, List, Sequence, TypeVar
+from typing import Callable, Iterable, List, TypeVar
 
-__all__ = ["ParallelRunner", "run_parallel"]
+__all__ = ["ParallelRunner"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -60,8 +60,3 @@ class ParallelRunner:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ParallelRunner(jobs={self.jobs}, mode={self.mode!r})"
 
-
-def run_parallel(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1,
-                 mode: str = "auto") -> List[R]:
-    """One-shot convenience wrapper around :class:`ParallelRunner`."""
-    return ParallelRunner(jobs=jobs, mode=mode).map(fn, items)

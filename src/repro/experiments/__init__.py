@@ -13,10 +13,10 @@ simulator) expressed as data instead of glue code:
   through :class:`~repro.engine.runner.ParallelRunner` with streaming JSONL
   records, resumable by scenario hash;
 * :func:`run_sweep_workers` (or ``run_sweep(workers=N)``) — the same sweep
-  across work-stealing worker *processes* with per-worker resumable JSONL
-  shards, a deterministic hash-sorted merge, and a shared artifact plane
-  (:class:`SharedArtifactPlane`) so workers skip re-synthesizing hot
-  ``(topology, scheme)`` artifacts.
+  on a pool of worker *processes*, one task per scenario; each synthesize
+  key is solved once and its schedule handed to the scenarios sharing it,
+  with the parent writing one JSONL file that :func:`merge_shards` leaves
+  deduped and sorted by scenario hash.
 
 The ``repro compare``, ``repro synthesize`` and ``repro sweep`` CLI
 subcommands and the Fig. 3 / Fig. 4 / Table 1 benchmarks are all thin
@@ -24,13 +24,7 @@ layers over this module, so adding a topology x workload x fabric combination is
 change, not a code change.
 """
 
-from .executor import (
-    ExecutorStats,
-    SharedArtifactPlane,
-    last_executor_stats,
-    merge_shards,
-    run_sweep_workers,
-)
+from .executor import merge_shards, run_sweep_workers
 from .plan import Plan, PlanResult, configure_plan_cache, get_plan_cache, reset_plan_cache
 from .scenario import (
     SCHEMES,
@@ -66,9 +60,6 @@ __all__ = [
     "available_scenario_schemes",
     "resolve_scheme",
     "scenario_schema_version",
-    "ExecutorStats",
-    "SharedArtifactPlane",
-    "last_executor_stats",
     "merge_shards",
     "run_sweep_workers",
     "ScenarioResult",

@@ -153,6 +153,13 @@ class PlanResult:
         topo = getattr(self.schedule, "topology", None)
         return None if topo is None else topo.num_nodes
 
+    def stage_artifacts(self) -> Dict[str, object]:
+        """Pre-simulate artifacts of the stages this result ran, by stage."""
+        produced = {"synthesize": self.schedule, "lower": self.lowered,
+                    "validate": self.validated}
+        return {stage: produced[stage] for stage in produced
+                if stage in self.stage_seconds}
+
     def engine_info(self) -> Dict[str, object]:
         """Engine accounting carried on the schedule's metadata, if any."""
         meta = getattr(self.schedule, "meta", None) or {}

@@ -138,6 +138,19 @@ class ScenarioResult:
     plan: Optional[PlanResult] = None
     exception: Optional[BaseException] = None
 
+    @classmethod
+    def from_record(cls, scenario: Scenario, record: Mapping[str, object],
+                    resumed: bool = False) -> "ScenarioResult":
+        """Rebuild a result from its JSONL record (no plan, no exception)."""
+        return cls(scenario=scenario, key=str(record.get("key") or ""),
+                   status=str(record.get("status", "error")),
+                   metrics=dict(record.get("metrics") or {}),
+                   timings=dict(record.get("timings") or {}),
+                   engine=dict(record.get("engine") or {}),
+                   stage_cache=dict(record.get("stage_cache") or {}),
+                   through=str(record.get("through", "simulate")),
+                   error=record.get("error"), resumed=resumed)
+
     def to_record(self) -> Dict[str, object]:
         return {
             "schema_version": scenario_schema_version(),
@@ -277,13 +290,17 @@ def result_from_plan(scenario: Scenario, result: PlanResult,
 
 
 def _execute(scenario: Scenario, through: str, cache: Optional[SolutionCache],
-             n_jobs: int) -> ScenarioResult:
+             n_jobs: int, prior: Optional[PlanResult] = None) -> ScenarioResult:
+    """Run one scenario through ``through``, continuing from ``prior`` (a
+    result of the same scenario's earlier stages) when given."""
     key = ""
     try:
         # Key computation resolves the topology, so a bad spec surfaces here
         # as an error record (with an empty key) instead of killing the sweep.
         key = scenario.key()
         plan = Plan(scenario, cache=cache, n_jobs=n_jobs)
+        if prior is not None:
+            plan.result = prior
         result = plan.run(through=through)
     except Exception as exc:  # noqa: BLE001 - captured per scenario
         return ScenarioResult(scenario=scenario, key=key, status="error",
@@ -325,36 +342,27 @@ def run_sweep(scenarios: Sequence[Scenario], out_path: Optional[str] = None,
     jobs:
         Scenarios executed concurrently (threads share the caches).
     workers:
-        Worker *processes*.  ``workers > 1`` hands the whole sweep to the
-        work-stealing multiprocess executor
-        (:func:`~repro.experiments.executor.run_sweep_workers`): records
-        stream to per-worker shards under ``<out_path>.shards/`` and
-        ``out_path`` becomes their deterministic hash-sorted merge; ``jobs``
-        and ``cache`` are then ignored (each worker is its own process with
-        its own caches, bridged by the shared artifact plane).  The default
-        of 1 keeps the historical in-process thread path untouched.
+        Worker *processes*.  ``workers > 1`` hands the whole sweep to
+        :func:`~repro.experiments.executor.run_sweep_workers`: one task per
+        scenario, each synthesize key solved once (a first pass hands a
+        shared schedule to the rest through the parent's stage cache), the
+        parent appending records to ``out_path`` and
+        finally rewriting it deduped and sorted by scenario hash.  ``jobs``
+        and ``cache`` are then ignored (each worker process has its own
+        caches).  The default of 1 keeps the in-process thread path.
     """
     if workers > 1:
         from .executor import run_sweep_workers
 
-        results, _stats = run_sweep_workers(
-            scenarios, out_path=out_path, workers=workers, resume=resume,
-            through=through, n_jobs=n_jobs)
-        return results
+        return run_sweep_workers(scenarios, out_path=out_path, workers=workers,
+                                 resume=resume, through=through, n_jobs=n_jobs)
     scenarios = list(scenarios)
     done: Dict[str, Dict[str, object]] = {}
     if resume and out_path and os.path.exists(out_path):
         done = completed_records([out_path], through=through)
 
     lock = threading.Lock()
-    out_fh = open(out_path, "a") if out_path else None
-    if out_fh is not None and out_fh.tell() > 0:
-        # A killed sweep can leave a torn final line with no newline; start a
-        # fresh line so the first appended record isn't glued onto it.
-        with open(out_path, "rb") as check:
-            check.seek(-1, os.SEEK_END)
-            if check.read(1) != b"\n":
-                out_fh.write("\n")
+    out_fh = _open_append(out_path) if out_path else None
     try:
         def run_one(scenario: Scenario) -> ScenarioResult:
             try:
@@ -363,15 +371,7 @@ def run_sweep(scenarios: Sequence[Scenario], out_path: Optional[str] = None,
                 key = ""
             record = done.get(key) if key else None
             if record is not None:
-                return ScenarioResult(
-                    scenario=scenario, key=key, status="ok",
-                    metrics=dict(record.get("metrics", {})),
-                    timings=dict(record.get("timings", {})),
-                    engine=dict(record.get("engine", {})),
-                    stage_cache=dict(record.get("stage_cache", {})),
-                    through=str(record.get("through", "simulate")),
-                    resumed=True,
-                )
+                return ScenarioResult.from_record(scenario, record, resumed=True)
             result = _execute(scenario, through, cache, n_jobs)
             if out_fh is not None:
                 line = json.dumps(result.to_record(), sort_keys=True)
@@ -389,15 +389,19 @@ def run_sweep(scenarios: Sequence[Scenario], out_path: Optional[str] = None,
 # --------------------------------------------------------------------------- #
 # JSONL / CSV I/O
 # --------------------------------------------------------------------------- #
-#: Parsed-file cache for the shared reader: absolute path -> ((mtime_ns,
-#: size), records).  ``load_results``/``completed_keys``/``completed_records``
-#: used to each re-read and re-parse the full JSONL on every call — with
-#: multi-shard resume consulting several files repeatedly, each file is now
-#: parsed once per on-disk state.  Bounded: oldest entry evicted beyond
-#: ``_READ_CACHE_MAX`` (sweep outputs plus a handful of shards in practice).
-_read_cache: Dict[str, Tuple[Tuple[int, int], List[Dict[str, object]]]] = {}
-_read_cache_lock = threading.Lock()
-_READ_CACHE_MAX = 32
+def _open_append(path: str):
+    """Open a sweep JSONL file for appending, healing a torn last line.
+
+    A killed sweep can leave a final line with no newline; start a fresh
+    line so the first appended record is not glued onto it.
+    """
+    fh = open(path, "a")
+    if fh.tell() > 0:
+        with open(path, "rb") as check:
+            check.seek(-1, os.SEEK_END)
+            if check.read(1) != b"\n":
+                fh.write("\n")
+    return fh
 
 
 def load_results(path: str) -> List[Dict[str, object]]:
@@ -405,19 +409,9 @@ def load_results(path: str) -> List[Dict[str, object]]:
 
     A sweep killed mid-write can leave a partial last line; treating it as
     absent (rather than failing) is what makes resume-after-kill work.
-    Results are served from a parse cache keyed by the file's (mtime, size)
-    signature, so repeated resume/merge passes over the same files parse
-    each file once; appending to the file invalidates its entry.
     """
-    abspath = os.path.abspath(path)
-    stat = os.stat(abspath)
-    signature = (stat.st_mtime_ns, stat.st_size)
-    with _read_cache_lock:
-        cached = _read_cache.get(abspath)
-        if cached is not None and cached[0] == signature:
-            return list(cached[1])
     records: List[Dict[str, object]] = []
-    with open(abspath) as fh:
+    with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line:
@@ -428,18 +422,14 @@ def load_results(path: str) -> List[Dict[str, object]]:
                 continue
             if isinstance(rec, dict) and "key" in rec:
                 records.append(rec)
-    with _read_cache_lock:
-        if abspath not in _read_cache and len(_read_cache) >= _READ_CACHE_MAX:
-            _read_cache.pop(next(iter(_read_cache)))
-        _read_cache[abspath] = (signature, records)
-    return list(records)
+    return records
 
 
 def completed_keys(path: str) -> List[str]:
     """Keys of scenarios with an ``ok`` record in a sweep JSONL file.
 
-    Deduplicated (first occurrence wins): a scenario whose record appears in
-    several merged shards counts once.
+    Deduplicated (first occurrence wins): a scenario appended twice (a
+    non-resumed re-run into the same file) counts once.
     """
     seen: Dict[str, None] = {}
     for rec in load_results(path):
@@ -448,22 +438,18 @@ def completed_keys(path: str) -> List[str]:
     return list(seen)
 
 
-def completed_records(paths: Sequence[str], through: str = "simulate",
-                      ok_only: bool = True) -> Dict[str, Dict[str, object]]:
-    """Resumable records across one or more JSONL files, deduped by key.
+def completed_records(paths: Sequence[str],
+                      through: str = "simulate") -> Dict[str, Dict[str, object]]:
+    """Resumable ``ok`` records across one or more JSONL files, deduped by key.
 
     The single source of resume truth for both the thread path and the
-    multiprocess executor: a scenario whose record appears in two shards (or
-    in a shard *and* the merged output) resolves to one entry, so resume
-    never re-runs it and a merge never duplicates it.
+    multiprocess executor: a scenario whose record appears twice resolves
+    to one entry, so resume never re-runs it.
 
-    Only records that ran at least as far as ``through`` count as complete
-    (a synthesize-only record must not satisfy a simulate sweep), and only
-    records from the current scenario schema layout resume at all (older
-    keys are incomparable).  Dedupe is first-wins in ``paths`` order, except
-    that an ``ok`` record always displaces an ``error`` one; with
-    ``ok_only`` (the default) error records are dropped entirely —
-    ``ok_only=False`` keeps them for callers rebuilding full result sets.
+    Only ``ok`` records that ran at least as far as ``through`` count as
+    complete (a synthesize-only record must not satisfy a simulate sweep),
+    and only records from the current scenario schema layout resume at all
+    (older keys are incomparable).  Dedupe is first-wins in ``paths`` order.
     """
     from .scenario import STAGES
 
@@ -476,17 +462,12 @@ def completed_records(paths: Sequence[str], through: str = "simulate",
             if rec.get("schema_version") != scenario_schema_version():
                 continue
             key = str(rec.get("key") or "")
-            if not key:
+            if not key or rec.get("status") != "ok":
                 continue
-            if rec.get("status") == "ok":
-                if rec.get("through") not in STAGES \
-                        or STAGES.index(rec["through"]) < needed:
-                    continue
-                existing = out.get(key)
-                if existing is None or existing.get("status") != "ok":
-                    out[key] = rec
-            elif not ok_only:
-                out.setdefault(key, rec)
+            if rec.get("through") not in STAGES \
+                    or STAGES.index(rec["through"]) < needed:
+                continue
+            out.setdefault(key, rec)
     return out
 
 
@@ -523,29 +504,14 @@ def write_csv(results: Iterable[ScenarioResult], path: str) -> None:
         writer.writerows(rows)
 
 
-def sweep_stats(results: Sequence[ScenarioResult],
-                executor: Optional[object] = None) -> Dict[str, object]:
-    """Aggregate accounting across a sweep (for the CLI stats footer).
-
-    ``executor`` takes the :class:`~repro.experiments.executor.ExecutorStats`
-    of a multiprocess run (e.g. from
-    :func:`~repro.experiments.executor.last_executor_stats`); its counters —
-    scenarios/sec, per-worker completed counts, steal count, shared-artifact
-    hits/misses — are folded into the returned mapping.
-    """
+def sweep_stats(results: Sequence[ScenarioResult]) -> Dict[str, object]:
+    """Aggregate accounting across a sweep (for the CLI stats footer)."""
     totals = {"scenarios": len(results),
               "ok": sum(1 for r in results if r.status == "ok"),
               "errors": sum(1 for r in results if r.status == "error"),
               "resumed": sum(1 for r in results if r.resumed),
               "assemble_seconds": 0.0, "solve_seconds": 0.0,
               "stage_hits": 0, "stage_misses": 0}
-    if executor is not None:
-        totals["workers"] = executor.workers
-        totals["per_worker_completed"] = list(executor.completed)
-        totals["steals"] = executor.steals
-        totals["shared_hits"] = executor.shared_hits
-        totals["shared_misses"] = executor.shared_misses
-        totals["scenarios_per_sec"] = executor.scenarios_per_sec
     for res in results:
         if not res.resumed:
             # Resumed records carry the *original* run's timings; summing them

@@ -101,8 +101,9 @@ def generate_report(out_dir: str = "report",
         (per-scenario resume, same semantics as ``repro sweep --resume``).
         Without it each spec's JSONL is started fresh.
     workers:
-        Work-stealing worker processes per artifact sweep (``repro sweep
-        --workers`` semantics); 1 keeps the in-process path.
+        Worker processes per artifact sweep (``repro sweep --workers``
+        semantics: one task per scenario, each synthesize key solved
+        once); 1 keeps the in-process path.
     """
     from ..engine import get_engine
 

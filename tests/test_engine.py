@@ -15,7 +15,6 @@ from repro.engine import (
     get_backend,
     get_engine,
     reset_engine,
-    run_parallel,
 )
 from repro.experiments import Scenario, get_plan_cache, reset_plan_cache, run_scenarios
 from repro.topology import generalized_kautz, hypercube
@@ -213,9 +212,6 @@ class TestParallelRunner:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             ParallelRunner(jobs=2, mode="gpu")
-
-    def test_run_parallel_convenience(self):
-        assert run_parallel(len, ["a", "bb", "ccc"], jobs=2) == [1, 2, 3]
 
     def test_exceptions_propagate(self):
         def boom(x):

@@ -1,45 +1,41 @@
-"""Tests for the work-stealing multiprocess sweep executor.
+"""Tests for the multiprocess sweep executor.
 
-Covers the work-stealing queue, deterministic shard merge, the shared
-artifact plane (both backends, including cleanup after crashes), and the
-headline executor guarantees: worker output canonically identical to the
-serial and threaded paths, and a killed worker losing nothing that a
-``resume=True`` re-run cannot finish without duplicate records.
+Covers the one-file compaction (:func:`merge_shards`) and the executor's
+guarantees: worker output canonically identical to the serial and threaded
+paths, one synthesize per shared key with the simulations still spread over
+the workers, and a killed worker losing only the scenario it was running,
+which a ``resume=True`` re-run finishes without duplicate records.
 """
 
 import dataclasses
 import json
 import os
-import threading
-import types
+import signal
+import time
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import format_engine_footer
+import repro.experiments.sweep as sweep_module
 from repro.experiments import (
-    ExecutorStats,
-    SharedArtifactPlane,
     SweepGrid,
     completed_records,
-    last_executor_stats,
     load_results,
     merge_shards,
+    reset_plan_cache,
     run_sweep,
     run_sweep_workers,
     scenario_schema_version,
-    sweep_stats,
 )
-from repro.experiments.executor import (
-    VOLATILE_RECORD_FIELDS,
-    claim_index,
-    hot_stage_keys,
-    partition_ranges,
-    shard_dir_for,
-)
+from repro.experiments.executor import VOLATILE_RECORD_FIELDS
 
 
 def _grid12() -> SweepGrid:
-    """12 fast scenarios: 3 topologies x 2 schemes x 2 overlap settings."""
+    """12 fast scenarios: 3 topologies x 2 schemes x 2 overlap settings.
+
+    Overlap enters only the simulate stage key, so the grid has 6 distinct
+    synthesize keys, each shared by two consecutive scenarios.
+    """
     return SweepGrid(
         base={"fabric": "hpc", "buffers": [2 ** 20], "max_denominator": 16},
         axes={"topology": ["hypercube:dim=2", "bipartite:left=3,right=3",
@@ -57,9 +53,7 @@ def _canonical(path):
     return sorted(records, key=lambda r: str(r.get("key", "")))
 
 
-def _write_shard(shard_dir, name, records, torn=False):
-    os.makedirs(shard_dir, exist_ok=True)
-    path = os.path.join(shard_dir, name)
+def _write_jsonl(path, records, torn=False):
     with open(path, "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -76,167 +70,84 @@ def _rec(key, status="ok", through="simulate", **extra):
     return rec
 
 
-class TestWorkStealingQueue:
-    def test_partition_ranges_cover_exactly(self):
-        for items, workers in [(12, 2), (12, 5), (3, 4), (0, 3), (7, 1)]:
-            ranges = partition_ranges(items, workers)
-            assert len(ranges) == workers
-            flat = [i for lo, hi in ranges for i in range(lo, hi)]
-            assert flat == list(range(items))
+def _kill_workers_after(monkeypatch, calls):
+    """Make every forked worker SIGKILL itself before scenario ``calls + 1``.
 
-    def _queue(self, ranges_flat):
-        return (list(ranges_flat), threading.Lock(),
-                types.SimpleNamespace(value=0))
+    The counter is copied into each worker at fork time, so the limit is
+    per worker; the parent process is never killed.
+    """
+    parent = os.getpid()
+    real = sweep_module._execute
+    seen = [0]
 
-    def test_owner_pops_head_before_stealing(self):
-        ranges, lock, steals = self._queue([0, 2, 2, 4])
-        assert claim_index(0, ranges, lock, steals) == (0, False)
-        assert claim_index(0, ranges, lock, steals) == (1, False)
-        assert steals.value == 0
+    def execute(*args, **kwargs):
+        if os.getpid() != parent:
+            seen[0] += 1
+            if seen[0] > calls:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args, **kwargs)
 
-    def test_dry_worker_steals_from_tail_of_busiest(self):
-        # Worker 0 is dry; worker 1 has one item, worker 2 has three.
-        ranges, lock, steals = self._queue([0, 0, 0, 1, 1, 4])
-        index, stolen = claim_index(0, ranges, lock, steals)
-        assert (index, stolen) == (3, True)  # tail of the busiest victim
-        assert steals.value == 1
-        assert ranges[5] == 3  # victim's tail shrank; its head is untouched
+    monkeypatch.setattr(sweep_module, "_execute", execute)
 
-    def test_drained_queue_returns_none(self):
-        ranges, lock, steals = self._queue([2, 2, 4, 4])
-        assert claim_index(0, ranges, lock, steals) is None
-        assert claim_index(1, ranges, lock, steals) is None
 
-    def test_every_index_claimed_exactly_once(self):
-        ranges, lock, steals = self._queue(
-            [lo for pair in partition_ranges(10, 3) for lo in pair])
-        claimed = []
-        worker = 0
-        while True:
-            claim = claim_index(worker, ranges, lock, steals)
-            if claim is None:
-                break
-            claimed.append(claim[0])
-            worker = (worker + 1) % 3
-        assert sorted(claimed) == list(range(10))
+@pytest.fixture
+def cold_plan_cache(monkeypatch):
+    """Workers fork from this process and the parent keeps the schedules the
+    first pass hands back, so start (and leave) its stage cache empty."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    reset_plan_cache()
+    yield
+    reset_plan_cache()
 
 
 class TestMergeShards:
     def test_merge_is_deterministic_and_idempotent(self, tmp_path):
-        out = str(tmp_path / "sweep.jsonl")
-        shards = shard_dir_for(out)
-        _write_shard(shards, "worker-0.jsonl", [_rec("b"), _rec("a")])
-        _write_shard(shards, "worker-1.jsonl", [_rec("c")], torn=True)
-        assert merge_shards(out, shards) == 3
-        first = open(out).read()
-        assert merge_shards(out, shards) == 3  # existing output re-merged
-        assert open(out).read() == first
+        out = _write_jsonl(str(tmp_path / "sweep.jsonl"),
+                           [_rec("b"), _rec("a"), _rec("c")], torn=True)
+        assert merge_shards(out) == 3
+        first = Path(out).read_text()
+        assert merge_shards(out) == 3
+        assert Path(out).read_text() == first
         keys = [rec["key"] for rec in load_results(out)]
         assert keys == ["a", "b", "c"]  # hash-sorted; torn line skipped
 
     def test_merge_independent_of_shard_assignment(self, tmp_path):
+        # Workers finish in any order, so the parent appends the same records
+        # in any order; the compacted file must not depend on it.
         records = [_rec(k) for k in ("d", "a", "c", "b")]
         outputs = []
-        for split in [(1, "x"), (2, "y"), (4, "z")]:
-            n, tag = split
-            out = str(tmp_path / f"sweep-{tag}.jsonl")
-            shards = shard_dir_for(out)
-            for i in range(n):
-                _write_shard(shards, f"worker-{i}.jsonl", records[i::n])
-            merge_shards(out, shards)
-            outputs.append(open(out).read())
+        for tag, order in [("x", records), ("y", records[::-1]),
+                           ("z", records[1::2] + records[::2])]:
+            out = _write_jsonl(str(tmp_path / f"sweep-{tag}.jsonl"), order)
+            merge_shards(out)
+            outputs.append(Path(out).read_text())
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_ok_beats_error_and_deeper_through_wins(self, tmp_path):
-        out = str(tmp_path / "sweep.jsonl")
-        shards = shard_dir_for(out)
-        _write_shard(shards, "worker-0.jsonl", [
+        out = _write_jsonl(str(tmp_path / "sweep.jsonl"), [
             _rec("a", status="error", error="boom"),
             _rec("b", through="synthesize", marker="shallow"),
-        ])
-        _write_shard(shards, "worker-1.jsonl", [
             _rec("a", marker="good"),
             _rec("b", through="simulate", marker="deep"),
         ])
-        merge_shards(out, shards)
+        merge_shards(out)
         by_key = {rec["key"]: rec for rec in load_results(out)}
         assert by_key["a"]["status"] == "ok"
         assert by_key["b"]["marker"] == "deep"
 
+    def test_rank_tie_keeps_last_appended(self, tmp_path):
+        # A non-resumed re-run appends to the same file; the file must keep
+        # the records that run returned, not the stale ones.
+        out = _write_jsonl(str(tmp_path / "sweep.jsonl"),
+                           [_rec("a", marker="old"), _rec("a", marker="new")])
+        merge_shards(out)
+        assert [rec["marker"] for rec in load_results(out)] == ["new"]
+
     def test_unkeyed_records_all_kept(self, tmp_path):
-        out = str(tmp_path / "sweep.jsonl")
-        shards = shard_dir_for(out)
-        _write_shard(shards, "worker-0.jsonl",
-                     [_rec("", status="error", error="x"),
-                      _rec("", status="error", error="y"), _rec("a")])
-        assert merge_shards(out, shards) == 3
-
-
-class TestSharedArtifactPlane:
-    @pytest.mark.parametrize("backend", ["shm", "mmap"])
-    def test_publish_get_roundtrip(self, backend, tmp_path):
-        plane = SharedArtifactPlane(backend=backend,
-                                    root=str(tmp_path / "plane"),
-                                    publishable={"hot"})
-        try:
-            assert plane.get("hot") is None  # miss before publish
-            assert plane.publish("hot", b"payload-bytes")
-            assert plane.get("hot") == b"payload-bytes"
-            assert plane.counters() == {"hits": 1, "misses": 1, "publishes": 1}
-        finally:
-            plane.cleanup()
-
-    @pytest.mark.parametrize("backend", ["shm", "mmap"])
-    def test_first_writer_wins_and_cold_keys_ignored(self, backend, tmp_path):
-        plane = SharedArtifactPlane(backend=backend,
-                                    root=str(tmp_path / "plane"),
-                                    publishable={"hot"})
-        try:
-            assert plane.publish("hot", b"first")
-            assert not plane.publish("hot", b"second")
-            assert plane.get("hot") == b"first"
-            assert not plane.publish("cold", b"ignored")
-            assert plane.get("cold") is None
-            assert plane.counters()["misses"] == 0  # cold keys don't count
-        finally:
-            plane.cleanup()
-
-    @pytest.mark.parametrize("backend", ["shm", "mmap"])
-    def test_cleanup_removes_segments_and_is_idempotent(self, backend, tmp_path):
-        plane = SharedArtifactPlane(backend=backend,
-                                    root=str(tmp_path / "plane"),
-                                    publishable={"hot", "never-published"})
-        plane.publish("hot", b"payload")
-        plane.cleanup()
-        assert plane._read("hot") is None
-        if backend == "mmap":
-            assert not os.path.isdir(plane.root)
-        plane.cleanup()  # second cleanup is a no-op, not an error
-
-    def test_cleanup_after_publisher_crash(self, tmp_path):
-        # The publisher never runs cleanup (simulating SIGKILL); a second
-        # plane object with the same run id — what the parent holds — must
-        # find the orphan segment by its deterministic name and remove it.
-        writer = SharedArtifactPlane(run_id="crashtest", backend="shm",
-                                     publishable={"hot"})
-        writer.publish("hot", b"orphan")
-        del writer
-        parent = SharedArtifactPlane(run_id="crashtest", backend="shm",
-                                     publishable={"hot"})
-        assert parent._read("hot") == b"orphan"
-        parent.cleanup()
-        assert parent._read("hot") is None
-
-    def test_hot_stage_keys_require_two_scenarios(self):
-        grid = SweepGrid(base={"topology": "hypercube:dim=2",
-                               "scheme": "ewsp", "buffers": [2 ** 20]},
-                         axes={"overlap": ["1", "2"]})
-        hot = hot_stage_keys(grid.scenarios())
-        # synthesize/lower/validate keys ignore overlap -> shared (hot);
-        # the simulate keys differ per overlap -> cold.
-        scenario = grid.scenarios()[0]
-        assert scenario.stage_key("synthesize") in hot
-        assert scenario.stage_key("simulate") not in hot
+        out = _write_jsonl(str(tmp_path / "sweep.jsonl"),
+                           [_rec("", status="error", error="x"),
+                            _rec("", status="error", error="y"), _rec("a")])
+        assert merge_shards(out) == 3
 
 
 class TestRunSweepWorkers:
@@ -244,81 +155,118 @@ class TestRunSweepWorkers:
         scenarios = _grid12().scenarios()
         serial = str(tmp_path / "serial.jsonl")
         threaded = str(tmp_path / "threads.jsonl")
-        sharded = str(tmp_path / "workers.jsonl")
+        workers = str(tmp_path / "workers.jsonl")
         run_sweep(scenarios, out_path=serial)
         run_sweep(scenarios, out_path=threaded, jobs=2)
-        results, stats = run_sweep_workers(scenarios, out_path=sharded,
-                                           workers=2)
-        assert _canonical(serial) == _canonical(threaded) == _canonical(sharded)
+        results = run_sweep_workers(scenarios, out_path=workers, workers=2)
+        assert _canonical(serial) == _canonical(threaded) == _canonical(workers)
         assert len(results) == 12
         assert [r.scenario for r in results] == scenarios  # input order kept
         assert all(r.status == "ok" for r in results)
-        assert stats.workers == 2 and sum(stats.completed) == 12
-        assert not os.path.isdir(shard_dir_for(sharded))  # shards merged away
-        assert last_executor_stats() is stats
+        keys = [rec["key"] for rec in load_results(workers)]
+        assert keys == sorted(keys)
 
     def test_run_sweep_workers_arg_delegates(self, tmp_path):
         scenarios = _grid12().scenarios()[:2]
         out = str(tmp_path / "via-run-sweep.jsonl")
         results = run_sweep(scenarios, out_path=out, workers=2)
         assert [r.status for r in results] == ["ok", "ok"]
-        assert last_executor_stats().workers == 2
+        assert len(load_results(out)) == 2
 
-    def test_survivor_steals_dead_workers_slice(self, tmp_path):
-        # Killing one of two workers must not lose its unclaimed scenarios:
-        # work stealing doubles as crash redistribution, so the survivor
-        # drains the whole queue even though the sweep still reports failure.
-        scenarios = _grid12().scenarios()
-        out = str(tmp_path / "crash.jsonl")
-        with pytest.raises(RuntimeError, match="resume=True"):
-            run_sweep_workers(scenarios, out_path=out, workers=2,
-                              fault_injection={"worker": 0, "after": 2})
-        stats = last_executor_stats()
-        assert stats.failed_workers == [0]
-        assert stats.completed[0] == 2  # flushed before the kill
-        keys = [rec["key"] for rec in load_results(out)]
-        assert len(keys) == 12 and len(set(keys)) == 12
-        assert os.path.isdir(shard_dir_for(out))  # shards kept for forensics
-
-        # The crash left a torn trailing line in worker 0's shard; resume
-        # heals it, confirms nothing is missing and touches no scenario.
-        results, stats = run_sweep_workers(scenarios, out_path=out, workers=2,
-                                           resume=True)
-        assert stats.failed_workers == [] and sum(stats.completed) == 0
-        assert all(r.resumed and r.status == "ok" for r in results)
+    def test_each_synthesize_key_solved_once(self, tmp_path, cold_plan_cache):
+        # Leaders hand their schedules to the parent, whose stage cache the
+        # followers' pool inherits: 6 misses for 6 keys, whatever the
+        # scheduling.
+        out = str(tmp_path / "once.jsonl")
+        run_sweep(_grid12().scenarios(), out_path=out, workers=2)
+        records = load_results(out)
+        assert len(records) == 12
+        assert sum(rec["stage_cache"]["synthesize"] == "miss"
+                   for rec in records) == 6
 
     def test_killed_worker_then_resume_completes_without_duplicates(
-            self, tmp_path):
-        # With a single worker there is no survivor to steal the rest, so the
-        # crash really leaves the sweep incomplete — the case resume exists for.
+            self, tmp_path, monkeypatch):
         scenarios = _grid12().scenarios()
         out = str(tmp_path / "crash.jsonl")
-        with pytest.raises(RuntimeError, match="resume=True"):
-            run_sweep_workers(scenarios, out_path=out, workers=1,
-                              fault_injection={"worker": 0, "after": 2})
+        with monkeypatch.context() as patch:
+            # The first pass only synthesizes the 6 shared keys and writes
+            # no record; the second pass's one worker completes 8 scenarios
+            # and dies on the ninth.
+            _kill_workers_after(patch, 8)
+            with pytest.raises(RuntimeError, match="resume=True"):
+                run_sweep_workers(scenarios, out_path=out, workers=1)
         partial = load_results(out)
-        assert 0 < len(partial) < 12  # merged what was flushed, nothing more
+        assert len(partial) == 8  # kept what the parent wrote, nothing more
+        with open(out, "a") as fh:
+            fh.write('{"key": "torn-')  # what a killed writer leaves behind
 
-        results, stats = run_sweep_workers(scenarios, out_path=out, workers=2,
-                                           resume=True)
-        assert stats.failed_workers == []
+        results = run_sweep_workers(scenarios, out_path=out, workers=2,
+                                    resume=True)
         final = load_results(out)
         keys = [rec["key"] for rec in final]
         assert len(final) == 12
-        assert len(set(keys)) == 12  # zero duplicate records after merge
+        assert len(set(keys)) == 12  # zero duplicate records after the merge
         assert keys == sorted(keys)
         assert sum(1 for r in results if r.resumed) == len(partial)
         assert all(r.status == "ok" for r in results)
+
+    def test_crash_among_shared_key_scenarios_keeps_finished_ones(
+            self, tmp_path, monkeypatch):
+        # Six scenarios sharing one schedule: the first pass only solves it,
+        # the second runs all six simulations one task each, so a worker that
+        # dies after two of them leaves exactly those two records behind.
+        base = _grid12().scenarios()[0]
+        scenarios = [dataclasses.replace(base, buffers=(2 ** k,))
+                     for k in range(16, 22)]
+        assert len({s.stage_key("synthesize") for s in scenarios}) == 1
+        out = str(tmp_path / "shared-crash.jsonl")
+        with monkeypatch.context() as patch:
+            _kill_workers_after(patch, 2)
+            with pytest.raises(RuntimeError, match="resume=True"):
+                run_sweep_workers(scenarios, out_path=out, workers=1)
+        assert len(load_results(out)) == 2
+        results = run_sweep_workers(scenarios, out_path=out, workers=2,
+                                    resume=True)
+        assert sum(r.resumed for r in results) == 2
+        assert len(load_results(out)) == 6
+        assert all(r.status == "ok" for r in results)
+
+    def test_shared_key_simulations_spread_over_workers(self, tmp_path,
+                                                         cold_plan_cache):
+        # The first pass only solves the one shared schedule; all eight
+        # simulations, the leader's included, run in the second pass, one
+        # task each, so both of its workers get some.
+        base = _grid12().scenarios()[0]
+        scenarios = [dataclasses.replace(base, buffers=(2 ** k,))
+                     for k in range(16, 24)]
+        calls = tmp_path / "calls"
+        calls.mkdir()
+        real = sweep_module._execute
+
+        def execute(scenario, through, *args, **kwargs):
+            (calls / f"{os.getpid()}-{scenario.buffers[0]}-{through}").touch()
+            time.sleep(0.05)  # long enough that one worker cannot take all
+            return real(scenario, through, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep_module, "_execute", execute)
+            results = run_sweep_workers(scenarios, workers=2)
+        seen = [name.split("-") for name in os.listdir(calls)]
+        first = {pid for pid, _, through in seen if through == "validate"}
+        second = {pid for pid, _, through in seen if through == "simulate"}
+        assert len(first) == 1 and len(second) == 2 and not first & second
+        assert sum(through == "simulate" for _, _, through in seen) == 8
+        assert str(os.getpid()) not in first | second
+        assert [r.stage_cache["synthesize"] for r in results].count("miss") == 1
 
     def test_resume_is_a_no_op_when_complete(self, tmp_path):
         scenarios = _grid12().scenarios()[:4]
         out = str(tmp_path / "done.jsonl")
         run_sweep_workers(scenarios, out_path=out, workers=2)
-        before = open(out).read()
-        results, stats = run_sweep_workers(scenarios, out_path=out, workers=2,
-                                           resume=True)
-        assert open(out).read() == before
-        assert sum(stats.completed) == 0
+        before = Path(out).read_text()
+        results = run_sweep_workers(scenarios, out_path=out, workers=2,
+                                    resume=True)
+        assert Path(out).read_text() == before
         assert all(r.resumed for r in results)
 
     def test_error_scenarios_recorded_not_raised(self, tmp_path):
@@ -326,64 +274,35 @@ class TestRunSweepWorkers:
         # DOR is undefined on a bipartite graph: the scheme raises at run time.
         bad = dataclasses.replace(good, topology="bipartite:left=3,right=3",
                                   scheme="dor")
-        results, _stats = run_sweep_workers(
+        results = run_sweep_workers(
             [good, bad], out_path=str(tmp_path / "err.jsonl"), workers=2)
         assert [r.status for r in results] == ["ok", "error"]
         assert "DOR requires" in (results[1].error or "")
 
 
-class TestExecutorStatsSurface:
-    def test_sweep_stats_includes_executor_counters(self, tmp_path):
-        scenarios = _grid12().scenarios()[:4]
-        results, stats = run_sweep_workers(
-            scenarios, out_path=str(tmp_path / "s.jsonl"), workers=2)
-        totals = sweep_stats(results, executor=stats)
-        assert totals["workers"] == 2
-        assert sum(totals["per_worker_completed"]) == 4
-        assert totals["scenarios_per_sec"] > 0
-        assert {"steals", "shared_hits", "shared_misses"} <= set(totals)
-
-    def test_footer_renders_executor_section(self):
-        stats = ExecutorStats(workers=2, completed=[3, 1], steals=1,
-                              shared_hits=5, shared_misses=2,
-                              elapsed_seconds=2.0)
-        line = format_engine_footer(
-            {"hits": 0, "misses": 0, "disk_hits": 0, "backend": "x"},
-            {"hits": 0, "misses": 0}, executor_stats=stats.to_dict())
-        assert "exec: 2 workers (3/1 per worker)" in line
-        assert "1 steals" in line
-        assert "shared-artifacts 5 hits / 2 misses" in line
-        assert "2.00 scen/s" in line
-
-
 class TestSharedReaderHelpers:
-    def test_load_results_caches_by_signature(self, tmp_path):
+    def test_load_results_sees_same_size_rewrite(self, tmp_path):
         path = str(tmp_path / "r.jsonl")
-        with open(path, "w") as fh:
-            fh.write(json.dumps(_rec("a")) + "\n")
-        first = load_results(path)
-        assert load_results(path) == first  # served from cache
-        with open(path, "a") as fh:
-            fh.write(json.dumps(_rec("b")) + "\n")
-        assert len(load_results(path)) == 2  # size change invalidates
+        _write_jsonl(path, [_rec("a")])
+        assert [rec["key"] for rec in load_results(path)] == ["a"]
+        stat = os.stat(path)
+        _write_jsonl(path, [_rec("b")])  # same size; pin the old mtime too
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert [rec["key"] for rec in load_results(path)] == ["b"]
 
     def test_load_results_returns_fresh_lists(self, tmp_path):
-        path = str(tmp_path / "r.jsonl")
-        with open(path, "w") as fh:
-            fh.write(json.dumps(_rec("a")) + "\n")
-        load_results(path).clear()  # caller mutation must not poison cache
+        path = _write_jsonl(str(tmp_path / "r.jsonl"), [_rec("a")])
+        load_results(path).clear()
         assert len(load_results(path)) == 1
 
     def test_completed_records_dedupes_and_filters(self, tmp_path):
-        a = _write_shard(str(tmp_path), "worker-0.jsonl", [
+        a = _write_jsonl(str(tmp_path / "a.jsonl"), [
             _rec("x", through="synthesize"),
             _rec("y", status="error", error="boom"),
         ])
-        b = _write_shard(str(tmp_path), "worker-1.jsonl", [
+        b = _write_jsonl(str(tmp_path / "b.jsonl"), [
             _rec("x", through="simulate"), _rec("y"),
         ])
         done = completed_records([a, b], through="simulate")
         assert done["x"]["through"] == "simulate"  # shallow run filtered out
-        assert done["y"]["status"] == "ok"  # ok displaces the error record
-        with_errors = completed_records([a], through="simulate", ok_only=False)
-        assert with_errors["y"]["status"] == "error"
+        assert done["y"]["status"] == "ok"  # error records never count
