@@ -10,77 +10,41 @@ Expected shape: GenKautz tracks the lower bound closely (ratio -> small
 constant), expanders (GenKautz, Xpander, random regular) clearly beat the 2D
 torus (~2x+ at larger N), and GenKautz is the best or tied-best expander.
 
-The all-to-all time of each topology is 1 / F from the master LP (the
-schedule-independent optimum), exactly what the paper's simulation reports.
+Both panels are declared once in :data:`repro.report.specs.FIG10` -- the
+spec ``repro report`` renders -- and executed here panel by panel through
+:func:`repro.report.specs.run_panel`, then aggregated by the spec into the
+figure's two tables.  Each all-to-all time is 1/F from the certified master
+LP (the ``mcf-objective`` scheme), exactly what the paper's simulation
+reports.  The grid is the spec's full grid (N = 16, 36, 64 left; 25, 64
+right) at every ``REPRO_BENCH_SCALE``.
 """
 
-import math
+from repro.report.specs import FIG10, run_panel
 
 
-from repro.analysis import format_table
-from repro.core import lower_bound_time_regular, solve_master_lp
-from repro.topology import generalized_kautz, random_regular, torus_2d, xpander
+def test_fig10_topologies(benchmark, record):
+    def run_grid():
+        results = []
+        for panel in FIG10.panels():
+            results.extend(run_panel(FIG10, panel).results.values())
+        return FIG10.aggregate(results)
 
-DEGREE = 4
+    out = benchmark.pedantic(run_grid, rounds=1, iterations=1)
+    assert not out.errors, out.errors
+    tables = {table.name: table for table in out.tables}
+    for name in ("left", "right"):
+        record("fig10_topologies", tables[name].text)
 
-
-def test_fig10_genkautz_vs_lower_bound(benchmark, record, scale):
-    sizes = [25, 64, 121, 256, 400] if scale == "paper" else [16, 36, 64]
-    rows = []
-
-    def run_sweep():
-        for n in sizes:
-            topo = generalized_kautz(DEGREE, n)
-            t = 1.0 / solve_master_lp(topo).concurrent_flow
-            bound = lower_bound_time_regular(DEGREE, n)
-            rows.append([n, t, bound, t / bound])
-        return rows
-
-    benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    record("fig10_topologies", format_table(
-        ["N", "GenKautz all-to-all time", "lower bound", "ratio"], rows,
-        title=f"Fig. 10 (left): GenKautz degree {DEGREE} vs Theorem 1 lower bound"))
-    for n, t, bound, ratio in rows:
+    left = tables["left"].rows
+    for n, t, bound, ratio in left:
         assert t >= bound - 1e-9
         assert ratio <= 2.0
     # The ratio does not blow up with N (near-optimal family).
-    assert rows[-1][3] <= rows[0][3] + 0.5
+    assert left[-1][3] <= left[0][3] + 0.5
 
-
-def test_fig10_topology_families(benchmark, record, scale):
-    # Sizes chosen so every family exists: squares for the 2D torus,
-    # multiples of (degree+1) for Xpander.
-    sizes = [25, 100, 225, 400] if scale == "paper" else [25, 64]
-    rows = []
     per_size = {}
-
-    def make_families(n):
-        families = {"GenKautz": generalized_kautz(DEGREE, n)}
-        side = int(round(math.sqrt(n)))
-        if side * side == n:
-            families["2D Torus"] = torus_2d(side)
-        if n % (DEGREE + 1) == 0:
-            families["Xpander"] = xpander(DEGREE, n // (DEGREE + 1), seed=0)
-        families["Random Regular"] = random_regular(DEGREE, n if (DEGREE * n) % 2 == 0 else n + 1,
-                                                    seed=0)
-        return families
-
-    def run_sweep():
-        for n in sizes:
-            bound = lower_bound_time_regular(DEGREE, n)
-            per_family = {}
-            for name, topo in make_families(n).items():
-                t = 1.0 / solve_master_lp(topo).concurrent_flow
-                per_family[name] = t / bound
-                rows.append([name, topo.num_nodes, t, t / bound])
-            per_size[n] = per_family
-        return per_size
-
-    benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    record("fig10_topologies", format_table(
-        ["family", "N", "all-to-all time", "normalized by lower bound"], rows,
-        title=f"Fig. 10 (right): topology families at degree {DEGREE}"))
-
+    for family, n, _t, ratio in tables["right"].rows:
+        per_size.setdefault(n, {})[family] = ratio
     for n, per_family in per_size.items():
         # Expanders beat the torus whenever the torus exists at this size.
         if "2D Torus" in per_family:
@@ -89,6 +53,6 @@ def test_fig10_topology_families(benchmark, record, scale):
         for other in ("Xpander", "Random Regular"):
             if other in per_family:
                 assert per_family["GenKautz"] <= per_family[other] * 1.05
-    largest = per_size[sizes[-1]]
+    largest = per_size[max(per_size)]
     if "2D Torus" in largest:
         assert largest["2D Torus"] / largest["GenKautz"] >= 1.3

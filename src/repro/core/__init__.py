@@ -11,6 +11,7 @@ from .flow import (
     repair_conservation,
 )
 from .lower_bound import (
+    dual_bound_concurrent_flow,
     ideal_arborescence_distance_sum,
     lower_bound_time_graph,
     lower_bound_time_regular,
@@ -18,11 +19,13 @@ from .lower_bound import (
     upper_bound_concurrent_flow,
 )
 from .mcf_decomposed import (
+    ConcurrentFlowValue,
     DecomposedTimings,
     MasterSolution,
     solve_child_lp,
     solve_decomposed_mcf,
     solve_master_lp,
+    solve_mcf_objective,
 )
 from .mcf_link import solve_link_mcf
 from .mcf_path import PathSchedule, path_schedule_from_single_paths, solve_path_mcf
@@ -43,16 +46,19 @@ __all__ = [
     "flow_to_paths",
     "max_link_utilization",
     "repair_conservation",
+    "dual_bound_concurrent_flow",
     "ideal_arborescence_distance_sum",
     "lower_bound_time_graph",
     "lower_bound_time_regular",
     "throughput_upper_bound",
     "upper_bound_concurrent_flow",
+    "ConcurrentFlowValue",
     "DecomposedTimings",
     "MasterSolution",
     "solve_child_lp",
     "solve_decomposed_mcf",
     "solve_master_lp",
+    "solve_mcf_objective",
     "solve_link_mcf",
     "PathSchedule",
     "path_schedule_from_single_paths",

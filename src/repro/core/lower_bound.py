@@ -15,10 +15,18 @@ arborescence distances by G's actual shortest-path distances:
 
 because every unit of commodity (s, d) must cross at least dist(s, d) links.
 The reciprocal of this bound upper-bounds the concurrent flow value F.
+Weighting each link by a length ``l_e >= 0`` instead of 1 gives the general
+weak-duality bound :func:`dual_bound_concurrent_flow`; with an optimal MCF's
+capacity-row duals as lengths it meets F, which makes it a certificate.
 """
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import shortest_path
 
 from ..topology.base import Topology
 from ..topology import properties
@@ -28,6 +36,7 @@ __all__ = [
     "lower_bound_time_regular",
     "lower_bound_time_graph",
     "upper_bound_concurrent_flow",
+    "dual_bound_concurrent_flow",
     "throughput_upper_bound",
 ]
 
@@ -82,6 +91,40 @@ def upper_bound_concurrent_flow(topology: Topology) -> float:
     """Upper bound on the concurrent flow value F (reciprocal of the time bound)."""
     bound = lower_bound_time_graph(topology)
     return 0.0 if bound == float("inf") else 1.0 / bound
+
+
+def dual_bound_concurrent_flow(topology: Topology, lengths: Sequence[float],
+                               terminals: Optional[Sequence[int]] = None) -> float:
+    """Upper bound on F from link lengths (LP weak duality).
+
+    For any lengths ``l >= 0`` on ``topology.edges`` (in that order),
+
+        F <= sum_e c_e * l_e / sum_{s != t} dist_l(s, t)
+
+    over ordered terminal pairs (all nodes when ``terminals`` is None):
+    shipping F between every pair uses at least ``F * dist_l(s, t)`` of
+    length-weighted capacity, and only ``sum_e c_e l_e`` exists.  Negative
+    lengths are clipped to 0.  ``l = 1`` gives
+    :func:`upper_bound_concurrent_flow`; an optimal MCF's capacity-row
+    shadow prices give F itself.  Returns ``inf`` when every pair is at
+    length 0 (no bound).
+    """
+    edges = topology.edges
+    lengths = np.maximum(np.asarray(lengths, dtype=float), 0.0)
+    if len(lengths) != len(edges):
+        raise ValueError(f"{len(lengths)} lengths for {len(edges)} edges")
+    caps = topology.capacities()
+    cap_arr = np.fromiter((caps[e] for e in edges), dtype=float, count=len(edges))
+    n = topology.num_nodes
+    # Explicitly stored zeros are edges to csgraph, so zero-length links count.
+    graph = sp.csr_matrix((lengths, ([e[0] for e in edges], [e[1] for e in edges])),
+                          shape=(n, n))
+    nodes = np.arange(n) if terminals is None else np.unique(np.asarray(terminals))
+    dist = shortest_path(graph, directed=True, indices=nodes)[:, nodes]
+    total = float(dist.sum())
+    if total <= 0.0:
+        return float("inf")
+    return float(cap_arr @ lengths) / total
 
 
 def throughput_upper_bound(num_nodes: int, concurrent_flow: float,

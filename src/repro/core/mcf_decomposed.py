@@ -22,6 +22,13 @@ Both the master and child LPs are registered engine formulations
 (``"mcf-master"`` / ``"mcf-child"``) solved through
 :func:`repro.engine.solve`, so repeated solves of the same topology hit the
 solution cache.
+
+Every master solve, cached or not, is checked against a certificate that
+does not trust the solver: the capacity-row shadow prices, used as link
+lengths, give a weak-duality upper bound on F
+(:func:`~repro.core.lower_bound.dual_bound_concurrent_flow`) that must meet
+F to within :data:`CERTIFICATE_TOL`.  :func:`solve_mcf_objective` stops
+after the master LP, for callers that need F alone.
 """
 
 from __future__ import annotations
@@ -37,11 +44,16 @@ from ..engine import MCFProblem, ParallelRunner, register_formulation
 from ..engine import solve as engine_solve
 from ..topology.base import Edge, Topology
 from .flow import Commodity, FlowSolution, flows_from_array, repair_conservation
+from .lower_bound import dual_bound_concurrent_flow
 from .mcf_link import topology_arrays
-from .solver import LPBuilder
+from .solver import LPBuilder, SolverError
 
 __all__ = ["solve_decomposed_mcf", "solve_master_lp", "solve_child_lp",
-           "DecomposedTimings", "MasterSolution"]
+           "solve_mcf_objective", "certify_master", "CERTIFICATE_TOL",
+           "DecomposedTimings", "MasterSolution", "ConcurrentFlowValue"]
+
+#: Largest relative gap between F and its dual bound a master may carry.
+CERTIFICATE_TOL = 1e-9
 
 
 @dataclass
@@ -52,6 +64,25 @@ class MasterSolution:
     grouped_flows: Dict[int, Dict[Edge, float]]
     solve_seconds: float
     info: Dict[str, object] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class ConcurrentFlowValue:
+    """The optimal concurrent flow F of a topology, without any flows.
+
+    The synthesize artifact of the ``mcf-objective`` scheme: enough for
+    results that read F alone (Fig. 10's all-to-all time 1/F), and nothing
+    that could be lowered or simulated.  ``meta["engine"]`` is the master
+    LP's engine info, certificate included.
+    """
+
+    concurrent_flow: float
+    num_nodes: int
+    meta: Dict[str, object] = field(default_factory=dict)
+
+    def all_to_all_time(self) -> float:
+        """Normalized all-to-all time of an optimal schedule, 1/F."""
+        return 1.0 / self.concurrent_flow
 
 
 @dataclass
@@ -91,9 +122,9 @@ def build_master_lp(problem: MCFProblem) -> LPBuilder:
     f_col = lp.add_variable_block("F", 1, lb=0.0, objective=1.0)[0]
     g = lp.add_variable_block("g", (S, E), lb=0.0)
 
-    # (7) capacity per link over all source groups.
+    # (7) capacity per link over all source groups; its duals certify F.
     lp.add_le_block(rows=np.repeat(np.arange(E), S), cols=g.T.ravel(),
-                    vals=np.ones(S * E), rhs=cap_arr)
+                    vals=np.ones(S * E), rhs=cap_arr, name="capacity")
 
     # (8) source-based conservation: F + outflow <= inflow at every terminal
     # u != s; non-terminal relays only forward (outflow <= inflow).  Rows are
@@ -120,14 +151,34 @@ def build_master_lp(problem: MCFProblem) -> LPBuilder:
     return lp
 
 
+def certify_master(topology: Topology, concurrent_flow: float,
+                   capacity_duals: np.ndarray,
+                   terminals: Optional[List[int]] = None) -> Dict[str, float]:
+    """Check a master LP's F against the dual bound of its capacity duals.
+
+    Returns ``{"concurrent_flow", "bound", "gap"}`` with ``gap`` the bound's
+    relative excess over F.  Raises :class:`SolverError` when F exceeds the
+    bound (no feasible flow reaches it) or the gap exceeds
+    :data:`CERTIFICATE_TOL` (the duals do not prove F optimal).
+    """
+    bound = dual_bound_concurrent_flow(topology, capacity_duals, terminals)
+    gap = (bound - concurrent_flow) / concurrent_flow
+    if concurrent_flow > bound * (1.0 + CERTIFICATE_TOL) or gap > CERTIFICATE_TOL:
+        raise SolverError(
+            f"mcf-master certificate failed on {topology.name}: F={concurrent_flow!r}, "
+            f"dual bound={bound!r}, relative gap={gap:.3e}")
+    return {"concurrent_flow": concurrent_flow, "bound": bound, "gap": gap}
+
+
 def solve_master_lp(topology: Topology,
                     terminals: Optional[List[int]] = None) -> MasterSolution:
-    """Solve the source-grouped master LP (eqs. 6-9).
+    """Solve the source-grouped master LP (eqs. 6-9) and certify its F.
 
     ``terminals`` optionally restricts the set of nodes that source and sink
     traffic (all-to-all among terminals, e.g. the host vertices of an
     augmented topology); non-terminal nodes are pure relays with plain flow
-    conservation.
+    conservation.  ``info["certificate"]`` holds :func:`certify_master`'s
+    result, recomputed on every call, cache hits included.
     """
     if not topology.is_strongly_connected():
         raise ValueError("MCF requires a strongly connected topology")
@@ -143,6 +194,11 @@ def solve_master_lp(topology: Topology,
 
     problem = MCFProblem("mcf-master", topology, params=params, maximize=True)
     solution = engine_solve(problem)
+    concurrent_flow = float(solution.block("F")[0])
+    info = dict(solution.info)
+    info["certificate"] = certify_master(topology, concurrent_flow,
+                                         solution.dual("capacity"),
+                                         None if terminals is None else sources)
     elapsed = time.perf_counter() - start
 
     g = np.asarray(solution.block("g"))
@@ -150,9 +206,22 @@ def solve_master_lp(topology: Topology,
     grouped: Dict[int, Dict[Edge, float]] = {s: {} for s in sources}
     for si, ei in zip(*np.nonzero(g > FLOW_TOL)):
         grouped[sources[si]][edges[ei]] = float(g[si, ei])
-    return MasterSolution(concurrent_flow=float(solution.block("F")[0]),
+    return MasterSolution(concurrent_flow=concurrent_flow,
                           grouped_flows=grouped, solve_seconds=elapsed,
-                          info=dict(solution.info))
+                          info=info)
+
+
+def solve_mcf_objective(topology: Topology) -> ConcurrentFlowValue:
+    """Optimal concurrent flow F of ``topology`` from the certified master LP.
+
+    The ``mcf-objective`` scheme: the same F as
+    :func:`~repro.core.path_extraction.solve_mcf_extract_paths`, without
+    the N child LPs and the path extraction.
+    """
+    master = solve_master_lp(topology)
+    return ConcurrentFlowValue(concurrent_flow=master.concurrent_flow,
+                               num_nodes=topology.num_nodes,
+                               meta={"method": "mcf-objective", "engine": master.info})
 
 
 @register_formulation("mcf-child")

@@ -13,7 +13,8 @@ at once (a scalar such as the concurrent flow ``F`` is a block of size 1),
 and :meth:`~LPBuilder.add_le_block` / :meth:`~LPBuilder.add_eq_block` ingest
 constraints as COO triplet arrays, so the large MCF formulations are
 assembled with a handful of numpy operations instead of per-row Python
-calls.  Solved values are read back per block with :meth:`LPSolution.block`.
+calls.  Solved values are read back per block with :meth:`LPSolution.block`,
+and the duals of a named ``<=`` row block with :meth:`LPSolution.dual`.
 
 The LP is accumulated in COO form, which keeps construction vectorizable and
 avoids densifying what are extremely sparse matrices (a link-based MCF on N
@@ -77,15 +78,21 @@ class LPSolution:
         cache status (``hit`` / ``miss`` / ``bypass``), backend name, LP
         dimensions and assembly/solve timings.  Empty when the builder is
         solved directly.
+    duals:
+        Row duals of the builder's named ``<=`` row blocks (see
+        :meth:`dual`), kept through :meth:`portable` so cached solutions
+        carry them.
     """
 
     def __init__(self, objective: float, raw: object = None,
                  info: Optional[Dict[str, object]] = None,
                  x: Optional[np.ndarray] = None,
-                 blocks: Optional[Dict[str, object]] = None) -> None:
+                 blocks: Optional[Dict[str, object]] = None,
+                 duals: Optional[Dict[str, np.ndarray]] = None) -> None:
         self.objective = objective
         self.raw = raw
         self.info: Dict[str, object] = {} if info is None else info
+        self.duals: Dict[str, np.ndarray] = {} if duals is None else duals
         self._x = x
         # Block storage: name -> ("slice", start, shape) view into x,
         # ("sparse", shape, idx, vals) compacted form, or a dense ndarray
@@ -133,12 +140,24 @@ class LPSolution:
         self._blocks[name] = dense
         return dense
 
+    def dual(self, name: str) -> np.ndarray:
+        """Shadow prices of the named ``<=`` row block, one per rhs entry.
+
+        Each entry is the sensitivity of :attr:`objective` (in the builder's
+        sense) to that row's right-hand side; rows dropped as vacuous read 0.
+        """
+        if name not in self.duals:
+            raise KeyError(f"solution has no duals for row block {name!r}; "
+                           f"available: {sorted(self.duals)}")
+        return self.duals[name]
+
     # ------------------------------------------------------------------ #
     def clone(self, info: Optional[Dict[str, object]] = None) -> "LPSolution":
         """Shallow copy, optionally swapping ``info`` (cache-hit bookkeeping)."""
         return LPSolution(objective=self.objective, raw=self.raw,
                           info=dict(self.info) if info is None else info,
-                          x=self._x, blocks=dict(self._blocks))
+                          x=self._x, blocks=dict(self._blocks),
+                          duals=dict(self.duals))
 
     def portable(self, tol: float = 0.0) -> "LPSolution":
         """Compact, picklable copy for the solution cache.
@@ -147,7 +166,8 @@ class LPSolution:
         as flat (index, value) ndarrays of its above-``tol`` entries — every
         consumer thresholds at ``FLOW_TOL`` anyway, and MCF solutions are
         overwhelmingly zeros, so this cuts the cache footprint by orders of
-        magnitude at paper scale.
+        magnitude at paper scale.  Named row duals are kept whole: they are
+        small, and callers re-check certificates from them.
         """
         blocks: Dict[str, object] = {}
         for name in self._blocks:
@@ -157,16 +177,18 @@ class LPSolution:
             blocks[name] = ("sparse", tuple(arr.shape),
                             idx.astype(np.int64), flat[idx].copy())
         return LPSolution(objective=self.objective, info=dict(self.info),
-                          blocks=blocks)
+                          blocks=blocks,
+                          duals={name: np.array(d) for name, d in self.duals.items()})
 
     # Pickle support (the instance has no __dict__-only state worth trimming,
     # but the raw OptimizeResult must never travel; portable() handles that
     # for the cache and this keeps ad-hoc pickles safe too).
     def __getstate__(self):
-        return (self.objective, None, self.info, self._x, self._blocks)
+        return (self.objective, None, self.info, self._x, self._blocks, self.duals)
 
     def __setstate__(self, state):
-        (self.objective, self.raw, self.info, self._x, self._blocks) = state
+        (self.objective, self.raw, self.info, self._x, self._blocks,
+         self.duals) = state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"LPSolution(objective={self.objective!r}, "
@@ -205,6 +227,8 @@ class LPBuilder:
         # row numbers, concatenated lazily in to_arrays().
         self._ub_chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._eq_chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # Named <= row blocks: name -> (first row, kept local rows, rhs length).
+        self._ub_names: Dict[str, Tuple[int, np.ndarray, int]] = {}
         self._arrays_cache = None
 
     # ------------------------------------------------------------------ #
@@ -271,8 +295,13 @@ class LPBuilder:
                                  "registered variables")
         return rows, cols, vals, rhs
 
-    def _add_block(self, rows, cols, vals, rhs, equality: bool) -> None:
+    def _add_block(self, rows, cols, vals, rhs, equality: bool,
+                   name: Optional[str] = None) -> None:
         rows, cols, vals, rhs = self._coerce_triplets(rows, cols, vals, rhs)
+        if name is not None:
+            if name in self._ub_names:
+                raise ValueError(f"row block {name!r} already registered")
+            total = len(rhs)
         nz = vals != 0.0
         if not nz.all():
             rows, cols, vals = rows[nz], cols[nz], vals[nz]
@@ -289,15 +318,17 @@ class LPBuilder:
             renumber = np.cumsum(occupied) - 1
             rows = renumber[rows]
             rhs = rhs[occupied]
+        rhs_list = self._eq_rhs if equality else self._ub_rhs
+        if name is not None:
+            self._ub_names[name] = (len(rhs_list), np.flatnonzero(occupied), total)
         if not len(rhs):
             return
-        rhs_list = self._eq_rhs if equality else self._ub_rhs
         chunks = self._eq_chunks if equality else self._ub_chunks
         chunks.append((rows + len(rhs_list), cols, vals))
         rhs_list.extend(rhs.tolist())
         self._arrays_cache = None
 
-    def add_le_block(self, rows, cols, vals, rhs) -> None:
+    def add_le_block(self, rows, cols, vals, rhs, name: Optional[str] = None) -> None:
         """Add a batch of ``<=`` constraints from COO triplet arrays.
 
         ``rows`` indexes into ``rhs`` (one constraint per rhs entry, local to
@@ -306,9 +337,11 @@ class LPBuilder:
         Zero coefficients are dropped; rows left with no entries are dropped
         as vacuous (raising if the empty constraint ``0 <= rhs`` is
         infeasible).  Repeated ``(row, col)`` entries are summed
-        deterministically in :meth:`to_arrays`.
+        deterministically in :meth:`to_arrays`.  A ``name`` registers the
+        batch as a row block whose duals the solution exposes through
+        :meth:`LPSolution.dual`.
         """
-        self._add_block(rows, cols, vals, rhs, equality=False)
+        self._add_block(rows, cols, vals, rhs, equality=False, name=name)
 
     def add_ge_block(self, rows, cols, vals, rhs) -> None:
         """Add a batch of ``>=`` constraints (stored negated as ``<=``)."""
@@ -426,13 +459,23 @@ class LPBuilder:
         self._arrays_cache = (c, a_ub, b_ub, a_eq, b_eq, bounds)
         return self._arrays_cache
 
-    def make_solution(self, x, objective: float, raw: object = None) -> LPSolution:
+    def make_solution(self, x, objective: float, raw: object = None,
+                      ub_duals: Optional[np.ndarray] = None) -> LPSolution:
         """Wrap a solver's ``x`` vector as an array-backed :class:`LPSolution`.
 
         Variable blocks stay addressable through :meth:`LPSolution.block`.
-        Nothing is copied or materialized eagerly.
+        Nothing is copied or materialized eagerly.  ``ub_duals`` (one shadow
+        price per assembled ``<=`` row, in the builder's objective sense)
+        is sliced into the named row blocks' :meth:`LPSolution.dual` arrays.
         """
         blocks = {name: ("slice", b.start, b.shape)
                   for name, b in self._blocks.items()}
+        duals: Dict[str, np.ndarray] = {}
+        if ub_duals is not None:
+            for name, (start, kept, total) in self._ub_names.items():
+                dual = np.zeros(total)
+                dual[kept] = ub_duals[start:start + len(kept)]
+                duals[name] = dual
         return LPSolution(objective=objective, raw=raw,
-                          x=np.asarray(x, dtype=float), blocks=blocks)
+                          x=np.asarray(x, dtype=float), blocks=blocks,
+                          duals=duals)

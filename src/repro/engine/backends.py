@@ -6,14 +6,20 @@ the engine does — so swapping HiGHS simplex for the interior-point method (or
 a different solver for the per-source child-LP batches of the decomposed
 formulations) never touches formulation code.
 
-The default backend wraps HiGHS via :func:`scipy.optimize.linprog`, exactly
-the solver the seed code called directly.  Variants registered out of the box:
+The default backend wraps HiGHS via :func:`scipy.optimize.linprog`.
+Variants registered out of the box:
 
-* ``scipy-highs``      — HiGHS with automatic simplex/IPM choice (default);
-* ``scipy-highs-ds``   — HiGHS dual simplex, deterministic vertex solutions,
-  the better choice for batches of structurally similar child LPs;
-* ``scipy-highs-ipm``  — HiGHS interior point, faster on the largest
-  monolithic time-stepped LPs.
+* ``scipy-highs``      — the default: HiGHS's own simplex choice (``highs``)
+  below :data:`IPM_MIN_VARIABLES` variables and interior point
+  (``highs-ipm``) at or above it, where IPM is several times faster on the
+  host-augmented tsMCF and the 64-node master LPs;
+* ``scipy-highs-ds``   — HiGHS dual simplex for every LP, deterministic
+  vertex solutions;
+* ``scipy-highs-ipm``  — HiGHS interior point for every LP.
+
+Each backend has an :attr:`~ScipyHighsBackend.identity` that names its
+method rule; the engine keys cached solutions on it, so a solution cached
+under one rule never answers for another.
 
 Families of LPs that differ only in their right-hand sides are batched
 above the backend, by :func:`repro.perf.batch.solve_family`.
@@ -21,13 +27,19 @@ above the backend, by :func:`repro.perf.batch.solve_family`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Protocol, TYPE_CHECKING, runtime_checkable
+from typing import Dict, List, Optional, Protocol, TYPE_CHECKING, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.solver import LPBuilder, LPSolution
 
-__all__ = ["SolveBackend", "ScipyHighsBackend", "register_backend",
-           "get_backend", "backend_names"]
+__all__ = ["SolveBackend", "ScipyHighsBackend", "IPM_MIN_VARIABLES",
+           "register_backend", "get_backend", "backend_names"]
+
+#: LPs with at least this many variables go to HiGHS interior point under
+#: the size-ruled default backend.  The report's largest LPs (35001 and
+#: 16129-16385 variables) sit above it; the next largest (5380) stays on
+#: simplex, so every small LP keeps its simplex vertex.
+IPM_MIN_VARIABLES = 10_000
 
 
 @runtime_checkable
@@ -35,6 +47,7 @@ class SolveBackend(Protocol):
     """Protocol every solve backend implements."""
 
     name: str
+    identity: str
 
     def solve(self, builder: "LPBuilder", maximize: bool = False) -> "LPSolution":
         """Solve the accumulated LP; raise ``SolverError`` on failure."""
@@ -42,11 +55,28 @@ class SolveBackend(Protocol):
 
 
 class ScipyHighsBackend:
-    """HiGHS via :func:`scipy.optimize.linprog` (the seed solver path)."""
+    """HiGHS via :func:`scipy.optimize.linprog`.
 
-    def __init__(self, name: str = "scipy-highs", method: str = "highs") -> None:
+    ``method`` fixes the :func:`~scipy.optimize.linprog` method for every LP;
+    ``None`` picks it by LP size (:meth:`method_for`).
+    """
+
+    def __init__(self, name: str = "scipy-highs", method: Optional[str] = None) -> None:
         self.name = name
         self.method = method
+
+    @property
+    def identity(self) -> str:
+        """The backend name plus its method rule (part of solution-cache keys)."""
+        if self.method is not None:
+            return self.name
+        return f"{self.name}[highs-ipm>={IPM_MIN_VARIABLES}]"
+
+    def method_for(self, num_variables: int) -> str:
+        """The linprog method this backend uses for an LP of this size."""
+        if self.method is not None:
+            return self.method
+        return "highs-ipm" if num_variables >= IPM_MIN_VARIABLES else "highs"
 
     def solve(self, builder: "LPBuilder", maximize: bool = False) -> "LPSolution":
         import numpy as np
@@ -62,15 +92,27 @@ class ScipyHighsBackend:
         c, a_ub, b_ub, a_eq, b_eq, bounds = builder.to_arrays()
         if maximize:
             c = -c
+        method = self.method_for(n)
         result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                         bounds=bounds, method=self.method)
+                         bounds=bounds, method=method)
         if not result.success:
-            raise SolverError(f"LP solve failed ({self.name}): {result.message}")
+            raise SolverError(f"LP solve failed ({self.name}, {method}): "
+                              f"{result.message}")
         objective = float(result.fun)
+        ub_duals = None
+        if a_ub is not None:
+            # linprog reports d(min objective)/d(b_ub); flip it back to the
+            # builder's sense so named row blocks read as shadow prices.
+            ub_duals = np.asarray(result.ineqlin.marginals, dtype=float)
+            if maximize:
+                ub_duals = -ub_duals
         if maximize:
             objective = -objective
         # Array-backed solution: per-block views materialize lazily.
-        return builder.make_solution(result.x, objective, raw=result)
+        solution = builder.make_solution(result.x, objective, raw=result,
+                                         ub_duals=ub_duals)
+        solution.info["method"] = method
+        return solution
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ScipyHighsBackend(name={self.name!r}, method={self.method!r})"
@@ -98,6 +140,6 @@ def backend_names() -> List[str]:
     return sorted(_BACKENDS)
 
 
-register_backend(ScipyHighsBackend("scipy-highs", method="highs"))
+register_backend(ScipyHighsBackend("scipy-highs"))
 register_backend(ScipyHighsBackend("scipy-highs-ds", method="highs-ds"))
 register_backend(ScipyHighsBackend("scipy-highs-ipm", method="highs-ipm"))

@@ -32,7 +32,19 @@ from .problem import MCFProblem, get_formulation
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.solver import LPSolution
 
-__all__ = ["Engine", "get_engine", "configure", "solve", "reset_engine"]
+__all__ = ["Engine", "get_engine", "configure", "solve", "reset_engine",
+           "solution_key"]
+
+
+def solution_key(problem: MCFProblem, backend_name: str) -> str:
+    """Solution-cache key of ``problem`` solved by the named backend.
+
+    The key carries the backend's :attr:`identity` (its name plus method
+    rule): different backends, or one backend under a different rule, may
+    return different (equally optimal) vertex/interior solutions, so a
+    solution cached under one must never answer for another.
+    """
+    return f"{problem.cache_key()}-{get_backend(backend_name).identity}"
 
 
 class Engine:
@@ -48,12 +60,10 @@ class Engine:
               use_cache: bool = True) -> "LPSolution":
         """Solve ``problem``, consulting the cache unless ``use_cache=False``.
 
-        The cache key includes the backend: different backends may return
-        different (equally optimal) vertex/interior solutions, so a solution
-        cached under one backend must never answer for another.
+        The cache key includes the backend's identity (:func:`solution_key`).
         """
         backend_name = backend or self.backend_name
-        key = f"{problem.cache_key()}-{backend_name}"
+        key = solution_key(problem, backend_name)
         caching = use_cache and self.cache.enabled
         if caching:
             cached = self.cache.get(key)
@@ -73,7 +83,7 @@ class Engine:
         t1 = time.perf_counter()
         solution = get_backend(backend_name).solve(builder, maximize=problem.maximize)
         t2 = time.perf_counter()
-        solution.info = {
+        solution.info.update({
             "cache": "miss" if caching else "bypass",
             "backend": backend_name,
             "key": key[:16],
@@ -81,7 +91,7 @@ class Engine:
             "num_constraints": builder.num_constraints,
             "assemble_seconds": t1 - t0,
             "solve_seconds": t2 - t1,
-        }
+        })
         if caching:
             self.cache.put(key, solution)
         return solution

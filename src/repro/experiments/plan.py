@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..core.mcf_decomposed import ConcurrentFlowValue
 from ..core.mcf_path import PathSchedule
 from ..core.mcf_timestepped import TimeSteppedFlow
 from ..engine.cache import SolutionCache
@@ -43,7 +44,7 @@ from ..schedule import (
     validate_routed_schedule,
 )
 from ..simulator import CollectiveResult, throughput_sweep
-from .scenario import STAGES, Scenario, resolve_scheme
+from .scenario import STAGES, SYNTHESIZE_ONLY, Scenario, resolve_scheme
 
 __all__ = ["Plan", "PlanResult", "get_plan_cache", "configure_plan_cache",
            "reset_plan_cache"]
@@ -131,7 +132,7 @@ class PlanResult:
         """Concurrent-flow value of the synthesized schedule, if it has one."""
         if isinstance(self.schedule, TimeSteppedFlow):
             return self.schedule.equivalent_concurrent_flow()
-        if isinstance(self.schedule, PathSchedule):
+        if isinstance(self.schedule, (PathSchedule, ConcurrentFlowValue)):
             return float(self.schedule.concurrent_flow)
         return None
 
@@ -140,7 +141,7 @@ class PlanResult:
         """Normalized all-to-all time of the synthesized schedule."""
         if isinstance(self.schedule, TimeSteppedFlow):
             return self.schedule.total_utilization
-        if isinstance(self.schedule, PathSchedule):
+        if isinstance(self.schedule, (PathSchedule, ConcurrentFlowValue)):
             return self.schedule.all_to_all_time()
         return None
 
@@ -150,8 +151,15 @@ class PlanResult:
         meta = getattr(self.schedule, "meta", None) or {}
         if meta.get("augmented"):
             return int(meta["num_hosts"])
+        return self.num_graph_nodes
+
+    @property
+    def num_graph_nodes(self) -> Optional[int]:
+        """Nodes of the graph the schedule runs on (augmented if it is)."""
+        if isinstance(self.schedule, ConcurrentFlowValue):
+            return self.schedule.num_nodes
         topo = getattr(self.schedule, "topology", None)
-        return None if topo is None else topo.num_nodes
+        return None if topo is None else int(topo.num_nodes)
 
     def stage_artifacts(self) -> Dict[str, object]:
         """Pre-simulate artifacts of the stages this result ran, by stage."""
@@ -194,10 +202,17 @@ class Plan:
         """Execute stages up to and including ``through``; idempotent.
 
         Stages already executed by this plan instance are kept; remaining
-        stages consult the shared artifact cache before computing.
+        stages consult the shared artifact cache before computing.  A
+        :data:`~repro.experiments.scenario.SYNTHESIZE_ONLY` scheme asked for
+        a later stage raises :class:`ValueError` before any work.
         """
         if through not in STAGES:
             raise KeyError(f"unknown stage {through!r}; stages: {STAGES}")
+        if through != "synthesize" and self.scenario.scheme in SYNTHESIZE_ONLY:
+            raise ValueError(
+                f"scheme {self.scenario.scheme!r} yields the optimal concurrent "
+                f"flow only, with no schedule to {through}; run it through "
+                "'synthesize', or use 'mcf-extp' for a schedule")
         for stage in STAGES[:STAGES.index(through) + 1]:
             self._ensure_stage(stage)
         return self.result

@@ -19,10 +19,12 @@ two questions:
 
 The scheme registry here, :data:`SCHEMES`, is the only one: it holds the
 path-based schemes the paper's figures compare, the link-based schemes
-(``tsmcf``, ``taccl``, ``sccl``) and the ``auto`` scheme that follows the
-paper's Fig. 1 decision flow.  Every entry accepts keyword parameters
-(``scheme_params``) instead of baking them in, and ``repro compare``,
-``repro synthesize`` and ``repro sweep`` all run schemes through it.
+(``tsmcf``, ``taccl``, ``sccl``), the ``auto`` scheme that follows the
+paper's Fig. 1 decision flow, and ``mcf-objective``, which yields the
+optimal concurrent flow F alone and so stops at the synthesize stage.  Every
+entry accepts keyword parameters (``scheme_params``) instead of baking them
+in, and ``repro compare``, ``repro synthesize`` and ``repro sweep`` all run
+schemes through it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from ..core import (
     SchedulingRequest,
     generate_schedule,
     solve_mcf_extract_paths,
+    solve_mcf_objective,
     solve_path_mcf,
 )
 from ..engine.problem import canonical_value
@@ -56,8 +59,8 @@ from ..paths import (
 from ..simulator import FabricModel, fabric_from_spec
 from ..topology import Topology, from_spec
 
-__all__ = ["Scenario", "STAGES", "SCHEMES", "available_scenario_schemes",
-           "resolve_scheme", "scenario_schema_version"]
+__all__ = ["Scenario", "STAGES", "SCHEMES", "SYNTHESIZE_ONLY",
+           "available_scenario_schemes", "resolve_scheme", "scenario_schema_version"]
 
 #: Pipeline stages, in execution order.
 STAGES: Tuple[str, ...] = ("synthesize", "lower", "validate", "simulate")
@@ -126,6 +129,7 @@ SCHEMES: Dict[str, Callable] = {
     "auto": _auto_scheme,
     "tsmcf": _tsmcf_scheme,
     "mcf-extp": solve_mcf_extract_paths,
+    "mcf-objective": solve_mcf_objective,
     "pmcf-disjoint": _pmcf_disjoint,
     "pmcf-shortest": _pmcf_shortest,
     "ewsp": ewsp_schedule,
@@ -140,6 +144,10 @@ SCHEMES: Dict[str, Callable] = {
 
 #: Schemes that take the whole scenario (not just topology + params).
 _SCENARIO_AWARE = ("auto", "tsmcf")
+
+#: Schemes whose artifact holds no schedule: they run through ``synthesize``
+#: and no further.
+SYNTHESIZE_ONLY = ("mcf-objective",)
 
 
 def available_scenario_schemes() -> List[str]:

@@ -182,11 +182,10 @@ def metrics_from_plan(result: PlanResult) -> Dict[str, object]:
         metrics["all_to_all_time"] = result.all_to_all_time
     if result.num_terminals is not None:
         metrics["num_nodes"] = result.num_terminals
-    topo = getattr(result.schedule, "topology", None)
-    if topo is not None:
+    if result.num_graph_nodes is not None:
         # The graph the schedule actually runs on (the augmented graph when a
         # host bottleneck applies) — what throughput upper bounds scale with.
-        metrics["num_graph_nodes"] = int(topo.num_nodes)
+        metrics["num_graph_nodes"] = result.num_graph_nodes
     lowered = result.lowered
     if lowered is not None:
         if hasattr(lowered, "num_steps"):

@@ -43,7 +43,7 @@ def solve_family(problems: Sequence, backend: Optional[str] = None,
     keys :meth:`Engine.solve` would use, so later single-problem solves
     hit.
     """
-    from ..engine.core import get_engine
+    from ..engine.core import get_engine, solution_key
     from ..engine.backends import get_backend
     from ..engine.problem import get_formulation
     from .warmstart import (rhs_vector, scaling_safe_bounds, structure_hash,
@@ -56,7 +56,7 @@ def solve_family(problems: Sequence, backend: Optional[str] = None,
     template: Optional[dict] = None
     solutions: List = []
     for problem in problems:
-        key = f"{problem.cache_key()}-{backend_name}"
+        key = solution_key(problem, backend_name)
         caching = use_cache and engine.cache.enabled
         if caching:
             cached = engine.cache.get(key)
@@ -81,8 +81,11 @@ def solve_family(problems: Sequence, backend: Optional[str] = None,
                 and scaling_safe_bounds(builder)):
             scale = uniform_rhs_scale(template["rhs"], rhs)
         if scale is not None:
+            # Scaling b leaves the dual feasible region unchanged, so the
+            # template's row duals stay optimal.
             solution = builder.make_solution(template["x"] * scale,
                                              template["objective"] * scale)
+            solution.duals = dict(template["duals"])
             solution.info = {"family": "scaled-rhs", "rhs_scale": scale}
             stats["scaled"] += 1
         else:
@@ -91,6 +94,7 @@ def solve_family(problems: Sequence, backend: Optional[str] = None,
             stats["solves"] += 1
             template = {"hash": shash, "rhs": rhs, "x": solution.x,
                         "objective": solution.objective,
+                        "duals": solution.duals,
                         "maximize": problem.maximize}
         t2 = time.perf_counter()
         solution.info.update({

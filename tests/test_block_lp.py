@@ -187,6 +187,37 @@ class TestArrayBackedSolution:
         np.testing.assert_allclose(portable.block("x"), [0.0, 3.0, 0.0, 1.0])
 
 
+class TestNamedRowDuals:
+    def _lp(self):
+        # max x0 + x1 with x0 <= 1 (row "cap" 0), a vacuous row, and
+        # x1 <= 2 (row "cap" 2): shadow prices 1, 0 (dropped row), 1.
+        lp = LPBuilder()
+        x = lp.add_variable_block("x", 2, objective=1.0)
+        lp.add_le_block([0, 2], [x[0], x[1]], [1.0, 1.0], [1.0, 5.0, 2.0], name="cap")
+        lp.add_le_block([0], [x[0]], [1.0], [3.0])
+        return lp
+
+    @pytest.mark.parametrize("backend", ["scipy-highs", "scipy-highs-ipm"])
+    def test_duals_align_with_rhs(self, backend):
+        sol = get_backend(backend).solve(self._lp(), maximize=True)
+        np.testing.assert_allclose(sol.dual("cap"), [1.0, 0.0, 1.0], atol=1e-9)
+        with pytest.raises(KeyError):
+            sol.dual("nope")
+
+    def test_duplicate_row_block_name_rejected(self):
+        lp = self._lp()
+        with pytest.raises(ValueError):
+            lp.add_le_block([0], [0], [1.0], [1.0], name="cap")
+
+    def test_duals_survive_portable_clone_and_pickle(self):
+        import pickle
+
+        sol = _solve(self._lp(), maximize=True)
+        for copy in (sol.portable(tol=1e-9), sol.clone(),
+                     pickle.loads(pickle.dumps(sol.portable()))):
+            np.testing.assert_allclose(copy.dual("cap"), sol.dual("cap"))
+
+
 class TestCacheRoundTrip:
     def test_memory_tier_round_trip_of_blocks(self):
         engine = Engine()

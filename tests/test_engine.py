@@ -16,6 +16,9 @@ from repro.engine import (
     get_engine,
     reset_engine,
 )
+from repro.core.solver import LPBuilder, LPSolution
+from repro.engine.backends import IPM_MIN_VARIABLES
+from repro.engine.core import solution_key
 from repro.experiments import Scenario, get_plan_cache, reset_plan_cache, run_scenarios
 from repro.topology import generalized_kautz, hypercube
 
@@ -83,6 +86,67 @@ class TestBackends:
         assert other.info["cache"] == "miss"
         assert other.info["backend"] == "scipy-highs-ds"
         assert engine.solve(problem).info["backend"] == "scipy-highs"
+
+
+class TestSizeRule:
+    """The default backend picks the HiGHS method by LP size."""
+
+    @staticmethod
+    def _spy_methods(monkeypatch):
+        import scipy.optimize
+
+        methods = []
+        real = scipy.optimize.linprog
+
+        def spy(*args, **kwargs):
+            methods.append(kwargs["method"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        return methods
+
+    @staticmethod
+    def _lp(num_variables):
+        lp = LPBuilder()
+        x = lp.add_variable_block("x", num_variables, ub=1.0, objective=1.0)
+        lp.add_le_block(np.zeros(num_variables), x, np.ones(num_variables), [1.0])
+        return lp
+
+    @pytest.mark.parametrize("num_variables, method", [
+        (IPM_MIN_VARIABLES - 1, "highs"),
+        (IPM_MIN_VARIABLES, "highs-ipm"),
+        (IPM_MIN_VARIABLES + 1, "highs-ipm"),
+    ])
+    def test_default_backend_rule(self, monkeypatch, num_variables, method):
+        methods = self._spy_methods(monkeypatch)
+        solution = get_backend("scipy-highs").solve(self._lp(num_variables),
+                                                    maximize=True)
+        assert methods == [method]
+        assert solution.info["method"] == method
+        assert solution.objective == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("name, method", [("scipy-highs-ds", "highs-ds"),
+                                              ("scipy-highs-ipm", "highs-ipm")])
+    def test_fixed_backends_ignore_size(self, monkeypatch, name, method):
+        methods = self._spy_methods(monkeypatch)
+        for n in (10, IPM_MIN_VARIABLES):
+            get_backend(name).solve(self._lp(n), maximize=True)
+        assert methods == [method, method]
+
+    def test_rule_enters_the_cache_key(self, cube):
+        # Entries stored by the old single-method backend, or by a backend
+        # pinned to one method, must never answer for the size-ruled one.
+        engine = Engine()
+        problem = MCFProblem("mcf-link", cube, maximize=True)
+        stale = LPSolution(objective=-1.0)
+        for identity in ("scipy-highs", "scipy-highs-ipm", "scipy-highs-ds"):
+            engine.cache.put(f"{problem.cache_key()}-{identity}", stale)
+        key = solution_key(problem, "scipy-highs")
+        assert key.endswith(f"-scipy-highs[highs-ipm>={IPM_MIN_VARIABLES}]")
+        solution = engine.solve(problem)
+        assert solution.info["cache"] == "miss"
+        assert solution.objective == pytest.approx(0.25)
+        assert engine.solve(problem, backend="scipy-highs-ds").objective == -1.0
 
 
 class TestSolutionCache:
@@ -154,7 +218,7 @@ class TestSolutionCache:
         # pickle surfaces corruption as UnpicklingError, ValueError or
         # EOFError depending on the bytes; all must degrade to a miss.
         problem = MCFProblem("mcf-link", cube, maximize=True)
-        key = f"{problem.cache_key()}-scipy-highs"
+        key = solution_key(problem, "scipy-highs")
         (tmp_path / f"{key}.lps.pkl").write_bytes(junk)
         engine = Engine(cache=SolutionCache(cache_dir=str(tmp_path)))
         solution = engine.solve(problem)

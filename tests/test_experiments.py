@@ -194,6 +194,50 @@ class TestPlan:
             Scenario(topology=bipartite44, scheme="ewps")
 
 
+class TestObjectiveScheme:
+    """``mcf-objective``: the certified master LP's F, synthesize only."""
+
+    @pytest.mark.parametrize("spec", ["genkautz:d=4,n=16", "torus:dims=4x4",
+                                      "hypercube:dim=4"])
+    def test_f_matches_mcf_extp(self, spec):
+        objective = Plan(Scenario(topology=spec, scheme="mcf-objective"),
+                         cache=_stage_cache()).run(through="synthesize")
+        extp = Plan(Scenario(topology=spec, scheme="mcf-extp"),
+                    cache=_stage_cache()).run(through="synthesize")
+        assert objective.concurrent_flow == pytest.approx(extp.concurrent_flow,
+                                                          rel=1e-9)
+        # mcf-extp's paths deliver F less the child LPs' slack; the
+        # objective-only time is the exact optimum 1/F.
+        assert objective.all_to_all_time == 1.0 / objective.concurrent_flow
+        assert objective.num_terminals == extp.num_terminals == 16
+        assert objective.num_graph_nodes == 16
+
+    def test_record_metrics_and_certificate(self):
+        result = run_scenarios([Scenario(topology="hypercube:dim=3",
+                                         scheme="mcf-objective")],
+                               through="synthesize", cache=_stage_cache())[0]
+        assert result.status == "ok"
+        assert result.metrics == {"concurrent_flow": pytest.approx(0.25),
+                                  "all_to_all_time": pytest.approx(4.0),
+                                  "num_nodes": 8, "num_graph_nodes": 8}
+        assert abs(result.engine["certificate"]["gap"]) <= 1e-9
+
+    @pytest.mark.parametrize("through", ["lower", "validate", "simulate"])
+    def test_later_stages_fail_clearly(self, through):
+        plan = Plan(Scenario(topology="hypercube:dim=3", scheme="mcf-objective",
+                             buffers=(2 ** 20,)), cache=_stage_cache())
+        with pytest.raises(ValueError, match="'mcf-objective'.*synthesize"):
+            plan.run(through=through)
+        assert plan.result.stage_seconds == {}
+
+    def test_sweep_records_the_error(self):
+        result = run_scenarios([Scenario(topology="hypercube:dim=3",
+                                         scheme="mcf-objective")],
+                               cache=_stage_cache())[0]
+        assert result.status == "error"
+        assert "synthesize" in result.error
+
+
 class TestSweepGrid:
     def test_cartesian_expansion_order(self):
         grid = SweepGrid(base={"fabric": "hpc"},

@@ -394,6 +394,21 @@ class TestSolveFamily:
         half = solutions[1].block("f")
         np.testing.assert_allclose(half, 0.5 * full, atol=FLOW_TOL)
 
+    def test_scaled_masters_keep_certifying_duals(self):
+        """A derived master carries the template's capacity duals, so a
+        later solve_master_lp served from the family's cache entry still
+        certifies its F."""
+        from repro.core.mcf_decomposed import certify_master
+
+        topos = [hypercube(3).with_capacity(s) for s in (1.0, 0.5)]
+        solutions, stats = solve_family(
+            [MCFProblem("mcf-master", t, maximize=True) for t in topos],
+            engine=Engine(cache=SolutionCache()), use_cache=False)
+        assert stats["scaled"] == 1
+        for topo, sol in zip(topos, solutions):
+            cert = certify_master(topo, float(sol.block("F")[0]), sol.dual("capacity"))
+            assert abs(cert["gap"]) <= 1e-9
+
     def test_solve_link_mcf_agrees_with_family_members(self):
         """Family-derived optima equal the formulation front-end's."""
         topo = hypercube(3).with_capacity(0.5)

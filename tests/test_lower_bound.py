@@ -4,6 +4,7 @@
 import pytest
 
 from repro.core import (
+    dual_bound_concurrent_flow,
     ideal_arborescence_distance_sum,
     lower_bound_time_graph,
     lower_bound_time_regular,
@@ -75,6 +76,20 @@ class TestGraphBound:
     def test_upper_bound_concurrent_flow_reciprocal(self, cube3):
         assert upper_bound_concurrent_flow(cube3) == pytest.approx(
             1.0 / lower_bound_time_graph(cube3))
+
+    def test_unit_lengths_give_the_distance_bound(self, cube3):
+        ones = [1.0] * cube3.num_edges
+        assert dual_bound_concurrent_flow(cube3, ones) == pytest.approx(
+            upper_bound_concurrent_flow(cube3))
+
+    def test_any_lengths_bound_the_optimum(self, cube3, cube3_decomposed_mcf):
+        # Weak duality: non-uniform (even zero) lengths still bound F above.
+        lengths = [float((u * 7 + v) % 3) for u, v in cube3.edges]
+        assert dual_bound_concurrent_flow(cube3, lengths) >= \
+            cube3_decomposed_mcf.concurrent_flow - 1e-12
+
+    def test_zero_lengths_give_no_bound(self, cube3):
+        assert dual_bound_concurrent_flow(cube3, [0.0] * cube3.num_edges) == float("inf")
 
     def test_torus_27_bound(self, torus333):
         # Sum of distances 27*54, capacity 162 -> bound time 9 = 1/F.

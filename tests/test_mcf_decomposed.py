@@ -1,13 +1,19 @@
 """Tests for the decomposed MCF (master + child LPs, §3.1.2)."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
+    SolverError,
     solve_child_lp,
     solve_decomposed_mcf,
     solve_link_mcf,
     solve_master_lp,
 )
+from repro.core.mcf_decomposed import CERTIFICATE_TOL
+from repro.core.solver import LPSolution
+from repro.engine import Engine, MCFProblem, SolutionCache
+from repro.engine.core import solution_key
 from repro.core.flow import conservation_violation, max_link_utilization
 from repro.topology import Topology, complete, generalized_kautz, hypercube, ring
 
@@ -40,6 +46,67 @@ class TestMasterLP:
     def test_disconnected_rejected(self):
         topo = Topology.from_edges(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
         with pytest.raises(ValueError):
+            solve_master_lp(topo)
+
+
+@pytest.fixture()
+def private_engine():
+    """Swap in a fresh default engine (restored afterwards)."""
+    import repro.engine.core as engine_core
+
+    def install(engine):
+        engine_core._engine = engine
+        return engine
+
+    prev = engine_core._engine
+    yield install
+    engine_core._engine = prev
+
+
+class TestMasterCertificate:
+    @pytest.mark.parametrize("backend", ["scipy-highs", "scipy-highs-ipm"])
+    def test_certificate_meets_f(self, private_engine, backend):
+        private_engine(Engine(backend=backend))
+        topo = generalized_kautz(4, 20)
+        master = solve_master_lp(topo)
+        cert = master.info["certificate"]
+        assert cert["concurrent_flow"] == master.concurrent_flow
+        assert abs(cert["gap"]) <= CERTIFICATE_TOL
+        assert cert["bound"] == pytest.approx(master.concurrent_flow, rel=1e-9)
+
+    def test_certificate_over_terminal_subset(self, cube3):
+        master = solve_master_lp(cube3, terminals=[0, 3, 5, 6])
+        assert abs(master.info["certificate"]["gap"]) <= CERTIFICATE_TOL
+
+    def test_cache_hits_are_rechecked(self, private_engine, tmp_path):
+        topo = hypercube(3)
+        private_engine(Engine(cache=SolutionCache(cache_dir=str(tmp_path))))
+        fresh = solve_master_lp(topo)
+        # A new process reading the disk tier re-derives the certificate
+        # from the cached capacity duals.
+        engine = private_engine(Engine(cache=SolutionCache(cache_dir=str(tmp_path))))
+        again = solve_master_lp(topo)
+        assert again.info["cache"] == "hit" and engine.cache.disk_hits == 1
+        assert again.info["certificate"] == fresh.info["certificate"]
+
+    @pytest.mark.parametrize("corrupt", ["inflated-f", "zero-duals"])
+    def test_corrupt_cache_entry_is_caught(self, private_engine, corrupt):
+        topo = hypercube(3)
+        engine = private_engine(Engine())
+        solve_master_lp(topo)
+        key = solution_key(MCFProblem("mcf-master", topo, maximize=True),
+                           engine.backend_name)
+        entry = engine.cache.get(key)
+        f_value, duals = entry.block("F"), entry.dual("capacity")
+        if corrupt == "inflated-f":
+            f_value = f_value * 1.5
+        else:
+            duals = np.zeros_like(duals)
+        engine.cache.put(key, LPSolution(
+            objective=float(f_value[0]), info=dict(entry.info),
+            blocks={"F": f_value, "g": entry.block("g")},
+            duals={"capacity": duals}))
+        with pytest.raises(SolverError, match="certificate"):
             solve_master_lp(topo)
 
 

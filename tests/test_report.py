@@ -24,7 +24,9 @@ from repro.report import (
     run_panel,
 )
 from repro.report.aggregate import Plot, SpecResult, Table, make_table
-from repro.report.specs import FIG3, FIG4, TABLE1
+from repro.engine.cache import SolutionCache
+from repro.experiments import run_scenarios
+from repro.report.specs import FIG3, FIG4, FIG10, TABLE1
 from repro.report.render import render_spec
 from repro.simulator import a100_ml_fabric, cerio_hpc_fabric, steady_state_throughput
 from repro.topology import from_spec
@@ -65,6 +67,39 @@ class TestRegistry:
         # Sweep records streamed under data/ for resume.
         for spec_id in REGISTRY:
             assert (tmp_path / "data" / f"{spec_id}.jsonl").exists()
+
+
+class TestFig10Claims:
+    """The paper's Fig. 10 claims, pinned on the --fast grid."""
+
+    #: Ratio to the Theorem 1 bound: left (GenKautz N=16), right (N=25).
+    MEASURED = {"GenKautz N=16": 1.165, "GenKautz": 1.125, "2D Torus": 1.25,
+                "Xpander": 1.389, "Random Regular": 1.325}
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        results = run_scenarios(FIG10.scenarios(fast=True), through=FIG10.through,
+                                cache=SolutionCache(suffix=".stage.pkl",
+                                                    payload_type=object))
+        out = FIG10.aggregate(results, fast=True)
+        assert out.errors == []
+        assert {r.scenario.scheme for r in results} == {"mcf-objective"}
+        return {table.name: table.rows for table in out.tables}
+
+    def test_genkautz_near_the_bound(self, tables):
+        (n, t, bound, ratio), = tables["left"]
+        assert n == 16 and t >= bound
+        assert ratio <= 2.0
+        assert ratio == pytest.approx(self.MEASURED["GenKautz N=16"], abs=1e-3)
+
+    def test_family_ordering(self, tables):
+        ratio = {family: r for family, _n, _t, r in tables["right"]}
+        assert ratio == pytest.approx(
+            {k: v for k, v in self.MEASURED.items() if k in ratio}, abs=1e-3)
+        assert all(1.0 <= r <= 2.0 for r in ratio.values())
+        assert ratio["GenKautz"] < ratio["2D Torus"]
+        for other in ("Xpander", "Random Regular"):
+            assert ratio["GenKautz"] <= 1.05 * ratio[other]
 
 
 class TestProvenance:
