@@ -15,19 +15,20 @@ spec ``repro report`` renders -- and executed here panel by panel through
 :func:`repro.report.specs.run_panel`, then aggregated by the spec into the
 figure's two tables.  Each all-to-all time is 1/F from the certified master
 LP (the ``mcf-objective`` scheme), exactly what the paper's simulation
-reports.  The grid is the spec's full grid (N = 16, 36, 64 left; 25, 64
-right) at every ``REPRO_BENCH_SCALE``.
+reports.  ``REPRO_BENCH_SCALE`` picks the spec's grid: N = 16, 36, 64 left
+and 25, 64 right by default; the paper's N = 25, 64, 121, 256, 400 left and
+25, 100, 225, 400 right at ``paper`` scale.
 """
 
 from repro.report.specs import FIG10, run_panel
 
 
-def test_fig10_topologies(benchmark, record):
+def test_fig10_topologies(benchmark, record, scale):
     def run_grid():
         results = []
-        for panel in FIG10.panels():
+        for panel in FIG10.panels(scale=scale):
             results.extend(run_panel(FIG10, panel).results.values())
-        return FIG10.aggregate(results)
+        return FIG10.aggregate(results, scale=scale)
 
     out = benchmark.pedantic(run_grid, rounds=1, iterations=1)
     assert not out.errors, out.errors

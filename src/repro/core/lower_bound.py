@@ -29,7 +29,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
 from ..topology.base import Topology
-from ..topology import properties
 
 __all__ = [
     "ideal_arborescence_distance_sum",
@@ -80,17 +79,15 @@ def lower_bound_time_graph(topology: Topology) -> float:
     Equals ``sum of pairwise distances / total capacity``; always at least the
     Theorem 1 bound evaluated at the graph's maximum degree.
     """
-    total_dist = properties.total_pairwise_distance(topology)
-    total_cap = sum(topology.capacities().values())
-    if total_cap <= 0:
-        return float("inf")
-    return total_dist / total_cap
+    bound = upper_bound_concurrent_flow(topology)
+    return float("inf") if bound == 0.0 else 1.0 / bound
 
 
 def upper_bound_concurrent_flow(topology: Topology) -> float:
-    """Upper bound on the concurrent flow value F (reciprocal of the time bound)."""
-    bound = lower_bound_time_graph(topology)
-    return 0.0 if bound == float("inf") else 1.0 / bound
+    """Upper bound on the concurrent flow value F: unit link lengths in
+    :func:`dual_bound_concurrent_flow`, i.e. total capacity over the sum of
+    pairwise hop distances."""
+    return dual_bound_concurrent_flow(topology, np.ones(len(topology.edges)))
 
 
 def dual_bound_concurrent_flow(topology: Topology, lengths: Sequence[float],

@@ -6,16 +6,11 @@ the engine does — so swapping HiGHS simplex for the interior-point method (or
 a different solver for the per-source child-LP batches of the decomposed
 formulations) never touches formulation code.
 
-The default backend wraps HiGHS via :func:`scipy.optimize.linprog`.
-Variants registered out of the box:
-
-* ``scipy-highs``      — the default: HiGHS's own simplex choice (``highs``)
-  below :data:`IPM_MIN_VARIABLES` variables and interior point
-  (``highs-ipm``) at or above it, where IPM is several times faster on the
-  host-augmented tsMCF and the 64-node master LPs;
-* ``scipy-highs-ds``   — HiGHS dual simplex for every LP, deterministic
-  vertex solutions;
-* ``scipy-highs-ipm``  — HiGHS interior point for every LP.
+The one backend registered out of the box, ``scipy-highs``, wraps HiGHS via
+:func:`scipy.optimize.linprog` and picks the method by LP size: HiGHS's own
+simplex choice (``highs``) below :data:`IPM_MIN_VARIABLES` variables and
+interior point (``highs-ipm``) at or above it, where IPM is several times
+faster on the host-augmented tsMCF and the 64-node master LPs.
 
 Each backend has an :attr:`~ScipyHighsBackend.identity` that names its
 method rule; the engine keys cached solutions on it, so a solution cached
@@ -27,7 +22,7 @@ above the backend, by :func:`repro.perf.batch.solve_family`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, TYPE_CHECKING, runtime_checkable
+from typing import Dict, List, Protocol, TYPE_CHECKING, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.solver import LPBuilder, LPSolution
@@ -35,10 +30,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SolveBackend", "ScipyHighsBackend", "IPM_MIN_VARIABLES",
            "register_backend", "get_backend", "backend_names"]
 
-#: LPs with at least this many variables go to HiGHS interior point under
-#: the size-ruled default backend.  The report's largest LPs (35001 and
-#: 16129-16385 variables) sit above it; the next largest (5380) stays on
-#: simplex, so every small LP keeps its simplex vertex.
+#: LPs with at least this many variables go to HiGHS interior point.  The
+#: report's largest LPs (35001 and 16129-16385 variables) sit above it; the
+#: next largest (5380) stays on simplex, so every small LP keeps its simplex
+#: vertex.  Tests patch it to force either method.
 IPM_MIN_VARIABLES = 10_000
 
 
@@ -55,27 +50,19 @@ class SolveBackend(Protocol):
 
 
 class ScipyHighsBackend:
-    """HiGHS via :func:`scipy.optimize.linprog`.
+    """HiGHS via :func:`scipy.optimize.linprog`, method picked by LP size."""
 
-    ``method`` fixes the :func:`~scipy.optimize.linprog` method for every LP;
-    ``None`` picks it by LP size (:meth:`method_for`).
-    """
-
-    def __init__(self, name: str = "scipy-highs", method: Optional[str] = None) -> None:
+    def __init__(self, name: str = "scipy-highs") -> None:
         self.name = name
-        self.method = method
 
     @property
     def identity(self) -> str:
         """The backend name plus its method rule (part of solution-cache keys)."""
-        if self.method is not None:
-            return self.name
         return f"{self.name}[highs-ipm>={IPM_MIN_VARIABLES}]"
 
-    def method_for(self, num_variables: int) -> str:
-        """The linprog method this backend uses for an LP of this size."""
-        if self.method is not None:
-            return self.method
+    @staticmethod
+    def method_for(num_variables: int) -> str:
+        """The linprog method for an LP with this many variables."""
         return "highs-ipm" if num_variables >= IPM_MIN_VARIABLES else "highs"
 
     def solve(self, builder: "LPBuilder", maximize: bool = False) -> "LPSolution":
@@ -115,7 +102,7 @@ class ScipyHighsBackend:
         return solution
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ScipyHighsBackend(name={self.name!r}, method={self.method!r})"
+        return f"ScipyHighsBackend(name={self.name!r})"
 
 
 _BACKENDS: Dict[str, SolveBackend] = {}
@@ -141,5 +128,3 @@ def backend_names() -> List[str]:
 
 
 register_backend(ScipyHighsBackend("scipy-highs"))
-register_backend(ScipyHighsBackend("scipy-highs-ds", method="highs-ds"))
-register_backend(ScipyHighsBackend("scipy-highs-ipm", method="highs-ipm"))

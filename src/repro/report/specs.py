@@ -161,8 +161,8 @@ class ArtifactSpec:
         raise NotImplementedError
 
     def aggregate(self, results: Sequence[ScenarioResult],
-                  fast: bool = False) -> SpecResult:
-        """Turn a completed sweep into this spec's :class:`SpecResult`."""
+                  fast: bool = False, scale: str = "small") -> SpecResult:
+        """Turn a completed sweep of ``panels(fast, scale)`` into a :class:`SpecResult`."""
         out = SpecResult(spec_id=self.spec_id, kind=self.kind, title=self.title,
                          description=self.description)
         out.num_scenarios = len(results)
@@ -171,7 +171,7 @@ class ArtifactSpec:
             for status in res.stage_cache.values():
                 out.stage_cache[status] = out.stage_cache.get(status, 0) + 1
         by_name = {r.scenario.name: r for r in results}
-        for panel in self.panels(fast):
+        for panel in self.panels(fast, scale):
             label_results: Dict[str, ScenarioResult] = {}
             failed = False
             for series in panel.series:
@@ -487,8 +487,8 @@ class _Fig7Spec(ArtifactSpec):
              "stage cache", "F"], rows)
         return [table], [], series
 
-    def aggregate(self, results, fast: bool = False) -> SpecResult:
-        out = super().aggregate(results, fast)
+    def aggregate(self, results, fast: bool = False, scale: str = "small") -> SpecResult:
+        out = super().aggregate(results, fast, scale)
         if out.errors:
             return out
         # One cross-panel plot: runtime vs N per algorithm (log y).
@@ -497,7 +497,7 @@ class _Fig7Spec(ArtifactSpec):
         series = {}
         for label, _scheme in self._SCHEMES:
             ys = []
-            for panel in self.panels(fast):
+            for panel in self.panels(fast, scale):
                 res = by_name[self.scenario_name(panel, label)]
                 ys.append(float(res.timings.get("synthesize_seconds", 0.0)))
             series[label] = ys
@@ -532,13 +532,17 @@ class _Fig10Spec(ArtifactSpec):
     def buffers(self, fast: bool = False):
         return ()
 
-    def left_sizes(self, fast: bool = False) -> Tuple[int, ...]:
-        """Left-panel GenKautz sizes."""
-        return (16,) if fast else (16, 36, 64)
+    def left_sizes(self, fast: bool = False, scale: str = "small") -> Tuple[int, ...]:
+        """Left-panel GenKautz sizes (``scale="paper"``: the paper's sweep)."""
+        if fast:
+            return (16,)
+        return (25, 64, 121, 256, 400) if scale == "paper" else (16, 36, 64)
 
-    def right_sizes(self, fast: bool = False) -> Tuple[int, ...]:
+    def right_sizes(self, fast: bool = False, scale: str = "small") -> Tuple[int, ...]:
         """Right-panel family sizes (squares, so the 2D torus exists)."""
-        return (25,) if fast else (25, 64)
+        if fast:
+            return (25,)
+        return (25, 100, 225, 400) if scale == "paper" else (25, 64)
 
     def _family_specs(self, n: int) -> List[Tuple[str, str]]:
         d = self._DEGREE
@@ -555,8 +559,8 @@ class _Fig10Spec(ArtifactSpec):
         panels = [PanelSpec(f"left-n{n}", f"GenKautz N={n}",
                             f"genkautz:d={self._DEGREE},n={n}",
                             (SeriesSpec("GenKautz", "mcf-objective"),))
-                  for n in self.left_sizes(fast)]
-        for n in self.right_sizes(fast):
+                  for n in self.left_sizes(fast, scale)]
+        for n in self.right_sizes(fast, scale):
             for family, spec in self._family_specs(n):
                 panels.append(PanelSpec(f"right-n{n}-{family}", f"{family} N={n}",
                                         spec, (SeriesSpec(family, "mcf-objective"),)))
@@ -567,19 +571,20 @@ class _Fig10Spec(ArtifactSpec):
         # aggregate(); individual panels contribute rows only.
         return [], [], {}
 
-    def aggregate(self, results, fast: bool = False) -> SpecResult:
-        out = super().aggregate(results, fast)
+    def aggregate(self, results, fast: bool = False, scale: str = "small") -> SpecResult:
+        out = super().aggregate(results, fast, scale)
         if out.errors:
             return out
         by_name = {r.scenario.name: r for r in results}
+        panels = {panel.key: panel for panel in self.panels(fast, scale)}
 
         def time_of(panel: PanelSpec, label: str) -> float:
             res = by_name[self.scenario_name(panel, label)]
             return 1.0 / float(res.metrics["concurrent_flow"])
 
         left_rows = []
-        for n in self.left_sizes(fast):
-            panel = self.panel(f"left-n{n}")
+        for n in self.left_sizes(fast, scale):
+            panel = panels[f"left-n{n}"]
             t = time_of(panel, "GenKautz")
             bound = lower_bound_time_regular(self._DEGREE, n)
             left_rows.append([n, t, bound, t / bound])
@@ -597,10 +602,10 @@ class _Fig10Spec(ArtifactSpec):
                     "Lower bound": BOUND_COLOR}))
 
         right_rows = []
-        for n in self.right_sizes(fast):
+        for n in self.right_sizes(fast, scale):
             bound = lower_bound_time_regular(self._DEGREE, n)
             for family, _spec in self._family_specs(n):
-                panel = self.panel(f"right-n{n}-{family}")
+                panel = panels[f"right-n{n}-{family}"]
                 t = time_of(panel, family)
                 num_nodes = from_spec(panel.topology).num_nodes
                 right_rows.append([family, num_nodes, t, t / bound])
@@ -675,8 +680,8 @@ class _FigClusterSpec(ArtifactSpec):
         # aggregate(); no per-panel artifacts.
         return [], [], {}
 
-    def aggregate(self, results, fast: bool = False) -> SpecResult:
-        out = super().aggregate(results, fast)
+    def aggregate(self, results, fast: bool = False, scale: str = "small") -> SpecResult:
+        out = super().aggregate(results, fast, scale)
         if out.errors:
             return out
         by_name = {r.scenario.name: r for r in results}
@@ -684,7 +689,7 @@ class _FigClusterSpec(ArtifactSpec):
         rates: List[float] = []
         p50s: List[float] = []
         p99s: List[float] = []
-        for panel in self.panels(fast):
+        for panel in self.panels(fast, scale):
             res = by_name[self.scenario_name(panel, "packed")]
             metrics = res.metrics
             rate = int(panel.key[len("rate"):])
@@ -796,8 +801,8 @@ class _FigRobustnessSpec(ArtifactSpec):
         # in aggregate(); no per-panel artifacts.
         return [], [], {}
 
-    def aggregate(self, results, fast: bool = False) -> SpecResult:
-        out = super().aggregate(results, fast)
+    def aggregate(self, results, fast: bool = False, scale: str = "small") -> SpecResult:
+        out = super().aggregate(results, fast, scale)
         if out.errors:
             return out
         by_name = {r.scenario.name: r for r in results}

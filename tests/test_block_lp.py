@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.solver import LPBuilder, LPSolution
-from repro.engine import Engine, MCFProblem, SolutionCache
+from repro.engine import Engine, MCFProblem, SolutionCache, backends
 from repro.engine.backends import get_backend
 from repro.topology import hypercube
 
@@ -197,9 +197,12 @@ class TestNamedRowDuals:
         lp.add_le_block([0], [x[0]], [1.0], [3.0])
         return lp
 
-    @pytest.mark.parametrize("backend", ["scipy-highs", "scipy-highs-ipm"])
-    def test_duals_align_with_rhs(self, backend):
-        sol = get_backend(backend).solve(self._lp(), maximize=True)
+    @pytest.mark.parametrize("ipm", [False, True])
+    def test_duals_align_with_rhs(self, monkeypatch, ipm):
+        if ipm:
+            monkeypatch.setattr(backends, "IPM_MIN_VARIABLES", 0)
+        sol = get_backend("scipy-highs").solve(self._lp(), maximize=True)
+        assert sol.info["method"] == ("highs-ipm" if ipm else "highs")
         np.testing.assert_allclose(sol.dual("cap"), [1.0, 0.0, 1.0], atol=1e-9)
         with pytest.raises(KeyError):
             sol.dual("nope")

@@ -17,6 +17,7 @@ from repro.engine import (
     reset_engine,
 )
 from repro.core.solver import LPBuilder, LPSolution
+from repro.engine import backends
 from repro.engine.backends import IPM_MIN_VARIABLES
 from repro.engine.core import solution_key
 from repro.experiments import Scenario, get_plan_cache, reset_plan_cache, run_scenarios
@@ -56,35 +57,37 @@ class TestMCFProblem:
 
 class TestBackends:
     def test_default_backends_registered(self):
-        names = backend_names()
-        assert "scipy-highs" in names
-        assert "scipy-highs-ds" in names
-        assert "scipy-highs-ipm" in names
+        assert backend_names() == ["scipy-highs"]
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(KeyError):
             get_backend("mosek")
 
-    def test_alternative_backend_same_optimum(self, cube):
+    def test_alternative_backend_same_optimum(self, cube, monkeypatch):
+        # Simplex and interior point reach the same optimum.
         problem = MCFProblem("mcf-link", cube, maximize=True)
         engine = Engine(cache=SolutionCache(enabled=False))
         default = engine.solve(problem)
-        dual_simplex = engine.solve(problem, backend="scipy-highs-ds")
-        assert dual_simplex.objective == pytest.approx(default.objective, rel=1e-7)
+        monkeypatch.setattr(backends, "IPM_MIN_VARIABLES", 0)
+        ipm = engine.solve(problem)
+        assert (default.info["method"], ipm.info["method"]) == ("highs", "highs-ipm")
+        assert ipm.objective == pytest.approx(default.objective, rel=1e-7)
 
     def test_engine_rejects_unknown_backend(self):
         with pytest.raises(KeyError):
             Engine(backend="does-not-exist")
 
-    def test_cache_entries_are_per_backend(self, cube):
+    def test_cache_entries_are_per_backend(self, cube, monkeypatch):
         # A solution cached under one backend must not answer for another
         # (different backends may return different optimal vertices).
+        monkeypatch.setitem(backends._BACKENDS, "other-highs",
+                            backends.ScipyHighsBackend("other-highs"))
         engine = Engine()
         problem = MCFProblem("mcf-link", cube, maximize=True)
         engine.solve(problem)
-        other = engine.solve(problem, backend="scipy-highs-ds")
+        other = engine.solve(problem, backend="other-highs")
         assert other.info["cache"] == "miss"
-        assert other.info["backend"] == "scipy-highs-ds"
+        assert other.info["backend"] == "other-highs"
         assert engine.solve(problem).info["backend"] == "scipy-highs"
 
 
@@ -125,17 +128,10 @@ class TestSizeRule:
         assert solution.info["method"] == method
         assert solution.objective == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("name, method", [("scipy-highs-ds", "highs-ds"),
-                                              ("scipy-highs-ipm", "highs-ipm")])
-    def test_fixed_backends_ignore_size(self, monkeypatch, name, method):
-        methods = self._spy_methods(monkeypatch)
-        for n in (10, IPM_MIN_VARIABLES):
-            get_backend(name).solve(self._lp(n), maximize=True)
-        assert methods == [method, method]
-
-    def test_rule_enters_the_cache_key(self, cube):
-        # Entries stored by the old single-method backend, or by a backend
-        # pinned to one method, must never answer for the size-ruled one.
+    def test_rule_enters_the_cache_key(self, cube, monkeypatch):
+        # Entries stored by the old single-method backend, or by the
+        # retired backends pinned to one method, must never answer for the
+        # size-ruled one; nor may one rule's entries answer for another's.
         engine = Engine()
         problem = MCFProblem("mcf-link", cube, maximize=True)
         stale = LPSolution(objective=-1.0)
@@ -146,7 +142,9 @@ class TestSizeRule:
         solution = engine.solve(problem)
         assert solution.info["cache"] == "miss"
         assert solution.objective == pytest.approx(0.25)
-        assert engine.solve(problem, backend="scipy-highs-ds").objective == -1.0
+        monkeypatch.setattr(backends, "IPM_MIN_VARIABLES", 0)
+        assert solution_key(problem, "scipy-highs") != key
+        assert engine.solve(problem).info["cache"] == "miss"
 
 
 class TestSolutionCache:

@@ -102,6 +102,20 @@ class TestFig10Claims:
             assert ratio["GenKautz"] <= 1.05 * ratio[other]
 
 
+class TestFig10Grid:
+    def test_paper_scale_is_the_papers_sweep(self):
+        panels = FIG10.panels(scale="paper")
+        assert [p.topology for p in panels if p.key.startswith("left")] == [
+            f"genkautz:d=4,n={n}" for n in (25, 64, 121, 256, 400)]
+        right = {p.key for p in panels if p.key.startswith("right")}
+        assert {"right-n100-2D Torus", "right-n225-Xpander",
+                "right-n400-Random Regular"} <= right
+        # aggregate() reads the grid of the scale it is given.
+        errors = FIG10.aggregate([], scale="paper").errors
+        assert "fig10/left-n400/GenKautz: missing result" in errors
+        assert not any("left-n16/" in e for e in errors)
+
+
 class TestProvenance:
     def test_block_schema(self):
         prov = collect_provenance(
