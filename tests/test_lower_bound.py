@@ -12,7 +12,7 @@ from repro.core import (
     throughput_upper_bound,
     upper_bound_concurrent_flow,
 )
-from repro.topology import complete, generalized_kautz, hypercube, ring, torus_2d
+from repro.topology import complete, generalized_kautz, hypercube, properties, ring, torus_2d
 
 
 class TestArborescenceSum:
@@ -77,10 +77,13 @@ class TestGraphBound:
         assert upper_bound_concurrent_flow(cube3) == pytest.approx(
             1.0 / lower_bound_time_graph(cube3))
 
-    def test_unit_lengths_give_the_distance_bound(self, cube3):
-        ones = [1.0] * cube3.num_edges
-        assert dual_bound_concurrent_flow(cube3, ones) == pytest.approx(
-            upper_bound_concurrent_flow(cube3))
+    def test_unit_lengths_give_the_distance_bound(self):
+        # Total capacity over the sum of hop distances, counted by networkx.
+        topo = generalized_kautz(4, 20)
+        hops = properties.total_pairwise_distance(topo)
+        expected = sum(topo.capacities().values()) / hops
+        assert upper_bound_concurrent_flow(topo) == pytest.approx(expected, rel=1e-12)
+        assert lower_bound_time_graph(topo) == pytest.approx(1.0 / expected, rel=1e-12)
 
     def test_any_lengths_bound_the_optimum(self, cube3, cube3_decomposed_mcf):
         # Weak duality: non-uniform (even zero) lengths still bound F above.
