@@ -25,7 +25,7 @@ from . import (
     workloads,
 )
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "analysis",

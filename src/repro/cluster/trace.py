@@ -22,7 +22,8 @@ Fields are ``key=value`` pairs, ``:``-separated, in any order after the
 
 Defaults: ``arrival=fixed~0`` (every job at t=0), ``placement=packed``,
 ``seed=0``, ``rounds=1``, ``compute=0``.  Parsing is strict — unknown or
-duplicate keys raise ``ValueError`` — and :meth:`ClusterSpec.canonical` is
+duplicate keys raise ``ValueError`` (the shared grammar,
+:func:`repro.grammar.split_spec`) — and :meth:`ClusterSpec.canonical` is
 parameter-order invariant, so equivalent spellings hash identically in the
 scenario layer.
 """
@@ -33,13 +34,17 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ..grammar import choice, number, split_spec
+
 __all__ = ["ClusterSpec", "parse_cluster_spec", "arrival_times",
            "PLACEMENT_POLICIES"]
 
 PLACEMENT_POLICIES = ("packed", "spread", "random")
 
-_KNOWN_KEYS = frozenset(
-    {"jobs", "arrival", "placement", "seed", "rounds", "compute", "buffer"})
+_ARRIVALS = ("fixed", "poisson", "trace")
+
+_KEYS = {"cluster": ("jobs", "arrival", "placement", "seed", "rounds", "compute",
+                     "buffer")}
 
 
 @dataclass(frozen=True)
@@ -71,89 +76,42 @@ class ClusterSpec:
 
 def parse_cluster_spec(spec: str) -> ClusterSpec:
     """Parse a ``cluster:...`` trace spec string into a :class:`ClusterSpec`."""
-    text = str(spec).strip()
-    parts = text.split(":")
-    if parts[0].strip().lower() != "cluster":
-        raise ValueError(
-            f"cluster spec must start with 'cluster:', got {spec!r}")
-    fields = {}
-    for part in parts[1:]:
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ValueError(
-                f"cluster spec field {part!r} is not key=value (in {spec!r})")
-        key, value = part.split("=", 1)
-        key = key.strip().lower()
-        if key in fields:
-            raise ValueError(f"duplicate cluster spec key {key!r} in {spec!r}")
-        fields[key] = value.strip()
-    unknown = sorted(set(fields) - _KNOWN_KEYS)
-    if unknown:
-        raise ValueError(
-            f"unknown cluster spec key(s) {unknown} in {spec!r}; "
-            f"known keys: {sorted(_KNOWN_KEYS)}")
-    if "jobs" not in fields:
+    _, fields = split_spec(spec, "cluster", ":", _KEYS)
+    values = {field.key: field.value for field in fields}
+    if "jobs" not in values:
         raise ValueError(f"cluster spec needs jobs=N (got {spec!r})")
-    jobs = int(fields["jobs"])
-    if jobs < 1:
-        raise ValueError(f"cluster spec needs jobs >= 1, got {jobs}")
+    jobs = number(values["jobs"], "jobs", 1, cast=int)
 
-    arrival_text = fields.get("arrival", "fixed~0")
-    kind, _, param = arrival_text.partition("~")
-    kind = kind.strip().lower()
+    kind, _, param = values.get("arrival", "fixed~0").partition("~")
+    kind = choice(kind, "arrival process", _ARRIVALS)
     times: Tuple[float, ...] = ()
     rate = 0.0
     if kind == "fixed":
-        rate = float(param) if param else 0.0
-        if rate < 0:
-            raise ValueError(f"fixed inter-arrival must be >= 0, got {rate}")
+        rate = number(param, "fixed inter-arrival", 0.0) if param else 0.0
     elif kind == "poisson":
         if not param:
-            raise ValueError(
-                "poisson arrivals need a rate: arrival=poisson~RATE")
-        rate = float(param)
-        if rate <= 0:
-            raise ValueError(f"poisson rate must be > 0, got {rate}")
-    elif kind == "trace":
+            raise ValueError("poisson arrivals need a rate: arrival=poisson~RATE")
+        rate = number(param, "poisson rate", 0.0, strict=True)
+    else:
         if not param:
-            raise ValueError(
-                "trace arrivals need times: arrival=trace~T0|T1|...")
-        times = tuple(float(t) for t in param.split("|"))
+            raise ValueError("trace arrivals need times: arrival=trace~T0|T1|...")
+        times = tuple(number(t, "trace arrival time", 0.0) for t in param.split("|"))
         if len(times) != jobs:
             raise ValueError(
                 f"trace lists {len(times)} arrival times for jobs={jobs}")
-        if any(t < 0 for t in times):
-            raise ValueError("trace arrival times must be >= 0")
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("trace arrival times must be non-decreasing")
-    else:
-        raise ValueError(
-            f"unknown arrival process {kind!r}; "
-            "expected fixed~DT, poisson~RATE or trace~T0|T1|...")
 
-    placement = fields.get("placement", "packed").lower()
-    if placement not in PLACEMENT_POLICIES:
-        raise ValueError(
-            f"unknown placement {placement!r}; expected one of "
-            f"{PLACEMENT_POLICIES}")
-    seed = int(fields.get("seed", "0"))
-    rounds = int(fields.get("rounds", "1"))
-    if rounds < 1:
-        raise ValueError(f"cluster spec needs rounds >= 1, got {rounds}")
-    compute = float(fields.get("compute", "0"))
-    if compute < 0:
-        raise ValueError(f"compute seconds must be >= 0, got {compute}")
-    buffer = None
-    if "buffer" in fields:
-        buffer = float(fields["buffer"])
-        if buffer <= 0:
-            raise ValueError(f"buffer bytes must be > 0, got {buffer}")
-
-    return ClusterSpec(jobs=jobs, arrival=kind, rate=rate, times=times,
-                       placement=placement, seed=seed, rounds=rounds,
-                       compute=compute, buffer=buffer)
+    buffer = values.get("buffer")
+    return ClusterSpec(
+        jobs=jobs, arrival=kind, rate=rate, times=times,
+        placement=choice(values.get("placement", "packed"), "placement",
+                         PLACEMENT_POLICIES),
+        seed=number(values.get("seed", "0"), "seed", cast=int),
+        rounds=number(values.get("rounds", "1"), "rounds", 1, cast=int),
+        compute=number(values.get("compute", "0"), "compute seconds", 0.0),
+        buffer=None if buffer is None else number(buffer, "buffer bytes", 0.0,
+                                                  strict=True))
 
 
 def arrival_times(spec: ClusterSpec) -> Tuple[float, ...]:

@@ -102,12 +102,7 @@ class LPSolution:
     # ------------------------------------------------------------------ #
     @property
     def x(self) -> Optional[np.ndarray]:
-        """The solver's flat solution vector (None for cache-restored copies).
-
-        The batched family solver (:mod:`repro.perf.batch`) scales this
-        vector directly when a family member's RHS is a uniform scaling of
-        a solved one; treat it as read-only.
-        """
+        """The solver's flat solution vector (None for cache-restored copies)."""
         return self._x
 
     # ------------------------------------------------------------------ #

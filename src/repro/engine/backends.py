@@ -15,9 +15,6 @@ faster on the host-augmented tsMCF and the 64-node master LPs.
 Each backend has an :attr:`~ScipyHighsBackend.identity` that names its
 method rule; the engine keys cached solutions on it, so a solution cached
 under one rule never answers for another.
-
-Families of LPs that differ only in their right-hand sides are batched
-above the backend, by :func:`repro.perf.batch.solve_family`.
 """
 
 from __future__ import annotations

@@ -96,20 +96,6 @@ class Engine:
             self.cache.put(key, solution)
         return solution
 
-    def solve_family(self, problems, backend: Optional[str] = None,
-                     use_cache: bool = True):
-        """Batched multi-RHS solve of structurally related problems.
-
-        Delegates to :func:`repro.perf.batch.solve_family`: family members
-        whose RHS is a uniform scaling of the previous member's are derived
-        by LP homogeneity without a solver call; the rest go to the
-        backend.  Returns ``(solutions, stats)``;
-        results are cached under the same keys :meth:`solve` uses.
-        """
-        from ..perf.batch import solve_family
-        return solve_family(problems, backend=backend, engine=self,
-                            use_cache=use_cache)
-
     def stats(self) -> dict:
         """Engine-level counter snapshot (cache counters + backend name)."""
         return {"backend": self.backend_name, **self.cache.stats()}

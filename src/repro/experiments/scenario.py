@@ -277,6 +277,8 @@ class Scenario:
                              f"available: {available_scenario_schemes()}")
         if self.overlap < 1:
             raise ValueError(f"overlap must be >= 1, got {self.overlap}")
+        if isinstance(self.fabric, str):
+            fabric_from_spec(self.fabric)  # eager validation
         if self.cluster is not None:
             from ..cluster.trace import parse_cluster_spec  # lazy: avoid cycle
 

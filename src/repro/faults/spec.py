@@ -26,12 +26,14 @@ unique-once knobs:
 - ``vc=lash|dfsssp|off`` — which deadlock-free layer assignment certifies
   the repaired route set at each fabric epoch (default ``lash``).
 
-Times are seconds, with optional ``s``/``ms``/``us`` suffixes (``0.5ms``,
-``300us``, ``0.002``).  ``*`` attaches factors (not ``:`` as in the static
-fabric grammar, because ``:`` separates spec fields here).
+Times are finite seconds, with optional ``s``/``ms``/``us`` suffixes
+(``0.5ms``, ``300us``, ``0.002``); an event takes exactly one ``@<time>``.
+``*`` attaches factors (not ``:`` as in the static fabric grammar, because
+``:`` separates spec fields here); factors are > 0.
 
 Parsing is strict — unknown keys, malformed tokens and duplicate
-``seed=``/``vc=`` raise ``ValueError`` — and :meth:`FaultSpec.canonical` is
+``seed=``/``vc=`` raise ``ValueError`` (the shared grammar,
+:func:`repro.grammar.split_spec`) — and :meth:`FaultSpec.canonical` is
 field-order invariant (events sort by time, then kind, then payload), so
 equivalent spellings hash identically in the scenario layer, exactly like
 :meth:`~repro.cluster.trace.ClusterSpec.canonical`.
@@ -42,7 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..simulator.fabric import FabricModel, parse_link_set
+from ..grammar import Field, at_time, number, parse_link_set, split_spec, times_factor
+from ..simulator.fabric import FabricModel
 
 __all__ = ["FaultEvent", "FaultSpec", "FaultTimeline", "parse_fault_spec",
            "VC_POLICIES"]
@@ -54,6 +57,9 @@ VC_POLICIES = ("lash", "dfsssp", "off")
 #: recovered and re-downed at the same instant ends down (documented
 #: tie-break, mirrored by the runner's per-epoch state build).
 _KINDS = ("up", "down", "scale", "straggler")
+
+#: Event keys repeat (an outage log has many events); ``seed``/``vc`` do not.
+_KEYS = {"faults": (*_KINDS, "seed", "vc")}
 
 Link = Tuple[int, int]
 
@@ -128,125 +134,40 @@ class FaultSpec:
         return all(e.kind == "up" for e in self.events)
 
 
-def _parse_time(text: str, spec: str) -> float:
-    text = text.strip().lower()
-    scale = 1.0
-    for suffix, mult in (("us", 1e-6), ("ms", 1e-3), ("s", 1.0)):
-        if text.endswith(suffix):
-            text = text[: -len(suffix)]
-            scale = mult
-            break
-    try:
-        value = float(text) * scale
-    except ValueError:
-        raise ValueError(f"malformed fault time {text!r} in {spec!r}") from None
-    if value < 0:
-        raise ValueError(f"fault time must be >= 0, got {value} in {spec!r}")
-    return value
-
-
-def _split_at(token: str, spec: str) -> Tuple[str, float]:
-    """Split ``payload@time`` and parse the time."""
-    if "@" not in token:
-        raise ValueError(
-            f"fault event {token!r} needs @<time> (in {spec!r})")
-    payload, _, when = token.rpartition("@")
-    return payload, _parse_time(when, spec)
-
-
-def _split_factor(payload: str, spec: str) -> Tuple[str, float]:
-    """Split ``target*factor`` and parse the factor."""
-    if "*" not in payload:
-        raise ValueError(
-            f"fault event payload {payload!r} needs *<factor> (in {spec!r})")
-    target, _, factor_text = payload.rpartition("*")
-    try:
-        factor = float(factor_text)
-    except ValueError:
-        raise ValueError(
-            f"malformed fault factor {factor_text!r} in {spec!r}") from None
-    if factor <= 0:
-        raise ValueError(
-            f"fault scale factor must be > 0, got {factor} in {spec!r} "
-            "(use down= to take a link out of service)")
-    return target.strip(), factor
-
-
 def parse_fault_spec(spec: str) -> FaultSpec:
     """Parse a ``faults:...`` spec string into a :class:`FaultSpec`."""
-    text = str(spec).strip()
-    parts = text.split(":")
-    if parts[0].strip().lower() != "faults":
-        raise ValueError(f"fault spec must start with 'faults:', got {spec!r}")
+    _, fields = split_spec(spec, "fault", ":", _KEYS, repeatable=_KINDS,
+                           bare=("up",))
     events: List[FaultEvent] = []
-    seed: Optional[int] = None
-    vc: Optional[str] = None
-    for part in parts[1:]:
-        part = part.strip()
-        if not part:
-            continue
-        key, eq, value = part.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if key == "seed":
-            if seed is not None:
-                raise ValueError(f"duplicate fault spec key 'seed' in {spec!r}")
-            seed = int(value)
-        elif key == "vc":
-            if vc is not None:
-                raise ValueError(f"duplicate fault spec key 'vc' in {spec!r}")
-            vc = value.lower()
-        elif key == "down":
-            if not eq:
-                raise ValueError(f"down events need links: down=<links>@<time> "
-                                 f"(in {spec!r})")
-            links_text, when = _split_at(value, spec)
-            links = parse_link_set(links_text)
-            if not links:
-                raise ValueError(f"down event has no links in {spec!r}")
-            events.append(FaultEvent(time=when, kind="down", links=links))
-        elif key == "up" or (not eq and key.partition("@")[0] == "up"):
-            # "up@t" has no '='; partition("=") left the whole token in `key`.
-            token = part if not eq else value
-            payload, when = _split_at(token, spec)
-            if not eq:
-                links: Tuple[Link, ...] = ()
-            else:
-                links = parse_link_set(payload)
-                if not links:
-                    raise ValueError(f"up event has no links in {spec!r} "
-                                     "(use bare up@<time> to recover all)")
-            events.append(FaultEvent(time=when, kind="up", links=links))
-        elif key == "scale":
-            if not eq:
-                raise ValueError(f"scale events need links: "
-                                 f"scale=<links>*<factor>@<time> (in {spec!r})")
-            payload, when = _split_at(value, spec)
-            links_text, factor = _split_factor(payload, spec)
-            links = parse_link_set(links_text)
-            if not links:
-                raise ValueError(f"scale event has no links in {spec!r}")
-            events.append(FaultEvent(time=when, kind="scale", links=links,
-                                     factor=factor))
-        elif key == "straggler":
-            if not eq:
-                raise ValueError(f"straggler events need a node: "
-                                 f"straggler=<node>*<factor>@<time> (in {spec!r})")
-            payload, when = _split_at(value, spec)
-            node_text, factor = _split_factor(payload, spec)
-            try:
-                node = int(node_text)
-            except ValueError:
-                raise ValueError(
-                    f"malformed straggler node {node_text!r} in {spec!r}") from None
-            events.append(FaultEvent(time=when, kind="straggler", links=(),
-                                     factor=factor, node=node))
+    seed, vc = 0, "lash"
+    for field in fields:
+        if field.key == "seed":
+            seed = number(field.value, "fault seed", cast=int)
+        elif field.key == "vc":
+            vc = field.value.lower()
         else:
-            raise ValueError(
-                f"unknown fault spec key {key!r} in {spec!r}; known keys: "
-                "['down', 'scale', 'seed', 'straggler', 'up', 'vc']")
-    return FaultSpec(events=tuple(events), seed=0 if seed is None else seed,
-                     vc="lash" if vc is None else vc)
+            events.append(_event(field))
+    return FaultSpec(events=tuple(events), seed=seed, vc=vc)
+
+
+def _event(field: Field) -> FaultEvent:
+    """One event field (``down=``, ``up=``/``up@``, ``scale=`` or ``straggler=``)."""
+    kind = field.key
+    payload, when = at_time(field.value, f"{kind} event")
+    if kind == "straggler":
+        node, factor = times_factor(payload, "straggler")
+        return FaultEvent(time=when, kind=kind, factor=factor,
+                          node=number(node, "straggler node", cast=int))
+    if field.bare:           # up@t: recover every link the faults took down
+        return FaultEvent(time=when, kind=kind)
+    factor = None
+    if kind == "scale":
+        payload, factor = times_factor(payload, "fault scale")
+    links = parse_link_set(payload)
+    if not links:
+        raise ValueError(f"{kind} event {field.value!r} has no links"
+                         + (" (use bare up@<time> to recover all)" if kind == "up" else ""))
+    return FaultEvent(time=when, kind=kind, links=links, factor=factor)
 
 
 class FaultTimeline:

@@ -14,8 +14,11 @@ All bandwidths are stored in bytes/second and latencies in seconds.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
+
+from ..grammar import number, parse_link_scales, parse_link_set, split_spec
 
 __all__ = ["FabricModel", "GBPS", "GIBI", "cerio_hpc_fabric", "a100_ml_fabric",
            "ideal_fabric", "fabric_from_spec", "parse_link_set", "parse_link_scales"]
@@ -171,48 +174,25 @@ def a100_ml_fabric(link_gbps: float = 25.0, injection_gbps: Optional[float] = No
     )
 
 
-def parse_link_set(value: str) -> Tuple[Tuple[int, int], ...]:
-    """Parse a ``u-v|u-v|...`` link list (``u~v`` adds both directions).
-
-    Used by the ``down=`` fabric-spec parameter, e.g. ``"hpc:down=0~1"``
-    takes the physical link between nodes 0 and 1 out of service.
-    """
-    links = []
-    for token in value.split("|"):
-        token = token.strip()
-        if not token:
-            continue
-        symmetric = "~" in token
-        sep = "~" if symmetric else "-"
-        parts = token.split(sep)
-        if len(parts) != 2:
-            raise ValueError(f"malformed link token {token!r} (expected u-v or u~v)")
-        u, v = int(parts[0]), int(parts[1])
-        links.append((u, v))
-        if symmetric:
-            links.append((v, u))
-    return tuple(links)
+def ideal_fabric(link_bandwidth: float = 1.0) -> FabricModel:
+    """Zero-latency fabric with unit link bandwidth (for analytic comparisons)."""
+    return FabricModel(
+        link_bandwidth=link_bandwidth,
+        injection_bandwidth=None,
+        forwarding_bandwidth=None,
+        nic_forwarding=True,
+        per_step_latency=0.0,
+        per_hop_latency=0.0,
+        per_message_overhead=0.0,
+        name="ideal",
+    )
 
 
-def parse_link_scales(value: str) -> Tuple[Tuple[Tuple[int, int], float], ...]:
-    """Parse a ``u-v:factor|...`` scaled-link list (``u~v:factor`` = both directions).
-
-    Used by the ``scale=`` fabric-spec parameter, e.g.
-    ``"hpc:scale=0~1:0.5"`` halves the bandwidth of the physical link
-    between nodes 0 and 1.
-    """
-    scales = []
-    for token in value.split("|"):
-        token = token.strip()
-        if not token:
-            continue
-        if ":" not in token:
-            raise ValueError(f"malformed scale token {token!r} (expected u-v:factor)")
-        link_part, factor_part = token.rsplit(":", 1)
-        factor = float(factor_part)
-        for edge in parse_link_set(link_part):
-            scales.append((edge, factor))
-    return tuple(scales)
+#: Fabric name -> constructor; a fabric spec's parameters are its keyword
+#: arguments plus the degraded-fabric keys ``down`` and ``scale``.
+_MAKERS = {"hpc": cerio_hpc_fabric, "ml": a100_ml_fabric, "ideal": ideal_fabric}
+_KEYS = {name: (*inspect.signature(maker).parameters, "down", "scale")
+         for name, maker in _MAKERS.items()}
 
 
 def fabric_from_spec(spec) -> FabricModel:
@@ -224,7 +204,8 @@ def fabric_from_spec(spec) -> FabricModel:
     constructor, e.g. ``"hpc:forwarding_gbps=100"`` or
     ``"ml:link_gbps=50"``.  This is the fabric analogue of
     :func:`repro.topology.from_spec` and is what the declarative
-    :class:`~repro.experiments.Scenario` layer and the CLI parse.
+    :class:`~repro.experiments.Scenario` layer and the CLI parse.  Unknown
+    and repeated keys raise ``ValueError`` (see :func:`repro.grammar.split_spec`).
 
     Two parameters open the degraded-fabric axis (values use ``|`` between
     links because ``,`` separates spec parameters):
@@ -238,31 +219,12 @@ def fabric_from_spec(spec) -> FabricModel:
         return spec
     if not isinstance(spec, str):
         raise TypeError(f"fabric spec must be a FabricModel or string, got {type(spec)!r}")
-    from ..topology.spec import parse_spec
-
-    name, raw = parse_spec(spec)
+    name, fields = split_spec(spec, "fabric", ",", _KEYS)
+    raw = {field.key: field.value for field in fields}
     down = parse_link_set(raw.pop("down", ""))
     scale = parse_link_scales(raw.pop("scale", ""))
-    params = {key: float(value) for key, value in raw.items()}
-    makers = {"hpc": cerio_hpc_fabric, "ml": a100_ml_fabric, "ideal": ideal_fabric}
-    if name not in makers:
-        raise ValueError(f"unknown fabric {name!r} (expected one of {sorted(makers)})")
-    fabric = makers[name](**params)
+    fabric = _MAKERS[name](**{key: number(value, key) for key, value in raw.items()})
     if down or scale:
         fabric = replace(fabric, down_links=down, link_scale=scale,
                          name=f"{fabric.name}-degraded")
     return fabric
-
-
-def ideal_fabric(link_bandwidth: float = 1.0) -> FabricModel:
-    """Zero-latency fabric with unit link bandwidth (for analytic comparisons)."""
-    return FabricModel(
-        link_bandwidth=link_bandwidth,
-        injection_bandwidth=None,
-        forwarding_bandwidth=None,
-        nic_forwarding=True,
-        per_step_latency=0.0,
-        per_hop_latency=0.0,
-        per_message_overhead=0.0,
-        name="ideal",
-    )

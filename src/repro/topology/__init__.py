@@ -7,7 +7,7 @@ from .hypercube import hypercube, twisted_hypercube
 from .hyperx import flattened_butterfly, hyperx
 from .kautz import generalized_de_bruijn, generalized_kautz, kautz
 from .misc import bidirectional_ring, chain, complete, dragonfly, ring
-from .spec import from_spec, parse_spec, spec_families
+from .spec import from_spec, spec_families
 from .torus import (
     coordinate_of,
     edge_punctured_torus,
@@ -40,7 +40,6 @@ __all__ = [
     "dragonfly",
     "ring",
     "from_spec",
-    "parse_spec",
     "spec_families",
     "coordinate_of",
     "edge_punctured_torus",

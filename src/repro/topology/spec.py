@@ -14,8 +14,9 @@ it lives here and ``cli.build_topology`` is an alias.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
+from ..grammar import split_spec
 from .base import Topology
 from .bipartite import complete_bipartite
 from .expander import random_regular, xpander
@@ -24,7 +25,7 @@ from .kautz import generalized_kautz
 from .misc import complete, ring
 from .torus import torus
 
-__all__ = ["from_spec", "parse_spec", "spec_families"]
+__all__ = ["from_spec", "spec_families"]
 
 #: Family name (aliases included) -> the parameter keys it accepts.
 _KEYS: Dict[str, Tuple[str, ...]] = {
@@ -41,47 +42,14 @@ _KEYS: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def _split(spec: str) -> Tuple[str, List[Tuple[str, str]]]:
-    """Split a spec into its family and its ``(key, value)`` pairs, in order."""
-    if ":" in spec:
-        family, rest = spec.split(":", 1)
-    else:
-        family, rest = spec, ""
-    items: List[Tuple[str, str]] = []
-    for item in rest.split(","):
-        if not item:
-            continue
-        if "=" not in item:
-            raise ValueError(f"malformed topology parameter {item!r} (expected key=value)")
-        key, value = item.split("=", 1)
-        items.append((key.strip(), value.strip()))
-    return family.strip().lower(), items
-
-
-def parse_spec(spec: str) -> Tuple[str, Dict[str, str]]:
-    """Split a ``family:key=value,...`` spec into ``(family, params)``."""
-    family, items = _split(spec)
-    return family, dict(items)
-
-
 def from_spec(spec: str) -> Topology:
     """Build a topology from a ``family:key=value,...`` spec string.
 
     Each family accepts a fixed set of keys; an unknown key, or a key given
-    twice, raises ``ValueError``.
+    twice, raises ``ValueError`` (see :func:`repro.grammar.split_spec`).
     """
-    family, items = _split(spec)
-    if family not in _KEYS:
-        raise ValueError(f"unknown topology family {family!r}; "
-                         f"known families: {', '.join(spec_families())}")
-    accepted = _KEYS[family]
-    params: Dict[str, str] = {}
-    for key, value in items:
-        if key not in accepted or key in params:
-            problem = "unknown" if key not in accepted else "duplicate"
-            raise ValueError(f"{problem} parameter {key!r} for topology family "
-                             f"{family!r}; accepted keys: {', '.join(accepted)}")
-        params[key] = value
+    family, fields = split_spec(spec, "topology", ",", _KEYS)
+    params = {field.key: field.value for field in fields}
 
     if family in ("genkautz", "kautz"):
         return generalized_kautz(int(params.get("d", 4)), int(params.get("n", 16)))

@@ -553,8 +553,18 @@ class TestSpecGrammar:
         assert times == pytest.approx([0.001, 0.0025, 1.5])
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault spec key"):
+        with pytest.raises(ValueError, match="unknown parameter 'explode'"):
             parse_fault_spec("faults:explode=1@1ms")
+
+    @pytest.mark.parametrize("bad", [
+        "faults:down=0~1@nan",                  # time must be finite
+        "faults:down=0~1@inf",
+        "faults:scale=0~1*nan@1ms",             # factor must be a number > 0
+        "faults:up@1ms@2ms",                    # exactly one @<time>
+    ])
+    def test_malformed_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            parse_fault_spec(bad)
 
     def test_duplicate_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
@@ -663,7 +673,7 @@ class TestScenarioWiring:
         assert base.key() != faulted.key()
 
     def test_invalid_faults_rejected_eagerly(self):
-        with pytest.raises(ValueError, match="unknown fault spec key"):
+        with pytest.raises(ValueError, match="unknown parameter 'bogus'"):
             Scenario(topology="ring:n=4", faults="faults:bogus=1@1ms")
 
     def test_faults_and_cluster_mutually_exclusive(self):

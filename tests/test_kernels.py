@@ -1,4 +1,4 @@
-"""Tests for the repro.perf fill kernel and LP-family layer.
+"""Tests for the repro.perf fill kernel.
 
 The numpy fill is checked two ways that do not trust it: against the scalar
 reference oracle (:func:`repro.simulator.reference.max_min_rates_reference`)
@@ -6,8 +6,7 @@ and against a max-min certificate (:func:`assert_max_min`) — on randomized
 topologies and fabrics, overlap programs, a cluster arena with retired rows
 and a fault-patched :class:`~repro.perf.delta.DeltaProgram`.  Around it:
 adversarial exact-tie bottleneck patterns with pinned round counts, the
-reusable workspace, the ``[stats]`` footer, constraint-structure hashing and
-the batched family solver.
+reusable workspace and the ``[stats]`` footer.
 """
 
 import random
@@ -19,16 +18,10 @@ import pytest
 
 from repro.analysis import format_engine_footer
 from repro.cluster import FlowInjector
-from repro.constants import FLOW_TOL
-from repro.core.mcf_link import solve_link_mcf
-from repro.engine import Engine, MCFProblem, SolutionCache
 from repro.perf import (
     DeltaProgram,
     FillWorkspace,
     fill_rates_numpy,
-    solve_family,
-    structure_hash,
-    uniform_rhs_scale,
 )
 from repro.simulator import (
     FabricModel,
@@ -302,120 +295,3 @@ class TestFillWorkspace:
             assert r1 == r2
             # Shrink the active set as execute() would between events.
             active[rng.randrange(program.num_flows)] = False
-
-
-class TestStructureHash:
-    def _builder(self, topo):
-        from repro.core.mcf_link import build_link_mcf
-        return build_link_mcf(MCFProblem("mcf-link", topo, maximize=True))
-
-    def test_stable_across_builds(self):
-        assert (structure_hash(self._builder(hypercube(3)))
-                == structure_hash(self._builder(hypercube(3))))
-
-    def test_rhs_change_keeps_hash(self):
-        base = self._builder(hypercube(3))
-        scaled = self._builder(hypercube(3).with_capacity(4.0))
-        assert structure_hash(base) == structure_hash(scaled)
-
-    def test_structure_change_changes_hash(self):
-        assert (structure_hash(self._builder(hypercube(3)))
-                != structure_hash(self._builder(ring(8))))
-
-    def test_uniform_rhs_scale(self):
-        base = np.array([2.0, 0.0, 4.0])
-        assert uniform_rhs_scale(base, base * 3.0) == pytest.approx(3.0)
-        assert uniform_rhs_scale(base, base) == pytest.approx(1.0)
-        assert uniform_rhs_scale(base, np.array([6.0, 1.0, 12.0])) is None
-        assert uniform_rhs_scale(base, np.array([6.0, 0.0, 13.0])) is None
-        assert uniform_rhs_scale(base, -base) is None
-        assert uniform_rhs_scale(np.zeros(2), np.zeros(2)) == 1.0
-        assert uniform_rhs_scale(base, np.zeros(3)) is None
-
-
-class TestSolveFamily:
-    def _family(self, scales):
-        cube = hypercube(3)
-        return [MCFProblem("mcf-link", cube.with_capacity(s), maximize=True)
-                for s in scales]
-
-    def test_scaled_family_matches_cold_solves(self):
-        scales = [1.0, 0.75, 0.5, 0.25]
-        engine = Engine(cache=SolutionCache())
-        solutions, stats = solve_family(self._family(scales), engine=engine,
-                                        use_cache=False)
-        assert stats["solves"] == 1
-        assert stats["scaled"] == len(scales) - 1
-        cold_engine = Engine(cache=SolutionCache(enabled=False))
-        for scale, solution in zip(scales, solutions):
-            cold = cold_engine.solve(
-                MCFProblem("mcf-link", hypercube(3).with_capacity(scale),
-                           maximize=True), use_cache=False)
-            assert solution.objective == pytest.approx(cold.objective,
-                                                       abs=FLOW_TOL)
-
-    def test_family_populates_engine_cache(self):
-        engine = Engine(cache=SolutionCache())
-        problems = self._family([1.0, 0.5])
-        solutions, stats = solve_family(problems, engine=engine)
-        assert stats["solves"] == 1 and stats["scaled"] == 1
-        # A later per-problem solve must hit the same cache entries.
-        for problem in problems:
-            again = engine.solve(problem)
-            assert again.info["cache"] == "hit"
-        # Re-running the family is all cache hits.
-        _, stats2 = solve_family(problems, engine=engine)
-        assert stats2 == {"solves": 0, "scaled": 0, "cache_hits": 2}
-
-    def test_structure_break_forces_solve(self):
-        cube = hypercube(3)
-        problems = [MCFProblem("mcf-link", cube, maximize=True),
-                    MCFProblem("mcf-link", ring(8), maximize=True),
-                    MCFProblem("mcf-link", ring(8).with_capacity(2.0),
-                               maximize=True)]
-        _, stats = solve_family(problems, engine=Engine(cache=SolutionCache()),
-                                use_cache=False)
-        assert stats["solves"] == 2 and stats["scaled"] == 1
-
-    def test_engine_method_delegates(self):
-        engine = Engine(cache=SolutionCache())
-        solutions, stats = engine.solve_family(self._family([1.0, 2.0]))
-        assert len(solutions) == 2
-        assert stats["scaled"] == 1
-        assert solutions[1].info["family"] == "scaled-rhs"
-
-    def test_scaled_solutions_extract_like_solved_ones(self):
-        """The derived members support the same block extraction path."""
-        scales = [1.0, 0.5]
-        solutions, _ = solve_family(
-            self._family(scales), engine=Engine(cache=SolutionCache()),
-            use_cache=False)
-        full = solutions[0].block("f")
-        half = solutions[1].block("f")
-        np.testing.assert_allclose(half, 0.5 * full, atol=FLOW_TOL)
-
-    def test_scaled_masters_keep_certifying_duals(self):
-        """A derived master carries the template's capacity duals, so a
-        later solve_master_lp served from the family's cache entry still
-        certifies its F."""
-        from repro.core.mcf_decomposed import certify_master
-
-        topos = [hypercube(3).with_capacity(s) for s in (1.0, 0.5)]
-        solutions, stats = solve_family(
-            [MCFProblem("mcf-master", t, maximize=True) for t in topos],
-            engine=Engine(cache=SolutionCache()), use_cache=False)
-        assert stats["scaled"] == 1
-        for topo, sol in zip(topos, solutions):
-            cert = certify_master(topo, float(sol.block("F")[0]), sol.dual("capacity"))
-            assert abs(cert["gap"]) <= 1e-9
-
-    def test_solve_link_mcf_agrees_with_family_members(self):
-        """Family-derived optima equal the formulation front-end's."""
-        topo = hypercube(3).with_capacity(0.5)
-        solutions, _ = solve_family(
-            [MCFProblem("mcf-link", hypercube(3), maximize=True),
-             MCFProblem("mcf-link", topo, maximize=True)],
-            engine=Engine(cache=SolutionCache()), use_cache=False)
-        direct = solve_link_mcf(topo)
-        assert solutions[1].objective == pytest.approx(
-            direct.concurrent_flow, abs=max(FLOW_TOL, 1e-9))

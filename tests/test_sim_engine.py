@@ -222,6 +222,15 @@ class TestDegradedFabricModel:
         with pytest.raises(ValueError):
             parse_link_scales("0-1")
 
+    @pytest.mark.parametrize("spec,match", [
+        ("hpc:link_gbps=25,link_gbps=50", "duplicate parameter 'link_gbps'"),
+        ("hpc:down=0~1,down=2~3", "duplicate parameter 'down'"),
+        ("hpc:bogus=1", "unknown parameter 'bogus'"),
+    ])
+    def test_fabric_spec_key_errors(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            fabric_from_spec(spec)
+
     def test_fabric_spec_with_degradation(self):
         fabric = fabric_from_spec("hpc:down=0~1,scale=2-3:0.5,forwarding_gbps=100")
         assert fabric.down_links == ((0, 1), (1, 0))
@@ -248,6 +257,11 @@ class TestDegradedFabricModel:
         assert base.key() != degraded.key()
         # Only the simulate stage sees the fabric: schedules are shared.
         assert base.stage_key("lower") == degraded.stage_key("lower")
+
+    def test_invalid_fabric_rejected_eagerly(self):
+        with pytest.raises(ValueError, match="duplicate parameter 'down'"):
+            Scenario(topology="ring:n=4", scheme="ewsp",
+                     fabric="hpc:down=0~1,down=2~3")
 
 
 class TestOverlap:

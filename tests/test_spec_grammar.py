@@ -124,6 +124,89 @@ def test_fault_canonical_is_field_order_invariant(spec):
         assert parse_fault_spec(variant).canonical() == expected
 
 
+@pytest.mark.parametrize("spec,parse,fragment", [
+    ("torus:dims=3x3,bogus=1", from_spec,
+     "unknown parameter 'bogus' at column 16 of topology 'torus' spec "
+     "'torus:dims=3x3,bogus=1'; accepted keys: dims"),
+    ("hpc:down=0~1,down=2~3", fabric_from_spec,
+     "duplicate parameter 'down' at column 14 of fabric 'hpc' spec"),
+    ("cluster:jobs=4:jobs=5", parse_cluster_spec,
+     "duplicate parameter 'jobs' at column 16 of cluster spec"),
+    ("faults:seed=1:Flavor=2", parse_fault_spec,
+     "unknown parameter 'flavor' at column 15 of fault spec 'faults:seed=1:Flavor=2'; "
+     "accepted keys: up, down, scale, straggler, seed, vc"),
+])
+def test_key_errors_share_one_format(spec, parse, fragment):
+    with pytest.raises(ValueError) as err:
+        parse(spec)
+    assert fragment in str(err.value)
+
+
+def test_keys_are_case_insensitive():
+    assert from_spec("torus:DIMS=3x3").num_nodes == 9
+    assert fabric_from_spec("hpc:LINK_GBPS=50") == fabric_from_spec("hpc:link_gbps=50")
+
+
+#: Heads of every spec kind the documentation shows; a bare fabric name in
+#: inline backticks is a spec too.
+_HEADS = ("genkautz", "kautz", "hypercube", "twisted", "twisted-hypercube", "bipartite",
+          "torus", "mesh", "xpander", "rrg", "random-regular", "jellyfish", "ring",
+          "complete", "hpc", "ml", "ideal", "cluster", "faults")
+_FABRICS = ("hpc", "ml", "ideal")
+
+
+def documented_specs():
+    """``(spec, rejected)`` for every spec example in README.md and docs/*.md.
+
+    Examples are words in inline code spans and fenced blocks.  A spec on a
+    line that mentions ``ValueError`` is documented as rejected.  Grammar
+    templates (``jobs=N[:...]``, ``faults:...``) and bare kind words are not
+    examples and are skipped.
+    """
+    found = set()
+    for page in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        fenced = False
+        for line in page.read_text().splitlines():
+            if line.lstrip().startswith("```"):
+                fenced = not fenced
+                continue
+            rejected = "ValueError" in line
+            spans = [line] if fenced else re.findall(r"`([^`]+)`", line)
+            found.update((span, rejected) for span in spans if span in _FABRICS)
+            for word in re.split(r"[\s'\"`()/;]+", " ".join(spans)):
+                if re.search(r"[\[\]<>]|\.\.\.", word):
+                    continue
+                word = word.rstrip(".,")
+                if word.partition(":")[0] in _HEADS and re.search(r":.*[=@]", word):
+                    found.add((word, rejected))
+    return sorted(found)
+
+
+def _parse(spec: str):
+    head = spec.partition(":")[0]
+    if head == "cluster":
+        return parse_cluster_spec(spec)
+    if head == "faults":
+        return parse_fault_spec(spec)
+    if head in _FABRICS:
+        return fabric_from_spec(spec)
+    return from_spec(spec)
+
+
+def test_documentation_examples_cover_every_spec_kind():
+    heads = {spec.partition(":")[0] for spec, _ in documented_specs()}
+    assert {"cluster", "faults", "hpc", "ml", "ideal", "torus"} <= heads
+
+
+@pytest.mark.parametrize("spec,rejected", documented_specs())
+def test_documented_spec_parses(spec, rejected):
+    if rejected:
+        with pytest.raises(ValueError):
+            _parse(spec)
+    else:
+        _parse(spec)
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(probe_keys(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
