@@ -25,7 +25,6 @@ from .adversarial import (
 from .context import PreparedFaultContext, RerouteCache
 from .reroute import (
     certify_routes,
-    down_set,
     effective_path,
     repair_path,
     surviving_adjacency,
@@ -45,7 +44,6 @@ __all__ = [
     "ranked_physical_links",
     "worst_case_failures",
     "certify_routes",
-    "down_set",
     "effective_path",
     "repair_path",
     "surviving_adjacency",

@@ -35,7 +35,8 @@ import numpy as np
 
 from ..perf.delta import DeltaProgram
 from ..simulator.fabric import FabricModel
-from .reroute import certify_routes, effective_path, surviving_adjacency
+from .reroute import (certify_routes, distinct_routes, effective_path,
+                      surviving_adjacency)
 
 __all__ = ["PreparedFaultContext", "RerouteCache"]
 
@@ -96,25 +97,19 @@ class RerouteCache:
     def certify(self, routes: Sequence[Path], vc: str) -> Tuple[int, bool]:
         """Memoized deadlock-free layer count for one epoch's route set.
 
-        The key preserves the first-seen order of the distinct multi-hop
-        routes (LASH layer counts are insertion-order dependent), so the
-        cached value always equals the direct ``certify_routes`` call.
+        The key is :func:`~repro.faults.reroute.distinct_routes`, which
+        keeps first-seen order (LASH layer counts are insertion-order
+        dependent), so the cached value always equals the direct
+        ``certify_routes`` call.
         """
         if vc == "off":
             return 0, False
-        distinct: List[Path] = []
-        seen: Set[Path] = set()
-        for route in routes:
-            route = tuple(route)
-            if len(route) >= 2 and route not in seen:
-                seen.add(route)
-                distinct.append(route)
-        key = (vc, tuple(distinct))
+        key = (vc, distinct_routes(routes))
         with self._lock:
             if key in self._layers:
                 self.hits += 1
                 return self._layers[key], True
-        layers = certify_routes(distinct, vc)
+        layers = certify_routes(key[1], vc)
         with self._lock:
             self.misses += 1
             layers = self._layers.setdefault(key, layers)

@@ -22,14 +22,14 @@ channel count the repair needs is reported alongside the rerouted paths.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..routing.dfsssp import dfsssp_assign
 from ..routing.lash import lash_sequential_assign
 from ..topology.base import Topology
 
 __all__ = ["surviving_adjacency", "repair_path", "effective_path",
-           "certify_routes", "down_set"]
+           "distinct_routes", "certify_routes"]
 
 Link = Tuple[int, int]
 Path = Tuple[int, ...]
@@ -90,32 +90,28 @@ def effective_path(original: Path, down: Set[Link],
     return repair_path(original[0], original[-1], adjacency)
 
 
+def distinct_routes(routes: Sequence[Path]) -> Tuple[Path, ...]:
+    """Distinct multi-hop routes in first-seen order (layer counts depend on it)."""
+    return tuple(dict.fromkeys(r for r in map(tuple, routes) if len(r) >= 2))
+
+
 def certify_routes(routes: Sequence[Path], vc: str = "lash") -> int:
     """Deadlock-free layer count for an epoch's active route set.
 
     Runs the selected layer assignment (``lash`` sequential packing or
-    ``dfsssp`` ordered insertion) over the distinct multi-hop routes and
-    returns the number of virtual channels it needs; ``vc="off"`` skips
-    certification and returns 0.  The assignment never fails — both
-    algorithms open a fresh layer when a route fits nowhere — so this is
-    an accounting knob, not a feasibility gate.
+    ``dfsssp`` ordered insertion) over :func:`distinct_routes` and returns
+    the number of virtual channels it needs; ``vc="off"`` skips
+    certification and returns 0.  For routes that do not repeat a channel
+    (BFS repairs never do) the assignment never fails — both algorithms
+    open a fresh layer when a route fits nowhere — so this is an
+    accounting knob, not a feasibility gate.  A route that repeats a
+    channel fits no layer and raises ``RuntimeError``.
     """
     if vc == "off":
         return 0
-    distinct: List[Path] = []
-    seen: Set[Path] = set()
-    for route in routes:
-        route = tuple(route)
-        if len(route) >= 2 and route not in seen:
-            seen.add(route)
-            distinct.append(route)
+    distinct = distinct_routes(routes)
     if not distinct:
         return 0
     if vc == "dfsssp":
         return dfsssp_assign(distinct).num_layers
     return lash_sequential_assign(distinct).num_layers
-
-
-def down_set(links: Sequence[Link]) -> FrozenSet[Link]:
-    """Normalize a link sequence into the set form the repair functions take."""
-    return frozenset((int(u), int(v)) for u, v in links)

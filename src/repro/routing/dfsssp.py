@@ -34,13 +34,7 @@ Route = Tuple[int, ...]
 
 def dfsssp_assign(routes: Sequence[Sequence[int]], max_layers: int = 64) -> LayerAssignment:
     """Assign routes to layers by iteratively escaping cycle-causing routes upward."""
-    unique: List[Route] = []
-    seen = set()
-    for r in routes:
-        t = tuple(r)
-        if t not in seen:
-            seen.add(t)
-            unique.append(t)
+    unique: List[Route] = list(dict.fromkeys(map(tuple, routes)))
 
     layer_of: Dict[Route, int] = {r: 0 for r in unique}
     num_layers = 1
@@ -85,5 +79,5 @@ def dfsssp_assign(routes: Sequence[Sequence[int]], max_layers: int = 64) -> Laye
             raise RuntimeError("internal error: final DF-SSSP layers not acyclic")
     # Drop empty trailing layers (possible when escapes cascaded upward).
     while assignment.num_layers > 1 and not assignment.routes_in_layer(assignment.num_layers - 1):
-        assignment._layer_cdgs.pop()
+        assignment._layers.pop()
     return assignment

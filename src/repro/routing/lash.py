@@ -21,10 +21,11 @@ captured here:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import networkx as nx
 
+from ..topology.base import Edge
 from .deadlock import channel_dependency_graph, route_edges
 
 __all__ = ["LayerAssignment", "lash_assign", "lash_sequential_assign", "verify_layers"]
@@ -33,40 +34,51 @@ Route = Tuple[int, ...]
 
 
 class LayerAssignment:
-    """Result of a layer assignment: route -> layer plus per-layer CDGs."""
+    """Result of a layer assignment: route -> layer plus per-layer CDG successor maps."""
 
     def __init__(self) -> None:
         self.layer_of: Dict[Route, int] = {}
-        self._layer_cdgs: List[nx.DiGraph] = []
+        self._layers: List[Dict[Edge, Set[Edge]]] = []
 
     @property
     def num_layers(self) -> int:
-        return len(self._layer_cdgs)
+        return len(self._layers)
 
     def routes_in_layer(self, layer: int) -> List[Route]:
         return [r for r, l in self.layer_of.items() if l == layer]
 
     def _try_add(self, route: Route, layer: int) -> bool:
-        """Tentatively add a route to a layer; keep it only if the CDG stays acyclic."""
-        cdg = self._layer_cdgs[layer]
+        """Add a route to a layer iff the layer's CDG stays acyclic, in O(|CDG|).
+
+        The CDG is acyclic before the add, so channels e_0..e_k close a cycle
+        iff the route repeats a channel or the CDG has a path from some e_j to
+        an earlier e_i.  The DFS for j = k..1 shares one visited set: the
+        targets e_0..e_{j-1} only shrink as j falls.
+        """
+        succ = self._layers[layer]
         edges = route_edges(route)
-        added_nodes = [e for e in edges if e not in cdg]
-        added_arcs = []
+        index = {e: i for i, e in enumerate(edges)}
+        if len(index) != len(edges):
+            return False
+        visited: Set[Edge] = set()
+        for j in range(len(edges) - 1, 0, -1):
+            stack = [edges[j]]
+            visited.add(edges[j])
+            while stack:
+                for nxt in succ.get(stack.pop(), ()):
+                    if index.get(nxt, j) < j:
+                        return False
+                    if nxt not in visited:
+                        visited.add(nxt)
+                        stack.append(nxt)
         for e1, e2 in zip(edges[:-1], edges[1:]):
-            if not cdg.has_edge(e1, e2):
-                added_arcs.append((e1, e2))
-        cdg.add_nodes_from(added_nodes)
-        cdg.add_edges_from(added_arcs)
-        if nx.is_directed_acyclic_graph(cdg):
-            self.layer_of[route] = layer
-            return True
-        cdg.remove_edges_from(added_arcs)
-        cdg.remove_nodes_from(added_nodes)
-        return False
+            succ.setdefault(e1, set()).add(e2)
+        self.layer_of[route] = layer
+        return True
 
     def _new_layer(self) -> int:
-        self._layer_cdgs.append(nx.DiGraph())
-        return len(self._layer_cdgs) - 1
+        self._layers.append({})
+        return len(self._layers) - 1
 
 
 def lash_assign(routes: Sequence[Sequence[int]]) -> LayerAssignment:
@@ -91,14 +103,7 @@ def lash_assign(routes: Sequence[Sequence[int]]) -> LayerAssignment:
 
 def lash_sequential_assign(routes: Sequence[Sequence[int]]) -> LayerAssignment:
     """LASH-sequential: longest-routes-first, one layer filled at a time."""
-    unique_routes = []
-    seen = set()
-    for route in routes:
-        t = tuple(route)
-        if t not in seen:
-            seen.add(t)
-            unique_routes.append(t)
-    remaining = sorted(unique_routes, key=lambda r: (-(len(r) - 1), r))
+    remaining = sorted(set(map(tuple, routes)), key=lambda r: (-(len(r) - 1), r))
 
     assignment = LayerAssignment()
     while remaining:

@@ -618,6 +618,26 @@ class TestReroute:
         assert effective_path((0, 1, 2), set(), adjacency) == (0, 1, 2)
 
 
+class TestVcLayers:
+    """Layer counts of a flapping timeline, as the networkx LASH check gave them."""
+
+    SPEC = ("faults:down=0~1|6~8|2~5|4~5@10us:up@14us:down=6~7|2~5@17us:up@21us"
+            ":down=0~1|6~8|2~5|4~5@24us:up@28us")
+
+    @pytest.mark.parametrize("vc, layers, per_epoch", [
+        ("lash", 2, [1, 2, 1, 2, 1, 2, 1]),
+        ("dfsssp", 3, [1, 3, 1, 2, 1, 3, 1]),
+    ])
+    def test_flapping_torus_layer_counts(self, vc, layers, per_epoch):
+        schedule = _lowered("torus:dims=3x3", "mcf-extp")
+        res = run_faulted(schedule, 2 ** 20, f"{self.SPEC}:vc={vc}",
+                          fabric=cerio_hpc_fabric(), validate=False,
+                          collect_trace=True)
+        assert res.meta["vc_layers"] == layers
+        assert [certify_routes(list(rec.paths.values()), vc)
+                for rec in res.meta["epoch_trace"]] == per_epoch
+
+
 class TestAdversarial:
     def test_exhaustive_search_is_deterministic_and_worst_first(self):
         schedule = _lowered("hypercube:dim=3", "mcf-extp")
