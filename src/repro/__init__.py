@@ -5,7 +5,7 @@ Direct-connect Topologies" (HPDC 2024): MCF-based schedule synthesis
 (link-based, decomposed, time-stepped, path-based), baselines, topology
 generators (generalized Kautz, tori, hypercubes, expanders), schedule
 compilation to MSCCL/oneCCL/OMPI-style XML, a direct-connect fabric simulator,
-and application workloads (3D FFT, DLRM, MoE).
+and an application workload (3D FFT).
 """
 
 from . import (
@@ -25,7 +25,7 @@ from . import (
     workloads,
 )
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "analysis",

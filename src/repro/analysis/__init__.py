@@ -7,7 +7,7 @@ from .report import (
     format_throughput_sweep,
     human_bytes,
 )
-from .throughput import Envelope, crossover_buffer, envelope, normalize_times, speedup
+from .throughput import Envelope, envelope, normalize_times, speedup
 
 __all__ = [
     "format_engine_footer",
@@ -16,7 +16,6 @@ __all__ = [
     "format_throughput_sweep",
     "human_bytes",
     "Envelope",
-    "crossover_buffer",
     "envelope",
     "normalize_times",
     "speedup",

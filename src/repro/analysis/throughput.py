@@ -10,9 +10,9 @@ in one place (and testable).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Sequence
 
-__all__ = ["normalize_times", "Envelope", "envelope", "speedup", "crossover_buffer"]
+__all__ = ["normalize_times", "Envelope", "envelope", "speedup"]
 
 
 def normalize_times(times: Mapping[str, float], reference: float) -> Dict[str, float]:
@@ -52,20 +52,3 @@ def speedup(baseline_time: float, optimized_time: float) -> float:
     if optimized_time <= 0:
         return float("inf")
     return baseline_time / optimized_time
-
-
-def crossover_buffer(buffer_sizes: Sequence[float], series_a: Sequence[float],
-                     series_b: Sequence[float]) -> Optional[float]:
-    """First buffer size at which series A's throughput overtakes series B's.
-
-    Used to locate the small-buffer/large-buffer crossovers discussed with
-    Fig. 4 (path-based schedules win at small buffers thanks to cut-through
-    latency, both converge at large buffers).  Returns None if A never
-    overtakes B in the sweep.
-    """
-    if not (len(buffer_sizes) == len(series_a) == len(series_b)):
-        raise ValueError("series must have equal length")
-    for buf, a, b in zip(buffer_sizes, series_a, series_b):
-        if a >= b:
-            return buf
-    return None

@@ -1,6 +1,6 @@
 """Core contribution: MCF-based all-to-all schedule synthesis."""
 
-from .bottleneck import AugmentedTopology, augment_host_nic_bottleneck, project_flow_to_hosts
+from .bottleneck import AugmentedTopology, augment_host_nic_bottleneck
 from .flow import (
     Commodity,
     FlowSolution,
@@ -9,13 +9,13 @@ from .flow import (
     flow_to_paths,
     max_link_utilization,
     repair_conservation,
+    widest_path,
 )
 from .lower_bound import (
     dual_bound_concurrent_flow,
     ideal_arborescence_distance_sum,
     lower_bound_time_graph,
     lower_bound_time_regular,
-    throughput_upper_bound,
     upper_bound_concurrent_flow,
 )
 from .mcf_decomposed import (
@@ -38,7 +38,6 @@ from .solver import LPBuilder, LPSolution, SolverError
 __all__ = [
     "AugmentedTopology",
     "augment_host_nic_bottleneck",
-    "project_flow_to_hosts",
     "Commodity",
     "FlowSolution",
     "WeightedPath",
@@ -46,11 +45,11 @@ __all__ = [
     "flow_to_paths",
     "max_link_utilization",
     "repair_conservation",
+    "widest_path",
     "dual_bound_concurrent_flow",
     "ideal_arborescence_distance_sum",
     "lower_bound_time_graph",
     "lower_bound_time_regular",
-    "throughput_upper_bound",
     "upper_bound_concurrent_flow",
     "ConcurrentFlowValue",
     "DecomposedTimings",

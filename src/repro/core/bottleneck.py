@@ -25,10 +25,9 @@ from typing import Dict
 
 import networkx as nx
 
-from ..topology.base import Edge, Topology
-from .flow import Commodity, FlowSolution
+from ..topology.base import Topology
 
-__all__ = ["AugmentedTopology", "augment_host_nic_bottleneck", "project_flow_to_hosts"]
+__all__ = ["AugmentedTopology", "augment_host_nic_bottleneck"]
 
 
 @dataclass
@@ -101,53 +100,3 @@ def augment_host_nic_bottleneck(topology: Topology, host_bandwidth: float,
                              "link_bandwidth": link_bandwidth,
                              "num_hosts": n})
     return AugmentedTopology(topology=aug, num_hosts=n, nic_in=nic_in, nic_out=nic_out)
-
-
-def host_commodities(aug: AugmentedTopology):
-    """Ordered (source, destination) pairs between host vertices only."""
-    for s in aug.host_nodes():
-        for d in aug.host_nodes():
-            if s != d:
-                yield (s, d)
-
-
-def project_flow_to_hosts(aug: AugmentedTopology, solution: FlowSolution) -> FlowSolution:
-    """Project an augmented-graph flow onto the physical NIC-level links.
-
-    The NIC(out, u) -> NIC(in, v) edges map back to physical edges (u, v);
-    host<->NIC edges are dropped (they represent injection, not fabric load).
-    Only host-to-host commodities are kept.
-    """
-    n = aug.num_hosts
-    rev_out = {v: k for k, v in aug.nic_out.items()}
-    rev_in = {v: k for k, v in aug.nic_in.items()}
-    physical_flows: Dict[Commodity, Dict[Edge, float]] = {}
-    for (s, d), per_edge in solution.flows.items():
-        if s >= n or d >= n:
-            continue
-        projected: Dict[Edge, float] = {}
-        for (u, v), val in per_edge.items():
-            if u in rev_out and v in rev_in:
-                projected[(rev_out[u], rev_in[v])] = projected.get((rev_out[u], rev_in[v]), 0.0) + val
-        physical_flows[(s, d)] = projected
-    return FlowSolution(
-        concurrent_flow=solution.concurrent_flow,
-        flows=physical_flows,
-        topology=_physical_view(aug),
-        solve_seconds=solution.solve_seconds,
-        meta={**solution.meta, "projected_from_augmented": True},
-    )
-
-
-def _physical_view(aug: AugmentedTopology) -> Topology:
-    """Reconstruct the physical topology from the augmented representation."""
-    n = aug.num_hosts
-    rev_out = {v: k for k, v in aug.nic_out.items()}
-    rev_in = {v: k for k, v in aug.nic_in.items()}
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n))
-    for (u, v) in aug.topology.edges:
-        if u in rev_out and v in rev_in:
-            g.add_edge(rev_out[u], rev_in[v], cap=aug.topology.capacity(u, v))
-    return Topology(g, name=aug.topology.name.replace("-hostnic", ""),
-                    default_cap=aug.topology.default_cap)

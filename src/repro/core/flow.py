@@ -11,6 +11,7 @@ cycles) and re-accumulating link flows.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -22,8 +23,8 @@ from ..topology.base import Edge, Topology
 Commodity = Tuple[int, int]
 
 __all__ = ["Commodity", "FlowSolution", "WeightedPath", "flow_to_paths",
-           "flows_from_array", "repair_conservation", "max_link_utilization",
-           "conservation_violation"]
+           "flows_from_array", "widest_path", "repair_conservation",
+           "max_link_utilization", "conservation_violation"]
 
 
 def flows_from_array(values, commodities: Sequence[Commodity],
@@ -149,7 +150,7 @@ def flow_to_paths(flow: Mapping[Edge, float], source: int, destination: int,
     # Guard: each iteration removes at least one edge from the residual,
     # so the loop terminates after at most |E| iterations.
     for _ in range(len(residual) + 1):
-        path = _widest_path(residual, source, destination, tol)
+        path = widest_path(residual, source, destination, tol)
         if path is None:
             break
         bottleneck = min(residual[e] for e in zip(path[:-1], path[1:]))
@@ -161,11 +162,16 @@ def flow_to_paths(flow: Mapping[Edge, float], source: int, destination: int,
     return paths
 
 
-def _widest_path(capacity: Mapping[Edge, float], source: int, destination: int,
-                 tol: float) -> Optional[List[int]]:
-    """Max-bottleneck (widest) path via a Dijkstra variant; None if no path."""
-    import heapq
+def widest_path(capacity: Mapping[Edge, float], source: int, destination: int,
+                tol: float = FLOW_TOL) -> Optional[List[int]]:
+    """Maximum-bottleneck (widest) s->d path on an edge-capacity map.
 
+    The inner primitive of MCF-extP's extraction loop (§3.2.1): a Dijkstra
+    variant whose node label is the best bottleneck found so far (maximized
+    instead of minimized).  Edges at or below ``tol`` are ignored, and a
+    label must improve by more than ``tol`` to be replaced.  Returns the node
+    sequence, or None when no positive-capacity path exists.
+    """
     adj: Dict[int, List[Tuple[int, float]]] = {}
     for (u, v), c in capacity.items():
         if c > tol:
@@ -187,15 +193,10 @@ def _widest_path(capacity: Mapping[Edge, float], source: int, destination: int,
                 best[v] = width
                 parent[v] = u
                 heapq.heappush(heap, (-width, v))
-    if destination not in visited and destination not in parent:
-        return None
     if destination not in best:
         return None
-    # Reconstruct.
     path = [destination]
     while path[-1] != source:
-        if path[-1] not in parent:
-            return None
         path.append(parent[path[-1]])
     path.reverse()
     return path

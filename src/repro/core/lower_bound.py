@@ -36,7 +36,6 @@ __all__ = [
     "lower_bound_time_graph",
     "upper_bound_concurrent_flow",
     "dual_bound_concurrent_flow",
-    "throughput_upper_bound",
 ]
 
 
@@ -122,14 +121,3 @@ def dual_bound_concurrent_flow(topology: Topology, lengths: Sequence[float],
     if total <= 0.0:
         return float("inf")
     return float(cap_arr @ lengths) / total
-
-
-def throughput_upper_bound(num_nodes: int, concurrent_flow: float,
-                           link_bandwidth_bytes: float) -> float:
-    """Paper's throughput upper bound ``(N - 1) * f * b`` in bytes/second.
-
-    ``f`` is the optimal concurrent flow value with unit link capacities and
-    ``b`` the link bandwidth in bytes/second (§5.2: on the bottlenecked 3D
-    torus, (26)(2/27)(3.125 GB/s) = 6.01 GB/s).
-    """
-    return (num_nodes - 1) * concurrent_flow * link_bandwidth_bytes

@@ -23,7 +23,7 @@ from .backends import (
     register_backend,
 )
 from .cache import SolutionCache
-from .core import Engine, configure, get_engine, reset_engine, solve
+from .core import Engine, get_engine, reset_engine, solve
 from .problem import (
     MCFProblem,
     formulation_names,
@@ -40,7 +40,6 @@ __all__ = [
     "register_backend",
     "SolutionCache",
     "Engine",
-    "configure",
     "get_engine",
     "reset_engine",
     "solve",

@@ -12,10 +12,9 @@ Each returned solution carries an ``info`` dict (cache status, backend name,
 LP dimensions, cache key prefix) that formulations surface in
 ``FlowSolution.meta["engine"]``.
 
-A process-wide default engine is created lazily; :func:`configure` swaps its
-backend, toggles caching, or attaches an on-disk cache directory.  The
-``REPRO_CACHE_DIR`` environment variable seeds the disk tier and
-``REPRO_SOLVE_BACKEND`` the default backend.
+A process-wide default engine is created lazily.  The ``REPRO_CACHE_DIR``
+environment variable seeds its disk tier and ``REPRO_SOLVE_BACKEND`` its
+backend.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .problem import MCFProblem, get_formulation
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.solver import LPSolution
 
-__all__ = ["Engine", "get_engine", "configure", "solve", "reset_engine",
+__all__ = ["Engine", "get_engine", "solve", "reset_engine",
            "solution_key"]
 
 
@@ -116,21 +115,6 @@ def get_engine() -> Engine:
                     cache=SolutionCache(cache_dir=os.environ.get("REPRO_CACHE_DIR")),
                 )
     return _engine
-
-
-def configure(backend: Optional[str] = None, cache_dir: Optional[str] = None,
-              cache_enabled: Optional[bool] = None) -> Engine:
-    """Reconfigure the default engine in place and return it."""
-    engine = get_engine()
-    if backend is not None:
-        get_backend(backend)
-        engine.backend_name = backend
-    if cache_dir is not None:
-        engine.cache = SolutionCache(cache_dir=cache_dir,
-                                     enabled=engine.cache.enabled)
-    if cache_enabled is not None:
-        engine.cache.enabled = cache_enabled
-    return engine
 
 
 def reset_engine() -> None:

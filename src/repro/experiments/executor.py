@@ -21,7 +21,7 @@ from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import sweep
-from .plan import PlanResult, get_plan_cache
+from .plan import PlanResult, get_plan_cache, stage_artifact_key
 from .scenario import STAGES, Scenario
 
 __all__ = ["merge_shards", "run_sweep_workers"]
@@ -131,7 +131,7 @@ def run_sweep_workers(scenarios: Sequence[Scenario],
                     i = futures[future]
                     if plan is not None:
                         for stage, artifact in plan.stage_artifacts().items():
-                            cache.put(scenarios[i].stage_key(stage), artifact)
+                            cache.put(stage_artifact_key(scenarios[i], stage), artifact)
                         if stop != through:
                             sharing.discard(i)
                             followers.append((i, plan))

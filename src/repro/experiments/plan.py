@@ -12,8 +12,9 @@ through the paper's Fig. 1 pipeline as explicit stages:
 4. **simulate** — execute the schedule on the scenario's fabric across its
    buffer sweep.
 
-Each stage's artifact is cached under the scenario's
-:meth:`~repro.experiments.scenario.Scenario.stage_key` in a process-wide
+Each stage's artifact is cached under :func:`stage_artifact_key` (the
+scenario's :meth:`~repro.experiments.scenario.Scenario.stage_key` salted
+with the package version) in a process-wide
 :class:`~repro.engine.cache.SolutionCache` instance (memory tier always on,
 disk tier under ``$REPRO_CACHE_DIR/stages`` when configured), so re-running a
 scenario — or a scenario that shares a prefix of the pipeline, e.g. the same
@@ -35,6 +36,7 @@ from ..core.mcf_decomposed import ConcurrentFlowValue
 from ..core.mcf_path import PathSchedule
 from ..core.mcf_timestepped import TimeSteppedFlow
 from ..engine.cache import SolutionCache
+from ..engine.problem import _code_version
 from ..schedule import (
     LinkSchedule,
     RoutedSchedule,
@@ -47,7 +49,7 @@ from ..simulator import CollectiveResult, throughput_sweep
 from .scenario import STAGES, SYNTHESIZE_ONLY, Scenario, resolve_scheme
 
 __all__ = ["Plan", "PlanResult", "get_plan_cache", "configure_plan_cache",
-           "reset_plan_cache"]
+           "reset_plan_cache", "stage_artifact_key"]
 
 
 # --------------------------------------------------------------------------- #
@@ -55,6 +57,17 @@ __all__ = ["Plan", "PlanResult", "get_plan_cache", "configure_plan_cache",
 # --------------------------------------------------------------------------- #
 _plan_cache: Optional[SolutionCache] = None
 _plan_cache_lock = threading.Lock()
+
+
+def stage_artifact_key(scenario: Scenario, stage: str) -> str:
+    """Stage-cache key of one scenario stage's artifact.
+
+    The scenario's :meth:`~repro.experiments.scenario.Scenario.stage_key`
+    salted with the package version, as LP solution keys are: a persistent
+    ``REPRO_CACHE_DIR`` written by another release reads as a miss instead
+    of serving that release's schedules and results.
+    """
+    return f"{scenario.stage_key(stage)}-{_code_version()}"
 
 
 def _stage_cache_dir() -> Optional[str]:
@@ -221,7 +234,7 @@ class Plan:
     def _ensure_stage(self, stage: str) -> None:
         if stage in self.result.stage_seconds:
             return
-        key = self.scenario.stage_key(stage)
+        key = stage_artifact_key(self.scenario, stage)
         start = time.perf_counter()
         if not self.cache.enabled:
             self._install(stage, self._compute(stage))

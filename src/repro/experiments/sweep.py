@@ -448,7 +448,10 @@ def completed_records(paths: Sequence[str],
     Only ``ok`` records that ran at least as far as ``through`` count as
     complete (a synthesize-only record must not satisfy a simulate sweep),
     and only records from the current scenario schema layout resume at all
-    (older keys are incomparable).  Dedupe is first-wins in ``paths`` order.
+    (older keys are incomparable).  Resume is blind to the package version
+    that wrote a record: a JSONL file is the caller's result log, and only
+    the stage cache is version-salted.  Dedupe is first-wins in ``paths``
+    order.
     """
     from .scenario import STAGES
 

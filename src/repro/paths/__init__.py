@@ -9,11 +9,9 @@ from .shortest import (
     bounded_length_path_sets,
     bounded_length_paths,
     first_shortest_path_sets,
-    k_shortest_paths,
     shortest_path,
 )
 from .sssp import sssp_routes, sssp_schedule
-from .widest import path_bottleneck, widest_path, widest_path_in_topology
 
 __all__ = [
     "edge_disjoint_path_sets",
@@ -27,11 +25,7 @@ __all__ = [
     "bounded_length_path_sets",
     "bounded_length_paths",
     "first_shortest_path_sets",
-    "k_shortest_paths",
     "shortest_path",
     "sssp_routes",
     "sssp_schedule",
-    "path_bottleneck",
-    "widest_path",
-    "widest_path_in_topology",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "shortest_path",
     "all_shortest_paths",
     "all_shortest_path_sets",
-    "k_shortest_paths",
     "bounded_length_paths",
     "bounded_length_path_sets",
     "first_shortest_path_sets",
@@ -76,18 +75,6 @@ def all_shortest_path_sets(topology: Topology,
 def first_shortest_path_sets(topology: Topology) -> Dict[Commodity, List[int]]:
     """One deterministic shortest path per commodity (the 'native fabric' routing)."""
     return {(s, d): shortest_path(topology, s, d) for s, d in topology.commodities()}
-
-
-def k_shortest_paths(topology: Topology, source: int, destination: int,
-                     k: int) -> List[List[int]]:
-    """K shortest simple paths (Yen's algorithm via networkx)."""
-    gen = nx.shortest_simple_paths(topology.graph, source, destination)
-    out = []
-    for p in gen:
-        out.append(list(p))
-        if len(out) >= k:
-            break
-    return out
 
 
 def bounded_length_paths(topology: Topology, source: int, destination: int,

@@ -22,8 +22,7 @@ from typing import List, Optional, Sequence
 
 from .aggregate import Plot, SpecResult, Table
 
-__all__ = ["RenderedArtifact", "render_spec", "render_index",
-           "table_to_markdown", "write_table_csv"]
+__all__ = ["RenderedArtifact", "render_spec", "render_index", "write_table_csv"]
 
 
 # --------------------------------------------------------------------------- #
@@ -59,22 +58,6 @@ class RenderedArtifact:
 # --------------------------------------------------------------------------- #
 # Tables
 # --------------------------------------------------------------------------- #
-def table_to_markdown(table: Table) -> str:
-    """A :class:`Table` as a Markdown pipe table (structured rows)."""
-    lines = [f"**{table.title}**", ""]
-    lines.append("| " + " | ".join(str(h) for h in table.headers) + " |")
-    lines.append("| " + " | ".join("---" for _ in table.headers) + " |")
-    for row in table.rows:
-        lines.append("| " + " | ".join(_fmt_cell(cell) for cell in row) + " |")
-    return "\n".join(lines)
-
-
-def _fmt_cell(cell: object) -> str:
-    if isinstance(cell, float):
-        return f"{cell:.6g}"
-    return str(cell)
-
-
 def write_table_csv(table: Table, path: str) -> str:
     """Write a table's structured rows as CSV; returns the path."""
     with open(path, "w", newline="") as fh:

@@ -12,12 +12,7 @@ from .interpreter import (
     parse_ompi_xml,
 )
 from .ir import Chunk, LinkSchedule, LinkSendOp, RouteAssignment, RoutedSchedule
-from .stats import (
-    LinkScheduleStats,
-    RoutedScheduleStats,
-    link_schedule_stats,
-    routed_schedule_stats,
-)
+from .stats import RoutedScheduleStats, routed_schedule_stats
 from .validate import ScheduleValidationError, validate_link_schedule, validate_routed_schedule
 
 __all__ = [
@@ -35,9 +30,7 @@ __all__ = [
     "parse_msccl_xml",
     "parse_oneccl_xml",
     "parse_ompi_xml",
-    "LinkScheduleStats",
     "RoutedScheduleStats",
-    "link_schedule_stats",
     "routed_schedule_stats",
     "Chunk",
     "LinkSchedule",

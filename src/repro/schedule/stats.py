@@ -1,11 +1,10 @@
-"""Schedule statistics: instruction counts, load balance, buffer pressure.
+"""Routed-schedule statistics: route counts, load balance, queue pairs.
 
-These metrics summarise a lowered schedule the way a runtime engineer would
-inspect it before deploying: how many steps / instructions per rank, how
-evenly the links are loaded (directly tied to achievable throughput), how much
-scratch space forwarding needs, and how many queue pairs a routed schedule
-opens (§5.5 discusses QP pressure as the practical scaling limit of granular
-chunking).
+These metrics summarise a lowered routed schedule the way a runtime engineer
+would inspect it before deploying: how many distinct routes and layers it
+uses, how evenly the links are loaded (directly tied to achievable
+throughput), and how many queue pairs it opens (§5.5 discusses QP pressure as
+the practical scaling limit of granular chunking).
 """
 
 from __future__ import annotations
@@ -14,23 +13,9 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..topology.base import Edge
-from .ir import LinkSchedule, RoutedSchedule
+from .ir import RoutedSchedule
 
-__all__ = ["LinkScheduleStats", "RoutedScheduleStats", "link_schedule_stats",
-           "routed_schedule_stats"]
-
-
-@dataclass(frozen=True)
-class LinkScheduleStats:
-    """Summary statistics of a time-stepped link schedule."""
-
-    num_steps: int
-    num_operations: int
-    operations_per_rank_max: int
-    total_fraction_moved: float        # in shard units
-    max_step_link_fraction: float      # busiest link in the busiest step
-    load_imbalance: float              # max / mean link fraction over the whole schedule
-    forwarded_fraction: float          # shard units staged at intermediate ranks
+__all__ = ["RoutedScheduleStats", "routed_schedule_stats"]
 
 
 @dataclass(frozen=True)
@@ -44,35 +29,6 @@ class RoutedScheduleStats:
     mean_route_hops: float
     queue_pairs_per_rank_max: int
     load_imbalance: float              # max / mean link fraction
-
-
-def link_schedule_stats(schedule: LinkSchedule) -> LinkScheduleStats:
-    """Compute :class:`LinkScheduleStats` for a link schedule."""
-    per_rank: Dict[int, int] = {}
-    link_total: Dict[Edge, float] = {}
-    max_step_link = 0.0
-    forwarded = 0.0
-    for op in schedule.operations:
-        per_rank[op.src] = per_rank.get(op.src, 0) + 1
-        link_total[(op.src, op.dst)] = link_total.get((op.src, op.dst), 0.0) + op.chunk.fraction
-        if op.dst != op.chunk.destination:
-            forwarded += op.chunk.fraction
-    for step in range(1, schedule.num_steps + 1):
-        loads = schedule.link_bytes(step, shard_bytes=1.0)
-        if loads:
-            max_step_link = max(max_step_link, max(loads.values()))
-    totals = list(link_total.values())
-    mean_load = sum(totals) / len(totals) if totals else 0.0
-    imbalance = (max(totals) / mean_load) if mean_load > 0 else 0.0
-    return LinkScheduleStats(
-        num_steps=schedule.num_steps,
-        num_operations=len(schedule.operations),
-        operations_per_rank_max=max(per_rank.values(), default=0),
-        total_fraction_moved=sum(op.chunk.fraction for op in schedule.operations),
-        max_step_link_fraction=max_step_link,
-        load_imbalance=imbalance,
-        forwarded_fraction=forwarded,
-    )
 
 
 def routed_schedule_stats(schedule: RoutedSchedule) -> RoutedScheduleStats:

@@ -1,10 +1,11 @@
 """Direct-connect fabric simulator (the testbed substitute).
 
 All regimes share one vectorized, event-driven fluid core
-(:mod:`repro.simulator.engine`); :mod:`.flowsim`, :mod:`.stepsim` and
-:mod:`.collective` are thin front-ends that lower their schedules to the
-engine's flow IR.  :mod:`.reference` keeps the scalar implementation as a
-differential-testing oracle.
+(:mod:`repro.simulator.engine`): :func:`~repro.simulator.engine.simulate_program`
+runs a bare flow set, and :mod:`.stepsim` and :mod:`.collective` are thin
+front-ends that lower their schedules to the engine's flow IR.
+:mod:`.reference` keeps the scalar implementation as a differential-testing
+oracle.
 """
 
 from .collective import (
@@ -13,16 +14,12 @@ from .collective import (
     run_routed_collective,
     throughput_sweep,
 )
-from .costmodel import (
-    alltoall_time_upper_bound,
-    latency_bandwidth_time,
-    steady_state_throughput,
-    throughput_upper_bound_curve,
-)
+from .costmodel import alltoall_time_upper_bound, steady_state_throughput
 from .engine import (
     EngineResult,
     FillWorkspace,
     FlowProgram,
+    FluidFlow,
     FluidRun,
     compile_flows,
     engine_counters,
@@ -44,7 +41,6 @@ from .fabric import (
     parse_link_scales,
     parse_link_set,
 )
-from .flowsim import FlowSimResult, FluidFlow, simulate_flows
 from .reference import simulate_flows_reference
 from .stepsim import StepSimResult, simulate_link_schedule
 
@@ -54,12 +50,11 @@ __all__ = [
     "run_routed_collective",
     "throughput_sweep",
     "alltoall_time_upper_bound",
-    "latency_bandwidth_time",
     "steady_state_throughput",
-    "throughput_upper_bound_curve",
     "EngineResult",
     "FillWorkspace",
     "FlowProgram",
+    "FluidFlow",
     "FluidRun",
     "compile_flows",
     "engine_counters",
@@ -79,9 +74,6 @@ __all__ = [
     "ideal_fabric",
     "parse_link_scales",
     "parse_link_set",
-    "FlowSimResult",
-    "FluidFlow",
-    "simulate_flows",
     "simulate_flows_reference",
     "StepSimResult",
     "simulate_link_schedule",

@@ -12,8 +12,7 @@ from typing import Optional
 from ..topology.base import Topology
 from .fabric import FabricModel
 
-__all__ = ["alltoall_time_upper_bound", "throughput_upper_bound_curve",
-           "steady_state_throughput", "latency_bandwidth_time"]
+__all__ = ["alltoall_time_upper_bound", "steady_state_throughput"]
 
 
 def steady_state_throughput(num_nodes: int, concurrent_flow: float,
@@ -25,14 +24,6 @@ def steady_state_throughput(num_nodes: int, concurrent_flow: float,
     (§5.2's 6.01 GB/s example on the bottlenecked 27-node torus).
     """
     return (num_nodes - 1) * concurrent_flow * fabric.link_bandwidth
-
-
-def latency_bandwidth_time(total_bytes_per_node: float, steady_bw: float,
-                           fixed_latency: float) -> float:
-    """Simple alpha-beta completion time: latency + bytes / bandwidth."""
-    if steady_bw <= 0:
-        return float("inf")
-    return fixed_latency + total_bytes_per_node / steady_bw
 
 
 def alltoall_time_upper_bound(topology: Topology, concurrent_flow: float,
@@ -53,21 +44,3 @@ def alltoall_time_upper_bound(topology: Topology, concurrent_flow: float,
         steps = num_steps if num_steps is not None else topology.diameter()
         latency_term = steps * fabric.per_step_latency
     return bandwidth_term + latency_term
-
-
-def throughput_upper_bound_curve(topology: Topology, concurrent_flow: float,
-                                 buffer_sizes: list, fabric: FabricModel,
-                                 num_steps: Optional[int] = None) -> list:
-    """Upper-bound throughput (bytes/s) at each total per-node buffer size.
-
-    ``buffer_sizes`` are total per-node all-to-all buffer sizes ``N * m`` in
-    bytes, matching the x-axis of Fig. 3/4; the returned values are the
-    corresponding ``(N - 1) * m / T_bound`` curves.
-    """
-    n = topology.num_nodes
-    out = []
-    for buf in buffer_sizes:
-        shard = buf / n
-        t = alltoall_time_upper_bound(topology, concurrent_flow, shard, fabric, num_steps)
-        out.append((n - 1) * shard / t if t > 0 else float("inf"))
-    return out

@@ -1,7 +1,7 @@
 """Unified vectorized fluid simulation engine: one core for all regimes.
 
-Every simulation regime in :mod:`repro.simulator` — cut-through path
-schedules (:mod:`.flowsim`), stepped link schedules (:mod:`.stepsim`) and
+Every simulation regime in :mod:`repro.simulator` — bare cut-through flow
+sets (:func:`simulate_program`), stepped link schedules (:mod:`.stepsim`) and
 whole collectives (:mod:`.collective`) — lowers to the same flow IR and runs
 on this engine:
 

@@ -15,15 +15,26 @@ independent of the engine's numpy formulation.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..constants import SIM_BYTES_EPS, SIM_EPS
 from ..topology.base import Edge, Topology
 from .engine import FluidFlow
 from .fabric import FabricModel
-from .flowsim import FlowSimResult
 
-__all__ = ["simulate_flows_reference", "max_min_rates_reference"]
+__all__ = ["ReferenceResult", "simulate_flows_reference", "max_min_rates_reference"]
+
+
+@dataclass
+class ReferenceResult:
+    """Outcome of the scalar oracle (the fields it shares with
+    :class:`~repro.simulator.engine.EngineResult`)."""
+
+    completion_time: float
+    flow_completion_times: List[float]
+    max_link_bytes: float
+    total_bytes: float
 
 
 def max_min_rates_reference(flows: Sequence[FluidFlow], active: List[int],
@@ -104,17 +115,17 @@ def max_min_rates_reference(flows: Sequence[FluidFlow], active: List[int],
 
 def simulate_flows_reference(topology: Topology, flows: Sequence[FluidFlow],
                              fabric: Optional[FabricModel] = None,
-                             max_rounds: int = 1_000_000) -> FlowSimResult:
+                             max_rounds: int = 1_000_000) -> ReferenceResult:
     """Simulate concurrent fluid flows to completion (scalar oracle).
 
     Returns per-flow completion times and the overall completion time
     (including start-up latencies), exactly like
-    :func:`repro.simulator.flowsim.simulate_flows`.
+    :func:`repro.simulator.engine.simulate_program`.
     """
     fabric = fabric or FabricModel()
     n = len(flows)
     if n == 0:
-        return FlowSimResult(0.0, [], 0.0, 0.0)
+        return ReferenceResult(0.0, [], 0.0, 0.0)
 
     start_delay = [fabric.per_message_overhead + f.hops * fabric.per_hop_latency
                    for f in flows]
@@ -150,7 +161,7 @@ def simulate_flows_reference(topology: Topology, flows: Sequence[FluidFlow],
     for f in flows:
         for e in f.edges:
             link_bytes[e] = link_bytes.get(e, 0.0) + f.size_bytes
-    return FlowSimResult(
+    return ReferenceResult(
         completion_time=max(completion),
         flow_completion_times=completion,
         max_link_bytes=max(link_bytes.values(), default=0.0),

@@ -4,9 +4,8 @@ from .base import Topology, Edge
 from .bipartite import complete_bipartite
 from .expander import jellyfish, random_regular, xpander
 from .hypercube import hypercube, twisted_hypercube
-from .hyperx import flattened_butterfly, hyperx
-from .kautz import generalized_de_bruijn, generalized_kautz, kautz
-from .misc import bidirectional_ring, chain, complete, dragonfly, ring
+from .kautz import generalized_kautz, kautz
+from .misc import bidirectional_ring, chain, complete, ring
 from .spec import from_spec, spec_families
 from .torus import (
     coordinate_of,
@@ -29,15 +28,11 @@ __all__ = [
     "xpander",
     "hypercube",
     "twisted_hypercube",
-    "flattened_butterfly",
-    "hyperx",
-    "generalized_de_bruijn",
     "generalized_kautz",
     "kautz",
     "bidirectional_ring",
     "chain",
     "complete",
-    "dragonfly",
     "ring",
     "from_spec",
     "spec_families",

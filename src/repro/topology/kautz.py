@@ -1,4 +1,4 @@
-"""Generalized Kautz (Imase–Itoh) and generalized de Bruijn digraphs.
+"""Generalized Kautz (Imase–Itoh) and classic Kautz digraphs.
 
 The paper identifies generalized Kautz graphs (§5.4, [21] Imase & Itoh 1983) as
 a family of expander digraphs that (a) can be constructed for *any* number of
@@ -11,10 +11,7 @@ Generalized Kautz ``GK(d, N)``:
     node ``u`` has arcs to ``(-d*u - j) mod N`` for ``j = 1..d``.
     Diameter is at most ``ceil(log_d N)``.
 
-Generalized de Bruijn ``GB(d, N)`` (Reddy–Pradhan–Kuhl):
-    node ``u`` has arcs to ``(d*u + j) mod N`` for ``j = 0..d-1``.
-
-Both may produce self-loops or parallel arcs for particular ``(d, N)``
+The rule may produce self-loops or parallel arcs for particular ``(d, N)``
 combinations; those arcs are dropped (as in practical deployments the
 corresponding port simply remains unused), so a handful of nodes may have
 out-degree slightly below ``d``.  ``strict=True`` raises instead.
@@ -26,7 +23,7 @@ import networkx as nx
 
 from .base import Topology
 
-__all__ = ["generalized_kautz", "generalized_de_bruijn", "kautz"]
+__all__ = ["generalized_kautz", "kautz"]
 
 
 def generalized_kautz(degree: int, num_nodes: int, cap: float = 1.0,
@@ -62,29 +59,6 @@ def generalized_kautz(degree: int, num_nodes: int, cap: float = 1.0,
     topo = Topology(g, name=f"genkautz-d{degree}-n{num_nodes}", default_cap=cap,
                     metadata={"family": "generalized_kautz", "degree": degree})
     return topo
-
-
-def generalized_de_bruijn(degree: int, num_nodes: int, cap: float = 1.0,
-                          strict: bool = False) -> Topology:
-    """Build the generalized de Bruijn digraph ``GB(degree, num_nodes)``."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    if num_nodes < 2:
-        raise ValueError("num_nodes must be >= 2")
-    g = nx.DiGraph()
-    g.add_nodes_from(range(num_nodes))
-    for u in range(num_nodes):
-        for j in range(degree):
-            v = (degree * u + j) % num_nodes
-            if v == u or g.has_edge(u, v):
-                if strict:
-                    raise ValueError(
-                        f"GB({degree},{num_nodes}): degenerate arc {u}->{v} for j={j}"
-                    )
-                continue
-            g.add_edge(u, v, cap=cap)
-    return Topology(g, name=f"gendebruijn-d{degree}-n{num_nodes}", default_cap=cap,
-                    metadata={"family": "generalized_de_bruijn", "degree": degree})
 
 
 def kautz(degree: int, diameter: int, cap: float = 1.0) -> Topology:

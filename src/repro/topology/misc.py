@@ -1,4 +1,4 @@
-"""Miscellaneous reference topologies: ring, chain, complete graph, dragonfly.
+"""Miscellaneous reference topologies: ring, chain and complete graph.
 
 These are not headline topologies in the paper's evaluation but serve as
 analytically tractable fixtures for tests (the optimal all-to-all MCF value on
@@ -12,7 +12,7 @@ import networkx as nx
 
 from .base import Topology
 
-__all__ = ["ring", "bidirectional_ring", "chain", "complete", "dragonfly"]
+__all__ = ["ring", "bidirectional_ring", "chain", "complete"]
 
 
 def ring(num_nodes: int, cap: float = 1.0) -> Topology:
@@ -67,43 +67,3 @@ def complete(num_nodes: int, cap: float = 1.0) -> Topology:
     return Topology(g, name=f"complete-{num_nodes}", default_cap=cap,
                     metadata={"family": "complete"})
 
-
-def dragonfly(groups: int, routers_per_group: int, cap: float = 1.0) -> Topology:
-    """Simplified canonical dragonfly with one global link per router.
-
-    Routers inside a group form a complete graph (local links).  Global links
-    connect group ``g`` router ``r`` to group ``(g + r + 1) mod groups``
-    (a standard palm-tree style global wiring), one global port per router.
-    Requires ``routers_per_group >= groups - 1`` for full global connectivity.
-    """
-    if groups < 2 or routers_per_group < 1:
-        raise ValueError("need at least 2 groups and 1 router per group")
-    n = groups * routers_per_group
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n))
-
-    def nid(grp: int, r: int) -> int:
-        return grp * routers_per_group + r
-
-    for grp in range(groups):
-        for a in range(routers_per_group):
-            for b in range(a + 1, routers_per_group):
-                g.add_edge(nid(grp, a), nid(grp, b), cap=cap)
-                g.add_edge(nid(grp, b), nid(grp, a), cap=cap)
-    for grp in range(groups):
-        for r in range(routers_per_group):
-            target_group = (grp + r + 1) % groups
-            if target_group == grp:
-                continue
-            # Peer router chosen so that the link is symmetric.
-            peer = (groups - 2 - r) % routers_per_group
-            u, v = nid(grp, r), nid(target_group, peer)
-            if u != v:
-                g.add_edge(u, v, cap=cap)
-                g.add_edge(v, u, cap=cap)
-    topo = Topology(g, name=f"dragonfly-g{groups}-r{routers_per_group}", default_cap=cap,
-                    metadata={"family": "dragonfly", "groups": groups,
-                              "routers_per_group": routers_per_group})
-    if not topo.is_strongly_connected():
-        raise ValueError("dragonfly parameters produce a disconnected topology")
-    return topo

@@ -24,7 +24,6 @@ __all__ = [
     "spectral_gap",
     "algebraic_connectivity",
     "bisection_bandwidth_estimate",
-    "edge_expansion_estimate",
     "all_to_all_upper_bound_from_distance",
     "summary",
 ]
@@ -117,30 +116,6 @@ def bisection_bandwidth_estimate(topo: Topology, trials: int = 64, seed: int = 0
         perm = nodes[:]
         rng.shuffle(perm)
         best = min(best, cut_capacity(set(perm[: n // 2])))
-    return best
-
-
-def edge_expansion_estimate(topo: Topology, trials: int = 200, seed: int = 0) -> float:
-    """Lower-ish estimate of the edge expansion h(G) = min |boundary(S)|/|S|.
-
-    Samples random subsets with |S| <= N/2 plus all singletons; exact expansion
-    is NP-hard so this is an upper bound on the true minimum, adequate for
-    relative topology comparisons.
-    """
-    n = topo.num_nodes
-    rng = random.Random(seed)
-    caps = topo.capacities()
-
-    def boundary(side: set) -> float:
-        return sum(c for (u, v), c in caps.items() if u in side and v not in side)
-
-    best = float("inf")
-    for u in topo.nodes:
-        best = min(best, boundary({u}) / 1.0)
-    for _ in range(trials):
-        size = rng.randint(1, max(1, n // 2))
-        side = set(rng.sample(topo.nodes, size))
-        best = min(best, boundary(side) / len(side))
     return best
 
 

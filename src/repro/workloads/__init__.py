@@ -1,29 +1,8 @@
 """Application workloads exercising the all-to-all collective."""
 
-from .dlrm import DLRMConfig, DLRMIterationResult, simulate_dlrm_iteration
 from .fft3d import FFT3DResult, DistributedFFT3D
-from .moe import MoEConfig, MoELayerResult, simulate_moe_layer, token_routing_matrix
-from .traffic import (
-    demand_matrix_to_dict,
-    permutation_traffic,
-    skewed_alltoall,
-    total_bytes_per_node,
-    uniform_alltoall,
-)
 
 __all__ = [
-    "DLRMConfig",
-    "DLRMIterationResult",
-    "simulate_dlrm_iteration",
     "FFT3DResult",
     "DistributedFFT3D",
-    "MoEConfig",
-    "MoELayerResult",
-    "simulate_moe_layer",
-    "token_routing_matrix",
-    "demand_matrix_to_dict",
-    "permutation_traffic",
-    "skewed_alltoall",
-    "total_bytes_per_node",
-    "uniform_alltoall",
 ]

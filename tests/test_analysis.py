@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis import (
     Envelope,
-    crossover_buffer,
     envelope,
     format_series,
     format_table,
@@ -40,21 +39,6 @@ class TestEnvelope:
     def test_envelope_empty_rejected(self):
         with pytest.raises(ValueError):
             Envelope.of([])
-
-
-class TestCrossover:
-    def test_crossover_found(self):
-        buffers = [1, 2, 4, 8]
-        a = [1.0, 2.0, 5.0, 9.0]
-        b = [3.0, 3.0, 3.0, 3.0]
-        assert crossover_buffer(buffers, a, b) == 4
-
-    def test_crossover_absent(self):
-        assert crossover_buffer([1, 2], [0.1, 0.2], [1.0, 1.0]) is None
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            crossover_buffer([1], [1.0, 2.0], [1.0])
 
 
 class TestFormatting:

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.core import (
-    augment_host_nic_bottleneck,
-    project_flow_to_hosts,
-    solve_link_mcf,
-    solve_master_lp,
-)
-from repro.topology import ring, torus
+from repro.core import augment_host_nic_bottleneck, solve_master_lp
 
 
 class TestAugmentation:
@@ -73,17 +67,3 @@ class TestBottleneckedMCF:
         relaxed = solve_master_lp(aug.topology,
                                   terminals=list(aug.host_nodes())).concurrent_flow
         assert relaxed == pytest.approx(base, rel=1e-4)
-
-
-class TestProjection:
-    def test_project_flow_back_to_physical_links(self):
-        topo = ring(4)
-        aug = augment_host_nic_bottleneck(topo, host_bandwidth=0.5)
-        solution = solve_link_mcf(aug.topology)
-        projected = project_flow_to_hosts(aug, solution)
-        # Only host-to-host commodities remain and edges are physical.
-        for (s, d), per in projected.flows.items():
-            assert s < 4 and d < 4
-            for (u, v) in per:
-                assert topo.has_edge(u, v)
-        assert projected.concurrent_flow == solution.concurrent_flow

@@ -12,6 +12,7 @@ import pytest
 from repro.engine import get_engine, reset_engine
 from repro.engine.cache import SolutionCache
 from repro.experiments import (
+    STAGES,
     Plan,
     Scenario,
     SweepGrid,
@@ -25,6 +26,7 @@ from repro.experiments import (
     sweep_stats,
     write_csv,
 )
+from repro.experiments.plan import stage_artifact_key
 from repro.topology import hypercube
 
 
@@ -179,6 +181,29 @@ class TestPlan:
         result = Plan(scenario, cache=fresh).run()
         assert set(result.stage_cache.values()) == {"hit"}
         assert fresh.disk_hits == 4
+
+    def test_stage_artifacts_of_another_version_miss(self, bipartite44, tmp_path,
+                                                     monkeypatch):
+        # A persistent cache dir must not serve artifacts built by other code.
+        import repro
+
+        scenario = Scenario(topology=bipartite44, scheme="sssp", buffers=(2 ** 20,))
+
+        def disk_cache():
+            return SolutionCache(cache_dir=str(tmp_path), suffix=".stage.pkl",
+                                 payload_type=object)
+
+        Plan(scenario, cache=disk_cache()).run()
+        keys = {stage: stage_artifact_key(scenario, stage) for stage in STAGES}
+        record_key = scenario.key()
+        monkeypatch.setattr(repro, "__version__", "9.9.9")
+        result = Plan(scenario, cache=disk_cache()).run()
+        assert result.stage_cache == dict.fromkeys(STAGES, "miss")
+        assert all(stage_artifact_key(scenario, stage) != keys[stage]
+                   for stage in STAGES)
+        # Only the cache key is salted: the record identity resume matches on
+        # stays the same.
+        assert scenario.key() == record_key
 
     def test_tsmcf_scheme_with_host_bottleneck(self):
         plan = Plan(Scenario(topology="torus:dims=3x3", fabric="ml", scheme="tsmcf",

@@ -33,8 +33,8 @@ from repro.simulator import (
     fabric_from_spec,
     ideal_fabric,
     reset_engine_counters,
-    simulate_flows,
     simulate_flows_reference,
+    simulate_program,
 )
 from repro.simulator.reference import max_min_rates_reference
 from repro.topology import from_spec, hypercube, ring
@@ -152,7 +152,7 @@ class TestKernelDifferential:
         fabric = cerio_hpc_fabric()
         rng = random.Random(hash(("sim", spec)) % (2 ** 31))
         flows = _random_flows(topo, rng, n_flows=30)
-        fast = simulate_flows(topo, flows, fabric)
+        fast = simulate_program(topo, flows, fabric)
         slow = simulate_flows_reference(topo, flows, fabric)
         assert fast.completion_time == pytest.approx(slow.completion_time,
                                                      abs=1e-9)
@@ -265,8 +265,8 @@ class TestKernelDifferential:
 class TestFillCounters:
     def test_footer_pins_fill_seconds(self):
         reset_engine_counters()
-        simulate_flows(ring(4), [FluidFlow(path=(0, 1), size_bytes=100.0)],
-                       ideal_fabric(link_bandwidth=5.0))
+        simulate_program(ring(4), [FluidFlow(path=(0, 1), size_bytes=100.0)],
+                         ideal_fabric(link_bandwidth=5.0))
         assert engine_counters()["fill_seconds"] > 0.0
         reset_engine_counters()
         assert engine_counters()["fill_seconds"] == 0.0

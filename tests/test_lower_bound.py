@@ -9,7 +9,6 @@ from repro.core import (
     lower_bound_time_graph,
     lower_bound_time_regular,
     solve_decomposed_mcf,
-    throughput_upper_bound,
     upper_bound_concurrent_flow,
 )
 from repro.topology import complete, generalized_kautz, hypercube, properties, ring, torus_2d
@@ -97,14 +96,3 @@ class TestGraphBound:
     def test_torus_27_bound(self, torus333):
         # Sum of distances 27*54, capacity 162 -> bound time 9 = 1/F.
         assert lower_bound_time_graph(torus333) == pytest.approx(9.0)
-
-
-class TestThroughputBound:
-    def test_paper_numbers_bottlenecked_torus(self):
-        # (N-1) * f * b = 26 * (2/27) * 3.125 GB/s = 6.01 GB/s (§5.2).
-        gbps = throughput_upper_bound(27, 2.0 / 27.0, 3.125e9)
-        assert gbps == pytest.approx(6.018e9, rel=1e-3)
-
-    def test_linear_in_bandwidth(self):
-        assert throughput_upper_bound(8, 0.25, 2e9) == pytest.approx(
-            2 * throughput_upper_bound(8, 0.25, 1e9))

@@ -1,8 +1,8 @@
-"""Tests for disjoint paths, SSSP, EwSP, DOR and widest-path utilities."""
+"""Tests for disjoint paths, SSSP, EwSP, DOR and the widest path."""
 
 import pytest
 
-from repro.core import solve_decomposed_mcf
+from repro.core import solve_decomposed_mcf, widest_path
 from repro.paths import (
     dor_route,
     dor_routes,
@@ -10,11 +10,8 @@ from repro.paths import (
     edge_disjoint_path_sets,
     edge_disjoint_paths,
     ewsp_schedule,
-    path_bottleneck,
     sssp_routes,
     sssp_schedule,
-    widest_path,
-    widest_path_in_topology,
 )
 from repro.topology import edge_punctured_torus, mesh, torus
 
@@ -143,19 +140,12 @@ class TestDOR:
 class TestWidestPath:
     def test_picks_max_bottleneck(self):
         caps = {(0, 1): 5.0, (1, 3): 5.0, (0, 2): 10.0, (2, 3): 2.0}
-        path, width = widest_path(caps, 0, 3)
-        assert path == [0, 1, 3]
-        assert width == 5.0
+        assert widest_path(caps, 0, 3) == [0, 1, 3]
 
     def test_no_path_returns_none(self):
         assert widest_path({(0, 1): 1.0}, 1, 0) is None
 
     def test_in_topology(self, cube3):
-        path, width = widest_path_in_topology(cube3, 0, 7)
+        path = widest_path(cube3.capacities(), 0, 7)
         assert path[0] == 0 and path[-1] == 7
-        assert width == 1.0
-
-    def test_path_bottleneck(self):
-        caps = {(0, 1): 3.0, (1, 2): 1.5}
-        assert path_bottleneck(caps, [0, 1, 2]) == 1.5
-        assert path_bottleneck(caps, [0]) == float("inf")
+        assert all(cube3.has_edge(u, v) for u, v in zip(path, path[1:]))

@@ -8,7 +8,6 @@ from repro.paths import (
     bounded_length_path_sets,
     bounded_length_paths,
     first_shortest_path_sets,
-    k_shortest_paths,
     shortest_path,
 )
 
@@ -52,18 +51,6 @@ class TestAllShortestPaths:
         sets = first_shortest_path_sets(cube3)
         assert all(isinstance(p, list) for p in sets.values())
         assert len(sets) == 56
-
-
-class TestKShortest:
-    def test_k_shortest_ordered_by_length(self, torus33):
-        paths = k_shortest_paths(torus33, 0, 4, k=4)
-        lengths = [len(p) for p in paths]
-        assert lengths == sorted(lengths)
-        assert len(paths) == 4
-
-    def test_k_larger_than_available(self, ring5):
-        # The unidirectional ring has exactly one simple path per pair.
-        assert len(k_shortest_paths(ring5, 0, 2, k=5)) == 1
 
 
 class TestBoundedLength:

@@ -33,7 +33,6 @@ from repro.simulator import (
     parse_link_set,
     reset_engine_counters,
     run_routed_collective,
-    simulate_flows,
     simulate_flows_reference,
     simulate_link_schedule,
     simulate_program,
@@ -75,7 +74,7 @@ class TestDifferential:
         fabric = self.FABRICS[fabric_idx]
         rng = random.Random(hash((spec, fabric_idx)) % (2 ** 31))
         flows = _random_flows(topo, rng, n_flows=40)
-        fast = simulate_flows(topo, flows, fabric)
+        fast = simulate_program(topo, flows, fabric)
         slow = simulate_flows_reference(topo, flows, fabric)
         assert fast.completion_time == pytest.approx(slow.completion_time, abs=1e-9)
         for a, b in zip(fast.flow_completion_times, slow.flow_completion_times):
@@ -91,7 +90,7 @@ class TestDifferential:
         rng = random.Random(7)
         flows = _random_flows(topo, rng, n_flows=30, zero_fraction=0.0)
         fabric = FabricModel(link_bandwidth=10.0, injection_bandwidth=15.0)
-        fast = simulate_flows(topo, flows, fabric)
+        fast = simulate_program(topo, flows, fabric)
         slow = simulate_flows_reference(topo, flows, fabric)
         assert fast.completion_time == pytest.approx(slow.completion_time, abs=1e-9)
 
@@ -100,7 +99,7 @@ class TestDifferential:
         fabric = cerio_hpc_fabric()
         flows = [FluidFlow(path=(0, 1), size_bytes=0.0),
                  FluidFlow(path=(0, 2, 3), size_bytes=0.0)]
-        fast = simulate_flows(topo, flows, fabric)
+        fast = simulate_program(topo, flows, fabric)
         slow = simulate_flows_reference(topo, flows, fabric)
         assert fast.flow_completion_times == pytest.approx(slow.flow_completion_times)
         # Zero-byte flows still pay their start-up latency.
@@ -109,8 +108,8 @@ class TestDifferential:
 
 class TestEngineCore:
     def test_single_flow(self):
-        res = simulate_flows(ring(3), [FluidFlow(path=(0, 1), size_bytes=1000.0)],
-                             ideal_fabric(link_bandwidth=100.0))
+        res = simulate_program(ring(3), [FluidFlow(path=(0, 1), size_bytes=1000.0)],
+                               ideal_fabric(link_bandwidth=100.0))
         assert res.completion_time == pytest.approx(10.0)
         assert res.fill_rounds >= 1
         assert res.events_processed >= 1
@@ -118,12 +117,12 @@ class TestEngineCore:
     def test_flow_crossing_down_link_rejected(self):
         fabric = cerio_hpc_fabric().degrade(down_links=((0, 1),))
         with pytest.raises(ValueError, match="down link"):
-            simulate_flows(ring(3), [FluidFlow(path=(0, 1), size_bytes=10.0)], fabric)
+            simulate_program(ring(3), [FluidFlow(path=(0, 1), size_bytes=10.0)], fabric)
 
     def test_down_link_elsewhere_is_fine(self):
         fabric = ideal_fabric(link_bandwidth=100.0).degrade(down_links=((1, 2),))
-        res = simulate_flows(ring(3), [FluidFlow(path=(0, 1), size_bytes=1000.0)],
-                             fabric)
+        res = simulate_program(ring(3), [FluidFlow(path=(0, 1), size_bytes=1000.0)],
+                               fabric)
         assert res.completion_time == pytest.approx(10.0)
 
     def test_scaled_link_slows_only_its_flows(self):
@@ -131,7 +130,7 @@ class TestEngineCore:
             link_scale={(0, 1): 0.5})
         flows = [FluidFlow(path=(0, 1), size_bytes=1000.0),
                  FluidFlow(path=(1, 2), size_bytes=1000.0)]
-        res = simulate_flows(ring(3), flows, fabric)
+        res = simulate_program(ring(3), flows, fabric)
         assert res.flow_completion_times[0] == pytest.approx(20.0)
         assert res.flow_completion_times[1] == pytest.approx(10.0)
 
@@ -151,8 +150,8 @@ class TestEngineCore:
 
     def test_counters_accumulate(self):
         reset_engine_counters()
-        simulate_flows(ring(3), [FluidFlow(path=(0, 1), size_bytes=10.0)],
-                       ideal_fabric())
+        simulate_program(ring(3), [FluidFlow(path=(0, 1), size_bytes=10.0)],
+                         ideal_fabric())
         counters = engine_counters()
         assert counters["simulations"] == 1
         assert counters["fill_rounds"] >= 1

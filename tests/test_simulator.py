@@ -14,11 +14,10 @@ from repro.simulator import (
     ideal_fabric,
     run_link_collective,
     run_routed_collective,
-    simulate_flows,
     simulate_link_schedule,
+    simulate_program,
     steady_state_throughput,
     throughput_sweep,
-    throughput_upper_bound_curve,
 )
 from repro.topology import complete, hypercube, ring
 
@@ -84,7 +83,7 @@ class TestFluidFlowSimulator:
     def test_single_flow_serialization_time(self):
         topo = ring(3)
         fabric = ideal_fabric(link_bandwidth=100.0)
-        res = simulate_flows(topo, [FluidFlow(path=(0, 1), size_bytes=1000.0)], fabric)
+        res = simulate_program(topo, [FluidFlow(path=(0, 1), size_bytes=1000.0)], fabric)
         assert res.completion_time == pytest.approx(10.0)
 
     def test_two_flows_share_a_link_fairly(self):
@@ -92,7 +91,7 @@ class TestFluidFlowSimulator:
         fabric = ideal_fabric(link_bandwidth=100.0)
         flows = [FluidFlow(path=(0, 1), size_bytes=1000.0),
                  FluidFlow(path=(0, 1, 2), size_bytes=1000.0)]
-        res = simulate_flows(topo, flows, fabric)
+        res = simulate_program(topo, flows, fabric)
         # Both share link (0,1) at 50 B/s; after the first finishes at t=20 the
         # second has already streamed through (cut-through), so both finish at 20.
         assert res.completion_time == pytest.approx(20.0)
@@ -102,7 +101,7 @@ class TestFluidFlowSimulator:
         fabric = ideal_fabric(link_bandwidth=100.0)
         flows = [FluidFlow(path=(0, 1), size_bytes=500.0),
                  FluidFlow(path=(2, 3), size_bytes=1000.0)]
-        res = simulate_flows(topo, flows, fabric)
+        res = simulate_program(topo, flows, fabric)
         assert res.flow_completion_times[0] == pytest.approx(5.0)
         assert res.flow_completion_times[1] == pytest.approx(10.0)
 
@@ -110,7 +109,7 @@ class TestFluidFlowSimulator:
         topo = ring(4)
         fabric = FabricModel(link_bandwidth=100.0, per_hop_latency=1e-3,
                              per_message_overhead=2e-3, per_step_latency=0.0)
-        res = simulate_flows(topo, [FluidFlow(path=(0, 1, 2, 3), size_bytes=100.0)], fabric)
+        res = simulate_program(topo, [FluidFlow(path=(0, 1, 2, 3), size_bytes=100.0)], fabric)
         assert res.completion_time == pytest.approx(1.0 + 3e-3 + 2e-3)
 
     def test_injection_cap_slows_fanout(self):
@@ -120,24 +119,24 @@ class TestFluidFlowSimulator:
                              per_step_latency=0.0)
         uncapped = ideal_fabric(link_bandwidth=100.0)
         flows = [FluidFlow(path=(0, d), size_bytes=300.0) for d in (1, 2, 3)]
-        slow = simulate_flows(topo, flows, capped).completion_time
-        fast = simulate_flows(topo, flows, uncapped).completion_time
+        slow = simulate_program(topo, flows, capped).completion_time
+        fast = simulate_program(topo, flows, uncapped).completion_time
         assert slow == pytest.approx(3 * fast, rel=1e-6)
 
     def test_zero_byte_flow(self):
         topo = ring(3)
-        res = simulate_flows(topo, [FluidFlow(path=(0, 1), size_bytes=0.0)],
-                             ideal_fabric())
+        res = simulate_program(topo, [FluidFlow(path=(0, 1), size_bytes=0.0)],
+                               ideal_fabric())
         assert res.completion_time == pytest.approx(0.0)
 
     def test_empty_flow_list(self):
-        assert simulate_flows(ring(3), [], ideal_fabric()).completion_time == 0.0
+        assert simulate_program(ring(3), [], ideal_fabric()).completion_time == 0.0
 
     def test_conservation_of_total_bytes(self):
         topo = hypercube(2)
         flows = [FluidFlow(path=(0, 1, 3), size_bytes=100.0),
                  FluidFlow(path=(0, 2), size_bytes=50.0)]
-        res = simulate_flows(topo, flows, ideal_fabric())
+        res = simulate_program(topo, flows, ideal_fabric())
         assert res.total_bytes == pytest.approx(150.0)
         assert res.max_link_bytes == pytest.approx(100.0)
 
@@ -226,14 +225,6 @@ class TestCostModel:
     def test_steady_state_throughput_paper_number(self):
         fabric = FabricModel(link_bandwidth=3.125e9)
         assert steady_state_throughput(27, 2 / 27, fabric) == pytest.approx(6.02e9, rel=1e-2)
-
-    def test_upper_bound_curve_monotone_and_saturating(self, cube3):
-        fabric = a100_ml_fabric()
-        buffers = [2 ** k for k in range(14, 30, 2)]
-        curve = throughput_upper_bound_curve(cube3, 0.25, buffers, fabric, num_steps=4)
-        assert all(a <= b + 1e-6 for a, b in zip(curve, curve[1:]))
-        assert curve[-1] <= steady_state_throughput(8, 0.25, fabric) + 1e-6
-        assert curve[-1] >= 0.9 * steady_state_throughput(8, 0.25, fabric)
 
     def test_alltoall_time_upper_bound_positive(self, cube3):
         t = alltoall_time_upper_bound(cube3, 0.25, shard_bytes=2 ** 20,

@@ -10,10 +10,8 @@ from repro.topology import (
     complete,
     complete_bipartite,
     coordinate_of,
-    dragonfly,
     edge_punctured_torus,
     from_spec,
-    generalized_de_bruijn,
     generalized_kautz,
     hypercube,
     jellyfish,
@@ -74,15 +72,6 @@ class TestGeneralizedKautz:
         assert classic.num_nodes == 6
         assert classic.degree() == 2
         assert classic.is_strongly_connected()
-
-
-class TestGeneralizedDeBruijn:
-    @pytest.mark.parametrize("degree,n", [(2, 8), (3, 12), (4, 17)])
-    def test_basic(self, degree, n):
-        topo = generalized_de_bruijn(degree, n)
-        assert topo.num_nodes == n
-        assert topo.is_strongly_connected()
-        assert all(topo.out_degree(u) <= degree for u in topo.nodes)
 
 
 class TestTorus:
@@ -206,15 +195,6 @@ class TestBipartiteAndMisc:
         topo = complete(6)
         assert topo.num_edges == 30
         assert topo.degree() == 5
-
-    def test_dragonfly(self):
-        topo = dragonfly(groups=4, routers_per_group=4)
-        assert topo.num_nodes == 16
-        assert topo.is_strongly_connected()
-
-    def test_dragonfly_invalid(self):
-        with pytest.raises(ValueError):
-            dragonfly(1, 4)
 
 
 class TestExpanders:

@@ -56,12 +56,6 @@ class TestSpectralAndExpansion:
         t = torus_2d(4)
         assert properties.spectral_gap(gk) > properties.spectral_gap(t)
 
-    def test_edge_expansion_singleton_bound(self):
-        topo = hypercube(3)
-        # h(G) <= boundary({v}) / 1 = degree.
-        assert properties.edge_expansion_estimate(topo) <= 3.0 + 1e-9
-        assert properties.edge_expansion_estimate(topo) > 0
-
 
 class TestBisection:
     def test_bisection_hypercube(self):

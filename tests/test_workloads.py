@@ -1,64 +1,13 @@
-"""Tests for the application workloads (traffic, 3D FFT, DLRM, MoE)."""
+"""Tests for the application workloads (3D FFT)."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import native_alltoall_schedule
 from repro.paths import sssp_schedule
 from repro.schedule import chunk_path_schedule
 from repro.simulator import cerio_hpc_fabric
-from repro.workloads import (
-    DLRMConfig,
-    DistributedFFT3D,
-    MoEConfig,
-    demand_matrix_to_dict,
-    permutation_traffic,
-    simulate_dlrm_iteration,
-    simulate_moe_layer,
-    skewed_alltoall,
-    token_routing_matrix,
-    total_bytes_per_node,
-    uniform_alltoall,
-)
 from repro.topology import torus_2d
-
-
-class TestTrafficMatrices:
-    def test_uniform_alltoall(self):
-        mat = uniform_alltoall(4, bytes_per_pair=10.0)
-        assert mat.shape == (4, 4)
-        assert np.all(np.diag(mat) == 0)
-        assert mat[0, 1] == 10.0
-        assert total_bytes_per_node(mat) == 30.0
-
-    def test_skewed_alltoall(self):
-        mat = skewed_alltoall(8, bytes_per_pair=1.0, skew=3.0, hot_fraction=0.25, seed=1)
-        assert np.all(np.diag(mat) == 0)
-        assert mat.max() == 3.0
-        assert mat[mat > 0].min() == 1.0
-        # Exactly 2 hot columns out of 8.
-        hot_cols = (mat.max(axis=0) == 3.0).sum()
-        assert hot_cols == 2
-
-    def test_skew_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            skewed_alltoall(4, skew=0.5)
-
-    def test_permutation_traffic(self):
-        mat = permutation_traffic(6, seed=0)
-        assert np.all(mat.sum(axis=1) == 1.0)
-        assert np.all(mat.sum(axis=0) == 1.0)
-        assert np.all(np.diag(mat) == 0)
-
-    def test_demand_matrix_to_dict(self):
-        mat = uniform_alltoall(3, 2.0)
-        demands = demand_matrix_to_dict(mat)
-        assert len(demands) == 6
-        assert demands[(0, 1)] == 2.0
-
-    def test_demand_matrix_must_be_square(self):
-        with pytest.raises(ValueError):
-            demand_matrix_to_dict(np.zeros((2, 3)))
+from repro.workloads import DistributedFFT3D
 
 
 class TestFFT3D:
@@ -110,62 +59,3 @@ class TestFFT3D:
         fft = DistributedFFT3D(torus9, grid_width=9)
         with pytest.raises(ValueError):
             fft.run(mcf_schedule, data=np.zeros((3, 3, 3), dtype=complex))
-
-
-class TestDLRM:
-    @pytest.fixture(scope="class")
-    def torus9(self):
-        return torus_2d(3)
-
-    def test_iteration_breakdown(self, torus9):
-        schedule = native_alltoall_schedule(torus9)
-        result = simulate_dlrm_iteration(torus9, schedule, DLRMConfig())
-        assert result.total_seconds > 0
-        assert 0.0 <= result.communication_fraction <= 1.0
-        assert result.forward_alltoall_seconds > 0
-        assert result.backward_alltoall_seconds > 0
-
-    def test_buffer_scales_with_batch(self):
-        small = DLRMConfig(global_batch=512).alltoall_bytes_per_node(8)
-        large = DLRMConfig(global_batch=2048).alltoall_bytes_per_node(8)
-        assert large == pytest.approx(4 * small)
-
-    def test_better_schedule_is_not_slower(self, torus9):
-        from repro.core import solve_mcf_extract_paths
-
-        mcf = simulate_dlrm_iteration(torus9, solve_mcf_extract_paths(torus9))
-        native = simulate_dlrm_iteration(torus9, native_alltoall_schedule(torus9))
-        assert mcf.total_seconds <= native.total_seconds + 1e-12
-
-
-class TestMoE:
-    @pytest.fixture(scope="class")
-    def torus9(self):
-        return torus_2d(3)
-
-    def test_balanced_routing_matrix(self):
-        mat = token_routing_matrix(8, MoEConfig(zipf_alpha=0.0))
-        assert np.all(np.diag(mat) == 0)
-        off_diag = mat[mat > 0]
-        assert np.allclose(off_diag, off_diag[0])
-
-    def test_skewed_routing_matrix_imbalanced(self):
-        cfg = MoEConfig(zipf_alpha=1.2)
-        mat = token_routing_matrix(8, cfg, seed=0)
-        received = mat.sum(axis=0)
-        assert received.max() / received.mean() > 1.1
-        # Total routed tokens preserved.
-        assert mat.sum() == pytest.approx(8 * cfg.tokens_per_rank * cfg.top_k, rel=1e-6)
-
-    def test_layer_simulation(self, torus9):
-        schedule = native_alltoall_schedule(torus9)
-        result = simulate_moe_layer(torus9, schedule, MoEConfig(zipf_alpha=0.8), seed=3)
-        assert result.total_seconds > 0
-        assert result.imbalance >= 1.0
-        assert result.dispatch_seconds > 0 and result.combine_seconds > 0
-
-    def test_skew_increases_exchange_time(self, torus9):
-        schedule = native_alltoall_schedule(torus9)
-        balanced = simulate_moe_layer(torus9, schedule, MoEConfig(zipf_alpha=0.0))
-        skewed = simulate_moe_layer(torus9, schedule, MoEConfig(zipf_alpha=1.5), seed=1)
-        assert skewed.dispatch_seconds >= balanced.dispatch_seconds
