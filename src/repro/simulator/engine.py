@@ -10,10 +10,10 @@ on this engine:
    become sparse resource-incidence arrays (COO triplets plus per-resource
    capacities, built once per schedule);
 2. **fill** — progressive filling (max-min fairness) runs the vectorized
-   numpy saturation rounds of :mod:`repro.perf.fillkernel` (per round, one
-   ``bincount`` yields every resource's unfrozen-user count, the minimum
-   fair share picks the bottleneck(s), and all their flows freeze at that
-   rate); scratch arrays live in a
+   numpy saturation rounds of :mod:`repro.perf.fillkernel` (per round, the
+   minimum fair share picks the bottleneck(s), all their flows freeze at
+   that rate, and their incidence entries drop out of later rounds);
+   scratch arrays live in a
    :class:`~repro.perf.fillkernel.FillWorkspace` reused across fills;
 3. **run** — :class:`FluidRun` is the one fluid event loop: it advances
    from event to event on the :class:`~repro.simulator.events.EventQueue`,

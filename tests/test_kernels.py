@@ -6,7 +6,8 @@ and against a max-min certificate (:func:`assert_max_min`) — on randomized
 topologies and fabrics, overlap programs, a cluster arena with retired rows
 and a fault-patched :class:`~repro.perf.delta.DeltaProgram`.  Around it:
 adversarial exact-tie bottleneck patterns with pinned round counts, the
-reusable workspace and the ``[stats]`` footer.
+reusable workspace under growing and shrinking masks (also a cluster
+arena's), active flows with no incidence entries and the ``[stats]`` footer.
 """
 
 import random
@@ -280,18 +281,63 @@ class TestFillCounters:
 
 
 class TestFillWorkspace:
+    @staticmethod
+    def _grow_and_shrink(rng, num_flows, fills=8):
+        """Active masks that alternately drop and restore a third of the flows."""
+        active = np.ones(num_flows, dtype=bool)
+        for i in range(fills):
+            yield active
+            active = active.copy()
+            active[rng.sample(range(num_flows), num_flows // 3)] = i % 2 == 1
+        yield np.zeros(num_flows, dtype=bool)
+
+    def _assert_reuse_matches_fresh(self, program, ws, masks):
+        for active in masks:
+            reused, r1 = fill_rates_numpy(program, active, workspace=ws)
+            assert reused is ws.rates  # the arena, not a copy
+            assert not ws.freeze.any(), "a fill left the freeze mask set"
+            fresh, r2 = fill_rates_numpy(program, active)
+            np.testing.assert_array_equal(reused, fresh)
+            assert r1 == r2
+
     def test_workspace_reuse_matches_fresh_fills(self):
         topo = hypercube(3)
         rng = random.Random(3)
         flows = _random_flows(topo, rng, n_flows=30, zero_fraction=0.0)
         program = compile_flows(topo, flows, cerio_hpc_fabric())
-        ws = FillWorkspace(program)
+        self._assert_reuse_matches_fresh(
+            program, FillWorkspace(program),
+            self._grow_and_shrink(rng, program.num_flows))
+
+    def test_arena_workspace_reuse_matches_fresh_fills(self):
+        """The workspace a cluster arena rebuilds on inject fills like a fresh one."""
+        topo = hypercube(3)
+        rng = random.Random(7)
+        run = FluidRun(FlowInjector(topo, cerio_hpc_fabric()))
+        for name in "abc":
+            run.inject(_random_flows(topo, rng, 12, zero_fraction=0.0), name,
+                       lambda t: None)
+            self._assert_reuse_matches_fresh(
+                run.program, run.workspace,
+                self._grow_and_shrink(rng, run.program.num_flows))
+
+    def test_entryless_active_flow_gets_inf(self):
+        """An active flow that crosses no resource is unbounded, costs no
+        round, and leaves every other flow's rate as if it were inactive."""
+        topo = hypercube(3)
+        flows = _random_flows(topo, random.Random(5), 12, zero_fraction=0.0)
+        full = compile_flows(topo, flows, ideal_fabric(link_bandwidth=10.0))
+        bare = 4
+        keep = full.inc_flow != bare
+        program = replace(full, inc_res=full.inc_res[keep],
+                          inc_flow=full.inc_flow[keep])
         active = np.ones(program.num_flows, dtype=bool)
-        for _ in range(4):
-            reused, r1 = fill_rates_numpy(program, active, workspace=ws)
-            fresh, r2 = fill_rates_numpy(program, active)
-            assert reused is ws.rates  # the arena, not a copy
-            np.testing.assert_array_equal(reused, fresh)
-            assert r1 == r2
-            # Shrink the active set as execute() would between events.
-            active[rng.randrange(program.num_flows)] = False
+        without = active.copy()
+        without[bare] = False
+        expect, expect_rounds = fill_rates_numpy(program, without)
+        others = np.arange(program.num_flows) != bare
+        for ws in (None, FillWorkspace(program)):
+            rates, rounds = fill_rates_numpy(program, active, ws)
+            assert rates[bare] == np.inf
+            np.testing.assert_array_equal(rates[others], expect[others])
+            assert rounds == expect_rounds
