@@ -37,9 +37,7 @@ def _run_envelopes(make_instance, num_instances, record, label, benchmark, runne
                 _throughput(sssp_schedule(topo)))
 
     def run_all():
-        # Instances are independent; the shared runner samples them
-        # concurrently when REPRO_BENCH_JOBS > 1, keeping seed order.
-        for mcf, ilp, sssp in runner.map(run_seed, range(num_instances)):
+        for mcf, ilp, sssp in runner(run_seed, range(num_instances)):
             per_scheme["MCF-extP/C"].append(mcf)
             per_scheme["ILP-disjoint/C"].append(ilp)
             per_scheme["SSSP/C"].append(sssp)

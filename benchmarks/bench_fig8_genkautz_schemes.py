@@ -57,9 +57,7 @@ def test_fig8_normalized_alltoall_time(benchmark, record, scale, runner):
         return n, normalize_times(times, reference)
 
     def run_sweep():
-        # Sizes are independent; the shared runner solves them concurrently
-        # when REPRO_BENCH_JOBS > 1 and keeps input order either way.
-        for n, normalized in runner.map(run_size, sizes):
+        for n, normalized in runner(run_size, sizes):
             per_size[n] = normalized
             for name, value in normalized.items():
                 rows.append([name, n, value])

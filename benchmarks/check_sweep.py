@@ -22,7 +22,7 @@ carry the dynamic-failure metrics (``robustness_slowdown``, ``reroute_count``,
 canonically identical: records sorted by scenario hash, the volatile
 execution-accounting sections (``timings``, ``engine``, ``stage_cache`` —
 wall clock and cache luck) dropped, everything else equal byte for byte —
-how a multiprocess ``--workers`` sweep is checked against the serial run.
+how a multiprocess ``--jobs`` sweep is checked against the serial run.
 Exit code 0 on success, 1 with a per-line report otherwise.
 
 The record schema is documented in :mod:`repro.experiments.sweep`.

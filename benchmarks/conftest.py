@@ -13,13 +13,6 @@ synthesis sweeps) are scaled to laptop/CI sizes by default.  Set
 hours), ``REPRO_BENCH_SCALE=small`` (default) for the quick configuration.
 The tables written to ``benchmarks/results/`` come from whichever scale ran.
 
-Parallelism
------------
-``REPRO_BENCH_JOBS=N`` runs independent benchmark work items (per-size
-sweeps, per-instance samples) on N threads through the engine's shared
-:class:`~repro.engine.runner.ParallelRunner` via the ``runner`` fixture.
-The default of 1 is serial and byte-identical to previous releases.
-
 Performance record
 ------------------
 The figure benchmarks here print timings but gate none.  The one
@@ -50,22 +43,10 @@ def scale() -> str:
     return bench_scale()
 
 
-def bench_jobs() -> int:
-    """Worker count for parallel benchmark sections (default 1 = serial)."""
-    return max(1, int(os.environ.get("REPRO_BENCH_JOBS", "1")))
-
-
 @pytest.fixture(scope="session")
-def jobs() -> int:
-    return bench_jobs()
-
-
-@pytest.fixture(scope="session")
-def runner(jobs):
-    """Shared ParallelRunner for independent benchmark work items."""
-    from repro.engine import ParallelRunner
-
-    return ParallelRunner(jobs=jobs)
+def runner():
+    """Serial map over independent benchmark work items, in input order."""
+    return map
 
 
 @pytest.fixture(scope="session", autouse=True)

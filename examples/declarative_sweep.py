@@ -33,7 +33,7 @@ def main() -> None:
           f"({' x '.join(f'{k}={len(v)}' for k, v in grid.axes.items())})")
 
     out = os.path.join(tempfile.mkdtemp(prefix="repro-sweep-"), "results.jsonl")
-    results = run_sweep(scenarios, out_path=out, jobs=2)
+    results = run_sweep(scenarios, out_path=out, workers=2)
 
     rows = []
     for res in results:
@@ -51,7 +51,7 @@ def main() -> None:
     # Re-running the same grid is free: every scenario resumes from its
     # JSONL record, and even without the file the stage/LP caches serve it.
     misses_before = get_engine().cache.misses
-    rerun = run_sweep(scenarios, out_path=out, jobs=2, resume=True)
+    rerun = run_sweep(scenarios, out_path=out, workers=2, resume=True)
     stats = sweep_stats(rerun)
     print(f"re-run: {stats['resumed']} of {stats['scenarios']} scenarios resumed "
           f"from JSONL, {get_engine().cache.misses - misses_before} new LP solves")

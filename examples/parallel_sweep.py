@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Multiprocess sweep: a process pool over scenarios that share schedules.
 
-The thread-based sweep (``run_sweep(jobs=N)``) parallelises I/O-ish work but
-LP assembly and the simulator still contend on the GIL.  This example runs
-a grid — overlap x degradation x scheme on a hypercube, so four scenarios
-share each synthesized schedule — on worker *processes* instead
-(``run_sweep(workers=2)``).  A first pool pass solves each synthesize key
+Every parallel sweep runs on worker *processes* (``run_sweep(workers=N)``,
+CLI ``--jobs N``): LP assembly and the fluid simulator hold the GIL, so
+threads would only contend.  This example runs a grid — overlap x
+degradation x scheme on a hypercube, so four scenarios share each
+synthesized schedule — on two workers.  A first pool pass solves each synthesize key
 once and hands the schedule to the parent; a second pool, which inherits
 it, runs every simulation: the per-record ``stage_cache`` shows one
 synthesize miss per key and hits for the rest.
@@ -15,7 +15,7 @@ The same sweep is available from the command line::
     python -m repro.cli sweep \
         --set topology=hypercube:dim=3 --set buffers=1048576 \
         --axis 'scheme=mcf-extp;ewsp' --axis 'overlap=1;2' \
-        --out results.jsonl --workers 2
+        --out results.jsonl --jobs 2
 
 Run:  python examples/parallel_sweep.py
 """

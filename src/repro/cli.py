@@ -38,7 +38,6 @@ from .experiments import (
     SweepGrid,
     available_scenario_schemes,
     get_plan_cache,
-    run_scenarios,
     run_sweep,
     sweep_stats,
     write_csv,
@@ -139,8 +138,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("no topology: pass it positionally or via --set topology=...")
     scenario = Scenario.from_dict(base)
 
+    # One scenario: run_sweep gives its worker processes to the child LPs.
     results = run_sweep([scenario], out_path=args.out, resume=args.resume,
-                        n_jobs=args.jobs)
+                        workers=args.jobs)
     res = results[0]
     if res.status == "error":
         print(f"error: {res.scenario.label()}: {res.error}")
@@ -200,7 +200,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     """One scenario per scheme, plus an ``mcf-extp`` reference for "vs MCF".
 
     The reference shares its synthesize key with any ``mcf-extp`` entry, so
-    single-flight solves it once.  "vs MCF" is the scheme's all-to-all time
+    the sweep solves it once.  "vs MCF" is the scheme's all-to-all time
     times the reference's concurrent flow F (the optimum is 1/F).
     """
     topo = build_topology(args.topology)
@@ -212,8 +212,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         scheme_params=ILP_BOUNDED_PARAMS if name.startswith("ilp-") else {})
         for name in schemes]
     scenarios.append(dataclasses.replace(base, scheme="mcf-extp"))
-    *results, reference = run_scenarios(scenarios, jobs=args.jobs,
-                                        through="simulate" if buffers else "synthesize")
+    *results, reference = run_sweep(scenarios, workers=args.jobs,
+                                    through="simulate" if buffers else "synthesize")
     f_ref = reference.metrics.get("concurrent_flow")
     rows = []
     for name, res in zip(schemes, results):
@@ -236,8 +236,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     Each trace spec (``cluster:jobs=4:arrival=poisson~2000:placement=packed``)
     becomes one cluster scenario on the given topology/scheme/fabric, executed
     through :func:`~repro.experiments.run_sweep` — so ``--out`` emits
-    sweep-compatible JSONL and ``--resume``/``--jobs``/``--workers`` behave
-    exactly as in ``repro sweep``.  Traces share the synthesized schedule
+    sweep-compatible JSONL and ``--resume``/``--jobs`` behave exactly as in
+    ``repro sweep``.  Traces share the synthesized schedule
     (the trace enters the simulate stage key only).
     """
     traces = args.trace or [
@@ -251,9 +251,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         scenarios.append(Scenario.from_dict(base))
 
     try:
-        results = run_sweep(scenarios, out_path=args.out, jobs=args.jobs,
-                            resume=args.resume, n_jobs=args.lp_jobs,
-                            workers=args.workers)
+        results = run_sweep(scenarios, out_path=args.out, resume=args.resume,
+                            workers=args.jobs)
     except RuntimeError as exc:
         print(f"error: {exc}")
         return 1
@@ -318,8 +317,12 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     failures = []
     results = []
     if scenarios:
-        results = run_sweep(scenarios, out_path=args.out, jobs=args.jobs,
-                            resume=args.resume, n_jobs=args.lp_jobs)
+        try:
+            results = run_sweep(scenarios, out_path=args.out,
+                                resume=args.resume, workers=args.jobs)
+        except RuntimeError as exc:
+            print(f"error: {exc}")
+            return 1
         rows = []
         for res, spec in zip(results, specs):
             if res.status == "error":
@@ -353,13 +356,11 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
         scenario = Scenario.from_dict({
             "topology": args.topology, "scheme": args.scheme,
             "fabric": args.fabric, "buffers": (float(args.buffer),)})
-        plan = Plan(scenario, n_jobs=args.lp_jobs)
-        lowered = plan.run("validate").lowered
+        lowered = Plan(scenario, n_jobs=args.jobs).run("validate").lowered
         adv = worst_case_failures(
             lowered, float(args.buffer), k=args.adversarial,
             fabric=scenario.resolved_fabric(), at=args.at,
-            candidates=args.candidates, mode=args.mode, seed=args.seed,
-            jobs=args.jobs)
+            candidates=args.candidates, mode=args.mode, seed=args.seed)
         rows = []
         for ev in adv.evaluations:
             if len(ev["links"]) != adv.k:
@@ -407,9 +408,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     scenarios = grid.scenarios()
 
     try:
-        results = run_sweep(scenarios, out_path=args.out, jobs=args.jobs,
-                            resume=args.resume, n_jobs=args.lp_jobs,
-                            workers=args.workers)
+        results = run_sweep(scenarios, out_path=args.out, resume=args.resume,
+                            workers=args.jobs)
     except RuntimeError as exc:
         # A died worker: the records written so far are compacted and
         # resumable; surface the message and exit nonzero, not a traceback.
@@ -468,8 +468,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown artifact(s) {unknown}; "
                              f"available: {', '.join(available_specs())}")
     summary = generate_report(out_dir=args.out, only=only, fast=args.fast,
-                              jobs=args.jobs, n_jobs=args.lp_jobs,
-                              resume=args.resume, workers=args.workers)
+                              resume=args.resume, workers=args.jobs)
     rows = [[sr.spec_id, sr.kind, sr.status, round(sr.seconds, 3),
              sr.num_scenarios, sr.num_resumed]
             for sr in summary.spec_results]
@@ -509,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--host-bandwidth", type=float, default=None,
                        help="host injection bandwidth in link units (triggers Fig. 2 augmentation)")
     p_syn.add_argument("--output", "-o", default=None, help="write the lowered XML here")
-    p_syn.add_argument("--jobs", type=int, default=1, help="parallel child-LP workers")
+    p_syn.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for the child LPs")
     p_syn.set_defaults(func=_cmd_synthesize)
 
     p_sim = sub.add_parser(
@@ -545,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--resume", action="store_true",
                        help="skip the run if --out already has an ok record for it")
     p_sim.add_argument("--jobs", type=int, default=1,
-                       help="parallel child-LP workers for the decomposed MCF")
+                       help="worker processes for the child LPs")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="compare schemes on a topology")
@@ -556,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--buffers", default=None)
     p_cmp.add_argument("--fabric", default="hpc")
     p_cmp.add_argument("--jobs", type=int, default=1,
-                       help="schemes evaluated concurrently (output is identical to serial)")
+                       help="worker processes, one scheme each (output is "
+                            "identical to serial)")
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_clu = sub.add_parser(
@@ -588,13 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_clu.add_argument("--resume", action="store_true",
                        help="skip traces whose key already has an ok record in --out")
     p_clu.add_argument("--jobs", type=int, default=1,
-                       help="traces executed concurrently (threads)")
-    p_clu.add_argument("--workers", type=int, default=1,
                        help="worker processes (as in repro sweep): the "
                             "shared schedule is solved once, then the traces "
                             "spread over the workers")
-    p_clu.add_argument("--lp-jobs", type=int, default=1,
-                       help="child-LP workers within each scenario")
     p_clu.set_defaults(func=_cmd_cluster)
 
     p_rob = sub.add_parser(
@@ -641,10 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip fault specs whose key already has an ok "
                             "record in --out")
     p_rob.add_argument("--jobs", type=int, default=1,
-                       help="fault scenarios (and adversarial candidate "
-                            "evaluations) executed concurrently (threads)")
-    p_rob.add_argument("--lp-jobs", type=int, default=1,
-                       help="child-LP workers within each scenario")
+                       help="worker processes for the fault scenarios (as "
+                            "in repro sweep)")
     p_rob.set_defaults(func=_cmd_robustness)
 
     p_swp = sub.add_parser(
@@ -667,14 +662,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--out", "-o", default=None,
                        help="JSONL results file (appended to, one record per scenario)")
     p_swp.add_argument("--csv", default=None, help="also write a flat CSV here")
-    p_swp.add_argument("--workers", type=int, default=1,
+    p_swp.add_argument("--jobs", type=int, default=1,
                        help="worker processes, one task per scenario; "
                             "a schedule shared by several scenarios is "
-                            "solved once; 1 keeps the in-process path")
-    p_swp.add_argument("--jobs", type=int, default=1,
-                       help="scenarios executed concurrently")
-    p_swp.add_argument("--lp-jobs", type=int, default=1,
-                       help="child-LP workers within each scenario")
+                            "solved once; 1 runs in-process")
     p_swp.add_argument("--resume", action="store_true",
                        help="skip scenarios whose key already has an ok record in --out")
     p_swp.set_defaults(func=_cmd_sweep)
@@ -694,13 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reduced grids sized for CI smoke runs")
     p_rep.add_argument("--out", "-o", default="report",
                        help="report output directory (default: report/)")
-    p_rep.add_argument("--workers", type=int, default=1,
-                       help="worker processes per artifact sweep "
-                            "(as in repro sweep; 1 keeps the in-process path)")
     p_rep.add_argument("--jobs", type=int, default=1,
-                       help="scenarios executed concurrently")
-    p_rep.add_argument("--lp-jobs", type=int, default=1,
-                       help="child-LP workers within each scenario")
+                       help="worker processes per artifact sweep "
+                            "(as in repro sweep; 1 runs in-process)")
     p_rep.add_argument("--resume", action="store_true",
                        help="reuse completed records from a previous run's "
                             "data/*.jsonl instead of starting fresh")

@@ -9,9 +9,8 @@ cover both the flow forwarded onwards and the share ``F`` sunk at ``u``.
 Each child LP (eqs. 10-14), one per source ``s``, then splits the grouped flow
 ``f'_s`` into per-destination commodity flows on a graph whose link capacities
 are set to the master solution, minimizing total flow (which discourages
-gratuitous detours).  Child LPs are independent; the shared
-:class:`~repro.engine.runner.ParallelRunner` executes them serially or on a
-process pool (``n_jobs``).
+gratuitous detours).  Child LPs are independent: they run serially or, with
+``n_jobs > 1``, on a process pool of that size.
 
 The decomposition returns the same optimal concurrent flow value ``F`` as the
 original MCF (the grouped flow is a relaxation whose value is achievable, and
@@ -36,13 +35,14 @@ need F alone.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..constants import FLOW_TOL
-from ..engine import MCFProblem, ParallelRunner, register_formulation
+from ..engine import MCFProblem, register_formulation
 from ..engine import solve as engine_solve
 from ..topology.base import Edge, Topology
 from .flow import Commodity, FlowSolution, flows_from_array, repair_conservation
@@ -345,8 +345,7 @@ def solve_decomposed_mcf(topology: Topology, repair: bool = True,
         Number of worker processes for the child LPs.  ``1`` (default) solves
         them serially in-process, which is deterministic and shares the
         engine's in-memory solution cache; larger values use a process pool
-        via :class:`~repro.engine.runner.ParallelRunner` (the paper runs the
-        N child LPs on N cores).
+        (the paper runs the N child LPs on N cores).
     terminals:
         Optional subset of nodes that exchange data; other nodes only relay
         (host-NIC augmented topologies).
@@ -367,8 +366,12 @@ def solve_decomposed_mcf(topology: Topology, repair: bool = True,
     destinations = None if terminals is None else sorted(set(terminals))
     args = [(topology, s, master.grouped_flows[s], master.concurrent_flow, destinations)
             for s in sources]
-    runner = ParallelRunner(jobs=n_jobs, mode="process")
-    for source, child_flows, elapsed in runner.map(_child_worker, args):
+    if n_jobs > 1:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            children = list(pool.map(_child_worker, args))
+    else:
+        children = [_child_worker(a) for a in args]
+    for source, child_flows, elapsed in children:
         flows.update(child_flows)
         timings.child_seconds_each.append(elapsed)
 

@@ -30,19 +30,19 @@ per-source flow decomposition on the time-expanded DAG).
 
 Master and children are registered engine formulations (``"tsmcf-master"`` /
 ``"tsmcf-child"``) solved through :func:`repro.engine.solve`; the independent
-child LPs run through the shared :class:`~repro.engine.runner.ParallelRunner`
-(``n_jobs``).
+child LPs run serially or, with ``n_jobs > 1``, on a process pool.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..constants import FLOW_TOL
-from ..engine import MCFProblem, ParallelRunner, register_formulation
+from ..engine import MCFProblem, register_formulation
 from ..engine import solve as engine_solve
 from ..topology.base import Topology
 from .flow import Commodity
@@ -278,10 +278,14 @@ def solve_timestepped_mcf_decomposed(topology: Topology, num_steps: Optional[int
 
     args = [(topology, s, sorted({d for src, d in commodities if src == s}),
              grouped[s], steps) for s in sources]
-    runner = ParallelRunner(jobs=n_jobs, mode="process")
+    if n_jobs > 1:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            children = list(pool.map(_ts_child_worker, args))
+    else:
+        children = [_ts_child_worker(a) for a in args]
     flows: Dict[Commodity, Dict[Tuple[int, int, int], float]] = {}
     child_seconds: List[float] = []
-    for s, child_flows, elapsed in runner.map(_ts_child_worker, args):
+    for s, child_flows, elapsed in children:
         flows.update(child_flows)
         child_seconds.append(elapsed)
 

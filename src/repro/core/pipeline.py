@@ -64,7 +64,7 @@ class SchedulingRequest:
         Cap on the number of link-disjoint candidate paths per commodity.
     n_jobs:
         Worker processes for the decomposed MCF (and decomposed tsMCF)
-        child LPs, executed through the engine's ParallelRunner.
+        child LPs; 1 solves them serially in-process.
     decompose_ts:
         If True, HOST-forwarding schedules use the decomposed time-stepped
         MCF (master + per-source child LPs, parallelizable with ``n_jobs``)

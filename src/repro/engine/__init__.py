@@ -1,4 +1,4 @@
-"""Unified solve engine: problems, backends, solution cache, execution.
+"""Unified solve engine: problems, backends and the solution cache.
 
 Layering (each layer only knows the one below it):
 
@@ -7,9 +7,7 @@ Layering (each layer only knows the one below it):
 * **Backend** (:mod:`.backends`) — pluggable :class:`SolveBackend`
   implementations (scipy/HiGHS variants ship by default);
 * **Cache** (:mod:`.cache`) — content-addressed :class:`SolutionCache`
-  keyed by ``(topology.canonical_hash(), formulation, params)``;
-* **Execution** (:mod:`.runner`) — :class:`ParallelRunner`, the shared
-  serial/thread/process map used by sweeps, child LPs and benchmarks.
+  keyed by ``(topology.canonical_hash(), formulation, params)``.
 
 ``engine.solve(problem)`` on the process-wide default engine is the one
 entry point every formulation routes through.
@@ -30,7 +28,6 @@ from .problem import (
     get_formulation,
     register_formulation,
 )
-from .runner import ParallelRunner
 
 __all__ = [
     "ScipyHighsBackend",
@@ -47,5 +44,4 @@ __all__ = [
     "formulation_names",
     "get_formulation",
     "register_formulation",
-    "ParallelRunner",
 ]

@@ -14,8 +14,9 @@ declarative :class:`~repro.experiments.Plan` pipeline.  Payloads exposing a
 ``portable(tol=...)`` method (the :class:`LPSolution` compaction protocol)
 are compacted before storage; anything else is stored as-is.
 
-Thread safe: the sweep layer solves schemes concurrently through
-:class:`~repro.engine.runner.ParallelRunner` threads that share this cache.
+The counters are updated under a lock, so threads of any caller can share
+one cache; :meth:`SolutionCache.credit` adds the counts a sweep worker
+process reports back.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 import pickle
 import tempfile
 import threading
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, Mapping, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.solver import LPSolution
@@ -124,6 +125,14 @@ class SolutionCache:
         with self._lock:
             self._memory.clear()
             self.hits = self.misses = self.disk_hits = self.stores = 0
+
+    def credit(self, counts: Mapping[str, int]) -> None:
+        """Add counter deltas (``stats()`` keys) from another process."""
+        with self._lock:
+            self.hits += int(counts.get("hits", 0))
+            self.misses += int(counts.get("misses", 0))
+            self.disk_hits += int(counts.get("disk_hits", 0))
+            self.stores += int(counts.get("stores", 0))
 
     @property
     def size(self) -> int:

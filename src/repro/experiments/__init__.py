@@ -10,13 +10,12 @@ simulator) expressed as data instead of glue code:
   optional ``$REPRO_CACHE_DIR/stages`` disk tier, reusing the engine's
   :class:`~repro.engine.cache.SolutionCache`);
 * :class:`SweepGrid` + :func:`run_sweep` — cartesian scenario grids executed
-  through :class:`~repro.engine.runner.ParallelRunner` with streaming JSONL
-  records, resumable by scenario hash;
-* :func:`run_sweep_workers` (or ``run_sweep(workers=N)``) — the same sweep
-  on a pool of worker *processes*, one task per scenario; each synthesize
-  key is solved once and its schedule handed to the scenarios sharing it,
-  with the parent writing one JSONL file that :func:`merge_shards` leaves
-  deduped and sorted by scenario hash.
+  in-process with streaming JSONL records, resumable by scenario hash;
+* :func:`run_sweep_workers` (or ``run_sweep(workers=N)`` for several
+  scenarios) — the same sweep on a pool of worker *processes*, one task per
+  scenario; each synthesize key is solved once and its schedule handed to
+  the scenarios sharing it, with the parent writing one JSONL file that
+  :func:`merge_shards` leaves deduped and sorted by scenario hash.
 
 The ``repro compare``, ``repro synthesize`` and ``repro sweep`` CLI
 subcommands and the Fig. 3 / Fig. 4 / Table 1 benchmarks are all thin

@@ -109,21 +109,6 @@ def reset_plan_cache() -> None:
         _plan_cache = None
 
 
-#: Per-stage-key locks backing the single-flight guarantee in
-#: :meth:`Plan._ensure_stage`.  Entries are tiny and bounded by the number of
-#: distinct stage keys seen by the process, so they are never evicted.
-_inflight: Dict[str, threading.Lock] = {}
-_inflight_guard = threading.Lock()
-
-
-def _inflight_lock(key: str) -> threading.Lock:
-    with _inflight_guard:
-        lock = _inflight.get(key)
-        if lock is None:
-            lock = _inflight[key] = threading.Lock()
-        return lock
-
-
 # --------------------------------------------------------------------------- #
 # Plan
 # --------------------------------------------------------------------------- #
@@ -240,19 +225,15 @@ class Plan:
             self._install(stage, self._compute(stage))
             self.result.stage_cache[stage] = "off"
         else:
-            # Single-flight per stage key: concurrent scenarios that share an
-            # artifact (e.g. same schedule, different buffers) wait for the
-            # first computation instead of duplicating the LP solve.
-            with _inflight_lock(key):
-                cached = self.cache.get(key)
-                if cached is not None:
-                    self._install(stage, cached)
-                    self.result.stage_cache[stage] = "hit"
-                else:
-                    artifact = self._compute(stage)
-                    self._install(stage, artifact)
-                    self.result.stage_cache[stage] = "miss"
-                    self.cache.put(key, artifact)
+            cached = self.cache.get(key)
+            if cached is not None:
+                self._install(stage, cached)
+                self.result.stage_cache[stage] = "hit"
+            else:
+                artifact = self._compute(stage)
+                self._install(stage, artifact)
+                self.result.stage_cache[stage] = "miss"
+                self.cache.put(key, artifact)
         self.result.stage_seconds[stage] = time.perf_counter() - start
 
     def _compute(self, stage: str) -> object:

@@ -124,7 +124,8 @@ def _pmcf_disjoint(topology: Topology, max_paths: Optional[int] = None):
 
 #: Scheme name -> callable.  Entries marked scenario-aware receive the full
 #: scenario (and the plan's ``n_jobs``); plain entries receive the topology
-#: plus ``scheme_params`` as keyword arguments.
+#: plus ``scheme_params`` as keyword arguments, and ``n_jobs`` too when they
+#: solve the decomposed MCF's child LPs.
 SCHEMES: Dict[str, Callable] = {
     "auto": _auto_scheme,
     "tsmcf": _tsmcf_scheme,
@@ -145,6 +146,9 @@ SCHEMES: Dict[str, Callable] = {
 #: Schemes that take the whole scenario (not just topology + params).
 _SCENARIO_AWARE = ("auto", "tsmcf")
 
+#: Plain schemes that take the plan's ``n_jobs`` child-LP processes.
+_CHILD_LP_POOL = ("mcf-extp",)
+
 #: Schemes whose artifact holds no schedule: they run through ``synthesize``
 #: and no further.
 SYNTHESIZE_ONLY = ("mcf-objective",)
@@ -161,6 +165,8 @@ def resolve_scheme(scenario: "Scenario", topology: Topology, n_jobs: int = 1):
     params = dict(scenario.scheme_params)
     if scenario.scheme in _SCENARIO_AWARE:
         return scheme(topology, scenario=scenario, n_jobs=n_jobs, **params)
+    if scenario.scheme in _CHILD_LP_POOL:
+        params["n_jobs"] = n_jobs
     return scheme(topology, **params)
 
 

@@ -1,8 +1,8 @@
 """Grid sweeps with streaming JSONL results and hash-based resume.
 
 :class:`SweepGrid` expands a base scenario plus axes (cartesian product) into
-an ordered scenario list; :func:`run_sweep` executes them through the
-engine's :class:`~repro.engine.runner.ParallelRunner`, appending one JSONL
+an ordered scenario list; :func:`run_sweep` executes them in-process or, with
+``workers > 1``, on the process pool of :mod:`.executor`, appending one JSONL
 record per *completed* scenario as it finishes — a killed sweep leaves a
 usable partial file, and re-running with ``resume=True`` skips every
 scenario whose :meth:`~repro.experiments.scenario.Scenario.key` already has
@@ -48,11 +48,9 @@ import csv
 import itertools
 import json
 import os
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from ..engine import ParallelRunner
 from ..engine.cache import SolutionCache
 from .plan import Plan, PlanResult
 from .scenario import Scenario, scenario_schema_version
@@ -310,23 +308,16 @@ def _execute(scenario: Scenario, through: str, cache: Optional[SolutionCache],
 # --------------------------------------------------------------------------- #
 # Execution
 # --------------------------------------------------------------------------- #
-def run_scenarios(scenarios: Sequence[Scenario], jobs: int = 1,
-                  through: str = "simulate",
-                  cache: Optional[SolutionCache] = None,
-                  n_jobs: int = 1) -> List[ScenarioResult]:
-    """Run scenarios (optionally concurrently), capturing per-scenario errors.
-
-    Results keep input order; parallel output is identical to serial because
-    every scenario is independent and the LP/stage caches are shared.
-    """
-    runner = ParallelRunner(jobs=jobs)
-    return runner.map(lambda s: _execute(s, through, cache, n_jobs), list(scenarios))
+def run_scenarios(scenarios: Sequence[Scenario], through: str = "simulate",
+                  cache: Optional[SolutionCache] = None) -> List[ScenarioResult]:
+    """Run scenarios in order, capturing per-scenario errors."""
+    return [_execute(s, through, cache, 1) for s in scenarios]
 
 
 def run_sweep(scenarios: Sequence[Scenario], out_path: Optional[str] = None,
-              jobs: int = 1, resume: bool = False, through: str = "simulate",
+              resume: bool = False, through: str = "simulate",
               cache: Optional[SolutionCache] = None,
-              n_jobs: int = 1, workers: int = 1) -> List[ScenarioResult]:
+              workers: int = 1) -> List[ScenarioResult]:
     """Execute a sweep with streaming JSONL output and optional resume.
 
     Parameters
@@ -338,48 +329,47 @@ def run_sweep(scenarios: Sequence[Scenario], out_path: Optional[str] = None,
         If True and ``out_path`` has records, scenarios whose key already has
         an ``ok`` record are *not* re-executed; their stored record is
         returned (``resumed=True``) in place.  Errored records are retried.
-    jobs:
-        Scenarios executed concurrently (threads share the caches).
     workers:
-        Worker *processes*.  ``workers > 1`` hands the whole sweep to
+        Worker *processes*.  With ``workers > 1`` a sweep of several
+        scenarios goes to
         :func:`~repro.experiments.executor.run_sweep_workers`: one task per
         scenario, each synthesize key solved once (a first pass hands a
         shared schedule to the rest through the parent's stage cache), the
-        parent appending records to ``out_path`` and
-        finally rewriting it deduped and sorted by scenario hash.  ``jobs``
-        and ``cache`` are then ignored (each worker process has its own
-        caches).  The default of 1 keeps the in-process thread path.
+        parent appending records to ``out_path`` and finally rewriting it
+        deduped and sorted by scenario hash; ``cache`` is then ignored (each
+        worker process has its own caches).  A sweep of one scenario runs
+        in-process and gives the workers to its child LPs instead (the
+        paper's N-core child-LP pool).
     """
-    if workers > 1:
+    scenarios = list(scenarios)
+    if workers > 1 and len(scenarios) > 1:
         from .executor import run_sweep_workers
 
         return run_sweep_workers(scenarios, out_path=out_path, workers=workers,
-                                 resume=resume, through=through, n_jobs=n_jobs)
-    scenarios = list(scenarios)
+                                 resume=resume, through=through)
     done: Dict[str, Dict[str, object]] = {}
     if resume and out_path and os.path.exists(out_path):
         done = completed_records([out_path], through=through)
 
-    lock = threading.Lock()
+    results: List[ScenarioResult] = []
     out_fh = _open_append(out_path) if out_path else None
     try:
-        def run_one(scenario: Scenario) -> ScenarioResult:
+        for scenario in scenarios:
             try:
                 key = scenario.key()
             except Exception:  # noqa: BLE001 - bad spec: let _execute record it
                 key = ""
             record = done.get(key) if key else None
             if record is not None:
-                return ScenarioResult.from_record(scenario, record, resumed=True)
-            result = _execute(scenario, through, cache, n_jobs)
+                results.append(ScenarioResult.from_record(scenario, record,
+                                                          resumed=True))
+                continue
+            result = _execute(scenario, through, cache, workers)
             if out_fh is not None:
-                line = json.dumps(result.to_record(), sort_keys=True)
-                with lock:
-                    out_fh.write(line + "\n")
-                    out_fh.flush()
-            return result
-
-        return ParallelRunner(jobs=jobs).map(run_one, scenarios)
+                out_fh.write(json.dumps(result.to_record(), sort_keys=True) + "\n")
+                out_fh.flush()
+            results.append(result)
+        return results
     finally:
         if out_fh is not None:
             out_fh.close()
@@ -441,7 +431,7 @@ def completed_records(paths: Sequence[str],
                       through: str = "simulate") -> Dict[str, Dict[str, object]]:
     """Resumable ``ok`` records across one or more JSONL files, deduped by key.
 
-    The single source of resume truth for both the thread path and the
+    The single source of resume truth for both the in-process path and the
     multiprocess executor: a scenario whose record appears twice resolves
     to one entry, so resume never re-runs it.
 

@@ -7,10 +7,10 @@ and straggler hosts; :mod:`.runner` injects them as events into the fluid
 engine's queue, rerouting in-flight flows deterministically around down
 links (:mod:`.reroute`, certified deadlock-free through LASH / DF-SSSP)
 and re-filling incrementally over the survivors; :mod:`.adversarial`
-searches worst-case k-link failure sets against a schedule (optionally in
-parallel via ``jobs``).  :mod:`.context` hoists per-flow arrays, the
-compiled arena template (:mod:`repro.perf.delta`) and the shared
-reroute/certification caches so sweeps and searches pay the setup once.
+searches worst-case k-link failure sets against a schedule.  :mod:`.context`
+hoists per-flow arrays, the compiled arena template (:mod:`repro.perf.delta`)
+and the shared reroute/certification caches so sweeps and searches pay the
+setup once.
 
 Correctness is pinned by ``tests/test_faults.py``: every faulted run must
 agree to 1e-9 with a hand-stitched sequence of piecewise-static engine

@@ -27,10 +27,9 @@ arrays, the compiled arena template and the reroute caches for every
 candidate; the healthy pre-strike prefix — identical for every candidate,
 which only diverges at ``at`` — is run once
 (:func:`~repro.faults.runner.capture_fault_prefix`) and each evaluation
-resumes from a clone of it.  Candidate evaluations fan out across the shared
-:class:`~repro.engine.runner.ParallelRunner` (``jobs``); the merge is
-order-preserving and scoring is pure, so serial and parallel searches
-return identical evaluation tables and worst sets.
+resumes from a clone of it.  Candidates are evaluated one after another in
+one process: the evaluations are fill-bound, and threads were slower than
+this serial loop.
 
 The returned :class:`AdversarialResult` carries the worst set, its
 slowdown, and the full sorted evaluation table (the ``repro robustness``
@@ -44,7 +43,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..engine.runner import ParallelRunner
 from ..schedule.ir import RoutedSchedule
 from ..simulator.collective import run_routed_collective
 from ..simulator.fabric import FabricModel
@@ -110,7 +108,6 @@ def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
                         mode: str = "auto",
                         seed: int = 0,
                         max_events: int = 1_000_000,
-                        jobs: int = 1,
                         context: Optional[PreparedFaultContext] = None,
                         ) -> AdversarialResult:
     """Search the worst k-physical-link failure set against a schedule.
@@ -119,9 +116,7 @@ def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
     completion time (0 < at < 1; the default 0.5 strikes mid-run, when
     rerouting hurts most).  ``mode`` is ``exhaustive``, ``greedy`` or
     ``auto`` (exhaustive while C(candidates, k) stays under ~500 sets,
-    greedy beyond).  ``jobs`` fans candidate evaluations across threads
-    with an order-preserving merge — results are identical at any job
-    count.  ``context`` shares a prepared fault context built elsewhere
+    greedy beyond).  ``context`` shares a prepared fault context built elsewhere
     (e.g. by a sweep over ``k``); by default one is built here.
     """
     if k < 1:
@@ -157,7 +152,6 @@ def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
         prefix = capture_fault_prefix(
             context, buffer_bytes, at_seconds,
             vc=_failure_spec((), at_seconds, seed).vc)
-    runner = ParallelRunner(jobs=jobs)
 
     def evaluate(links: Tuple[Link, ...]) -> Dict[str, object]:
         result = run_faulted(
@@ -187,13 +181,12 @@ def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
     evaluations: List[Dict[str, object]] = []
     if mode == "exhaustive":
         evaluations.extend(
-            runner.map(evaluate, list(itertools.combinations(pool, k))))
+            evaluate(links) for links in itertools.combinations(pool, k))
     else:
         chosen: Tuple[Link, ...] = ()
         for _ in range(k):
-            round_evals = runner.map(
-                evaluate,
-                [chosen + (link,) for link in pool if link not in chosen])
+            round_evals = [evaluate(chosen + (link,))
+                           for link in pool if link not in chosen]
             round_evals.sort(key=sort_key)
             evaluations.extend(round_evals)
             chosen = round_evals[0]["links"]

@@ -14,11 +14,11 @@ run_faulted_sweep`), fault-grid sweeps and the adversarial search
   computed them inline);
 * :meth:`PreparedFaultContext.delta_program` — the schedule's flow set
   compiled once into a :class:`~repro.perf.delta.DeltaProgram` arena,
-  cloned per run so concurrent evaluations mutate independent copies;
+  cloned per run so each evaluation mutates its own copy;
 * :class:`RerouteCache` — BFS repair and LASH/DF-SSSP certification
   memoized by ``(canonical down-set, planned path)`` and
-  ``(vc, distinct route set)``, shared (and locked) across every run that
-  reuses the context.
+  ``(vc, distinct route set)``, shared across every run that reuses the
+  context.
 
 All caches are insertion-order faithful: the certification key is the
 ordered first-seen distinct route tuple — the exact sequence
@@ -28,7 +28,6 @@ counts depend on insertion order and must match the uncached call.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -50,14 +49,12 @@ class RerouteCache:
     Keys are canonical: the down set arrives as the epoch fabric's sorted
     ``down_links`` tuple, so repeated epochs, flapping timelines and every
     candidate of an adversarial search that lands on the same fabric state
-    hit the same entries.  Thread-safe (the adversarial search shares one
-    cache across ``--jobs`` workers); lookups report hit/miss so callers
-    can credit the engine's ``route_cache_*`` counters per run.
+    hit the same entries.  Lookups report hit/miss so callers can credit
+    the engine's ``route_cache_*`` counters per run.
     """
 
     def __init__(self, topology) -> None:
         self.topology = topology
-        self._lock = threading.Lock()
         self._adjacency: Dict[Tuple[Link, ...], Dict[int, List[int]]] = {}
         self._paths: Dict[Tuple[Tuple[Link, ...], Path], Optional[Path]] = {}
         self._layers: Dict[Tuple[str, Tuple[Path, ...]], int] = {}
@@ -67,12 +64,9 @@ class RerouteCache:
     def adjacency(self, down_key: Tuple[Link, ...],
                   down: Set[Link]) -> Dict[int, List[int]]:
         """The surviving adjacency for one down set, built at most once."""
-        with self._lock:
-            adj = self._adjacency.get(down_key)
+        adj = self._adjacency.get(down_key)
         if adj is None:
-            adj = surviving_adjacency(self.topology, down)
-            with self._lock:
-                adj = self._adjacency.setdefault(down_key, adj)
+            adj = self._adjacency[down_key] = surviving_adjacency(self.topology, down)
         return adj
 
     def effective(self, down_key: Tuple[Link, ...], down: Set[Link],
@@ -84,14 +78,12 @@ class RerouteCache:
         clear, BFS repair, or ``None`` when disconnected).
         """
         key = (down_key, original)
-        with self._lock:
-            if key in self._paths:
-                self.hits += 1
-                return self._paths[key], True
+        if key in self._paths:
+            self.hits += 1
+            return self._paths[key], True
         path = effective_path(original, down, self.adjacency(down_key, down))
-        with self._lock:
-            self.misses += 1
-            path = self._paths.setdefault(key, path)
+        self.misses += 1
+        self._paths[key] = path
         return path, False
 
     def certify(self, routes: Sequence[Path], vc: str) -> Tuple[int, bool]:
@@ -105,14 +97,12 @@ class RerouteCache:
         if vc == "off":
             return 0, False
         key = (vc, distinct_routes(routes))
-        with self._lock:
-            if key in self._layers:
-                self.hits += 1
-                return self._layers[key], True
+        if key in self._layers:
+            self.hits += 1
+            return self._layers[key], True
         layers = certify_routes(key[1], vc)
-        with self._lock:
-            self.misses += 1
-            layers = self._layers.setdefault(key, layers)
+        self.misses += 1
+        self._layers[key] = layers
         return layers, False
 
 
@@ -121,9 +111,8 @@ class PreparedFaultContext:
 
     Build one and pass it to every :func:`~repro.faults.runner.run_faulted`
     call that shares the schedule and base fabric — the sweep and
-    adversarial drivers do this automatically.  All members are either
-    immutable or internally locked, so one context can back concurrent
-    evaluations.
+    adversarial drivers do this automatically.  Its caches take no lock:
+    share one context only within one thread.
     """
 
     def __init__(self, schedule, fabric: Optional[FabricModel] = None) -> None:
@@ -143,7 +132,6 @@ class PreparedFaultContext:
                                 + (len(p) - 1) * self.fabric.per_hop_latency
                                 for p in self.orig_paths])
         self.reroute_cache = RerouteCache(self.topology)
-        self._lock = threading.Lock()
         self._sizes: Dict[float, np.ndarray] = {}
         self._template = DeltaProgram(self.topology, self.fabric,
                                       self.orig_paths, self._fractions)
@@ -151,13 +139,10 @@ class PreparedFaultContext:
     def sizes_for(self, buffer_bytes: float) -> np.ndarray:
         """Per-flow byte sizes at one buffer point (memoized, read-only)."""
         key = float(buffer_bytes)
-        with self._lock:
-            sizes = self._sizes.get(key)
+        sizes = self._sizes.get(key)
         if sizes is None:
             shard = key / self.num_nodes
-            sizes = np.array([f * shard for f in self._fractions])
-            with self._lock:
-                sizes = self._sizes.setdefault(key, sizes)
+            sizes = self._sizes[key] = np.array([f * shard for f in self._fractions])
         return sizes
 
     def delta_program(self) -> DeltaProgram:

@@ -288,7 +288,7 @@ class DeltaProgram:
         self._init_views()
 
     # ------------------------------------------------------------------ #
-    # Cloning (concurrent adversarial evaluations)
+    # Cloning (one copy per faulted run of a shared context)
     # ------------------------------------------------------------------ #
     def clone(self) -> "DeltaProgram":
         """An independent mutable copy sharing the immutable layout.
@@ -296,7 +296,7 @@ class DeltaProgram:
         Arrays that mutations only ever *replace* (``ent_flow``, spans,
         sizes) are shared; the ones edited in place (``ent_res``,
         ``res_cap``, slot lengths, routes) and the workspace are copied, so
-        clones evolve independently across threads.
+        clones evolve independently of the template and of each other.
         """
         new = copy.copy(self)
         new.ent_res = self.ent_res.copy()

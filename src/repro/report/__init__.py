@@ -4,8 +4,8 @@ This subpackage owns the paper's deliverables.  A registry of figure/table
 specs (:mod:`~repro.report.specs`) declares each artifact of
 conf_hpdc_BasuZFPKK24 as a scenario grid plus an aggregation plus a renderer;
 :func:`generate_report` executes any subset through the existing
-:func:`repro.experiments.run_sweep` pipeline (stage caching, ``--jobs``,
-``--resume`` included), renders figures with a guaranteed CSV/Markdown
+:func:`repro.experiments.run_sweep` pipeline (stage caching, worker
+processes and ``--resume`` included), renders figures with a guaranteed CSV/Markdown
 fallback (:mod:`~repro.report.render`), and stamps the result with git SHA,
 versions, per-artifact wall-clock and cache counters
 (:mod:`~repro.report.provenance`).
@@ -78,8 +78,6 @@ class ReportSummary:
 def generate_report(out_dir: str = "report",
                     only: Optional[Sequence[str]] = None,
                     fast: bool = False,
-                    jobs: int = 1,
-                    n_jobs: int = 1,
                     resume: bool = False,
                     workers: int = 1) -> ReportSummary:
     """Run artifact specs and render the provenance-stamped report.
@@ -94,16 +92,15 @@ def generate_report(out_dir: str = "report",
         full registry in registry order.
     fast:
         Use the reduced CI grids.
-    jobs / n_jobs:
-        Scenarios executed concurrently / child-LP workers per scenario.
     resume:
         Reuse completed records from a previous run's ``data/*.jsonl``
         (per-scenario resume, same semantics as ``repro sweep --resume``).
         Without it each spec's JSONL is started fresh.
     workers:
-        Worker processes per artifact sweep (``repro sweep --workers``
+        Worker processes per artifact sweep (``repro sweep --jobs``
         semantics: one task per scenario, each synthesize key solved
-        once); 1 keeps the in-process path.
+        once, the workers' cache and simulator counters summed into the
+        provenance); 1 runs in-process.
     """
     from ..engine import get_engine
 
@@ -117,8 +114,8 @@ def generate_report(out_dir: str = "report",
         if not resume and os.path.exists(jsonl):
             os.remove(jsonl)
         start = time.perf_counter()
-        results = run_sweep(spec.scenarios(fast), out_path=jsonl, jobs=jobs,
-                            resume=resume, through=spec.through, n_jobs=n_jobs,
+        results = run_sweep(spec.scenarios(fast), out_path=jsonl,
+                            resume=resume, through=spec.through,
                             workers=workers)
         spec_result = spec.aggregate(results, fast=fast)
         spec_result.seconds = time.perf_counter() - start

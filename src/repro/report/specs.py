@@ -215,7 +215,7 @@ class ArtifactSpec:
 
 def run_panel(spec: ArtifactSpec, panel: PanelSpec,
               buffers: Optional[Sequence[float]] = None,
-              timer=None, cache=None, n_jobs: int = 1) -> PanelData:
+              timer=None, cache=None) -> PanelData:
     """Execute one panel through the staged Plan pipeline (benchmark path).
 
     ``timer`` (if given) is called as ``timer(fn)`` exactly once, wrapping the
@@ -230,7 +230,7 @@ def run_panel(spec: ArtifactSpec, panel: PanelSpec,
     results: Dict[str, ScenarioResult] = {}
     for series in panel.series:
         scenario = spec.scenario(panel, series, buffers)
-        plan = Plan(scenario, cache=cache, n_jobs=n_jobs)
+        plan = Plan(scenario, cache=cache)
         if timer is not None and series.label == spec.headline:
             timer(lambda: plan.run(through=spec.timed_through))
         results[series.label] = result_from_plan(

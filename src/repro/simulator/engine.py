@@ -135,7 +135,8 @@ def record_fault_events(**counts: float) -> None:
     ``fabric_events``, ``reroutes``, the per-phase timing split
     (``compile_seconds``, ``reroute_seconds``) and the delta-engine /
     reroute-cache tallies, so the ``[stats]`` footer shows dynamic-failure
-    work next to fill rounds.
+    work next to fill rounds.  The sweep executor adds its worker processes'
+    counter deltas (any counter key) through it too.
     """
     with _counters_lock:
         for key, value in counts.items():

@@ -1,4 +1,4 @@
-"""Tests for the unified solve engine: problems, backends, cache, runner."""
+"""Tests for the unified solve engine: problems, backends, cache."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.core import solve_decomposed_mcf, solve_link_mcf
 from repro.engine import (
     Engine,
     MCFProblem,
-    ParallelRunner,
     SolutionCache,
     backend_names,
     formulation_names,
@@ -256,40 +255,13 @@ class TestRepeatedSweepUsesCache:
         assert all(r.error is None for r in second)
 
 
-class TestParallelRunner:
-    def test_serial_and_thread_preserve_order(self):
-        items = list(range(20))
-
-        def square(x):
-            return x * x
-
-        assert ParallelRunner(jobs=1).map(square, items) == [x * x for x in items]
-        assert ParallelRunner(jobs=4, mode="thread").map(square, items) == \
-            [x * x for x in items]
-
-    def test_auto_mode_selection(self):
-        assert ParallelRunner(jobs=1).mode == "serial"
-        assert ParallelRunner(jobs=4).mode == "thread"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(jobs=2, mode="gpu")
-
-    def test_exceptions_propagate(self):
-        def boom(x):
-            raise RuntimeError("nope")
-
-        with pytest.raises(RuntimeError):
-            ParallelRunner(jobs=2, mode="thread").map(boom, [1, 2])
-
-
 class TestParallelCompare:
     def test_parallel_compare_identical_to_serial(self, capsys):
         argv = ["compare", "hypercube:dim=3",
                 "--schemes", "mcf-extp,pmcf-disjoint,ewsp,sssp"]
         outputs = []
         for jobs in ("1", "3"):
-            # Cold caches, so the parallel run really solves concurrently.
+            # Cold caches, so the worker processes really solve.
             reset_engine()
             reset_plan_cache()
             assert main(argv + ["--jobs", jobs]) == 0

@@ -1,8 +1,7 @@
 """Tests for the multiprocess sweep executor.
 
 Covers the one-file compaction (:func:`merge_shards`) and the executor's
-guarantees: worker output canonically identical to the serial and threaded
-paths, one synthesize per shared key with the simulations still spread over
+guarantees: worker output canonically identical to the serial path, one synthesize per shared key with the simulations still spread over
 the workers, and a killed worker losing only the scenario it was running,
 which a ``resume=True`` re-run finishes without duplicate records.
 """
@@ -152,14 +151,13 @@ class TestMergeShards:
 
 class TestRunSweepWorkers:
     def test_workers_match_serial_and_threads_canonically(self, tmp_path):
+        # The thread leg is gone with the thread executor; the name stays.
         scenarios = _grid12().scenarios()
         serial = str(tmp_path / "serial.jsonl")
-        threaded = str(tmp_path / "threads.jsonl")
         workers = str(tmp_path / "workers.jsonl")
         run_sweep(scenarios, out_path=serial)
-        run_sweep(scenarios, out_path=threaded, jobs=2)
         results = run_sweep_workers(scenarios, out_path=workers, workers=2)
-        assert _canonical(serial) == _canonical(threaded) == _canonical(workers)
+        assert _canonical(serial) == _canonical(workers)
         assert len(results) == 12
         assert [r.scenario for r in results] == scenarios  # input order kept
         assert all(r.status == "ok" for r in results)

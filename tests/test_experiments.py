@@ -290,8 +290,7 @@ class TestRunSweep:
 
     def test_streaming_jsonl_records(self, tmp_path):
         out = str(tmp_path / "sweep.jsonl")
-        results = run_sweep(self.GRID.scenarios(), out_path=out, jobs=2,
-                            cache=_stage_cache())
+        results = run_sweep(self.GRID.scenarios(), out_path=out, workers=2)
         assert [r.status for r in results] == ["ok"] * 4
         records = load_results(out)
         assert len(records) == 4

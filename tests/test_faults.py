@@ -396,27 +396,31 @@ class TestDeltaEngine:
             reset_engine_counters()
 
     def test_adversarial_serial_parallel_and_oracle_agree(self):
-        """Serial and ``jobs=3`` searches return identical tables, and every
-        prefix-resumed evaluation agrees with the piecewise-static oracle."""
+        """A search on a warm shared context returns the table of one on a
+        fresh context, and every prefix-resumed evaluation agrees with the
+        piecewise-static oracle.  (The search is serial; the name predates
+        that.)"""
         schedule = _lowered("hypercube:dim=3")
         fabric = cerio_hpc_fabric()
         buf = 2 ** 20
         context = PreparedFaultContext(schedule, fabric)
-        serial = worst_case_failures(schedule, buf, k=2, fabric=fabric,
-                                     candidates=5, context=context)
-        parallel = worst_case_failures(schedule, buf, k=2, fabric=fabric,
-                                       candidates=5, jobs=3, context=context)
+        worst_case_failures(schedule, buf, k=2, fabric=fabric, candidates=5,
+                            context=context)
+        warm = worst_case_failures(schedule, buf, k=2, fabric=fabric,
+                                   candidates=5, context=context)
+        fresh = worst_case_failures(schedule, buf, k=2, fabric=fabric,
+                                    candidates=5)
         table = lambda a: [(ev["links"], ev["slowdown"], ev["reroute_count"])
                            for ev in a.evaluations]       # noqa: E731
-        assert serial.worst_links == parallel.worst_links
-        assert table(serial) == table(parallel)
-        for links, slowdown, _ in table(serial):
+        assert warm.worst_links == fresh.worst_links
+        assert table(warm) == table(fresh)
+        for links, slowdown, _ in table(warm):
             spec = FaultSpec(events=tuple(
-                FaultEvent(time=serial.at_seconds, kind="down",
+                FaultEvent(time=warm.at_seconds, kind="down",
                            links=((u, v), (v, u))) for u, v in links))
             want, _ = piecewise_static_oracle(schedule, buf, spec, fabric)
             assert slowdown == pytest.approx(
-                want / serial.baseline_seconds, abs=1e-9), links
+                want / warm.baseline_seconds, abs=1e-9), links
 
     @pytest.mark.parametrize("topology", ["torus:dims=3x3", "hypercube:dim=3"])
     def test_reroute_cache_matches_uncached_repair_and_certify(self, topology):

@@ -54,7 +54,7 @@ class TestRegistry:
 
     def test_every_spec_renders_in_fast_mode(self, tmp_path):
         """The acceptance gate: the whole registry completes a --fast report."""
-        summary = generate_report(out_dir=str(tmp_path), fast=True, jobs=2)
+        summary = generate_report(out_dir=str(tmp_path), fast=True, workers=2)
         assert summary.errors == []
         index = (tmp_path / "index.md").read_text()
         for spec_id, spec in REGISTRY.items():
@@ -132,6 +132,36 @@ class TestProvenance:
         assert prov["new_lp_solves"] == 2
         assert prov["git"]["sha"]          # real repo: a SHA, never empty
         assert prov["dependencies"]["scipy"] != "absent"
+
+    def test_worker_counters_reach_the_provenance(self, tmp_path, monkeypatch):
+        """Worker processes send their counter deltas back: a cold fig4
+        report on two workers counts its LP solves and fill rounds, and a
+        warm re-run on the same cache directory solves no LP."""
+        from repro.engine import reset_engine
+        from repro.experiments import reset_plan_cache
+        from repro.simulator import engine_counters, reset_engine_counters
+
+        def fresh_process():
+            reset_engine()
+            reset_plan_cache()
+            reset_engine_counters()
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        try:
+            fresh_process()
+            cold = generate_report(out_dir=str(tmp_path / "cold"), fast=True,
+                                   only=["fig4"], workers=2)
+            assert cold.errors == []
+            assert cold.provenance["new_lp_solves"] > 0
+            assert cold.provenance["stage_cache"]["misses"] > 0
+            assert engine_counters()["fill_rounds"] > 0
+            fresh_process()
+            warm = generate_report(out_dir=str(tmp_path / "warm"), fast=True,
+                                   only=["fig4"], workers=2)
+            assert warm.provenance["new_lp_solves"] == 0
+            assert warm.provenance["stage_cache"]["hits"] > 0
+        finally:
+            fresh_process()
 
     def test_markdown_rendering_is_grep_stable(self):
         prov = collect_provenance(

@@ -5,9 +5,11 @@ import json
 import pytest
 
 from repro.cli import build_parser, build_topology, main
+from repro.engine import reset_engine
 from repro.experiments import (
     Scenario,
     available_scenario_schemes,
+    reset_plan_cache,
     resolve_scheme,
     run_scenarios,
     scenario_schema_version,
@@ -203,3 +205,59 @@ class TestSweepCLI:
     def test_sweep_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             main(["sweep"])
+
+
+class TestJobsKnob:
+    """``--jobs N`` is N worker processes in every command, and never
+    changes stdout: several scenarios go to the sweep pool, a single
+    scenario gives the processes to its child LPs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "hypercube:dim=3"],
+        ["cluster", "hypercube:dim=3", "--trace", "cluster:jobs=4:seed=0",
+         "--trace", "cluster:jobs=4:seed=1"],
+        ["robustness", "hypercube:dim=3", "--faults", "faults:down=0~1@10us:up@50us",
+         "--faults", "faults:down=0~1@10us"],
+        ["simulate", "hypercube:dim=3", "--buffers", "1048576,16777216"],
+    ], ids=["compare", "cluster", "robustness", "simulate"])
+    def test_jobs_2_stdout_equals_jobs_1(self, argv, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        outputs = []
+        for jobs in ("1", "2"):
+            reset_engine()      # cold caches: the jobs=2 run solves in workers
+            reset_plan_cache()
+            assert main(argv + ["--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        reset_engine()
+        reset_plan_cache()
+        assert outputs[1] == outputs[0]
+
+    def test_one_scenario_gives_jobs_to_its_child_lps(self, monkeypatch, capsys):
+        import repro.core.mcf_decomposed as decomposed
+
+        pools = []
+        real = decomposed.ProcessPoolExecutor
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(decomposed, "ProcessPoolExecutor", pool)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        reset_engine()
+        reset_plan_cache()
+        try:
+            assert main(["simulate", "hypercube:dim=3", "--buffers", "1048576",
+                         "--jobs", "2"]) == 0
+        finally:
+            reset_engine()
+            reset_plan_cache()
+        assert pools == [2]
+
+    def test_each_command_has_one_parallelism_flag(self):
+        subparsers = next(a for a in build_parser()._actions
+                          if a.dest == "command").choices
+        for name, sub in subparsers.items():
+            parallel = {opt for action in sub._actions for opt in action.option_strings
+                        if "jobs" in action.dest or "workers" in action.dest}
+            assert parallel == (set() if name == "topology" else {"--jobs"}), name
