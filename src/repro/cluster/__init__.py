@@ -13,7 +13,7 @@ for the model and the trace-spec grammar.
 
 from .injector import FlowInjector
 from .job import CommPhase, ComputePhase, Job, jobs_from_spec
-from .placement import place_route, placement_permutation
+from .placement import RoutePlacer, placement_permutation
 from .runner import ClusterResult, JobResult, run_cluster
 from .trace import (PLACEMENT_POLICIES, ClusterSpec, arrival_times,
                     parse_cluster_spec)
@@ -22,7 +22,7 @@ __all__ = [
     "ClusterSpec", "parse_cluster_spec", "arrival_times",
     "PLACEMENT_POLICIES",
     "ComputePhase", "CommPhase", "Job", "jobs_from_spec",
-    "placement_permutation", "place_route",
+    "placement_permutation", "RoutePlacer",
     "FlowInjector",
     "JobResult", "ClusterResult", "run_cluster",
 ]

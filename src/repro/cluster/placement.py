@@ -4,12 +4,13 @@ A placement is a permutation ``perm`` of the topology's node ids —
 ``perm[logical] = physical``.  Schedules are synthesized once for the
 logical topology; placing a job relabels every route through the
 permutation.  Because an arbitrary relabelling can map a scheduled hop
-onto a non-existent physical link, :func:`place_route` repairs such hops
-with a deterministic BFS shortest path, so any permutation yields a valid
-(if longer) route.  The ``packed`` policy is the identity, which keeps the
-placed routes exactly equal to the scheduled ones — the configuration the
-zero-contention differential test pins against the single-collective
-engine.
+onto a non-existent physical link, :meth:`RoutePlacer.place` repairs such
+hops with a deterministic BFS shortest path, read off one BFS tree per
+source node that the placer builds once and keeps, so any permutation
+yields a valid (if longer) route.  The ``packed`` policy is the identity,
+which keeps the placed routes exactly equal to the scheduled ones — the
+configuration the zero-contention differential test pins against the
+single-collective engine.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Dict, Optional, Tuple
 from ..topology.base import Topology
 from .trace import PLACEMENT_POLICIES
 
-__all__ = ["placement_permutation", "place_route"]
+__all__ = ["placement_permutation", "RoutePlacer"]
 
 
 def placement_permutation(policy: str, job_id: int, num_nodes: int,
@@ -49,42 +50,63 @@ def placement_permutation(policy: str, job_id: int, num_nodes: int,
         f"{PLACEMENT_POLICIES}")
 
 
-def _shortest_path(topology: Topology, src: int, dst: int) -> Tuple[int, ...]:
-    """Deterministic BFS shortest path from ``src`` to ``dst`` (inclusive)."""
-    prev: Dict[int, Optional[int]] = {src: None}
-    frontier = deque([src])
-    while frontier:
-        u = frontier.popleft()
-        if u == dst:
-            break
-        for v in topology.successors(u):
-            if v not in prev:
-                prev[v] = u
-                frontier.append(v)
-    if dst not in prev:
-        raise ValueError(f"no path from node {src} to node {dst}")
-    path = [dst]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])  # type: ignore[arg-type]
-    return tuple(reversed(path))
+class RoutePlacer:
+    """Places scheduled routes on one topology through node permutations.
 
-
-def place_route(route: Tuple[int, ...], perm: Tuple[int, ...],
-                topology: Topology) -> Tuple[int, ...]:
-    """Relabel a scheduled route through ``perm``, repairing missing links.
-
-    Every hop of the mapped route that is not a physical link is replaced
-    by the deterministic BFS shortest path between its endpoints (identity
-    permutations return the route unchanged).
+    Holds the topology's directed edge set and, built on first use, one
+    full BFS tree per source node, so repairing a hop is a walk up a tree
+    rather than a search.  The full tree has the same parent pointers as a
+    BFS that stops at the destination (successors in sorted order, first
+    discovery wins), so every repair is the deterministic BFS shortest
+    path.  Build one per topology and reuse it for every job placed on it.
     """
-    mapped = [perm[v] for v in route]
-    out = [mapped[0]]
-    for v in mapped[1:]:
-        u = out[-1]
-        if u == v:
-            continue
-        if topology.has_edge(u, v):
-            out.append(v)
-        else:
-            out.extend(_shortest_path(topology, u, v)[1:])
-    return tuple(out)
+
+    def __init__(self, topology: Topology) -> None:
+        self.topology = topology
+        self._edges = set(topology.graph.edges())
+        self._trees: Dict[int, Dict[int, Optional[int]]] = {}
+
+    def _tree(self, src: int) -> Dict[int, Optional[int]]:
+        """BFS parent pointers of every node reachable from ``src``."""
+        tree = self._trees.get(src)
+        if tree is None:
+            tree = {src: None}
+            frontier = deque([src])
+            while frontier:
+                u = frontier.popleft()
+                for v in self.topology.successors(u):
+                    if v not in tree:
+                        tree[v] = u
+                        frontier.append(v)
+            self._trees[src] = tree
+        return tree
+
+    def shortest_path(self, src: int, dst: int) -> Tuple[int, ...]:
+        """Deterministic BFS shortest path from ``src`` to ``dst`` (inclusive)."""
+        tree = self._tree(src)
+        if dst not in tree:
+            raise ValueError(f"no path from node {src} to node {dst}")
+        path = [dst]
+        while tree[path[-1]] is not None:
+            path.append(tree[path[-1]])  # type: ignore[arg-type]
+        return tuple(reversed(path))
+
+    def place(self, route: Tuple[int, ...],
+              perm: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Relabel a scheduled route through ``perm``, repairing missing links.
+
+        Every hop of the mapped route that is not a physical link is
+        replaced by the BFS shortest path between its endpoints (identity
+        permutations return the route unchanged).
+        """
+        mapped = [perm[v] for v in route]
+        out = [mapped[0]]
+        for v in mapped[1:]:
+            u = out[-1]
+            if u == v:
+                continue
+            if (u, v) in self._edges:
+                out.append(v)
+            else:
+                out.extend(self.shortest_path(u, v)[1:])
+        return tuple(out)

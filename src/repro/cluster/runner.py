@@ -31,7 +31,7 @@ from ..simulator.engine import FluidFlow, FluidRun, compile_flows, execute
 from ..simulator.fabric import FabricModel
 from .injector import FlowInjector
 from .job import CommPhase, ComputePhase, jobs_from_spec
-from .placement import place_route, placement_permutation
+from .placement import RoutePlacer, placement_permutation
 from .trace import ClusterSpec, parse_cluster_spec
 
 __all__ = ["JobResult", "ClusterResult", "run_cluster"]
@@ -114,13 +114,14 @@ def run_cluster(schedule: Union[RoutedSchedule, LinkSchedule],
     link_bytes: Dict[int, float] = {}
     isolated_comm: Dict[int, float] = {}
     iso_cache: Dict[Tuple[Tuple[int, ...], float], float] = {}
+    placer = RoutePlacer(topology)
     for job in jobs:
         perm = placement_permutation(spec.placement, job.job_id, n,
                                      spec.jobs, spec.seed)
         buffer = next(p.buffer_bytes for p in job.phases
                       if isinstance(p, CommPhase))
         shard = buffer / n
-        template = [(place_route(a.route, perm, topology),
+        template = [(placer.place(a.route, perm),
                      a.chunk.bytes(shard)) for a in schedule.assignments]
         templates[job.job_id] = template
         link_bytes[job.job_id] = sum(size * (len(path) - 1)

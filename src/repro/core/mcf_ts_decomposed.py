@@ -36,7 +36,6 @@ child LPs run serially or, with ``n_jobs > 1``, on a process pool.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -46,6 +45,7 @@ from ..engine import MCFProblem, register_formulation
 from ..engine import solve as engine_solve
 from ..topology.base import Topology
 from .flow import Commodity
+from .mcf_decomposed import map_child_lps
 from .mcf_link import terminal_commodities, topology_arrays
 from .mcf_timestepped import TimeSteppedFlow
 from .solver import LPBuilder
@@ -278,14 +278,9 @@ def solve_timestepped_mcf_decomposed(topology: Topology, num_steps: Optional[int
 
     args = [(topology, s, sorted({d for src, d in commodities if src == s}),
              grouped[s], steps) for s in sources]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            children = list(pool.map(_ts_child_worker, args))
-    else:
-        children = [_ts_child_worker(a) for a in args]
     flows: Dict[Commodity, Dict[Tuple[int, int, int], float]] = {}
     child_seconds: List[float] = []
-    for s, child_flows, elapsed in children:
+    for s, child_flows, elapsed in map_child_lps(_ts_child_worker, args, n_jobs):
         flows.update(child_flows)
         child_seconds.append(elapsed)
 

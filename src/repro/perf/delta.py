@@ -91,6 +91,7 @@ class DeltaProgram:
         self.slack = len(template.res_cap)
         self.res_cap = np.full(self.slack + 1, SLACK_CAP)
         self._cap_key: Optional[Tuple[object, object]] = None
+        self.workspace: Optional[FillWorkspace] = None
         self.set_capacities(self.fabric)
 
         self._fixed = bool(len(paths))
@@ -228,7 +229,8 @@ class DeltaProgram:
         Down links get capacity zero (their flows must have been rerouted
         or masked; a zero-rate stall is the canary for a missed reroute).
         Idempotent per ``(down_links, link_scale)`` state, so flapping
-        timelines that revisit a state skip the recompute.
+        timelines that revisit a state skip the recompute; a new state
+        makes the workspace forget its saved fill rounds.
         """
         from ..simulator.engine import compile_flows
 
@@ -237,6 +239,8 @@ class DeltaProgram:
             self.res_cap[:self.slack] = compile_flows(
                 self.topology, [], epoch_fabric).res_cap
             self._cap_key = key
+            if self.workspace is not None:
+                self.workspace.forget()
 
     def apply(self, epoch_fabric, paths: Sequence[Optional[Path]]) -> int:
         """One epoch's delta: capacities, then the slots of rerouted flows.
@@ -246,13 +250,15 @@ class DeltaProgram:
         flow out of the fill.  Returns the number of arena regrows (0 for a
         pure in-place epoch, 1 when a route overflowed its span and the
         whole arena was re-laid with doubled spans for the overflowing
-        flows).
+        flows).  Moved routes make the workspace forget its saved fill
+        rounds.
         """
         self.set_capacities(epoch_fabric)
         moved = [i for i, path in enumerate(paths)
                  if path is not None and path != self._encoded[i]]
         if not moved:
             return 0
+        self.workspace.forget()
         for i in moved:
             self._encoded[i] = tuple(paths[i])
         compiled = self._compile([paths[i] for i in moved])

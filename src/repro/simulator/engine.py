@@ -14,7 +14,10 @@ on this engine:
    minimum fair share picks the bottleneck(s), all their flows freeze at
    that rate, and their incidence entries drop out of later rounds);
    scratch arrays live in a
-   :class:`~repro.perf.fillkernel.FillWorkspace` reused across fills;
+   :class:`~repro.perf.fillkernel.FillWorkspace` reused across fills,
+   which also keeps the last fill's rounds, so a fill over the same flows
+   minus finished ones resumes from the first round a finished flow froze
+   in;
 3. **run** — :class:`FluidRun` is the one fluid event loop: it advances
    from event to event on the :class:`~repro.simulator.events.EventQueue`,
    integrating rates, retiring finished flows and re-filling over the
@@ -278,8 +281,10 @@ def fill_rates(program: FlowProgram, active: np.ndarray,
 
     Runs :func:`repro.perf.fillkernel.run_fill`, the vectorized numpy
     saturation rounds.  With a ``workspace`` (built once per program)
-    scratch arrays *and the returned rate vector* are reused across calls;
-    callers that keep rates past the next fill must copy them.  Returns the
+    scratch arrays *and the returned rate vector* are reused across calls,
+    and a fill over a subset of the last fill's flows resumes from its
+    saved rounds; callers that keep rates past the next fill must copy
+    them.  Returns the
     rate vector and the number of saturation rounds (the footer's
     ``fill_rounds`` counter); wall time accumulates in
     :func:`engine_counters`.

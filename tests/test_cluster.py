@@ -7,11 +7,15 @@ declarative scenario/sweep stack (hash stability, record metrics).
 """
 
 import json
+import random
+from collections import deque
 
+import networkx as nx
 import pytest
 
 from repro.cluster import (
     PLACEMENT_POLICIES,
+    RoutePlacer,
     arrival_times,
     jobs_from_spec,
     parse_cluster_spec,
@@ -20,6 +24,8 @@ from repro.cluster import (
 )
 from repro.experiments import Scenario
 from repro.simulator import cerio_hpc_fabric, run_routed_collective
+from repro.topology import from_spec
+from repro.topology.base import Topology
 
 BUF = float(2 ** 20)
 
@@ -115,6 +121,79 @@ class TestPlacement:
         assert set(PLACEMENT_POLICIES) == {"packed", "spread", "random"}
         with pytest.raises(ValueError):
             placement_permutation("diagonal", 0, 8, 4)
+
+
+def _place_per_hop(route, perm, topology):
+    """Placement as it was: one early-exit BFS per repaired hop."""
+    def shortest(src, dst):
+        prev = {src: None}
+        frontier = deque([src])
+        while frontier:
+            u = frontier.popleft()
+            if u == dst:
+                break
+            for v in topology.successors(u):
+                if v not in prev:
+                    prev[v] = u
+                    frontier.append(v)
+        path = [dst]
+        while prev[path[-1]] is not None:
+            path.append(prev[path[-1]])
+        return tuple(reversed(path))
+
+    mapped = [perm[v] for v in route]
+    out = [mapped[0]]
+    for v in mapped[1:]:
+        if out[-1] == v:
+            continue
+        if topology.has_edge(out[-1], v):
+            out.append(v)
+        else:
+            out.extend(shortest(out[-1], v)[1:])
+    return tuple(out)
+
+
+class TestRoutePlacer:
+    """One BFS tree per source places routes exactly as per-hop BFS did."""
+
+    @pytest.mark.parametrize("spec", ["torus:dims=4x4", "rrg:d=3,n=12,seed=2",
+                                      "genkautz:d=3,n=10"])
+    def test_matches_per_hop_bfs_on_random_permutations(self, spec):
+        topology = from_spec(spec)
+        n = topology.num_nodes
+        rng = random.Random(spec)
+        paths = dict(nx.all_pairs_shortest_path(topology.graph))
+        routes = [tuple(paths[s][d]) for s in range(n) for d in range(n)
+                  if s != d]
+        # Random walks too: longer routes that revisit nodes.
+        for _ in range(100):
+            walk = [rng.randrange(n)]
+            for _ in range(rng.randint(1, 5)):
+                walk.append(rng.choice(topology.successors(walk[-1])))
+            routes.append(tuple(walk))
+        placer = RoutePlacer(topology)
+        repaired = 0
+        for job in range(6):
+            perm = placement_permutation("random", job, n, 6,
+                                         seed=rng.randrange(1000))
+            for route in routes:
+                placed = placer.place(route, perm)
+                assert placed == _place_per_hop(route, perm, topology)
+                repaired += len(placed) > len(route)
+        assert repaired > 0
+        identity = tuple(range(n))
+        assert all(placer.place(r, identity) == r for r in routes)
+
+    def test_no_path_raises(self):
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(4))
+        for u, v in ((0, 1), (2, 3)):
+            graph.add_edge(u, v, cap=1.0)
+            graph.add_edge(v, u, cap=1.0)
+        placer = RoutePlacer(Topology(name="two-pairs", graph=graph))
+        assert placer.place((0, 1), (0, 1, 2, 3)) == (0, 1)
+        with pytest.raises(ValueError, match="no path from node 0 to node 2"):
+            placer.place((0, 1), (0, 2, 1, 3))
 
 
 # --------------------------------------------------------------------------- #

@@ -19,6 +19,7 @@ import pytest
 
 from repro.analysis import format_engine_footer
 from repro.cluster import FlowInjector
+from repro.constants import SIM_EPS
 from repro.perf import (
     DeltaProgram,
     FillWorkspace,
@@ -341,3 +342,269 @@ class TestFillWorkspace:
             assert rates[bare] == np.inf
             np.testing.assert_array_equal(rates[others], expect[others])
             assert rounds == expect_rounds
+
+
+def _fill_restarting(program, active):
+    """The fill before it resumed: every call starts again from round one.
+
+    Kept as the reference that the resuming fill must equal bit for bit,
+    rates and round count both.
+    """
+    num_res = len(program.res_cap)
+    rates = np.zeros(program.num_flows)
+    share = np.empty(num_res)
+    freeze = np.zeros(program.num_flows, dtype=np.bool_)
+    residual = program.res_cap.astype(float, copy=True)
+    sel = active[program.inc_flow]
+    ent_res = program.inc_res[sel]
+    ent_flow = program.inc_flow[sel]
+    bare = active.copy()
+    bare[ent_flow] = False
+    rates[bare] = np.inf
+    counts = np.bincount(ent_res, minlength=num_res).astype(float)
+    rounds = 0
+    while ent_res.size:
+        rounds += 1
+        used = counts > 0
+        share.fill(np.inf)
+        np.divide(residual, counts, out=share, where=used)
+        best = float(share.min())
+        bottleneck = used & (share <= best + SIM_EPS + 1e-12 * abs(best))
+        hit = ent_flow[bottleneck[ent_res]]
+        freeze[hit] = True
+        rates[hit] = best
+        ent_frozen = freeze[ent_flow]
+        retired = np.bincount(ent_res, weights=ent_frozen, minlength=num_res)
+        residual -= best * retired
+        np.maximum(residual, 0.0, out=residual)
+        counts -= retired
+        freeze[hit] = False
+        keep = ~ent_frozen
+        ent_res = ent_res[keep]
+        ent_flow = ent_flow[keep]
+    return rates, rounds
+
+
+def _resumed(before, workspace) -> bool:
+    """Whether a fill kept the first saved round of the previous one."""
+    return bool(before) and bool(workspace.saved) and workspace.saved[0] is before[0]
+
+
+def _assert_fill_equals_restarting(program, active, workspace):
+    """Fill through ``workspace``; rates and rounds must equal a restart.
+
+    Returns whether the fill resumed from the previous fill's rounds.
+    """
+    before = list(workspace.saved)
+    rates, rounds = fill_rates_numpy(program, active, workspace)
+    want, want_rounds = _fill_restarting(program, active)
+    np.testing.assert_array_equal(rates, want)
+    assert rounds == want_rounds
+    return _resumed(before, workspace)
+
+
+class TestResumingFill:
+    """A fill over the last fill's flows minus departed ones resumes from
+    the first round a departed flow froze in, bit-identical to a restart."""
+
+    @staticmethod
+    def _shrinking(rng, num_flows):
+        """Masks that drop 1-3 random active flows per fill until none is
+        left; every fourth fill repeats the previous mask."""
+        active = np.ones(num_flows, dtype=bool)
+        for i in range(4 * num_flows):
+            yield active
+            live = np.flatnonzero(active).tolist()
+            if not live:
+                return
+            if i % 4 != 3:
+                active = active.copy()
+                active[rng.sample(live, min(len(live), rng.randint(1, 3)))] = False
+
+    @pytest.mark.parametrize("spec", TestKernelDifferential.TOPOLOGIES)
+    @pytest.mark.parametrize("fabric_idx",
+                             range(len(TestKernelDifferential.FABRICS)))
+    def test_shrinking_masks_equal_restarts(self, spec, fabric_idx):
+        topo = from_spec(spec)
+        rng = random.Random(f"resume/{spec}/{fabric_idx}")
+        flows = _random_flows(topo, rng, n_flows=40, zero_fraction=0.0)
+        program = compile_flows(topo, flows,
+                                TestKernelDifferential.FABRICS[fabric_idx])
+        ws = FillWorkspace(program)
+        resumed = [_assert_fill_equals_restarting(program, active, ws)
+                   for active in self._shrinking(rng, program.num_flows)]
+        assert any(resumed)
+
+    def test_entryless_departures_keep_the_saved_fill(self):
+        """Dropping only flows that cross no resource re-runs no round."""
+        topo = hypercube(3)
+        flows = _random_flows(topo, random.Random(9), 16, zero_fraction=0.0)
+        full = compile_flows(topo, flows, cerio_hpc_fabric())
+        keep = ~np.isin(full.inc_flow, [2, 5])
+        program = replace(full, inc_res=full.inc_res[keep],
+                          inc_flow=full.inc_flow[keep])
+        ws = FillWorkspace(program)
+        active = np.ones(program.num_flows, dtype=bool)
+        _assert_fill_equals_restarting(program, active, ws)
+        saved = list(ws.saved)
+        active[[2, 5]] = False
+        assert _assert_fill_equals_restarting(program, active, ws)
+        assert all(a is b for a, b in zip(saved, ws.saved))
+        assert len(saved) == len(ws.saved)
+
+    def test_exact_tie_programs_under_shrinking_masks(self):
+        """The exact-tie programs: departures inside and outside a tie."""
+        star = nx.DiGraph()
+        for i in range(1, 9):
+            star.add_edge(0, i, cap=1.0)
+            star.add_edge(i, 0, cap=1.0)
+        from repro.topology.base import Topology
+        programs = [
+            compile_flows(Topology(name="star8", graph=star),
+                          [FluidFlow(path=(0, i), size_bytes=64.0)
+                           for i in range(1, 9)],
+                          ideal_fabric(link_bandwidth=2.0)),
+            compile_flows(ring(6),
+                          [FluidFlow(path=(i, (i + 1) % 6), size_bytes=100.0)
+                           for i in range(3)]
+                          + [FluidFlow(path=(3, 4), size_bytes=100.0)] * 2,
+                          ideal_fabric(link_bandwidth=8.0)),
+        ]
+        for program in programs:
+            for order in (range(program.num_flows),
+                          reversed(range(program.num_flows))):
+                ws = FillWorkspace(program)
+                active = np.ones(program.num_flows, dtype=bool)
+                _assert_fill_equals_restarting(program, active, ws)
+                for flow in order:
+                    active = active.copy()
+                    active[flow] = False
+                    _assert_fill_equals_restarting(program, active, ws)
+
+    def test_stale_entries_of_an_earlier_departure_are_dropped(self):
+        """A third fill resuming before the second fill's first round.
+
+        The state it resumes from was saved by the first fill and still
+        holds the entries of the flow that left before the second fill.
+        """
+        topo = from_spec("torus:dims=3x3")
+        flows = _random_flows(topo, random.Random(31), 30, zero_fraction=0.0)
+        program = compile_flows(topo, flows, cerio_hpc_fabric())
+        ws = FillWorkspace(program)
+        active = np.ones(program.num_flows, dtype=bool)
+        _assert_fill_equals_restarting(program, active, ws)
+        assert len(ws.saved) >= 3
+        late = int(np.argmax(ws.round_of))
+        early = int(np.flatnonzero(ws.round_of == 1)[0])
+        first_state = ws.saved[ws.round_of[early]]
+        active = active.copy()
+        active[late] = False
+        assert _assert_fill_equals_restarting(program, active, ws)
+        assert ws.saved[ws.round_of[early]] is first_state
+        assert late in first_state[3]
+        active = active.copy()
+        active[early] = False
+        assert _assert_fill_equals_restarting(program, active, ws)
+
+    def test_reactivated_flow_gets_a_fresh_fill(self):
+        topo = hypercube(3)
+        flows = _random_flows(topo, random.Random(13), 20, zero_fraction=0.0)
+        program = compile_flows(topo, flows, cerio_hpc_fabric())
+        ws = FillWorkspace(program)
+        active = np.ones(program.num_flows, dtype=bool)
+        active[:5] = False
+        _assert_fill_equals_restarting(program, active, ws)
+        active = active.copy()
+        active[7] = False
+        assert _assert_fill_equals_restarting(program, active, ws)
+        active = active.copy()
+        active[[0, 7]] = True
+        assert not _assert_fill_equals_restarting(program, active, ws)
+        assert_max_min(program, active, ws.rates)
+
+    @staticmethod
+    def _delta():
+        topo = hypercube(3)
+        fabric = cerio_hpc_fabric()
+        paths = [(0, 1, 3, 2), (1, 3, 7), (4, 5, 7, 6), (2, 6), (0, 4, 5),
+                 (3, 1, 0), (5, 1, 3), (0, 1), (6, 7, 5)]
+        return topo, fabric, paths, DeltaProgram(topo, fabric, paths,
+                                                 [1.0] * len(paths))
+
+    def test_new_capacities_start_a_fresh_fill(self):
+        topo, fabric, paths, delta = self._delta()
+        active = np.ones(delta.num_flows, dtype=bool)
+        _assert_fill_equals_restarting(delta.program, active, delta.workspace)
+        delta.set_capacities(fabric_from_spec("hpc:scale=0~1:0.5"))
+        # The same mask: a kept fill would return the old capacities' rates.
+        assert not _assert_fill_equals_restarting(delta.program, active,
+                                                  delta.workspace)
+        # A revisited capacity state changes nothing and forgets nothing.
+        delta.set_capacities(fabric_from_spec("hpc:scale=0~1:0.5"))
+        active = active.copy()
+        active[int(np.argmax(delta.workspace.round_of))] = False
+        assert _assert_fill_equals_restarting(delta.program, active,
+                                              delta.workspace)
+        delta.set_capacities(fabric)
+        active = active.copy()
+        active[int(np.argmax(delta.workspace.round_of))] = False
+        assert not _assert_fill_equals_restarting(delta.program, active,
+                                                  delta.workspace)
+
+    def test_moved_routes_start_a_fresh_fill(self):
+        topo, fabric, paths, delta = self._delta()
+        active = np.ones(delta.num_flows, dtype=bool)
+        _assert_fill_equals_restarting(delta.program, active, delta.workspace)
+        assert delta.apply(fabric, paths) == 0      # nothing moved
+        assert _assert_fill_equals_restarting(delta.program, active,
+                                              delta.workspace)
+        moved = list(paths)
+        moved[1] = (1, 5, 7)
+        assert delta.apply(fabric, moved) == 0
+        # The same mask: a kept fill would return the old routes' rates.
+        assert not _assert_fill_equals_restarting(delta.program, active,
+                                                  delta.workspace)
+
+
+class TestEveryFillOfARun:
+    """Every fill of a cluster run and of a flapping faulted run equals the
+    restarting fill, and some of them resume."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        import repro.simulator.engine as engine
+
+        tally = {"fills": 0, "resumed": 0}
+
+        def run_fill(program, active, workspace):
+            tally["fills"] += 1
+            tally["resumed"] += _assert_fill_equals_restarting(
+                program, active, workspace)
+            return workspace.rates, len(workspace.saved)
+
+        monkeypatch.setattr(engine, "run_fill", run_fill)
+        return tally
+
+    def test_random_placement_cluster_run(self, checked,
+                                          genkautz_routed_schedule):
+        from repro.cluster import run_cluster
+
+        result = run_cluster(
+            genkautz_routed_schedule,
+            "cluster:jobs=4:arrival=poisson~8000:placement=random:seed=3",
+            default_buffer=float(2 ** 20))
+        assert len(result.jobs) == 4
+        assert checked["fills"] > 50 and checked["resumed"] > checked["fills"] // 2
+
+    def test_flapping_faulted_run(self, checked, genkautz_routed_schedule):
+        from repro.faults import run_faulted
+
+        u, v = genkautz_routed_schedule.topology.edges[0]
+        events = []
+        for i in range(8):
+            events += [f"down={u}~{v}@{10 + 20 * i}us", f"up@{20 + 20 * i}us"]
+        res = run_faulted(genkautz_routed_schedule, 2 ** 20,
+                          "faults:" + ":".join(events),
+                          fabric=cerio_hpc_fabric(), validate=False)
+        assert res.meta["reroute_count"] > 0
+        assert checked["fills"] > 50 and checked["resumed"] > checked["fills"] // 2

@@ -1,6 +1,7 @@
 """Tests for the scheme registry, scheme comparison and the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.experiments import (
     run_scenarios,
     scenario_schema_version,
 )
+from repro.simulator import reset_engine_counters
 
 
 class TestSchemeRegistry:
@@ -231,6 +233,25 @@ class TestJobsKnob:
         reset_engine()
         reset_plan_cache()
         assert outputs[1] == outputs[0]
+
+    def test_jobs_2_footer_counts_the_child_lps(self, capsys, monkeypatch):
+        """Child LPs solved in pool processes reach the ``[stats]`` footer:
+        8 children plus the master are 9 LP misses at either ``--jobs``."""
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        footers = []
+        for jobs in ("1", "2"):
+            reset_engine()
+            reset_plan_cache()
+            reset_engine_counters()
+            assert main(["simulate", "hypercube:dim=3", "--buffers", "1048576",
+                         "--jobs", jobs]) == 0
+            footer = next(line for line in capsys.readouterr().err.splitlines()
+                          if line.startswith("[stats]"))
+            footers.append(re.sub(r"\[[0-9.]+s fill\]", "", footer))
+        reset_engine()
+        reset_plan_cache()
+        assert footers[1] == footers[0]
+        assert "lp-cache: 0 hits / 9 misses" in footers[0]
 
     def test_one_scenario_gives_jobs_to_its_child_lps(self, monkeypatch, capsys):
         import repro.core.mcf_decomposed as decomposed
