@@ -19,8 +19,8 @@ Run:  python examples/declarative_sweep.py
 import os
 import tempfile
 
+from repro import obs
 from repro.analysis import format_table
-from repro.engine import get_engine
 from repro.experiments import SweepGrid, load_results, run_sweep, sweep_stats
 
 GRID_FILE = os.path.join(os.path.dirname(__file__), "sweep_grid.json")
@@ -50,11 +50,11 @@ def main() -> None:
 
     # Re-running the same grid is free: every scenario resumes from its
     # JSONL record, and even without the file the stage/LP caches serve it.
-    misses_before = get_engine().cache.misses
-    rerun = run_sweep(scenarios, out_path=out, workers=2, resume=True)
+    rerun, delta = obs.counted(
+        lambda: run_sweep(scenarios, out_path=out, workers=2, resume=True))
     stats = sweep_stats(rerun)
     print(f"re-run: {stats['resumed']} of {stats['scenarios']} scenarios resumed "
-          f"from JSONL, {get_engine().cache.misses - misses_before} new LP solves")
+          f"from JSONL, {delta.get('lp-cache.misses', 0)} new LP solves")
 
 
 if __name__ == "__main__":

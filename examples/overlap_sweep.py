@@ -25,9 +25,9 @@ The same sweep from the command line::
 Run:  python examples/overlap_sweep.py
 """
 
+from repro import obs
 from repro.analysis import format_table
 from repro.experiments import SweepGrid, run_sweep, sweep_stats
-from repro.simulator import engine_counters
 
 
 def main() -> None:
@@ -56,12 +56,12 @@ def main() -> None:
         rows, title="MCF-extP on hypercube:dim=3, 1 MiB buffer"))
 
     totals = sweep_stats(results)
-    counters = engine_counters()
+    counters = obs.snapshot()
     print(f"\nstage cache: {totals['stage_hits']} hits / "
           f"{totals['stage_misses']} misses "
           f"(one synthesize for all {len(results)} scenarios); "
-          f"simulator: {counters['fill_rounds']} fill rounds / "
-          f"{counters['events']} events")
+          f"simulator: {counters['sim.fill_rounds']} fill rounds / "
+          f"{counters['sim.events']} events")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from . import (
     core,
     engine,
     experiments,
+    obs,
     paths,
     perf,
     report,
@@ -34,6 +35,7 @@ __all__ = [
     "core",
     "engine",
     "experiments",
+    "obs",
     "paths",
     "perf",
     "report",

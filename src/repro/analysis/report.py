@@ -14,52 +14,43 @@ __all__ = ["format_table", "format_series", "format_throughput_sweep",
            "format_engine_footer", "human_bytes"]
 
 
-def format_engine_footer(engine_stats: Mapping[str, object],
-                         stage_stats: Mapping[str, object],
-                         extra: str = "",
-                         sim_stats: Optional[Mapping[str, object]] = None) -> str:
+def format_engine_footer(counts: Mapping[str, float], backend: str,
+                         extra: str = "") -> str:
     """One-line LP/stage-cache/simulator accounting footer.
 
     The single source of the ``[stats] ...`` line printed (to stderr) by
     ``repro compare``, ``repro synthesize``, ``repro sweep``,
     ``repro simulate`` and ``repro report`` — one format string instead of
-    one per call site, so the footers can never drift apart.  ``engine_stats`` is
-    ``Engine.stats()`` (cache counters plus backend name); ``stage_stats``
-    is the plan cache's :meth:`~repro.engine.cache.SolutionCache.stats`;
-    ``sim_stats`` is :func:`repro.simulator.engine_counters` (fill rounds
-    and completion events processed by the fluid engine), so sweep/report
-    runs expose simulation cost the same way they expose LP cost.
+    one per call site, so the footers can never drift apart.  ``counts`` is
+    a :func:`repro.obs.snapshot` (absent names read as 0) and ``backend``
+    the LP backend's name, so sweep/report runs expose simulation cost the
+    same way they expose LP cost.
     """
-    line = (f"[stats] lp-cache: {engine_stats['hits']} hits / "
-            f"{engine_stats['misses']} misses "
-            f"({engine_stats['disk_hits']} from disk) "
-            f"backend={engine_stats['backend']}; "
-            f"stage-cache: {stage_stats['hits']} hits / "
-            f"{stage_stats['misses']} misses")
-    if sim_stats is not None:
-        line += (f"; sim: {sim_stats['fill_rounds']} fill rounds / "
-                 f"{sim_stats['events']} events")
-        fill_s = float(sim_stats.get("fill_seconds", 0.0))
-        if fill_s:
-            line += f" [{fill_s:.3f}s fill]"
-        if sim_stats.get("fabric_events"):
-            # Dynamic-failure accounting (repro.faults): only shown when a
-            # fault runner actually mutated a fabric this process.
-            line += (f"; faults: {sim_stats['fabric_events']} fabric events "
-                     f"/ {sim_stats.get('reroutes', 0)} reroutes")
-            compile_s = float(sim_stats.get("compile_seconds", 0.0))
-            reroute_s = float(sim_stats.get("reroute_seconds", 0.0))
-            if compile_s or reroute_s:
-                line += (f" [{compile_s:.3f}s compile, "
-                         f"{reroute_s:.3f}s reroute]")
-        delta_ops = (sim_stats.get("delta_hits", 0)
-                     or sim_stats.get("delta_rebuilds", 0))
-        if delta_ops:
-            # Incremental-engine accounting (repro.perf.delta).
-            line += (f"; delta: {sim_stats.get('delta_hits', 0)} hits / "
-                     f"{sim_stats.get('delta_rebuilds', 0)} rebuilds, "
-                     f"route-cache: {sim_stats.get('route_cache_hits', 0)} "
-                     f"hits / {sim_stats.get('route_cache_misses', 0)} misses")
+    def c(name: str) -> float:
+        return counts.get(name, 0)
+
+    line = (f"[stats] lp-cache: {c('lp-cache.hits')} hits / "
+            f"{c('lp-cache.misses')} misses "
+            f"({c('lp-cache.disk_hits')} from disk) backend={backend}; "
+            f"stage-cache: {c('stage-cache.hits')} hits / "
+            f"{c('stage-cache.misses')} misses; "
+            f"sim: {c('sim.fill_rounds')} fill rounds / {c('sim.events')} events")
+    if c("sim.fill_seconds"):
+        line += f" [{c('sim.fill_seconds'):.3f}s fill]"
+    if c("faults.fault_events"):
+        # Dynamic-failure accounting (repro.faults): only shown when a
+        # fault runner actually mutated a fabric this process.
+        line += (f"; faults: {c('faults.fault_events')} fabric events "
+                 f"/ {c('faults.reroutes')} reroutes")
+        if c("faults.compile_seconds") or c("faults.reroute_seconds"):
+            line += (f" [{c('faults.compile_seconds'):.3f}s compile, "
+                     f"{c('faults.reroute_seconds'):.3f}s reroute]")
+    if c("faults.delta_hits") or c("faults.delta_rebuilds"):
+        # Incremental-engine accounting (repro.perf.delta).
+        line += (f"; delta: {c('faults.delta_hits')} hits / "
+                 f"{c('faults.delta_rebuilds')} rebuilds, "
+                 f"route-cache: {c('faults.route_cache_hits')} hits / "
+                 f"{c('faults.route_cache_misses')} misses")
     return line + (f"; {extra}" if extra else "")
 
 

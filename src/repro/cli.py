@@ -30,6 +30,7 @@ import dataclasses
 import sys
 from typing import List, Optional, Sequence
 
+from . import obs
 from .analysis import format_engine_footer, format_table
 from .baselines import ILP_BOUNDED_PARAMS
 from .experiments import (
@@ -37,7 +38,6 @@ from .experiments import (
     Scenario,
     SweepGrid,
     available_scenario_schemes,
-    get_plan_cache,
     run_sweep,
     sweep_stats,
     write_csv,
@@ -186,13 +186,12 @@ def _print_engine_stats(extra: str = "") -> None:
     stderr so that stdout stays byte-identical across repeated invocations
     (hit counts and wall-clock seconds legitimately differ run to run).
     The format itself lives in :func:`repro.analysis.format_engine_footer`,
-    shared by every subcommand that prints the footer.
+    shared by every subcommand that prints the footer; the counts are this
+    process's :mod:`repro.obs` counters (workers' included).
     """
     from .engine import get_engine
-    from .simulator import engine_counters
 
-    print(format_engine_footer(get_engine().stats(), get_plan_cache().stats(),
-                               extra, sim_stats=engine_counters()),
+    print(format_engine_footer(obs.snapshot(), get_engine().backend_name, extra),
           file=sys.stderr)
 
 

@@ -11,7 +11,8 @@ Each child LP (eqs. 10-14), one per source ``s``, then splits the grouped flow
 are set to the master solution, minimizing total flow (which discourages
 gratuitous detours).  Child LPs are independent: they run serially or, with
 ``n_jobs > 1``, on a process pool of that size (:func:`map_child_lps`, which
-the decomposed tsMCF shares), whose LP-cache counters are credited back.
+the decomposed tsMCF shares), whose workers' counters reach the parent
+through :mod:`repro.obs`.
 
 The decomposition returns the same optimal concurrent flow value ``F`` as the
 original MCF (the grouped flow is a relaxation whose value is achievable, and
@@ -43,8 +44,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..constants import FLOW_TOL
-from ..engine import MCFProblem, get_engine, register_formulation
+from ..engine import MCFProblem, register_formulation
 from ..engine import solve as engine_solve
 from ..topology.base import Edge, Topology
 from .flow import Commodity, FlowSolution, flows_from_array, repair_conservation
@@ -336,32 +338,19 @@ def _child_worker(args) -> Tuple[int, Dict[Commodity, Dict[Edge, float]], float]
     return source, flows, elapsed
 
 
-_LP_COUNTERS = ("hits", "misses", "disk_hits", "stores")
-
-
-def _counted(worker: Callable, args):
-    """Pool task: ``worker(args)`` plus the LP-cache counter deltas it caused."""
-    cache = get_engine().cache
-    before = cache.stats()
-    result = worker(args)
-    after = cache.stats()
-    return result, {k: after[k] - before[k] for k in _LP_COUNTERS}
-
-
 def map_child_lps(worker: Callable, args: Sequence, n_jobs: int) -> list:
     """``worker`` over ``args``: in-process, or on ``n_jobs`` worker processes.
 
-    A pool task's LP-cache counter deltas are credited to this process's
-    cache, so the ``[stats]`` footer counts the child LPs the workers solved
-    as it does at ``n_jobs=1``.
+    Each pool task runs as :func:`repro.obs.counted` and its counters are
+    added here, so the ``[stats]`` footer counts the child LPs the workers
+    solved as it does at ``n_jobs=1``.
     """
     if n_jobs <= 1:
         return [worker(a) for a in args]
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        done = list(pool.map(partial(_counted, worker), args))
-    cache = get_engine().cache
-    for _, deltas in done:
-        cache.credit(deltas)
+        done = list(pool.map(partial(obs.counted, worker), args))
+    for _, delta in done:
+        obs.add(delta)
     return [result for result, _ in done]
 
 

@@ -8,15 +8,15 @@ constructed.  The in-memory tier is always on (when the cache is enabled);
 the on-disk tier activates when a directory is configured and persists
 payloads across processes via pickle files written atomically.
 
-The cache is payload-agnostic: :mod:`repro.experiments` reuses it (with a
-different ``suffix``/``payload_type``) as the per-stage artifact tier of the
-declarative :class:`~repro.experiments.Plan` pipeline.  Payloads exposing a
-``portable(tol=...)`` method (the :class:`LPSolution` compaction protocol)
-are compacted before storage; anything else is stored as-is.
+The cache is payload-agnostic: :mod:`repro.experiments` reuses it (named
+``stage-cache``, with its own ``payload_type``) as the per-stage artifact
+tier of the declarative :class:`~repro.experiments.Plan` pipeline.  Payloads
+exposing a ``portable(tol=...)`` method (the :class:`LPSolution` compaction
+protocol) are compacted before storage; anything else is stored as-is.
 
-The counters are updated under a lock, so threads of any caller can share
-one cache; :meth:`SolutionCache.credit` adds the counts a sweep worker
-process reports back.
+Lookups and stores count under the cache's ``name`` in :mod:`repro.obs`
+(``lp-cache.hits``, ``stage-cache.misses``, ...); the memory tier is
+guarded by a lock, so threads of any caller can share one cache.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ import os
 import pickle
 import tempfile
 import threading
-from typing import Dict, Mapping, Optional, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
+
+from .. import obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.solver import LPSolution
@@ -37,28 +39,20 @@ class SolutionCache:
     """Two-tier (memory, disk) cache of content-addressed payloads.
 
     Defaults to :class:`LPSolution` payloads (the engine's solution store);
-    pass ``payload_type``/``suffix`` to cache other pickle-able artifacts.
-
-    Attributes
-    ----------
-    hits / misses:
-        Lookup counters (a disk hit counts as a hit and is additionally
-        tallied in ``disk_hits``).  Surfaced through ``FlowSolution.meta``
-        and asserted on by the cache tests.
+    pass ``payload_type``/``name`` to cache other pickle-able artifacts.
+    ``name`` prefixes the cache's :mod:`repro.obs` counters (``hits``,
+    ``misses``, ``stores`` and ``disk_hits``; a disk hit is a hit too) and
+    names its disk files ``<key>.<name>.pkl``.
     """
 
     def __init__(self, cache_dir: Optional[str] = None, enabled: bool = True,
-                 max_entries: int = 4096, suffix: str = ".lps.pkl",
+                 max_entries: int = 4096, name: str = "lp-cache",
                  payload_type: Optional[type] = None) -> None:
         self.enabled = enabled
         self.cache_dir = cache_dir
         self.max_entries = max_entries
-        self.suffix = suffix
+        self.name = name
         self._payload_type = payload_type  # None -> LPSolution (lazy import)
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.stores = 0
         self._memory: Dict[str, "LPSolution"] = {}
         self._lock = threading.Lock()
         if cache_dir:
@@ -66,22 +60,21 @@ class SolutionCache:
 
     # ------------------------------------------------------------------ #
     def get(self, key: str) -> Optional["LPSolution"]:
-        """Look up ``key``; updates hit/miss counters."""
+        """Look up ``key``; counts a hit or a miss."""
         if not self.enabled:
             return None
         with self._lock:
             solution = self._memory.get(key)
-            if solution is not None:
-                self.hits += 1
-                return solution
+        if solution is not None:
+            self._count("hits")
+            return solution
         solution = self._disk_get(key)
+        if solution is None:
+            self._count("misses")
+            return None
         with self._lock:
-            if solution is not None:
-                self.hits += 1
-                self.disk_hits += 1
-                self._insert(key, solution)
-            else:
-                self.misses += 1
+            self._insert(key, solution)
+        self._count("hits", "disk_hits")
         return solution
 
     def put(self, key: str, solution: "LPSolution") -> None:
@@ -105,7 +98,7 @@ class SolutionCache:
             portable = solution
         with self._lock:
             self._insert(key, portable)
-            self.stores += 1
+        self._count("stores")
         self._disk_put(key, portable)
 
     def _insert(self, key: str, solution: "LPSolution") -> None:
@@ -121,33 +114,21 @@ class SolutionCache:
         self._memory[key] = solution
 
     def clear(self) -> None:
-        """Drop the in-memory tier and reset counters (disk files remain)."""
+        """Drop the in-memory tier (disk files and counters remain)."""
         with self._lock:
             self._memory.clear()
-            self.hits = self.misses = self.disk_hits = self.stores = 0
-
-    def credit(self, counts: Mapping[str, int]) -> None:
-        """Add counter deltas (``stats()`` keys) from another process."""
-        with self._lock:
-            self.hits += int(counts.get("hits", 0))
-            self.misses += int(counts.get("misses", 0))
-            self.disk_hits += int(counts.get("disk_hits", 0))
-            self.stores += int(counts.get("stores", 0))
 
     @property
     def size(self) -> int:
         """Number of in-memory entries."""
         return len(self._memory)
 
-    def stats(self) -> Dict[str, int]:
-        """Counter snapshot for reports and assertions."""
-        return {"hits": self.hits, "misses": self.misses,
-                "disk_hits": self.disk_hits, "stores": self.stores,
-                "size": self.size}
-
     # ------------------------------------------------------------------ #
+    def _count(self, *kinds: str) -> None:
+        obs.add({f"{self.name}.{kind}": 1 for kind in kinds})
+
     def _path(self, key: str) -> str:
-        return os.path.join(self.cache_dir, f"{key}{self.suffix}")
+        return os.path.join(self.cache_dir, f"{key}.{self.name}.pkl")
 
     def _expected_type(self) -> type:
         if self._payload_type is None:

@@ -95,10 +95,6 @@ class Engine:
             self.cache.put(key, solution)
         return solution
 
-    def stats(self) -> dict:
-        """Engine-level counter snapshot (cache counters + backend name)."""
-        return {"backend": self.backend_name, **self.cache.stats()}
-
 
 _engine: Optional[Engine] = None
 _engine_lock = threading.Lock()

@@ -6,9 +6,10 @@ shared stops before simulate and sends its plan result back, whose artifacts
 the parent puts in its stage cache.  The second forks a fresh pool, which
 inherits that cache, for the *followers* and the stopped leaders: each
 schedule is solved once per sweep, and every simulation (buffers, overlaps,
-traces) spreads over the workers.  The parent is the only writer, and it
-adds each task's LP-cache, stage-cache and simulator counter deltas to its
-own, so the ``[stats]`` footer and report provenance count the workers' work.
+traces) spreads over the workers.  The parent is the only writer.  Each
+task runs as :func:`repro.obs.counted`, and the parent adds the counters
+it changed to its own, so the ``[stats]`` footer and report provenance count
+the workers' work.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..engine import get_engine
-from ..simulator import engine_counters, record_fault_events
+from .. import obs
 from . import sweep
 from .plan import PlanResult, get_plan_cache, stage_artifact_key
 from .scenario import STAGES, Scenario
@@ -66,27 +66,11 @@ def merge_shards(out_path: str) -> int:
     return len(lines)
 
 
-def _counters() -> List[Dict[str, float]]:
-    """This process's LP-cache, stage-cache and simulator counters."""
-    return [get_engine().cache.stats(), get_plan_cache().stats(), engine_counters()]
-
-
-def _credit(deltas: List[Dict[str, float]]) -> None:
-    """Add a worker task's counter deltas to this process's counters."""
-    lp, stage, sim = deltas
-    get_engine().cache.credit(lp)
-    get_plan_cache().credit(stage)
-    record_fault_events(**sim)
-
-
 def _run_one(scenario: Scenario, through: str, share: bool,
-             prior: Optional[PlanResult]) -> Tuple[Dict[str, object], object, list]:
-    """Worker task: one scenario's record, its plan result if ``share``, and
-    the counter deltas it caused in this worker."""
-    before = _counters()
+             prior: Optional[PlanResult]) -> Tuple[Dict[str, object], object]:
+    """Worker task: one scenario's record, and its plan result if ``share``."""
     result = sweep._execute(scenario, through, None, 1, prior)
-    deltas = [{k: a[k] - b[k] for k in a} for a, b in zip(_counters(), before)]
-    return result.to_record(), result.plan if share else None, deltas
+    return result.to_record(), result.plan if share else None
 
 
 def run_sweep_workers(scenarios: Sequence[Scenario],
@@ -138,18 +122,18 @@ def run_sweep_workers(scenarios: Sequence[Scenario],
             with ProcessPoolExecutor(
                     max_workers=min(max(1, int(workers)), len(batch)),
                     mp_context=multiprocessing.get_context("fork")) as pool:
-                futures = {pool.submit(_run_one, scenarios[i],
+                futures = {pool.submit(obs.counted, _run_one, scenarios[i],
                                        stop if i in sharing else through,
                                        i in sharing, prior): i
                            for i, prior in batch}
                 for future in as_completed(futures):
                     try:
-                        record, plan, deltas = future.result()
+                        (record, plan), delta = future.result()
                     except BrokenProcessPool:
                         broken = True
                         break
                     i = futures[future]
-                    _credit(deltas)
+                    obs.add(delta)
                     if plan is not None:
                         for stage, artifact in plan.stage_artifacts().items():
                             cache.put(stage_artifact_key(scenarios[i], stage), artifact)

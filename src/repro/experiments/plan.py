@@ -82,7 +82,7 @@ def get_plan_cache() -> SolutionCache:
         with _plan_cache_lock:
             if _plan_cache is None:
                 _plan_cache = SolutionCache(cache_dir=_stage_cache_dir(),
-                                            suffix=".stage.pkl",
+                                            name="stage-cache",
                                             payload_type=object)
     return _plan_cache
 
@@ -94,7 +94,7 @@ def configure_plan_cache(cache_dir: Optional[str] = None,
     if cache_dir is not None:
         global _plan_cache
         with _plan_cache_lock:
-            _plan_cache = SolutionCache(cache_dir=cache_dir, suffix=".stage.pkl",
+            _plan_cache = SolutionCache(cache_dir=cache_dir, name="stage-cache",
                                         payload_type=object, enabled=cache.enabled)
             cache = _plan_cache
     if enabled is not None:

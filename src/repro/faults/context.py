@@ -49,8 +49,8 @@ class RerouteCache:
     Keys are canonical: the down set arrives as the epoch fabric's sorted
     ``down_links`` tuple, so repeated epochs, flapping timelines and every
     candidate of an adversarial search that lands on the same fabric state
-    hit the same entries.  Lookups report hit/miss so callers can credit
-    the engine's ``route_cache_*`` counters per run.
+    hit the same entries.  Lookups report hit/miss; the fault runner
+    tallies them per run as ``route_cache_*``.
     """
 
     def __init__(self, topology) -> None:
@@ -58,8 +58,6 @@ class RerouteCache:
         self._adjacency: Dict[Tuple[Link, ...], Dict[int, List[int]]] = {}
         self._paths: Dict[Tuple[Tuple[Link, ...], Path], Optional[Path]] = {}
         self._layers: Dict[Tuple[str, Tuple[Path, ...]], int] = {}
-        self.hits = 0
-        self.misses = 0
 
     def adjacency(self, down_key: Tuple[Link, ...],
                   down: Set[Link]) -> Dict[int, List[int]]:
@@ -79,10 +77,8 @@ class RerouteCache:
         """
         key = (down_key, original)
         if key in self._paths:
-            self.hits += 1
             return self._paths[key], True
         path = effective_path(original, down, self.adjacency(down_key, down))
-        self.misses += 1
         self._paths[key] = path
         return path, False
 
@@ -98,10 +94,8 @@ class RerouteCache:
             return 0, False
         key = (vc, distinct_routes(routes))
         if key in self._layers:
-            self.hits += 1
             return self._layers[key], True
         layers = certify_routes(key[1], vc)
-        self.misses += 1
         self._layers[key] = layers
         return layers, False
 

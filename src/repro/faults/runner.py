@@ -44,10 +44,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .. import obs
 from ..schedule.ir import LinkSchedule, RoutedSchedule
 from ..schedule.validate import validate_routed_schedule
 from ..simulator.collective import CollectiveResult, run_routed_collective
-from ..simulator.engine import FluidRun, record_fault_events
+from ..simulator.engine import FluidRun
 from ..simulator.fabric import FabricModel
 from .context import PreparedFaultContext
 from .spec import FaultSpec, FaultTimeline, parse_fault_spec
@@ -185,7 +186,7 @@ def capture_fault_prefix(context: PreparedFaultContext, buffer_bytes: float,
                          collect_trace=False, max_events=1_000_000)
     prefix.epoch(0.0, initial=True)
     prefix.run.run(until=at_seconds)
-    record_fault_events(**{key: prefix.counters[key] for key in _WORK})
+    obs.add({f"faults.{key}": prefix.counters[key] for key in _WORK})
     return prefix
 
 
@@ -259,9 +260,8 @@ def run_faulted(schedule: RoutedSchedule, buffer_bytes: float,
     run.run()
 
     counters = faulted.counters
-    record_fault_events(fabric_events=counters["fault_events"],
-                        reroutes=counters["reroutes"],
-                        **{key: counters[key] for key in _WORK})
+    obs.add({f"faults.{key}": counters[key]
+             for key in ("fault_events", "reroutes") + _WORK})
 
     n = schedule.topology.num_nodes
     if faulted.stranded.any():

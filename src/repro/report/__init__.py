@@ -22,7 +22,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..experiments import get_plan_cache, run_sweep
+from .. import obs
+from ..experiments import run_sweep
 from .aggregate import Plot, Point, SpecResult, Table
 from .provenance import collect_provenance, format_provenance
 from .render import RenderedArtifact, render_index, render_spec
@@ -128,8 +129,8 @@ def generate_report(out_dir: str = "report",
             "spec_id": sr.spec_id, "kind": sr.kind, "status": sr.status,
             "seconds": sr.seconds, "num_scenarios": sr.num_scenarios,
         } for sr in summary.spec_results],
-        engine_stats=get_engine().stats(),
-        stage_stats=get_plan_cache().stats(),
+        counts=obs.snapshot(),
+        backend=get_engine().backend_name,
         fast=fast,
     )
     intro = ("Artifacts of *Efficient all-to-all Collective Communication "

@@ -3,8 +3,8 @@
 A report without receipts is a screenshot.  :func:`collect_provenance`
 gathers everything needed to say *what produced these numbers*: git SHA (and
 dirty flag), package and dependency versions, the LP backend, per-artifact
-wall-clock, and the engine/stage-cache counters — the last of which is how a
-warm-cache re-run proves it solved **zero** new LPs.
+wall-clock, and the LP/stage-cache counters of :mod:`repro.obs` — the last
+of which is how a warm-cache re-run proves it solved **zero** new LPs.
 
 Nothing here imports matplotlib or markdown; provenance must be collectable
 in the most minimal environment the report can run in.
@@ -51,18 +51,22 @@ def _dependency_versions() -> Dict[str, str]:
 
 
 def collect_provenance(artifacts: Sequence[Mapping[str, object]],
-                       engine_stats: Mapping[str, object],
-                       stage_stats: Mapping[str, object],
+                       counts: Mapping[str, float],
+                       backend: str,
                        fast: bool = False,
                        cwd: Optional[str] = None) -> Dict[str, object]:
     """Assemble the provenance mapping stamped into ``report/index.md``.
 
     ``artifacts`` is one mapping per rendered artifact with at least
     ``spec_id``, ``kind``, ``status``, ``seconds`` and ``num_scenarios``.
-    ``engine_stats``/``stage_stats`` are the LP engine's and plan cache's
-    counter snapshots; ``misses`` on the engine side *is* the number of LPs
-    this process actually solved ("new LP solves").
+    ``counts`` is a :func:`repro.obs.snapshot` and ``backend`` the LP
+    backend's name; ``lp-cache.misses`` *is* the number of LPs this process
+    and its workers actually solved ("new LP solves").
     """
+    def cache(name: str) -> Dict[str, int]:
+        return {k: int(counts.get(f"{name}.{k}", 0))
+                for k in ("hits", "misses", "disk_hits", "stores")}
+
     return {
         "schema_version": PROVENANCE_SCHEMA,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -71,15 +75,13 @@ def collect_provenance(artifacts: Sequence[Mapping[str, object]],
         "python": platform.python_version(),
         "platform": platform.platform(),
         "dependencies": _dependency_versions(),
-        "solver_backend": str(engine_stats.get("backend", "unknown")),
+        "solver_backend": str(backend),
         "fast": bool(fast),
         "command": " ".join(sys.argv) if sys.argv else "",
         "artifacts": [dict(a) for a in artifacts],
-        "lp_cache": {k: int(engine_stats.get(k, 0))
-                     for k in ("hits", "misses", "disk_hits", "stores")},
-        "stage_cache": {k: int(stage_stats.get(k, 0))
-                        for k in ("hits", "misses", "disk_hits", "stores")},
-        "new_lp_solves": int(engine_stats.get("misses", 0)),
+        "lp_cache": cache("lp-cache"),
+        "stage_cache": cache("stage-cache"),
+        "new_lp_solves": int(counts.get("lp-cache.misses", 0)),
     }
 
 

@@ -22,11 +22,8 @@ from .engine import (
     FluidFlow,
     FluidRun,
     compile_flows,
-    engine_counters,
     execute,
     fill_rates,
-    record_fault_events,
-    reset_engine_counters,
     simulate_program,
 )
 from .events import Event, EventQueue
@@ -57,11 +54,8 @@ __all__ = [
     "FluidFlow",
     "FluidRun",
     "compile_flows",
-    "engine_counters",
     "execute",
     "fill_rates",
-    "record_fault_events",
-    "reset_engine_counters",
     "simulate_program",
     "Event",
     "EventQueue",

@@ -40,20 +40,20 @@ completion time per flow set alongside the overall one.  Degraded fabrics
 :class:`~repro.simulator.fabric.FabricModel`) enter through the per-link
 capacities at compile time; a flow crossing a down link is a compile error.
 
-Engine-wide counters (fill rounds, completion events, simulations) are kept
-for the ``[stats]`` footer; read them with :func:`engine_counters`.
+Every fill adds its rounds and seconds, and every :meth:`FluidRun.run` its
+events, to the ``sim.*`` counters of :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
 import copy
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..constants import SIM_BYTES_EPS, SIM_EPS
 from ..perf.fillkernel import FillWorkspace, run_fill
 from ..topology.base import Edge, Topology
@@ -62,8 +62,7 @@ from .fabric import FabricModel
 
 __all__ = ["FluidFlow", "FlowProgram", "EngineResult", "FillWorkspace",
            "FluidRun", "compile_flows", "execute", "fill_rates",
-           "simulate_program", "engine_counters", "record_fault_events",
-           "reset_engine_counters"]
+           "simulate_program"]
 
 
 @dataclass
@@ -87,63 +86,6 @@ class FluidFlow:
     @property
     def hops(self) -> int:
         return len(self.path) - 1
-
-
-# --------------------------------------------------------------------------- #
-# Engine-wide counters (surfaced in the CLI's [stats] footer)
-# --------------------------------------------------------------------------- #
-_counters: Dict[str, object] = {"fill_rounds": 0, "events": 0,
-                                "simulations": 0, "fill_seconds": 0.0,
-                                "fabric_events": 0, "reroutes": 0,
-                                "compile_seconds": 0.0,
-                                "reroute_seconds": 0.0,
-                                "delta_hits": 0, "delta_rebuilds": 0,
-                                "route_cache_hits": 0,
-                                "route_cache_misses": 0}
-_counters_lock = threading.Lock()
-
-
-def engine_counters() -> Dict[str, object]:
-    """Cumulative simulator counters: fill rounds/seconds, events, runs.
-
-    ``fill_seconds`` accumulates wall time inside :func:`fill_rates` across
-    the process.
-    ``fabric_events``/``reroutes`` count mid-run fabric mutations and flow
-    re-steers credited by the fault runner (:mod:`repro.faults.runner`);
-    ``compile_seconds``/``reroute_seconds`` split that runner's per-epoch
-    program-targeting and repair/certification wall time out of
-    ``fill_seconds``; ``delta_hits``/``delta_rebuilds`` count fabric epochs
-    the flow arena (:mod:`repro.perf.delta`) absorbed in place versus
-    arena reallocations, and ``route_cache_hits``/``route_cache_misses``
-    track the shared reroute/certification cache.
-    """
-    with _counters_lock:
-        return dict(_counters)
-
-
-def reset_engine_counters() -> None:
-    """Zero the cumulative counters (tests and benchmarks)."""
-    with _counters_lock:
-        _counters.update(fill_rounds=0, events=0, simulations=0,
-                         fill_seconds=0.0, fabric_events=0,
-                         reroutes=0, compile_seconds=0.0, reroute_seconds=0.0,
-                         delta_hits=0, delta_rebuilds=0, route_cache_hits=0,
-                         route_cache_misses=0)
-
-
-def record_fault_events(**counts: float) -> None:
-    """Credit fabric mutations / flow re-steers to the engine counters.
-
-    Called by the fault runner after each faulted execution with
-    ``fabric_events``, ``reroutes``, the per-phase timing split
-    (``compile_seconds``, ``reroute_seconds``) and the delta-engine /
-    reroute-cache tallies, so the ``[stats]`` footer shows dynamic-failure
-    work next to fill rounds.  The sweep executor adds its worker processes'
-    counter deltas (any counter key) through it too.
-    """
-    with _counters_lock:
-        for key, value in counts.items():
-            _counters[key] += value
 
 
 # --------------------------------------------------------------------------- #
@@ -284,16 +226,14 @@ def fill_rates(program: FlowProgram, active: np.ndarray,
     scratch arrays *and the returned rate vector* are reused across calls,
     and a fill over a subset of the last fill's flows resumes from its
     saved rounds; callers that keep rates past the next fill must copy
-    them.  Returns the
-    rate vector and the number of saturation rounds (the footer's
-    ``fill_rounds`` counter); wall time accumulates in
-    :func:`engine_counters`.
+    them.  Returns the rate vector and the number of saturation rounds;
+    the rounds and the wall time are added to the ``sim.fill_rounds`` and
+    ``sim.fill_seconds`` counters of :mod:`repro.obs`.
     """
     t0 = time.perf_counter()
     rates, rounds = run_fill(program, active, workspace)
-    elapsed = time.perf_counter() - t0
-    with _counters_lock:
-        _counters["fill_seconds"] += elapsed
+    obs.add({"sim.fill_rounds": rounds,
+             "sim.fill_seconds": time.perf_counter() - t0})
     return rates, rounds
 
 
@@ -364,7 +304,6 @@ class FluidRun:
         self._pending = None
         self._dirty = True
         self._sets: Dict[int, list] = {}
-        self._credited = (0, 0)
         self._enter(0)
 
     @property
@@ -512,9 +451,11 @@ class FluidRun:
         With ``until``, events strictly before it fire and the fluid state
         is then integrated to ``until``; an event at exactly ``until`` stays
         queued, so a source scheduled there later still fires before any
-        completion edge colliding with it.
+        completion edge colliding with it.  The events this call fired are
+        added to the ``sim.events`` counter.
         """
         queue = self.queue
+        processed = queue.processed
         stop = float("inf") if until is None else float(until)
         if stop < queue.now:
             raise ValueError("cannot run a fluid simulation backwards")
@@ -533,12 +474,7 @@ class FluidRun:
         if until is not None:
             queue.now = stop
             self._integrate()
-        rounds, events = self._credited
-        self._credited = (self.fill_rounds, queue.processed)
-        with _counters_lock:
-            _counters["fill_rounds"] += self.fill_rounds - rounds
-            _counters["events"] += queue.processed - events
-            _counters["simulations"] += until is None
+        obs.add({"sim.events": queue.processed - processed})
 
     def clone(self) -> "FluidRun":
         """An independent copy of the run at its current instant.

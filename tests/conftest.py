@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro import obs
 from repro.topology import (
     bidirectional_ring,
     complete,
@@ -32,6 +33,12 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro-ci")
+
+
+@pytest.fixture(autouse=True)
+def _fresh_counters():
+    """Every test reads the process's work counters from zero."""
+    obs.reset()
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ Covers the guarantees of the block layer:
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.solver import LPBuilder, LPSolution
 from repro.engine import Engine, MCFProblem, SolutionCache, backends
 from repro.engine.backends import get_backend
@@ -246,7 +247,7 @@ class TestCacheRoundTrip:
         reader = Engine(cache=SolutionCache(cache_dir=str(tmp_path)))
         restored = reader.solve(problem)
         assert restored.info["cache"] == "hit"
-        assert reader.cache.disk_hits == 1
+        assert obs.snapshot()["lp-cache.disk_hits"] == 1
         from repro.constants import FLOW_TOL
 
         f_fresh = np.asarray(fresh.block("f"))

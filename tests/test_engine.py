@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cli import main
 from repro.core import solve_decomposed_mcf, solve_link_mcf
 from repro.engine import (
@@ -12,14 +13,13 @@ from repro.engine import (
     backend_names,
     formulation_names,
     get_backend,
-    get_engine,
     reset_engine,
 )
 from repro.core.solver import LPBuilder, LPSolution
 from repro.engine import backends
 from repro.engine.backends import IPM_MIN_VARIABLES
 from repro.engine.core import solution_key
-from repro.experiments import Scenario, get_plan_cache, reset_plan_cache, run_scenarios
+from repro.experiments import Scenario, reset_plan_cache, run_scenarios
 from repro.topology import generalized_kautz, hypercube
 
 
@@ -165,7 +165,8 @@ class TestSolutionCache:
             assert np.array_equal(cached.block(name)[significant],
                                   fresh.block(name)[significant])
             assert np.all(cached.block(name)[~significant] == 0.0)
-        assert engine.cache.hits == 1 and engine.cache.misses == 1
+        counts = obs.snapshot()
+        assert counts["lp-cache.hits"] == 1 and counts["lp-cache.misses"] == 1
 
     def test_bypass_flag_skips_cache(self, cube):
         engine = Engine()
@@ -174,7 +175,9 @@ class TestSolutionCache:
         second = engine.solve(problem, use_cache=False)
         assert first.info["cache"] == "bypass"
         assert second.info["cache"] == "bypass"
-        assert engine.cache.hits == 0 and engine.cache.misses == 0
+        counts = obs.snapshot()
+        assert counts.get("lp-cache.hits", 0) == 0
+        assert counts.get("lp-cache.misses", 0) == 0
         assert engine.cache.size == 0
         assert second.objective == pytest.approx(first.objective)
 
@@ -201,7 +204,7 @@ class TestSolutionCache:
         reader = Engine(cache=SolutionCache(cache_dir=str(tmp_path)))
         restored = reader.solve(problem)
         assert restored.info["cache"] == "hit"
-        assert reader.cache.disk_hits == 1
+        assert obs.snapshot()["lp-cache.disk_hits"] == 1
         assert restored.objective == fresh.objective
         from repro.constants import FLOW_TOL
 
@@ -216,7 +219,7 @@ class TestSolutionCache:
         # EOFError depending on the bytes; all must degrade to a miss.
         problem = MCFProblem("mcf-link", cube, maximize=True)
         key = solution_key(problem, "scipy-highs")
-        (tmp_path / f"{key}.lps.pkl").write_bytes(junk)
+        (tmp_path / f"{key}.lp-cache.pkl").write_bytes(junk)
         engine = Engine(cache=SolutionCache(cache_dir=str(tmp_path)))
         solution = engine.solve(problem)
         assert solution.info["cache"] == "miss"
@@ -244,14 +247,10 @@ class TestRepeatedSweepUsesCache:
         topo = generalized_kautz(3, 8)
         scenarios = [Scenario(topology=topo, scheme=name, max_denominator=16)
                      for name in ("mcf-extp", "pmcf-disjoint", "sssp")]
-        engine, stages = get_engine(), get_plan_cache()
         run_scenarios(scenarios, through="synthesize")
-        misses_after_first = engine.cache.misses
-        stage_hits_after_first = stages.hits
-        second = run_scenarios(scenarios, through="synthesize")
-        assert engine.cache.misses == misses_after_first, \
-            "second run should solve no new LP"
-        assert stages.hits == stage_hits_after_first + len(scenarios)
+        second, delta = obs.counted(run_scenarios, scenarios, "synthesize")
+        assert "lp-cache.misses" not in delta, "second run should solve no new LP"
+        assert delta["stage-cache.hits"] == len(scenarios)
         assert all(r.error is None for r in second)
 
 

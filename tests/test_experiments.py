@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.engine import get_engine, reset_engine
 from repro.engine.cache import SolutionCache
 from repro.experiments import (
@@ -41,7 +42,7 @@ def fresh_caches():
 
 
 def _stage_cache() -> SolutionCache:
-    return SolutionCache(suffix=".stage.pkl", payload_type=object)
+    return SolutionCache(name="stage-cache", payload_type=object)
 
 
 class TestScenarioHashing:
@@ -173,14 +174,14 @@ class TestPlan:
 
     def test_disk_tier_persists_stage_artifacts(self, bipartite44, tmp_path):
         scenario = Scenario(topology=bipartite44, scheme="sssp", buffers=(2 ** 20,))
-        cache = SolutionCache(cache_dir=str(tmp_path), suffix=".stage.pkl",
+        cache = SolutionCache(cache_dir=str(tmp_path), name="stage-cache",
                               payload_type=object)
         Plan(scenario, cache=cache).run()
-        fresh = SolutionCache(cache_dir=str(tmp_path), suffix=".stage.pkl",
+        fresh = SolutionCache(cache_dir=str(tmp_path), name="stage-cache",
                               payload_type=object)
         result = Plan(scenario, cache=fresh).run()
         assert set(result.stage_cache.values()) == {"hit"}
-        assert fresh.disk_hits == 4
+        assert obs.snapshot()["stage-cache.disk_hits"] == 4
 
     def test_stage_artifacts_of_another_version_miss(self, bipartite44, tmp_path,
                                                      monkeypatch):
@@ -190,7 +191,7 @@ class TestPlan:
         scenario = Scenario(topology=bipartite44, scheme="sssp", buffers=(2 ** 20,))
 
         def disk_cache():
-            return SolutionCache(cache_dir=str(tmp_path), suffix=".stage.pkl",
+            return SolutionCache(cache_dir=str(tmp_path), name="stage-cache",
                                  payload_type=object)
 
         Plan(scenario, cache=disk_cache()).run()
@@ -345,16 +346,15 @@ class TestRunSweep:
         assert again[0].resumed is True
 
     def test_rerun_solves_zero_new_lps(self, tmp_path, fresh_caches):
-        engine, _plan_cache = fresh_caches
         grid = SweepGrid(base={"fabric": "hpc", "buffers": [2 ** 20],
                                "max_denominator": 16, "scheme": "mcf-extp"},
                          axes={"topology": ["hypercube:dim=2",
                                             "bipartite:left=3,right=3"]})
         run_sweep(grid.scenarios(), out_path=str(tmp_path / "a.jsonl"))
-        misses_after_first = engine.cache.misses
+        misses_after_first = obs.snapshot()["lp-cache.misses"]
         assert misses_after_first > 0
         results = run_sweep(grid.scenarios(), out_path=str(tmp_path / "b.jsonl"))
-        assert engine.cache.misses == misses_after_first
+        assert obs.snapshot()["lp-cache.misses"] == misses_after_first
         assert all(set(r.stage_cache.values()) == {"hit"} for r in results)
 
     def test_sweep_stats_aggregation(self, tmp_path):

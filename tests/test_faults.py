@@ -19,6 +19,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.constants import SIM_BYTES_EPS, SIM_EPS
 from repro.experiments import Plan, Scenario, run_sweep
 from repro.faults import (
@@ -353,7 +354,8 @@ class TestDeltaEngine:
         assert first.meta["route_cache_misses"] > 0
         assert second.meta["route_cache_misses"] == 0
         assert second.meta["route_cache_hits"] > 0
-        assert context.reroute_cache.hits >= second.meta["route_cache_hits"]
+        assert obs.snapshot()["faults.route_cache_hits"] == (
+            first.meta["route_cache_hits"] + second.meta["route_cache_hits"])
 
     def test_flapping_timeline_reuses_delta_state(self):
         """Revisited fabric states patch in place: hits, no rebuilds."""
@@ -372,28 +374,20 @@ class TestDeltaEngine:
 
     def test_engine_counters_and_footer_carry_delta_stats(self):
         from repro.analysis.report import format_engine_footer
-        from repro.simulator.engine import (engine_counters,
-                                            reset_engine_counters)
 
-        reset_engine_counters()
-        try:
-            schedule = _lowered("hypercube:dim=3")
-            run_faulted(schedule, 2 ** 20, "faults:down=0~1@10us:up@40us",
-                        fabric=cerio_hpc_fabric(), validate=False)
-            stats = engine_counters()
-            assert stats["fabric_events"] > 0
-            assert stats["delta_hits"] + stats["delta_rebuilds"] > 0
-            assert stats["route_cache_hits"] + stats["route_cache_misses"] > 0
-            assert stats["compile_seconds"] >= 0.0
-            assert stats["reroute_seconds"] > 0.0
-            footer = format_engine_footer(
-                {"hits": 0, "misses": 0, "disk_hits": 0, "backend": "x"},
-                {"hits": 0, "misses": 0}, sim_stats=stats)
-            assert "fabric events" in footer
-            assert "delta:" in footer and "route-cache:" in footer
-            assert "compile" in footer and "reroute]" in footer
-        finally:
-            reset_engine_counters()
+        schedule = _lowered("hypercube:dim=3")
+        run_faulted(schedule, 2 ** 20, "faults:down=0~1@10us:up@40us",
+                    fabric=cerio_hpc_fabric(), validate=False)
+        stats = obs.snapshot()
+        assert stats["faults.fault_events"] > 0
+        assert stats["faults.delta_hits"] + stats["faults.delta_rebuilds"] > 0
+        assert stats["faults.route_cache_hits"] + stats["faults.route_cache_misses"] > 0
+        assert stats["faults.compile_seconds"] >= 0.0
+        assert stats["faults.reroute_seconds"] > 0.0
+        footer = format_engine_footer(stats, "x")
+        assert "fabric events" in footer
+        assert "delta:" in footer and "route-cache:" in footer
+        assert "compile" in footer and "reroute]" in footer
 
     def test_adversarial_serial_parallel_and_oracle_agree(self):
         """A search on a warm shared context returns the table of one on a
@@ -724,7 +718,7 @@ class TestScenarioWiring:
 
     def test_faulted_sweep_shares_synthesized_schedule(self, tmp_path):
         # The warm re-run over a faults grid must solve zero new LPs.
-        from repro.engine import get_engine, reset_engine
+        from repro.engine import reset_engine
         from repro.experiments import reset_plan_cache
 
         reset_engine()
@@ -736,11 +730,10 @@ class TestScenarioWiring:
                     for f in (None, "faults:down=0~1@5us",
                               "faults:down=0~1@5us:up@20us")]
             run_sweep(grid, out_path=str(tmp_path / "a.jsonl"))
-            engine = get_engine()
-            misses = engine.cache.misses
+            misses = obs.snapshot()["lp-cache.misses"]
             assert misses > 0
             results = run_sweep(grid, out_path=str(tmp_path / "b.jsonl"))
-            assert engine.cache.misses == misses
+            assert obs.snapshot()["lp-cache.misses"] == misses
             assert all(r.stage_cache["synthesize"] == "hit" for r in results)
         finally:
             reset_engine()
@@ -784,9 +777,14 @@ class TestGoldenRobustness:
 
 
 class TestCli:
-    def test_simulate_with_faults_flag(self, capsys):
+    def test_simulate_with_faults_flag(self, capsys, monkeypatch):
         from repro.cli import main
+        from repro.experiments import reset_plan_cache
 
+        # Earlier tests may have cached this scenario's stages; the fault
+        # runner (and the footer's faults section) only runs on a miss.
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        reset_plan_cache()
         assert main(["simulate", "hypercube:dim=2", "--scheme", "ewsp",
                      "--buffers", "1048576",
                      "--faults", "faults:down=0~1@5us"]) == 0

@@ -17,6 +17,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis import format_engine_footer
 from repro.cluster import FlowInjector
 from repro.constants import SIM_EPS
@@ -31,10 +32,8 @@ from repro.simulator import (
     FluidRun,
     cerio_hpc_fabric,
     compile_flows,
-    engine_counters,
     fabric_from_spec,
     ideal_fabric,
-    reset_engine_counters,
     simulate_flows_reference,
     simulate_program,
 )
@@ -266,16 +265,16 @@ class TestKernelDifferential:
 
 class TestFillCounters:
     def test_footer_pins_fill_seconds(self):
-        reset_engine_counters()
         simulate_program(ring(4), [FluidFlow(path=(0, 1), size_bytes=100.0)],
                          ideal_fabric(link_bandwidth=5.0))
-        assert engine_counters()["fill_seconds"] > 0.0
-        reset_engine_counters()
-        assert engine_counters()["fill_seconds"] == 0.0
+        assert obs.snapshot()["sim.fill_seconds"] > 0.0
+        obs.reset()
+        assert obs.snapshot().get("sim.fill_seconds", 0.0) == 0.0
         line = format_engine_footer(
-            {"hits": 1, "misses": 2, "disk_hits": 0, "backend": "scipy-highs"},
-            {"hits": 0, "misses": 0},
-            sim_stats={"fill_rounds": 10, "events": 5, "fill_seconds": 0.25})
+            {"lp-cache.hits": 1, "lp-cache.misses": 2, "lp-cache.disk_hits": 0,
+             "stage-cache.hits": 0, "stage-cache.misses": 0,
+             "sim.fill_rounds": 10, "sim.events": 5, "sim.fill_seconds": 0.25},
+            "scipy-highs")
         assert line == ("[stats] lp-cache: 1 hits / 2 misses (0 from disk) "
                         "backend=scipy-highs; stage-cache: 0 hits / 0 misses; "
                         "sim: 10 fill rounds / 5 events [0.250s fill]")

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.analysis import format_table, format_throughput_sweep
 from repro.cli import main
 from repro.experiments import Plan, Scenario
@@ -79,7 +80,7 @@ class TestFig10Claims:
     @pytest.fixture(scope="class")
     def tables(self):
         results = run_scenarios(FIG10.scenarios(fast=True), through=FIG10.through,
-                                cache=SolutionCache(suffix=".stage.pkl",
+                                cache=SolutionCache(name="stage-cache",
                                                     payload_type=object))
         out = FIG10.aggregate(results, fast=True)
         assert out.errors == []
@@ -121,10 +122,11 @@ class TestProvenance:
         prov = collect_provenance(
             artifacts=[{"spec_id": "fig3", "kind": "figure", "status": "ok",
                         "seconds": 1.25, "num_scenarios": 4}],
-            engine_stats={"backend": "scipy-highs", "hits": 3, "misses": 2,
-                          "disk_hits": 1, "stores": 2},
-            stage_stats={"hits": 5, "misses": 4, "disk_hits": 0, "stores": 4},
-            fast=True)
+            counts={"lp-cache.hits": 3, "lp-cache.misses": 2,
+                    "lp-cache.disk_hits": 1, "lp-cache.stores": 2,
+                    "stage-cache.hits": 5, "stage-cache.misses": 4,
+                    "stage-cache.stores": 4},
+            backend="scipy-highs", fast=True)
         for key in ("schema_version", "generated_at", "git", "package_version",
                     "python", "platform", "dependencies", "solver_backend",
                     "artifacts", "lp_cache", "stage_cache", "new_lp_solves"):
@@ -139,12 +141,11 @@ class TestProvenance:
         warm re-run on the same cache directory solves no LP."""
         from repro.engine import reset_engine
         from repro.experiments import reset_plan_cache
-        from repro.simulator import engine_counters, reset_engine_counters
 
         def fresh_process():
             reset_engine()
             reset_plan_cache()
-            reset_engine_counters()
+            obs.reset()
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         try:
@@ -154,7 +155,7 @@ class TestProvenance:
             assert cold.errors == []
             assert cold.provenance["new_lp_solves"] > 0
             assert cold.provenance["stage_cache"]["misses"] > 0
-            assert engine_counters()["fill_rounds"] > 0
+            assert obs.snapshot()["sim.fill_rounds"] > 0
             fresh_process()
             warm = generate_report(out_dir=str(tmp_path / "warm"), fast=True,
                                    only=["fig4"], workers=2)
@@ -167,9 +168,8 @@ class TestProvenance:
         prov = collect_provenance(
             artifacts=[{"spec_id": "table1", "kind": "table", "status": "ok",
                         "seconds": 0.5, "num_scenarios": 2}],
-            engine_stats={"backend": "scipy-highs", "hits": 0, "misses": 0,
-                          "disk_hits": 0, "stores": 0},
-            stage_stats={"hits": 2, "misses": 0, "disk_hits": 2, "stores": 0})
+            counts={"stage-cache.hits": 2, "stage-cache.disk_hits": 2},
+            backend="scipy-highs")
         text = format_provenance(prov)
         assert "git SHA" in text
         assert "new LP solves: 0" in text          # the CI warm-cache gate

@@ -15,6 +15,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cluster import FlowInjector, run_cluster
 from repro.experiments import Plan, Scenario
 from repro.faults import run_faulted
@@ -25,13 +26,11 @@ from repro.simulator import (
     FluidRun,
     cerio_hpc_fabric,
     compile_flows,
-    engine_counters,
     execute,
     fabric_from_spec,
     ideal_fabric,
     parse_link_scales,
     parse_link_set,
-    reset_engine_counters,
     run_routed_collective,
     simulate_flows_reference,
     simulate_link_schedule,
@@ -149,15 +148,14 @@ class TestEngineCore:
                           ideal_fabric(), set_ids=[0, 1])
 
     def test_counters_accumulate(self):
-        reset_engine_counters()
         simulate_program(ring(3), [FluidFlow(path=(0, 1), size_bytes=10.0)],
                          ideal_fabric())
-        counters = engine_counters()
-        assert counters["simulations"] == 1
-        assert counters["fill_rounds"] >= 1
-        assert counters["events"] >= 1
-        reset_engine_counters()
-        assert engine_counters()["simulations"] == 0
+        counters = obs.snapshot()
+        assert counters["sim.events"] == 1
+        assert counters["sim.fill_rounds"] >= 1
+        assert counters["sim.events"] >= 1
+        obs.reset()
+        assert obs.snapshot().get("sim.events", 0) == 0
 
 
 class TestFluidRunRules:
@@ -493,9 +491,9 @@ class TestFooter:
         from repro.analysis import format_engine_footer
 
         line = format_engine_footer(
-            {"hits": 1, "misses": 2, "disk_hits": 0, "backend": "x"},
-            {"hits": 3, "misses": 4},
-            sim_stats={"fill_rounds": 10, "events": 5})
+            {"lp-cache.hits": 1, "lp-cache.misses": 2, "lp-cache.disk_hits": 0,
+             "stage-cache.hits": 3, "stage-cache.misses": 4,
+             "sim.fill_rounds": 10, "sim.events": 5}, "x")
         assert "sim: 10 fill rounds / 5 events" in line
 
     def test_simulate_cli_prints_sim_counters(self, capsys):

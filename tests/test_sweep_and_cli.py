@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from repro import obs
 from repro.cli import build_parser, build_topology, main
 from repro.engine import reset_engine
 from repro.experiments import (
@@ -15,7 +16,6 @@ from repro.experiments import (
     run_scenarios,
     scenario_schema_version,
 )
-from repro.simulator import reset_engine_counters
 
 
 class TestSchemeRegistry:
@@ -114,18 +114,14 @@ class TestCLI:
         assert "tsMCF" in capsys.readouterr().out
 
     def test_synthesize_repeat_is_served_by_stage_cache(self, tmp_path, capsys):
-        from repro.engine import get_engine
-        from repro.experiments import get_plan_cache
-
         argv = ["synthesize", "hypercube:dim=3", "-o", str(tmp_path / "s.xml")]
         assert main(argv) == 0
         first = (tmp_path / "s.xml").read_text()
-        lp_cache, stages = get_engine().cache, get_plan_cache()
-        lp_counts, stage_hits = (lp_cache.hits, lp_cache.misses), stages.hits
-        assert main(argv) == 0
+        code, delta = obs.counted(main, argv)
+        assert code == 0
         # synthesize, lower and validate all hit; the LP cache is not consulted.
-        assert (lp_cache.hits, lp_cache.misses) == lp_counts
-        assert stages.hits == stage_hits + 3
+        assert "lp-cache.hits" not in delta and "lp-cache.misses" not in delta
+        assert delta["stage-cache.hits"] == 3
         assert (tmp_path / "s.xml").read_text() == first
         assert "stage-cache:" in capsys.readouterr().err
 
@@ -242,7 +238,7 @@ class TestJobsKnob:
         for jobs in ("1", "2"):
             reset_engine()
             reset_plan_cache()
-            reset_engine_counters()
+            obs.reset()
             assert main(["simulate", "hypercube:dim=3", "--buffers", "1048576",
                          "--jobs", jobs]) == 0
             footer = next(line for line in capsys.readouterr().err.splitlines()
@@ -252,6 +248,33 @@ class TestJobsKnob:
         reset_plan_cache()
         assert footers[1] == footers[0]
         assert "lp-cache: 0 hits / 9 misses" in footers[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["robustness", "hypercube:dim=3", "--faults", "faults:down=0~1@5us:up@20us",
+         "--faults", "faults:down=0~2@3us", "--adversarial", "1"],
+        ["cluster", "hypercube:dim=3",
+         "--trace", "cluster:jobs=3:arrival=poisson~2000:placement=random:seed=1",
+         "--trace", "cluster:jobs=2:seed=2"],
+    ], ids=["robustness", "cluster"])
+    def test_jobs_2_footer_equals_jobs_1(self, argv, capsys, monkeypatch):
+        """Fault and simulator counters of sweep workers reach the footer:
+        from cold caches, ``--jobs 2`` prints the ``--jobs 1`` footer, wall
+        seconds aside."""
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        footers = []
+        for jobs in ("1", "2"):
+            reset_engine()
+            reset_plan_cache()
+            obs.reset()
+            assert main(argv + ["--jobs", jobs]) == 0
+            footer = next(line for line in capsys.readouterr().err.splitlines()
+                          if line.startswith("[stats]"))
+            footers.append(re.sub(r"\[[0-9.]+s[^]]*\]", "", footer))
+        reset_engine()
+        reset_plan_cache()
+        assert footers[1] == footers[0]
+        assert re.search(r"sim: [1-9][0-9]* fill rounds", footers[0])
+        assert ("fabric events" in footers[0]) == (argv[0] == "robustness")
 
     def test_one_scenario_gives_jobs_to_its_child_lps(self, monkeypatch, capsys):
         import repro.core.mcf_decomposed as decomposed
