@@ -45,11 +45,8 @@ def format_engine_footer(counts: Mapping[str, float], backend: str,
         if c("faults.compile_seconds") or c("faults.reroute_seconds"):
             line += (f" [{c('faults.compile_seconds'):.3f}s compile, "
                      f"{c('faults.reroute_seconds'):.3f}s reroute]")
-    if c("faults.delta_hits") or c("faults.delta_rebuilds"):
-        # Incremental-engine accounting (repro.perf.delta).
-        line += (f"; delta: {c('faults.delta_hits')} hits / "
-                 f"{c('faults.delta_rebuilds')} rebuilds, "
-                 f"route-cache: {c('faults.route_cache_hits')} hits / "
+    if c("faults.route_cache_hits") or c("faults.route_cache_misses"):
+        line += (f"; route-cache: {c('faults.route_cache_hits')} hits / "
                  f"{c('faults.route_cache_misses')} misses")
     return line + (f"; {extra}" if extra else "")
 

@@ -10,9 +10,9 @@ state to each epoch instant and retires finished flows, then the epoch
    survivor's route — original route if still clear, deterministic BFS
    repair otherwise, *stranded* if disconnected (:mod:`.reroute`);
 2. certifies the active route set deadlock-free through LASH / DF-SSSP;
-3. patches the run's :class:`~repro.perf.delta.DeltaProgram` arena in
-   place — link capacities and the incidence slots of rerouted flows —
-   and masks stranded flows out of the fill.
+3. edits the run's :class:`~repro.perf.delta.DeltaProgram` arena — link
+   capacities and the incidence entries of rerouted flows — and masks
+   stranded flows out of the fill.
 
 Repairs and certifications are memoized in the context's
 :class:`~repro.faults.context.RerouteCache`, and the arena is cloned from
@@ -58,10 +58,10 @@ __all__ = ["StrandedScheduleError", "capture_fault_prefix", "run_faulted",
 
 Path = Tuple[int, ...]
 
-#: Counters measuring the work one call did (time, cache and arena
-#: operations): a run resumed from a prefix starts them at zero.
-_WORK = ("compile_seconds", "reroute_seconds", "delta_hits", "delta_rebuilds",
-         "route_cache_hits", "route_cache_misses")
+#: Counters measuring the work one call did (time and cache lookups): a
+#: run resumed from a prefix starts them at zero.
+_WORK = ("compile_seconds", "reroute_seconds", "route_cache_hits",
+         "route_cache_misses")
 
 
 class StrandedScheduleError(RuntimeError):
@@ -91,8 +91,9 @@ class _FaultedRun:
     """Fabric epochs as an event source on one :class:`FluidRun`.
 
     Holds the run over a clone of the context's arena plus the epoch
-    state: the route in force per flow (``None`` while stranded), the
-    stranded mask and the per-run counters.
+    state: the route in force per flow (``None`` while stranded), the last
+    route sent to the arena per flow, the stranded mask and the per-run
+    counters.
     """
 
     def __init__(self, context: PreparedFaultContext, buffer_bytes: float,
@@ -105,6 +106,7 @@ class _FaultedRun:
                             sizes=context.sizes_for(buffer_bytes),
                             delays=context.delays, max_events=max_events)
         self.paths: List[Optional[Path]] = list(context.orig_paths)
+        self.encoded: List[Path] = list(context.orig_paths)
         self.stranded = np.zeros(context.num_flows, dtype=bool)
         self.counters: Dict[str, float] = dict.fromkeys(
             ("fault_events", "reroutes", "stranded_bytes", "vc_layers")
@@ -121,6 +123,7 @@ class _FaultedRun:
         down_key = epoch_fabric.down_links
         down = set(down_key)
         cache = context.reroute_cache
+        moved: Dict[int, Path] = {}
         for i in np.nonzero(run.active | self.stranded)[0]:
             path, hit = cache.effective(down_key, down, context.orig_paths[i])
             counters["route_cache_hits" if hit else "route_cache_misses"] += 1
@@ -131,6 +134,8 @@ class _FaultedRun:
             else:
                 if path != self.paths[i]:
                     counters["reroutes"] += 1
+                if path != self.encoded[i]:
+                    moved[int(i)] = self.encoded[i] = path
                 self.stranded[i] = False
             run.active[i] = path is not None
             self.paths[i] = path
@@ -148,11 +153,7 @@ class _FaultedRun:
                 stranded=tuple(int(i) for i in np.nonzero(self.stranded)[0])))
         if len(live):
             t0 = time.perf_counter()
-            rebuilds = run.arena.apply(epoch_fabric, self.paths)
-            if rebuilds:
-                counters["delta_rebuilds"] += rebuilds
-            else:
-                counters["delta_hits"] += 1
+            run.arena.apply(epoch_fabric, moved)
             counters["compile_seconds"] += time.perf_counter() - t0
         run.changed()
 
@@ -165,6 +166,7 @@ class _FaultedRun:
         new.run = self.run.clone()
         new.run.max_events = max_events
         new.paths = list(self.paths)
+        new.encoded = list(self.encoded)
         new.stranded = self.stranded.copy()
         new.counters = {**self.counters, **dict.fromkeys(_WORK, 0)}
         new.trace = [] if collect_trace else None
@@ -286,8 +288,6 @@ def run_faulted(schedule: RoutedSchedule, buffer_bytes: float,
         "robustness_slowdown": (completion_time / baseline_seconds
                                 if baseline_seconds > 0 else float("inf")),
         "fault_spec": spec.canonical(),
-        "delta_hits": counters["delta_hits"],
-        "delta_rebuilds": counters["delta_rebuilds"],
         "route_cache_hits": counters["route_cache_hits"],
         "route_cache_misses": counters["route_cache_misses"],
         "compile_seconds": counters["compile_seconds"],

@@ -12,7 +12,7 @@ are the footer's labels:
 * ``sim.*`` — ``fill_rounds`` and ``fill_seconds`` of every max-min fill,
   ``events`` of every :class:`~repro.simulator.engine.FluidRun`;
 * ``faults.*`` — fabric epochs, reroutes, their time split and the
-  arena/route-cache tallies of :mod:`repro.faults.runner`.
+  route-cache tallies of :mod:`repro.faults.runner`.
 
 Counts cross a process boundary one way: a pool task runs as
 :func:`counted`, which returns what the call added in the worker, and the

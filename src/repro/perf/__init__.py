@@ -6,8 +6,8 @@ The performance layer behind the simulator:
   kernel and its reusable :class:`FillWorkspace`, run by :func:`run_fill`;
 * :mod:`repro.perf.delta` — :class:`DeltaProgram`, the one mutable flow
   arena: cluster runs append and retire flow sets in it, fault epochs
-  patch its capacities and rerouted incidence slots in place instead of
-  recompiling.
+  post its capacities and swap rerouted flows' incidence entries instead
+  of recompiling.
 
 Everything here runs on numpy alone; see ``docs/performance.md`` for the
 design.

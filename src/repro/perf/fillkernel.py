@@ -34,8 +34,8 @@ class FillWorkspace:
 
     Built once per :class:`~repro.simulator.engine.FlowProgram` (each
     :class:`~repro.simulator.engine.FluidRun` owns one; the
-    :class:`~repro.perf.delta.DeltaProgram` arena rebuilds it when it
-    reallocates) and reused across every fill.  The rate vector ``rates``
+    :class:`~repro.perf.delta.DeltaProgram` arena rebuilds it whenever its
+    incidence changes) and reused across every fill.  The rate vector ``rates``
     is part of the workspace and is *reused across fills* — callers that
     keep rates beyond the next fill must copy them.  ``freeze`` is
     all-False between fills.

@@ -241,10 +241,12 @@ class TestDeltaEngine:
         """Fuzz: delta-edited arenas == fresh ``compile_flows``, per epoch.
 
         Replays the epoch trace of randomized faulted runs through a fresh
-        :class:`DeltaProgram` and asserts that after every ``apply`` the
-        live flows' incidence slots and the real-resource capacities are
-        element-identical to compiling the survivors from scratch against
-        the epoch fabric.
+        :class:`DeltaProgram`, moving routes as the runner does, and asserts
+        that after every ``apply`` the live flows' incidence entries and the
+        capacities are element-identical to compiling the survivors from
+        scratch against the epoch fabric, and that the arena holds exactly
+        the entries of every flow's last route: repeated drop-and-append
+        leaks nothing.
         """
         from repro.simulator.engine import compile_flows
 
@@ -265,11 +267,15 @@ class TestDeltaEngine:
                               collect_trace=True)
             context = PreparedFaultContext(schedule, fabric)
             delta = context.delta_program()
+            encoded = list(context.orig_paths)
             timeline = FaultTimeline(parse_fault_spec(spec))
             for rec in res.meta["epoch_trace"]:
                 epoch_fabric = timeline.fabric_at(fabric, rec.time, edges)
-                paths = [rec.paths.get(i) for i in range(context.num_flows)]
-                delta.apply(epoch_fabric, paths)
+                moved = {i: p for i, p in sorted(rec.paths.items())
+                         if p != encoded[i]}
+                for i, p in moved.items():
+                    encoded[i] = p
+                delta.apply(epoch_fabric, moved)
                 live = sorted(rec.paths)
                 fresh = compile_flows(
                     topo,
@@ -281,16 +287,56 @@ class TestDeltaEngine:
                                                 minlength=len(live)))])
                 for j, i in enumerate(live):
                     want = fresh.inc_res[fptr[j]:fptr[j + 1]]
-                    s = int(delta._starts[i])
-                    got = delta.ent_res[s:s + int(delta._lens[i])]
+                    got = delta.ent_res[delta.ent_flow == i]
                     np.testing.assert_array_equal(got, want, err_msg=(
-                        f"{spec}: flow {i} slots diverge at t={rec.time}"))
-                    pad = delta.ent_res[s + int(delta._lens[i]):
-                                        s + int(delta._caps[i])]
-                    assert (pad == delta.slack).all()
+                        f"{spec}: flow {i} entries diverge at t={rec.time}"))
                 np.testing.assert_array_equal(
-                    delta.res_cap[:delta.slack], fresh.res_cap,
+                    delta.res_cap, fresh.res_cap,
                     err_msg=f"{spec}: capacities diverge at t={rec.time}")
+                every = compile_flows(
+                    topo, [FluidFlow(path=p, size_bytes=1.0)
+                           for p in encoded],
+                    fabric, include_latency=False)
+                assert len(delta.ent_res) == len(every.inc_res), (
+                    f"{spec}: arena leaks entries at t={rec.time}")
+
+    def test_clones_are_independent(self):
+        """Rerouting one clone leaves the template and its siblings as they
+        were, and the edited clone fills like a fresh compile."""
+        from repro.perf.fillkernel import fill_rates_numpy
+        from repro.simulator.engine import compile_flows
+
+        schedule = _lowered("hypercube:dim=3")
+        fabric = cerio_hpc_fabric()
+        context = PreparedFaultContext(schedule, fabric)
+        template = context._template
+        edited, sibling = context.delta_program(), context.delta_program()
+        before = {name: (getattr(template, name).copy(),
+                         getattr(sibling, name).copy())
+                  for name in ("ent_res", "ent_flow", "res_cap")}
+        topo = schedule.topology
+        epoch = FaultTimeline(parse_fault_spec("faults:down=0~1@1us")
+                              ).fabric_at(fabric, 1e-6, tuple(topo.edges))
+        down = set(epoch.down_links)
+        adjacency = surviving_adjacency(topo, down)
+        routes = list(context.orig_paths)
+        moved = {}
+        for i, path in enumerate(routes):
+            if any(e in down for e in zip(path, path[1:])):
+                moved[i] = routes[i] = effective_path(path, down, adjacency)
+        assert moved and None not in moved.values()
+        edited.apply(epoch, moved)
+        for name, (kept, sib) in before.items():
+            np.testing.assert_array_equal(getattr(template, name), kept)
+            np.testing.assert_array_equal(getattr(sibling, name), sib)
+        fresh = compile_flows(topo, [FluidFlow(path=p, size_bytes=1.0)
+                                     for p in routes],
+                              epoch, include_latency=False)
+        active = np.ones(context.num_flows, dtype=bool)
+        got, got_rounds = fill_rates_numpy(edited.program, active)
+        want, want_rounds = fill_rates_numpy(fresh, active)
+        np.testing.assert_array_equal(got, want)
+        assert got_rounds == want_rounds
 
     def test_prefix_resume_is_identical_to_full_run(self):
         """Resuming from a captured healthy prefix changes nothing."""
@@ -357,21 +403,6 @@ class TestDeltaEngine:
         assert obs.snapshot()["faults.route_cache_hits"] == (
             first.meta["route_cache_hits"] + second.meta["route_cache_hits"])
 
-    def test_flapping_timeline_reuses_delta_state(self):
-        """Revisited fabric states patch in place: hits, no rebuilds."""
-        schedule = _lowered("hypercube:dim=3")
-        fabric = cerio_hpc_fabric()
-        parts = []
-        for i in range(6):
-            parts.append(f"down=0~1@{10 + 12 * i}us")
-            parts.append(f"up@{16 + 12 * i}us")
-        res = run_faulted(schedule, 2 ** 20, "faults:" + ":".join(parts),
-                          fabric=fabric, validate=False)
-        assert res.meta["delta_hits"] + res.meta["delta_rebuilds"] > 0
-        # After the first down/up pair every state has been seen: the
-        # remaining epochs must all be in-place hits.
-        assert res.meta["delta_hits"] >= 8
-
     def test_engine_counters_and_footer_carry_delta_stats(self):
         from repro.analysis.report import format_engine_footer
 
@@ -380,13 +411,12 @@ class TestDeltaEngine:
                     fabric=cerio_hpc_fabric(), validate=False)
         stats = obs.snapshot()
         assert stats["faults.fault_events"] > 0
-        assert stats["faults.delta_hits"] + stats["faults.delta_rebuilds"] > 0
         assert stats["faults.route_cache_hits"] + stats["faults.route_cache_misses"] > 0
         assert stats["faults.compile_seconds"] >= 0.0
         assert stats["faults.reroute_seconds"] > 0.0
         footer = format_engine_footer(stats, "x")
         assert "fabric events" in footer
-        assert "delta:" in footer and "route-cache:" in footer
+        assert "route-cache:" in footer and "delta:" not in footer
         assert "compile" in footer and "reroute]" in footer
 
     def test_adversarial_serial_parallel_and_oracle_agree(self):

@@ -208,22 +208,22 @@ class TestKernelDifferential:
         assert len(drained) == 2 and not run.active.any()
 
     def test_delta_program_after_apply_certifies(self):
-        """Reroutes that move slots onto the slack resource fill exactly."""
+        """Reroutes that shorten and swap routes fill exactly."""
         topo = hypercube(3)
         fabric = cerio_hpc_fabric()
         paths = [(0, 1, 3, 2), (1, 3, 7), (4, 5, 7, 6), (2, 6), (0, 4, 5),
                  (3, 1, 0), (5, 1, 3)]
         delta = DeltaProgram(topo, fabric, paths, [1.0] * len(paths))
-        slack_slots = int(np.count_nonzero(delta.ent_res == delta.slack))
         epoch = replace(fabric, down_links=((0, 1), (1, 0)))
-        moved = list(paths)
-        moved[0] = (0, 2)           # shorter: two slots fall back to slack
-        moved[5] = (3, 2, 0)
-        assert delta.apply(epoch, moved) == 0
-        assert np.count_nonzero(delta.ent_res == delta.slack) > slack_slots
+        routes = list(paths)
+        routes[0] = (0, 2)          # shorter: its entry count drops
+        routes[5] = (3, 2, 0)
+        delta.apply(epoch, {0: routes[0], 5: routes[5]})
+        flows = [FluidFlow(path=p, size_bytes=1.0) for p in routes]
+        fresh = compile_flows(topo, flows, epoch, include_latency=False)
+        assert len(delta.ent_res) == len(fresh.inc_res)
         active = np.ones(delta.num_flows, dtype=bool)
         rates, _ = fill_rates_numpy(delta.program, active, delta.workspace)
-        flows = [FluidFlow(path=p, size_bytes=1.0) for p in moved]
         assert_matches_reference(rates, flows, active, topo, epoch)
         assert_max_min(delta.program, active, rates)
 
@@ -554,12 +554,10 @@ class TestResumingFill:
         topo, fabric, paths, delta = self._delta()
         active = np.ones(delta.num_flows, dtype=bool)
         _assert_fill_equals_restarting(delta.program, active, delta.workspace)
-        assert delta.apply(fabric, paths) == 0      # nothing moved
+        delta.apply(fabric, {})                     # nothing moved
         assert _assert_fill_equals_restarting(delta.program, active,
                                               delta.workspace)
-        moved = list(paths)
-        moved[1] = (1, 5, 7)
-        assert delta.apply(fabric, moved) == 0
+        delta.apply(fabric, {1: (1, 5, 7)})
         # The same mask: a kept fill would return the old routes' rates.
         assert not _assert_fill_equals_restarting(delta.program, active,
                                                   delta.workspace)
