@@ -11,6 +11,8 @@ Mirrors the tool chain a user of the paper's system would drive:
 * ``repro cluster``     -- co-simulate multi-job traces (compute/comm phases,
   stochastic arrivals, placement policies) sharing one fabric, reporting
   per-job slowdown, makespan and fabric utilization;
+* ``repro robustness`` -- inject timed fabric failures with online rerouting
+  and search the worst-case k-link failure set;
 * ``repro sweep``       -- run a declarative scenario grid (topology x scheme x
   fabric x ...) with streaming JSONL results, resumable by scenario hash;
 * ``repro report``      -- regenerate the paper's figures/tables as a
@@ -28,7 +30,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from . import obs
 from .analysis import format_engine_footer, format_table
@@ -66,6 +68,82 @@ def _apply_set_args(items, base: dict) -> dict:
         key, value = item.split("=", 1)
         base[key.strip()] = value.strip()
     return base
+
+
+def _scenarios(args: argparse.Namespace, axis: str, values: Sequence[Optional[str]],
+               **fields) -> List[Scenario]:
+    """The scenarios a one-schedule command's flags describe, one per ``values`` entry.
+
+    Each scenario is the positional topology, ``--scheme``, ``--fabric``,
+    the command's own ``fields`` and ``axis`` set to its value (a
+    ``--trace`` or ``--faults`` spec), with ``--set`` applied last so it
+    overrides any of them.
+    """
+    base = {"scheme": args.scheme, "fabric": args.fabric, **fields}
+    if args.topology:
+        base["topology"] = args.topology
+    scenarios = []
+    for value in values:
+        data = _apply_set_args(args.set, {**base, axis: value})
+        if "topology" not in data:
+            raise ValueError("no topology: pass it positionally or via --set topology=...")
+        scenarios.append(Scenario.from_dict(data))
+    return scenarios
+
+
+def _run_table(args: argparse.Namespace, scenarios: List[Scenario],
+               name: Callable[[Scenario], str], headers: List[str],
+               cells: Callable[[dict], list], title: str,
+               csv: Optional[str] = None) -> Optional[list]:
+    """Run ``scenarios`` through :func:`run_sweep` and print one row per scenario.
+
+    A row is the scenario's ``name``, its status (``ok``, ``resumed`` or
+    ``error``) and ``cells(metrics)``; an error row fills the cells with
+    ``-`` and its message follows the table.  A died worker prints
+    ``error: ...`` and returns ``None``: the records written so far stay
+    resumable.  Otherwise the results come back for the footer.
+    """
+    try:
+        results = run_sweep(scenarios, out_path=args.out, resume=args.resume,
+                            workers=args.jobs)
+    except RuntimeError as exc:
+        print(f"error: {exc}")
+        return None
+    rows, failures = [], []
+    for res in results:
+        label = name(res.scenario)
+        if res.status == "error":
+            rows.append([label, "error"] + ["-"] * (len(headers) - 2))
+            failures.append(f"error: {label}: {res.error or 'unknown error'}")
+        else:
+            rows.append([label, "resumed" if res.resumed else "ok", *cells(res.metrics)])
+    print(format_table(headers, rows, title=title))
+    for line in failures:
+        print(line)
+    if csv:
+        write_csv(results, csv)
+        print(f"wrote CSV to {csv}")
+    if args.out:
+        print(f"streaming results in {args.out}")
+    return results
+
+
+def _totals(noun: str, totals: dict) -> str:
+    return (f"{noun}: {totals['ok']} ok / {totals['errors']} error "
+            f"({totals['resumed']} resumed)")
+
+
+def _rounded(value, digits: int):
+    return "-" if value is None else round(float(value), digits)
+
+
+def _fixed(value, digits: int) -> str:
+    return "-" if value is None else f"{float(value):.{digits}f}"
+
+
+def _gbps(metrics: dict) -> str:
+    tps = metrics.get("throughput_bytes_per_s") or {}
+    return " ".join(f"{tp / 1e9:.2f}" for tp in tps.values()) or "-"
 
 
 # --------------------------------------------------------------------------- #
@@ -127,16 +205,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     JSONL record (resumable with ``--resume``), so ``repro simulate`` output
     composes with the same tooling as ``repro sweep``.
     """
-    base = {"scheme": args.scheme, "fabric": args.fabric,
-            "buffers": tuple(_buffer_list(args.buffers)), "overlap": args.overlap}
-    if args.faults:
-        base["faults"] = args.faults
-    if args.topology:
-        base["topology"] = args.topology
-    _apply_set_args(args.set, base)
-    if "topology" not in base:
-        raise ValueError("no topology: pass it positionally or via --set topology=...")
-    scenario = Scenario.from_dict(base)
+    (scenario,) = _scenarios(args, "faults", [args.faults],
+                             buffers=tuple(_buffer_list(args.buffers)),
+                             overlap=args.overlap)
 
     # One scenario: run_sweep gives its worker processes to the child LPs.
     results = run_sweep([scenario], out_path=args.out, resume=args.resume,
@@ -220,9 +291,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             rows.append([name, "error", "-", res.error[:40]])
             continue
         time = float(res.metrics.get("all_to_all_time", float("inf")))
-        tps = res.metrics.get("throughput_bytes_per_s") or {}
         rows.append([name, time, "-" if f_ref is None else round(time * f_ref, 3),
-                     " ".join(f"{tp / 1e9:.2f}" for tp in tps.values()) or "-"])
+                     _gbps(res.metrics)])
     print(format_table(["scheme", "all-to-all time", "vs MCF", "throughput GB/s"],
                        rows, title=f"Scheme comparison on {topo.name}"))
     _print_engine_stats()
@@ -241,54 +311,20 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     """
     traces = args.trace or [
         "cluster:jobs=4:arrival=poisson~2000:placement=packed:seed=0"]
-    scenarios = []
-    for trace in traces:
-        base = {"topology": args.topology, "scheme": args.scheme,
-                "fabric": args.fabric,
-                "buffers": (float(args.buffer),), "cluster": trace}
-        _apply_set_args(args.set, base)
-        scenarios.append(Scenario.from_dict(base))
-
-    try:
-        results = run_sweep(scenarios, out_path=args.out, resume=args.resume,
-                            workers=args.jobs)
-    except RuntimeError as exc:
-        print(f"error: {exc}")
-        return 1
-
-    rows = []
-    failures = []
-    for res, trace in zip(results, traces):
-        if res.status == "error":
-            rows.append([trace, "error", "-", "-", "-", "-", "-"])
-            failures.append((trace, res.error or "unknown error"))
-            continue
-        m = res.metrics
-        rows.append([
-            trace,
-            "resumed" if res.resumed else "ok",
-            m.get("cluster_jobs", "-"),
-            "-" if m.get("makespan_seconds") is None
-            else f"{float(m['makespan_seconds']):.6f}",
-            "-" if m.get("job_slowdown_p50") is None
-            else round(float(m["job_slowdown_p50"]), 3),
-            "-" if m.get("job_slowdown_p99") is None
-            else round(float(m["job_slowdown_p99"]), 3),
-            "-" if m.get("fabric_utilization") is None
-            else round(float(m["fabric_utilization"]), 3),
-        ])
-    print(format_table(
+    scenarios = _scenarios(args, "cluster", traces, buffers=(args.buffer,))
+    results = _run_table(
+        args, scenarios, lambda s: s.cluster,
         ["trace", "status", "jobs", "makespan (s)", "slowdown p50",
          "slowdown p99", "utilization"],
-        rows, title=f"Cluster co-simulation on {args.topology} ({args.scheme})"))
-    for trace, message in failures:
-        print(f"error: {trace}: {message}")
-    if args.out:
-        print(f"streaming results in {args.out}")
+        lambda m: [m.get("cluster_jobs", "-"), _fixed(m.get("makespan_seconds"), 6),
+                   _rounded(m.get("job_slowdown_p50"), 3),
+                   _rounded(m.get("job_slowdown_p99"), 3),
+                   _rounded(m.get("fabric_utilization"), 3)],
+        f"Cluster co-simulation on {scenarios[0].topology} ({scenarios[0].scheme})")
+    if results is None:
+        return 1
     totals = sweep_stats(results)
-    _print_engine_stats(
-        f"traces: {totals['ok']} ok / {totals['errors']} error "
-        f"({totals['resumed']} resumed)")
+    _print_engine_stats(_totals("traces", totals))
     return 1 if totals["errors"] else 0
 
 
@@ -304,76 +340,35 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     (:func:`~repro.faults.worst_case_failures`), printing the degradation
     table.  See docs/robustness.md for the fault grammar and knobs.
     """
-    specs = args.faults or []
-    scenarios = []
-    for spec in specs:
-        base = {"topology": args.topology, "scheme": args.scheme,
-                "fabric": args.fabric,
-                "buffers": (float(args.buffer),), "faults": spec}
-        _apply_set_args(args.set, base)
-        scenarios.append(Scenario.from_dict(base))
-
-    failures = []
     results = []
-    if scenarios:
-        try:
-            results = run_sweep(scenarios, out_path=args.out,
-                                resume=args.resume, workers=args.jobs)
-        except RuntimeError as exc:
-            print(f"error: {exc}")
+    if args.faults:
+        scenarios = _scenarios(args, "faults", args.faults, buffers=(args.buffer,))
+        results = _run_table(
+            args, scenarios, lambda s: s.faults,
+            ["faults", "status", "slowdown", "reroutes", "stranded B", "epochs"],
+            lambda m: [_rounded(m.get("robustness_slowdown"), 4),
+                       m.get("reroute_count", "-"), _fixed(m.get("stranded_bytes"), 0),
+                       m.get("fault_events", "-")],
+            f"Fault injection on {scenarios[0].topology} ({scenarios[0].scheme})")
+        if results is None:
             return 1
-        rows = []
-        for res, spec in zip(results, specs):
-            if res.status == "error":
-                rows.append([spec, "error", "-", "-", "-", "-"])
-                failures.append((spec, res.error or "unknown error"))
-                continue
-            m = res.metrics
-            rows.append([
-                spec,
-                "resumed" if res.resumed else "ok",
-                "-" if m.get("robustness_slowdown") is None
-                else round(float(m["robustness_slowdown"]), 4),
-                m.get("reroute_count", "-"),
-                "-" if m.get("stranded_bytes") is None
-                else f"{float(m['stranded_bytes']):.0f}",
-                m.get("fault_events", "-"),
-            ])
-        print(format_table(
-            ["faults", "status", "slowdown", "reroutes", "stranded B",
-             "epochs"],
-            rows,
-            title=f"Fault injection on {args.topology} ({args.scheme})"))
-        for spec, message in failures:
-            print(f"error: {spec}: {message}")
-        if args.out:
-            print(f"streaming results in {args.out}")
 
     if args.adversarial:
         from .faults import worst_case_failures
 
-        scenario = Scenario.from_dict({
-            "topology": args.topology, "scheme": args.scheme,
-            "fabric": args.fabric, "buffers": (float(args.buffer),)})
+        (scenario,) = _scenarios(args, "faults", [None], buffers=(args.buffer,))
         lowered = Plan(scenario, n_jobs=args.jobs).run("validate").lowered
         adv = worst_case_failures(
-            lowered, float(args.buffer), k=args.adversarial,
+            lowered, scenario.buffers[0], k=args.adversarial,
             fabric=scenario.resolved_fabric(), at=args.at,
             candidates=args.candidates, mode=args.mode, seed=args.seed)
-        rows = []
-        for ev in adv.evaluations:
-            if len(ev["links"]) != adv.k:
-                continue
-            rows.append([
-                "|".join(f"{u}~{v}" for u, v in ev["links"]),
-                "stranded" if ev["stranded"]
-                else round(float(ev["slowdown"]), 4),
-                ev["reroute_count"],
-                f"{float(ev['stranded_bytes']):.0f}",
-            ])
+        rows = [["|".join(f"{u}~{v}" for u, v in ev["links"]),
+                 "stranded" if ev["stranded"] else round(float(ev["slowdown"]), 4),
+                 ev["reroute_count"], f"{float(ev['stranded_bytes']):.0f}"]
+                for ev in adv.evaluations if len(ev["links"]) == adv.k]
         print(format_table(
             ["failed links", "slowdown", "reroutes", "stranded B"], rows,
-            title=f"Worst-case {adv.k}-link failure on {args.topology} "
+            title=f"Worst-case {adv.k}-link failure on {scenario.topology} "
                   f"({adv.mode} over {args.candidates} candidates, "
                   f"at t={adv.at_seconds:.6f}s)"))
         worst = "|".join(f"{u}~{v}" for u, v in adv.worst_links)
@@ -381,11 +376,9 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
                        else f"slowdown {adv.worst_slowdown:.4f}")
         print(f"worst case: down={worst} -> {worst_label}")
 
-    totals = sweep_stats(results) if results else None
-    extra = (f"faults: {totals['ok']} ok / {totals['errors']} error "
-             f"({totals['resumed']} resumed)" if totals else "")
-    _print_engine_stats(extra)
-    return 1 if failures else 0
+    totals = sweep_stats(results)
+    _print_engine_stats(_totals("faults", totals) if results else "")
+    return 1 if totals["errors"] else 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -403,50 +396,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         axes[key.strip()] = [v for v in values.split(";") if v]
     if not base and not axes:
         raise ValueError("empty sweep: provide --grid and/or --set/--axis fields")
-    grid = SweepGrid(base=base, axes=axes)
-    scenarios = grid.scenarios()
-
-    try:
-        results = run_sweep(scenarios, out_path=args.out, resume=args.resume,
-                            workers=args.jobs)
-    except RuntimeError as exc:
-        # A died worker: the records written so far are compacted and
-        # resumable; surface the message and exit nonzero, not a traceback.
-        print(f"error: {exc}")
+    scenarios = SweepGrid(base=base, axes=axes).scenarios()
+    results = _run_table(
+        args, scenarios, Scenario.label,
+        ["scenario", "status", "F", "all-to-all time", "throughput GB/s"],
+        lambda m: [_rounded(m.get("concurrent_flow"), 4),
+                   _rounded(m.get("all_to_all_time"), 3), _gbps(m)],
+        f"Sweep: {len(scenarios)} scenario(s)", csv=args.csv)
+    if results is None:
         return 1
-
-    rows = []
-    failures = []
-    for res in results:
-        if res.status == "error":
-            rows.append([res.scenario.label(), "error", "-", "-", "-"])
-            failures.append((res.scenario.label(), res.error or "unknown error"))
-            continue
-        tps = res.metrics.get("throughput_bytes_per_s") or {}
-        flow = res.metrics.get("concurrent_flow")
-        rows.append([
-            res.scenario.label(),
-            "resumed" if res.resumed else "ok",
-            "-" if flow is None else round(float(flow), 4),
-            "-" if res.metrics.get("all_to_all_time") is None
-            else round(float(res.metrics["all_to_all_time"]), 3),
-            " ".join(f"{tp / 1e9:.2f}" for tp in tps.values()) or "-",
-        ])
-    print(format_table(["scenario", "status", "F", "all-to-all time", "throughput GB/s"],
-                       rows, title=f"Sweep: {len(scenarios)} scenario(s)"))
-    for label, message in failures:
-        print(f"error: {label}: {message}")
-    if args.csv:
-        write_csv(results, args.csv)
-        print(f"wrote CSV to {args.csv}")
-    if args.out:
-        print(f"streaming results in {args.out}")
-
     totals = sweep_stats(results)
     _print_engine_stats(
-        f"scenarios: {totals['ok']} ok / {totals['errors']} error "
-        f"({totals['resumed']} resumed); "
-        f"assemble {totals['assemble_seconds']:.3f}s solve {totals['solve_seconds']:.3f}s")
+        f"{_totals('scenarios', totals)}; assemble {totals['assemble_seconds']:.3f}s "
+        f"solve {totals['solve_seconds']:.3f}s")
     return 1 if totals["errors"] else 0
 
 
@@ -511,8 +473,33 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for the child LPs")
     p_syn.set_defaults(func=_cmd_synthesize)
 
+    # The four scenario commands share --set/--out/--resume/--jobs; the three
+    # that run one schedule also share --scheme/--fabric.
+    scenario_flags = argparse.ArgumentParser(add_help=False)
+    scenario_flags.add_argument("--set", action="append", metavar="FIELD=VALUE",
+                                help="set any scenario field (repeatable), e.g. "
+                                     "--set max_denominator=16 --set fabric=ml")
+    scenario_flags.add_argument("--out", "-o", default=None,
+                                help="JSONL results file (appended to, one "
+                                     "record per scenario)")
+    scenario_flags.add_argument("--resume", action="store_true",
+                                help="skip scenarios whose key already has an "
+                                     "ok record in --out")
+    scenario_flags.add_argument("--jobs", type=int, default=1,
+                                help="worker processes, one task per scenario "
+                                     "(a shared schedule is solved once); a "
+                                     "single scenario gives them to its child LPs")
+    schedule_flags = argparse.ArgumentParser(add_help=False, parents=[scenario_flags])
+    schedule_flags.add_argument("--scheme", default="mcf-extp",
+                                help="scheme name from: "
+                                     f"{', '.join(available_scenario_schemes())} "
+                                     "(cluster and robustness need a path-based one)")
+    schedule_flags.add_argument("--fabric", default="hpc",
+                                help="fabric spec, e.g. hpc, ml:link_gbps=50, "
+                                     "hpc:down=0~1, hpc:scale=0~1:0.5")
+
     p_sim = sub.add_parser(
-        "simulate",
+        "simulate", parents=[schedule_flags],
         help="simulate one scenario on the unified fluid engine",
         description="Run one declarative scenario through the staged Plan "
                     "pipeline and print its throughput series.  Supports the "
@@ -524,10 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "one sweep-compatible JSONL record.")
     p_sim.add_argument("topology", nargs="?", default=None,
                        help="topology spec (or use --set topology=...)")
-    p_sim.add_argument("--fabric", default="hpc",
-                       help="fabric spec, e.g. hpc, ml:link_gbps=50, hpc:down=0~1")
-    p_sim.add_argument("--scheme", default="mcf-extp",
-                       help=f"scheme name from: {', '.join(available_scenario_schemes())}")
     p_sim.add_argument("--buffers", default="1048576,16777216,268435456",
                        help="comma-separated per-node buffer sizes in bytes")
     p_sim.add_argument("--overlap", type=int, default=1,
@@ -536,15 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="timed fabric-event spec for dynamic failures, "
                             "e.g. 'faults:down=0~1@0.5ms:up@1.2ms' "
                             "(see docs/robustness.md)")
-    p_sim.add_argument("--set", action="append", metavar="FIELD=VALUE",
-                       help="set any scenario field (repeatable), "
-                            "e.g. --set max_denominator=16")
-    p_sim.add_argument("--out", "-o", default=None,
-                       help="append one sweep JSONL record here")
-    p_sim.add_argument("--resume", action="store_true",
-                       help="skip the run if --out already has an ok record for it")
-    p_sim.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the child LPs")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="compare schemes on a topology")
@@ -560,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_clu = sub.add_parser(
-        "cluster",
+        "cluster", parents=[schedule_flags],
         help="co-simulate multi-job cluster traces on one fabric",
         description="Run one or more cluster trace specs "
                     "(cluster:jobs=4:arrival=poisson~2000:placement=packed) "
@@ -572,29 +546,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_clu.add_argument("--trace", action="append", metavar="SPEC",
                        help="cluster trace spec (repeatable; one scenario "
                             "each); default: a 4-job Poisson/packed trace")
-    p_clu.add_argument("--scheme", default="mcf-extp",
-                       help="path-based scheme name (link-based schemes like "
-                            "tsmcf cannot interleave jobs)")
-    p_clu.add_argument("--fabric", default="hpc",
-                       help="fabric spec, e.g. hpc, ml, hpc:scale=0~1:0.5")
     p_clu.add_argument("--buffer", type=float, default=float(2**20),
                        help="per-node all-to-all buffer bytes (used when a "
                             "trace has no buffer= field)")
-    p_clu.add_argument("--set", action="append", metavar="FIELD=VALUE",
-                       help="set any scenario field (repeatable), "
-                            "e.g. --set max_denominator=16")
-    p_clu.add_argument("--out", "-o", default=None,
-                       help="JSONL results file (appended to, one record per trace)")
-    p_clu.add_argument("--resume", action="store_true",
-                       help="skip traces whose key already has an ok record in --out")
-    p_clu.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (as in repro sweep): the "
-                            "shared schedule is solved once, then the traces "
-                            "spread over the workers")
     p_clu.set_defaults(func=_cmd_cluster)
 
     p_rob = sub.add_parser(
-        "robustness",
+        "robustness", parents=[schedule_flags],
         help="evaluate schedule robustness under dynamic fabric failures",
         description="Run fault-injection scenarios "
                     "(faults:down=0~1@0.5ms:up@1.2ms) over a synthesized "
@@ -609,11 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rob.add_argument("--adversarial", type=int, default=None, metavar="K",
                        help="also search the worst-case K-physical-link "
                             "failure set against the schedule")
-    p_rob.add_argument("--scheme", default="mcf-extp",
-                       help="path-based scheme name (link-based schemes "
-                            "cannot be rerouted mid-step)")
-    p_rob.add_argument("--fabric", default="hpc",
-                       help="fabric spec, e.g. hpc, ml, hpc:scale=0~1:0.5")
     p_rob.add_argument("--buffer", type=float, default=float(2**20),
                        help="per-node all-to-all buffer bytes")
     p_rob.add_argument("--at", type=float, default=0.5,
@@ -628,21 +581,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "while the subset count stays small)")
     p_rob.add_argument("--seed", type=int, default=0,
                        help="seed recorded with the adversarial search")
-    p_rob.add_argument("--set", action="append", metavar="FIELD=VALUE",
-                       help="set any scenario field (repeatable)")
-    p_rob.add_argument("--out", "-o", default=None,
-                       help="JSONL results file (appended to, one record "
-                            "per fault spec)")
-    p_rob.add_argument("--resume", action="store_true",
-                       help="skip fault specs whose key already has an ok "
-                            "record in --out")
-    p_rob.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the fault scenarios (as "
-                            "in repro sweep)")
     p_rob.set_defaults(func=_cmd_robustness)
 
     p_swp = sub.add_parser(
-        "sweep",
+        "sweep", parents=[scenario_flags],
         help="run a declarative scenario grid with streaming JSONL results",
         description="Expand a scenario grid (base fields x axes) and execute "
                     "every scenario through the staged Plan pipeline.  One "
@@ -651,22 +593,11 @@ def build_parser() -> argparse.ArgumentParser:
                     + ", ".join(available_scenario_schemes()))
     p_swp.add_argument("--grid", default=None,
                        help='JSON grid spec file: {"base": {...}, "axes": {...}}')
-    p_swp.add_argument("--set", action="append", metavar="FIELD=VALUE",
-                       help="fix a scenario field (repeatable); "
-                            "e.g. --set fabric=ml --set buffers='1048576 16777216'")
     p_swp.add_argument("--axis", action="append", metavar="FIELD=V1;V2",
                        help="sweep a scenario field over ';'-separated values "
                             "(repeatable; ';' because topology specs contain "
                             "commas), e.g. --axis 'scheme=mcf-extp;ewsp'")
-    p_swp.add_argument("--out", "-o", default=None,
-                       help="JSONL results file (appended to, one record per scenario)")
     p_swp.add_argument("--csv", default=None, help="also write a flat CSV here")
-    p_swp.add_argument("--jobs", type=int, default=1,
-                       help="worker processes, one task per scenario; "
-                            "a schedule shared by several scenarios is "
-                            "solved once; 1 runs in-process")
-    p_swp.add_argument("--resume", action="store_true",
-                       help="skip scenarios whose key already has an ok record in --out")
     p_swp.set_defaults(func=_cmd_sweep)
 
     p_rep = sub.add_parser(

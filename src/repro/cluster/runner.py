@@ -81,8 +81,7 @@ def run_cluster(schedule: Union[RoutedSchedule, LinkSchedule],
                 spec: Union[ClusterSpec, str],
                 fabric: Optional[FabricModel] = None,
                 default_buffer: Optional[float] = None,
-                validate: bool = True,
-                max_events: int = 1_000_000) -> ClusterResult:
+                validate: bool = True) -> ClusterResult:
     """Co-simulate a multi-job trace over one synthesized schedule.
 
     ``spec`` is a :class:`ClusterSpec` or a ``cluster:...`` spec string;
@@ -135,7 +134,7 @@ def run_cluster(schedule: Union[RoutedSchedule, LinkSchedule],
         isolated_comm[job.job_id] = iso_cache[key]
 
     arena = FlowInjector(topology, fabric)
-    run = FluidRun(arena, max_events=max_events)
+    run = FluidRun(arena)
     job_by_id = {job.job_id: job for job in jobs}
     phase_index = {job.job_id: 0 for job in jobs}
     comm_round = {job.job_id: 0 for job in jobs}

@@ -33,11 +33,19 @@ SCHEDULE_TOL
     covered when its chunk assignments sum to at least ``1 - SCHEDULE_TOL``.
     Chunking quantizes path weights to small rational fractions, so the
     round-off is far larger than LP noise.
+
+SIM_MAX_EVENTS
+    Event budget of one fluid simulation: a run that has processed this
+    many events raises the event-cap error instead of stepping on, so a
+    simulation that stops converging fails rather than spins.  The largest
+    runs here (cluster traces, flapping-link timelines) stay orders of
+    magnitude below it.  Read once per :meth:`FluidRun.run
+    <repro.simulator.engine.FluidRun.run>` call, so tests can lower it.
 """
 
 from __future__ import annotations
 
-__all__ = ["FLOW_TOL", "SIM_EPS", "SIM_BYTES_EPS", "SCHEDULE_TOL"]
+__all__ = ["FLOW_TOL", "SIM_EPS", "SIM_BYTES_EPS", "SCHEDULE_TOL", "SIM_MAX_EVENTS"]
 
 FLOW_TOL = 1e-9
 
@@ -46,3 +54,5 @@ SIM_EPS = 1e-12
 SIM_BYTES_EPS = 1e-6
 
 SCHEDULE_TOL = 1e-6
+
+SIM_MAX_EVENTS = 1_000_000

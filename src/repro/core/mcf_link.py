@@ -13,8 +13,8 @@ This formulation has ``O(N^2 * E) = O(k N^3)`` variables for a k-regular graph
 and is the scalability bottleneck the decomposition of §3.1.2 addresses.
 
 The LP is assembled by the registered ``"mcf-link"`` formulation and solved
-through :func:`repro.engine.solve`, which adds content-addressed caching and
-backend selection on top.
+through :func:`repro.engine.solve`, which adds content-addressed caching on
+top.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ keep the variable count polynomial, which is exactly the trade-off the paper
 evaluates in Fig. 8.
 
 The LP is assembled by the registered ``"mcf-path"`` formulation and solved
-through :func:`repro.engine.solve` (cached, pluggable backends).
+through :func:`repro.engine.solve` (cached, HiGHS).
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ time-stepped schedule loses nothing asymptotically while being executable in
 synchronized steps.
 
 The LP is assembled by the registered ``"tsmcf"`` formulation and solved
-through :func:`repro.engine.solve` (cached, pluggable backends).
+through :func:`repro.engine.solve` (cached, HiGHS).
 """
 
 from __future__ import annotations

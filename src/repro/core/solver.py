@@ -1,8 +1,8 @@
 """Sparse LP construction helpers.
 
 All MCF variants in :mod:`repro.core` are assembled as sparse constraint
-matrices.  Solving is delegated to a :mod:`repro.engine.backends` backend
-(HiGHS via :func:`scipy.optimize.linprog` by default).  The paper uses MOSEK;
+matrices.  Solving is delegated to :mod:`repro.engine.backends` (HiGHS via
+:func:`scipy.optimize.linprog`).  The paper uses MOSEK;
 the LP optima are solver independent, so HiGHS preserves every result that
 depends on optimal values (only absolute solve times differ, and Fig. 7 is
 about *scaling*, which is preserved).
@@ -210,7 +210,7 @@ class LPBuilder:
     :meth:`add_variable_block`.  Constraints are ``sum(coeff * var) <= rhs``
     (:meth:`add_le_block`), ``>= rhs`` (:meth:`add_ge_block`) or ``== rhs``
     (:meth:`add_eq_block`).  The objective is a linear form given per block;
-    backends solve it with ``maximize=True`` or ``False``.
+    the backend solves it with ``maximize=True`` or ``False``.
     """
 
     def __init__(self) -> None:
@@ -431,7 +431,7 @@ class LPBuilder:
         """Assemble the LP into scipy-ready arrays (memoized until mutated).
 
         Returns ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` with the objective in
-        *minimization* sense (backends negate for maximization), the
+        *minimization* sense (the backend negates for maximization), the
         constraint matrices in canonical CSR form (None when a block is
         empty), and ``bounds`` as an ``(n, 2)`` float array using ``inf`` for
         unbounded entries.

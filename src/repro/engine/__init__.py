@@ -4,8 +4,8 @@ Layering (each layer only knows the one below it):
 
 * **Problem** (:mod:`.problem`) — declarative :class:`MCFProblem` specs plus
   the formulation registry the MCF modules register their LP assemblers in;
-* **Backend** (:mod:`.backends`) — pluggable :class:`SolveBackend`
-  implementations (scipy/HiGHS variants ship by default);
+* **Backend** (:mod:`.backends`) — :class:`ScipyHighsBackend`, HiGHS with
+  the method picked by LP size;
 * **Cache** (:mod:`.cache`) — content-addressed :class:`SolutionCache`
   keyed by ``(topology.canonical_hash(), formulation, params)``.
 
@@ -13,13 +13,7 @@ Layering (each layer only knows the one below it):
 entry point every formulation routes through.
 """
 
-from .backends import (
-    ScipyHighsBackend,
-    SolveBackend,
-    backend_names,
-    get_backend,
-    register_backend,
-)
+from .backends import ScipyHighsBackend
 from .cache import SolutionCache
 from .core import Engine, get_engine, reset_engine, solve
 from .problem import (
@@ -31,10 +25,6 @@ from .problem import (
 
 __all__ = [
     "ScipyHighsBackend",
-    "SolveBackend",
-    "backend_names",
-    "get_backend",
-    "register_backend",
     "SolutionCache",
     "Engine",
     "get_engine",

@@ -1,31 +1,29 @@
-"""Pluggable LP solve backends.
+"""The LP solve backend.
 
-A backend turns an assembled :class:`~repro.core.solver.LPBuilder` into an
-:class:`~repro.core.solver.LPSolution`.  Formulations never pick a backend —
-the engine does — so swapping HiGHS simplex for the interior-point method (or
-a different solver for the per-source child-LP batches of the decomposed
-formulations) never touches formulation code.
+The backend turns an assembled :class:`~repro.core.solver.LPBuilder` into an
+:class:`~repro.core.solver.LPSolution`.  Formulations never call it — the
+engine does — so the solver method can change without touching formulation
+code.
 
-The one backend registered out of the box, ``scipy-highs``, wraps HiGHS via
-:func:`scipy.optimize.linprog` and picks the method by LP size: HiGHS's own
-simplex choice (``highs``) below :data:`IPM_MIN_VARIABLES` variables and
-interior point (``highs-ipm``) at or above it, where IPM is several times
-faster on the host-augmented tsMCF and the 64-node master LPs.
+``scipy-highs`` wraps HiGHS via :func:`scipy.optimize.linprog` and picks the
+method by LP size: HiGHS's own simplex choice (``highs``) below
+:data:`IPM_MIN_VARIABLES` variables and interior point (``highs-ipm``) at or
+above it, where IPM is several times faster on the host-augmented tsMCF and
+the 64-node master LPs.
 
-Each backend has an :attr:`~ScipyHighsBackend.identity` that names its
-method rule; the engine keys cached solutions on it, so a solution cached
-under one rule never answers for another.
+Its :attr:`~ScipyHighsBackend.identity` names the method rule; the engine
+keys cached solutions on it, so a solution cached under one rule never
+answers for another.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Protocol, TYPE_CHECKING, runtime_checkable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.solver import LPBuilder, LPSolution
 
-__all__ = ["SolveBackend", "ScipyHighsBackend", "IPM_MIN_VARIABLES",
-           "register_backend", "get_backend", "backend_names"]
+__all__ = ["ScipyHighsBackend", "IPM_MIN_VARIABLES"]
 
 #: LPs with at least this many variables go to HiGHS interior point.  The
 #: report's largest LPs (35001 and 16129-16385 variables) sit above it; the
@@ -34,23 +32,10 @@ __all__ = ["SolveBackend", "ScipyHighsBackend", "IPM_MIN_VARIABLES",
 IPM_MIN_VARIABLES = 10_000
 
 
-@runtime_checkable
-class SolveBackend(Protocol):
-    """Protocol every solve backend implements."""
-
-    name: str
-    identity: str
-
-    def solve(self, builder: "LPBuilder", maximize: bool = False) -> "LPSolution":
-        """Solve the accumulated LP; raise ``SolverError`` on failure."""
-        ...  # pragma: no cover - protocol
-
-
 class ScipyHighsBackend:
     """HiGHS via :func:`scipy.optimize.linprog`, method picked by LP size."""
 
-    def __init__(self, name: str = "scipy-highs") -> None:
-        self.name = name
+    name = "scipy-highs"
 
     @property
     def identity(self) -> str:
@@ -63,6 +48,7 @@ class ScipyHighsBackend:
         return "highs-ipm" if num_variables >= IPM_MIN_VARIABLES else "highs"
 
     def solve(self, builder: "LPBuilder", maximize: bool = False) -> "LPSolution":
+        """Solve the accumulated LP; raise ``SolverError`` on failure."""
         import numpy as np
         from scipy.optimize import linprog
 
@@ -97,31 +83,3 @@ class ScipyHighsBackend:
                                          ub_duals=ub_duals)
         solution.info["method"] = method
         return solution
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ScipyHighsBackend(name={self.name!r})"
-
-
-_BACKENDS: Dict[str, SolveBackend] = {}
-
-
-def register_backend(backend: SolveBackend) -> SolveBackend:
-    """Register a backend under ``backend.name`` (later wins)."""
-    _BACKENDS[backend.name] = backend
-    return backend
-
-
-def get_backend(name: str) -> SolveBackend:
-    """Look up a registered backend by name."""
-    if name not in _BACKENDS:
-        raise KeyError(f"unknown solve backend {name!r}; "
-                       f"registered: {backend_names()}")
-    return _BACKENDS[name]
-
-
-def backend_names() -> List[str]:
-    """Names of all registered backends."""
-    return sorted(_BACKENDS)
-
-
-register_backend(ScipyHighsBackend("scipy-highs"))

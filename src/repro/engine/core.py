@@ -6,15 +6,14 @@ routes through.  The engine
 1. computes the problem's content-addressed cache key,
 2. returns the cached :class:`LPSolution` on a hit,
 3. otherwise assembles the LP via the registered formulation, solves it with
-   the selected backend, and stores the result.
+   the ``scipy-highs`` backend, and stores the result.
 
 Each returned solution carries an ``info`` dict (cache status, backend name,
 LP dimensions, cache key prefix) that formulations surface in
 ``FlowSolution.meta["engine"]``.
 
 A process-wide default engine is created lazily.  The ``REPRO_CACHE_DIR``
-environment variable seeds its disk tier and ``REPRO_SOLVE_BACKEND`` its
-backend.
+environment variable seeds its disk tier.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import threading
 import time
 from typing import Optional, TYPE_CHECKING
 
-from .backends import get_backend
+from .backends import ScipyHighsBackend
 from .cache import SolutionCache
 from .problem import MCFProblem, get_formulation
 
@@ -35,35 +34,33 @@ __all__ = ["Engine", "get_engine", "solve", "reset_engine",
            "solution_key"]
 
 
-def solution_key(problem: MCFProblem, backend_name: str) -> str:
-    """Solution-cache key of ``problem`` solved by the named backend.
+_BACKEND = ScipyHighsBackend()
+
+
+def solution_key(problem: MCFProblem) -> str:
+    """Solution-cache key of ``problem``.
 
     The key carries the backend's :attr:`identity` (its name plus method
-    rule): different backends, or one backend under a different rule, may
-    return different (equally optimal) vertex/interior solutions, so a
-    solution cached under one must never answer for another.
+    rule): a different method may return a different (equally optimal)
+    vertex or interior solution, so a solution cached under one rule must
+    never answer for another.
     """
-    return f"{problem.cache_key()}-{get_backend(backend_name).identity}"
+    return f"{problem.cache_key()}-{_BACKEND.identity}"
 
 
 class Engine:
-    """Solves :class:`MCFProblem` specs through pluggable backends + cache."""
+    """Solves :class:`MCFProblem` specs with the HiGHS backend, through a cache."""
 
-    def __init__(self, backend: str = "scipy-highs",
-                 cache: Optional[SolutionCache] = None) -> None:
-        get_backend(backend)  # fail fast on unknown names
-        self.backend_name = backend
+    #: The LP backend's name, as the footer and the report provenance print it.
+    backend_name = _BACKEND.name
+
+    def __init__(self, cache: Optional[SolutionCache] = None) -> None:
         self.cache = cache if cache is not None else SolutionCache()
 
-    def solve(self, problem: MCFProblem, backend: Optional[str] = None,
-              use_cache: bool = True) -> "LPSolution":
-        """Solve ``problem``, consulting the cache unless ``use_cache=False``.
-
-        The cache key includes the backend's identity (:func:`solution_key`).
-        """
-        backend_name = backend or self.backend_name
-        key = solution_key(problem, backend_name)
-        caching = use_cache and self.cache.enabled
+    def solve(self, problem: MCFProblem) -> "LPSolution":
+        """Solve ``problem``, consulting the cache unless it is disabled."""
+        key = solution_key(problem)
+        caching = self.cache.enabled
         if caching:
             cached = self.cache.get(key)
             if cached is not None:
@@ -80,11 +77,11 @@ class Engine:
         builder = assembler(problem)
         builder.to_arrays()  # memoized; charges matrix assembly to assembly time
         t1 = time.perf_counter()
-        solution = get_backend(backend_name).solve(builder, maximize=problem.maximize)
+        solution = _BACKEND.solve(builder, maximize=problem.maximize)
         t2 = time.perf_counter()
         solution.info.update({
             "cache": "miss" if caching else "bypass",
-            "backend": backend_name,
+            "backend": _BACKEND.name,
             "key": key[:16],
             "num_variables": builder.num_variables,
             "num_constraints": builder.num_constraints,
@@ -107,9 +104,7 @@ def get_engine() -> Engine:
         with _engine_lock:
             if _engine is None:
                 _engine = Engine(
-                    backend=os.environ.get("REPRO_SOLVE_BACKEND", "scipy-highs"),
-                    cache=SolutionCache(cache_dir=os.environ.get("REPRO_CACHE_DIR")),
-                )
+                    cache=SolutionCache(cache_dir=os.environ.get("REPRO_CACHE_DIR")))
     return _engine
 
 
@@ -120,7 +115,6 @@ def reset_engine() -> None:
         _engine = None
 
 
-def solve(problem: MCFProblem, backend: Optional[str] = None,
-          use_cache: bool = True) -> "LPSolution":
+def solve(problem: MCFProblem) -> "LPSolution":
     """Solve through the default engine (the formulation-facing entry point)."""
-    return get_engine().solve(problem, backend=backend, use_cache=use_cache)
+    return get_engine().solve(problem)

@@ -107,7 +107,6 @@ def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
                         candidates: int = 12,
                         mode: str = "auto",
                         seed: int = 0,
-                        max_events: int = 1_000_000,
                         context: Optional[PreparedFaultContext] = None,
                         ) -> AdversarialResult:
     """Search the worst k-physical-link failure set against a schedule.
@@ -156,9 +155,8 @@ def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
     def evaluate(links: Tuple[Link, ...]) -> Dict[str, object]:
         result = run_faulted(
             schedule, buffer_bytes, _failure_spec(links, at_seconds, seed),
-            fabric=fabric, validate=False, max_events=max_events,
-            allow_stranded=True, baseline_seconds=baseline,
-            context=context, _prefix=prefix)
+            fabric=fabric, validate=False, allow_stranded=True,
+            baseline_seconds=baseline, context=context, _prefix=prefix)
         stranded = result.completion_time == float("inf")
         slowdown = (float("inf") if stranded
                     else result.completion_time / baseline)

@@ -97,14 +97,13 @@ class _FaultedRun:
     """
 
     def __init__(self, context: PreparedFaultContext, buffer_bytes: float,
-                 spec: FaultSpec, collect_trace: bool,
-                 max_events: int) -> None:
+                 spec: FaultSpec, collect_trace: bool) -> None:
         self.context = context
         self.spec = spec
         self.timeline = FaultTimeline(spec)
         self.run = FluidRun(context.delta_program(),
                             sizes=context.sizes_for(buffer_bytes),
-                            delays=context.delays, max_events=max_events)
+                            delays=context.delays)
         self.paths: List[Optional[Path]] = list(context.orig_paths)
         self.encoded: List[Path] = list(context.orig_paths)
         self.stranded = np.zeros(context.num_flows, dtype=bool)
@@ -157,14 +156,12 @@ class _FaultedRun:
             counters["compile_seconds"] += time.perf_counter() - t0
         run.changed()
 
-    def resume(self, spec: FaultSpec, collect_trace: bool,
-               max_events: int) -> "_FaultedRun":
+    def resume(self, spec: FaultSpec, collect_trace: bool) -> "_FaultedRun":
         """A copy of this paused run that continues under ``spec``."""
         new = copy.copy(self)
         new.spec = spec
         new.timeline = FaultTimeline(spec)
         new.run = self.run.clone()
-        new.run.max_events = max_events
         new.paths = list(self.paths)
         new.encoded = list(self.encoded)
         new.stranded = self.stranded.copy()
@@ -185,7 +182,7 @@ def capture_fault_prefix(context: PreparedFaultContext, buffer_bytes: float,
     epoch there still fires before a completion edge colliding with it.
     """
     prefix = _FaultedRun(context, buffer_bytes, FaultSpec(events=(), vc=vc),
-                         collect_trace=False, max_events=1_000_000)
+                         collect_trace=False)
     prefix.epoch(0.0, initial=True)
     prefix.run.run(until=at_seconds)
     obs.add({f"faults.{key}": prefix.counters[key] for key in _WORK})
@@ -196,7 +193,6 @@ def run_faulted(schedule: RoutedSchedule, buffer_bytes: float,
                 spec: Union[FaultSpec, str],
                 fabric: Optional[FabricModel] = None,
                 validate: bool = True,
-                max_events: int = 1_000_000,
                 allow_stranded: bool = False,
                 collect_trace: bool = False,
                 baseline_seconds: Optional[float] = None,
@@ -248,10 +244,9 @@ def run_faulted(schedule: RoutedSchedule, buffer_bytes: float,
             raise ValueError(
                 "fault prefix does not match the spec timeline "
                 "(capture instant must equal the first epoch)")
-        faulted = _prefix.resume(spec, collect_trace, max_events)
+        faulted = _prefix.resume(spec, collect_trace)
     else:
-        faulted = _FaultedRun(context, buffer_bytes, spec, collect_trace,
-                              max_events)
+        faulted = _FaultedRun(context, buffer_bytes, spec, collect_trace)
         faulted.epoch(0.0, initial=True)   # fold t=0 events into the start
     run = faulted.run
     # Fabric epochs are scheduled before any completion edge exists, so an
@@ -309,8 +304,7 @@ def run_faulted_sweep(schedule: Union[RoutedSchedule, LinkSchedule],
                       buffer_sizes: Sequence[float],
                       spec: Union[FaultSpec, str],
                       fabric: Optional[FabricModel] = None,
-                      validate_first: bool = True,
-                      max_events: int = 1_000_000) -> List[CollectiveResult]:
+                      validate_first: bool = True) -> List[CollectiveResult]:
     """Run the faulted schedule across a buffer sweep (simulate-stage entry).
 
     The schedule is validated once and one
@@ -328,6 +322,5 @@ def run_faulted_sweep(schedule: Union[RoutedSchedule, LinkSchedule],
     for i, buf in enumerate(buffer_sizes):
         results.append(run_faulted(
             schedule, buf, spec, fabric=fabric,
-            validate=validate_first and i == 0,
-            max_events=max_events, context=context))
+            validate=validate_first and i == 0, context=context))
     return results

@@ -54,6 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import obs
+from .. import constants
 from ..constants import SIM_BYTES_EPS, SIM_EPS
 from ..perf.fillkernel import FillWorkspace, run_fill
 from ..topology.base import Edge, Topology
@@ -276,12 +277,11 @@ class FluidRun:
     :meth:`schedule_at`.  A source scheduled before a completion edge at the
     same instant fires first (the queue breaks time ties by insertion
     order).  Active flows with zero rate raise the stall error; more than
-    ``max_events`` events raise the event-cap error.
+    :data:`~repro.constants.SIM_MAX_EVENTS` events raise the event-cap error.
     """
 
     def __init__(self, program, sizes: Optional[np.ndarray] = None,
-                 delays: Optional[np.ndarray] = None,
-                 max_events: int = 1_000_000) -> None:
+                 delays: Optional[np.ndarray] = None) -> None:
         """Start a run at t=0 over ``program`` (nothing fills until :meth:`run`)."""
         if isinstance(program, FlowProgram):
             self.arena = None
@@ -289,7 +289,6 @@ class FluidRun:
         else:
             self.arena = program
         program = self.program
-        self.max_events = max_events
         self.queue = EventQueue()
         self.remaining = np.array(program.sizes if sizes is None else sizes,
                                   dtype=float)
@@ -456,6 +455,7 @@ class FluidRun:
         """
         queue = self.queue
         processed = queue.processed
+        max_events = constants.SIM_MAX_EVENTS
         stop = float("inf") if until is None else float(until)
         if stop < queue.now:
             raise ValueError("cannot run a fluid simulation backwards")
@@ -466,10 +466,10 @@ class FluidRun:
                 nxt = queue.peek()
             if nxt >= stop:
                 break
-            if queue.processed >= self.max_events:
+            if queue.processed >= max_events:
                 raise RuntimeError(
                     f"fluid simulation did not converge: event budget "
-                    f"(max_events={self.max_events}) exhausted")
+                    f"(max_events={max_events}) exhausted")
             queue.step()
         if until is not None:
             queue.now = stop
@@ -515,9 +515,9 @@ class EngineResult:
     total_bytes: float
 
 
-def execute(program: FlowProgram, max_events: int = 1_000_000) -> EngineResult:
+def execute(program: FlowProgram) -> EngineResult:
     """Run a compiled program to completion on a :class:`FluidRun`."""
-    run = FluidRun(program, max_events=max_events)
+    run = FluidRun(program)
     run.run()
     completion = run.completion
     set_times: Dict[str, float] = {}
@@ -541,10 +541,9 @@ def simulate_program(topology: Topology, flows: Sequence[FluidFlow],
                      set_ids: Optional[Sequence[int]] = None,
                      set_names: Optional[Sequence[str]] = None,
                      include_latency: bool = True,
-                     include_ejection: bool = False,
-                     max_events: int = 1_000_000) -> EngineResult:
+                     include_ejection: bool = False) -> EngineResult:
     """Compile and execute in one call (the common front-end path)."""
     program = compile_flows(topology, flows, fabric, set_ids=set_ids,
                             set_names=set_names, include_latency=include_latency,
                             include_ejection=include_ejection)
-    return execute(program, max_events=max_events)
+    return execute(program)

@@ -17,12 +17,12 @@ import pytest
 from repro import obs
 from repro.core.solver import LPBuilder, LPSolution
 from repro.engine import Engine, MCFProblem, SolutionCache, backends
-from repro.engine.backends import get_backend
+from repro.engine.backends import ScipyHighsBackend
 from repro.topology import hypercube
 
 
 def _solve(lp, maximize=False):
-    return get_backend("scipy-highs").solve(lp, maximize=maximize)
+    return ScipyHighsBackend().solve(lp, maximize=maximize)
 
 
 def _legacy_build():
@@ -202,7 +202,7 @@ class TestNamedRowDuals:
     def test_duals_align_with_rhs(self, monkeypatch, ipm):
         if ipm:
             monkeypatch.setattr(backends, "IPM_MIN_VARIABLES", 0)
-        sol = get_backend("scipy-highs").solve(self._lp(), maximize=True)
+        sol = ScipyHighsBackend().solve(self._lp(), maximize=True)
         assert sol.info["method"] == ("highs-ipm" if ipm else "highs")
         np.testing.assert_allclose(sol.dual("cap"), [1.0, 0.0, 1.0], atol=1e-9)
         with pytest.raises(KeyError):

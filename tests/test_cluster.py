@@ -407,3 +407,45 @@ class TestClusterScenario:
         assert all(s.cluster is not None and s.cluster.startswith("cluster:")
                    for s in scenarios)
         assert all(s.name.startswith("fig_cluster/") for s in scenarios)
+
+
+# --------------------------------------------------------------------------- #
+# repro cluster
+# --------------------------------------------------------------------------- #
+class TestClusterCli:
+    """``repro cluster``: one table row per trace, resume, error rows."""
+
+    TRACES = ["cluster:jobs=2:seed=0", "cluster:jobs=2:arrival=poisson~8000:seed=1"]
+
+    @staticmethod
+    def _statuses(out):
+        """Trace -> status, read from the table rows below the header rule."""
+        lines = out.splitlines()
+        rule = next(i for i, line in enumerate(lines) if line.startswith("---"))
+        rows = [line.split() for line in lines[rule + 1:]]
+        return {row[0]: row[1] for row in rows if row and row[0].startswith("cluster:")}
+
+    def test_one_row_per_trace_and_resume(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "cluster.jsonl"
+        argv = ["cluster", "hypercube:dim=2", "--trace", self.TRACES[0],
+                "--trace", self.TRACES[1], "--out", str(out)]
+        assert main(argv) == 0
+        assert self._statuses(capsys.readouterr().out) == dict.fromkeys(self.TRACES, "ok")
+        assert len(out.read_text().splitlines()) == 2
+        assert main(argv + ["--resume"]) == 0
+        assert (self._statuses(capsys.readouterr().out)
+                == dict.fromkeys(self.TRACES, "resumed"))
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_link_schedule_is_an_error_row(self, capsys):
+        from repro.cli import main
+
+        trace = "cluster:jobs=4:arrival=poisson~2000:placement=packed:seed=0"
+        assert main(["cluster", "hypercube:dim=2", "--scheme", "tsmcf",
+                     "--fabric", "ml"]) == 1
+        out = capsys.readouterr().out
+        assert self._statuses(out) == {trace: "error"}
+        assert (f"error: {trace}: ValueError: cluster co-simulation supports "
+                "routed") in out

@@ -9,10 +9,9 @@ from repro.core import solve_decomposed_mcf, solve_link_mcf
 from repro.engine import (
     Engine,
     MCFProblem,
+    ScipyHighsBackend,
     SolutionCache,
-    backend_names,
     formulation_names,
-    get_backend,
     reset_engine,
 )
 from repro.core.solver import LPBuilder, LPSolution
@@ -55,13 +54,6 @@ class TestMCFProblem:
 
 
 class TestBackends:
-    def test_default_backends_registered(self):
-        assert backend_names() == ["scipy-highs"]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(KeyError):
-            get_backend("mosek")
-
     def test_alternative_backend_same_optimum(self, cube, monkeypatch):
         # Simplex and interior point reach the same optimum.
         problem = MCFProblem("mcf-link", cube, maximize=True)
@@ -71,23 +63,6 @@ class TestBackends:
         ipm = engine.solve(problem)
         assert (default.info["method"], ipm.info["method"]) == ("highs", "highs-ipm")
         assert ipm.objective == pytest.approx(default.objective, rel=1e-7)
-
-    def test_engine_rejects_unknown_backend(self):
-        with pytest.raises(KeyError):
-            Engine(backend="does-not-exist")
-
-    def test_cache_entries_are_per_backend(self, cube, monkeypatch):
-        # A solution cached under one backend must not answer for another
-        # (different backends may return different optimal vertices).
-        monkeypatch.setitem(backends._BACKENDS, "other-highs",
-                            backends.ScipyHighsBackend("other-highs"))
-        engine = Engine()
-        problem = MCFProblem("mcf-link", cube, maximize=True)
-        engine.solve(problem)
-        other = engine.solve(problem, backend="other-highs")
-        assert other.info["cache"] == "miss"
-        assert other.info["backend"] == "other-highs"
-        assert engine.solve(problem).info["backend"] == "scipy-highs"
 
 
 class TestSizeRule:
@@ -121,8 +96,7 @@ class TestSizeRule:
     ])
     def test_default_backend_rule(self, monkeypatch, num_variables, method):
         methods = self._spy_methods(monkeypatch)
-        solution = get_backend("scipy-highs").solve(self._lp(num_variables),
-                                                    maximize=True)
+        solution = ScipyHighsBackend().solve(self._lp(num_variables), maximize=True)
         assert methods == [method]
         assert solution.info["method"] == method
         assert solution.objective == pytest.approx(1.0)
@@ -136,13 +110,13 @@ class TestSizeRule:
         stale = LPSolution(objective=-1.0)
         for identity in ("scipy-highs", "scipy-highs-ipm", "scipy-highs-ds"):
             engine.cache.put(f"{problem.cache_key()}-{identity}", stale)
-        key = solution_key(problem, "scipy-highs")
+        key = solution_key(problem)
         assert key.endswith(f"-scipy-highs[highs-ipm>={IPM_MIN_VARIABLES}]")
         solution = engine.solve(problem)
         assert solution.info["cache"] == "miss"
         assert solution.objective == pytest.approx(0.25)
         monkeypatch.setattr(backends, "IPM_MIN_VARIABLES", 0)
-        assert solution_key(problem, "scipy-highs") != key
+        assert solution_key(problem) != key
         assert engine.solve(problem).info["cache"] == "miss"
 
 
@@ -169,10 +143,10 @@ class TestSolutionCache:
         assert counts["lp-cache.hits"] == 1 and counts["lp-cache.misses"] == 1
 
     def test_bypass_flag_skips_cache(self, cube):
-        engine = Engine()
+        engine = Engine(cache=SolutionCache(enabled=False))
         problem = MCFProblem("mcf-link", cube, maximize=True)
-        first = engine.solve(problem, use_cache=False)
-        second = engine.solve(problem, use_cache=False)
+        first = engine.solve(problem)
+        second = engine.solve(problem)
         assert first.info["cache"] == "bypass"
         assert second.info["cache"] == "bypass"
         counts = obs.snapshot()
@@ -218,7 +192,7 @@ class TestSolutionCache:
         # pickle surfaces corruption as UnpicklingError, ValueError or
         # EOFError depending on the bytes; all must degrade to a miss.
         problem = MCFProblem("mcf-link", cube, maximize=True)
-        key = solution_key(problem, "scipy-highs")
+        key = solution_key(problem)
         (tmp_path / f"{key}.lp-cache.pkl").write_bytes(junk)
         engine = Engine(cache=SolutionCache(cache_dir=str(tmp_path)))
         solution = engine.solve(problem)
@@ -229,7 +203,7 @@ class TestSolutionCache:
         solution = solve_link_mcf(cube)
         info = solution.meta["engine"]
         assert info["cache"] in ("hit", "miss")
-        assert info["backend"] in backend_names()
+        assert info["backend"] == "scipy-highs"
         assert info["num_variables"] == solution.meta["num_variables"]
 
     def test_eviction_bounds_memory(self, cube):

@@ -839,3 +839,18 @@ class TestCli:
         assert main(["robustness", "hypercube:dim=2", "--scheme", "ewsp",
                      "--adversarial", "1", "--candidates", "2"]) == 0
         assert "worst case" in capsys.readouterr().out
+
+    def test_adversarial_search_reads_set_fields(self, capsys):
+        """``--set scheme=ewsp`` reaches the adversarial search too."""
+        from repro.cli import main
+
+        assert main(["robustness", "hypercube:dim=3", "--set", "scheme=ewsp",
+                     "--adversarial", "1", "--candidates", "3"]) == 0
+        printed = next(line for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("worst case:"))
+        scenario = Scenario(topology="hypercube:dim=3", scheme="ewsp")
+        adv = worst_case_failures(Plan(scenario).run("validate").lowered, 2.0 ** 20,
+                                  k=1, fabric=scenario.resolved_fabric(),
+                                  candidates=3)
+        worst = "|".join(f"{u}~{v}" for u, v in adv.worst_links)
+        assert printed == f"worst case: down={worst} -> slowdown {adv.worst_slowdown:.4f}"

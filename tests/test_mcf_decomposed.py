@@ -94,8 +94,7 @@ class TestMasterCertificate:
 
     @staticmethod
     def _tamper(engine, topo, f_scale=1.0, dual_shift=0.0, dual_scale=1.0):
-        key = solution_key(MCFProblem("mcf-master", topo, maximize=True),
-                           engine.backend_name)
+        key = solution_key(MCFProblem("mcf-master", topo, maximize=True))
         entry = engine.cache.get(key)
         f_value = entry.block("F") * f_scale
         duals = entry.dual("capacity") * dual_scale + dual_shift

@@ -15,6 +15,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import repro.constants
 from repro import obs
 from repro.cluster import FlowInjector, run_cluster
 from repro.experiments import Plan, Scenario
@@ -162,23 +163,23 @@ class TestFluidRunRules:
     """One edge rule, one stall error and one event cap for every front-end."""
 
     @pytest.mark.parametrize("front_end", ["execute", "cluster", "faults"])
-    def test_event_cap_raises_the_same_error(self, front_end,
+    def test_event_cap_raises_the_same_error(self, front_end, monkeypatch,
                                              genkautz_routed_schedule):
         schedule = genkautz_routed_schedule
+        monkeypatch.setattr(repro.constants, "SIM_MAX_EVENTS", 1)
         with pytest.raises(RuntimeError,
                            match=r"event budget \(max_events=1\)"):
             if front_end == "execute":
                 execute(compile_flows(
                     ring(3), [FluidFlow(path=(0, 1), size_bytes=1000.0),
                               FluidFlow(path=(1, 2), size_bytes=500.0)],
-                    ideal_fabric()), max_events=1)
+                    ideal_fabric()))
             elif front_end == "cluster":
-                run_cluster(schedule, "cluster:jobs=2", default_buffer=2 ** 20,
-                            max_events=1)
+                run_cluster(schedule, "cluster:jobs=2", default_buffer=2 ** 20)
             else:
                 u, v = schedule.topology.edges[0]
                 run_faulted(schedule, 2 ** 20, f"faults:down={u}-{v}@1us",
-                            validate=False, max_events=1)
+                            validate=False)
 
     def test_zero_capacity_program_stalls(self):
         program = FlowProgram(
@@ -189,15 +190,15 @@ class TestFluidRunRules:
         with pytest.raises(RuntimeError, match="stalled"):
             FluidRun(program).run()
 
-    def test_sub_ulp_edge_completes_at_a_late_instant(self):
+    def test_sub_ulp_edge_completes_at_a_late_instant(self, monkeypatch):
         """``now + dt == now``: the edge rule finishes the flow at the edge.
 
         1e-5 bytes at 1e9 B/s take 1e-14 s, far below one ulp of t=1e6 s,
         and the residue is above ``SIM_BYTES_EPS``; without the edge rule
         the same edge would respawn until the event budget ran out.
         """
-        run = FluidRun(FlowInjector(ring(3), ideal_fabric(link_bandwidth=1e9)),
-                       max_events=10)
+        monkeypatch.setattr(repro.constants, "SIM_MAX_EVENTS", 10)
+        run = FluidRun(FlowInjector(ring(3), ideal_fabric(link_bandwidth=1e9)))
         done = []
         run.schedule_at(1e6, lambda: run.inject(
             [FluidFlow(path=(0, 1), size_bytes=1e-5)], "late", done.append))

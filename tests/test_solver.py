@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.solver import LPBuilder, SolverError
-from repro.engine.backends import get_backend
+from repro.engine.backends import ScipyHighsBackend
 
 
 def _solve(lp, maximize=False):
-    return get_backend("scipy-highs").solve(lp, maximize=maximize)
+    return ScipyHighsBackend().solve(lp, maximize=maximize)
 
 
 class TestBlockIndex:
