@@ -30,6 +30,7 @@ schemes through it.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -60,7 +61,8 @@ from ..simulator import FabricModel, fabric_from_spec
 from ..topology import Topology, from_spec
 
 __all__ = ["Scenario", "STAGES", "SCHEMES", "SYNTHESIZE_ONLY",
-           "available_scenario_schemes", "resolve_scheme", "scenario_schema_version"]
+           "available_scenario_schemes", "buffer_key", "resolve_scheme",
+           "scenario_schema_version"]
 
 #: Pipeline stages, in execution order.
 STAGES: Tuple[str, ...] = ("synthesize", "lower", "validate", "simulate")
@@ -152,6 +154,11 @@ _CHILD_LP_POOL = ("mcf-extp",)
 #: Schemes whose artifact holds no schedule: they run through ``synthesize``
 #: and no further.
 SYNTHESIZE_ONLY = ("mcf-objective",)
+
+
+def buffer_key(buffer_bytes: float) -> str:
+    """The key of one buffer size in a record's per-buffer metrics."""
+    return str(int(buffer_bytes))
 
 
 def available_scenario_schemes() -> List[str]:
@@ -306,6 +313,16 @@ class Scenario:
                     "fault runner reroutes a single collective's flows")
             parse_fault_spec(self.faults)  # eager validation
         self.buffers = tuple(float(b) for b in self.buffers)
+        bad = [b for b in self.buffers if not (math.isfinite(b) and b > 0)]
+        if bad:
+            raise ValueError(f"buffers must be finite and > 0 bytes, got {bad}")
+        by_key: Dict[str, List[float]] = {}
+        for b in self.buffers:
+            by_key.setdefault(buffer_key(b), []).append(b)
+        for key, group in by_key.items():
+            if len(group) > 1:
+                raise ValueError(f"buffers {group} share the record key {key!r}; "
+                                 "records key buffer sizes by whole bytes")
         self.scheme_params = dict(self.scheme_params)
         self._topology_obj: Optional[Topology] = (
             self.topology if isinstance(self.topology, Topology) else None)

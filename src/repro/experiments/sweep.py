@@ -53,7 +53,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..engine.cache import SolutionCache
 from .plan import Plan, PlanResult
-from .scenario import Scenario, scenario_schema_version
+from .scenario import Scenario, buffer_key, scenario_schema_version
 
 __all__ = ["SweepGrid", "ScenarioResult", "run_scenarios", "run_sweep",
            "load_results", "completed_keys", "completed_records", "write_csv",
@@ -192,9 +192,9 @@ def metrics_from_plan(result: PlanResult) -> Dict[str, object]:
             metrics["num_assignments"] = len(lowered.assignments)
     if result.sim_results:
         metrics["throughput_bytes_per_s"] = {
-            str(int(r.buffer_bytes)): r.throughput for r in result.sim_results}
+            buffer_key(r.buffer_bytes): r.throughput for r in result.sim_results}
         metrics["completion_seconds"] = {
-            str(int(r.buffer_bytes)): r.completion_time for r in result.sim_results}
+            buffer_key(r.buffer_bytes): r.completion_time for r in result.sim_results}
         # Simulator cost counters (vectorized-engine accounting): how many
         # progressive-filling rounds and completion events the sweep's
         # simulate stage burned, mirroring the LP assemble/solve timings.
@@ -204,7 +204,7 @@ def metrics_from_plan(result: PlanResult) -> Dict[str, object]:
             int(r.meta.get("events", 0)) for r in result.sim_results))
         if any("per_collective_seconds" in r.meta for r in result.sim_results):
             metrics["overlap_completion_seconds"] = {
-                str(int(r.buffer_bytes)): list(r.per_collective_seconds)
+                buffer_key(r.buffer_bytes): list(r.per_collective_seconds)
                 for r in result.sim_results}
         if any("robustness_slowdown" in r.meta for r in result.sim_results):
             # Fault-injection accounting (Scenario.faults): the headline
@@ -224,7 +224,7 @@ def metrics_from_plan(result: PlanResult) -> Dict[str, object]:
                 int(r.meta.get("fault_events", 0))
                 for r in result.sim_results))
             metrics["robustness_slowdowns"] = {
-                str(int(r.buffer_bytes)):
+                buffer_key(r.buffer_bytes):
                     float(r.meta.get("robustness_slowdown", 1.0))
                 for r in result.sim_results}
     cluster = result.cluster_result

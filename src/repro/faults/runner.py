@@ -47,7 +47,8 @@ import numpy as np
 from .. import obs
 from ..schedule.ir import LinkSchedule, RoutedSchedule
 from ..schedule.validate import validate_routed_schedule
-from ..simulator.collective import CollectiveResult, run_routed_collective
+from ..simulator.collective import (CollectiveResult, run_routed_collective,
+                                    throughput_sweep)
 from ..simulator.engine import FluidRun
 from ..simulator.fabric import FabricModel
 from .context import PreparedFaultContext
@@ -310,17 +311,21 @@ def run_faulted_sweep(schedule: Union[RoutedSchedule, LinkSchedule],
     The schedule is validated once and one
     :class:`~repro.faults.context.PreparedFaultContext` backs every buffer
     point, so the per-flow arrays, compiled arena template and reroute
-    caches are built once for the whole sweep.  The zero-fault baseline is
-    still computed per buffer point so every result carries its own
-    ``robustness_slowdown``.
+    caches are built once for the whole sweep.  Every buffer's zero-fault
+    baseline, behind its ``robustness_slowdown``, comes from one
+    :func:`~repro.simulator.collective.throughput_sweep` over the base
+    fabric, which compiles the schedule once.
     """
     if isinstance(spec, str):
         spec = parse_fault_spec(spec)
-    context = (PreparedFaultContext(schedule, fabric)
-               if isinstance(schedule, RoutedSchedule) else None)
-    results: List[CollectiveResult] = []
-    for i, buf in enumerate(buffer_sizes):
-        results.append(run_faulted(
-            schedule, buf, spec, fabric=fabric,
-            validate=validate_first and i == 0, context=context))
-    return results
+    if not isinstance(schedule, RoutedSchedule):
+        # run_faulted raises the routed-only error.
+        return [run_faulted(schedule, buf, spec, fabric=fabric)
+                for buf in buffer_sizes]
+    context = PreparedFaultContext(schedule, fabric)
+    baselines = throughput_sweep(schedule, buffer_sizes, fabric,
+                                 validate_first=validate_first)
+    return [run_faulted(schedule, base.buffer_bytes, spec, fabric=fabric,
+                        validate=False, baseline_seconds=base.completion_time,
+                        context=context)
+            for base in baselines]

@@ -10,7 +10,10 @@ are the footer's labels:
   ``disk_hits`` and ``stores`` of the two
   :class:`~repro.engine.cache.SolutionCache` instances;
 * ``sim.*`` — ``fill_rounds`` and ``fill_seconds`` of every max-min fill,
-  ``events`` of every :class:`~repro.simulator.engine.FluidRun`;
+  ``events`` of every :class:`~repro.simulator.engine.FluidRun`, and
+  ``fill_hits``, the fills a static program took from its fill memo
+  (their rounds still count in ``fill_rounds``; the footer does not show
+  the hits);
 * ``faults.*`` — fabric epochs, reroutes, their time split and the
   route-cache tallies of :mod:`repro.faults.runner`.
 

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..schedule.ir import LinkSchedule, RoutedSchedule
 from ..schedule.validate import validate_link_schedule, validate_routed_schedule
-from .engine import FluidFlow, simulate_program
+from .engine import FluidFlow, compile_flows, execute
 from .fabric import FabricModel
 from .stepsim import simulate_link_schedule
 
@@ -93,38 +93,54 @@ def run_routed_collective(schedule: RoutedSchedule, buffer_bytes: float,
     Every chunk assignment becomes one fluid flow along its route; flows run
     concurrently under max-min fair sharing (cut-through fabric behaviour).
     With ``overlap > 1`` each copy contributes its own flow set and completes
-    independently (the per-copy times land in the result's meta).
+    independently (the per-copy times land in the result's meta).  This is
+    the one-buffer case of :func:`throughput_sweep`.
     """
+    return _routed_sweep(schedule, [buffer_bytes], fabric, validate, overlap)[0]
+
+
+def _routed_sweep(schedule: RoutedSchedule, buffer_sizes: Sequence[float],
+                  fabric: Optional[FabricModel], validate: bool,
+                  overlap: int) -> List[CollectiveResult]:
+    """Compile the routed schedule once and run it at every buffer size."""
     if validate:
         validate_routed_schedule(schedule)
     if overlap < 1:
         raise ValueError(f"overlap must be >= 1, got {overlap}")
     topo = schedule.topology
     n = topo.num_nodes
-    shard = buffer_bytes / n
+    # Flow sizes are chunk fractions (a one-byte shard); each buffer scales
+    # them by its shard.
     flows: List[FluidFlow] = []
     set_ids: List[int] = []
     for copy in range(overlap):
         for a in schedule.assignments:
-            flows.append(FluidFlow(path=a.route, size_bytes=a.chunk.bytes(shard),
+            flows.append(FluidFlow(path=a.route, size_bytes=float(a.chunk.fraction),
                                    tag=(copy, a.chunk.source, a.chunk.destination)))
             set_ids.append(copy)
-    sim = simulate_program(topo, flows, fabric, set_ids=set_ids,
-                           set_names=tuple(f"copy{c}" for c in range(overlap)))
-    meta: Dict[str, object] = {
-        "num_flows": len(flows), "max_link_bytes": sim.max_link_bytes,
-        "fill_rounds": sim.fill_rounds, "events": sim.events_processed}
-    if overlap > 1:
-        meta["per_collective_seconds"] = [
-            sim.set_completion_times[f"copy{c}"] for c in range(overlap)]
-    return CollectiveResult(
-        buffer_bytes=buffer_bytes,
-        shard_bytes=shard,
-        completion_time=sim.completion_time,
-        num_nodes=n,
-        schedule_kind="routed",
-        meta=meta,
-    )
+    program = compile_flows(topo, flows, fabric, set_ids=set_ids,
+                            set_names=tuple(f"copy{c}" for c in range(overlap)))
+    results: List[CollectiveResult] = []
+    for buffer_bytes in buffer_sizes:
+        shard = buffer_bytes / n
+        if shard < 0:
+            raise ValueError("flow size must be non-negative")
+        sim = execute(program, sizes=program.sizes * shard)
+        meta: Dict[str, object] = {
+            "num_flows": len(flows), "max_link_bytes": sim.max_link_bytes,
+            "fill_rounds": sim.fill_rounds, "events": sim.events_processed}
+        if overlap > 1:
+            meta["per_collective_seconds"] = [
+                sim.set_completion_times[f"copy{c}"] for c in range(overlap)]
+        results.append(CollectiveResult(
+            buffer_bytes=buffer_bytes,
+            shard_bytes=shard,
+            completion_time=sim.completion_time,
+            num_nodes=n,
+            schedule_kind="routed",
+            meta=meta,
+        ))
+    return results
 
 
 def throughput_sweep(schedule: Union[LinkSchedule, RoutedSchedule],
@@ -135,20 +151,19 @@ def throughput_sweep(schedule: Union[LinkSchedule, RoutedSchedule],
                      overlap: int = 1) -> List[CollectiveResult]:
     """Run the schedule across a sweep of buffer sizes (the Fig. 3/4 x-axis).
 
-    The schedule is validated once (on the first point) and then reused.
+    The schedule is validated once, before the first point.  A routed
+    schedule is compiled to one flow program per ``(schedule, fabric,
+    overlap)``, and every buffer runs that program at its own flow sizes;
+    the fill never reads sizes, so a buffer re-running an earlier buffer's
+    active mask takes its rates from the program's fill memo.
     """
-    results: List[CollectiveResult] = []
-    for i, buf in enumerate(buffer_sizes):
-        validate = validate_first and i == 0
-        if isinstance(schedule, LinkSchedule):
-            results.append(run_link_collective(schedule, buf, fabric=fabric,
-                                               validate=validate,
-                                               num_channels=num_channels,
-                                               overlap=overlap))
-        elif isinstance(schedule, RoutedSchedule):
-            results.append(run_routed_collective(schedule, buf, fabric=fabric,
-                                                 validate=validate,
-                                                 overlap=overlap))
-        else:
-            raise TypeError(f"unsupported schedule type {type(schedule)!r}")
-    return results
+    buffer_sizes = list(buffer_sizes)
+    if isinstance(schedule, RoutedSchedule):
+        return (_routed_sweep(schedule, buffer_sizes, fabric, validate_first,
+                              overlap) if buffer_sizes else [])
+    if not isinstance(schedule, LinkSchedule):
+        raise TypeError(f"unsupported schedule type {type(schedule)!r}")
+    return [run_link_collective(schedule, buf, fabric=fabric,
+                                validate=validate_first and i == 0,
+                                num_channels=num_channels, overlap=overlap)
+            for i, buf in enumerate(buffer_sizes)]

@@ -8,7 +8,9 @@ on this engine:
 1. **compile** — :func:`compile_flows` turns a flow set into a
    :class:`FlowProgram`: flows, links, injection caps and forwarding caps
    become sparse resource-incidence arrays (COO triplets plus per-resource
-   capacities, built once per schedule);
+   capacities, built with numpy once per schedule).  A buffer sweep
+   compiles once and runs each buffer as ``execute(program, sizes=...)``:
+   sizes enter only the run, never the incidence or the fill;
 2. **fill** — progressive filling (max-min fairness) runs the vectorized
    numpy saturation rounds of :mod:`repro.perf.fillkernel` (per round, the
    minimum fair share picks the bottleneck(s), all their flows freeze at
@@ -17,7 +19,10 @@ on this engine:
    :class:`~repro.perf.fillkernel.FillWorkspace` reused across fills,
    which also keeps the last fill's rounds, so a fill over the same flows
    minus finished ones resumes from the first round a finished flow froze
-   in;
+   in.  A static program also memoizes its fills by active mask
+   (:attr:`FlowProgram.fills`), so the buffers of one sweep fill each
+   distinct mask once; a :class:`~repro.perf.delta.DeltaProgram` arena,
+   whose capacities change in place, never uses the memo;
 3. **run** — :class:`FluidRun` is the one fluid event loop: it advances
    from event to event on the :class:`~repro.simulator.events.EventQueue`,
    integrating rates, retiring finished flows and re-filling over the
@@ -41,12 +46,14 @@ completion time per flow set alongside the overall one.  Degraded fabrics
 capacities at compile time; a flow crossing a down link is a compile error.
 
 Every fill adds its rounds and seconds, and every :meth:`FluidRun.run` its
-events, to the ``sim.*`` counters of :mod:`repro.obs`.
+events, to the ``sim.*`` counters of :mod:`repro.obs`; a memo hit adds its
+rounds and one ``sim.fill_hits``.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -100,7 +107,15 @@ class FlowProgram:
     ``inc_flow[k]`` consumes resource ``inc_res[k]`` — and ``res_cap`` holds
     every resource's capacity in bytes/second (links first, then optional
     per-node injection and forwarding resources).  Built once per schedule;
-    :func:`execute` only masks completed flows between fills.
+    :func:`execute` only masks completed flows between fills, and may run
+    the same program at other per-flow ``sizes`` (one buffer sweep).
+
+    ``fills`` memoizes the max-min fills of the static program, by active
+    mask bytes, as ``(rates, rounds)``: the fill never reads sizes, so every
+    run of the program shares them.  Only a :class:`FluidRun` over a static
+    program reads or writes it; the views of a
+    :class:`~repro.perf.delta.DeltaProgram` arena leave it empty, because
+    the arena posts capacities in place.
     """
 
     num_flows: int
@@ -113,7 +128,21 @@ class FlowProgram:
     inc_flow: np.ndarray                  # (NNZ,) flow index
     max_link_bytes: float = 0.0           # busiest link's total byte load
     total_bytes: float = 0.0
+    num_links: int = 0                    # resources [0, num_links) are links
     meta: Dict[str, object] = field(default_factory=dict)
+    fills: Dict[bytes, Tuple[np.ndarray, int]] = field(default_factory=dict)
+
+    def loads(self, sizes: np.ndarray) -> Tuple[float, float]:
+        """``(max_link_bytes, total_bytes)`` of the flows at ``sizes``.
+
+        Link loads accumulate in entry order and the total left to right,
+        so both are the same floats for the same sizes.
+        """
+        link = self.inc_res < self.num_links
+        load = np.bincount(self.inc_res[link], weights=sizes[self.inc_flow[link]],
+                           minlength=self.num_links)
+        busiest = float(load.max()) if self.num_links and self.num_flows else 0.0
+        return busiest, float(sum(sizes.tolist()))
 
 
 def compile_flows(topology: Topology, flows: Sequence[FluidFlow],
@@ -132,12 +161,15 @@ def compile_flows(topology: Topology, flows: Sequence[FluidFlow],
     ``include_ejection=True`` additionally caps each flow's *destination*
     node at the injection bandwidth — the store-and-forward regime, where
     received bytes cross the host-NIC boundary too.
+
+    The incidence is built with numpy over the concatenated paths.  Each
+    flow's entries are contiguous and in a fixed order: its links, then its
+    injection, forwarding and ejection resources.
     """
     fabric = fabric or FabricModel()
     n = len(flows)
     down = set(fabric.down_links)
     edges = topology.edges
-    edge_index = {e: i for i, e in enumerate(edges)}
     num_links = len(edges)
     num_nodes = topology.num_nodes
 
@@ -161,36 +193,15 @@ def compile_flows(topology: Topology, flows: Sequence[FluidFlow],
         caps.append(np.full(num_nodes, fabric.effective_injection(max_deg)))
     res_cap = np.concatenate(caps) if len(caps) > 1 else link_cap
 
-    inc_res: List[int] = []
-    inc_flow: List[int] = []
-    link_load = np.zeros(num_links)
-    for fid, flow in enumerate(flows):
-        for e in flow.edges:
-            if e in down:
-                raise ValueError(
-                    f"flow {fid} (path {flow.path}) crosses down link {e}; "
-                    "re-synthesize the schedule for the degraded fabric or "
-                    "drop the affected flows")
-            idx = edge_index.get(e)
-            if idx is None:
-                raise ValueError(f"flow {fid} uses non-existent link {e}")
-            inc_res.append(idx)
-            inc_flow.append(fid)
-            link_load[idx] += flow.size_bytes
-        if injection_capped:
-            inc_res.append(inj_base + flow.path[0])
-            inc_flow.append(fid)
-        if fwd_cap is not None:
-            for node in flow.path[1:-1]:
-                inc_res.append(fwd_base + node)
-                inc_flow.append(fid)
-        if ejection_capped:
-            inc_res.append(ej_base + flow.path[-1])
-            inc_flow.append(fid)
+    hops = np.fromiter((len(f.path) - 1 for f in flows), dtype=np.int64,
+                       count=n)
+    inc_res, inc_flow = _incidence(
+        flows, hops, edges, down, inj_base if injection_capped else None,
+        fwd_base if fwd_cap is not None else None,
+        ej_base if ejection_capped else None)
 
     if include_latency:
-        delays = np.array([fabric.per_message_overhead + f.hops * fabric.per_hop_latency
-                           for f in flows], dtype=float)
+        delays = fabric.per_message_overhead + hops * fabric.per_hop_latency
     else:
         delays = np.zeros(n)
     ids = (np.zeros(n, dtype=np.int64) if set_ids is None
@@ -200,18 +211,83 @@ def compile_flows(topology: Topology, flows: Sequence[FluidFlow],
     names = tuple(set_names) if set_names is not None else (
         tuple(f"set{i}" for i in range(int(ids.max()) + 1)) if n else ())
 
-    return FlowProgram(
+    program = FlowProgram(
         num_flows=n,
         sizes=np.array([float(f.size_bytes) for f in flows]),
-        start_delays=delays,
+        start_delays=np.asarray(delays, dtype=float),
         set_ids=ids,
         set_names=names,
         res_cap=res_cap,
-        inc_res=np.asarray(inc_res, dtype=np.int64),
-        inc_flow=np.asarray(inc_flow, dtype=np.int64),
-        max_link_bytes=float(link_load.max()) if num_links and n else 0.0,
-        total_bytes=float(sum(f.size_bytes for f in flows)),
+        inc_res=inc_res,
+        inc_flow=inc_flow,
+        num_links=num_links,
     )
+    program.max_link_bytes, program.total_bytes = program.loads(program.sizes)
+    return program
+
+
+def _incidence(flows: Sequence[FluidFlow], hops: np.ndarray, edges: List[Edge],
+               down: set, inj_base: Optional[int], fwd_base: Optional[int],
+               ej_base: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(inc_res, inc_flow)`` of ``flows``: per flow, its links in path
+    order, then its injection, forwarding and ejection resources (a base of
+    None leaves that kind out).  A hop over a down or missing link raises
+    the error naming the first such flow."""
+    n = len(flows)
+    if not n:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    # Node k of the concatenated paths belongs to flow flow_of[k]; it starts
+    # a hop unless it ends its path.
+    lens = hops + 1
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    nodes = np.fromiter(itertools.chain.from_iterable(f.path for f in flows),
+                        dtype=np.int64, count=int(ends[-1]))
+    flow_of = np.repeat(np.arange(n, dtype=np.int64), lens)
+    has_hop = np.ones(len(nodes), dtype=bool)
+    has_hop[ends - 1] = False
+    hop_at = np.flatnonzero(has_hop)
+    u, v = nodes[hop_at], nodes[hop_at + 1]
+
+    # Look the hops up among the usable links by key u * width + v: sorted,
+    # as topology.edges is, behind a sentinel that matches no hop.
+    usable = np.array([(-1, -1, -1)] + [(a, b, i) for i, (a, b) in enumerate(edges)
+                                          if (a, b) not in down],
+                      dtype=np.int64)
+    width = 1 + max(int(nodes.max()), int(usable[:, :2].max()))
+    keys = usable[:, 0] * width + usable[:, 1]
+    hop_keys = u * width + v
+    at = np.minimum(np.searchsorted(keys, hop_keys), len(keys) - 1)
+    bad = (u < 0) | (v < 0) | (keys[at] != hop_keys)
+    if bad.any():
+        first = int(hop_at[np.argmax(bad)])
+        fid = int(flow_of[first])
+        flow = flows[fid]
+        e = flow.edges[first - int(starts[fid])]
+        if e in down:
+            raise ValueError(
+                f"flow {fid} (path {flow.path}) crosses down link {e}; "
+                "re-synthesize the schedule for the degraded fabric or "
+                "drop the affected flows")
+        raise ValueError(f"flow {fid} uses non-existent link {e}")
+
+    # Scatter each entry to its flow's first entry plus its slot there.
+    before_fwd = hops + (inj_base is not None)
+    counts = before_fwd + (hops - 1) * (fwd_base is not None) + (ej_base is not None)
+    offsets = np.cumsum(counts) - counts
+    shift = offsets - starts
+    inc_res = np.empty(int(offsets[-1] + counts[-1]), dtype=np.int64)
+    inc_res[hop_at + shift[flow_of[hop_at]]] = usable[at, 2]
+    if inj_base is not None:
+        inc_res[offsets + hops] = inj_base + nodes[starts]
+    if fwd_base is not None:
+        has_hop[starts] = False
+        inner = np.flatnonzero(has_hop)
+        owner = flow_of[inner]
+        inc_res[inner + shift[owner] + before_fwd[owner] - 1] = fwd_base + nodes[inner]
+    if ej_base is not None:
+        inc_res[offsets + counts - 1] = ej_base + nodes[ends - 1]
+    return inc_res, np.repeat(np.arange(n, dtype=np.int64), counts)
 
 
 # --------------------------------------------------------------------------- #
@@ -430,7 +506,21 @@ class FluidRun:
         active = self.active
         if not active.any():
             return
-        rates, rounds = fill_rates(self.program, active, self.workspace)
+        if self.arena is None:
+            # A static program's fills depend on the mask alone: reuse any
+            # earlier run's.  A hit leaves the workspace's saved rounds as
+            # they were; the resume rule checks its own subset condition.
+            fills = self._static[0].fills
+            key = active.tobytes()
+            hit = fills.get(key)
+            if hit is None:
+                rates, rounds = fill_rates(self.program, active, self.workspace)
+                fills[key] = (rates.copy(), rounds)
+            else:
+                rates, rounds = hit
+                obs.add({"sim.fill_rounds": rounds, "sim.fill_hits": 1})
+        else:
+            rates, rounds = fill_rates(self.program, active, self.workspace)
         self.rates = rates
         self.fill_rounds += rounds
         eligible = active & (rates > SIM_EPS)
@@ -515,9 +605,15 @@ class EngineResult:
     total_bytes: float
 
 
-def execute(program: FlowProgram) -> EngineResult:
-    """Run a compiled program to completion on a :class:`FluidRun`."""
-    run = FluidRun(program)
+def execute(program: FlowProgram,
+            sizes: Optional[np.ndarray] = None) -> EngineResult:
+    """Run a compiled program to completion on a :class:`FluidRun`.
+
+    ``sizes`` replaces the program's per-flow byte counts for this run (one
+    point of a buffer sweep); the result's link load and total bytes are
+    then those of ``sizes``.
+    """
+    run = FluidRun(program, sizes=sizes)
     run.run()
     completion = run.completion
     set_times: Dict[str, float] = {}
@@ -525,14 +621,17 @@ def execute(program: FlowProgram) -> EngineResult:
         members = program.set_ids == idx
         if members.any():
             set_times[name] = float(completion[members].max())
+    max_link_bytes, total_bytes = (
+        (program.max_link_bytes, program.total_bytes) if sizes is None
+        else program.loads(np.asarray(sizes, dtype=float)))
     return EngineResult(
         completion_time=float(completion.max()) if len(completion) else 0.0,
         flow_completion_times=completion.tolist(),
         set_completion_times=set_times,
         fill_rounds=run.fill_rounds,
         events_processed=run.queue.processed,
-        max_link_bytes=program.max_link_bytes,
-        total_bytes=program.total_bytes,
+        max_link_bytes=max_link_bytes,
+        total_bytes=total_bytes,
     )
 
 

@@ -126,6 +126,35 @@ class TestScenarioHashing:
             Scenario.from_dict({"topology": "hypercube:dim=3", "bogus_field": 1})
 
 
+class TestScenarioBuffers:
+    """Every buffer gets its own record key; bad sizes fail before any solve."""
+
+    def test_buffers_sharing_a_record_key_rejected(self):
+        with pytest.raises(ValueError, match=r"1048576\.0, 1048576\.5.*'1048576'"):
+            Scenario(topology="hypercube:dim=3", scheme="ewsp",
+                     buffers=(1048576.0, 1048576.5))
+
+    def test_non_positive_buffer_rejected(self):
+        for buffers in ((-65536.0,), (1024.0, 0.0)):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                Scenario(topology="hypercube:dim=3", scheme="ewsp",
+                         buffers=buffers)
+
+    def test_non_finite_buffer_rejected(self):
+        for bad in ("nan", "inf"):
+            with pytest.raises(ValueError, match=f"finite and > 0.*{bad}"):
+                Scenario(topology="hypercube:dim=3", scheme="ewsp",
+                         buffers=(1024.0, float(bad)))
+
+    def test_distinct_keys_each_get_a_record_entry(self):
+        scenario = Scenario(topology="hypercube:dim=3", scheme="ewsp",
+                            buffers=(1048576.0, 1048577.0))
+        (result,) = run_scenarios([scenario])
+        assert result.status == "ok"
+        assert sorted(result.metrics["completion_seconds"]) == [
+            "1048576", "1048577"]
+
+
 class TestPlan:
     def test_stages_produce_expected_artifacts(self, bipartite44):
         plan = Plan(Scenario(topology=bipartite44, scheme="ewsp",

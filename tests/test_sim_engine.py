@@ -159,6 +159,161 @@ class TestEngineCore:
         assert obs.snapshot().get("sim.events", 0) == 0
 
 
+def _compile_flows_loop(topology, flows, fabric=None, set_ids=None,
+                        set_names=None, include_latency=True,
+                        include_ejection=False):
+    """The per-edge Python loop ``compile_flows`` replaced, kept as its oracle."""
+    fabric = fabric or FabricModel()
+    n = len(flows)
+    down = set(fabric.down_links)
+    edges = topology.edges
+    edge_index = {e: i for i, e in enumerate(edges)}
+    num_links = len(edges)
+    num_nodes = topology.num_nodes
+    link_bw = fabric.link_bandwidths(edges)
+    link_cap = np.array(
+        [topology.capacity(u, v) * link_bw[(u, v)] for u, v in edges], dtype=float)
+    max_deg = topology.max_degree()
+    injection_capped = fabric.injection_limited(max_deg)
+    fwd_cap = fabric.forwarding_bandwidth
+    caps = [link_cap]
+    inj_base = num_links
+    if injection_capped:
+        caps.append(np.full(num_nodes, fabric.effective_injection(max_deg)))
+    fwd_base = num_links + (num_nodes if injection_capped else 0)
+    if fwd_cap is not None:
+        caps.append(np.full(num_nodes, float(fwd_cap)))
+    ej_base = fwd_base + (num_nodes if fwd_cap is not None else 0)
+    ejection_capped = include_ejection and injection_capped
+    if ejection_capped:
+        caps.append(np.full(num_nodes, fabric.effective_injection(max_deg)))
+    res_cap = np.concatenate(caps) if len(caps) > 1 else link_cap
+    inc_res, inc_flow = [], []
+    link_load = np.zeros(num_links)
+    for fid, flow in enumerate(flows):
+        for e in flow.edges:
+            if e in down:
+                raise ValueError(
+                    f"flow {fid} (path {flow.path}) crosses down link {e}; "
+                    "re-synthesize the schedule for the degraded fabric or "
+                    "drop the affected flows")
+            idx = edge_index.get(e)
+            if idx is None:
+                raise ValueError(f"flow {fid} uses non-existent link {e}")
+            inc_res.append(idx)
+            inc_flow.append(fid)
+            link_load[idx] += flow.size_bytes
+        if injection_capped:
+            inc_res.append(inj_base + flow.path[0])
+            inc_flow.append(fid)
+        if fwd_cap is not None:
+            for node in flow.path[1:-1]:
+                inc_res.append(fwd_base + node)
+                inc_flow.append(fid)
+        if ejection_capped:
+            inc_res.append(ej_base + flow.path[-1])
+            inc_flow.append(fid)
+    if include_latency:
+        delays = np.array([fabric.per_message_overhead + f.hops * fabric.per_hop_latency
+                           for f in flows], dtype=float)
+    else:
+        delays = np.zeros(n)
+    return dict(
+        res_cap=res_cap,
+        inc_res=np.asarray(inc_res, dtype=np.int64),
+        inc_flow=np.asarray(inc_flow, dtype=np.int64),
+        sizes=np.array([float(f.size_bytes) for f in flows]),
+        start_delays=delays,
+        max_link_bytes=float(link_load.max()) if num_links and n else 0.0,
+        total_bytes=float(sum(f.size_bytes for f in flows)),
+    )
+
+
+_DOWN = {(2, 3), (3, 2)}    # the "degraded" fabric's down link
+
+
+class TestCompileFlowsMatchesLoop:
+    """The numpy ``compile_flows`` equals the per-edge loop it replaced,
+    element for element, and raises its errors word for word."""
+
+    FABRICS = {
+        "plain": (FabricModel(), False),
+        "injection": (FabricModel(link_bandwidth=50.0, injection_bandwidth=60.0,
+                                  per_hop_latency=1e-4,
+                                  per_message_overhead=1e-3), False),
+        "forwarding": (cerio_hpc_fabric(), False),
+        "ejection": (FabricModel(link_bandwidth=50.0, injection_bandwidth=60.0,
+                                 forwarding_bandwidth=80.0), True),
+        "degraded": (fabric_from_spec("hpc:scale=0~1:0.5,down=2~3"), False),
+    }
+
+    @staticmethod
+    def _assert_equal(topo, flows, fabric, **kwargs):
+        got = compile_flows(topo, flows, fabric, **kwargs)
+        want = _compile_flows_loop(topo, flows, fabric, **kwargs)
+        for name in ("res_cap", "inc_res", "inc_flow", "sizes", "start_delays"):
+            assert getattr(got, name).dtype == want[name].dtype, name
+            assert np.array_equal(getattr(got, name), want[name]), name
+        assert got.max_link_bytes == want["max_link_bytes"]
+        assert got.total_bytes == want["total_bytes"]
+        return got
+
+    @pytest.fixture(scope="class")
+    def torus_flows(self):
+        lowered = Plan(Scenario("torus:dims=4x4", scheme="mcf-extp")).run(
+            "lower").lowered
+        shard = 2 ** 20 / lowered.topology.num_nodes
+        return lowered.topology, [
+            FluidFlow(path=a.route, size_bytes=a.chunk.bytes(shard))
+            for a in lowered.assignments]
+
+    @pytest.mark.parametrize("kind", sorted(FABRICS))
+    def test_torus_mcf_extp_program(self, torus_flows, kind):
+        topo, flows = torus_flows
+        fabric, ejection = self.FABRICS[kind]
+        if kind == "degraded":   # no flow may cross the down link
+            flows = [f for f in flows if not _DOWN.intersection(f.edges)]
+        program = self._assert_equal(topo, flows, fabric,
+                                     include_ejection=ejection)
+        assert program.num_flows == len(flows) > 800
+        num_links = len(topo.edges)
+        if kind != "plain":
+            assert len(program.res_cap) > num_links
+
+    @pytest.mark.parametrize("kind", sorted(FABRICS))
+    def test_random_flow_sets(self, kind):
+        fabric, ejection = self.FABRICS[kind]
+        rng = random.Random(kind)
+        for spec in ("ring:n=6", "rrg:d=3,n=12,seed=5", "genkautz:d=3,n=10"):
+            topo = from_spec(spec)
+            flows = [f for f in _random_flows(topo, rng, n_flows=60)
+                     if not _DOWN.intersection(f.edges)]
+            self._assert_equal(topo, flows, fabric, include_ejection=ejection,
+                               include_latency=rng.random() < 0.5)
+
+    def test_empty_flow_set(self):
+        self._assert_equal(ring(4), [], cerio_hpc_fabric())
+
+    @pytest.mark.parametrize("paths, fabric", [
+        # Several bad edges: the first, in entry order, names its flow.
+        ([(0, 1), (1, 2, 3), (3, 0, 1), (2, 1)], ((3, 0), (2, 1))),
+        ([(0, 1), (0, 2), (1, 0)], ((1, 0),)),
+        ([(0, 1), (1, 2), (0, 2, 3), (3, 1)], ()),
+        ([(0, 1), (1, 7), (1, 2)], ()),
+        ([(0, 1), (1, -1)], ((1, 0),)),
+        ([(0, 1, 2), (1, 0), (2, 0)], ((1, 0),)),
+    ])
+    def test_errors_name_the_first_offending_flow(self, paths, fabric):
+        topo = ring(4)
+        fab = ideal_fabric(link_bandwidth=1.0).degrade(down_links=fabric)
+        flows = [FluidFlow(path=p, size_bytes=1.0) for p in paths]
+        with pytest.raises(ValueError) as want:
+            _compile_flows_loop(topo, flows, fab)
+        with pytest.raises(ValueError) as got:
+            compile_flows(topo, flows, fab)
+        assert str(got.value) == str(want.value)
+
+
 class TestFluidRunRules:
     """One edge rule, one stall error and one event cap for every front-end."""
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.schedule import Chunk, LinkSchedule, LinkSendOp
 from repro.simulator import (
     GBPS,
@@ -219,6 +220,88 @@ class TestCollectiveRunner:
     def test_sweep_rejects_unknown_schedule_type(self):
         with pytest.raises(TypeError):
             throughput_sweep(object(), [1024])
+
+
+class TestOneProgramPerSweep:
+    """A routed buffer sweep compiles one program and reuses its fills."""
+
+    BUFFERS = (2.0 ** 16, 2.0 ** 18, 2.0 ** 20, 2.0 ** 22)
+
+    @staticmethod
+    def _separate_program(schedule, buf, fabric, overlap):
+        """The buffer on a program of its own, flows sized in bytes."""
+        shard = buf / schedule.topology.num_nodes
+        flows = [FluidFlow(path=a.route, size_bytes=a.chunk.bytes(shard))
+                 for _ in range(overlap) for a in schedule.assignments]
+        set_ids = [c for c in range(overlap) for _ in schedule.assignments]
+        return simulate_program(schedule.topology, flows, fabric, set_ids=set_ids,
+                                set_names=[f"copy{c}" for c in range(overlap)])
+
+    @pytest.mark.parametrize("overlap", [1, 2])
+    def test_sweep_equals_one_shot_runs_bit_for_bit(self, genkautz_routed_schedule,
+                                                    overlap):
+        schedule, fabric = genkautz_routed_schedule, cerio_hpc_fabric()
+        swept = throughput_sweep(schedule, self.BUFFERS, fabric, overlap=overlap)
+        counts = obs.snapshot()
+        assert counts["sim.fill_hits"] > 0
+        assert counts["sim.fill_rounds"] == sum(r.meta["fill_rounds"] for r in swept)
+        for buf, got in zip(self.BUFFERS, swept):
+            alone = run_routed_collective(schedule, buf, fabric, validate=False,
+                                          overlap=overlap)
+            assert got.completion_time == alone.completion_time
+            assert got.meta == alone.meta
+            assert set(got.meta) >= {"fill_rounds", "events", "max_link_bytes",
+                                     "num_flows"}
+            assert ("per_collective_seconds" in got.meta) == (overlap > 1)
+            separate = self._separate_program(schedule, buf, fabric, overlap)
+            assert got.completion_time == separate.completion_time
+            assert got.meta["max_link_bytes"] == separate.max_link_bytes
+            assert got.meta["fill_rounds"] == separate.fill_rounds
+            assert got.meta["events"] == separate.events_processed
+
+    def test_kernel_runs_fewer_times_than_once_per_buffer(
+            self, genkautz_routed_schedule, monkeypatch):
+        import repro.simulator.engine as engine
+
+        calls = [0]
+        kernel = engine.run_fill
+
+        def counting(*args):
+            calls[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(engine, "run_fill", counting)
+        schedule, fabric = genkautz_routed_schedule, cerio_hpc_fabric()
+        run_routed_collective(schedule, self.BUFFERS[0], fabric)
+        one = calls[0]
+        calls[0] = 0
+        throughput_sweep(schedule, self.BUFFERS, fabric)
+        assert 0 < calls[0] < 4 * one
+        assert obs.snapshot()["sim.fill_hits"] > 0
+
+    def test_arena_programs_hold_no_memo(self, genkautz_routed_schedule,
+                                         monkeypatch):
+        from repro.cluster import run_cluster
+        from repro.faults import run_faulted
+        from repro.perf.delta import DeltaProgram
+
+        programs = []
+        init_views = DeltaProgram._init_views
+
+        def recording(self):
+            init_views(self)
+            programs.append(self.program)
+
+        monkeypatch.setattr(DeltaProgram, "_init_views", recording)
+        schedule = genkautz_routed_schedule
+        run_cluster(schedule,
+                    "cluster:jobs=4:arrival=poisson~8000:placement=random:seed=3",
+                    default_buffer=float(2 ** 20))
+        u, v = schedule.topology.edges[0]
+        run_faulted(schedule, 2 ** 20, f"faults:down={u}~{v}@10us:up@30us",
+                    fabric=cerio_hpc_fabric(), validate=False)
+        assert programs
+        assert all(not program.fills for program in programs)
 
 
 class TestCostModel:
