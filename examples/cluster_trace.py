@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Multi-job cluster co-simulation: slowdown under increasing offered load.
 
-Four jobs share one synthesized MCF-extP schedule on a 3-cube.  Each job is
-a barrier-separated (compute, all-to-all) phase sequence; arrivals follow a
+Four jobs share one synthesized MCF-extP schedule on a 3-cube.  Each job
+runs barrier-separated (compute, all-to-all) rounds; arrivals follow a
 seeded Poisson process and every live comm phase's flows max-min fair share
-the fabric with everyone else's (see docs/cluster.md for the job/phase
-model, the trace-spec grammar and the metric definitions).
+the fabric with everyone else's (see docs/cluster.md for the job model,
+the trace-spec grammar and the metric definitions).
 
 At a low arrival rate the jobs barely overlap and per-job slowdown stays
 ~1.0; as the rate grows the fabric saturates, slowdown climbs and the

@@ -16,9 +16,9 @@ single-collective engine.
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import Dict, Optional, Tuple
 
+from ..paths.shortest import bfs_tree, tree_path
 from ..topology.base import Topology
 from .trace import PLACEMENT_POLICIES
 
@@ -54,11 +54,11 @@ class RoutePlacer:
     """Places scheduled routes on one topology through node permutations.
 
     Holds the topology's directed edge set and, built on first use, one
-    full BFS tree per source node, so repairing a hop is a walk up a tree
-    rather than a search.  The full tree has the same parent pointers as a
-    BFS that stops at the destination (successors in sorted order, first
-    discovery wins), so every repair is the deterministic BFS shortest
-    path.  Build one per topology and reuse it for every job placed on it.
+    full :func:`~repro.paths.shortest.bfs_tree` per source node, so
+    repairing a hop is a walk up a tree rather than a search.  The full
+    tree has the same parent pointers as a BFS that stops at the
+    destination, so every repair is the deterministic BFS shortest path.
+    Build one per topology and reuse it for every job placed on it.
     """
 
     def __init__(self, topology: Topology) -> None:
@@ -66,30 +66,15 @@ class RoutePlacer:
         self._edges = set(topology.graph.edges())
         self._trees: Dict[int, Dict[int, Optional[int]]] = {}
 
-    def _tree(self, src: int) -> Dict[int, Optional[int]]:
-        """BFS parent pointers of every node reachable from ``src``."""
-        tree = self._trees.get(src)
-        if tree is None:
-            tree = {src: None}
-            frontier = deque([src])
-            while frontier:
-                u = frontier.popleft()
-                for v in self.topology.successors(u):
-                    if v not in tree:
-                        tree[v] = u
-                        frontier.append(v)
-            self._trees[src] = tree
-        return tree
-
     def shortest_path(self, src: int, dst: int) -> Tuple[int, ...]:
         """Deterministic BFS shortest path from ``src`` to ``dst`` (inclusive)."""
-        tree = self._tree(src)
-        if dst not in tree:
+        tree = self._trees.get(src)
+        if tree is None:
+            tree = self._trees[src] = bfs_tree(self.topology.successors, src)
+        path = tree_path(tree, dst)
+        if path is None:
             raise ValueError(f"no path from node {src} to node {dst}")
-        path = [dst]
-        while tree[path[-1]] is not None:
-            path.append(tree[path[-1]])  # type: ignore[arg-type]
-        return tuple(reversed(path))
+        return path
 
     def place(self, route: Tuple[int, ...],
               perm: Tuple[int, ...]) -> Tuple[int, ...]:

@@ -1,13 +1,15 @@
 """Multi-job cluster co-simulation on the unified fluid engine.
 
-:func:`run_cluster` executes a trace of jobs — each a barrier-separated
-sequence of compute and all-to-all comm phases — over one synthesized
-routed schedule, with every live comm phase's flows max-min fair sharing
-the fabric.  The jobs are event sources on one
-:class:`~repro.simulator.engine.FluidRun`: arrivals, compute timers and
-phase barriers inject flow sets into the run's arena (see :mod:`.injector`)
-and the run calls back when a set drains, which closes the job's comm
-phase.
+:func:`run_cluster` executes a trace of jobs over one synthesized routed
+schedule.  Every job is its :class:`~repro.cluster.trace.ClusterSpec`: it
+arrives at its :func:`~repro.cluster.trace.arrival_times` instant and runs
+``rounds`` rounds of ``compute`` seconds followed by one all-to-all over
+the spec's buffer, with a barrier between consecutive phases.  Every live
+comm phase's flows max-min fair share the fabric.  The jobs are event
+sources on one :class:`~repro.simulator.engine.FluidRun`: arrivals and
+compute timers inject flow sets into the run's arena (see
+:mod:`.injector`) and the run calls back when a set drains, which closes
+the job's comm phase.
 
 Reported metrics:
 
@@ -30,9 +32,8 @@ from ..schedule.validate import validate_routed_schedule
 from ..simulator.engine import FluidFlow, FluidRun, compile_flows, execute
 from ..simulator.fabric import FabricModel
 from .injector import FlowInjector
-from .job import CommPhase, ComputePhase, jobs_from_spec
 from .placement import RoutePlacer, placement_permutation
-from .trace import ClusterSpec, parse_cluster_spec
+from .trace import ClusterSpec, arrival_times, parse_cluster_spec
 
 __all__ = ["JobResult", "ClusterResult", "run_cluster"]
 
@@ -85,7 +86,8 @@ def run_cluster(schedule: Union[RoutedSchedule, LinkSchedule],
     """Co-simulate a multi-job trace over one synthesized schedule.
 
     ``spec`` is a :class:`ClusterSpec` or a ``cluster:...`` spec string;
-    ``default_buffer`` backs the trace's ``buffer=`` field when absent.
+    ``default_buffer`` backs the trace's ``buffer=`` field when absent
+    (``ValueError`` when both are missing).
     Only routed (path-based) schedules are supported: link schedules are
     globally step-synchronized, so their steps cannot interleave across
     independently-arriving jobs.
@@ -101,106 +103,108 @@ def run_cluster(schedule: Union[RoutedSchedule, LinkSchedule],
     if validate:
         validate_routed_schedule(schedule)
     topology = schedule.topology
-    n = topology.num_nodes
     fabric = fabric or FabricModel()
-    jobs = jobs_from_spec(spec, default_buffer=default_buffer)
+    buffer = spec.buffer if spec.buffer is not None else default_buffer
+    if buffer is None:
+        raise ValueError(
+            "cluster spec has no buffer= field and no scenario buffer to "
+            "fall back on; set buffer= in the trace spec or give the "
+            "scenario a non-empty buffers tuple")
+    shard = float(buffer) / topology.num_nodes
+    compute = float(spec.compute)
+    arrivals = [float(t) for t in arrival_times(spec)]
+    jobs = range(len(arrivals))
 
     # Placed flow template per job (route, bytes), reused every round, its
     # bytes x links-crossed, and the per-job isolated comm time: the placed
     # flows run alone through the single-collective engine (cached per
     # distinct placement).
-    templates: Dict[int, List[Tuple[Tuple[int, ...], float]]] = {}
-    link_bytes: Dict[int, float] = {}
-    isolated_comm: Dict[int, float] = {}
-    iso_cache: Dict[Tuple[Tuple[int, ...], float], float] = {}
+    templates: List[List[Tuple[Tuple[int, ...], float]]] = []
+    link_bytes: List[float] = []
+    isolated_comm: List[float] = []
+    iso_cache: Dict[Tuple[int, ...], float] = {}
     placer = RoutePlacer(topology)
-    for job in jobs:
-        perm = placement_permutation(spec.placement, job.job_id, n,
-                                     spec.jobs, spec.seed)
-        buffer = next(p.buffer_bytes for p in job.phases
-                      if isinstance(p, CommPhase))
-        shard = buffer / n
+    for job_id in jobs:
+        perm = placement_permutation(spec.placement, job_id,
+                                     topology.num_nodes, spec.jobs, spec.seed)
         template = [(placer.place(a.route, perm),
                      a.chunk.bytes(shard)) for a in schedule.assignments]
-        templates[job.job_id] = template
-        link_bytes[job.job_id] = sum(size * (len(path) - 1)
-                                     for path, size in template)
-        key = (perm, float(buffer))
-        if key not in iso_cache:
+        templates.append(template)
+        link_bytes.append(sum(size * (len(path) - 1)
+                              for path, size in template))
+        if perm not in iso_cache:
             flows = [FluidFlow(path=path, size_bytes=size)
                      for path, size in template]
-            iso_cache[key] = execute(
+            iso_cache[perm] = execute(
                 compile_flows(topology, flows, fabric)).completion_time
-        isolated_comm[job.job_id] = iso_cache[key]
+        isolated_comm.append(iso_cache[perm])
 
+    # Each job loops: compute timer, inject its round's flows, drain, then
+    # the next round or its finish.  Spans are [kind, start, end].
     arena = FlowInjector(topology, fabric)
     run = FluidRun(arena)
-    job_by_id = {job.job_id: job for job in jobs}
-    phase_index = {job.job_id: 0 for job in jobs}
-    comm_round = {job.job_id: 0 for job in jobs}
-    spans: Dict[int, List[List[object]]] = {job.job_id: [] for job in jobs}
+    rounds_done = [0] * len(arrivals)
+    spans: List[List[List[object]]] = [[] for _ in jobs]
     finish: Dict[int, float] = {}
 
-    def _phase_done(job_id: int) -> None:
-        """Barrier: close the job's running phase and start the next one."""
-        spans[job_id][-1][2] = run.now
-        _start_next_phase(job_id)
-
-    def _start_next_phase(job_id: int) -> None:
-        """Start the job's next phase, or record its finish time."""
-        job = job_by_id[job_id]
-        index = phase_index[job_id]
+    def _start_round(job_id: int) -> None:
+        """Start the job's next compute phase, or record its finish time."""
         now = run.now
-        if index >= len(job.phases):
+        if rounds_done[job_id] >= spec.rounds:
             finish[job_id] = now
             return
-        phase_index[job_id] = index + 1
-        phase = job.phases[index]
-        if isinstance(phase, ComputePhase):
-            spans[job_id].append(["compute", now, now])
-            run.schedule_at(now + phase.seconds,
-                            lambda: _phase_done(job_id))
-            return
+        spans[job_id].append(["compute", now, now])
+        run.schedule_at(now + compute, lambda: _inject(job_id))
+
+    def _inject(job_id: int) -> None:
+        """Barrier: close the compute phase and inject the round's flows."""
+        now = run.now
+        spans[job_id][-1][2] = now
         spans[job_id].append(["comm", now, now])
-        round_id = comm_round[job_id]
-        comm_round[job_id] = round_id + 1
-        flows = [FluidFlow(path=path, size_bytes=size, tag=(job_id, round_id))
+        round_id = rounds_done[job_id]
+        rounds_done[job_id] = round_id + 1
+        flows = [FluidFlow(path=path, size_bytes=size)
                  for path, size in templates[job_id]]
         run.inject(flows, name=f"job{job_id}/round{round_id}",
                    on_done=lambda t: run.schedule_at(
-                       t, lambda: _phase_done(job_id)))
+                       t, lambda: _drained(job_id)))
 
-    for job in jobs:
-        run.schedule_at(job.arrival,
-                        lambda job_id=job.job_id: _start_next_phase(job_id))
+    def _drained(job_id: int) -> None:
+        """Barrier: close the comm phase and start the next round."""
+        spans[job_id][-1][2] = run.now
+        _start_round(job_id)
+
+    for job_id in jobs:
+        run.schedule_at(arrivals[job_id],
+                        lambda job_id=job_id: _start_round(job_id))
     run.run()
-    if len(finish) != len(jobs):
-        missing = sorted(set(job_by_id) - set(finish))
+    if len(finish) != len(arrivals):
+        missing = sorted(set(jobs) - set(finish))
         raise RuntimeError(
             f"cluster simulation drained its event queue with unfinished "
             f"jobs {missing}")
 
     job_results: List[JobResult] = []
-    for job in jobs:
-        done = finish[job.job_id]
+    for job_id in jobs:
+        done = finish[job_id]
         isolated = (spec.rounds * spec.compute
-                    + spec.rounds * isolated_comm[job.job_id])
-        elapsed = done - job.arrival
+                    + spec.rounds * isolated_comm[job_id])
+        elapsed = done - arrivals[job_id]
         slowdown = elapsed / isolated if isolated > 0 else 1.0
         job_results.append(JobResult(
-            job_id=job.job_id,
-            name=job.name,
-            arrival=job.arrival,
+            job_id=job_id,
+            name=f"job{job_id}",
+            arrival=arrivals[job_id],
             finish=done,
             isolated_seconds=isolated,
             slowdown=slowdown,
             phase_spans=tuple((str(kind), float(start), float(end))
-                              for kind, start, end in spans[job.job_id]),
+                              for kind, start, end in spans[job_id]),
         ))
 
-    first_arrival = min(job.arrival for job in jobs)
+    first_arrival = min(arrivals)
     makespan = max(finish.values()) - first_arrival
-    injected = sum(comm_round[j] * link_bytes[j] for j in job_by_id)
+    injected = sum(rounds_done[j] * link_bytes[j] for j in jobs)
     capacity = float(arena.res_cap[:len(topology.edges)].sum())
     utilization = (injected / (capacity * makespan)
                    if makespan > 0 and capacity > 0 else 0.0)
@@ -214,8 +218,8 @@ def run_cluster(schedule: Union[RoutedSchedule, LinkSchedule],
             "spec": spec.canonical(),
             "placement": spec.placement,
             "arrival": spec.arrival,
-            "num_jobs": len(jobs),
+            "num_jobs": len(arrivals),
             "rounds": spec.rounds,
-            "arrival_times": [job.arrival for job in jobs],
+            "arrival_times": arrivals,
         },
     )

@@ -15,27 +15,22 @@ run_faulted_sweep`), fault-grid sweeps and the adversarial search
 * :meth:`PreparedFaultContext.delta_program` — the schedule's flow set
   compiled once into a :class:`~repro.perf.delta.DeltaProgram` arena,
   cloned per run so each evaluation mutates its own copy;
-* :class:`RerouteCache` — BFS repair and LASH/DF-SSSP certification
-  memoized by ``(canonical down-set, planned path)`` and
-  ``(vc, distinct route set)``, shared across every run that reuses the
-  context.
+* :class:`RerouteCache` — BFS repair memoized by ``(canonical down-set,
+  planned path)``, shared across every run that reuses the context.
 
-All caches are insertion-order faithful: the certification key is the
-ordered first-seen distinct route tuple — the exact sequence
-:func:`~repro.faults.reroute.certify_routes` feeds LASH — because layer
-counts depend on insertion order and must match the uncached call.
+Certification is not memoized: completions change the live route set at
+almost every epoch, so a memo keyed on it rarely hits.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..perf.delta import DeltaProgram
 from ..simulator.fabric import FabricModel
-from .reroute import (certify_routes, distinct_routes, effective_path,
-                      surviving_adjacency)
+from .reroute import effective_path, surviving_adjacency
 
 __all__ = ["PreparedFaultContext", "RerouteCache"]
 
@@ -44,7 +39,7 @@ Path = Tuple[int, ...]
 
 
 class RerouteCache:
-    """Memoized route repair + certification for one topology.
+    """Memoized route repair for one topology.
 
     Keys are canonical: the down set arrives as the epoch fabric's sorted
     ``down_links`` tuple, so repeated epochs, flapping timelines and every
@@ -57,7 +52,6 @@ class RerouteCache:
         self.topology = topology
         self._adjacency: Dict[Tuple[Link, ...], Dict[int, List[int]]] = {}
         self._paths: Dict[Tuple[Tuple[Link, ...], Path], Optional[Path]] = {}
-        self._layers: Dict[Tuple[str, Tuple[Path, ...]], int] = {}
 
     def adjacency(self, down_key: Tuple[Link, ...],
                   down: Set[Link]) -> Dict[int, List[int]]:
@@ -81,23 +75,6 @@ class RerouteCache:
         path = effective_path(original, down, self.adjacency(down_key, down))
         self._paths[key] = path
         return path, False
-
-    def certify(self, routes: Sequence[Path], vc: str) -> Tuple[int, bool]:
-        """Memoized deadlock-free layer count for one epoch's route set.
-
-        The key is :func:`~repro.faults.reroute.distinct_routes`, which
-        keeps first-seen order (LASH layer counts are insertion-order
-        dependent), so the cached value always equals the direct
-        ``certify_routes`` call.
-        """
-        if vc == "off":
-            return 0, False
-        key = (vc, distinct_routes(routes))
-        if key in self._layers:
-            return self._layers[key], True
-        layers = certify_routes(key[1], vc)
-        self._layers[key] = layers
-        return layers, False
 
 
 class PreparedFaultContext:

@@ -21,9 +21,9 @@ channel count the repair needs is reported alongside the rerouted paths.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..paths.shortest import bfs_tree, tree_path
 from ..routing.dfsssp import dfsssp_assign
 from ..routing.lash import lash_sequential_assign
 from ..topology.base import Topology
@@ -51,30 +51,14 @@ def repair_path(source: int, destination: int,
                 adjacency: Dict[int, List[int]]) -> Optional[Path]:
     """Lexicographically-smallest shortest path over surviving links.
 
-    BFS visiting neighbors in ascending order: the first parent to reach a
-    node is the smallest among all shortest-path parents, so the extracted
-    path is the unique lexicographic minimum (deterministic across runs and
-    platforms).  Returns ``None`` when the endpoints are disconnected.
+    :func:`~repro.paths.shortest.bfs_tree` over the ascending adjacency:
+    the first parent to reach a node is the smallest among all
+    shortest-path parents, so the extracted path is the unique
+    lexicographic minimum (deterministic across runs and platforms).
+    Returns ``None`` when the endpoints are disconnected.
     """
-    if source == destination:
-        return (source,)
-    parent: Dict[int, int] = {source: source}
-    frontier = deque([source])
-    while frontier:
-        node = frontier.popleft()
-        for neighbor in adjacency.get(node, ()):
-            if neighbor not in parent:
-                parent[neighbor] = node
-                if neighbor == destination:
-                    frontier.clear()
-                    break
-                frontier.append(neighbor)
-    if destination not in parent:
-        return None
-    path = [destination]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    return tuple(reversed(path))
+    tree = bfs_tree(lambda node: adjacency.get(node, ()), source, destination)
+    return tree_path(tree, destination)
 
 
 def effective_path(original: Path, down: Set[Link],

@@ -14,7 +14,7 @@ state to each epoch instant and retires finished flows, then the epoch
    capacities and the incidence entries of rerouted flows — and masks
    stranded flows out of the fill.
 
-Repairs and certifications are memoized in the context's
+Repairs are memoized in the context's
 :class:`~repro.faults.context.RerouteCache`, and the arena is cloned from
 a template compiled once per context.  Between epochs the run *is* the
 engine: max-min fair rates, completion-to-completion advancement, latency
@@ -52,6 +52,7 @@ from ..simulator.collective import (CollectiveResult, run_routed_collective,
 from ..simulator.engine import FluidRun
 from ..simulator.fabric import FabricModel
 from .context import PreparedFaultContext
+from .reroute import certify_routes
 from .spec import FaultSpec, FaultTimeline, parse_fault_spec
 
 __all__ = ["StrandedScheduleError", "capture_fault_prefix", "run_faulted",
@@ -140,10 +141,7 @@ class _FaultedRun:
             run.active[i] = path is not None
             self.paths[i] = path
         live = np.nonzero(run.active)[0]
-        layers, hit = cache.certify([self.paths[i] for i in live],
-                                    self.spec.vc)
-        if self.spec.vc != "off":
-            counters["route_cache_hits" if hit else "route_cache_misses"] += 1
+        layers = certify_routes([self.paths[i] for i in live], self.spec.vc)
         counters["vc_layers"] = max(counters["vc_layers"], layers)
         counters["reroute_seconds"] += time.perf_counter() - t0
         if self.trace is not None:

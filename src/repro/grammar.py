@@ -78,15 +78,15 @@ def number(text: str, what: str, low: Optional[float] = None, *, strict: bool = 
            cast=float):
     """Parse ``text`` with ``cast`` (``float`` or ``int``), bounded below by ``low``.
 
-    ``strict`` makes the bound exclusive.  NaN is rejected.
+    ``strict`` makes the bound exclusive.  NaN and infinity are rejected.
     """
     try:
         value = cast(text)
     except (TypeError, ValueError):
         kind = "an integer" if cast is int else "a number"
         raise ValueError(f"malformed {what} {text!r} (expected {kind})") from None
-    if math.isnan(value):
-        raise ValueError(f"{what} must be a number, got {text!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {text!r}")
     if low is not None and (value <= low if strict else value < low):
         raise ValueError(f"{what} must be {'>' if strict else '>='} {low:g}, got {value:g}")
     return value
@@ -110,10 +110,7 @@ def seconds(text: str) -> float:
         if digits.endswith(suffix):
             digits, scale = digits[: -len(suffix)], mult
             break
-    value = number(digits, "time", 0.0)
-    if math.isinf(value):
-        raise ValueError(f"time must be finite, got {text!r}")
-    return value * scale
+    return number(digits, "time", 0.0) * scale
 
 
 def at_time(text: str, what: str) -> Tuple[str, float]:
@@ -160,6 +157,6 @@ def parse_link_scales(value: str) -> Tuple[Tuple[Link, float], ...]:
         if ":" not in token:
             raise ValueError(f"malformed scale token {token!r} (expected u-v:factor)")
         link_part, factor_part = token.rsplit(":", 1)
-        factor = number(factor_part, "link scale factor")
+        factor = number(factor_part, "link scale factor", 0.0, strict=True)
         scales.extend((edge, factor) for edge in parse_link_set(link_part))
     return tuple(scales)

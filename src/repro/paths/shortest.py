@@ -9,7 +9,8 @@ to choose between pMCF and MCF-extP (Fig. 1).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
@@ -17,6 +18,8 @@ from ..topology.base import Topology
 from ..core.flow import Commodity
 
 __all__ = [
+    "bfs_tree",
+    "tree_path",
     "shortest_path",
     "all_shortest_paths",
     "all_shortest_path_sets",
@@ -26,32 +29,45 @@ __all__ = [
 ]
 
 
-def shortest_path(topology: Topology, source: int, destination: int) -> List[int]:
-    """One shortest path (deterministic: lexicographically smallest node order)."""
-    # networkx BFS explores neighbours in insertion order; sort for determinism.
-    return _lexicographic_bfs_path(topology, source, destination)
+def bfs_tree(successors: Callable[[int], Iterable[int]], source: int,
+             target: Optional[int] = None) -> Dict[int, Optional[int]]:
+    """BFS parent pointers from ``source`` (the root's parent is ``None``).
 
-
-def _lexicographic_bfs_path(topology: Topology, source: int, destination: int) -> List[int]:
-    from collections import deque
-
-    parent = {source: None}
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        if u == destination:
-            break
-        for v in topology.successors(u):
+    Successors are visited in the order ``successors(u)`` yields them and
+    the first discovery of a node wins, so with sorted successors every
+    tree path is the lexicographically smallest shortest path.  The search
+    stops after expanding the node that discovers ``target``; without one
+    it covers every reachable node.  Stopping early never changes a
+    discovered parent.
+    """
+    parent: Dict[int, Optional[int]] = {source: None}
+    frontier = deque([source])
+    while frontier and target not in parent:
+        u = frontier.popleft()
+        for v in successors(u):
             if v not in parent:
                 parent[v] = u
-                q.append(v)
-    if destination not in parent:
-        raise nx.NetworkXNoPath(f"no path {source}->{destination}")
+                frontier.append(v)
+    return parent
+
+
+def tree_path(tree: Dict[int, Optional[int]],
+              destination: int) -> Optional[Tuple[int, ...]]:
+    """The root-to-``destination`` path of a :func:`bfs_tree`, or ``None``."""
+    if destination not in tree:
+        return None
     path = [destination]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    while tree[path[-1]] is not None:
+        path.append(tree[path[-1]])  # type: ignore[arg-type]
+    return tuple(reversed(path))
+
+
+def shortest_path(topology: Topology, source: int, destination: int) -> List[int]:
+    """One shortest path (deterministic: lexicographically smallest node order)."""
+    path = tree_path(bfs_tree(topology.successors, source, destination), destination)
+    if path is None:
+        raise nx.NetworkXNoPath(f"no path {source}->{destination}")
+    return list(path)
 
 
 def all_shortest_paths(topology: Topology, source: int, destination: int,

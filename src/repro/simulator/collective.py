@@ -115,8 +115,7 @@ def _routed_sweep(schedule: RoutedSchedule, buffer_sizes: Sequence[float],
     set_ids: List[int] = []
     for copy in range(overlap):
         for a in schedule.assignments:
-            flows.append(FluidFlow(path=a.route, size_bytes=float(a.chunk.fraction),
-                                   tag=(copy, a.chunk.source, a.chunk.destination)))
+            flows.append(FluidFlow(path=a.route, size_bytes=float(a.chunk.fraction)))
             set_ids.append(copy)
     program = compile_flows(topo, flows, fabric, set_ids=set_ids,
                             set_names=tuple(f"copy{c}" for c in range(overlap)))

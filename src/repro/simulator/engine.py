@@ -79,7 +79,6 @@ class FluidFlow:
 
     path: Tuple[int, ...]
     size_bytes: float
-    tag: object = None
 
     def __post_init__(self) -> None:
         if len(self.path) < 2:

@@ -15,6 +15,7 @@ All bandwidths are stored in bytes/second and latencies in seconds.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
@@ -83,9 +84,9 @@ class FabricModel:
         object.__setattr__(self, "down_links",
                            tuple(sorted((int(u), int(v)) for u, v in self.down_links)))
         for (u, v), factor in self.link_scale:
-            if not 0.0 < factor:
-                raise ValueError(f"link_scale factor for ({u},{v}) must be positive, "
-                                 f"got {factor}")
+            if not 0.0 < factor < math.inf:
+                raise ValueError(f"link_scale factor for ({u},{v}) must be finite and "
+                                 f"positive, got {factor}")
 
     @property
     def degraded(self) -> bool:

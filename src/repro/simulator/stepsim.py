@@ -94,8 +94,7 @@ def simulate_link_schedule(schedule: LinkSchedule, shard_bytes: float,
         set_ids = []
         for copy in range(overlap):
             for (u, v), nbytes in link_bytes.items():
-                flows.append(FluidFlow(path=(u, v), size_bytes=nbytes,
-                                       tag=(copy, u, v)))
+                flows.append(FluidFlow(path=(u, v), size_bytes=nbytes))
                 set_ids.append(copy)
         sim = simulate_program(topo, flows, fabric, set_ids=set_ids,
                                set_names=tuple(f"copy{c}" for c in range(overlap)),

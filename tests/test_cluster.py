@@ -8,6 +8,7 @@ declarative scenario/sweep stack (hash stability, record metrics).
 
 import json
 import random
+import re
 from collections import deque
 
 import networkx as nx
@@ -17,7 +18,6 @@ from repro.cluster import (
     PLACEMENT_POLICIES,
     RoutePlacer,
     arrival_times,
-    jobs_from_spec,
     parse_cluster_spec,
     placement_permutation,
     run_cluster,
@@ -83,19 +83,16 @@ class TestTraceSpec:
         "cluster:jobs=4:buffer=0",              # buffer must be > 0
         "cluster:jobs=4:jobs=5",                # duplicate key
         "cluster:jobs=4:flavor=mild",           # unknown key
+        "cluster:jobs=2:arrival=fixed~inf",     # non-finite numbers
+        "cluster:jobs=2:arrival=poisson~inf",
+        "cluster:jobs=2:arrival=trace~0|inf",
+        "cluster:jobs=2:compute=inf",
+        "cluster:jobs=2:buffer=inf",
     ])
     def test_malformed_specs_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_cluster_spec(bad)
 
-    def test_jobs_from_spec_requires_a_buffer(self):
-        spec = parse_cluster_spec("cluster:jobs=2")
-        with pytest.raises(ValueError):
-            jobs_from_spec(spec)
-        jobs = jobs_from_spec(spec, default_buffer=BUF)
-        assert len(jobs) == 2
-        # rounds=1, compute=0 -> one compute phase and one comm phase each
-        assert all(len(job.phases) == 2 for job in jobs)
 
 
 # --------------------------------------------------------------------------- #
@@ -204,6 +201,16 @@ class TestRunCluster:
         with pytest.raises(ValueError, match="routed"):
             run_cluster(cube3_link_schedule, "cluster:jobs=2",
                         default_buffer=BUF)
+
+    def test_requires_a_buffer(self, genkautz_routed_schedule):
+        with pytest.raises(ValueError, match=re.escape(
+                "cluster spec has no buffer= field and no scenario buffer to "
+                "fall back on; set buffer= in the trace spec or give the "
+                "scenario a non-empty buffers tuple")):
+            run_cluster(genkautz_routed_schedule, "cluster:jobs=2")
+        result = run_cluster(genkautz_routed_schedule, "cluster:jobs=2",
+                             default_buffer=BUF)
+        assert len(result.jobs) == 2
 
     def test_zero_contention_matches_isolated_engine(
             self, genkautz_routed_schedule):

@@ -447,8 +447,8 @@ class TestDeltaEngine:
                 want / warm.baseline_seconds, abs=1e-9), links
 
     @pytest.mark.parametrize("topology", ["torus:dims=3x3", "hypercube:dim=3"])
-    def test_reroute_cache_matches_uncached_repair_and_certify(self, topology):
-        """Memoized repairs and certifications equal the uncached calls."""
+    def test_reroute_cache_matches_uncached_repair(self, topology):
+        """Memoized repairs equal the uncached calls."""
         schedule = _lowered(topology)
         topo = schedule.topology
         planned = [tuple(a.route) for a in schedule.assignments]
@@ -460,18 +460,10 @@ class TestDeltaEngine:
             down = {e for u, v in failed for e in ((u, v), (v, u))}
             down_key = tuple(sorted(down))
             adjacency = surviving_adjacency(topo, down)
-            routes = []
             for path in planned:
                 got, _ = cache.effective(down_key, down, path)
                 assert got == effective_path(path, down, adjacency), path
                 assert cache.effective(down_key, down, path) == (got, True)
-                if got is not None:
-                    routes.append(got)
-            distinct = list(dict.fromkeys(routes))
-            for vc in ("lash", "dfsssp"):
-                layers, _ = cache.certify(routes, vc)
-                assert layers == certify_routes(distinct, vc)
-                assert cache.certify(routes, vc) == (layers, True)
 
 
 class TestZeroFaultIdentity:

@@ -384,6 +384,22 @@ class TestDegradedFabricModel:
         with pytest.raises(ValueError, match=match):
             fabric_from_spec(spec)
 
+    @pytest.mark.parametrize("fields", [
+        {"fabric": "hpc:scale=0~1:inf"},
+        {"faults": "faults:scale=0~1*inf@1us"},
+        {"faults": "faults:straggler=0*inf@1us"},
+    ])
+    def test_infinite_scale_factor_rejected_at_construction(self, fields):
+        """An infinite factor used to put NaN in the fill and spin to the event cap."""
+        with pytest.raises(ValueError, match="factor must be a finite number"):
+            Scenario(topology="hypercube:dim=3", scheme="mcf-extp",
+                     buffers=(2 ** 20,), **fields)
+
+    @pytest.mark.parametrize("factor", [float("inf"), float("nan"), 0.0])
+    def test_fabric_model_requires_finite_positive_factors(self, factor):
+        with pytest.raises(ValueError, match="finite and positive"):
+            FabricModel(link_scale=(((0, 1), factor),))
+
     def test_fabric_spec_with_degradation(self):
         fabric = fabric_from_spec("hpc:down=0~1,scale=2-3:0.5,forwarding_gbps=100")
         assert fabric.down_links == ((0, 1), (1, 0))
