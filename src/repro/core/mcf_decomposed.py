@@ -31,7 +31,9 @@ lengths, give a weak-duality upper bound on F
 exceed it by more than :data:`CERTIFICATE_TOL`; the bound's relative excess
 over F, the optimality gap the duals prove, is recorded with the solution.
 :func:`solve_mcf_objective` stops after the master LP, for callers that
-need F alone.
+need F alone.  Its formulation, ``"mcf-objective"``, needs no vertex, and
+on tori and hypercubes it is a one-source LP whose expanded duals are
+certified on the full topology.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ class ConcurrentFlowValue:
 
     The synthesize artifact of the ``mcf-objective`` scheme: enough for
     results that read F alone (Fig. 10's all-to-all time 1/F), and nothing
-    that could be lowered or simulated.  ``meta["engine"]`` is the master
-    LP's engine info, certificate included.
+    that could be lowered or simulated.  ``meta["engine"]`` is the
+    ``mcf-objective`` LP's engine info, certificate included.
     """
 
     concurrent_flow: float
@@ -118,13 +120,11 @@ def build_master_lp(problem: MCFProblem) -> LPBuilder:
     topology = problem.topology
     terminals = problem.params.get("terminals")
     edges, tails, heads, cap_arr = topology_arrays(topology)
-    num_nodes = topology.num_nodes
     if terminals is None:
         sources = list(topology.nodes)
     else:
         sources = sorted(set(int(t) for t in terminals))
     S, E = len(sources), len(edges)
-    src_arr = np.asarray(sources, dtype=np.int64)
 
     lp = LPBuilder()
     f_col = lp.add_variable_block("F", 1, lb=0.0, objective=1.0)[0]
@@ -133,22 +133,35 @@ def build_master_lp(problem: MCFProblem) -> LPBuilder:
     # (7) capacity per link over all source groups; its duals certify F.
     lp.add_le_block(rows=np.repeat(np.arange(E), S), cols=g.T.ravel(),
                     vals=np.ones(S * E), rhs=cap_arr, name="capacity")
+    # The terminal set is exactly the source set.
+    src_arr = np.asarray(sources, dtype=np.int64)
+    _add_source_conservation(lp, f_col, g, src_arr, src_arr, tails, heads,
+                             topology.num_nodes)
+    return lp
 
-    # (8) source-based conservation: F + outflow <= inflow at every terminal
-    # u != s; non-terminal relays only forward (outflow <= inflow).  Rows are
-    # keyed (source index, node) and compressed to consecutive ids; the F
-    # column enters the rows of terminal nodes.
+
+def _add_source_conservation(lp: LPBuilder, f_col: int, g: np.ndarray,
+                             sources: np.ndarray, terminals: np.ndarray,
+                             tails: np.ndarray, heads: np.ndarray,
+                             num_nodes: int) -> None:
+    """(8) source-based conservation of the grouped flows ``g[si, e]``.
+
+    F + outflow <= inflow at every terminal u != s; non-terminal relays
+    only forward (outflow <= inflow).  Rows are keyed (source index, node)
+    and compressed to consecutive ids; the F column enters the rows of
+    terminal nodes.
+    """
+    S, E = g.shape
     s_ids = np.repeat(np.arange(S), E)
     e_ids = np.tile(np.arange(E), S)
     var = g.ravel()
     tail, head = tails[e_ids], heads[e_ids]
-    s_of = src_arr[s_ids]
+    s_of = sources[s_ids]
     plus = tail != s_of
     minus = head != s_of
-    term_arr = src_arr  # the terminal set is exactly the source set
-    si_grid = np.repeat(np.arange(S), len(term_arr))
-    u_grid = np.tile(term_arr, S)
-    f_rows = u_grid != src_arr[si_grid]
+    si_grid = np.repeat(np.arange(S), len(terminals))
+    u_grid = np.tile(terminals, S)
+    f_rows = u_grid != sources[si_grid]
     lp.add_compressed_block(
         [s_ids[plus] * num_nodes + tail[plus],
          s_ids[minus] * num_nodes + head[minus],
@@ -156,7 +169,6 @@ def build_master_lp(problem: MCFProblem) -> LPBuilder:
         [var[plus], var[minus], np.full(int(f_rows.sum()), f_col)],
         [np.ones(int(plus.sum())), -np.ones(int(minus.sum())),
          np.ones(int(f_rows.sum()))])
-    return lp
 
 
 def certify_master(topology: Topology, concurrent_flow: float,
@@ -221,17 +233,104 @@ def solve_master_lp(topology: Topology,
                           info=info)
 
 
+def _proposed_translations(topology: Topology) -> Optional[Tuple[int, ...]]:
+    """The translation group ``topology.metadata`` proposes, as cyclic orders.
+
+    A wrapped torus proposes ``Z_dims``; a ``d``-cube proposes ``Z_2^d``,
+    whose translations are the XORs.  Node ids are row-major coordinates in
+    both.  Metadata survives edits (``remove_edges`` keeps
+    ``family=torus``), so this is only a proposal: see :func:`_edge_orbits`.
+    """
+    meta = topology.metadata
+    if meta.get("family") == "torus" and meta.get("wrap", True):
+        return tuple(int(d) for d in meta["dims"])
+    if meta.get("family") == "hypercube":
+        return (2,) * int(meta["dimension"])
+    return None
+
+
+def _edge_orbits(topology: Topology,
+                 dims: Optional[Sequence[int]]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Edge orbits under the translations of ``Z_dims``, if they are symmetries.
+
+    Returns ``(orbit, first)``: each edge's orbit id (orbits sorted by the
+    translation that carries an edge's tail to its head) and one edge index
+    per orbit.  Returns None unless every translation maps the edge set
+    onto itself with capacities unchanged, i.e. unless every orbit holds
+    one edge out of every node and one capacity.
+    """
+    n = topology.num_nodes
+    if dims is None or int(np.prod(dims)) != n:
+        return None
+    dims_arr = np.asarray(dims, dtype=np.int64)
+    _, tails, heads, cap_arr = topology_arrays(topology)
+    coords = np.stack(np.unravel_index(np.arange(n), dims_arr), axis=1)
+    step = (coords[heads] - coords[tails]) % dims_arr
+    _, first, orbit, counts = np.unique(np.ravel_multi_index(step.T, dims_arr),
+                                        return_index=True, return_inverse=True,
+                                        return_counts=True)
+    # Edges are unique, so n edges with one step start at every node.
+    if np.any(counts != n) or np.any(cap_arr != cap_arr[first][orbit]):
+        return None
+    return orbit, first
+
+
+@register_formulation("mcf-objective", vertex=False)
+def build_objective_lp(problem: MCFProblem) -> LPBuilder:
+    """The smallest LP whose F and capacity duals certify the optimal F.
+
+    With ``params["translations"]`` a verified symmetry group (see
+    :func:`_edge_orbits`), averaging any optimum over the group gives one
+    in which every source's flow is source 0's, translated.  The LP then
+    holds F, source 0's flow on every edge, one capacity row per edge orbit
+    (summed over the orbit, source 0's flow is what each of its edges
+    carries from all sources) and source 0's conservation rows.  Otherwise
+    it is the full master LP.
+    """
+    topology = problem.topology
+    orbits = _edge_orbits(topology, problem.params.get("translations"))
+    if orbits is None:
+        return build_master_lp(problem)
+    orbit, first = orbits
+    _, tails, heads, cap_arr = topology_arrays(topology)
+    lp = LPBuilder()
+    f_col = lp.add_variable_block("F", 1, lb=0.0, objective=1.0)[0]
+    g = lp.add_variable_block("g", (1, len(orbit)), lb=0.0)
+    lp.add_le_block(rows=orbit, cols=g.ravel(), vals=np.ones(len(orbit)),
+                    rhs=cap_arr[first], name="capacity")
+    _add_source_conservation(lp, f_col, g, np.zeros(1, dtype=np.int64),
+                             np.arange(topology.num_nodes), tails, heads,
+                             topology.num_nodes)
+    return lp
+
+
 def solve_mcf_objective(topology: Topology) -> ConcurrentFlowValue:
-    """Optimal concurrent flow F of ``topology`` from the certified master LP.
+    """Optimal concurrent flow F of ``topology``, certified on the full graph.
 
     The ``mcf-objective`` scheme: the same F as
     :func:`~repro.core.path_extraction.solve_mcf_extract_paths`, without
-    the N child LPs and the path extraction.
+    the N child LPs and the path extraction.  Its LP needs no vertex, and
+    on a torus or hypercube whose translations check out it is the
+    one-source LP of :func:`build_objective_lp`.  Either way the capacity
+    duals, expanded to one length per edge, certify F through
+    :func:`certify_master` on the full topology.
     """
-    master = solve_master_lp(topology)
-    return ConcurrentFlowValue(concurrent_flow=master.concurrent_flow,
+    if not topology.is_strongly_connected():
+        raise ValueError("MCF requires a strongly connected topology")
+    dims = _proposed_translations(topology)
+    orbits = _edge_orbits(topology, dims)
+    params = {} if orbits is None else {"translations": list(dims)}
+    solution = engine_solve(MCFProblem("mcf-objective", topology, params=params,
+                                       maximize=True))
+    concurrent_flow = float(solution.block("F")[0])
+    lengths = solution.dual("capacity")
+    if orbits is not None:
+        lengths = lengths[orbits[0]]
+    info = dict(solution.info)
+    info["certificate"] = certify_master(topology, concurrent_flow, lengths)
+    return ConcurrentFlowValue(concurrent_flow=concurrent_flow,
                                num_nodes=topology.num_nodes,
-                               meta={"method": "mcf-objective", "engine": master.info})
+                               meta={"method": "mcf-objective", "engine": info})
 
 
 @register_formulation("mcf-child")

@@ -110,9 +110,6 @@ class LPSolution:
         """Names of the variable blocks this solution carries."""
         return sorted(self._blocks)
 
-    def has_block(self, name: str) -> bool:
-        return name in self._blocks
-
     def block(self, name: str) -> np.ndarray:
         """Value ndarray of variable block ``name``, shaped like the block."""
         entry = self._blocks.get(name)

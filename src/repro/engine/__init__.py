@@ -5,7 +5,8 @@ Layering (each layer only knows the one below it):
 * **Problem** (:mod:`.problem`) — declarative :class:`MCFProblem` specs plus
   the formulation registry the MCF modules register their LP assemblers in;
 * **Backend** (:mod:`.backends`) — :class:`ScipyHighsBackend`, HiGHS with
-  the method picked by LP size;
+  the method picked by LP size, or interior point without crossover for
+  formulations that need no vertex;
 * **Cache** (:mod:`.cache`) — content-addressed :class:`SolutionCache`
   keyed by ``(topology.canonical_hash(), formulation, params)``.
 

@@ -11,19 +11,25 @@ method by LP size: HiGHS's own simplex choice (``highs``) below
 above it, where IPM is several times faster on the host-augmented tsMCF and
 the 64-node master LPs.
 
-Its :attr:`~ScipyHighsBackend.identity` names the method rule; the engine
+A formulation registered with ``vertex=False`` (its callers read only the
+objective and the row duals, e.g. ``mcf-objective``) is solved by interior
+point at every size with crossover off and :data:`NO_VERTEX_OPTIONS`'s
+tight optimality tolerance: nothing reads the vertex crossover would find.
+
+Its :meth:`~ScipyHighsBackend.identity` names the method rule; the engine
 keys cached solutions on it, so a solution cached under one rule never
 answers for another.
 """
 
 from __future__ import annotations
 
+import warnings
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.solver import LPBuilder, LPSolution
 
-__all__ = ["ScipyHighsBackend", "IPM_MIN_VARIABLES"]
+__all__ = ["ScipyHighsBackend", "IPM_MIN_VARIABLES", "NO_VERTEX_OPTIONS"]
 
 #: LPs with at least this many variables go to HiGHS interior point.  The
 #: report's largest LPs (35001 and 16129-16385 variables) sit above it; the
@@ -31,15 +37,24 @@ __all__ = ["ScipyHighsBackend", "IPM_MIN_VARIABLES"]
 #: vertex.  Tests patch it to force either method.
 IPM_MIN_VARIABLES = 10_000
 
+#: HiGHS options of a solve that needs no vertex.  ``linprog`` passes
+#: ``run_crossover`` to HiGHS verbatim; the tolerance is tight because at
+#: HiGHS's default (1e-8) the fig10 masters' F moved by up to 3.3e-7.
+NO_VERTEX_OPTIONS = {"run_crossover": "off", "ipm_optimality_tolerance": 1e-12}
+
+_NO_VERTEX_METHOD = "highs-ipm-no-crossover"
+
 
 class ScipyHighsBackend:
     """HiGHS via :func:`scipy.optimize.linprog`, method picked by LP size."""
 
     name = "scipy-highs"
 
-    @property
-    def identity(self) -> str:
+    def identity(self, vertex: bool = True) -> str:
         """The backend name plus its method rule (part of solution-cache keys)."""
+        if not vertex:
+            tol = NO_VERTEX_OPTIONS["ipm_optimality_tolerance"]
+            return f"{self.name}[{_NO_VERTEX_METHOD},tol={tol:g}]"
         return f"{self.name}[highs-ipm>={IPM_MIN_VARIABLES}]"
 
     @staticmethod
@@ -47,10 +62,15 @@ class ScipyHighsBackend:
         """The linprog method for an LP with this many variables."""
         return "highs-ipm" if num_variables >= IPM_MIN_VARIABLES else "highs"
 
-    def solve(self, builder: "LPBuilder", maximize: bool = False) -> "LPSolution":
-        """Solve the accumulated LP; raise ``SolverError`` on failure."""
+    def solve(self, builder: "LPBuilder", maximize: bool = False,
+              vertex: bool = True) -> "LPSolution":
+        """Solve the accumulated LP; raise ``SolverError`` on failure.
+
+        ``vertex=False`` skips crossover: the solution is an interior
+        optimum, exact in its objective and duals only.
+        """
         import numpy as np
-        from scipy.optimize import linprog
+        from scipy.optimize import OptimizeWarning, linprog
 
         from ..core.solver import SolverError
 
@@ -62,9 +82,14 @@ class ScipyHighsBackend:
         c, a_ub, b_ub, a_eq, b_eq, bounds = builder.to_arrays()
         if maximize:
             c = -c
-        method = self.method_for(n)
-        result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                         bounds=bounds, method=method)
+        method = self.method_for(n) if vertex else _NO_VERTEX_METHOD
+        with warnings.catch_warnings():
+            # linprog warns that it hands run_crossover to HiGHS unchecked.
+            warnings.filterwarnings("ignore", r"Unrecognized options.*run_crossover",
+                                    OptimizeWarning)
+            result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                             bounds=bounds, method=method if vertex else "highs-ipm",
+                             options=None if vertex else NO_VERTEX_OPTIONS)
         if not result.success:
             raise SolverError(f"LP solve failed ({self.name}, {method}): "
                               f"{result.message}")

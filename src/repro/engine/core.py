@@ -25,7 +25,7 @@ from typing import Optional, TYPE_CHECKING
 
 from .backends import ScipyHighsBackend
 from .cache import SolutionCache
-from .problem import MCFProblem, get_formulation
+from .problem import MCFProblem, get_formulation, needs_vertex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.solver import LPSolution
@@ -40,12 +40,13 @@ _BACKEND = ScipyHighsBackend()
 def solution_key(problem: MCFProblem) -> str:
     """Solution-cache key of ``problem``.
 
-    The key carries the backend's :attr:`identity` (its name plus method
-    rule): a different method may return a different (equally optimal)
-    vertex or interior solution, so a solution cached under one rule must
-    never answer for another.
+    The key carries the backend's :meth:`identity` (its name plus the
+    method rule for the formulation, vertex or none): a different method
+    may return a different (equally optimal) vertex or interior solution,
+    so a solution cached under one rule must never answer for another.
     """
-    return f"{problem.cache_key()}-{_BACKEND.identity}"
+    identity = _BACKEND.identity(needs_vertex(problem.formulation))
+    return f"{problem.cache_key()}-{identity}"
 
 
 class Engine:
@@ -77,7 +78,8 @@ class Engine:
         builder = assembler(problem)
         builder.to_arrays()  # memoized; charges matrix assembly to assembly time
         t1 = time.perf_counter()
-        solution = _BACKEND.solve(builder, maximize=problem.maximize)
+        solution = _BACKEND.solve(builder, maximize=problem.maximize,
+                                  vertex=needs_vertex(problem.formulation))
         t2 = time.perf_counter()
         solution.info.update({
             "cache": "miss" if caching else "bypass",

@@ -10,14 +10,16 @@ Formulation modules (:mod:`repro.core.mcf_link` etc.) register their
 assembler with :func:`register_formulation` at import time; an assembler is a
 callable ``(problem) -> LPBuilder`` that must derive everything it needs from
 ``problem.topology`` and ``problem.params`` so that two problems with equal
-cache keys always assemble the same LP.
+cache keys always assemble the same LP.  A formulation registered with
+``vertex=False`` tells the engine its callers read only the objective and
+the row duals, so the backend may skip the vertex (:func:`needs_vertex`).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, TYPE_CHECKING
+from typing import Callable, Dict, List, Mapping, Set, TYPE_CHECKING
 
 from ..topology.base import Topology
 
@@ -25,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.solver import LPBuilder
 
 __all__ = ["MCFProblem", "register_formulation", "get_formulation",
-           "formulation_names"]
+           "formulation_names", "needs_vertex"]
 
 
 def _code_version() -> str:
@@ -112,13 +114,20 @@ class MCFProblem:
 
 
 _FORMULATIONS: Dict[str, Callable[[MCFProblem], "LPBuilder"]] = {}
+_VERTEX_FREE: Set[str] = set()
 
 
-def register_formulation(name: str):
-    """Decorator registering an assembler ``(MCFProblem) -> LPBuilder``."""
+def register_formulation(name: str, vertex: bool = True):
+    """Decorator registering an assembler ``(MCFProblem) -> LPBuilder``.
+
+    ``vertex=False`` declares that callers read only the optimal value and
+    the row duals of its solutions, never the rest of the primal solution.
+    """
 
     def decorator(fn: Callable[[MCFProblem], "LPBuilder"]):
         _FORMULATIONS[name] = fn
+        if not vertex:
+            _VERTEX_FREE.add(name)
         return fn
 
     return decorator
@@ -138,6 +147,12 @@ def get_formulation(name: str) -> Callable[[MCFProblem], "LPBuilder"]:
             raise KeyError(f"unknown formulation {name!r}; "
                            f"registered: {formulation_names()}")
     return _FORMULATIONS[name]
+
+
+def needs_vertex(name: str) -> bool:
+    """Whether formulation ``name``'s callers read the primal solution."""
+    get_formulation(name)  # registers it if repro.core is not loaded yet
+    return name not in _VERTEX_FREE
 
 
 def formulation_names() -> List[str]:

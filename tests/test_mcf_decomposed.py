@@ -1,5 +1,7 @@
 """Tests for the decomposed MCF (master + child LPs, §3.1.2)."""
 
+import warnings
+
 import pytest
 
 from repro import obs
@@ -9,13 +11,24 @@ from repro.core import (
     solve_decomposed_mcf,
     solve_link_mcf,
     solve_master_lp,
+    solve_mcf_objective,
 )
 from repro.core.mcf_decomposed import CERTIFICATE_TOL
 from repro.core.solver import LPSolution
 from repro.engine import Engine, MCFProblem, SolutionCache, backends
 from repro.engine.core import solution_key
 from repro.core.flow import conservation_violation, max_link_utilization
-from repro.topology import Topology, complete, generalized_kautz, hypercube, ring
+from repro.topology import (
+    Topology,
+    complete,
+    generalized_kautz,
+    hypercube,
+    mesh,
+    ring,
+    torus,
+    twisted_hypercube,
+)
+from repro.topology.spec import from_spec
 
 
 class TestMasterLP:
@@ -63,6 +76,17 @@ def private_engine():
     engine_core._engine = prev
 
 
+def _tamper_entry(engine, key, f_scale=1.0, dual_shift=0.0, dual_scale=1.0):
+    """Rewrite the cached solution under ``key`` with scaled F or duals."""
+    entry = engine.cache.get(key)
+    f_value = entry.block("F") * f_scale
+    duals = entry.dual("capacity") * dual_scale + dual_shift
+    engine.cache.put(key, LPSolution(
+        objective=float(f_value[0]), info=dict(entry.info),
+        blocks={"F": f_value, "g": entry.block("g")},
+        duals={"capacity": duals}))
+
+
 class TestMasterCertificate:
     @pytest.mark.parametrize("method", ["highs", "highs-ipm"])
     def test_certificate_meets_f(self, private_engine, monkeypatch, method):
@@ -93,15 +117,9 @@ class TestMasterCertificate:
         assert again.info["certificate"] == fresh.info["certificate"]
 
     @staticmethod
-    def _tamper(engine, topo, f_scale=1.0, dual_shift=0.0, dual_scale=1.0):
-        key = solution_key(MCFProblem("mcf-master", topo, maximize=True))
-        entry = engine.cache.get(key)
-        f_value = entry.block("F") * f_scale
-        duals = entry.dual("capacity") * dual_scale + dual_shift
-        engine.cache.put(key, LPSolution(
-            objective=float(f_value[0]), info=dict(entry.info),
-            blocks={"F": f_value, "g": entry.block("g")},
-            duals={"capacity": duals}))
+    def _tamper(engine, topo, **scales):
+        _tamper_entry(engine, solution_key(MCFProblem("mcf-master", topo, maximize=True)),
+                      **scales)
 
     @pytest.mark.parametrize("corrupt", ["inflated-f", "zero-duals"])
     def test_corrupt_cache_entry_is_caught(self, private_engine, corrupt):
@@ -125,6 +143,107 @@ class TestMasterCertificate:
         master = solve_master_lp(topo)
         assert master.concurrent_flow == f_star
         assert CERTIFICATE_TOL < master.info["certificate"]["gap"] < float("inf")
+
+
+def _objective_key(topo, params=None):
+    return solution_key(MCFProblem("mcf-objective", topo, params=params or {},
+                                   maximize=True))
+
+
+def _recapped_torus():
+    topo = torus([4, 4]).copy()
+    topo.graph.edges[0, 1]["cap"] = 2.0
+    return topo
+
+
+def _hypercube_labelled_twisted():
+    topo = twisted_hypercube(3)
+    topo.metadata.update({"family": "hypercube", "dimension": 3})
+    return topo
+
+
+class TestObjectiveOneSource:
+    """``mcf-objective``: one-source LP on tori and hypercubes, full elsewhere."""
+
+    @pytest.mark.parametrize("spec", [
+        "torus:dims=2x4", "torus:dims=3x3", "torus:dims=4x4", "torus:dims=5x5",
+        "torus:dims=8x8", "torus:dims=3x3x3", "torus:dims=4x4x4",
+        "hypercube:dim=2", "hypercube:dim=3", "hypercube:dim=4",
+        "hypercube:dim=5", "hypercube:dim=6"])
+    def test_one_source_f_matches_master(self, spec):
+        topo = from_spec(spec)
+        objective = solve_mcf_objective(topo)
+        master = solve_master_lp(topo)
+        engine = objective.meta["engine"]
+        assert engine["num_variables"] == topo.num_edges + 1
+        assert engine["method"] == "highs-ipm-no-crossover"
+        assert master.info["method"] in ("highs", "highs-ipm")
+        assert objective.concurrent_flow == pytest.approx(master.concurrent_flow,
+                                                          rel=1e-9)
+        assert abs(engine["certificate"]["gap"]) <= 1e-9
+
+    def test_uniform_capacity_still_reduces(self):
+        objective = solve_mcf_objective(torus([4, 4]).with_capacity(2.0))
+        assert objective.meta["engine"]["num_variables"] == 65
+        assert objective.concurrent_flow == pytest.approx(0.25, rel=1e-9)
+
+    @pytest.mark.parametrize("make_topo", [
+        lambda: mesh([3, 3]),
+        lambda: torus([4, 4]).remove_edges([(0, 1), (1, 0)]),
+        _recapped_torus,
+        lambda: twisted_hypercube(3),
+        _hypercube_labelled_twisted,
+    ], ids=["mesh", "punctured-torus", "recapped-torus", "twisted-hypercube",
+            "twisted-labelled-hypercube"])
+    def test_no_symmetry_falls_back_to_full_master(self, make_topo):
+        topo = make_topo()
+        objective = solve_mcf_objective(topo)
+        engine = objective.meta["engine"]
+        assert engine["num_variables"] == topo.num_nodes * topo.num_edges + 1
+        assert objective.concurrent_flow == pytest.approx(
+            solve_master_lp(topo).concurrent_flow, rel=1e-9)
+        assert abs(engine["certificate"]["gap"]) <= 1e-9
+
+    def test_solves_without_warnings(self, private_engine):
+        private_engine(Engine(cache=SolutionCache(enabled=False)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for topo in (torus([4, 4]), generalized_kautz(4, 12)):
+                solve_mcf_objective(topo)
+
+
+class TestObjectiveKeys:
+    def test_one_source_and_full_lp_never_share_a_key(self, private_engine):
+        private_engine(Engine())
+        reduced = torus([4, 4])
+        bare = Topology(reduced.graph.copy(), name="no-metadata")
+        assert bare.canonical_hash() == reduced.canonical_hash()
+        one_source, full = solve_mcf_objective(reduced), solve_mcf_objective(bare)
+        assert one_source.meta["engine"]["num_variables"] == 65
+        assert full.meta["engine"]["num_variables"] == 16 * 64 + 1
+        assert full.meta["engine"]["cache"] == "miss"
+        assert one_source.meta["engine"]["key"] != full.meta["engine"]["key"]
+        assert _objective_key(reduced, {"translations": [4, 4]}) != \
+            _objective_key(bare)
+        assert one_source.concurrent_flow == pytest.approx(full.concurrent_flow,
+                                                           rel=1e-9)
+
+    def test_objective_and_master_keys_differ(self):
+        topo = generalized_kautz(4, 12)
+        objective = _objective_key(topo)
+        master = solution_key(MCFProblem("mcf-master", topo, maximize=True))
+        assert objective != master
+        assert objective.endswith("-scipy-highs[highs-ipm-no-crossover,tol=1e-12]")
+        assert "crossover" not in master
+
+    def test_inflated_one_source_f_is_caught(self, private_engine):
+        topo = torus([4, 4])
+        engine = private_engine(Engine())
+        solve_mcf_objective(topo)
+        _tamper_entry(engine, _objective_key(topo, {"translations": [4, 4]}),
+                      f_scale=1.0 + 10 * CERTIFICATE_TOL)
+        with pytest.raises(SolverError, match="certificate"):
+            solve_mcf_objective(topo)
 
 
 class TestChildLP:

@@ -103,6 +103,18 @@ class TestFig10Claims:
             assert ratio["GenKautz"] <= 1.05 * ratio[other]
 
 
+class TestFig10Certificates:
+    def test_every_master_is_certified_without_a_vertex(self):
+        results = run_scenarios(FIG10.scenarios(fast=True), through=FIG10.through,
+                                cache=SolutionCache(name="stage-cache",
+                                                    payload_type=object))
+        for result in results:
+            assert result.engine["method"] == "highs-ipm-no-crossover"
+            assert abs(result.engine["certificate"]["gap"]) <= 1e-9
+        one_source = [r for r in results if r.scenario.topology == "torus:dims=5x5"]
+        assert [r.engine["num_variables"] for r in one_source] == [101]
+
+
 class TestFig10Grid:
     def test_paper_scale_is_the_papers_sweep(self):
         panels = FIG10.panels(scale="paper")
