@@ -39,8 +39,8 @@ SIM_MAX_EVENTS
     many events raises the event-cap error instead of stepping on, so a
     simulation that stops converging fails rather than spins.  The largest
     runs here (cluster traces, flapping-link timelines) stay orders of
-    magnitude below it.  Read once per :meth:`FluidRun.run
-    <repro.simulator.engine.FluidRun.run>` call, so tests can lower it.
+    magnitude below it.  Read once per :meth:`FluidRun.advance
+    <repro.simulator.engine.FluidRun.advance>` call, so tests can lower it.
 """
 
 from __future__ import annotations

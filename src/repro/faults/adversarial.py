@@ -27,9 +27,12 @@ arrays, the compiled arena template and the reroute caches for every
 candidate; the healthy pre-strike prefix — identical for every candidate,
 which only diverges at ``at`` — is run once
 (:func:`~repro.faults.runner.capture_fault_prefix`) and each evaluation
-resumes from a clone of it.  Candidates are evaluated one after another in
-one process: the evaluations are fill-bound, and threads were slower than
-this serial loop.
+resumes from a clone of it.  The evaluations are fill-bound, so they run
+in lockstep in one process (:func:`~repro.faults.runner.run_faulted_lockstep`):
+every candidate of a batch (all sets in exhaustive mode, one greedy round's
+extensions) resumes from the prefix and fires its strike, then each step
+fills the pending requests of a group of candidates in one stacked fill.
+The results equal one-after-another evaluations bit for bit.
 
 The returned :class:`AdversarialResult` carries the worst set, its
 slowdown, and the full sorted evaluation table (the ``repro robustness``
@@ -47,7 +50,7 @@ from ..schedule.ir import RoutedSchedule
 from ..simulator.collective import run_routed_collective
 from ..simulator.fabric import FabricModel
 from .context import PreparedFaultContext
-from .runner import capture_fault_prefix, run_faulted
+from .runner import capture_fault_prefix, run_faulted_lockstep
 from .spec import FaultEvent, FaultSpec
 
 __all__ = ["AdversarialResult", "ranked_physical_links", "worst_case_failures"]
@@ -98,6 +101,18 @@ def _failure_spec(links: Sequence[Link], at: float, seed: int) -> FaultSpec:
     events = tuple(FaultEvent(time=at, kind="down", links=((u, v), (v, u)))
                    for u, v in links)
     return FaultSpec(events=events, seed=seed)
+
+
+def _evaluation(links: Tuple[Link, ...], result,
+                baseline: float) -> Dict[str, object]:
+    """One row of the evaluation table: a failure set's faulted run."""
+    stranded = result.completion_time == float("inf")
+    slowdown = (float("inf") if stranded
+                else result.completion_time / baseline)
+    return {"links": links, "slowdown": slowdown, "stranded": stranded,
+            "completion_seconds": result.completion_time,
+            "reroute_count": result.meta["reroute_count"],
+            "stranded_bytes": result.meta["stranded_bytes"]}
 
 
 def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
@@ -152,18 +167,13 @@ def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
             context, buffer_bytes, at_seconds,
             vc=_failure_spec((), at_seconds, seed).vc)
 
-    def evaluate(links: Tuple[Link, ...]) -> Dict[str, object]:
-        result = run_faulted(
-            schedule, buffer_bytes, _failure_spec(links, at_seconds, seed),
-            fabric=fabric, validate=False, allow_stranded=True,
-            baseline_seconds=baseline, context=context, _prefix=prefix)
-        stranded = result.completion_time == float("inf")
-        slowdown = (float("inf") if stranded
-                    else result.completion_time / baseline)
-        return {"links": links, "slowdown": slowdown, "stranded": stranded,
-                "completion_seconds": result.completion_time,
-                "reroute_count": result.meta["reroute_count"],
-                "stranded_bytes": result.meta["stranded_bytes"]}
+    def evaluate(link_sets: List[Tuple[Link, ...]]) -> List[Dict[str, object]]:
+        results = run_faulted_lockstep(
+            context, buffer_bytes,
+            [_failure_spec(links, at_seconds, seed) for links in link_sets],
+            baseline, prefix)
+        return [_evaluation(links, result, baseline)
+                for links, result in zip(link_sets, results)]
 
     def sort_key(ev: Dict[str, object]) -> Tuple[float, Tuple[int, ...]]:
         # Slowdown descending (stranded = -inf sorts first), then the
@@ -178,13 +188,12 @@ def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
 
     evaluations: List[Dict[str, object]] = []
     if mode == "exhaustive":
-        evaluations.extend(
-            evaluate(links) for links in itertools.combinations(pool, k))
+        evaluations.extend(evaluate(list(itertools.combinations(pool, k))))
     else:
         chosen: Tuple[Link, ...] = ()
         for _ in range(k):
-            round_evals = [evaluate(chosen + (link,))
-                           for link in pool if link not in chosen]
+            round_evals = evaluate([chosen + (link,)
+                                    for link in pool if link not in chosen])
             round_evals.sort(key=sort_key)
             evaluations.extend(round_evals)
             chosen = round_evals[0]["links"]

@@ -14,9 +14,9 @@ order, and every edit either filters that list or appends to it:
 * finished rows stay in place — the run's fill mask pins their rate to
   zero — until :meth:`DeltaProgram.compact` sees dead rows outnumber live
   ones and filters them all out at once, turning the per-completion
-  O(nnz) rebuild into an amortized one (``compactions`` counts the
-  sweeps).  An arena built over a fixed flow set (the fault runner's full
-  schedule) never compacts: the runner addresses its flows by index;
+  O(nnz) rebuild into an amortized one.  An arena built over a fixed flow
+  set (the fault runner's full schedule) never compacts: the runner
+  addresses its flows by index;
 * :meth:`DeltaProgram.apply` re-posts capacities for an epoch fabric,
   drops the entries of rerouted flows and appends their new routes'
   entries;
@@ -78,7 +78,6 @@ class DeltaProgram:
         self._delays = template.start_delays
         self._set_ids = template.set_ids
         self._set_names: List[str] = ["schedule"] if self._fixed else []
-        self.compactions = 0
         self._init_views()
 
     @property
@@ -157,7 +156,6 @@ class DeltaProgram:
         self._sizes = self._sizes[keep]
         self._delays = self._delays[keep]
         self._set_ids = self._set_ids[keep]
-        self.compactions += 1
         self._init_views()
         return keep
 

@@ -32,6 +32,16 @@ on this engine:
    :class:`~repro.perf.delta.DeltaProgram` arena) are event sources on the
    same loop.
 
+The loop owns the events and its driver owns the fills.
+:meth:`FluidRun.advance` fires events until the active flows need new
+rates and returns the fill request ``(program, active, workspace)``, or
+None once the queue drains; :meth:`FluidRun.accept` takes the filled
+``(rates, rounds)``, raises the stall error and schedules the next
+completion edge.  :meth:`FluidRun.run` is the one-run driver, which fills
+each request with :func:`fill_rates` (through the static-program memo);
+the adversarial search drives many runs in lockstep and fills a group of
+their requests with one :func:`fill_stacked` call.
+
 Max-min fair allocations are unique, so freezing *all* minimum-share
 resources per round is exactly equivalent to the classic one-bottleneck-
 per-iteration formulation (kept, interpreter-bound, in
@@ -45,9 +55,10 @@ completion time per flow set alongside the overall one.  Degraded fabrics
 :class:`~repro.simulator.fabric.FabricModel`) enter through the per-link
 capacities at compile time; a flow crossing a down link is a compile error.
 
-Every fill adds its rounds and seconds, and every :meth:`FluidRun.run` its
-events, to the ``sim.*`` counters of :mod:`repro.obs`; a memo hit adds its
-rounds and one ``sim.fill_hits``.
+Every fill adds its rounds and seconds (a stacked fill the rounds of all
+its blocks), and every :meth:`FluidRun.advance` its events, to the
+``sim.*`` counters of :mod:`repro.obs`; a memo hit adds its rounds and one
+``sim.fill_hits``.
 """
 
 from __future__ import annotations
@@ -63,14 +74,15 @@ import numpy as np
 from .. import obs
 from .. import constants
 from ..constants import SIM_BYTES_EPS, SIM_EPS
-from ..perf.fillkernel import FillWorkspace, run_fill
+from ..perf.fillkernel import (FillWorkspace, StackedWorkspace,
+                               fill_stacked_numpy, run_fill)
 from ..topology.base import Edge, Topology
 from .events import EventQueue
 from .fabric import FabricModel
 
 __all__ = ["FluidFlow", "FlowProgram", "EngineResult", "FillWorkspace",
            "FluidRun", "compile_flows", "execute", "fill_rates",
-           "simulate_program"]
+           "fill_stacked", "run_lockstep", "simulate_program"]
 
 
 @dataclass
@@ -313,6 +325,24 @@ def fill_rates(program: FlowProgram, active: np.ndarray,
     return rates, rounds
 
 
+def fill_stacked(requests: Sequence[Optional[Tuple[FlowProgram, np.ndarray]]],
+                 workspace: StackedWorkspace
+                 ) -> List[Optional[Tuple[np.ndarray, int]]]:
+    """:func:`fill_rates` of many runs' ``(program, active)`` requests at once.
+
+    Runs :func:`repro.perf.fillkernel.fill_stacked_numpy`: one stacked
+    fill whose per-request ``(rates, rounds)`` equal the separate fills bit
+    for bit.  A None request is a finished run's slot and gets None.  The
+    rounds of every request and the call's wall time are added to the
+    ``sim.fill_rounds`` and ``sim.fill_seconds`` counters.
+    """
+    t0 = time.perf_counter()
+    results = fill_stacked_numpy(requests, workspace)
+    obs.add({"sim.fill_rounds": sum(r[1] for r in results if r is not None),
+             "sim.fill_seconds": time.perf_counter() - t0})
+    return results
+
+
 # --------------------------------------------------------------------------- #
 # The fluid event loop
 # --------------------------------------------------------------------------- #
@@ -343,8 +373,9 @@ class FluidRun:
       edge until the event budget runs out;
     * **refill** — once every event at the current instant has fired, the
       active flows are re-filled if anything changed (a retirement, an
-      injection, or a source calling :meth:`changed`) and the next
-      completion edge is scheduled.
+      injection, or a source calling :meth:`changed`): :meth:`advance`
+      returns the request, and :meth:`accept` takes the rates and
+      schedules the next completion edge.
 
     Flows of at most ``SIM_EPS`` bytes complete on entry after their start
     delay, without entering the fill.  Event sources — job arrivals,
@@ -357,7 +388,7 @@ class FluidRun:
 
     def __init__(self, program, sizes: Optional[np.ndarray] = None,
                  delays: Optional[np.ndarray] = None) -> None:
-        """Start a run at t=0 over ``program`` (nothing fills until :meth:`run`)."""
+        """Start a run at t=0 over ``program`` (nothing fills until :meth:`advance`)."""
         if isinstance(program, FlowProgram):
             self.arena = None
             self._static = (program, FillWorkspace(program))
@@ -499,29 +530,54 @@ class FluidRun:
         self._dirty = True
         self._integrate(self._edge)
 
-    def _refill(self) -> None:
-        """Re-fill the active flows and schedule the next completion edge."""
-        self._dirty = False
-        active = self.active
-        if not active.any():
-            return
-        if self.arena is None:
-            # A static program's fills depend on the mask alone: reuse any
-            # earlier run's.  A hit leaves the workspace's saved rounds as
-            # they were; the resume rule checks its own subset condition.
-            fills = self._static[0].fills
-            key = active.tobytes()
-            hit = fills.get(key)
-            if hit is None:
-                rates, rounds = fill_rates(self.program, active, self.workspace)
-                fills[key] = (rates.copy(), rounds)
-            else:
-                rates, rounds = hit
-                obs.add({"sim.fill_rounds": rounds, "sim.fill_hits": 1})
-        else:
-            rates, rounds = fill_rates(self.program, active, self.workspace)
+    def advance(self, until: Optional[float] = None):
+        """Fire events until a fill is due and return its request.
+
+        The request is ``(program, active, workspace)``: the caller fills
+        the active flows and hands the result to :meth:`accept` before
+        advancing again.  Returns None once the queue drains, or with
+        ``until`` once every event strictly before it has fired; the fluid
+        state is then integrated to ``until``, and an event at exactly
+        ``until`` stays queued, so a source scheduled there later still
+        fires before any completion edge colliding with it.  The events
+        this call fired are added to the ``sim.events`` counter.
+        """
+        queue = self.queue
+        processed = queue.processed
+        max_events = constants.SIM_MAX_EVENTS
+        stop = float("inf") if until is None else float(until)
+        if stop < queue.now:
+            raise ValueError("cannot run a fluid simulation backwards")
+        request = None
+        while True:
+            nxt = queue.peek()
+            if self._dirty and nxt > queue.now:
+                self._dirty = False
+                if self.active.any():
+                    request = (self.program, self.active, self.workspace)
+                    break
+            if nxt >= stop:
+                break
+            if queue.processed >= max_events:
+                raise RuntimeError(
+                    f"fluid simulation did not converge: event budget "
+                    f"(max_events={max_events}) exhausted")
+            queue.step()
+        if request is None and until is not None:
+            queue.now = stop
+            self._integrate()
+        obs.add({"sim.events": queue.processed - processed})
+        return request
+
+    def accept(self, rates: np.ndarray, rounds: int) -> None:
+        """Take the rates of the requested fill; schedule the next completion edge.
+
+        ``rates`` may alias a workspace: the run reads them only until its
+        next fill.  Active flows left without rate raise the stall error.
+        """
         self.rates = rates
         self.fill_rounds += rounds
+        active = self.active
         eligible = active & (rates > SIM_EPS)
         if not eligible.any():
             raise RuntimeError(
@@ -533,37 +589,31 @@ class FluidRun:
             remaining <= rates * (dt * (1.0 + _EDGE_SLACK)) + SIM_BYTES_EPS)
         self._pending = self.queue.schedule(dt, self._on_edge)
 
+    def _fill(self, program: FlowProgram, active: np.ndarray,
+              workspace: FillWorkspace) -> Tuple[np.ndarray, int]:
+        """The one-run driver's fill, memoized by mask on a static program."""
+        if self.arena is not None:
+            return fill_rates(program, active, workspace)
+        # A static program's fills depend on the mask alone: reuse any
+        # earlier run's.  A hit leaves the workspace's saved rounds as they
+        # were; the resume rule checks its own subset condition.
+        key = active.tobytes()
+        hit = program.fills.get(key)
+        if hit is None:
+            rates, rounds = fill_rates(program, active, workspace)
+            program.fills[key] = (rates.copy(), rounds)
+            return rates, rounds
+        obs.add({"sim.fill_rounds": hit[1], "sim.fill_hits": 1})
+        return hit
+
     def run(self, until: Optional[float] = None) -> None:
         """Fire events until the queue drains, or up to ``until``.
 
-        With ``until``, events strictly before it fire and the fluid state
-        is then integrated to ``until``; an event at exactly ``until`` stays
-        queued, so a source scheduled there later still fires before any
-        completion edge colliding with it.  The events this call fired are
-        added to the ``sim.events`` counter.
+        The one-run driver: every request :meth:`advance` returns is filled
+        here (see :meth:`advance` for ``until``).
         """
-        queue = self.queue
-        processed = queue.processed
-        max_events = constants.SIM_MAX_EVENTS
-        stop = float("inf") if until is None else float(until)
-        if stop < queue.now:
-            raise ValueError("cannot run a fluid simulation backwards")
-        while True:
-            nxt = queue.peek()
-            if self._dirty and nxt > queue.now:
-                self._refill()
-                nxt = queue.peek()
-            if nxt >= stop:
-                break
-            if queue.processed >= max_events:
-                raise RuntimeError(
-                    f"fluid simulation did not converge: event budget "
-                    f"(max_events={max_events}) exhausted")
-            queue.step()
-        if until is not None:
-            queue.now = stop
-            self._integrate()
-        obs.add({"sim.events": queue.processed - processed})
+        while (request := self.advance(until)) is not None:
+            self.accept(*self._fill(*request))
 
     def clone(self) -> "FluidRun":
         """An independent copy of the run at its current instant.
@@ -589,6 +639,31 @@ class FluidRun:
         new._dirty = True
         new._sets = {}
         return new
+
+
+def run_lockstep(runs: Sequence["FluidRun"]) -> None:
+    """Run independent fluid runs to the end, filling them in lockstep.
+
+    Every live run advances to its next fill request, one stacked fill
+    (:func:`fill_stacked`) serves all the requests, and every run accepts
+    its block's rates; a run whose queue drains drops out.  Each run
+    fires the same events and gets the same rates as under
+    :meth:`FluidRun.run`, without its static-program memo.
+    """
+    workspace = StackedWorkspace()
+    requests = [run.advance() for run in runs]
+    # A run with nothing to fill from the start takes no block: a None
+    # block keeps the slot of an earlier fill's block.
+    runs = [run for run, request in zip(runs, requests) if request is not None]
+    requests = [request for request in requests if request is not None]
+    while any(request is not None for request in requests):
+        filled = fill_stacked([None if request is None else request[:2]
+                               for request in requests], workspace)
+        for run, result in zip(runs, filled):
+            if result is not None:
+                run.accept(*result)
+        requests = [None if request is None else run.advance()
+                    for run, request in zip(runs, requests)]
 
 
 @dataclass

@@ -8,10 +8,11 @@ engine can report scheduler work alongside its fill-round counters.
 
 Cancelled events are not removed eagerly (heap deletion is O(n)); they are
 skipped when popped, and the heap is compacted lazily once more than half of
-it is dead (:attr:`EventQueue.compactions` counts the sweeps).  The fluid
-loop cancels one pending completion per refill, so the heap stays within a
-constant factor of the live event count instead of growing linearly with
-simulated time.
+it is dead.  The fluid loop cancels one pending completion per refill, so
+the heap stays within a constant factor of the live event count instead of
+growing linearly with simulated time.  The queue has no run loop of its
+own: :class:`~repro.simulator.engine.FluidRun` steps it with :meth:`peek`
+and :meth:`step`.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ class EventQueue:
         self._dead = 0
         self.now: float = 0.0
         self.processed: int = 0
-        self.compactions: int = 0
 
     def __len__(self) -> int:
         """Current heap size, dead entries included (compaction tests)."""
@@ -122,7 +122,6 @@ class EventQueue:
         self._heap = [e for e in self._heap if not e.cancelled]
         heapq.heapify(self._heap)
         self._dead = 0
-        self.compactions += 1
 
     def step(self) -> bool:
         """Pop and run the next event; returns False when the queue is empty."""
@@ -139,23 +138,3 @@ class EventQueue:
             event.callback()
             return True
         return False
-
-    def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> float:
-        """Run events until the queue drains (or ``until`` / ``max_events`` hit).
-
-        Returns the final simulated time.
-        """
-        executed = 0
-        while self._heap:
-            nxt = self._heap[0]
-            if nxt.cancelled:
-                heapq.heappop(self._heap)
-                self._dead -= 1
-                continue
-            if until is not None and nxt.time > until:
-                break
-            if executed >= max_events:
-                raise RuntimeError("event budget exhausted (runaway simulation?)")
-            self.step()
-            executed += 1
-        return self.now

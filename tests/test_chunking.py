@@ -45,6 +45,11 @@ class TestQuantizeWeights:
         with pytest.raises(ValueError):
             quantize_weights([0.0, 0.0])
 
+    @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf")])
+    def test_single_non_positive_or_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError):
+            quantize_weights([weight])
+
 
 class TestChunkPathSchedule:
     def test_covers_every_shard_exactly(self, genkautz_extp):

@@ -684,6 +684,100 @@ class TestAdversarial:
                                   mode="exhaustive")
         assert res.worst_slowdown == float("inf")
 
+    @staticmethod
+    def _sequential(context, buffer_bytes, specs, baseline_seconds,
+                    prefix=None):
+        """The search's evaluations one after another, each resumed from
+        the prefix by ``run_faulted``."""
+        return [run_faulted(context.schedule, buffer_bytes, spec,
+                            validate=False, allow_stranded=True,
+                            baseline_seconds=baseline_seconds,
+                            context=context, _prefix=prefix)
+                for spec in specs]
+
+    @pytest.mark.parametrize("topology, scheme, k, mode", [
+        ("hypercube:dim=3", "mcf-extp", 1, "exhaustive"),
+        ("hypercube:dim=3", "mcf-extp", 2, "exhaustive"),
+        ("hypercube:dim=3", "mcf-extp", 2, "greedy"),
+        ("ring:n=4", "ewsp", 2, "exhaustive"),
+        ("ring:n=4", "ewsp", 2, "greedy"),
+    ])
+    @pytest.mark.parametrize("group", [3, 22])
+    def test_lockstep_equals_sequential_runs(self, monkeypatch, topology,
+                                             scheme, k, mode, group):
+        """Every evaluation, their order and the fill, event and reroute
+        cache counters equal those of sequential ``run_faulted`` calls;
+        the ring's two-link cuts strand flows.  Groups of 3 leave runs
+        finished while others of their group still fill."""
+        import repro.faults.adversarial as adversarial
+        import repro.faults.runner as runner
+
+        schedule = _lowered(topology, scheme)
+        fabric = cerio_hpc_fabric()
+        counters = ("sim.fill_rounds", "sim.events",
+                    "faults.route_cache_hits", "faults.route_cache_misses")
+
+        def search():
+            obs.reset()
+            result = worst_case_failures(schedule, 2 ** 20, k=k, fabric=fabric,
+                                         candidates=5, mode=mode)
+            counts = obs.snapshot()
+            rows = [(ev["links"], ev["slowdown"], ev["completion_seconds"],
+                     ev["reroute_count"], ev["stranded_bytes"])
+                    for ev in result.evaluations]
+            return result, rows, {name: counts.get(name, 0) for name in counters}
+
+        monkeypatch.setattr(runner, "LOCKSTEP_GROUP", group)
+        lockstep, rows, counts = search()
+        monkeypatch.setattr(adversarial, "run_faulted_lockstep", self._sequential)
+        sequential, want_rows, want_counts = search()
+        assert rows == want_rows
+        assert counts == want_counts and counts["sim.fill_rounds"] > 0
+        assert lockstep.worst_links == sequential.worst_links
+        assert lockstep.mode == mode
+        if topology.startswith("ring"):
+            assert any(ev["stranded"] for ev in lockstep.evaluations)
+
+    @pytest.mark.parametrize("at", [0.5, 0.9, 0.97])
+    def test_lockstep_with_a_set_stranding_every_remaining_flow(self, at):
+        """A set that downs every link strands every flow left at a late
+        strike, so its run has nothing to fill after the strike, while the
+        other runs of its group still fill; results and counters equal
+        sequential ``run_faulted`` calls."""
+        from repro.faults.adversarial import _failure_spec
+        from repro.faults.runner import run_faulted_lockstep
+
+        schedule = _lowered("hypercube:dim=3", "mcf-extp")
+        fabric = cerio_hpc_fabric()
+        buf = 2 ** 20
+        baseline = run_routed_collective(schedule, buf, fabric=fabric,
+                                         validate=False).completion_time
+        links = sorted({(min(u, v), max(u, v))
+                        for u, v in schedule.topology.edges})
+        sets = [(links[0],), tuple(links), (links[1],), (links[0], links[5])]
+        specs = [_failure_spec(s, at * baseline, 0) for s in sets]
+
+        def rows_and_counts(run_specs):
+            # A fresh context each, so both start with cold route caches.
+            context = PreparedFaultContext(schedule, fabric)
+            prefix = capture_fault_prefix(context, buf, at * baseline,
+                                          vc=specs[0].vc)
+            assert prefix.run.active.any()
+            obs.reset()
+            results = run_specs(context, buf, specs, baseline, prefix)
+            counts = obs.snapshot()
+            rows = [(r.completion_time, r.meta["reroute_count"],
+                     r.meta["stranded_bytes"]) for r in results]
+            return rows, {name: counts.get(name, 0) for name in (
+                "sim.fill_rounds", "sim.events", "faults.route_cache_hits",
+                "faults.route_cache_misses")}
+
+        rows, counts = rows_and_counts(run_faulted_lockstep)
+        want_rows, want_counts = rows_and_counts(self._sequential)
+        assert rows == want_rows and counts == want_counts
+        assert [row[0] == float("inf") for row in rows] == [
+            False, True, False, False]
+
     def test_ranked_links_cover_schedule_load(self):
         schedule = _lowered("hypercube:dim=3", "mcf-extp")
         ranked = ranked_physical_links(schedule, 2 ** 20)

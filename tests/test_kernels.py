@@ -8,6 +8,8 @@ and a fault-patched :class:`~repro.perf.delta.DeltaProgram`.  Around it:
 adversarial exact-tie bottleneck patterns with pinned round counts, the
 reusable workspace under growing and shrinking masks (also a cluster
 arena's), active flows with no incidence entries and the ``[stats]`` footer.
+The stacked fill over many programs is checked block by block against the
+separate fill.
 """
 
 import random
@@ -24,7 +26,9 @@ from repro.constants import SIM_EPS
 from repro.perf import (
     DeltaProgram,
     FillWorkspace,
+    StackedWorkspace,
     fill_rates_numpy,
+    fill_stacked_numpy,
 )
 from repro.simulator import (
     FabricModel,
@@ -605,3 +609,139 @@ class TestEveryFillOfARun:
                           fabric=cerio_hpc_fabric(), validate=False)
         assert res.meta["reroute_count"] > 0
         assert checked["fills"] > 50 and checked["resumed"] > checked["fills"] // 2
+
+
+class TestStackedFill:
+    """One stacked fill over many programs equals each block's own fill:
+    rates on active flows bit for bit, and the logical round count."""
+
+    @staticmethod
+    def _check(blocks, stack, workspaces):
+        """Fill ``blocks`` stacked and separately (``None``: a finished block)."""
+        stacked = fill_stacked_numpy(blocks, stack)
+        assert len(stacked) == len(blocks)
+        for block, result, ws in zip(blocks, stacked, workspaces):
+            if block is None:
+                assert result is None
+                continue
+            program, active = block
+            want, want_rounds = fill_rates_numpy(program, active, ws)
+            rates, rounds = result
+            assert len(rates) == program.num_flows
+            np.testing.assert_array_equal(rates[active], want[active])
+            assert rounds == want_rounds
+        return stacked
+
+    @staticmethod
+    def _programs(seed, count=4):
+        rng = random.Random(seed)
+        programs = []
+        for i in range(count):
+            spec = TestKernelDifferential.TOPOLOGIES[i % 5]
+            fabric = TestKernelDifferential.FABRICS[rng.randrange(4)]
+            topo = from_spec(spec)
+            flows = _random_flows(topo, rng, rng.randint(10, 40), zero_fraction=0.0)
+            programs.append(compile_flows(topo, flows, fabric))
+        return rng, programs
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shrinking_masks(self, seed):
+        """Each block drops 0-3 flows per fill, at its own pace."""
+        rng, programs = self._programs(seed, count=5)
+        stack = StackedWorkspace()
+        workspaces = [FillWorkspace(p) for p in programs]
+        masks = [np.ones(p.num_flows, dtype=bool) for p in programs]
+        while any(mask.any() for mask in masks):
+            self._check(list(zip(programs, masks)), stack, workspaces)
+            for i, mask in enumerate(masks):
+                live = np.flatnonzero(mask).tolist()
+                mask = mask.copy()
+                mask[rng.sample(live, min(len(live), rng.randint(0, 3)))] = False
+                masks[i] = mask
+
+    def test_exact_ties_and_entryless_flows(self):
+        star = nx.DiGraph()
+        for i in range(1, 9):
+            star.add_edge(0, i, cap=1.0)
+            star.add_edge(i, 0, cap=1.0)
+        from repro.topology.base import Topology
+        ties = compile_flows(Topology(name="star8", graph=star),
+                             [FluidFlow(path=(0, i), size_bytes=64.0)
+                              for i in range(1, 9)],
+                             ideal_fabric(link_bandwidth=2.0))
+        tiers = compile_flows(ring(6),
+                              [FluidFlow(path=(i, (i + 1) % 6), size_bytes=100.0)
+                               for i in range(3)]
+                              + [FluidFlow(path=(3, 4), size_bytes=100.0)] * 2,
+                              ideal_fabric(link_bandwidth=8.0))
+        full = compile_flows(hypercube(3),
+                             _random_flows(hypercube(3), random.Random(5), 12,
+                                           zero_fraction=0.0),
+                             ideal_fabric(link_bandwidth=10.0))
+        keep = ~np.isin(full.inc_flow, [2, 4])
+        bare = replace(full, inc_res=full.inc_res[keep],
+                       inc_flow=full.inc_flow[keep])
+        programs = [ties, tiers, bare]
+        stack = StackedWorkspace()
+        workspaces = [FillWorkspace(p) for p in programs]
+        masks = [np.ones(p.num_flows, dtype=bool) for p in programs]
+        stacked = self._check(list(zip(programs, masks)), stack, workspaces)
+        assert [rounds for _, rounds in stacked[:2]] == [1, 2]
+        assert (stacked[2][0][[2, 4]] == np.inf).all()
+        for flow in range(8):
+            masks = [mask.copy() for mask in masks]
+            for mask in masks:
+                mask[flow % len(mask)] = False
+            self._check(list(zip(programs, masks)), stack, workspaces)
+
+    def test_idle_and_early_finishing_blocks(self):
+        """A block without active flows, a one-round block beside many-round
+        ones, and finished blocks (None) that keep their slot."""
+        rng, programs = self._programs(11, count=4)
+        single = compile_flows(ring(4), [FluidFlow(path=(0, 1), size_bytes=1.0)],
+                               ideal_fabric(link_bandwidth=3.0))
+        programs.append(single)
+        stack = StackedWorkspace()
+        workspaces = [FillWorkspace(p) for p in programs]
+        masks = [np.ones(p.num_flows, dtype=bool) for p in programs]
+        masks[1][:] = False
+        stacked = self._check(list(zip(programs, masks)), stack, workspaces)
+        assert stacked[1][1] == 0 and stacked[4][1] == 1
+        assert max(rounds for _, rounds in stacked) > 2
+        blocks = list(zip(programs, masks))
+        for step in range(6):
+            blocks = [None if b is None or (i == 3 and step >= 2) else
+                      (b[0], b[1] & (np.arange(len(b[1])) % 6 != step))
+                      for i, b in enumerate(blocks)]
+            self._check(blocks, stack, workspaces)
+
+    def test_reactivated_reposted_and_rerouted_blocks_start_fresh(self):
+        """Same-mask fills after each change: a kept fill would be stale."""
+        topo = hypercube(3)
+        fabric = cerio_hpc_fabric()
+        paths = [(0, 1, 3, 2), (1, 3, 7), (4, 5, 7, 6), (2, 6), (0, 4, 5),
+                 (3, 1, 0), (5, 1, 3), (0, 1), (6, 7, 5)]
+        deltas = [DeltaProgram(topo, fabric, paths, [1.0] * len(paths))
+                  for _ in range(3)]
+        _, (static,) = self._programs(2, count=1)
+        blocks = [(d.program, np.ones(d.num_flows, dtype=bool)) for d in deltas]
+        blocks.append((static, np.ones(static.num_flows, dtype=bool)))
+        stack = StackedWorkspace()
+        workspaces = [d.workspace for d in deltas] + [FillWorkspace(static)]
+        self._check(blocks, stack, workspaces)
+        # Shrink every block once so that each has resumable rounds.
+        blocks = [(p, np.where(np.arange(len(m)) == 0, False, m)) for p, m in blocks]
+        self._check(blocks, stack, workspaces)
+        deltas[0].set_capacities(fabric_from_spec("hpc:scale=0~1:0.5"))
+        deltas[1].apply(fabric, {1: (1, 5, 7)})
+        reactivated = blocks[3][1].copy()
+        reactivated[0] = True
+        blocks = [(deltas[0].program, blocks[0][1]),
+                  (deltas[1].program, blocks[1][1]), blocks[2],
+                  (static, reactivated)]
+        workspaces[1] = deltas[1].workspace
+        self._check(blocks, stack, workspaces)
+        # A revisited capacity state resumes and still matches.
+        deltas[0].set_capacities(fabric_from_spec("hpc:scale=0~1:0.5"))
+        blocks = [(p, np.where(np.arange(len(m)) == 2, False, m)) for p, m in blocks]
+        self._check(blocks, stack, workspaces)

@@ -23,6 +23,12 @@ from repro.simulator import (
 from repro.topology import complete, hypercube, ring
 
 
+def _step_through(queue, until=float("inf")):
+    """Fire the events at or before ``until`` with ``peek``/``step``."""
+    while queue.peek() <= until and queue.step():
+        pass
+
+
 class TestEventQueue:
     def test_events_fire_in_time_order(self):
         q = EventQueue()
@@ -30,7 +36,7 @@ class TestEventQueue:
         q.schedule(2.0, lambda: fired.append("b"))
         q.schedule(1.0, lambda: fired.append("a"))
         q.schedule(3.0, lambda: fired.append("c"))
-        q.run()
+        _step_through(q)
         assert fired == ["a", "b", "c"]
         assert q.now == 3.0
 
@@ -39,7 +45,7 @@ class TestEventQueue:
         fired = []
         q.schedule(1.0, lambda: fired.append(1))
         q.schedule(1.0, lambda: fired.append(2))
-        q.run()
+        _step_through(q)
         assert fired == [1, 2]
 
     def test_cancellation(self):
@@ -47,7 +53,7 @@ class TestEventQueue:
         fired = []
         ev = q.schedule(1.0, lambda: fired.append("x"))
         ev.cancel()
-        q.run()
+        _step_through(q)
         assert fired == []
 
     def test_run_until(self):
@@ -55,7 +61,7 @@ class TestEventQueue:
         fired = []
         q.schedule(1.0, lambda: fired.append(1))
         q.schedule(5.0, lambda: fired.append(2))
-        q.run(until=2.0)
+        _step_through(q, until=2.0)
         assert fired == [1]
 
     def test_negative_delay_rejected(self):
