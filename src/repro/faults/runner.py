@@ -181,9 +181,9 @@ def capture_fault_prefix(context: PreparedFaultContext, buffer_bytes: float,
 
     Every candidate of an adversarial search evolves identically until the
     strike instant, so the search runs that prefix once and passes the
-    paused run as ``run_faulted(..., _prefix=...)``; each evaluation
-    resumes from a clone.  The resumed run is bit-identical to one
-    simulated from t=0: the same loop ran up to ``at_seconds``, and the
+    paused run as ``run_faulted_lockstep(..., prefix=...)``; each
+    evaluation resumes from a clone.  The resumed run is bit-identical to
+    one simulated from t=0: the same loop ran up to ``at_seconds``, and the
     epoch there still fires before a completion edge colliding with it.
     """
     prefix = _FaultedRun(context, buffer_bytes, FaultSpec(events=(), vc=vc),
@@ -201,8 +201,8 @@ def run_faulted(schedule: RoutedSchedule, buffer_bytes: float,
                 allow_stranded: bool = False,
                 collect_trace: bool = False,
                 baseline_seconds: Optional[float] = None,
-                context: Optional[PreparedFaultContext] = None,
-                _prefix: Optional[_FaultedRun] = None) -> CollectiveResult:
+                context: Optional[PreparedFaultContext] = None
+                ) -> CollectiveResult:
     """Execute a routed schedule under a fault timeline at one buffer size.
 
     ``baseline_seconds`` (the zero-fault completion time on the same base
@@ -214,9 +214,7 @@ def run_faulted(schedule: RoutedSchedule, buffer_bytes: float,
     in ``meta["epoch_trace"]`` for the differential tests.  ``context`` is
     a :class:`~repro.faults.context.PreparedFaultContext` for this schedule
     and fabric — pass one when running the schedule repeatedly so the
-    hoisted arrays, compiled arena template and reroute caches are shared;
-    ``_prefix`` resumes from a :func:`capture_fault_prefix` run paused at
-    the first epoch instant (adversarial search internal).
+    hoisted arrays, compiled arena template and reroute caches are shared.
     """
     if isinstance(spec, str):
         spec = parse_fault_spec(spec)
@@ -242,14 +240,14 @@ def run_faulted(schedule: RoutedSchedule, buffer_bytes: float,
     fabric = fabric or FabricModel()
     if context is None:
         context = PreparedFaultContext(schedule, fabric)
-    faulted = _start(context, buffer_bytes, spec, collect_trace, _prefix)
+    faulted = _start(context, buffer_bytes, spec, collect_trace)
     faulted.run.run()
     return _result(faulted, buffer_bytes, baseline_seconds, allow_stranded)
 
 
 def _start(context: PreparedFaultContext, buffer_bytes: float,
            spec: FaultSpec, collect_trace: bool,
-           prefix: Optional[_FaultedRun]) -> _FaultedRun:
+           prefix: Optional[_FaultedRun] = None) -> _FaultedRun:
     """A faulted run at its start, or resumed from ``prefix``, with its
     fabric epochs scheduled."""
     if prefix is not None:

@@ -1,4 +1,4 @@
-"""The one mutable flow arena behind every :class:`~repro.simulator.engine.FluidRun`.
+"""The one editable flow arena behind every :class:`~repro.simulator.engine.FluidRun`.
 
 A run whose flow program changes between events keeps it in a
 :class:`DeltaProgram`.  Cluster co-simulation appends a flow set when a
@@ -20,8 +20,13 @@ order, and every edit either filters that list or appends to it:
 * :meth:`DeltaProgram.apply` re-posts capacities for an epoch fabric,
   drops the entries of rerouted flows and appends their new routes'
   entries;
-* :meth:`DeltaProgram.clone` copies the state edited in place for
-  concurrent adversarial evaluations.
+* :meth:`DeltaProgram.clone` starts an independent arena for each of
+  many concurrent adversarial evaluations.
+
+Every edit replaces the arrays it changes, capacities included, and
+builds a new :class:`~repro.simulator.engine.FlowProgram` view, so a view
+never changes after it is built and a fill over another view object than
+the last one knows to start fresh.
 
 Rates over the arena are bit-identical to a fresh ``compile_flows`` of the
 live flows: the fill reads only the incidence, capacities and the active
@@ -38,22 +43,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fillkernel import FillWorkspace
-
 __all__ = ["DeltaProgram"]
 
 Path = Tuple[int, ...]
 
 
 class DeltaProgram:
-    """A mutable compiled flow program: flat incidence + warm workspace.
+    """An editable compiled flow program: flat incidence plus capacities.
 
     ``paths``/``sizes`` are the fixed flow set, compiled against ``fabric``
     with its down set stripped (a planned path may cross a base down link
     only if the caller reroutes it before the first fill); more sets are
-    appended with :meth:`inject`.  ``program``/``workspace`` are views over
-    the arena: capacity posts show through them, and every incidence edit
-    replaces them.
+    appended with :meth:`inject`.  ``program`` is the current view over the
+    arena; every edit replaces it with a new one.
     """
 
     def __init__(self, topology, fabric=None, paths: Sequence[Path] = (),
@@ -66,10 +68,7 @@ class DeltaProgram:
         # capacities, down links included, are posted by set_capacities.
         self._layout_fabric = replace(self.fabric, down_links=())
         template = self._compile(paths, sizes)
-        self.res_cap = np.empty(len(template.res_cap))
         self._cap_key: Optional[Tuple[object, object]] = None
-        self.workspace: Optional[FillWorkspace] = None
-        self.set_capacities(self.fabric)
 
         self._fixed = bool(len(paths))
         self.ent_res = template.inc_res
@@ -78,7 +77,7 @@ class DeltaProgram:
         self._delays = template.start_delays
         self._set_ids = template.set_ids
         self._set_names: List[str] = ["schedule"] if self._fixed else []
-        self._init_views()
+        self.set_capacities(self.fabric)
 
     @property
     def num_flows(self) -> int:
@@ -100,7 +99,7 @@ class DeltaProgram:
             self._layout_fabric, include_latency=False)
 
     def _init_views(self) -> None:
-        """(Re)build the FlowProgram/FillWorkspace views over the arena."""
+        """Build a new FlowProgram view over the arena."""
         from ..simulator.engine import FlowProgram
 
         self.program = FlowProgram(
@@ -113,7 +112,6 @@ class DeltaProgram:
             inc_res=self.ent_res,
             inc_flow=self.ent_flow,
         )
-        self.workspace = FillWorkspace(self.program)
 
     # ------------------------------------------------------------------ #
     # Flow sets: inject and compact
@@ -163,56 +161,52 @@ class DeltaProgram:
     # Fabric epochs: capacities and routes
     # ------------------------------------------------------------------ #
     def set_capacities(self, epoch_fabric) -> None:
-        """Post the resource capacities of one epoch fabric, in place.
+        """Post the resource capacities of one epoch fabric.
 
         Down links get capacity zero (their flows must have been rerouted
         or masked; a zero-rate stall is the canary for a missed reroute).
         A post whose ``(down_links, link_scale)`` state equals the last one
         posted is skipped; any other state is recomputed, even one posted
-        earlier, and makes the workspace forget its saved fill rounds.
+        earlier, into a new capacity array and a new view.
         """
-        from ..simulator.engine import compile_flows
-
-        key = (epoch_fabric.down_links, epoch_fabric.link_scale)
-        if key != self._cap_key:
-            self.res_cap[:] = compile_flows(self.topology, [],
-                                            epoch_fabric).res_cap
-            self._cap_key = key
-            if self.workspace is not None:
-                self.workspace.forget()
+        self.apply(epoch_fabric, {})
 
     def apply(self, epoch_fabric, moved: Dict[int, Path]) -> None:
         """One epoch's delta: capacities, then the routes of ``moved`` flows.
 
         ``moved`` maps each flow whose route changed to its new route; their
-        old entries are dropped and the new routes' entries appended.
+        old entries are dropped and the new routes' entries appended.  An
+        epoch that changes anything builds one new view.
         """
-        self.set_capacities(epoch_fabric)
-        if not moved:
+        from ..simulator.engine import compile_flows
+
+        key = (epoch_fabric.down_links, epoch_fabric.link_scale)
+        if key != self._cap_key:
+            self.res_cap = compile_flows(self.topology, [], epoch_fabric).res_cap
+            self._cap_key = key
+        elif not moved:
             return
-        flows = np.fromiter(moved, dtype=np.int64, count=len(moved))
-        compiled = self._compile(list(moved.values()))
-        dropped = np.zeros(self.num_flows, dtype=bool)
-        dropped[flows] = True
-        keep = ~dropped[self.ent_flow]
-        self.ent_res = np.concatenate([self.ent_res[keep], compiled.inc_res])
-        self.ent_flow = np.concatenate([self.ent_flow[keep],
-                                        flows[compiled.inc_flow]])
+        if moved:
+            flows = np.fromiter(moved, dtype=np.int64, count=len(moved))
+            compiled = self._compile(list(moved.values()))
+            dropped = np.zeros(self.num_flows, dtype=bool)
+            dropped[flows] = True
+            keep = ~dropped[self.ent_flow]
+            self.ent_res = np.concatenate([self.ent_res[keep], compiled.inc_res])
+            self.ent_flow = np.concatenate([self.ent_flow[keep],
+                                            flows[compiled.inc_flow]])
         self._init_views()
 
     # ------------------------------------------------------------------ #
     # Cloning (one copy per faulted run of a shared context)
     # ------------------------------------------------------------------ #
     def clone(self) -> "DeltaProgram":
-        """An independent mutable copy sharing the incidence arrays.
+        """An independent arena sharing every array with this one.
 
-        Incidence edits replace ``ent_res``/``ent_flow`` rather than write
-        into them, so those and the per-flow arrays are shared; ``res_cap``
-        (posted in place), the set names and the workspace are copied, so
+        Edits replace arrays rather than write into them, so the arrays and
+        the current view are shared; only the set-name list is copied, so
         clones evolve independently of the template and of each other.
         """
         new = copy.copy(self)
-        new.res_cap = self.res_cap.copy()
         new._set_names = list(self._set_names)
-        new._init_views()
         return new

@@ -7,8 +7,9 @@ kernel behind :func:`repro.simulator.engine.fill_rates`: numpy saturation
 rounds that retire capacity with one weighted ``bincount`` and then drop the
 frozen flows' incidence entries, so each round touches only live entries.
 Its scratch and the start state of each round of the last fill live in a
-reusable :class:`FillWorkspace`: a fill over the last fill's flows minus
-some departed ones resumes from the first round a departed flow froze in.
+reusable :class:`FillWorkspace`: a fill over the last fill's program and
+flows minus some departed ones resumes from the first round a departed
+flow froze in.
 The simulator engine calls it through the :data:`run_fill` binding.
 ``tests/test_kernels.py`` checks its fills against the scalar
 :mod:`repro.simulator.reference` oracle to 1e-9 and against a max-min
@@ -19,6 +20,13 @@ programs at once, as one block-diagonal program with a minimum per block,
 so that a driver stepping many runs in lockstep pays the per-call cost of
 the numpy rounds once per step instead of once per run.  Its fills equal
 the separate ones bit for bit, resumed blocks included.
+
+Both kernels decide alone when saved rounds are stale, by one rule: a
+fill starts fresh when it runs over another program object than the last
+fill, or when its mask gains a flow.  Flow programs never change after
+they are built (the :class:`~repro.perf.delta.DeltaProgram` arena builds
+a new one on every edit), so a program object's saved rounds stay valid
+for as long as it lives.
 """
 
 from __future__ import annotations
@@ -37,39 +45,37 @@ _NEVER = np.iinfo(np.int64).max
 
 
 class FillWorkspace:
-    """The rate vector, scratch and saved rounds of one flow program's fills.
+    """The rate vector, scratch and saved rounds of one run's fills.
 
-    Built once per :class:`~repro.simulator.engine.FlowProgram` (each
-    :class:`~repro.simulator.engine.FluidRun` owns one; the
-    :class:`~repro.perf.delta.DeltaProgram` arena rebuilds it whenever its
-    incidence changes) and reused across every fill.  The rate vector ``rates``
-    is part of the workspace and is *reused across fills* — callers that
-    keep rates beyond the next fill must copy them.  ``freeze`` is
-    all-False between fills.
+    Each :class:`~repro.simulator.engine.FluidRun` owns one and reuses it
+    across every fill, over whichever program the fill runs: a fill over
+    another program object than the last one re-sizes the scratch to it
+    and starts fresh.  The rate vector ``rates`` is part of the workspace
+    and is *reused across fills* — callers that keep rates beyond the next
+    fill must copy them.  ``freeze`` is all-False between fills.
 
     The workspace also remembers the last fill, so the next one can resume
-    instead of restarting: ``saved`` holds the state at the start of each
-    of its rounds, ``(residual, counts, ent_res, ent_flow)``, ``round_of``
-    the round each flow froze in (:data:`_NEVER` for flows that froze in
-    none) and ``prev`` a copy of its active mask (None: the next fill
-    starts fresh).  Whoever edits the program's
-    capacities or incidence in place must call :meth:`forget`.
+    instead of restarting: ``program`` is the program it ran over,
+    ``saved`` holds the state at the start of each of its rounds,
+    ``(residual, counts, ent_res, ent_flow)``, ``round_of`` the round each
+    flow froze in (:data:`_NEVER` for flows that froze in none) and
+    ``prev`` a copy of its active mask (None: the next fill starts fresh).
     """
 
     def __init__(self, program) -> None:
         """Allocate the per-flow and per-resource scratch for ``program``."""
+        self._fit(program)
+
+    def _fit(self, program) -> None:
+        """Size the scratch for ``program``, with no saved fill."""
         num_flows = int(program.num_flows)
+        self.program = program
         self.rates = np.zeros(num_flows)
         self.freeze = np.zeros(num_flows, dtype=np.bool_)
         self.share = np.empty(len(program.res_cap))
         self.round_of = np.full(num_flows, _NEVER, dtype=np.int64)
         self.saved: List[tuple] = []
         self.prev: Optional[np.ndarray] = None
-
-    def forget(self) -> None:
-        """Drop the saved rounds: the next fill starts fresh."""
-        self.saved = []
-        self.prev = None
 
 
 def fill_rates_numpy(program, active: np.ndarray,
@@ -83,21 +89,23 @@ def fill_rates_numpy(program, active: np.ndarray,
     remain.  An active flow with no entries gets rate ``inf``.  Returns the
     rates and the round count.
 
-    When ``active`` is a subset of the workspace's last mask, the fill
-    resumes from the first round in which a departed flow froze: the rounds
-    before it are the same floats without the departed flows (none of them
-    sat on a resource in those rounds' tie windows, and dropping them only
-    raises the shares of their resources), so only their entries and
-    counts are taken out of the saved state.  Any other mask starts fresh.
-    Without a ``workspace`` the call uses a throwaway one; with one, the
-    returned rate vector is the workspace's and is reused across calls.
+    When ``program`` is the workspace's last program and ``active`` a
+    subset of its last mask, the fill resumes from the first round in which
+    a departed flow froze: the rounds before it are the same floats without
+    the departed flows (none of them sat on a resource in those rounds' tie
+    windows, and dropping them only raises the shares of their resources),
+    so only their entries and counts are taken out of the saved state.  Any
+    other program or mask starts fresh.  Without a ``workspace`` the call
+    uses a throwaway one; with one, the returned rate vector is the
+    workspace's and is reused across calls.
     """
     ws = FillWorkspace(program) if workspace is None else workspace
+    if ws.program is not program:
+        ws._fit(program)
     num_res = len(program.res_cap)
     rates, share, freeze, round_of = ws.rates, ws.share, ws.freeze, ws.round_of
     prev, saved = ws.prev, ws.saved
-    if (prev is not None and len(prev) == len(active)
-            and not (active & ~prev).any()):
+    if prev is not None and not (active & ~prev).any():
         gone = prev & ~active
         rates[gone] = 0.0
         first = int(round_of[gone].min(initial=_NEVER))
@@ -172,11 +180,12 @@ class StackedWorkspace:
     at offsets ``res_starts[b]`` and ``flow_starts[b]`` of the stacked
     arrays.  The workspace keeps the stacked incidence, one rate vector
     (each block's rates are a view into it, reused across fills) and, to
-    resume, per flow its last active mask and the round it froze in
-    (``prev``, ``round_of``), per block its last round count and
-    capacities, and ``history``: row ``r`` holds every block's residual
-    capacities at the start of its round ``r``.  Entries and counts are
-    not saved: a resumed block rebuilds them from ``round_of``.
+    resume, per block the program it last filled and its round count
+    (``programs``, ``rounds``), per flow its last active mask and the round
+    it froze in (``prev``, ``round_of``), and ``history``: row ``r`` holds
+    every block's residual capacities at the start of its round ``r``.
+    Entries and counts are not saved: a resumed block rebuilds them from
+    ``round_of``.
     """
 
     def __init__(self) -> None:
@@ -184,7 +193,7 @@ class StackedWorkspace:
         self.programs: List[object] = []
 
     def _lay_out(self, programs: Sequence) -> None:
-        """Stack ``programs`` afresh: every block starts fresh."""
+        """Size the stack for ``programs``; no block matches a program yet."""
         flow_sizes = np.array([p.num_flows for p in programs], dtype=np.int64)
         res_sizes = np.array([len(p.res_cap) for p in programs], dtype=np.int64)
         self.flow_sizes, self.res_sizes = flow_sizes, res_sizes
@@ -203,28 +212,21 @@ class StackedWorkspace:
         # One inf past the resources, so that an empty last block has
         # something to reduce.
         self.share = np.full(num_res + 1, np.inf)
-        # NaN equals no capacity, so the first fill starts every block fresh.
-        self.caps = np.full(num_res, np.nan)
         self.residual = np.zeros(num_res)
         self.rounds = np.zeros(len(programs), dtype=np.int64)
         self.history = np.empty((0, num_res))
-        self._stack(programs)
+        self.programs = [None] * len(programs)
 
     def _stack(self, programs: Sequence) -> None:
-        """Concatenate the blocks' incidence at their offsets."""
+        """Concatenate the blocks' capacities and incidence at their offsets."""
         self.programs = list(programs)
+        self.res_cap = np.concatenate([p.res_cap for p in programs])
         self.inc_res = np.concatenate(
             [p.inc_res + off for p, off in zip(programs, self.res_starts.tolist())])
         self.inc_flow = np.concatenate(
             [p.inc_flow + off for p, off in zip(programs, self.flow_starts.tolist())])
         self.has_entry = np.zeros(len(self.rates), dtype=np.bool_)
         self.has_entry[self.inc_flow] = True
-
-    def _blocks_with(self, mask: np.ndarray, block_of: np.ndarray) -> np.ndarray:
-        """Whether each block holds a True of ``mask`` (over ``block_of``'s rows)."""
-        if not mask.any():
-            return np.zeros(len(self.programs), dtype=np.bool_)
-        return np.bincount(block_of[mask], minlength=len(self.programs)) > 0
 
 
 def fill_stacked_numpy(blocks: Sequence[Optional[Tuple[object, np.ndarray]]],
@@ -246,10 +248,9 @@ def fill_stacked_numpy(blocks: Sequence[Optional[Tuple[object, np.ndarray]]],
     Like a separate fill, a block whose mask is a subset of its last one
     resumes from the first round a departed flow froze in: its residual
     comes from ``history`` and its entries are the active flows that had
-    not frozen before that round.  A block starts fresh when its mask
-    gains a flow, or when its program object or capacities changed since
-    the last fill (a program whose incidence is edited in place must be
-    a new object).  Blocks of other sizes than the last call's stack
+    not frozen before that round.  A block starts fresh when its program
+    is another object than the last call's at its position, or when its
+    mask gains a flow.  Blocks of other sizes than the last call's stack
     lay out afresh.  A None block (a run that has finished) keeps the
     slot of the last call's block at its position with no active flow,
     and gets None.
@@ -265,15 +266,14 @@ def fill_stacked_numpy(blocks: Sequence[Optional[Tuple[object, np.ndarray]]],
                        dtype=np.bool_, count=len(programs))
     if not same.all():
         ws._stack(programs)
-    num_res = len(ws.caps)
+    num_res = len(ws.res_cap)
     rates, freeze, round_of, prev = ws.rates, ws.freeze, ws.round_of, ws.prev
 
     active = np.concatenate([
         np.zeros(program.num_flows, dtype=np.bool_) if block is None else block[1]
         for program, block in zip(programs, blocks)])
-    caps = np.concatenate([program.res_cap for program in programs])
-    fresh = (~same | ws._blocks_with(caps != ws.caps, ws.block_of_res)
-             | ws._blocks_with(active & ~prev, ws.block_of_flow))
+    gained = ws.block_of_flow[active & ~prev]
+    fresh = ~same | (np.bincount(gained, minlength=len(programs)) > 0)
     gone = np.flatnonzero(prev & ~active)
     first = np.full(len(programs), _NEVER, dtype=np.int64)
     np.minimum.at(first, ws.block_of_flow[gone], round_of[gone])
@@ -287,7 +287,6 @@ def fill_stacked_numpy(blocks: Sequence[Optional[Tuple[object, np.ndarray]]],
         rates[fresh_flow & active & ~ws.has_entry] = np.inf
         round_of[fresh_flow] = _NEVER
     np.copyto(prev, active)
-    ws.caps = caps
     rounds = first.copy()
 
     if redo.any():
@@ -300,7 +299,7 @@ def fill_stacked_numpy(blocks: Sequence[Optional[Tuple[object, np.ndarray]]],
         resumed = (redo & ~fresh)[ws.block_of_res]
         residual[resumed] = ws.history[first_res[resumed], columns[resumed]]
         fresh_res = fresh[ws.block_of_res]
-        residual[fresh_res] = caps[fresh_res]
+        residual[fresh_res] = ws.res_cap[fresh_res]
         first_flow = first[ws.block_of_flow]
         sel = (active & (round_of >= first_flow))[ws.inc_flow]
         ent_res = ws.inc_res[sel]

@@ -15,14 +15,17 @@ on this engine:
    numpy saturation rounds of :mod:`repro.perf.fillkernel` (per round, the
    minimum fair share picks the bottleneck(s), all their flows freeze at
    that rate, and their incidence entries drop out of later rounds);
-   scratch arrays live in a
-   :class:`~repro.perf.fillkernel.FillWorkspace` reused across fills,
-   which also keeps the last fill's rounds, so a fill over the same flows
-   minus finished ones resumes from the first round a finished flow froze
-   in.  A static program also memoizes its fills by active mask
+   scratch arrays live in the run's
+   :class:`~repro.perf.fillkernel.FillWorkspace`, reused across fills,
+   which also keeps the last fill's rounds, so a fill over the same
+   program and flows minus finished ones resumes from the first round a
+   finished flow froze in.  Programs never change after they are built:
+   a :class:`~repro.perf.delta.DeltaProgram` arena builds a new view on
+   every edit, and the kernel starts fresh on another program object.  A
+   static program also memoizes its fills by active mask
    (:attr:`FlowProgram.fills`), so the buffers of one sweep fill each
-   distinct mask once; a :class:`~repro.perf.delta.DeltaProgram` arena,
-   whose capacities change in place, never uses the memo;
+   distinct mask once (the arena's views do not, see
+   :attr:`FlowProgram.fills`);
 3. **run** — :class:`FluidRun` is the one fluid event loop: it advances
    from event to event on the :class:`~repro.simulator.events.EventQueue`,
    integrating rates, retiring finished flows and re-filling over the
@@ -124,9 +127,11 @@ class FlowProgram:
     ``fills`` memoizes the max-min fills of the static program, by active
     mask bytes, as ``(rates, rounds)``: the fill never reads sizes, so every
     run of the program shares them.  Only a :class:`FluidRun` over a static
-    program reads or writes it; the views of a
-    :class:`~repro.perf.delta.DeltaProgram` arena leave it empty, because
-    the arena posts capacities in place.
+    program reads or writes it.  The views of a
+    :class:`~repro.perf.delta.DeltaProgram` arena leave it empty: each
+    edit builds a new view, and no view of a seed-0 ``cluster`` or
+    ``robustness`` benchmark pass was filled twice under one mask (8,641
+    and 2,418 fills), so a memo there would only copy rates.
     """
 
     num_flows: int
@@ -310,10 +315,10 @@ def fill_rates(program: FlowProgram, active: np.ndarray,
     """Max-min fair rates for the active flows.
 
     Runs :func:`repro.perf.fillkernel.run_fill`, the vectorized numpy
-    saturation rounds.  With a ``workspace`` (built once per program)
-    scratch arrays *and the returned rate vector* are reused across calls,
-    and a fill over a subset of the last fill's flows resumes from its
-    saved rounds; callers that keep rates past the next fill must copy
+    saturation rounds.  With a ``workspace`` (one per run) scratch arrays
+    *and the returned rate vector* are reused across calls, and a fill
+    over the last fill's program and a subset of its flows resumes from
+    its saved rounds; callers that keep rates past the next fill must copy
     them.  Returns the rate vector and the number of saturation rounds;
     the rounds and the wall time are added to the ``sim.fill_rounds`` and
     ``sim.fill_seconds`` counters of :mod:`repro.obs`.
@@ -359,8 +364,9 @@ class FluidRun:
     event sources patch between events.  The run owns the per-flow state —
     ``remaining`` bytes, the ``active`` fill mask, ``completion`` instants
     and start-up ``delays`` (``sizes``/``delays`` default to the program's)
-    — the workspace-aliased ``rates`` and the pending completion edge, and
-    implements the one stepping rule every simulation shares:
+    — its one fill ``workspace``, the workspace-aliased ``rates`` and the
+    pending completion edge, and implements the one stepping rule every
+    simulation shares:
 
     * **integrate** — every event first drains ``rates * dt`` bytes from the
       active flows since the previous event;
@@ -390,11 +396,11 @@ class FluidRun:
                  delays: Optional[np.ndarray] = None) -> None:
         """Start a run at t=0 over ``program`` (nothing fills until :meth:`advance`)."""
         if isinstance(program, FlowProgram):
-            self.arena = None
-            self._static = (program, FillWorkspace(program))
+            self.arena, self._static = None, program
         else:
             self.arena = program
         program = self.program
+        self.workspace = FillWorkspace(program)
         self.queue = EventQueue()
         self.remaining = np.array(program.sizes if sizes is None else sizes,
                                   dtype=float)
@@ -414,12 +420,7 @@ class FluidRun:
     @property
     def program(self) -> FlowProgram:
         """The flow program the next fill runs over."""
-        return self._static[0] if self.arena is None else self.arena.program
-
-    @property
-    def workspace(self) -> FillWorkspace:
-        """The fill workspace matching :attr:`program`."""
-        return self._static[1] if self.arena is None else self.arena.workspace
+        return self._static if self.arena is None else self.arena.program
 
     @property
     def now(self) -> float:
@@ -618,16 +619,16 @@ class FluidRun:
     def clone(self) -> "FluidRun":
         """An independent copy of the run at its current instant.
 
-        Per-flow state and the arena are copied; the clone's queue starts
-        empty at ``now`` with the event count carried over, and it re-fills
-        before time advances.  Event sources and flow-set callbacks are not
-        copied: the caller schedules its own on the clone.
+        Per-flow state and the arena are copied and the clone gets its own
+        fill workspace; the clone's queue starts empty at ``now`` with the
+        event count carried over, and it re-fills before time advances.
+        Event sources and flow-set callbacks are not copied: the caller
+        schedules its own on the clone.
         """
         new = copy.copy(self)
-        if self.arena is None:
-            new._static = (self._static[0], FillWorkspace(self._static[0]))
-        else:
+        if self.arena is not None:
             new.arena = self.arena.clone()
+        new.workspace = FillWorkspace(new.program)
         new.remaining = self.remaining.copy()
         new.active = self.active.copy()
         new.completion = self.completion.copy()

@@ -35,6 +35,7 @@ from repro.faults import (
     surviving_adjacency,
     worst_case_failures,
 )
+from repro.faults.runner import _result, _start
 from repro.faults.spec import FaultEvent, FaultTimeline
 from repro.faults.reroute import certify_routes, effective_path
 from repro.simulator import (
@@ -52,6 +53,15 @@ def _lowered(topology: str, scheme: str = "ewsp"):
     """Synthesize + lower one scenario to its RoutedSchedule."""
     return Plan(Scenario(topology=topology, scheme=scheme,
                          max_denominator=16)).run("lower").lowered
+
+
+def _resumed(context, buffer_bytes, spec, baseline_seconds, prefix,
+             allow_stranded=True):
+    """``run_faulted`` of ``spec`` resumed from a captured ``prefix``: the
+    sequential reference of ``run_faulted_lockstep``."""
+    faulted = _start(context, buffer_bytes, spec, False, prefix)
+    faulted.run.run()
+    return _result(faulted, buffer_bytes, baseline_seconds, allow_stranded)
 
 
 def piecewise_static_oracle(schedule, buffer_bytes, spec, fabric):
@@ -353,9 +363,8 @@ class TestDeltaEngine:
                            validate=False, context=context,
                            baseline_seconds=baseline)
         prefix = capture_fault_prefix(context, buf, at, vc=spec.vc)
-        resumed = run_faulted(schedule, buf, spec, fabric=fabric,
-                              validate=False, context=context,
-                              baseline_seconds=baseline, _prefix=prefix)
+        resumed = _resumed(context, buf, spec, baseline, prefix,
+                           allow_stranded=False)
         assert resumed.completion_time == full.completion_time
         assert resumed.meta["fill_rounds"] == full.meta["fill_rounds"]
         assert resumed.meta["events"] == full.meta["events"]
@@ -370,8 +379,7 @@ class TestDeltaEngine:
         spec = FaultSpec(events=(FaultEvent(time=2e-6, kind="down",
                                             links=((0, 1), (1, 0))),))
         with pytest.raises(ValueError, match="prefix"):
-            run_faulted(schedule, buf, spec, fabric=fabric, validate=False,
-                        context=context, _prefix=prefix)
+            _start(context, buf, spec, False, prefix)
 
     def test_context_schedule_and_fabric_guards(self):
         schedule = _lowered("hypercube:dim=3")
@@ -688,11 +696,8 @@ class TestAdversarial:
     def _sequential(context, buffer_bytes, specs, baseline_seconds,
                     prefix=None):
         """The search's evaluations one after another, each resumed from
-        the prefix by ``run_faulted``."""
-        return [run_faulted(context.schedule, buffer_bytes, spec,
-                            validate=False, allow_stranded=True,
-                            baseline_seconds=baseline_seconds,
-                            context=context, _prefix=prefix)
+        the prefix."""
+        return [_resumed(context, buffer_bytes, spec, baseline_seconds, prefix)
                 for spec in specs]
 
     @pytest.mark.parametrize("topology, scheme, k, mode", [

@@ -227,7 +227,7 @@ class TestKernelDifferential:
         fresh = compile_flows(topo, flows, epoch, include_latency=False)
         assert len(delta.ent_res) == len(fresh.inc_res)
         active = np.ones(delta.num_flows, dtype=bool)
-        rates, _ = fill_rates_numpy(delta.program, active, delta.workspace)
+        rates, _ = fill_rates_numpy(delta.program, active)
         assert_matches_reference(rates, flows, active, topo, epoch)
         assert_max_min(delta.program, active, rates)
 
@@ -314,7 +314,8 @@ class TestFillWorkspace:
             self._grow_and_shrink(rng, program.num_flows))
 
     def test_arena_workspace_reuse_matches_fresh_fills(self):
-        """The workspace a cluster arena rebuilds on inject fills like a fresh one."""
+        """A run's one workspace fills each view a cluster arena builds on
+        inject like a fresh workspace."""
         topo = hypercube(3)
         rng = random.Random(7)
         run = FluidRun(FlowInjector(topo, cerio_hpc_fabric()))
@@ -509,6 +510,23 @@ class TestResumingFill:
         active[early] = False
         assert _assert_fill_equals_restarting(program, active, ws)
 
+    def test_another_program_starts_fresh(self):
+        """A fill over another program object through the same workspace
+        starts fresh, even under a subset of the last fill's mask."""
+        topo = from_spec("torus:dims=3x3")
+        flows = _random_flows(topo, random.Random(31), 30, zero_fraction=0.0)
+        first = compile_flows(topo, flows, cerio_hpc_fabric())
+        res_cap = first.res_cap.copy()
+        res_cap[::2] *= 0.5
+        second = replace(first, res_cap=res_cap, fills={})
+        ws = FillWorkspace(first)
+        active = np.ones(first.num_flows, dtype=bool)
+        _assert_fill_equals_restarting(first, active, ws)
+        active = active.copy()
+        active[int(np.argmax(ws.round_of))] = False
+        assert not _assert_fill_equals_restarting(second, active, ws)
+        assert ws.program is second
+
     def test_reactivated_flow_gets_a_fresh_fill(self):
         topo = hypercube(3)
         flows = _random_flows(topo, random.Random(13), 20, zero_fraction=0.0)
@@ -535,36 +553,52 @@ class TestResumingFill:
                                                  [1.0] * len(paths))
 
     def test_new_capacities_start_a_fresh_fill(self):
+        """One caller-owned workspace across the arena's capacity posts."""
         topo, fabric, paths, delta = self._delta()
+        ws = FillWorkspace(delta.program)
         active = np.ones(delta.num_flows, dtype=bool)
-        _assert_fill_equals_restarting(delta.program, active, delta.workspace)
+        _assert_fill_equals_restarting(delta.program, active, ws)
         delta.set_capacities(fabric_from_spec("hpc:scale=0~1:0.5"))
         # The same mask: a kept fill would return the old capacities' rates.
-        assert not _assert_fill_equals_restarting(delta.program, active,
-                                                  delta.workspace)
-        # A revisited capacity state changes nothing and forgets nothing.
+        assert not _assert_fill_equals_restarting(delta.program, active, ws)
+        # A revisited capacity state keeps the view, so the next fill resumes.
+        view = delta.program
         delta.set_capacities(fabric_from_spec("hpc:scale=0~1:0.5"))
+        assert delta.program is view
         active = active.copy()
-        active[int(np.argmax(delta.workspace.round_of))] = False
-        assert _assert_fill_equals_restarting(delta.program, active,
-                                              delta.workspace)
+        active[int(np.argmax(ws.round_of))] = False
+        assert _assert_fill_equals_restarting(delta.program, active, ws)
         delta.set_capacities(fabric)
         active = active.copy()
-        active[int(np.argmax(delta.workspace.round_of))] = False
-        assert not _assert_fill_equals_restarting(delta.program, active,
-                                                  delta.workspace)
+        active[int(np.argmax(ws.round_of))] = False
+        assert not _assert_fill_equals_restarting(delta.program, active, ws)
 
     def test_moved_routes_start_a_fresh_fill(self):
         topo, fabric, paths, delta = self._delta()
+        ws = FillWorkspace(delta.program)
         active = np.ones(delta.num_flows, dtype=bool)
-        _assert_fill_equals_restarting(delta.program, active, delta.workspace)
+        _assert_fill_equals_restarting(delta.program, active, ws)
         delta.apply(fabric, {})                     # nothing moved
-        assert _assert_fill_equals_restarting(delta.program, active,
-                                              delta.workspace)
+        assert _assert_fill_equals_restarting(delta.program, active, ws)
         delta.apply(fabric, {1: (1, 5, 7)})
         # The same mask: a kept fill would return the old routes' rates.
-        assert not _assert_fill_equals_restarting(delta.program, active,
-                                                  delta.workspace)
+        assert not _assert_fill_equals_restarting(delta.program, active, ws)
+
+    def test_edits_never_write_into_a_view(self):
+        """Capacity posts and reroutes, in the arena and in a clone, build
+        new views and leave the arrays of an existing view as they were."""
+        topo, fabric, paths, delta = self._delta()
+        first = delta.program
+        before = [first.res_cap.copy(), first.inc_res.copy(), first.inc_flow.copy()]
+        clone = delta.clone()
+        delta.set_capacities(fabric_from_spec("hpc:scale=0~1:0.5"))
+        posted = delta.program
+        delta.apply(fabric, {1: (1, 5, 7)})
+        clone.apply(fabric_from_spec("hpc:scale=0~1:0.25"), {2: (4, 6)})
+        views = [first, posted, delta.program, clone.program]
+        assert len({id(view) for view in views}) == len(views)
+        for got, want in zip([first.res_cap, first.inc_res, first.inc_flow], before):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestEveryFillOfARun:
@@ -727,7 +761,7 @@ class TestStackedFill:
         blocks = [(d.program, np.ones(d.num_flows, dtype=bool)) for d in deltas]
         blocks.append((static, np.ones(static.num_flows, dtype=bool)))
         stack = StackedWorkspace()
-        workspaces = [d.workspace for d in deltas] + [FillWorkspace(static)]
+        workspaces = [FillWorkspace(p) for p, _ in blocks]
         self._check(blocks, stack, workspaces)
         # Shrink every block once so that each has resumable rounds.
         blocks = [(p, np.where(np.arange(len(m)) == 0, False, m)) for p, m in blocks]
@@ -739,7 +773,6 @@ class TestStackedFill:
         blocks = [(deltas[0].program, blocks[0][1]),
                   (deltas[1].program, blocks[1][1]), blocks[2],
                   (static, reactivated)]
-        workspaces[1] = deltas[1].workspace
         self._check(blocks, stack, workspaces)
         # A revisited capacity state resumes and still matches.
         deltas[0].set_capacities(fabric_from_spec("hpc:scale=0~1:0.5"))
