@@ -24,7 +24,7 @@ def test_table1_fabric_models(bench_timer, record):
     # reuses the first one's schedule instead of re-solving the MCF.  Local
     # because the session conftest disables the global caches; the timed
     # first run (through the lower stage) still starts cold.
-    stage_cache = SolutionCache(name="stage-cache", payload_type=object)
+    stage_cache = SolutionCache(name="stage-cache")
     data = run_panel(TABLE1, TABLE1.panel("forwarding"), cache=stage_cache,
                      timer=bench_timer)
     assert data.results["forwarding 100 Gbps"].stage_cache["synthesize"] == "hit"

@@ -30,8 +30,7 @@ def format_engine_footer(counts: Mapping[str, float], backend: str,
         return counts.get(name, 0)
 
     line = (f"[stats] lp-cache: {c('lp-cache.hits')} hits / "
-            f"{c('lp-cache.misses')} misses "
-            f"({c('lp-cache.disk_hits')} from disk) backend={backend}; "
+            f"{c('lp-cache.misses')} misses backend={backend}; "
             f"stage-cache: {c('stage-cache.hits')} hits / "
             f"{c('stage-cache.misses')} misses; "
             f"sim: {c('sim.fill_rounds')} fill rounds / {c('sim.events')} events")

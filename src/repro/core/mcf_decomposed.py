@@ -249,9 +249,8 @@ def _proposed_translations(topology: Topology) -> Optional[Tuple[int, ...]]:
     return None
 
 
-def _edge_orbits(topology: Topology,
-                 dims: Optional[Sequence[int]]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Edge orbits under the translations of ``Z_dims``, if they are symmetries.
+def _edge_orbits(topology: Topology) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Edge orbits under :func:`_proposed_translations`, if they are symmetries.
 
     Returns ``(orbit, first)``: each edge's orbit id (orbits sorted by the
     translation that carries an edge's tail to its head) and one edge index
@@ -260,6 +259,7 @@ def _edge_orbits(topology: Topology,
     one edge out of every node and one capacity.
     """
     n = topology.num_nodes
+    dims = _proposed_translations(topology)
     if dims is None or int(np.prod(dims)) != n:
         return None
     dims_arr = np.asarray(dims, dtype=np.int64)
@@ -279,8 +279,8 @@ def _edge_orbits(topology: Topology,
 def build_objective_lp(problem: MCFProblem) -> LPBuilder:
     """The smallest LP whose F and capacity duals certify the optimal F.
 
-    With ``params["translations"]`` a verified symmetry group (see
-    :func:`_edge_orbits`), averaging any optimum over the group gives one
+    When the translation group the topology's metadata proposes checks out
+    (:func:`_edge_orbits`), averaging any optimum over the group gives one
     in which every source's flow is source 0's, translated.  The LP then
     holds F, source 0's flow on every edge, one capacity row per edge orbit
     (summed over the orbit, source 0's flow is what each of its edges
@@ -288,7 +288,7 @@ def build_objective_lp(problem: MCFProblem) -> LPBuilder:
     it is the full master LP.
     """
     topology = problem.topology
-    orbits = _edge_orbits(topology, problem.params.get("translations"))
+    orbits = _edge_orbits(topology)
     if orbits is None:
         return build_master_lp(problem)
     orbit, first = orbits
@@ -317,13 +317,10 @@ def solve_mcf_objective(topology: Topology) -> ConcurrentFlowValue:
     """
     if not topology.is_strongly_connected():
         raise ValueError("MCF requires a strongly connected topology")
-    dims = _proposed_translations(topology)
-    orbits = _edge_orbits(topology, dims)
-    params = {} if orbits is None else {"translations": list(dims)}
-    solution = engine_solve(MCFProblem("mcf-objective", topology, params=params,
-                                       maximize=True))
+    solution = engine_solve(MCFProblem("mcf-objective", topology, maximize=True))
     concurrent_flow = float(solution.block("F")[0])
     lengths = solution.dual("capacity")
+    orbits = _edge_orbits(topology)
     if orbits is not None:
         lengths = lengths[orbits[0]]
     info = dict(solution.info)

@@ -21,11 +21,13 @@ avoids densifying what are extremely sparse matrices (a link-based MCF on N
 nodes and E edges has ~N^2*E variables but only a handful of nonzeros per
 row).  :meth:`~LPBuilder.to_arrays` canonicalizes the COO triplets
 deterministically (sorted by (row, col), duplicates summed) so two builds of
-the same LP produce bit-identical CSR matrices.
+the same LP produce bit-identical CSR matrices, and :meth:`~LPBuilder.digest`
+hashes those arrays: the engine keys LP solutions by the LP they solve.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -60,19 +62,15 @@ class _Block:
 class LPSolution:
     """Result of an LP solve, backed by the flat solution vector.
 
-    The solution holds the solver's raw ``x`` vector (or, for cache-restored
-    copies, per-block sparse arrays) and materializes per-block views lazily:
-    :meth:`block` returns the value ndarray of a variable block, shaped like
-    the block.
+    The solution holds the solver's ``x`` vector and materializes per-block
+    views lazily: :meth:`block` returns the value ndarray of a variable
+    block, shaped like the block.
 
     Attributes
     ----------
     objective:
         Optimal objective value in the *builder's* sense (i.e. negated back if
         the builder was maximizing).
-    raw:
-        The raw :class:`scipy.optimize.OptimizeResult` (None for solutions
-        served from the cache, which strips it on store).
     info:
         Engine bookkeeping attached by :meth:`repro.engine.Engine.solve`:
         cache status (``hit`` / ``miss`` / ``bypass``), backend name, LP
@@ -80,30 +78,21 @@ class LPSolution:
         solved directly.
     duals:
         Row duals of the builder's named ``<=`` row blocks (see
-        :meth:`dual`), kept through :meth:`portable` so cached solutions
-        carry them.
+        :meth:`dual`).
     """
 
-    def __init__(self, objective: float, raw: object = None,
+    def __init__(self, objective: float,
                  info: Optional[Dict[str, object]] = None,
                  x: Optional[np.ndarray] = None,
                  blocks: Optional[Dict[str, object]] = None,
                  duals: Optional[Dict[str, np.ndarray]] = None) -> None:
         self.objective = objective
-        self.raw = raw
         self.info: Dict[str, object] = {} if info is None else info
         self.duals: Dict[str, np.ndarray] = {} if duals is None else duals
         self._x = x
-        # Block storage: name -> ("slice", start, shape) view into x,
-        # ("sparse", shape, idx, vals) compacted form, or a dense ndarray
-        # (memoized reconstruction).
+        # Block storage: name -> (start, shape) view into x, or a dense
+        # ndarray (memoized view).
         self._blocks: Dict[str, object] = {} if blocks is None else blocks
-
-    # ------------------------------------------------------------------ #
-    @property
-    def x(self) -> Optional[np.ndarray]:
-        """The solver's flat solution vector (None for cache-restored copies)."""
-        return self._x
 
     # ------------------------------------------------------------------ #
     def block_names(self) -> List[str]:
@@ -118,17 +107,9 @@ class LPSolution:
                            f"available: {self.block_names()}")
         if isinstance(entry, np.ndarray):
             return entry
-        kind = entry[0]
-        if kind == "slice":
-            _, start, shape = entry
-            size = int(np.prod(shape)) if shape else 1
-            dense = np.asarray(self._x[start:start + size]).reshape(shape)
-        else:  # "sparse"
-            _, shape, idx, vals = entry
-            size = int(np.prod(shape)) if shape else 1
-            flat = np.zeros(size)
-            flat[idx] = vals
-            dense = flat.reshape(shape)
+        start, shape = entry
+        size = int(np.prod(shape)) if shape else 1
+        dense = np.asarray(self._x[start:start + size]).reshape(shape)
         self._blocks[name] = dense
         return dense
 
@@ -146,41 +127,10 @@ class LPSolution:
     # ------------------------------------------------------------------ #
     def clone(self, info: Optional[Dict[str, object]] = None) -> "LPSolution":
         """Shallow copy, optionally swapping ``info`` (cache-hit bookkeeping)."""
-        return LPSolution(objective=self.objective, raw=self.raw,
+        return LPSolution(objective=self.objective,
                           info=dict(self.info) if info is None else info,
                           x=self._x, blocks=dict(self._blocks),
                           duals=dict(self.duals))
-
-    def portable(self, tol: float = 0.0) -> "LPSolution":
-        """Compact, picklable copy for the solution cache.
-
-        The raw solver result is stripped and each variable block is stored
-        as flat (index, value) ndarrays of its above-``tol`` entries — every
-        consumer thresholds at ``FLOW_TOL`` anyway, and MCF solutions are
-        overwhelmingly zeros, so this cuts the cache footprint by orders of
-        magnitude at paper scale.  Named row duals are kept whole: they are
-        small, and callers re-check certificates from them.
-        """
-        blocks: Dict[str, object] = {}
-        for name in self._blocks:
-            arr = self.block(name)
-            flat = np.asarray(arr, dtype=float).ravel()
-            idx = np.flatnonzero(np.abs(flat) > tol)
-            blocks[name] = ("sparse", tuple(arr.shape),
-                            idx.astype(np.int64), flat[idx].copy())
-        return LPSolution(objective=self.objective, info=dict(self.info),
-                          blocks=blocks,
-                          duals={name: np.array(d) for name, d in self.duals.items()})
-
-    # Pickle support (the instance has no __dict__-only state worth trimming,
-    # but the raw OptimizeResult must never travel; portable() handles that
-    # for the cache and this keeps ad-hoc pickles safe too).
-    def __getstate__(self):
-        return (self.objective, None, self.info, self._x, self._blocks, self.duals)
-
-    def __setstate__(self, state):
-        (self.objective, self.raw, self.info, self._x, self._blocks,
-         self.duals) = state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"LPSolution(objective={self.objective!r}, "
@@ -451,7 +401,39 @@ class LPBuilder:
         self._arrays_cache = (c, a_ub, b_ub, a_eq, b_eq, bounds)
         return self._arrays_cache
 
-    def make_solution(self, x, objective: float, raw: object = None,
+    def digest(self) -> str:
+        """Content digest of the assembled LP and of how its solution reads back.
+
+        A blake2b over :meth:`to_arrays` (each array's dtype, shape and
+        bytes; a CSR matrix as its shape, indptr, indices and data), the
+        variable-block layout and the named row blocks.  Two builders share
+        a digest only if they pose the same LP and read its solution back
+        through the same blocks, so the engine keys solutions by it.
+        """
+        h = hashlib.blake2b(digest_size=32)
+
+        def feed(arr: np.ndarray) -> None:
+            arr = np.ascontiguousarray(arr)
+            h.update(f"{arr.dtype.str}{arr.shape}".encode())
+            h.update(arr)
+
+        for part in self.to_arrays():
+            if part is None:
+                h.update(b"none")
+            elif sp.issparse(part):
+                h.update(f"csr{part.shape}".encode())
+                for arr in (part.indptr, part.indices, part.data):
+                    feed(arr)
+            else:
+                feed(part)
+        h.update(repr([(b.name, b.start, b.shape)
+                       for b in self._blocks.values()]).encode())
+        for name, (start, kept, total) in self._ub_names.items():
+            h.update(repr((name, start, total)).encode())
+            feed(kept)
+        return h.hexdigest()
+
+    def make_solution(self, x, objective: float,
                       ub_duals: Optional[np.ndarray] = None) -> LPSolution:
         """Wrap a solver's ``x`` vector as an array-backed :class:`LPSolution`.
 
@@ -460,14 +442,12 @@ class LPBuilder:
         price per assembled ``<=`` row, in the builder's objective sense)
         is sliced into the named row blocks' :meth:`LPSolution.dual` arrays.
         """
-        blocks = {name: ("slice", b.start, b.shape)
-                  for name, b in self._blocks.items()}
+        blocks = {name: (b.start, b.shape) for name, b in self._blocks.items()}
         duals: Dict[str, np.ndarray] = {}
         if ub_duals is not None:
             for name, (start, kept, total) in self._ub_names.items():
                 dual = np.zeros(total)
                 dual[kept] = ub_duals[start:start + len(kept)]
                 duals[name] = dual
-        return LPSolution(objective=objective, raw=raw,
-                          x=np.asarray(x, dtype=float), blocks=blocks,
-                          duals=duals)
+        return LPSolution(objective=objective, x=np.asarray(x, dtype=float),
+                          blocks=blocks, duals=duals)

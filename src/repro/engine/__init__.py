@@ -7,8 +7,9 @@ Layering (each layer only knows the one below it):
 * **Backend** (:mod:`.backends`) — :class:`ScipyHighsBackend`, HiGHS with
   the method picked by LP size, or interior point without crossover for
   formulations that need no vertex;
-* **Cache** (:mod:`.cache`) — content-addressed :class:`SolutionCache`
-  keyed by ``(topology.canonical_hash(), formulation, params)``.
+* **Cache** (:mod:`.cache`) — an in-memory :class:`SolutionCache` keyed
+  by the assembled LP's digest, the objective sense and the backend's
+  method rule (:func:`~repro.engine.core.solution_key`).
 
 ``engine.solve(problem)`` on the process-wide default engine is the one
 entry point every formulation routes through.

@@ -104,7 +104,6 @@ class ScipyHighsBackend:
         if maximize:
             objective = -objective
         # Array-backed solution: per-block views materialize lazily.
-        solution = builder.make_solution(result.x, objective, raw=result,
-                                         ub_duals=ub_duals)
+        solution = builder.make_solution(result.x, objective, ub_duals=ub_duals)
         solution.info["method"] = method
         return solution

@@ -3,22 +3,27 @@
 ``engine.solve(problem)`` is the single entry point every MCF formulation
 routes through.  The engine
 
-1. computes the problem's content-addressed cache key,
-2. returns the cached :class:`LPSolution` on a hit,
-3. otherwise assembles the LP via the registered formulation, solves it with
-   the ``scipy-highs`` backend, and stores the result.
+1. assembles the LP via the registered formulation,
+2. keys it by :func:`solution_key`: the LP's own digest, the objective
+   sense and the backend's method rule,
+3. returns the cached :class:`LPSolution` on a hit,
+4. otherwise solves the LP with the ``scipy-highs`` backend and stores the
+   result.
+
+Because the key is the assembled LP, a changed assembler or a changed
+input can never be answered by a stale solution.  Solutions live only in
+the engine's memory: a warm re-run in a new process is served by the
+experiments layer's stage cache, which is the one persistent cache.
 
 Each returned solution carries an ``info`` dict (cache status, backend name,
 LP dimensions, cache key prefix) that formulations surface in
 ``FlowSolution.meta["engine"]``.
 
-A process-wide default engine is created lazily.  The ``REPRO_CACHE_DIR``
-environment variable seeds its disk tier.
+A process-wide default engine is created lazily.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Optional, TYPE_CHECKING
@@ -28,7 +33,7 @@ from .cache import SolutionCache
 from .problem import MCFProblem, get_formulation, needs_vertex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.solver import LPSolution
+    from ..core.solver import LPBuilder, LPSolution
 
 __all__ = ["Engine", "get_engine", "solve", "reset_engine",
            "solution_key"]
@@ -37,16 +42,16 @@ __all__ = ["Engine", "get_engine", "solve", "reset_engine",
 _BACKEND = ScipyHighsBackend()
 
 
-def solution_key(problem: MCFProblem) -> str:
-    """Solution-cache key of ``problem``.
+def solution_key(builder: "LPBuilder", maximize: bool, vertex: bool) -> str:
+    """Solution-cache key of the LP ``builder`` assembled.
 
-    The key carries the backend's :meth:`identity` (its name plus the
-    method rule for the formulation, vertex or none): a different method
+    The key carries the objective sense and the backend's :meth:`identity`
+    (its name plus the method rule, vertex or none): a different method
     may return a different (equally optimal) vertex or interior solution,
     so a solution cached under one rule must never answer for another.
     """
-    identity = _BACKEND.identity(needs_vertex(problem.formulation))
-    return f"{problem.cache_key()}-{identity}"
+    sense = "max" if maximize else "min"
+    return f"{builder.digest()}-{sense}-{_BACKEND.identity(vertex)}"
 
 
 class Engine:
@@ -60,38 +65,35 @@ class Engine:
 
     def solve(self, problem: MCFProblem) -> "LPSolution":
         """Solve ``problem``, consulting the cache unless it is disabled."""
-        key = solution_key(problem)
+        vertex = needs_vertex(problem.formulation)
+        t0 = time.perf_counter()
+        builder = get_formulation(problem.formulation)(problem)
+        builder.to_arrays()  # memoized; charges matrix assembly to assembly time
+        assemble_seconds = time.perf_counter() - t0
+        key = solution_key(builder, problem.maximize, vertex)
         caching = self.cache.enabled
         if caching:
             cached = self.cache.get(key)
             if cached is not None:
-                info = dict(cached.info)
-                info["cache"] = "hit"
-                # The stored timings describe the original miss, not this
-                # call; drop them so hit-path phase accounting can't read
-                # stale assembly/solve seconds as if they were spent now.
-                info.pop("assemble_seconds", None)
+                # The stored solve time describes the original miss, not
+                # this call; the assembly did happen now.
+                info = dict(cached.info, cache="hit",
+                            assemble_seconds=assemble_seconds)
                 info.pop("solve_seconds", None)
                 return cached.clone(info=info)
-        assembler = get_formulation(problem.formulation)
-        t0 = time.perf_counter()
-        builder = assembler(problem)
-        builder.to_arrays()  # memoized; charges matrix assembly to assembly time
         t1 = time.perf_counter()
-        solution = _BACKEND.solve(builder, maximize=problem.maximize,
-                                  vertex=needs_vertex(problem.formulation))
-        t2 = time.perf_counter()
+        solution = _BACKEND.solve(builder, maximize=problem.maximize, vertex=vertex)
         solution.info.update({
             "cache": "miss" if caching else "bypass",
             "backend": _BACKEND.name,
             "key": key[:16],
             "num_variables": builder.num_variables,
             "num_constraints": builder.num_constraints,
-            "assemble_seconds": t1 - t0,
-            "solve_seconds": t2 - t1,
+            "assemble_seconds": assemble_seconds,
+            "solve_seconds": time.perf_counter() - t1,
         })
         if caching:
-            self.cache.put(key, solution)
+            self.cache.put(key, solution.clone())
         return solution
 
 
@@ -105,8 +107,7 @@ def get_engine() -> Engine:
     if _engine is None:
         with _engine_lock:
             if _engine is None:
-                _engine = Engine(
-                    cache=SolutionCache(cache_dir=os.environ.get("REPRO_CACHE_DIR")))
+                _engine = Engine()
     return _engine
 
 

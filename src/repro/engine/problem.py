@@ -3,23 +3,20 @@
 An :class:`MCFProblem` names *what* to solve — a registered formulation, a
 topology, and formulation parameters — without saying *how*.  The engine
 (:mod:`repro.engine.core`) looks up the formulation's assembler, builds the
-LP, hands it to a backend, and caches the result under the problem's
-content-addressed :meth:`~MCFProblem.cache_key`.
+LP, and caches the solution under the assembled LP's own digest, so a
+problem needs no key of its own.
 
 Formulation modules (:mod:`repro.core.mcf_link` etc.) register their
 assembler with :func:`register_formulation` at import time; an assembler is a
-callable ``(problem) -> LPBuilder`` that must derive everything it needs from
-``problem.topology`` and ``problem.params`` so that two problems with equal
-cache keys always assemble the same LP.  A formulation registered with
+callable ``(problem) -> LPBuilder``.  A formulation registered with
 ``vertex=False`` tells the engine its callers read only the objective and
 the row duals, so the backend may skip the vertex (:func:`needs_vertex`).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Set, TYPE_CHECKING
+from typing import Callable, Dict, List, Set, TYPE_CHECKING
 
 from ..topology.base import Topology
 
@@ -28,42 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["MCFProblem", "register_formulation", "get_formulation",
            "formulation_names", "needs_vertex"]
-
-
-def _code_version() -> str:
-    """The installed repro version (lazy: the package imports this module)."""
-    try:
-        from .. import __version__
-
-        return __version__
-    except ImportError:  # pragma: no cover - mid-bootstrap edge
-        return "unknown"
-
-
-def canonical_value(obj: object) -> object:
-    """Reduce ``obj`` to a deterministic, order-independent hashable form.
-
-    Mappings become sorted key/value tuples, sets become sorted tuples, and
-    sequences become tuples; numpy scalars and arrays (which vectorized
-    callers naturally produce) are lowered to Python scalars / nested tuples
-    so equal problems hash equally regardless of array vs list params.
-    Anything else must round-trip through ``repr`` deterministically (true
-    for ints, floats, strings, bools and None).
-    """
-    import numpy as np
-
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return tuple(canonical_value(v) for v in obj.tolist())
-    if isinstance(obj, Mapping):
-        items = [(canonical_value(k), canonical_value(v)) for k, v in obj.items()]
-        return ("mapping", tuple(sorted(items, key=repr)))
-    if isinstance(obj, (set, frozenset)):
-        return ("set", tuple(sorted((canonical_value(v) for v in obj), key=repr)))
-    if isinstance(obj, (list, tuple)):
-        return tuple(canonical_value(v) for v in obj)
-    return obj
 
 
 @dataclass
@@ -75,13 +36,10 @@ class MCFProblem:
     formulation:
         Name of a registered formulation (see :func:`register_formulation`).
     topology:
-        The topology the LP is assembled over; its
-        :meth:`~repro.topology.base.Topology.canonical_hash` anchors the
-        cache key.
+        The topology the LP is assembled over.
     params:
-        Formulation parameters.  Assemblers must treat missing keys as
-        defaults, so problems carry only what the caller supplied and cache
-        keys stay small.
+        Formulation parameters.  Assemblers treat missing keys as
+        defaults, so problems carry only what the caller supplied.
     maximize:
         Objective sense passed to the backend.
     """
@@ -90,23 +48,6 @@ class MCFProblem:
     topology: Topology
     params: Dict[str, object] = field(default_factory=dict)
     maximize: bool = False
-
-    def canonical_params(self) -> object:
-        """Order-independent canonical form of :attr:`params`."""
-        return canonical_value(self.params)
-
-    def cache_key(self) -> str:
-        """Content-addressed key: topology content + formulation + params.
-
-        The package version is part of the payload so that a persistent
-        ``REPRO_CACHE_DIR`` from an older release (whose assemblers or
-        solution schema may differ) reads as a miss instead of silently
-        serving stale solutions.
-        """
-        payload = repr((_code_version(), self.topology.canonical_hash(),
-                        self.formulation, bool(self.maximize),
-                        self.canonical_params()))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"MCFProblem(formulation={self.formulation!r}, "

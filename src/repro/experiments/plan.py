@@ -5,7 +5,8 @@ through the paper's Fig. 1 pipeline as explicit stages:
 
 1. **synthesize** — build the topology and run the scheme, producing a
    :class:`TimeSteppedFlow` or :class:`PathSchedule` (LP solves inside route
-   through :func:`repro.engine.solve` and share its solution cache);
+   through :func:`repro.engine.solve` and share its in-memory solution
+   cache);
 2. **lower** — chunk to the schedule IR (:class:`LinkSchedule` /
    :class:`RoutedSchedule`); schemes that already emit IR pass through;
 3. **validate** — run the IR validators once (simulation then skips them);
@@ -36,7 +37,6 @@ from ..core.mcf_decomposed import ConcurrentFlowValue
 from ..core.mcf_path import PathSchedule
 from ..core.mcf_timestepped import TimeSteppedFlow
 from ..engine.cache import SolutionCache
-from ..engine.problem import _code_version
 from ..schedule import (
     LinkSchedule,
     RoutedSchedule,
@@ -59,13 +59,20 @@ _plan_cache: Optional[SolutionCache] = None
 _plan_cache_lock = threading.Lock()
 
 
+def _code_version() -> str:
+    """The installed repro version (lazy: the package imports this module)."""
+    from .. import __version__
+
+    return __version__
+
+
 def stage_artifact_key(scenario: Scenario, stage: str) -> str:
     """Stage-cache key of one scenario stage's artifact.
 
     The scenario's :meth:`~repro.experiments.scenario.Scenario.stage_key`
-    salted with the package version, as LP solution keys are: a persistent
-    ``REPRO_CACHE_DIR`` written by another release reads as a miss instead
-    of serving that release's schedules and results.
+    salted with the package version: a persistent ``REPRO_CACHE_DIR``
+    written by another release reads as a miss instead of serving that
+    release's schedules and results.
     """
     return f"{scenario.stage_key(stage)}-{_code_version()}"
 
@@ -82,8 +89,7 @@ def get_plan_cache() -> SolutionCache:
         with _plan_cache_lock:
             if _plan_cache is None:
                 _plan_cache = SolutionCache(cache_dir=_stage_cache_dir(),
-                                            name="stage-cache",
-                                            payload_type=object)
+                                            name="stage-cache")
     return _plan_cache
 
 
@@ -95,7 +101,7 @@ def configure_plan_cache(cache_dir: Optional[str] = None,
         global _plan_cache
         with _plan_cache_lock:
             _plan_cache = SolutionCache(cache_dir=cache_dir, name="stage-cache",
-                                        payload_type=object, enabled=cache.enabled)
+                                        enabled=cache.enabled)
             cache = _plan_cache
     if enabled is not None:
         cache.enabled = enabled

@@ -49,7 +49,6 @@ from ..core import (
     solve_mcf_objective,
     solve_path_mcf,
 )
-from ..engine.problem import canonical_value
 from ..paths import (
     all_shortest_path_sets,
     dor_schedule,
@@ -195,6 +194,31 @@ _STAGE_FIELDS["simulate"] = _STAGE_FIELDS["lower"] + ("fabric", "buffers", "over
                                                      "cluster", "faults")
 
 _SUPPORTED_WORKLOADS = ("alltoall",)
+
+
+def canonical_value(obj: object) -> object:
+    """Reduce ``obj`` to a deterministic, order-independent hashable form.
+
+    Mappings become sorted key/value tuples, sets become sorted tuples, and
+    sequences become tuples; numpy scalars and arrays are lowered to Python
+    scalars / nested tuples so equal fields hash equally regardless of
+    array vs list values.  Anything else must round-trip through ``repr``
+    deterministically (true for ints, floats, strings, bools and None).
+    """
+    import numpy as np
+
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return tuple(canonical_value(v) for v in obj.tolist())
+    if isinstance(obj, Mapping):
+        items = [(canonical_value(k), canonical_value(v)) for k, v in obj.items()]
+        return ("mapping", tuple(sorted(items, key=repr)))
+    if isinstance(obj, (set, frozenset)):
+        return ("set", tuple(sorted((canonical_value(v) for v in obj), key=repr)))
+    if isinstance(obj, (list, tuple)):
+        return tuple(canonical_value(v) for v in obj)
+    return obj
 
 
 @dataclass
@@ -459,10 +483,16 @@ class Scenario:
 
 _FLOAT_FIELDS = ("host_bandwidth", "link_bandwidth", "path_diversity_threshold")
 _INT_FIELDS = ("num_steps", "max_disjoint_paths", "max_denominator", "overlap")
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
 
 
 def _coerce_field(name: str, value: object) -> object:
     """Coerce string values (from CLI flags / JSON grids) to field types."""
+    if name == "scheme_params":
+        if not isinstance(value, Mapping):
+            raise ValueError(f"scheme_params must be a mapping, got {value!r}")
+        return value
     if not isinstance(value, str):
         return value
     if name in _FLOAT_FIELDS:
@@ -470,7 +500,10 @@ def _coerce_field(name: str, value: object) -> object:
     if name in _INT_FIELDS:
         return None if value.lower() in ("", "none") else int(value)
     if name == "decompose_ts":
-        return value.lower() in ("1", "true", "yes", "on")
+        if value.lower() not in _TRUE + _FALSE:
+            raise ValueError(f"decompose_ts must be one of {_TRUE + _FALSE} "
+                             f"(any case), got {value!r}")
+        return value.lower() in _TRUE
     if name == "buffers":
         # ';'-separated because ',' separates axis values in the CLI.
         return tuple(float(x) for x in value.replace(";", " ").split() if x)

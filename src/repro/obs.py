@@ -6,9 +6,10 @@ named counters here; the ``[stats]`` footer
 (:func:`repro.report.collect_provenance`) read one :func:`snapshot`.  Names
 are the footer's labels:
 
-* ``lp-cache.*`` and ``stage-cache.*`` — ``hits``, ``misses``,
-  ``disk_hits`` and ``stores`` of the two
-  :class:`~repro.engine.cache.SolutionCache` instances;
+* ``lp-cache.*`` and ``stage-cache.*`` — ``hits``, ``misses`` and
+  ``stores`` of the two :class:`~repro.engine.cache.SolutionCache`
+  instances, plus the stage cache's ``disk_hits`` (the LP cache has no
+  disk tier);
 * ``sim.*`` — ``fill_rounds`` and ``fill_seconds`` of every max-min fill,
   ``events`` of every :class:`~repro.simulator.engine.FluidRun`, and
   ``fill_hits``, the fills a static program took from its fill memo

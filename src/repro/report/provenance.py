@@ -106,8 +106,7 @@ def format_provenance(prov: Mapping[str, object]) -> str:
     lines.append(f"- solver backend: {prov.get('solver_backend')} "
                  f"(scipy {deps.get('scipy', 'unknown')})")
     lines.append(f"- generated: {prov.get('generated_at')}")
-    lines.append(f"- lp-cache: {lp.get('hits', 0)} hits / {lp.get('misses', 0)} "
-                 f"misses ({lp.get('disk_hits', 0)} from disk)")
+    lines.append(f"- lp-cache: {lp.get('hits', 0)} hits / {lp.get('misses', 0)} misses")
     lines.append(f"- stage-cache: {stage.get('hits', 0)} hits / "
                  f"{stage.get('misses', 0)} misses")
     lines.append(f"- new LP solves: {prov.get('new_lp_solves', 0)}")

@@ -132,6 +132,10 @@ class ArtifactSpec:
         """The ``name`` stamped on a panel series' scenario."""
         return f"{self.spec_id}/{panel.key}/{label}"
 
+    def panel_fields(self, panel: PanelSpec) -> Dict[str, object]:
+        """Scenario fields one panel adds to its series' scenarios (none here)."""
+        return {}
+
     def scenario(self, panel: PanelSpec, series: SeriesSpec,
                  buffers: Sequence[float]) -> Scenario:
         """Materialize one panel series as a declarative scenario."""
@@ -144,6 +148,7 @@ class ArtifactSpec:
             max_denominator=self.max_denominator,
             buffers=tuple(buffers),
             name=self.scenario_name(panel, series.label),
+            **self.panel_fields(panel),
         )
 
     def scenarios(self, fast: bool = False) -> List[Scenario]:
@@ -649,31 +654,17 @@ class _FigClusterSpec(ArtifactSpec):
         """Poisson arrival rates (jobs/second) swept as panels."""
         return (500, 8000) if fast else (500, 2000, 8000, 32000)
 
-    def _trace(self, key: str) -> str:
-        rate = int(key[len("rate"):])
-        return (f"cluster:jobs={self._JOBS}:arrival=poisson~{rate}"
-                ":placement=packed:seed=0")
+    def panel_fields(self, panel: PanelSpec) -> Dict[str, object]:
+        """Panel scenarios carry the panel's cluster trace spec."""
+        rate = int(panel.key[len("rate"):])
+        return {"cluster": f"cluster:jobs={self._JOBS}:arrival=poisson~{rate}"
+                           ":placement=packed:seed=0"}
 
     def panels(self, fast: bool = False, scale: str = "small"):
         return tuple(
             PanelSpec(f"rate{rate}", f"Poisson {rate}/s", self._TOPOLOGY,
                       (SeriesSpec("packed", "mcf-extp"),))
             for rate in self.rates(fast))
-
-    def scenario(self, panel: PanelSpec, series: SeriesSpec,
-                 buffers: Sequence[float]) -> Scenario:
-        """Panel scenarios carry the panel's cluster trace spec."""
-        return Scenario(
-            topology=panel.topology,
-            fabric=series.fabric or self.fabric,
-            scheme=series.scheme,
-            scheme_params=dict(series.scheme_params),
-            host_bandwidth=panel.host_bandwidth,
-            max_denominator=self.max_denominator,
-            buffers=tuple(buffers),
-            cluster=self._trace(panel.key),
-            name=self.scenario_name(panel, series.label),
-        )
 
     def aggregate_panel(self, panel, results_by_label):
         # Panels contribute rows to the cross-panel load curve built in
@@ -781,20 +772,9 @@ class _FigRobustnessSpec(ArtifactSpec):
                       (SeriesSpec("faulted", "mcf-extp"),))
             for key in keys)
 
-    def scenario(self, panel: PanelSpec, series: SeriesSpec,
-                 buffers: Sequence[float]) -> Scenario:
+    def panel_fields(self, panel: PanelSpec) -> Dict[str, object]:
         """Panel scenarios carry the panel's fault spec."""
-        return Scenario(
-            topology=panel.topology,
-            fabric=series.fabric or self.fabric,
-            scheme=series.scheme,
-            scheme_params=dict(series.scheme_params),
-            host_bandwidth=panel.host_bandwidth,
-            max_denominator=self.max_denominator,
-            buffers=tuple(buffers),
-            faults=self._fault_spec(panel.key),
-            name=self.scenario_name(panel, series.label),
-        )
+        return {"faults": self._fault_spec(panel.key)}
 
     def aggregate_panel(self, panel, results_by_label):
         # Panels contribute rows to the cross-panel degradation table built

@@ -165,9 +165,10 @@ class Topology:
         The hash is independent of construction order, name and metadata —
         two topologies with the same node count and the same capacitated edge
         set hash identically no matter how they were built.  It is the
-        topology component of the solve-engine cache key
-        (:meth:`repro.engine.MCFProblem.cache_key`), so it must stay stable
-        across processes and sessions.
+        topology component of scenario stage keys
+        (:meth:`repro.experiments.Scenario.stage_key`), so it must stay
+        stable across processes and sessions.  LP solution keys do not use
+        it: they digest the assembled LP itself.
         """
         import hashlib
 

@@ -18,7 +18,9 @@ from repro.core.solver import LPBuilder, LPSolution
 from repro.engine import backends
 from repro.engine.backends import IPM_MIN_VARIABLES
 from repro.engine.core import solution_key
-from repro.experiments import Scenario, reset_plan_cache, run_scenarios
+from repro.engine.problem import get_formulation, needs_vertex
+from repro.experiments import Plan, Scenario, reset_plan_cache, run_scenarios
+from repro.experiments.plan import stage_artifact_key
 from repro.topology import generalized_kautz, hypercube
 
 
@@ -27,24 +29,71 @@ def cube():
     return hypercube(3)
 
 
+def problem_key(problem):
+    """The engine's solution key of ``problem``: its assembled LP's key."""
+    builder = get_formulation(problem.formulation)(problem)
+    return solution_key(builder, problem.maximize, needs_vertex(problem.formulation))
+
+
 class TestMCFProblem:
     def test_cache_key_stable_across_instances(self, cube):
         p1 = MCFProblem("mcf-link", cube, maximize=True)
         p2 = MCFProblem("mcf-link", hypercube(3), maximize=True)
-        assert p1.cache_key() == p2.cache_key()
+        assert problem_key(p1) == problem_key(p2)
 
     def test_cache_key_sensitive_to_formulation_and_params(self, cube):
         base = MCFProblem("mcf-link", cube, maximize=True)
         other_form = MCFProblem("mcf-master", cube, maximize=True)
         other_params = MCFProblem("mcf-link", cube, params={"terminals": [0, 1]},
                                   maximize=True)
-        keys = {base.cache_key(), other_form.cache_key(), other_params.cache_key()}
-        assert len(keys) == 3
+        other_sense = MCFProblem("mcf-link", cube, maximize=False)
+        keys = {problem_key(p) for p in (base, other_form, other_params, other_sense)}
+        assert len(keys) == 4
 
     def test_param_order_does_not_matter(self, cube):
         a = MCFProblem("tsmcf", cube, params={"num_steps": 4, "terminals": [0, 1]})
         b = MCFProblem("tsmcf", cube, params={"terminals": [0, 1], "num_steps": 4})
-        assert a.cache_key() == b.cache_key()
+        assert problem_key(a) == problem_key(b)
+
+    def test_terminal_order_shares_one_lp(self, cube):
+        # The master LP sorts its terminals, so both orders pose one LP:
+        # the problems differ, the key does not.
+        a = MCFProblem("mcf-master", cube, params={"terminals": [2, 1, 0]},
+                       maximize=True)
+        b = MCFProblem("mcf-master", cube, params={"terminals": [0, 1, 2]},
+                       maximize=True)
+        assert a.params != b.params
+        assert problem_key(a) == problem_key(b)
+        engine = Engine()
+        first, second = engine.solve(a), engine.solve(b)
+        assert (first.info["cache"], second.info["cache"]) == ("miss", "hit")
+        assert second.objective == first.objective
+
+    def test_changed_assembler_input_changes_the_key(self, monkeypatch):
+        # A solution is keyed by the LP it solves: no stale hit survives an
+        # assembler whose inputs change, with or without a version bump.
+        from repro.core import mcf_link
+
+        pair = hypercube(1).copy()
+        for edge in pair.edges[1:]:
+            pair.graph.edges[edge]["cap"] = 2.0  # edge 0 alone bounds F
+        engine = Engine()
+        problem = MCFProblem("mcf-link", pair, maximize=True)
+        before = engine.solve(problem)
+        assert before.objective == pytest.approx(1.0)
+        real = mcf_link.topology_arrays
+
+        def doubled(topology):
+            index, tails, heads, caps = real(topology)
+            caps = caps.copy()
+            caps[0] *= 2.0
+            return index, tails, heads, caps
+
+        monkeypatch.setattr(mcf_link, "topology_arrays", doubled)
+        after = engine.solve(problem)
+        assert after.info["cache"] == "miss"
+        assert after.info["key"] != before.info["key"]
+        assert after.objective == pytest.approx(2.0)
 
     def test_all_five_formulations_registered(self):
         names = formulation_names()
@@ -108,15 +157,16 @@ class TestSizeRule:
         engine = Engine()
         problem = MCFProblem("mcf-link", cube, maximize=True)
         stale = LPSolution(objective=-1.0)
+        digest = get_formulation("mcf-link")(problem).digest()
         for identity in ("scipy-highs", "scipy-highs-ipm", "scipy-highs-ds"):
-            engine.cache.put(f"{problem.cache_key()}-{identity}", stale)
-        key = solution_key(problem)
-        assert key.endswith(f"-scipy-highs[highs-ipm>={IPM_MIN_VARIABLES}]")
+            engine.cache.put(f"{digest}-max-{identity}", stale)
+        key = problem_key(problem)
+        assert key.endswith(f"-max-scipy-highs[highs-ipm>={IPM_MIN_VARIABLES}]")
         solution = engine.solve(problem)
         assert solution.info["cache"] == "miss"
         assert solution.objective == pytest.approx(0.25)
         monkeypatch.setattr(backends, "IPM_MIN_VARIABLES", 0)
-        assert solution_key(problem) != key
+        assert problem_key(problem) != key
         assert engine.solve(problem).info["cache"] == "miss"
 
 
@@ -129,16 +179,12 @@ class TestSolutionCache:
         assert fresh.info["cache"] == "miss"
         assert cached.info["cache"] == "hit"
         assert cached.objective == fresh.objective
-        # The cached copy drops near-zero values; every significant variable
-        # must round-trip exactly and the rest read back as 0.0.
-        from repro.constants import FLOW_TOL
-
+        # A hit returns the miss's floats bit for bit, near-zeros included.
         assert cached.block_names() == fresh.block_names() == ["F", "f"]
         for name in fresh.block_names():
-            significant = np.abs(fresh.block(name)) > FLOW_TOL
-            assert np.array_equal(cached.block(name)[significant],
-                                  fresh.block(name)[significant])
-            assert np.all(cached.block(name)[~significant] == 0.0)
+            assert np.array_equal(cached.block(name), fresh.block(name))
+        assert cached.info["assemble_seconds"] > 0
+        assert "solve_seconds" not in cached.info
         counts = obs.snapshot()
         assert counts["lp-cache.hits"] == 1 and counts["lp-cache.misses"] == 1
 
@@ -160,44 +206,31 @@ class TestSolutionCache:
         solution = engine.solve(MCFProblem("mcf-link", cube, maximize=True))
         assert solution.info["cache"] == "bypass"
 
-    def test_cache_key_includes_code_version(self, cube, monkeypatch):
-        # A persistent disk cache from an older release must read as a miss.
-        from repro.engine import problem as problem_mod
-
-        p = MCFProblem("mcf-link", cube, maximize=True)
-        current = p.cache_key()
-        monkeypatch.setattr(problem_mod, "_code_version", lambda: "0.0.0")
-        assert p.cache_key() != current
-
-    def test_disk_round_trip(self, cube, tmp_path):
-        problem = MCFProblem("mcf-link", cube, maximize=True)
-        writer = Engine(cache=SolutionCache(cache_dir=str(tmp_path)))
-        fresh = writer.solve(problem)
-        # A brand-new engine with an empty memory tier but the same directory
-        # must restore the identical solution from disk.
-        reader = Engine(cache=SolutionCache(cache_dir=str(tmp_path)))
-        restored = reader.solve(problem)
-        assert restored.info["cache"] == "hit"
-        assert obs.snapshot()["lp-cache.disk_hits"] == 1
-        assert restored.objective == fresh.objective
-        from repro.constants import FLOW_TOL
-
-        for name in fresh.block_names():
-            values = fresh.block(name)
-            expected = np.where(np.abs(values) > FLOW_TOL, values, 0.0)
-            assert np.array_equal(restored.block(name), expected)
+    def test_default_engine_keeps_lp_solutions_in_memory(self, cube, tmp_path,
+                                                         monkeypatch):
+        # REPRO_CACHE_DIR persists stage artifacts only: no LP file appears.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        reset_engine()
+        try:
+            solve_link_mcf(cube)
+            solve_decomposed_mcf(cube)
+        finally:
+            reset_engine()
+        assert list(tmp_path.rglob("*.lp-cache.pkl")) == []
 
     @pytest.mark.parametrize("junk", [b"not a pickle", b"garbage\n", b""])
-    def test_corrupt_disk_entry_is_a_miss(self, cube, tmp_path, junk):
+    def test_corrupt_disk_entry_is_a_miss(self, tmp_path, junk):
         # pickle surfaces corruption as UnpicklingError, ValueError or
-        # EOFError depending on the bytes; all must degrade to a miss.
-        problem = MCFProblem("mcf-link", cube, maximize=True)
-        key = solution_key(problem)
-        (tmp_path / f"{key}.lp-cache.pkl").write_bytes(junk)
-        engine = Engine(cache=SolutionCache(cache_dir=str(tmp_path)))
-        solution = engine.solve(problem)
-        assert solution.info["cache"] == "miss"
-        assert solution.objective > 0
+        # EOFError depending on the bytes; all must degrade to a miss, and
+        # the stage recomputes.
+        scenario = Scenario(topology="hypercube:dim=2", scheme="sssp")
+        key = stage_artifact_key(scenario, "synthesize")
+        (tmp_path / f"{key}.stage-cache.pkl").write_bytes(junk)
+        cache = SolutionCache(cache_dir=str(tmp_path), name="stage-cache")
+        result = Plan(scenario, cache=cache).run("synthesize")
+        assert result.stage_cache == {"synthesize": "miss"}
+        assert result.schedule.paths
+        assert obs.snapshot().get("stage-cache.disk_hits", 0) == 0
 
     def test_flow_solution_meta_surfaces_engine_info(self, cube):
         solution = solve_link_mcf(cube)

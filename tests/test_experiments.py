@@ -42,7 +42,7 @@ def fresh_caches():
 
 
 def _stage_cache() -> SolutionCache:
-    return SolutionCache(name="stage-cache", payload_type=object)
+    return SolutionCache(name="stage-cache")
 
 
 class TestScenarioHashing:
@@ -125,6 +125,21 @@ class TestScenarioHashing:
         with pytest.raises(ValueError):
             Scenario.from_dict({"topology": "hypercube:dim=3", "bogus_field": 1})
 
+    @pytest.mark.parametrize("spelling, expected", [
+        ("off", False), ("YES", True), ("ture", None), ("2", None)])
+    def test_from_dict_rejects_unknown_booleans(self, spelling, expected):
+        data = {"topology": "hypercube:dim=3", "decompose_ts": spelling}
+        if expected is None:
+            with pytest.raises(ValueError, match="decompose_ts"):
+                Scenario.from_dict(data)
+        else:
+            assert Scenario.from_dict(data).decompose_ts is expected
+
+    def test_from_dict_rejects_non_mapping_scheme_params(self):
+        with pytest.raises(ValueError, match="scheme_params must be a mapping"):
+            Scenario.from_dict({"topology": "hypercube:dim=3",
+                                "scheme_params": "time_limit=5"})
+
 
 class TestScenarioBuffers:
     """Every buffer gets its own record key; bad sizes fail before any solve."""
@@ -203,11 +218,9 @@ class TestPlan:
 
     def test_disk_tier_persists_stage_artifacts(self, bipartite44, tmp_path):
         scenario = Scenario(topology=bipartite44, scheme="sssp", buffers=(2 ** 20,))
-        cache = SolutionCache(cache_dir=str(tmp_path), name="stage-cache",
-                              payload_type=object)
+        cache = SolutionCache(cache_dir=str(tmp_path), name="stage-cache")
         Plan(scenario, cache=cache).run()
-        fresh = SolutionCache(cache_dir=str(tmp_path), name="stage-cache",
-                              payload_type=object)
+        fresh = SolutionCache(cache_dir=str(tmp_path), name="stage-cache")
         result = Plan(scenario, cache=fresh).run()
         assert set(result.stage_cache.values()) == {"hit"}
         assert obs.snapshot()["stage-cache.disk_hits"] == 4
@@ -220,8 +233,7 @@ class TestPlan:
         scenario = Scenario(topology=bipartite44, scheme="sssp", buffers=(2 ** 20,))
 
         def disk_cache():
-            return SolutionCache(cache_dir=str(tmp_path), name="stage-cache",
-                                 payload_type=object)
+            return SolutionCache(cache_dir=str(tmp_path), name="stage-cache")
 
         Plan(scenario, cache=disk_cache()).run()
         keys = {stage: stage_artifact_key(scenario, stage) for stage in STAGES}

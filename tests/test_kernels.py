@@ -275,11 +275,11 @@ class TestFillCounters:
         obs.reset()
         assert obs.snapshot().get("sim.fill_seconds", 0.0) == 0.0
         line = format_engine_footer(
-            {"lp-cache.hits": 1, "lp-cache.misses": 2, "lp-cache.disk_hits": 0,
+            {"lp-cache.hits": 1, "lp-cache.misses": 2,
              "stage-cache.hits": 0, "stage-cache.misses": 0,
              "sim.fill_rounds": 10, "sim.events": 5, "sim.fill_seconds": 0.25},
             "scipy-highs")
-        assert line == ("[stats] lp-cache: 1 hits / 2 misses (0 from disk) "
+        assert line == ("[stats] lp-cache: 1 hits / 2 misses "
                         "backend=scipy-highs; stage-cache: 0 hits / 0 misses; "
                         "sim: 10 fill rounds / 5 events [0.250s fill]")
 

@@ -80,8 +80,7 @@ class TestFig10Claims:
     @pytest.fixture(scope="class")
     def tables(self):
         results = run_scenarios(FIG10.scenarios(fast=True), through=FIG10.through,
-                                cache=SolutionCache(name="stage-cache",
-                                                    payload_type=object))
+                                cache=SolutionCache(name="stage-cache"))
         out = FIG10.aggregate(results, fast=True)
         assert out.errors == []
         assert {r.scenario.scheme for r in results} == {"mcf-objective"}
@@ -106,8 +105,7 @@ class TestFig10Claims:
 class TestFig10Certificates:
     def test_every_master_is_certified_without_a_vertex(self):
         results = run_scenarios(FIG10.scenarios(fast=True), through=FIG10.through,
-                                cache=SolutionCache(name="stage-cache",
-                                                    payload_type=object))
+                                cache=SolutionCache(name="stage-cache"))
         for result in results:
             assert result.engine["method"] == "highs-ipm-no-crossover"
             assert abs(result.engine["certificate"]["gap"]) <= 1e-9
@@ -134,8 +132,7 @@ class TestProvenance:
         prov = collect_provenance(
             artifacts=[{"spec_id": "fig3", "kind": "figure", "status": "ok",
                         "seconds": 1.25, "num_scenarios": 4}],
-            counts={"lp-cache.hits": 3, "lp-cache.misses": 2,
-                    "lp-cache.disk_hits": 1, "lp-cache.stores": 2,
+            counts={"lp-cache.hits": 3, "lp-cache.misses": 2, "lp-cache.stores": 2,
                     "stage-cache.hits": 5, "stage-cache.misses": 4,
                     "stage-cache.stores": 4},
             backend="scipy-highs", fast=True)

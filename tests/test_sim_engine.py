@@ -671,7 +671,7 @@ class TestFooter:
         from repro.analysis import format_engine_footer
 
         line = format_engine_footer(
-            {"lp-cache.hits": 1, "lp-cache.misses": 2, "lp-cache.disk_hits": 0,
+            {"lp-cache.hits": 1, "lp-cache.misses": 2,
              "stage-cache.hits": 3, "stage-cache.misses": 4,
              "sim.fill_rounds": 10, "sim.events": 5}, "x")
         assert "sim: 10 fill rounds / 5 events" in line
