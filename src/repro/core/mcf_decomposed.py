@@ -19,10 +19,9 @@ original MCF (the grouped flow is a relaxation whose value is achievable, and
 any per-commodity solution aggregates to a feasible grouped flow), although
 the individual link flows may differ.
 
-Both the master and child LPs are registered engine formulations
-(``"mcf-master"`` / ``"mcf-child"``) solved through
-:func:`repro.engine.solve`, so repeated solves of the same topology hit the
-solution cache.
+The master and child LPs are assembled by :func:`build_master_lp` and
+:func:`build_child_lp` and solved through :func:`repro.engine.solve`, so
+repeated solves of the same topology hit the solution cache.
 
 Every master solve, cached or not, is checked against a certificate that
 does not trust the solver: the capacity-row shadow prices, used as link
@@ -31,9 +30,9 @@ lengths, give a weak-duality upper bound on F
 exceed it by more than :data:`CERTIFICATE_TOL`; the bound's relative excess
 over F, the optimality gap the duals prove, is recorded with the solution.
 :func:`solve_mcf_objective` stops after the master LP, for callers that
-need F alone.  Its formulation, ``"mcf-objective"``, needs no vertex, and
-on tori and hypercubes it is a one-source LP whose expanded duals are
-certified on the full topology.
+need F alone.  Its LP (:func:`build_objective_lp`) is solved without a
+vertex, and on tori and hypercubes it is a one-source LP whose expanded
+duals are certified on the full topology.
 """
 
 from __future__ import annotations
@@ -42,18 +41,17 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..constants import FLOW_TOL
-from ..engine import MCFProblem, register_formulation
 from ..engine import solve as engine_solve
 from ..topology.base import Edge, Topology
 from .flow import Commodity, FlowSolution, flows_from_array, repair_conservation
 from .lower_bound import dual_bound_concurrent_flow
-from .mcf_link import topology_arrays
+from .mcf_link import terminal_nodes, topology_arrays
 from .solver import LPBuilder, SolverError
 
 __all__ = ["solve_decomposed_mcf", "solve_master_lp", "solve_child_lp",
@@ -114,16 +112,15 @@ class DecomposedTimings:
         return self.master_seconds + self.max_child_seconds
 
 
-@register_formulation("mcf-master")
-def build_master_lp(problem: MCFProblem) -> LPBuilder:
-    """Assemble the source-grouped master LP (eqs. 6-9) with block/COO ops."""
-    topology = problem.topology
-    terminals = problem.params.get("terminals")
+def build_master_lp(topology: Topology,
+                    terminals: Optional[Sequence[int]] = None) -> LPBuilder:
+    """Assemble the source-grouped master LP (eqs. 6-9) with block/COO ops.
+
+    One source group per terminal, in sorted order; ``terminals`` defaults
+    to every node.
+    """
     edges, tails, heads, cap_arr = topology_arrays(topology)
-    if terminals is None:
-        sources = list(topology.nodes)
-    else:
-        sources = sorted(set(int(t) for t in terminals))
+    sources = terminal_nodes(topology, terminals)
     S, E = len(sources), len(edges)
 
     lp = LPBuilder()
@@ -205,17 +202,8 @@ def solve_master_lp(topology: Topology,
     if not topology.is_strongly_connected():
         raise ValueError("MCF requires a strongly connected topology")
     start = time.perf_counter()
-    if terminals is None:
-        sources = list(topology.nodes)
-        params: Dict[str, object] = {}
-    else:
-        sources = sorted(set(int(t) for t in terminals))
-        if len(sources) < 2:
-            raise ValueError("need at least two terminals")
-        params = {"terminals": sources}
-
-    problem = MCFProblem("mcf-master", topology, params=params, maximize=True)
-    solution = engine_solve(problem)
+    sources = terminal_nodes(topology, terminals)
+    solution = engine_solve(build_master_lp, topology, terminals, maximize=True)
     concurrent_flow = float(solution.block("F")[0])
     info = dict(solution.info)
     info["certificate"] = certify_master(topology, concurrent_flow,
@@ -275,8 +263,7 @@ def _edge_orbits(topology: Topology) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     return orbit, first
 
 
-@register_formulation("mcf-objective", vertex=False)
-def build_objective_lp(problem: MCFProblem) -> LPBuilder:
+def build_objective_lp(topology: Topology) -> LPBuilder:
     """The smallest LP whose F and capacity duals certify the optimal F.
 
     When the translation group the topology's metadata proposes checks out
@@ -287,10 +274,9 @@ def build_objective_lp(problem: MCFProblem) -> LPBuilder:
     carries from all sources) and source 0's conservation rows.  Otherwise
     it is the full master LP.
     """
-    topology = problem.topology
     orbits = _edge_orbits(topology)
     if orbits is None:
-        return build_master_lp(problem)
+        return build_master_lp(topology)
     orbit, first = orbits
     _, tails, heads, cap_arr = topology_arrays(topology)
     lp = LPBuilder()
@@ -317,7 +303,9 @@ def solve_mcf_objective(topology: Topology) -> ConcurrentFlowValue:
     """
     if not topology.is_strongly_connected():
         raise ValueError("MCF requires a strongly connected topology")
-    solution = engine_solve(MCFProblem("mcf-objective", topology, maximize=True))
+    # F and the capacity duals are all this reads: no vertex needed.
+    solution = engine_solve(build_objective_lp, topology, maximize=True,
+                            vertex=False)
     concurrent_flow = float(solution.block("F")[0])
     lengths = solution.dual("capacity")
     orbits = _edge_orbits(topology)
@@ -330,21 +318,15 @@ def solve_mcf_objective(topology: Topology) -> ConcurrentFlowValue:
                                meta={"method": "mcf-objective", "engine": info})
 
 
-@register_formulation("mcf-child")
-def build_child_lp(problem: MCFProblem) -> LPBuilder:
-    """Assemble the per-source child LP (eqs. 10-14) with block/COO ops."""
-    topology = problem.topology
-    source = problem.params["source"]
-    grouped_flow = dict(problem.params["grouped_flow"])
-    concurrent_flow = problem.params["concurrent_flow"]
-    slack = problem.params.get("slack", 1e-7)
-    destinations = problem.params.get("destinations")
+def build_child_lp(topology: Topology, source: int,
+                   grouped_flow: Mapping[Edge, float], concurrent_flow: float,
+                   slack: float, destinations: Sequence[int]) -> LPBuilder:
+    """Assemble the per-source child LP (eqs. 10-14) with block/COO ops.
 
+    The ``"f"`` block has one row per destination, in the order given;
+    ``destinations`` must not contain ``source``.
+    """
     num_nodes = topology.num_nodes
-    if destinations is None:
-        destinations = [d for d in topology.nodes if d != source]
-    else:
-        destinations = [d for d in destinations if d != source]
     # Only edges that carry grouped flow can carry per-commodity flow.
     edges = [e for e in topology.edges if grouped_flow.get(e, 0.0) > FLOW_TOL]
     D, E = len(destinations), len(edges)
@@ -401,25 +383,12 @@ def solve_child_lp(topology: Topology, source: int, grouped_flow: Dict[Edge, flo
     Returns the per-commodity flows for all (source, d) pairs and the solve time.
     """
     start = time.perf_counter()
-    nodes = topology.nodes
-    if destinations is None:
-        dest_list = [d for d in nodes if d != source]
-        dest_param = None
-    else:
-        dest_list = [d for d in destinations if d != source]
-        dest_param = sorted(dest_list)
+    # One sorted list labels the LP's rows and the flows read back from them.
+    dest_list = sorted(d for d in (topology.nodes if destinations is None
+                                   else destinations) if d != source)
     edges = [e for e in topology.edges if grouped_flow.get(e, 0.0) > FLOW_TOL]
-
-    params: Dict[str, object] = {
-        "source": int(source),
-        "grouped_flow": {e: float(v) for e, v in sorted(grouped_flow.items())},
-        "concurrent_flow": float(concurrent_flow),
-        "slack": float(slack),
-    }
-    if dest_param is not None:
-        params["destinations"] = dest_param
-    problem = MCFProblem("mcf-child", topology, params=params, maximize=False)
-    solution = engine_solve(problem)
+    solution = engine_solve(build_child_lp, topology, source, grouped_flow,
+                            concurrent_flow, slack, dest_list)
     elapsed = time.perf_counter() - start
 
     flows: Dict[Commodity, Dict[Edge, float]] = flows_from_array(
@@ -478,8 +447,8 @@ def solve_decomposed_mcf(topology: Topology, repair: bool = True,
     timings = DecomposedTimings(master_seconds=master.solve_seconds)
 
     flows: Dict[Commodity, Dict[Edge, float]] = {}
-    sources = topology.nodes if terminals is None else sorted(set(terminals))
-    destinations = None if terminals is None else sorted(set(terminals))
+    sources = list(master.grouped_flows)
+    destinations = None if terminals is None else sources
     args = [(topology, s, master.grouped_flows[s], master.concurrent_flow, destinations)
             for s in sources]
     for source, child_flows, elapsed in map_child_lps(_child_worker, args, n_jobs):

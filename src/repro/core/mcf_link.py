@@ -12,25 +12,24 @@ exact conservation for schedule generation.
 This formulation has ``O(N^2 * E) = O(k N^3)`` variables for a k-regular graph
 and is the scalability bottleneck the decomposition of §3.1.2 addresses.
 
-The LP is assembled by the registered ``"mcf-link"`` formulation and solved
-through :func:`repro.engine.solve`, which adds content-addressed caching on
-top.
+The LP is assembled by :func:`build_link_mcf` and solved through
+:func:`repro.engine.solve`, which adds content-addressed caching on top.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..engine import MCFProblem, register_formulation
 from ..engine import solve as engine_solve
 from ..topology.base import Topology
 from .flow import Commodity, FlowSolution, flows_from_array, repair_conservation
 from .solver import LPBuilder
 
-__all__ = ["solve_link_mcf", "terminal_commodities", "topology_arrays"]
+__all__ = ["solve_link_mcf", "terminal_commodities", "terminal_nodes",
+           "topology_arrays"]
 
 
 def topology_arrays(topology: Topology):
@@ -48,6 +47,24 @@ def topology_arrays(topology: Topology):
     return edges, tails, heads, cap_arr
 
 
+def terminal_nodes(topology: Topology,
+                   terminals: Optional[Sequence[int]] = None) -> List[int]:
+    """The sorted terminal set, every node by default.
+
+    Raises ValueError for a terminal outside the node range or for fewer
+    than two terminals.
+    """
+    if terminals is None:
+        return list(topology.nodes)
+    nodes = sorted(set(int(t) for t in terminals))
+    for t in nodes:
+        if not (0 <= t < topology.num_nodes):
+            raise ValueError(f"terminal {t} outside node range")
+    if len(nodes) < 2:
+        raise ValueError("need at least two terminals")
+    return nodes
+
+
 def terminal_commodities(topology: Topology,
                          terminals: Optional[Sequence[int]] = None) -> List[Commodity]:
     """Ordered (source, destination) pairs restricted to a terminal set.
@@ -57,19 +74,13 @@ def terminal_commodities(topology: Topology,
     data, so the commodity set is restricted to them while NIC vertices act as
     pure relays.
     """
-    if terminals is None:
-        return list(topology.commodities())
-    terminals = sorted(set(int(t) for t in terminals))
-    for t in terminals:
-        if not (0 <= t < topology.num_nodes):
-            raise ValueError(f"terminal {t} outside node range")
-    if len(terminals) < 2:
-        raise ValueError("need at least two terminals")
-    return [(s, d) for s in terminals for d in terminals if s != d]
+    nodes = terminal_nodes(topology, terminals)
+    return [(s, d) for s in nodes for d in nodes if s != d]
 
 
-@register_formulation("mcf-link")
-def build_link_mcf(problem: MCFProblem) -> LPBuilder:
+def build_link_mcf(topology: Topology,
+                   terminals: Optional[Sequence[int]] = None,
+                   demand: Optional[Mapping[Commodity, float]] = None) -> LPBuilder:
     """Assemble the link-based MCF LP (eqs. 1-5) with block/COO numpy ops.
 
     The O(N^2 * E) flow variables live in one ``"f"`` block of shape
@@ -77,9 +88,6 @@ def build_link_mcf(problem: MCFProblem) -> LPBuilder:
     sink demand, sink no-re-emit) is built as one COO triplet batch over the
     full (commodity, edge) grid instead of per-row Python loops.
     """
-    topology = problem.topology
-    terminals = problem.params.get("terminals")
-    demand = problem.params.get("demand")
     commodities = terminal_commodities(topology, terminals)
     edges, tails, heads, cap_arr = topology_arrays(topology)
     num_nodes = topology.num_nodes
@@ -167,13 +175,8 @@ def solve_link_mcf(topology: Topology, repair: bool = True,
 
     start = time.perf_counter()
     commodities = terminal_commodities(topology, terminals)
-    params: Dict[str, object] = {}
-    if demand is not None:
-        params["demand"] = demand
-    if terminals is not None:
-        params["terminals"] = sorted(set(int(t) for t in terminals))
-    problem = MCFProblem("mcf-link", topology, params=params, maximize=True)
-    solution = engine_solve(problem)
+    solution = engine_solve(build_link_mcf, topology, terminals, demand,
+                            maximize=True)
     elapsed = time.perf_counter() - start
 
     flows = flows_from_array(solution.block("f"), commodities, topology.edges)

@@ -9,8 +9,8 @@ restricted (link-disjoint paths, shortest paths, or length-bounded paths) to
 keep the variable count polynomial, which is exactly the trade-off the paper
 evaluates in Fig. 8.
 
-The LP is assembled by the registered ``"mcf-path"`` formulation and solved
-through :func:`repro.engine.solve` (cached, HiGHS).
+The LP is assembled by :func:`build_path_mcf` and solved through
+:func:`repro.engine.solve` (cached, HiGHS).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence
 
 from ..constants import FLOW_TOL
-from ..engine import MCFProblem, register_formulation
 from ..engine import solve as engine_solve
 from ..topology.base import Edge, Topology
 from .flow import Commodity, FlowSolution, WeightedPath
@@ -114,8 +113,8 @@ class PathSchedule:
                             meta=dict(self.meta))
 
 
-@register_formulation("mcf-path")
-def build_path_mcf(problem: MCFProblem):
+def build_path_mcf(topology: Topology,
+                   path_sets: Mapping[Commodity, Sequence[Sequence[int]]]):
     """Assemble the pMCF LP (eqs. 21-24) with block/COO numpy ops.
 
     The ragged per-commodity path sets are flattened into one ``"p"`` block;
@@ -126,8 +125,6 @@ def build_path_mcf(problem: MCFProblem):
 
     from .solver import LPBuilder
 
-    topology = problem.topology
-    path_sets = problem.params["path_sets"]
     commodities = list(topology.commodities())
     edges = topology.edges
     caps = topology.capacities()
@@ -197,13 +194,11 @@ def solve_path_mcf(topology: Topology,
             if p[0] != c[0] or p[-1] != c[1]:
                 raise ValueError(f"path {p} does not connect commodity {c}")
 
-    # Freeze the path sets so the problem params are canonically hashable and
-    # the assembler sees an immutable snapshot.
+    # Freeze the path sets so the assembler and the extraction below read
+    # one immutable snapshot.
     frozen = {c: tuple(tuple(int(n) for n in p) for p in path_sets[c])
               for c in commodities}
-    problem = MCFProblem("mcf-path", topology, params={"path_sets": frozen},
-                         maximize=True)
-    solution = engine_solve(problem)
+    solution = engine_solve(build_path_mcf, topology, frozen, maximize=True)
     elapsed = time.perf_counter() - start
 
     weights = solution.block("p")

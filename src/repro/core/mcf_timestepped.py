@@ -17,20 +17,19 @@ time ``1/F`` of the steady-state MCF whenever ``l_max`` is large enough, so the
 time-stepped schedule loses nothing asymptotically while being executable in
 synchronized steps.
 
-The LP is assembled by the registered ``"tsmcf"`` formulation and solved
-through :func:`repro.engine.solve` (cached, HiGHS).
+The LP is assembled by :func:`build_timestepped_mcf` and solved through
+:func:`repro.engine.solve` (cached, HiGHS).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..constants import FLOW_TOL
-from ..engine import MCFProblem, register_formulation
 from ..engine import solve as engine_solve
 from ..topology.base import Edge, Topology
 from .flow import Commodity
@@ -98,8 +97,8 @@ class TimeSteppedFlow:
         return loads
 
 
-@register_formulation("tsmcf")
-def build_timestepped_mcf(problem: MCFProblem) -> LPBuilder:
+def build_timestepped_mcf(topology: Topology, num_steps: int,
+                          terminals: Optional[Sequence[int]] = None) -> LPBuilder:
     """Assemble the time-stepped MCF LP (eqs. 15-20) with block/COO ops.
 
     Variables live in two blocks — ``"U"`` (per-step utilizations) and
@@ -109,9 +108,6 @@ def build_timestepped_mcf(problem: MCFProblem) -> LPBuilder:
     """
     from .mcf_link import terminal_commodities, topology_arrays
 
-    topology = problem.topology
-    num_steps = problem.params["num_steps"]
-    terminals = problem.params.get("terminals")
     commodities = terminal_commodities(topology, terminals)
     edges, tails, heads, cap_arr = topology_arrays(topology)
     num_nodes = topology.num_nodes
@@ -218,11 +214,8 @@ def solve_timestepped_mcf(topology: Topology, num_steps: Optional[int] = None,
     commodities = terminal_commodities(topology, terminals)
     edges = topology.edges
 
-    params: Dict[str, object] = {"num_steps": int(num_steps)}
-    if terminals is not None:
-        params["terminals"] = sorted(set(int(t) for t in terminals))
-    problem = MCFProblem("tsmcf", topology, params=params, maximize=False)
-    solution = engine_solve(problem)
+    solution = engine_solve(build_timestepped_mcf, topology, int(num_steps),
+                            terminals)
     elapsed = time.perf_counter() - start
 
     arr = np.asarray(solution.block("f"))

@@ -28,20 +28,20 @@ The decomposition preserves the optimal ``sum_t U_t`` (the grouped flow is an
 aggregation of any per-commodity solution, and any grouped solution splits by
 per-source flow decomposition on the time-expanded DAG).
 
-Master and children are registered engine formulations (``"tsmcf-master"`` /
-``"tsmcf-child"``) solved through :func:`repro.engine.solve`; the independent
-child LPs run serially or, with ``n_jobs > 1``, on a process pool.
+Master and children are assembled by :func:`build_ts_master` and
+:func:`build_ts_child` and solved through :func:`repro.engine.solve`; the
+independent child LPs run serially or, with ``n_jobs > 1``, on a process
+pool.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..constants import FLOW_TOL
-from ..engine import MCFProblem, register_formulation
 from ..engine import solve as engine_solve
 from ..topology.base import Topology
 from .flow import Commodity
@@ -53,14 +53,12 @@ from .solver import LPBuilder
 __all__ = ["solve_timestepped_mcf_decomposed"]
 
 
-@register_formulation("tsmcf-master")
-def build_ts_master(problem: MCFProblem) -> LPBuilder:
-    """Assemble the source-grouped time-stepped master LP (block/COO ops)."""
-    topology = problem.topology
-    steps = list(problem.params["steps"])
-    sources = list(problem.params["sources"])
-    terminal_set = set(problem.params["terminal_set"])
+def build_ts_master(topology: Topology, steps: Sequence[int],
+                    sources: Sequence[int], terminal_set: AbstractSet[int]) -> LPBuilder:
+    """Assemble the source-grouped time-stepped master LP (block/COO ops).
 
+    One source group per entry of ``sources``, in the order given.
+    """
     edges, tails, heads, cap_arr = topology_arrays(topology)
     num_nodes = topology.num_nodes
     S, E, T = len(sources), len(edges), len(steps)
@@ -135,12 +133,7 @@ def _solve_ts_master(topology: Topology, steps: List[int], sources: List[int],
     solve seconds).
     """
     start = time.perf_counter()
-    problem = MCFProblem(
-        "tsmcf-master", topology,
-        params={"steps": list(steps), "sources": sorted(sources),
-                "terminal_set": sorted(terminal_set)},
-        maximize=False)
-    solution = engine_solve(problem)
+    solution = engine_solve(build_ts_master, topology, steps, sources, terminal_set)
     elapsed = time.perf_counter() - start
 
     edges = topology.edges
@@ -153,15 +146,14 @@ def _solve_ts_master(topology: Topology, steps: List[int], sources: List[int],
     return float(sum(utilizations)), grouped, utilizations, elapsed
 
 
-@register_formulation("tsmcf-child")
-def build_ts_child(problem: MCFProblem) -> LPBuilder:
-    """Assemble the per-source time-stepped child LP (block/COO ops)."""
-    topology = problem.topology
-    source = problem.params["source"]
-    destinations = list(problem.params["destinations"])
-    grouped = dict(problem.params["grouped"])
-    steps = list(problem.params["steps"])
+def build_ts_child(topology: Topology, source: int, destinations: Sequence[int],
+                   grouped: Mapping[Tuple[int, int, int], float],
+                   steps: Sequence[int]) -> LPBuilder:
+    """Assemble the per-source time-stepped child LP (block/COO ops).
 
+    The ``"f"`` block has one row per destination, in the order given, and
+    one column per ``(u, v, t)`` key of ``grouped``, in sorted order.
+    """
     num_nodes = topology.num_nodes
     used = sorted(grouped.keys())            # (u, v, t) triples with positive flow
     D, K, T = len(destinations), len(used), len(steps)
@@ -224,13 +216,8 @@ def _solve_ts_child(topology: Topology, source: int, destinations: List[int],
     """Split one source's grouped time-stepped flow into per-destination flows."""
     start = time.perf_counter()
     used = sorted(grouped.keys())
-    problem = MCFProblem(
-        "tsmcf-child", topology,
-        params={"source": int(source), "destinations": sorted(destinations),
-                "grouped": {k: float(v) for k, v in sorted(grouped.items())},
-                "steps": list(steps)},
-        maximize=False)
-    solution = engine_solve(problem)
+    solution = engine_solve(build_ts_child, topology, source, destinations,
+                            grouped, steps)
     elapsed = time.perf_counter() - start
 
     arr = np.asarray(solution.block("f"))

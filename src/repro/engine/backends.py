@@ -11,10 +11,11 @@ method by LP size: HiGHS's own simplex choice (``highs``) below
 above it, where IPM is several times faster on the host-augmented tsMCF and
 the 64-node master LPs.
 
-A formulation registered with ``vertex=False`` (its callers read only the
-objective and the row duals, e.g. ``mcf-objective``) is solved by interior
-point at every size with crossover off and :data:`NO_VERTEX_OPTIONS`'s
-tight optimality tolerance: nothing reads the vertex crossover would find.
+A solve with ``vertex=False`` (its caller reads only the objective and the
+row duals, e.g. :func:`~repro.core.mcf_decomposed.solve_mcf_objective`) runs
+interior point at every size with crossover off and
+:data:`NO_VERTEX_OPTIONS`'s tight optimality tolerance: nothing reads the
+vertex crossover would find.
 
 Its :meth:`~ScipyHighsBackend.identity` names the method rule; the engine
 keys cached solutions on it, so a solution cached under one rule never

@@ -1,9 +1,9 @@
-"""The solve engine: formulation assembly + backend dispatch + caching.
+"""The solve engine: LP assembly + backend dispatch + caching.
 
-``engine.solve(problem)`` is the single entry point every MCF formulation
-routes through.  The engine
+``engine.solve(build, *args, maximize=..., vertex=...)`` is the single entry
+point every MCF formulation routes through.  The engine
 
-1. assembles the LP via the registered formulation,
+1. assembles the LP by calling ``build(*args)``,
 2. keys it by :func:`solution_key`: the LP's own digest, the objective
    sense and the backend's method rule,
 3. returns the cached :class:`LPSolution` on a hit,
@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from .backends import ScipyHighsBackend
 from .cache import SolutionCache
-from .problem import MCFProblem, get_formulation, needs_vertex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.solver import LPBuilder, LPSolution
@@ -55,7 +54,12 @@ def solution_key(builder: "LPBuilder", maximize: bool, vertex: bool) -> str:
 
 
 class Engine:
-    """Solves :class:`MCFProblem` specs with the HiGHS backend, through a cache."""
+    """Solves assembled LPs with the HiGHS backend, through a cache.
+
+    ``vertex=False`` declares that the caller reads only the optimal value
+    and the row duals, never the rest of the primal solution, so the backend
+    may skip the vertex.
+    """
 
     #: The LP backend's name, as the footer and the report provenance print it.
     backend_name = _BACKEND.name
@@ -63,14 +67,14 @@ class Engine:
     def __init__(self, cache: Optional[SolutionCache] = None) -> None:
         self.cache = cache if cache is not None else SolutionCache()
 
-    def solve(self, problem: MCFProblem) -> "LPSolution":
-        """Solve ``problem``, consulting the cache unless it is disabled."""
-        vertex = needs_vertex(problem.formulation)
+    def solve(self, build: Callable[..., "LPBuilder"], *args,
+              maximize: bool = False, vertex: bool = True) -> "LPSolution":
+        """Solve the LP ``build(*args)`` assembles, consulting the cache."""
         t0 = time.perf_counter()
-        builder = get_formulation(problem.formulation)(problem)
+        builder = build(*args)
         builder.to_arrays()  # memoized; charges matrix assembly to assembly time
         assemble_seconds = time.perf_counter() - t0
-        key = solution_key(builder, problem.maximize, vertex)
+        key = solution_key(builder, maximize, vertex)
         caching = self.cache.enabled
         if caching:
             cached = self.cache.get(key)
@@ -82,7 +86,7 @@ class Engine:
                 info.pop("solve_seconds", None)
                 return cached.clone(info=info)
         t1 = time.perf_counter()
-        solution = _BACKEND.solve(builder, maximize=problem.maximize, vertex=vertex)
+        solution = _BACKEND.solve(builder, maximize=maximize, vertex=vertex)
         solution.info.update({
             "cache": "miss" if caching else "bypass",
             "backend": _BACKEND.name,
@@ -118,6 +122,7 @@ def reset_engine() -> None:
         _engine = None
 
 
-def solve(problem: MCFProblem) -> "LPSolution":
+def solve(build: Callable[..., "LPBuilder"], *args, maximize: bool = False,
+          vertex: bool = True) -> "LPSolution":
     """Solve through the default engine (the formulation-facing entry point)."""
-    return get_engine().solve(problem)
+    return get_engine().solve(build, *args, maximize=maximize, vertex=vertex)

@@ -14,8 +14,9 @@ Covers the guarantees of the block layer:
 import numpy as np
 import pytest
 
+from repro.core.mcf_link import build_link_mcf
 from repro.core.solver import LPBuilder, LPSolution
-from repro.engine import Engine, MCFProblem, SolutionCache, backends
+from repro.engine import Engine, SolutionCache, backends
 from repro.engine.backends import ScipyHighsBackend
 from repro.topology import hypercube
 
@@ -230,9 +231,8 @@ class TestDigest:
 class TestCacheRoundTrip:
     def test_memory_tier_round_trip_of_blocks(self):
         engine = Engine()
-        problem = MCFProblem("mcf-link", hypercube(3), maximize=True)
-        fresh = engine.solve(problem)
-        cached = engine.solve(problem)
+        fresh = engine.solve(build_link_mcf, hypercube(3), maximize=True)
+        cached = engine.solve(build_link_mcf, hypercube(3), maximize=True)
         assert cached.info["cache"] == "hit"
         assert cached.objective == fresh.objective
         for name in ("F", "f"):

@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.engine.problem import MCFProblem, get_formulation
+from repro.core.mcf_decomposed import build_master_lp
+from repro.core.mcf_link import build_link_mcf
+from repro.core.mcf_path import build_path_mcf
 from repro.paths import edge_disjoint_path_sets
 from repro.topology import from_spec
 
@@ -72,8 +74,7 @@ def test_lp_arrays_match_golden_hashes():
     paths = edge_disjoint_path_sets(topo)
     frozen = {c: tuple(tuple(int(n) for n in p) for p in paths[c])
               for c in topo.commodities()}
-    params = {"mcf-link": {}, "mcf-path": {"path_sets": frozen}, "mcf-master": {}}
-    got = {name: _digest(get_formulation(name)(
-               MCFProblem(name, topo, params=p, maximize=True)))
-           for name, p in params.items()}
+    got = {"mcf-link": _digest(build_link_mcf(topo)),
+           "mcf-path": _digest(build_path_mcf(topo, frozen)),
+           "mcf-master": _digest(build_master_lp(topo))}
     assert got == json.loads((GOLDEN / "lp_arrays_hypercube3.json").read_text())

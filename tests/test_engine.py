@@ -1,4 +1,4 @@
-"""Tests for the unified solve engine: problems, backends, cache."""
+"""Tests for the unified solve engine: solution keys, backends, cache."""
 
 import numpy as np
 import pytest
@@ -6,21 +6,23 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.core import solve_decomposed_mcf, solve_link_mcf
+from repro.core.mcf_decomposed import build_child_lp, build_master_lp
+from repro.core.mcf_link import build_link_mcf
+from repro.core.mcf_path import build_path_mcf
+from repro.core.mcf_ts_decomposed import build_ts_child, build_ts_master
 from repro.engine import (
     Engine,
-    MCFProblem,
     ScipyHighsBackend,
     SolutionCache,
-    formulation_names,
     reset_engine,
 )
 from repro.core.solver import LPBuilder, LPSolution
 from repro.engine import backends
 from repro.engine.backends import IPM_MIN_VARIABLES
 from repro.engine.core import solution_key
-from repro.engine.problem import get_formulation, needs_vertex
 from repro.experiments import Plan, Scenario, reset_plan_cache, run_scenarios
 from repro.experiments.plan import stage_artifact_key
+from repro.paths import edge_disjoint_path_sets
 from repro.topology import generalized_kautz, hypercube
 
 
@@ -29,43 +31,32 @@ def cube():
     return hypercube(3)
 
 
-def problem_key(problem):
-    """The engine's solution key of ``problem``: its assembled LP's key."""
-    builder = get_formulation(problem.formulation)(problem)
-    return solution_key(builder, problem.maximize, needs_vertex(problem.formulation))
+def problem_key(build, *args, maximize=False, vertex=True):
+    """The engine's solution key of the LP ``build(*args)`` assembles."""
+    return solution_key(build(*args), maximize, vertex)
 
 
-class TestMCFProblem:
+class TestSolutionKeys:
     def test_cache_key_stable_across_instances(self, cube):
-        p1 = MCFProblem("mcf-link", cube, maximize=True)
-        p2 = MCFProblem("mcf-link", hypercube(3), maximize=True)
-        assert problem_key(p1) == problem_key(p2)
+        assert (problem_key(build_link_mcf, cube, maximize=True)
+                == problem_key(build_link_mcf, hypercube(3), maximize=True))
 
-    def test_cache_key_sensitive_to_formulation_and_params(self, cube):
-        base = MCFProblem("mcf-link", cube, maximize=True)
-        other_form = MCFProblem("mcf-master", cube, maximize=True)
-        other_params = MCFProblem("mcf-link", cube, params={"terminals": [0, 1]},
-                                  maximize=True)
-        other_sense = MCFProblem("mcf-link", cube, maximize=False)
-        keys = {problem_key(p) for p in (base, other_form, other_params, other_sense)}
+    def test_cache_key_sensitive_to_builder_args_and_sense(self, cube):
+        keys = {problem_key(build_link_mcf, cube, maximize=True),
+                problem_key(build_master_lp, cube, maximize=True),
+                problem_key(build_link_mcf, cube, [0, 1], maximize=True),
+                problem_key(build_link_mcf, cube, maximize=False)}
         assert len(keys) == 4
-
-    def test_param_order_does_not_matter(self, cube):
-        a = MCFProblem("tsmcf", cube, params={"num_steps": 4, "terminals": [0, 1]})
-        b = MCFProblem("tsmcf", cube, params={"terminals": [0, 1], "num_steps": 4})
-        assert problem_key(a) == problem_key(b)
 
     def test_terminal_order_shares_one_lp(self, cube):
         # The master LP sorts its terminals, so both orders pose one LP:
-        # the problems differ, the key does not.
-        a = MCFProblem("mcf-master", cube, params={"terminals": [2, 1, 0]},
-                       maximize=True)
-        b = MCFProblem("mcf-master", cube, params={"terminals": [0, 1, 2]},
-                       maximize=True)
-        assert a.params != b.params
-        assert problem_key(a) == problem_key(b)
+        # the arguments differ, the key does not.
+        a, b = [2, 1, 0], [0, 1, 2]
+        assert (problem_key(build_master_lp, cube, a, maximize=True)
+                == problem_key(build_master_lp, cube, b, maximize=True))
         engine = Engine()
-        first, second = engine.solve(a), engine.solve(b)
+        first = engine.solve(build_master_lp, cube, a, maximize=True)
+        second = engine.solve(build_master_lp, cube, b, maximize=True)
         assert (first.info["cache"], second.info["cache"]) == ("miss", "hit")
         assert second.objective == first.objective
 
@@ -78,8 +69,7 @@ class TestMCFProblem:
         for edge in pair.edges[1:]:
             pair.graph.edges[edge]["cap"] = 2.0  # edge 0 alone bounds F
         engine = Engine()
-        problem = MCFProblem("mcf-link", pair, maximize=True)
-        before = engine.solve(problem)
+        before = engine.solve(build_link_mcf, pair, maximize=True)
         assert before.objective == pytest.approx(1.0)
         real = mcf_link.topology_arrays
 
@@ -90,26 +80,71 @@ class TestMCFProblem:
             return index, tails, heads, caps
 
         monkeypatch.setattr(mcf_link, "topology_arrays", doubled)
-        after = engine.solve(problem)
+        after = engine.solve(build_link_mcf, pair, maximize=True)
         assert after.info["cache"] == "miss"
         assert after.info["key"] != before.info["key"]
         assert after.objective == pytest.approx(2.0)
 
-    def test_all_five_formulations_registered(self):
-        names = formulation_names()
-        for expected in ("mcf-link", "mcf-path", "mcf-master", "mcf-child",
-                         "tsmcf", "tsmcf-master", "tsmcf-child"):
-            assert expected in names
+
+def _reversed(mapping):
+    """``mapping`` rebuilt in reversed insertion order."""
+    return dict(reversed(list(mapping.items())))
+
+
+class TestAssemblersIgnoreInputOrder:
+    """An assembler's LP does not depend on the order of a mapping or set.
+
+    The engine keys a solution by the assembled LP alone, so two calls that
+    differ only in insertion order must assemble one LP to share its key.
+    """
+
+    @staticmethod
+    def _same_digest(build, *variants):
+        digests = {build(*args).digest() for args in variants}
+        assert len(digests) == 1
+
+    def test_link_mcf_demand(self, cube):
+        demand = {c: 1.0 + (c[0] + 2 * c[1]) % 3 for c in cube.commodities()}
+        self._same_digest(build_link_mcf, (cube, None, demand),
+                          (cube, None, _reversed(demand)))
+
+    def test_path_mcf_path_sets(self, cube):
+        paths = {c: tuple(tuple(p) for p in ps)
+                 for c, ps in edge_disjoint_path_sets(cube).items()}
+        self._same_digest(build_path_mcf, (cube, paths), (cube, _reversed(paths)))
+
+    def test_child_lp_grouped_flow(self, cube):
+        grouped = {e: 0.25 + 0.01 * i for i, e in enumerate(cube.edges)}
+        dests = list(range(1, 8))
+        self._same_digest(build_child_lp, (cube, 0, grouped, 0.25, 1e-7, dests),
+                          (cube, 0, _reversed(grouped), 0.25, 1e-7, dests))
+
+    def test_ts_child_grouped(self, cube):
+        grouped = {(u, v, t): 0.5 for t in (1, 2, 3) for u, v in cube.edges if u == 0}
+        args = (cube, 0, [1, 2, 4])
+        self._same_digest(build_ts_child, (*args, grouped, [1, 2, 3]),
+                          (*args, _reversed(grouped), [1, 2, 3]))
+
+    def test_ts_master_terminal_set(self):
+        # 0 and 8 share a hash slot, so these two sets iterate differently.
+        terminals = [0, 8, 3, 11]
+        forward, backward = set(), set()
+        for t in terminals:
+            forward.add(t)
+        for t in reversed(terminals):
+            backward.add(t)
+        assert list(forward) != list(backward)
+        args = (hypercube(4), [1, 2, 3, 4, 5], sorted(terminals))
+        self._same_digest(build_ts_master, (*args, forward), (*args, backward))
 
 
 class TestBackends:
     def test_alternative_backend_same_optimum(self, cube, monkeypatch):
         # Simplex and interior point reach the same optimum.
-        problem = MCFProblem("mcf-link", cube, maximize=True)
         engine = Engine(cache=SolutionCache(enabled=False))
-        default = engine.solve(problem)
+        default = engine.solve(build_link_mcf, cube, maximize=True)
         monkeypatch.setattr(backends, "IPM_MIN_VARIABLES", 0)
-        ipm = engine.solve(problem)
+        ipm = engine.solve(build_link_mcf, cube, maximize=True)
         assert (default.info["method"], ipm.info["method"]) == ("highs", "highs-ipm")
         assert ipm.objective == pytest.approx(default.objective, rel=1e-7)
 
@@ -155,27 +190,25 @@ class TestSizeRule:
         # retired backends pinned to one method, must never answer for the
         # size-ruled one; nor may one rule's entries answer for another's.
         engine = Engine()
-        problem = MCFProblem("mcf-link", cube, maximize=True)
         stale = LPSolution(objective=-1.0)
-        digest = get_formulation("mcf-link")(problem).digest()
+        digest = build_link_mcf(cube).digest()
         for identity in ("scipy-highs", "scipy-highs-ipm", "scipy-highs-ds"):
             engine.cache.put(f"{digest}-max-{identity}", stale)
-        key = problem_key(problem)
+        key = problem_key(build_link_mcf, cube, maximize=True)
         assert key.endswith(f"-max-scipy-highs[highs-ipm>={IPM_MIN_VARIABLES}]")
-        solution = engine.solve(problem)
+        solution = engine.solve(build_link_mcf, cube, maximize=True)
         assert solution.info["cache"] == "miss"
         assert solution.objective == pytest.approx(0.25)
         monkeypatch.setattr(backends, "IPM_MIN_VARIABLES", 0)
-        assert problem_key(problem) != key
-        assert engine.solve(problem).info["cache"] == "miss"
+        assert problem_key(build_link_mcf, cube, maximize=True) != key
+        assert engine.solve(build_link_mcf, cube, maximize=True).info["cache"] == "miss"
 
 
 class TestSolutionCache:
     def test_hit_vs_miss_equivalence(self, cube):
         engine = Engine()
-        problem = MCFProblem("mcf-link", cube, maximize=True)
-        fresh = engine.solve(problem)
-        cached = engine.solve(problem)
+        fresh = engine.solve(build_link_mcf, cube, maximize=True)
+        cached = engine.solve(build_link_mcf, cube, maximize=True)
         assert fresh.info["cache"] == "miss"
         assert cached.info["cache"] == "hit"
         assert cached.objective == fresh.objective
@@ -190,9 +223,8 @@ class TestSolutionCache:
 
     def test_bypass_flag_skips_cache(self, cube):
         engine = Engine(cache=SolutionCache(enabled=False))
-        problem = MCFProblem("mcf-link", cube, maximize=True)
-        first = engine.solve(problem)
-        second = engine.solve(problem)
+        first = engine.solve(build_link_mcf, cube, maximize=True)
+        second = engine.solve(build_link_mcf, cube, maximize=True)
         assert first.info["cache"] == "bypass"
         assert second.info["cache"] == "bypass"
         counts = obs.snapshot()
@@ -203,7 +235,7 @@ class TestSolutionCache:
 
     def test_disabled_cache_reports_bypass(self, cube):
         engine = Engine(cache=SolutionCache(enabled=False))
-        solution = engine.solve(MCFProblem("mcf-link", cube, maximize=True))
+        solution = engine.solve(build_link_mcf, cube, maximize=True)
         assert solution.info["cache"] == "bypass"
 
     def test_default_engine_keeps_lp_solutions_in_memory(self, cube, tmp_path,

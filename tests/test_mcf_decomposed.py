@@ -12,11 +12,16 @@ from repro.core import (
     solve_master_lp,
     solve_mcf_objective,
 )
-from repro.core.mcf_decomposed import CERTIFICATE_TOL
+from repro.core.mcf_decomposed import (
+    CERTIFICATE_TOL,
+    build_master_lp,
+    build_objective_lp,
+)
+from repro.core.mcf_timestepped import solve_timestepped_mcf
+from repro.core.mcf_ts_decomposed import solve_timestepped_mcf_decomposed
 from repro.core.solver import LPSolution
-from repro.engine import Engine, MCFProblem, SolutionCache, backends
+from repro.engine import Engine, SolutionCache, backends
 from repro.engine.core import solution_key
-from repro.engine.problem import get_formulation, needs_vertex
 from repro.core.flow import conservation_violation, max_link_utilization
 from repro.topology import (
     Topology,
@@ -76,10 +81,13 @@ def private_engine():
     engine_core._engine = prev
 
 
-def _key(problem):
-    """The engine's solution key of ``problem``: its assembled LP's key."""
-    builder = get_formulation(problem.formulation)(problem)
-    return solution_key(builder, problem.maximize, needs_vertex(problem.formulation))
+def _key(build, *args, maximize=False, vertex=True):
+    """The engine's solution key of the LP ``build(*args)`` assembles."""
+    return solution_key(build(*args), maximize, vertex)
+
+
+def _master_key(topo):
+    return _key(build_master_lp, topo, maximize=True)
 
 
 def _tamper_entry(engine, key, f_scale=1.0, dual_shift=0.0, dual_scale=1.0):
@@ -117,7 +125,7 @@ class TestMasterCertificate:
         fresh = solve_master_lp(topo)
         # The cached solution carries no certificate: a hit re-derives it
         # from the cached capacity duals.
-        entry = engine.cache.get(_key(MCFProblem("mcf-master", topo, maximize=True)))
+        entry = engine.cache.get(_master_key(topo))
         assert "certificate" not in entry.info
         again = solve_master_lp(topo)
         assert again.info["cache"] == "hit"
@@ -125,8 +133,7 @@ class TestMasterCertificate:
 
     @staticmethod
     def _tamper(engine, topo, **scales):
-        _tamper_entry(engine, _key(MCFProblem("mcf-master", topo, maximize=True)),
-                      **scales)
+        _tamper_entry(engine, _master_key(topo), **scales)
 
     @pytest.mark.parametrize("corrupt", ["inflated-f", "zero-duals"])
     def test_corrupt_cache_entry_is_caught(self, private_engine, corrupt):
@@ -153,7 +160,7 @@ class TestMasterCertificate:
 
 
 def _objective_key(topo):
-    return _key(MCFProblem("mcf-objective", topo, maximize=True))
+    return _key(build_objective_lp, topo, maximize=True, vertex=False)
 
 
 def _recapped_torus():
@@ -236,7 +243,7 @@ class TestObjectiveKeys:
     def test_objective_and_master_keys_differ(self):
         topo = generalized_kautz(4, 12)
         objective = _objective_key(topo)
-        master = _key(MCFProblem("mcf-master", topo, maximize=True))
+        master = _master_key(topo)
         assert objective != master
         assert objective.endswith("-scipy-highs[highs-ipm-no-crossover,tol=1e-12]")
         assert "crossover" not in master
@@ -250,6 +257,24 @@ class TestObjectiveKeys:
             solve_mcf_objective(topo)
 
 
+class TestTerminalRange:
+    """Every solver rejects a terminal outside the node range by name."""
+
+    SOLVERS = {
+        "link": solve_link_mcf,
+        "master": solve_master_lp,
+        "decomposed": solve_decomposed_mcf,
+        "tsmcf": solve_timestepped_mcf,
+        "tsmcf-decomposed": solve_timestepped_mcf_decomposed,
+    }
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("terminals, bad", [([0, 99], 99), ([0, -1, 3], -1)])
+    def test_out_of_range_terminal_rejected(self, cube3, solver, terminals, bad):
+        with pytest.raises(ValueError, match=f"terminal {bad} outside node range"):
+            self.SOLVERS[solver](cube3, terminals=terminals)
+
+
 class TestChildLP:
     def test_child_splits_grouped_flow(self, cube3):
         master = solve_master_lp(cube3)
@@ -261,6 +286,18 @@ class TestChildLP:
             delivered = sum(v for (a, b), v in per.items() if b == d) - \
                 sum(v for (a, b), v in per.items() if a == d)
             assert delivered >= master.concurrent_flow - 1e-5
+
+    def test_unsorted_destinations_keep_their_labels(self, cube3):
+        # Each commodity must deliver F at its own sink whatever order the
+        # destinations come in.
+        master = solve_master_lp(cube3)
+        f = master.concurrent_flow
+        flows, _ = solve_child_lp(cube3, 0, master.grouped_flows[0], f,
+                                  destinations=[7, 3, 5, 1])
+        assert set(flows) == {(0, 1), (0, 3), (0, 5), (0, 7)}
+        for (s, d), per in flows.items():
+            inflow = sum(v for (a, b), v in per.items() if b == d)
+            assert inflow == pytest.approx(f, abs=1e-6)
 
     def test_child_respects_grouped_capacity(self, cube3):
         master = solve_master_lp(cube3)
