@@ -26,7 +26,7 @@ from . import (
     workloads,
 )
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "analysis",

@@ -67,13 +67,17 @@ class SolutionCache:
         return payload
 
     def put(self, key: str, payload: object) -> None:
-        """Store ``payload`` under ``key`` in both tiers, as given."""
+        """Store ``payload`` under ``key`` in both tiers, as given.
+
+        A payload the disk tier cannot pickle raises, and is stored in
+        neither tier.
+        """
         if not self.enabled:
             return
+        self._disk_put(key, payload)
         with self._lock:
             self._insert(key, payload)
         self._count("stores")
-        self._disk_put(key, payload)
 
     def _insert(self, key: str, payload: object) -> None:
         """Insert into the memory tier, evicting the oldest entry when full.
@@ -116,7 +120,8 @@ class SolutionCache:
 
     def _disk_put(self, key: str, payload: object) -> None:
         """Persist ``payload``; atomic rename so concurrent readers never
-        see a torn file."""
+        see a torn file.  The temp file goes on every failure; I/O errors
+        are swallowed (the disk tier is best effort), pickling errors raise."""
         if not self.cache_dir:
             return
         tmp = None
@@ -125,7 +130,10 @@ class SolutionCache:
             with os.fdopen(fd, "wb") as fh:
                 pickle.dump(payload, fh)
             os.replace(tmp, self._path(key))
+            tmp = None
         except OSError:  # pragma: no cover - disk tier is best effort
+            pass
+        finally:
             if tmp is not None:
                 try:
                     os.unlink(tmp)

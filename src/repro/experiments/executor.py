@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from . import sweep
-from .plan import PlanResult, get_plan_cache, stage_artifact_key
+from .plan import Plan, PlanResult
 from .scenario import STAGES, Scenario
 
 __all__ = ["merge_shards", "run_sweep_workers"]
@@ -66,10 +66,10 @@ def merge_shards(out_path: str) -> int:
     return len(lines)
 
 
-def _run_one(scenario: Scenario, through: str, share: bool,
+def _run_one(scenario: Scenario, keys: Dict[str, str], through: str, share: bool,
              prior: Optional[PlanResult]) -> Tuple[Dict[str, object], object]:
     """Worker task: one scenario's record, and its plan result if ``share``."""
-    result = sweep._execute(scenario, through, None, 1, prior)
+    result = sweep._execute(scenario, through, None, 1, prior, keys)
     return result.to_record(), result.plan if share else None
 
 
@@ -95,23 +95,24 @@ def run_sweep_workers(scenarios: Sequence[Scenario],
             if resume and out_path and os.path.exists(out_path) else {})
 
     resumed: Dict[int, Dict[str, object]] = {}
+    keys: Dict[int, Optional[Dict[str, str]]] = {}
     leader_of: Dict[str, int] = {}
     leaders, followers = [], []  # (index, plan result to continue from)
     for i, scenario in enumerate(scenarios):
         try:
-            key, group = scenario.key(), scenario.stage_key("synthesize")
+            keys[i] = scenario.stage_keys()
+            key, group = keys[i]["simulate"], keys[i]["synthesize"]
         except Exception:  # noqa: BLE001 - recorded as an error record
-            key, group = "", None
+            keys[i], key, group = None, "", None
         if key in done:
             resumed[i] = done[key]
         elif group is None or leader_of.setdefault(group, i) == i:
             leaders.append((i, None))
         else:
             followers.append((i, None))
-    sharing = {leader_of[scenarios[i].stage_key("synthesize")] for i, _ in followers}
+    sharing = {leader_of[keys[i]["synthesize"]] for i, _ in followers}
     stop = STAGES[min(STAGES.index(through), STAGES.index("validate"))]
 
-    cache = get_plan_cache()
     fresh: Dict[int, Dict[str, object]] = {}
     broken = False
     with (sweep._open_append(out_path) if out_path else nullcontext()) as out_fh:
@@ -122,7 +123,7 @@ def run_sweep_workers(scenarios: Sequence[Scenario],
             with ProcessPoolExecutor(
                     max_workers=min(max(1, int(workers)), len(batch)),
                     mp_context=multiprocessing.get_context("fork")) as pool:
-                futures = {pool.submit(obs.counted, _run_one, scenarios[i],
+                futures = {pool.submit(obs.counted, _run_one, scenarios[i], keys[i],
                                        stop if i in sharing else through,
                                        i in sharing, prior): i
                            for i, prior in batch}
@@ -135,8 +136,7 @@ def run_sweep_workers(scenarios: Sequence[Scenario],
                     i = futures[future]
                     obs.add(delta)
                     if plan is not None:
-                        for stage, artifact in plan.stage_artifacts().items():
-                            cache.put(stage_artifact_key(scenarios[i], stage), artifact)
+                        Plan(scenarios[i], keys=keys[i], result=plan).publish()
                         if stop != through:
                             sharing.discard(i)
                             followers.append((i, plan))

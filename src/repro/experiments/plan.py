@@ -13,13 +13,24 @@ through the paper's Fig. 1 pipeline as explicit stages:
 4. **simulate** — execute the schedule on the scenario's fabric across its
    buffer sweep.
 
-Each stage's artifact is cached under :func:`stage_artifact_key` (the
+Each stage's entry is cached under :func:`stage_artifact_key` (the
 scenario's :meth:`~repro.experiments.scenario.Scenario.stage_key` salted
 with the package version) in a process-wide
 :class:`~repro.engine.cache.SolutionCache` instance (memory tier always on,
 disk tier under ``$REPRO_CACHE_DIR/stages`` when configured), so re-running a
 scenario — or a scenario that shares a prefix of the pipeline, e.g. the same
-schedule simulated at different buffer sizes — recomputes nothing.  A `Plan`
+schedule simulated at different buffer sizes — recomputes nothing.
+
+An entry is ``(artifact, summary)``: the summary holds the record scalars of
+that stage and the stages before it (F, the all-to-all time, node counts and
+engine accounting from synthesize; step and assignment counts from lower),
+each computed once, when its stage is computed.  :meth:`Plan.run` reads the
+deepest requested stage first; a hit ends the run, so a warm scenario reads
+one entry and counts one ``stage-cache`` hit, while its record still lists
+every stage (the ones the summary served as ``"hit"``).  Only a miss moves
+on to the stage before.  The upstream artifacts
+(:attr:`PlanResult.schedule`, :attr:`PlanResult.lowered`) load from their
+own entries, or are recomputed, when a caller first reads them.  A `Plan`
 instance additionally keeps its own artifacts, so ``run("synthesize")``
 followed by ``run("simulate")`` never redoes stage work even with the shared
 cache disabled (benchmarks disable it to keep timings honest).
@@ -74,7 +85,11 @@ def stage_artifact_key(scenario: Scenario, stage: str) -> str:
     written by another release reads as a miss instead of serving that
     release's schedules and results.
     """
-    return f"{scenario.stage_key(stage)}-{_code_version()}"
+    return _salted(scenario.stage_key(stage))
+
+
+def _salted(stage_key: str) -> str:
+    return f"{stage_key}-{_code_version()}"
 
 
 def _stage_cache_dir() -> Optional[str]:
@@ -118,65 +133,121 @@ def reset_plan_cache() -> None:
 # --------------------------------------------------------------------------- #
 # Plan
 # --------------------------------------------------------------------------- #
+#: Summary entries the lower stage adds to the synthesize stage's.
+_LOWER_SUMMARY = ("num_steps", "num_assignments")
+
+
+def _synthesize_summary(schedule: object) -> Dict[str, object]:
+    """The record scalars a synthesized schedule determines, computed once.
+
+    ``concurrent_flow`` and ``all_to_all_time`` (when the scheme defines
+    them), ``num_nodes`` (the communicating endpoints: hosts if augmented),
+    ``num_graph_nodes`` (the graph the schedule runs on) and ``engine`` (the
+    engine accounting on the schedule's metadata).
+    """
+    summary: Dict[str, object] = {}
+    if isinstance(schedule, TimeSteppedFlow):
+        summary["concurrent_flow"] = schedule.equivalent_concurrent_flow()
+        summary["all_to_all_time"] = schedule.total_utilization
+    elif isinstance(schedule, (PathSchedule, ConcurrentFlowValue)):
+        summary["concurrent_flow"] = float(schedule.concurrent_flow)
+        summary["all_to_all_time"] = schedule.all_to_all_time()
+    if isinstance(schedule, ConcurrentFlowValue):
+        graph_nodes: Optional[int] = schedule.num_nodes
+    else:
+        topo = getattr(schedule, "topology", None)
+        graph_nodes = None if topo is None else int(topo.num_nodes)
+    meta = getattr(schedule, "meta", None) or {}
+    summary["num_nodes"] = int(meta["num_hosts"]) if meta.get("augmented") else graph_nodes
+    summary["num_graph_nodes"] = graph_nodes
+    info = meta.get("engine") or meta.get("master_engine") or {}
+    summary["engine"] = dict(info) if isinstance(info, dict) else {}
+    return {name: value for name, value in summary.items() if value is not None}
+
+
+def _lower_summary(lowered: object) -> Dict[str, object]:
+    """The record scalars a lowered schedule determines: steps and assignments."""
+    summary: Dict[str, object] = {}
+    if hasattr(lowered, "num_steps"):
+        summary["num_steps"] = int(lowered.num_steps)
+    if hasattr(lowered, "assignments"):
+        summary["num_assignments"] = len(lowered.assignments)
+    return summary
+
+
+#: Stage -> the summary its artifact adds to the record.
+_SUMMARIES = {"synthesize": _synthesize_summary, "lower": _lower_summary}
+
+
 @dataclass
 class PlanResult:
-    """Artifacts and accounting of one plan execution."""
+    """Artifacts and accounting of one plan execution.
+
+    ``summary`` holds the record scalars of the stages run so far (see
+    :func:`_synthesize_summary` and :func:`_lower_summary`).  ``schedule``
+    and ``lowered`` are loaded on first read: a stage served by a deeper
+    stage's cache entry has its summary but not its artifact, which is read
+    from its own entry (or recomputed) only when a caller asks for it.
+    """
 
     scenario: Scenario
-    schedule: object = None                   # synthesize artifact
-    lowered: object = None                    # lower artifact (schedule IR)
-    validated: bool = False
     sim_results: Optional[List[CollectiveResult]] = None
     cluster_result: object = None             # ClusterResult for cluster traces
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     stage_cache: Dict[str, str] = field(default_factory=dict)  # stage -> hit/miss/off
+    summary: Dict[str, object] = field(default_factory=dict)
+    #: Loaded synthesize/lower artifacts, by stage.
+    artifacts: Dict[str, object] = field(default_factory=dict)
+    #: The plan that loads missing artifacts (never pickled).
+    _plan: Optional["Plan"] = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {**self.__dict__, "_plan": None}
+
+    def _artifact(self, stage: str) -> object:
+        if stage not in self.artifacts and stage in self.stage_seconds:
+            plan = self._plan or Plan(self.scenario, result=self)
+            self.artifacts[stage] = plan._load(stage)
+        return self.artifacts.get(stage)
+
+    @property
+    def validated(self) -> bool:
+        """Whether the validate stage ran (or a deeper entry stood in for it)."""
+        return "validate" in self.stage_seconds
+
+    @property
+    def schedule(self) -> object:
+        """The synthesize artifact (loaded on first read)."""
+        return self._artifact("synthesize")
+
+    @property
+    def lowered(self) -> object:
+        """The lower artifact, the schedule IR (loaded on first read)."""
+        return self._artifact("lower")
 
     @property
     def concurrent_flow(self) -> Optional[float]:
         """Concurrent-flow value of the synthesized schedule, if it has one."""
-        if isinstance(self.schedule, TimeSteppedFlow):
-            return self.schedule.equivalent_concurrent_flow()
-        if isinstance(self.schedule, (PathSchedule, ConcurrentFlowValue)):
-            return float(self.schedule.concurrent_flow)
-        return None
+        return self.summary.get("concurrent_flow")
 
     @property
     def all_to_all_time(self) -> Optional[float]:
         """Normalized all-to-all time of the synthesized schedule."""
-        if isinstance(self.schedule, TimeSteppedFlow):
-            return self.schedule.total_utilization
-        if isinstance(self.schedule, (PathSchedule, ConcurrentFlowValue)):
-            return self.schedule.all_to_all_time()
-        return None
+        return self.summary.get("all_to_all_time")
 
     @property
     def num_terminals(self) -> Optional[int]:
         """Number of communicating endpoints (hosts if augmented)."""
-        meta = getattr(self.schedule, "meta", None) or {}
-        if meta.get("augmented"):
-            return int(meta["num_hosts"])
-        return self.num_graph_nodes
+        return self.summary.get("num_nodes")
 
     @property
     def num_graph_nodes(self) -> Optional[int]:
         """Nodes of the graph the schedule runs on (augmented if it is)."""
-        if isinstance(self.schedule, ConcurrentFlowValue):
-            return self.schedule.num_nodes
-        topo = getattr(self.schedule, "topology", None)
-        return None if topo is None else int(topo.num_nodes)
-
-    def stage_artifacts(self) -> Dict[str, object]:
-        """Pre-simulate artifacts of the stages this result ran, by stage."""
-        produced = {"synthesize": self.schedule, "lower": self.lowered,
-                    "validate": self.validated}
-        return {stage: produced[stage] for stage in produced
-                if stage in self.stage_seconds}
+        return self.summary.get("num_graph_nodes")
 
     def engine_info(self) -> Dict[str, object]:
         """Engine accounting carried on the schedule's metadata, if any."""
-        meta = getattr(self.schedule, "meta", None) or {}
-        info = meta.get("engine") or meta.get("master_engine") or {}
-        return dict(info) if isinstance(info, dict) else {}
+        return dict(self.summary.get("engine") or {})
 
 
 class Plan:
@@ -192,21 +263,42 @@ class Plan:
         force recomputation (a plan still reuses its *own* artifacts).
     n_jobs:
         Worker count forwarded to scheme synthesis (decomposed child LPs).
+    keys:
+        The scenario's :meth:`~repro.experiments.scenario.Scenario.stage_keys`
+        when the caller already computed them; computed on first use
+        otherwise.
+    result:
+        A result of this scenario's earlier stages to continue from.
     """
 
     def __init__(self, scenario: Scenario, cache: Optional[SolutionCache] = None,
-                 n_jobs: int = 1) -> None:
+                 n_jobs: int = 1, keys: Optional[Dict[str, str]] = None,
+                 result: Optional[PlanResult] = None) -> None:
         self.scenario = scenario
         self.cache = cache if cache is not None else get_plan_cache()
         self.n_jobs = n_jobs
-        self.result = PlanResult(scenario=scenario)
+        self._keys = keys
+        self.result = result if result is not None else PlanResult(scenario=scenario)
+        self.result._plan = self
+
+    @property
+    def keys(self) -> Dict[str, str]:
+        """The scenario's stage keys (unsalted), computed once per plan."""
+        if self._keys is None:
+            self._keys = self.scenario.stage_keys()
+        return self._keys
+
+    def _key(self, stage: str) -> str:
+        return _salted(self.keys[stage])
 
     # ------------------------------------------------------------------ #
     def run(self, through: str = "simulate") -> PlanResult:
         """Execute stages up to and including ``through``; idempotent.
 
-        Stages already executed by this plan instance are kept; remaining
-        stages consult the shared artifact cache before computing.  A
+        Stages already executed by this plan instance are kept.  The rest
+        are served deepest first: a cache entry for ``through`` carries the
+        summary of every stage before it, so a hit ends the run there, and
+        only a miss moves on to the stage before.  A
         :data:`~repro.experiments.scenario.SYNTHESIZE_ONLY` scheme asked for
         a later stage raises :class:`ValueError` before any work.
         """
@@ -217,30 +309,71 @@ class Plan:
                 f"scheme {self.scenario.scheme!r} yields the optimal concurrent "
                 f"flow only, with no schedule to {through}; run it through "
                 "'synthesize', or use 'mcf-extp' for a schedule")
-        for stage in STAGES[:STAGES.index(through) + 1]:
-            self._ensure_stage(stage)
+        self._ensure_stage(through)
         return self.result
+
+    def publish(self) -> None:
+        """Put the pre-simulate artifacts this result computed in the cache.
+
+        The executor's parent calls this on a leader's result, so that the
+        pool it forks next inherits them.  Stages the cache served are
+        already there (or on disk) and are skipped.
+        """
+        for stage in ("synthesize", "lower", "validate"):
+            if self.result.stage_cache.get(stage) == "miss":
+                artifact = True if stage == "validate" else self.result.artifacts[stage]
+                self.cache.put(self._key(stage), (artifact, self._entry_summary(stage)))
 
     # ------------------------------------------------------------------ #
     def _ensure_stage(self, stage: str) -> None:
-        if stage in self.result.stage_seconds:
+        """Run ``stage``: a hit on its entry serves it and, through the
+        entry's summary, every stage before it; a miss runs the stage before,
+        then computes this one."""
+        result = self.result
+        if stage in result.stage_seconds:
             return
-        key = stage_artifact_key(self.scenario, stage)
         start = time.perf_counter()
-        if not self.cache.enabled:
-            self._install(stage, self._compute(stage))
-            self.result.stage_cache[stage] = "off"
+        entry = self.cache.get(self._key(stage)) if self.cache.enabled else None
+        seconds = time.perf_counter() - start
+        if entry is not None:
+            artifact, summary = entry
+            for name, value in summary.items():
+                result.summary.setdefault(name, value)
+            for before in STAGES[:STAGES.index(stage)]:
+                if before not in result.stage_seconds:
+                    result.stage_cache[before] = "hit"
+                    result.stage_seconds[before] = 0.0
+            self._install(stage, artifact)
+            result.stage_cache[stage] = "hit"
         else:
-            cached = self.cache.get(key)
-            if cached is not None:
-                self._install(stage, cached)
-                self.result.stage_cache[stage] = "hit"
-            else:
-                artifact = self._compute(stage)
-                self._install(stage, artifact)
-                self.result.stage_cache[stage] = "miss"
-                self.cache.put(key, artifact)
-        self.result.stage_seconds[stage] = time.perf_counter() - start
+            if stage != STAGES[0]:
+                self._ensure_stage(STAGES[STAGES.index(stage) - 1])
+            start = time.perf_counter()
+            artifact = self._compute(stage)
+            if stage in _SUMMARIES:
+                result.summary.update(_SUMMARIES[stage](artifact))
+            self._install(stage, artifact)
+            if self.cache.enabled:
+                self.cache.put(self._key(stage), (artifact, self._entry_summary(stage)))
+            seconds += time.perf_counter() - start
+            result.stage_cache[stage] = "miss" if self.cache.enabled else "off"
+        result.stage_seconds[stage] = seconds
+
+    def _load(self, stage: str) -> object:
+        """A stage artifact a deeper entry's summary stood in for: read from
+        its own entry, or recomputed (and stored) on a miss."""
+        key = self._key(stage)
+        entry = self.cache.get(key)
+        if entry is not None:
+            return entry[0]
+        artifact = self._compute(stage)
+        self.cache.put(key, (artifact, self._entry_summary(stage)))
+        return artifact
+
+    def _entry_summary(self, stage: str) -> Dict[str, object]:
+        """The summary stored with ``stage``'s entry: its stages' scalars."""
+        return {name: value for name, value in self.result.summary.items()
+                if stage != "synthesize" or name not in _LOWER_SUMMARY}
 
     def _compute(self, stage: str) -> object:
         scenario = self.scenario
@@ -265,11 +398,12 @@ class Plan:
                 validate_routed_schedule(lowered)
             return True
         # simulate
+        lowered = self.result.lowered
         if scenario.cluster is not None:
             from ..cluster import run_cluster  # lazy: cluster imports simulator
 
             default_buffer = scenario.buffers[0] if scenario.buffers else None
-            return run_cluster(self.result.lowered, scenario.cluster,
+            return run_cluster(lowered, scenario.cluster,
                                fabric=scenario.resolved_fabric(),
                                default_buffer=default_buffer,
                                validate=False)
@@ -278,12 +412,11 @@ class Plan:
         if scenario.faults is not None:
             from ..faults import run_faulted_sweep  # lazy: faults imports simulator
 
-            return run_faulted_sweep(self.result.lowered,
-                                     list(scenario.buffers),
+            return run_faulted_sweep(lowered, list(scenario.buffers),
                                      scenario.faults,
                                      fabric=scenario.resolved_fabric(),
                                      validate_first=False)
-        return throughput_sweep(self.result.lowered, list(scenario.buffers),
+        return throughput_sweep(lowered, list(scenario.buffers),
                                 fabric=scenario.resolved_fabric(),
                                 validate_first=False,
                                 overlap=scenario.overlap)
@@ -291,14 +424,10 @@ class Plan:
     def _install(self, stage: str, artifact: object) -> None:
         from ..cluster import ClusterResult  # lazy: cluster imports simulator
 
-        if stage == "synthesize":
-            self.result.schedule = artifact
-        elif stage == "lower":
-            self.result.lowered = artifact
-        elif stage == "validate":
-            self.result.validated = bool(artifact)
-        elif isinstance(artifact, ClusterResult):
+        if stage in ("synthesize", "lower"):
+            self.result.artifacts[stage] = artifact
+        elif stage == "simulate" and isinstance(artifact, ClusterResult):
             self.result.cluster_result = artifact
             self.result.sim_results = []
-        else:
+        elif stage == "simulate":
             self.result.sim_results = list(artifact)

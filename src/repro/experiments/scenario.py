@@ -196,6 +196,13 @@ _STAGE_FIELDS["simulate"] = _STAGE_FIELDS["lower"] + ("fabric", "buffers", "over
 _SUPPORTED_WORKLOADS = ("alltoall",)
 
 
+def _stage_digest(stage: str, canonical: Mapping[str, object]) -> str:
+    """sha256 over the schema version, the stage and its canonical fields."""
+    payload = repr((_SCENARIO_SCHEMA, stage,
+                    tuple(canonical[f] for f in _STAGE_FIELDS[stage])))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def canonical_value(obj: object) -> object:
     """Reduce ``obj`` to a deterministic, order-independent hashable form.
 
@@ -431,9 +438,17 @@ class Scenario:
         """
         if stage not in _STAGE_FIELDS:
             raise KeyError(f"unknown stage {stage!r}; stages: {STAGES}")
-        payload = repr((_SCENARIO_SCHEMA, stage,
-                        tuple(self._canonical_field(f) for f in _STAGE_FIELDS[stage])))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return _stage_digest(stage, {f: self._canonical_field(f)
+                                     for f in _STAGE_FIELDS[stage]})
+
+    def stage_keys(self) -> Dict[str, str]:
+        """Every stage's :meth:`stage_key`, canonicalizing each field once.
+
+        A run that needs several stages' keys computes them here, so the
+        topology is hashed once per scenario and run.
+        """
+        canonical = {f: self._canonical_field(f) for f in _STAGE_FIELDS["simulate"]}
+        return {stage: _stage_digest(stage, canonical) for stage in STAGES}
 
     def key(self) -> str:
         """Full content digest over every stage-relevant field.

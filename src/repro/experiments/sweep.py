@@ -173,23 +173,8 @@ def metrics_from_plan(result: PlanResult) -> Dict[str, object]:
     :func:`run_sweep` or through a benchmark-driven
     :class:`~repro.experiments.plan.Plan`.
     """
-    metrics: Dict[str, object] = {}
-    if result.concurrent_flow is not None:
-        metrics["concurrent_flow"] = result.concurrent_flow
-    if result.all_to_all_time is not None:
-        metrics["all_to_all_time"] = result.all_to_all_time
-    if result.num_terminals is not None:
-        metrics["num_nodes"] = result.num_terminals
-    if result.num_graph_nodes is not None:
-        # The graph the schedule actually runs on (the augmented graph when a
-        # host bottleneck applies) — what throughput upper bounds scale with.
-        metrics["num_graph_nodes"] = result.num_graph_nodes
-    lowered = result.lowered
-    if lowered is not None:
-        if hasattr(lowered, "num_steps"):
-            metrics["num_steps"] = int(lowered.num_steps)
-        if hasattr(lowered, "assignments"):
-            metrics["num_assignments"] = len(lowered.assignments)
+    metrics: Dict[str, object] = {
+        name: value for name, value in result.summary.items() if name != "engine"}
     if result.sim_results:
         metrics["throughput_bytes_per_s"] = {
             buffer_key(r.buffer_bytes): r.throughput for r in result.sim_results}
@@ -287,18 +272,20 @@ def result_from_plan(scenario: Scenario, result: PlanResult,
 
 
 def _execute(scenario: Scenario, through: str, cache: Optional[SolutionCache],
-             n_jobs: int, prior: Optional[PlanResult] = None) -> ScenarioResult:
+             n_jobs: int, prior: Optional[PlanResult] = None,
+             keys: Optional[Dict[str, str]] = None) -> ScenarioResult:
     """Run one scenario through ``through``, continuing from ``prior`` (a
-    result of the same scenario's earlier stages) when given."""
+    result of the same scenario's earlier stages) when given.  ``keys`` are
+    the scenario's stage keys if the caller already computed them."""
     key = ""
     try:
         # Key computation resolves the topology, so a bad spec surfaces here
         # as an error record (with an empty key) instead of killing the sweep.
-        key = scenario.key()
-        plan = Plan(scenario, cache=cache, n_jobs=n_jobs)
-        if prior is not None:
-            plan.result = prior
-        result = plan.run(through=through)
+        if keys is None:
+            keys = scenario.stage_keys()
+        key = keys["simulate"]
+        result = Plan(scenario, cache=cache, n_jobs=n_jobs, keys=keys,
+                      result=prior).run(through=through)
     except Exception as exc:  # noqa: BLE001 - captured per scenario
         return ScenarioResult(scenario=scenario, key=key, status="error",
                               error=f"{type(exc).__name__}: {exc}", exception=exc)
@@ -356,15 +343,15 @@ def run_sweep(scenarios: Sequence[Scenario], out_path: Optional[str] = None,
     try:
         for scenario in scenarios:
             try:
-                key = scenario.key()
+                keys: Optional[Dict[str, str]] = scenario.stage_keys()
             except Exception:  # noqa: BLE001 - bad spec: let _execute record it
-                key = ""
-            record = done.get(key) if key else None
+                keys = None
+            record = done.get(keys["simulate"]) if keys else None
             if record is not None:
                 results.append(ScenarioResult.from_record(scenario, record,
                                                           resumed=True))
                 continue
-            result = _execute(scenario, through, cache, workers)
+            result = _execute(scenario, through, cache, workers, keys=keys)
             if out_fh is not None:
                 out_fh.write(json.dumps(result.to_record(), sort_keys=True) + "\n")
                 out_fh.flush()

@@ -239,7 +239,8 @@ def run_panel(spec: ArtifactSpec, panel: PanelSpec,
         if timer is not None and series.label == spec.headline:
             timer(lambda: plan.run(through=spec.timed_through))
         results[series.label] = result_from_plan(
-            scenario, plan.run(through=spec.through), through=spec.through)
+            scenario, plan.run(through=spec.through), through=spec.through,
+            key=plan.keys["simulate"])
     tables, plots, series_map = spec.aggregate_panel(panel, results)
     return PanelData(panel=panel, results=results, series=series_map,
                      tables=tables, plots=plots)

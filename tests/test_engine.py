@@ -1,5 +1,7 @@
 """Tests for the unified solve engine: solution keys, backends, cache."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,19 @@ class TestSolutionCache:
         assert result.stage_cache == {"synthesize": "miss"}
         assert result.schedule.paths
         assert obs.snapshot().get("stage-cache.disk_hits", 0) == 0
+
+    def test_unpicklable_payload_raises_and_leaves_nothing(self, tmp_path):
+        # The pickling error reaches the caller; neither tier keeps the
+        # payload and no temp file is left in the cache directory.  (pickle
+        # raises AttributeError for a local lambda, PicklingError for a
+        # module-level one.)
+        cache = SolutionCache(cache_dir=str(tmp_path), name="stage-cache")
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            cache.put("k", {"f": lambda: 1})
+        assert list(tmp_path.iterdir()) == []
+        assert cache.size == 0
+        assert cache.get("k") is None
+        assert "stage-cache.stores" not in obs.snapshot()
 
     def test_flow_solution_meta_surfaces_engine_info(self, cube):
         solution = solve_link_mcf(cube)

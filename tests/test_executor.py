@@ -257,6 +257,33 @@ class TestRunSweepWorkers:
         assert str(os.getpid()) not in first | second
         assert [r.stage_cache["synthesize"] for r in results].count("miss") == 1
 
+    def test_warm_workers_and_a_new_buffer_follower_match_serial(
+            self, tmp_path, monkeypatch):
+        # A warm worker sweep serves each scenario from its deepest entry.
+        # The extra follower shares a schedule but misses simulate: its
+        # worker must read a real lowered schedule from the cache.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        reset_plan_cache()
+        try:
+            scenarios = _grid12().scenarios()[:4]
+            run_sweep_workers(scenarios, out_path=str(tmp_path / "cold.jsonl"),
+                              workers=2)
+            reset_plan_cache()  # read the disk as a new process would
+            follower = dataclasses.replace(scenarios[0], buffers=(2 ** 18,))
+            warm = str(tmp_path / "warm.jsonl")
+            results = run_sweep_workers(scenarios + [follower], out_path=warm,
+                                        workers=2)
+        finally:
+            reset_plan_cache()
+        monkeypatch.delenv("REPRO_CACHE_DIR")
+        serial = str(tmp_path / "serial.jsonl")
+        run_sweep(scenarios + [follower], out_path=serial)
+        assert _canonical(warm) == _canonical(serial)
+        assert [r.stage_cache for r in results[:4]] == [
+            dict.fromkeys(("synthesize", "lower", "validate", "simulate"), "hit")] * 4
+        assert results[4].stage_cache == {"synthesize": "hit", "lower": "hit",
+                                          "validate": "hit", "simulate": "miss"}
+
     def test_resume_is_a_no_op_when_complete(self, tmp_path):
         scenarios = _grid12().scenarios()[:4]
         out = str(tmp_path / "done.jsonl")

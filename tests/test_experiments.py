@@ -7,6 +7,7 @@ headline cache guarantee: re-running the same sweep solves zero new LPs.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -28,7 +29,7 @@ from repro.experiments import (
     write_csv,
 )
 from repro.experiments.plan import stage_artifact_key
-from repro.topology import hypercube
+from repro.topology import Topology, hypercube
 
 
 @pytest.fixture()
@@ -141,6 +142,18 @@ class TestScenarioHashing:
                                 "scheme_params": "time_limit=5"})
 
 
+class TestStageKeys:
+    @pytest.mark.parametrize("scenario", [
+        Scenario(topology="hypercube:dim=3", scheme="auto", buffers=(2 ** 20,)),
+        Scenario(topology="torus:dims=3x3", scheme="mcf-extp", fabric="ml",
+                 cluster="cluster:jobs=2:seed=3"),
+        Scenario(topology="hypercube:dim=2", scheme="ewsp",
+                 faults="faults:down=0~1@10us", scheme_params={"seed": 1})])
+    def test_stage_keys_equal_one_stage_key_each(self, scenario):
+        assert scenario.stage_keys() == {stage: scenario.stage_key(stage)
+                                         for stage in STAGES}
+
+
 class TestScenarioBuffers:
     """Every buffer gets its own record key; bad sizes fail before any solve."""
 
@@ -217,13 +230,18 @@ class TestPlan:
         assert b.stage_cache["simulate"] == "miss"
 
     def test_disk_tier_persists_stage_artifacts(self, bipartite44, tmp_path):
+        # A warm plan reads the deepest stage's entry alone; the upstream
+        # artifacts are read from their own entries when a caller asks.
         scenario = Scenario(topology=bipartite44, scheme="sssp", buffers=(2 ** 20,))
         cache = SolutionCache(cache_dir=str(tmp_path), name="stage-cache")
-        Plan(scenario, cache=cache).run()
+        cold = Plan(scenario, cache=cache).run()
         fresh = SolutionCache(cache_dir=str(tmp_path), name="stage-cache")
         result = Plan(scenario, cache=fresh).run()
-        assert set(result.stage_cache.values()) == {"hit"}
-        assert obs.snapshot()["stage-cache.disk_hits"] == 4
+        assert result.stage_cache == dict.fromkeys(STAGES, "hit")
+        assert obs.snapshot()["stage-cache.disk_hits"] == 1
+        assert result.schedule.paths == cold.schedule.paths
+        assert result.lowered.assignments == cold.lowered.assignments
+        assert obs.snapshot()["stage-cache.disk_hits"] == 3
 
     def test_stage_artifacts_of_another_version_miss(self, bipartite44, tmp_path,
                                                      monkeypatch):
@@ -305,6 +323,63 @@ class TestObjectiveScheme:
         assert "synthesize" in result.error
 
 
+def _same(a, b) -> bool:
+    """Deep equality of two artifacts; topologies compare by content (their
+    networkx graphs cache views on first use)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Topology):
+        return a.canonical_hash() == b.canonical_hash()
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if hasattr(a, "__dict__"):
+        return _same(vars(a), vars(b))
+    return a == b
+
+
+class TestWarmRecords:
+    """A warm plan reads one stage entry and reproduces the cold record."""
+
+    CASES = [(scheme, through) for scheme in ("tsmcf", "mcf-extp", "taccl")
+             for through in STAGES] + [("mcf-objective", "synthesize")]
+
+    @pytest.mark.parametrize("scheme, through", CASES)
+    def test_warm_record_equals_cold_record(self, scheme, through, tmp_path):
+        # tsmcf: TimeSteppedFlow/LinkSchedule; mcf-extp: PathSchedule/
+        # RoutedSchedule; taccl emits IR; mcf-objective a ConcurrentFlowValue.
+        scenario = Scenario(topology="hypercube:dim=2", scheme=scheme,
+                            buffers=(2 ** 20,))
+
+        def disk_cache():
+            return SolutionCache(cache_dir=str(tmp_path), name="stage-cache")
+
+        (cold,) = run_scenarios([scenario], through, cache=disk_cache())
+        obs.reset()
+        (warm,) = run_scenarios([scenario], through, cache=disk_cache())
+        assert cold.status == warm.status == "ok"
+        assert warm.metrics == cold.metrics
+        assert warm.engine == cold.engine
+        ran = STAGES[:STAGES.index(through) + 1]
+        assert warm.stage_cache == dict.fromkeys(ran, "hit")
+        assert obs.snapshot() == {"stage-cache.hits": 1,
+                                  "stage-cache.disk_hits": 1}
+        for attr, stage in (("schedule", "synthesize"), ("lowered", "lower")):
+            if stage not in ran:
+                assert getattr(warm.plan, attr) is None
+                continue
+            obs.reset()
+            artifact = getattr(warm.plan, attr)
+            assert _same(artifact, getattr(cold.plan, attr))
+            assert getattr(warm.plan, attr) is artifact  # read once, then kept
+            reads = 0 if stage == through else 1
+            assert obs.snapshot().get("stage-cache.disk_hits", 0) == reads
+            assert "stage-cache.misses" not in obs.snapshot()
+
+
 class TestSweepGrid:
     def test_cartesian_expansion_order(self):
         grid = SweepGrid(base={"fabric": "hpc"},
@@ -343,6 +418,20 @@ class TestRunSweep:
             assert rec["metrics"]["concurrent_flow"] > 0
             assert rec["timings"]["total_seconds"] >= 0
         assert sorted(completed_keys(out)) == sorted(r.key for r in results)
+
+    def test_each_topology_hashed_once_per_run(self, tmp_path, monkeypatch):
+        # The keys run_sweep computes travel into the plan: a cold and a warm
+        # run each hash every scenario's topology once.
+        calls = []
+        real = Topology.canonical_hash
+        monkeypatch.setattr(Topology, "canonical_hash",
+                            lambda self: calls.append(self) or real(self))
+        cache = _stage_cache()
+        for _ in range(2):
+            calls.clear()
+            run_sweep(self.GRID.scenarios(), out_path=str(tmp_path / "k.jsonl"),
+                      cache=cache)
+            assert len(calls) == 4
 
     def test_error_scenarios_recorded_not_raised(self, tmp_path):
         out = str(tmp_path / "err.jsonl")
