@@ -3,11 +3,13 @@
 from .bottleneck import AugmentedTopology, augment_host_nic_bottleneck
 from .flow import (
     Commodity,
+    EdgeFlows,
     FlowSolution,
     WeightedPath,
     conservation_violation,
+    delivered,
     flow_to_paths,
-    max_link_utilization,
+    link_loads,
     repair_conservation,
     widest_path,
 )
@@ -39,11 +41,13 @@ __all__ = [
     "AugmentedTopology",
     "augment_host_nic_bottleneck",
     "Commodity",
+    "EdgeFlows",
     "FlowSolution",
     "WeightedPath",
     "conservation_violation",
+    "delivered",
     "flow_to_paths",
-    "max_link_utilization",
+    "link_loads",
     "repair_conservation",
     "widest_path",
     "dual_bound_concurrent_flow",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,9 +22,9 @@ from ..topology.base import Edge, Topology
 
 Commodity = Tuple[int, int]
 
-__all__ = ["Commodity", "FlowSolution", "WeightedPath", "flow_to_paths",
-           "flows_from_array", "widest_path", "repair_conservation",
-           "max_link_utilization", "conservation_violation"]
+__all__ = ["Commodity", "EdgeFlows", "FlowSolution", "WeightedPath",
+           "delivered", "flow_to_paths", "flows_from_array", "link_loads",
+           "widest_path", "repair_conservation", "conservation_violation"]
 
 
 def flows_from_array(values, commodities: Sequence[Commodity],
@@ -91,19 +91,12 @@ class FlowSolution:
         """Link flows of commodity ``(s, d)`` (empty dict if absent)."""
         return self.flows.get((s, d), {})
 
-    def link_loads(self) -> Dict[Edge, float]:
-        """Total flow per link, summed over commodities."""
-        loads: Dict[Edge, float] = {e: 0.0 for e in self.topology.edges}
-        for per_edge in self.flows.values():
-            for e, val in per_edge.items():
-                loads[e] = loads.get(e, 0.0) + val
-        return loads
-
-    def delivered(self, s: int, d: int) -> float:
-        """Flow of commodity (s, d) arriving at d (net of flow leaving d)."""
-        arriving = sum(v for (u, w), v in self.commodity_flow(s, d).items() if w == d)
-        leaving = sum(v for (u, w), v in self.commodity_flow(s, d).items() if u == d)
-        return arriving - leaving
+    def edge_flows(self) -> EdgeFlows:
+        """Each commodity's link flows, in commodity then edge order."""
+        return EdgeFlows.collect(
+            self.topology, ((c, e, 0, v) for c, per in self.flows.items()
+                            for e, v in per.items()),
+            self.meta.get("terminals"))
 
     def all_to_all_time(self) -> float:
         """Normalized all-to-all time = 1 / F (equals the maximum link load
@@ -111,10 +104,6 @@ class FlowSolution:
         if self.concurrent_flow <= 0:
             return float("inf")
         return 1.0 / self.concurrent_flow
-
-    def min_delivered(self) -> float:
-        """Minimum delivered flow over all commodities (should be >= F)."""
-        return min(self.delivered(s, d) for s, d in self.topology.commodities())
 
 
 def conservation_violation(flow: Mapping[Edge, float], source: int, destination: int) -> float:
@@ -234,13 +223,66 @@ def repair_conservation(solution: FlowSolution, tol: float = 1e-7) -> FlowSoluti
     )
 
 
-def max_link_utilization(solution: FlowSolution) -> float:
-    """Maximum of (link load / link capacity) over all links."""
-    caps = solution.topology.capacities()
-    loads = solution.link_loads()
-    worst = 0.0
-    for e, load in loads.items():
-        cap = caps.get(e, 0.0)
-        if cap > 0:
-            worst = max(worst, load / cap)
-    return worst
+@dataclass(frozen=True)
+class EdgeFlows:
+    """A schedule's flow as parallel arrays: entry ``k`` moves ``amount[k]``
+    of ``commodities[commodity[k]]`` over ``topology.edges[edge[k]]`` in step
+    ``step[k]`` (0-based).  ``commodities`` is what the schedule must serve.
+    Every schedule type builds one with its ``edge_flows()`` method.
+    """
+
+    topology: Topology
+    commodities: List[Commodity]
+    commodity: np.ndarray
+    edge: np.ndarray
+    step: np.ndarray
+    amount: np.ndarray
+    num_steps: int = 1
+
+    @classmethod
+    def collect(cls, topology: Topology,
+                entries: Iterable[Tuple[Commodity, Edge, int, float]],
+                terminals: Optional[Sequence[int]] = None,
+                num_steps: int = 1) -> "EdgeFlows":
+        """Build from ``(commodity, edge, step, amount)`` entries, kept in
+        order, serving :func:`~repro.core.mcf_link.terminal_commodities` of
+        ``terminals`` (all pairs when empty).  Raises ValueError for an edge
+        the topology lacks, an unserved commodity or a step out of range."""
+        from .mcf_link import terminal_commodities
+
+        commodities = terminal_commodities(topology, terminals or None)
+        c_index = {c: i for i, c in enumerate(commodities)}
+        e_index = {e: i for i, e in enumerate(topology.edges)}
+        ids, amounts = [], []
+        for c, e, t, amount in entries:
+            if c not in c_index:
+                raise ValueError(f"flow of commodity {c} the schedule does not serve")
+            if e not in e_index:
+                raise ValueError(f"flow over non-existent edge {e}")
+            if not 0 <= t < num_steps:
+                raise ValueError(f"flow at step {t} outside 0..{num_steps - 1}")
+            ids.append((c_index[c], e_index[e], t))
+            amounts.append(amount)
+        cols = np.array(ids, dtype=np.int64).reshape(-1, 3).T
+        return cls(topology, commodities, cols[0], cols[1], cols[2],
+                   np.array(amounts, dtype=float), num_steps)
+
+
+def link_loads(flows: EdgeFlows) -> np.ndarray:
+    """Amount crossing each edge in each step, a ``(num_steps, num_edges)``
+    array summed in entry order."""
+    shape = (flows.num_steps, flows.topology.num_edges)
+    return np.bincount(flows.step * shape[1] + flows.edge, weights=flows.amount,
+                       minlength=shape[0] * shape[1]).reshape(shape)
+
+
+def delivered(flows: EdgeFlows) -> np.ndarray:
+    """Net amount each commodity receives over all steps: what arrives at its
+    destination minus what leaves it, each summed in entry order."""
+    ends = np.array(flows.topology.edges, dtype=np.int64).reshape(-1, 2)[flows.edge]
+    dest = np.array([d for _, d in flows.commodities], dtype=np.int64)[flows.commodity]
+    arrive, leave = (np.bincount(flows.commodity[at], weights=flows.amount[at],
+                                 minlength=len(flows.commodities))
+                     for at in (ends[:, 1] == dest, ends[:, 0] == dest))
+    return arrive - leave
+

@@ -21,8 +21,9 @@ from typing import Dict, List, Mapping, Sequence
 
 from ..constants import FLOW_TOL
 from ..engine import solve as engine_solve
-from ..topology.base import Edge, Topology
-from .flow import Commodity, FlowSolution, WeightedPath
+from ..topology.base import Topology
+from .flow import Commodity, EdgeFlows, WeightedPath, delivered, link_loads
+from .mcf_link import topology_arrays
 
 __all__ = ["PathSchedule", "solve_path_mcf", "path_schedule_from_single_paths"]
 
@@ -42,24 +43,12 @@ class PathSchedule:
     solve_seconds: float = 0.0
     meta: Dict[str, object] = field(default_factory=dict)
 
-    def link_loads(self) -> Dict[Edge, float]:
-        """Aggregate flow on each link implied by the weighted paths."""
-        loads: Dict[Edge, float] = {e: 0.0 for e in self.topology.edges}
-        for plist in self.paths.values():
-            for p in plist:
-                for e in p.edges:
-                    loads[e] = loads.get(e, 0.0) + p.weight
-        return loads
-
-    def max_link_utilization(self) -> float:
-        """Maximum link load divided by capacity."""
-        caps = self.topology.capacities()
-        worst = 0.0
-        for e, load in self.link_loads().items():
-            cap = caps.get(e)
-            if cap:
-                worst = max(worst, load / cap)
-        return worst
+    def edge_flows(self) -> EdgeFlows:
+        """Each path's weight on each of its edges, in commodity, path, edge order."""
+        return EdgeFlows.collect(
+            self.topology, ((c, e, 0, p.weight) for c, plist in self.paths.items()
+                            for p in plist for e in p.edges),
+            self.meta.get("terminals"))
 
     def all_to_all_time(self) -> float:
         """Normalized all-to-all completion time.
@@ -69,18 +58,12 @@ class PathSchedule:
         equals the maximum link utilization after scaling every commodity to
         unit demand.
         """
-        delivered = self.min_delivered()
-        if delivered <= 0:
+        flows = self.edge_flows()
+        least = float(delivered(flows).min())
+        if least <= 0:
             return float("inf")
-        return self.max_link_utilization() / delivered
-
-    def delivered(self, s: int, d: int) -> float:
-        """Total path weight delivered for commodity (s, d)."""
-        return sum(p.weight for p in self.paths.get((s, d), []))
-
-    def min_delivered(self) -> float:
-        """Minimum delivered weight across commodities (>= F for valid schedules)."""
-        return min(self.delivered(s, d) for s, d in self.topology.commodities())
+        caps = topology_arrays(self.topology)[3]
+        return float((link_loads(flows)[0] / caps).max()) / least
 
     def normalized(self) -> "PathSchedule":
         """Rescale all path weights so every commodity delivers exactly 1 unit.
@@ -98,19 +81,6 @@ class PathSchedule:
         return PathSchedule(concurrent_flow=self.concurrent_flow, paths=new_paths,
                             topology=self.topology, solve_seconds=self.solve_seconds,
                             meta={**self.meta, "normalized": True})
-
-    def to_flow_solution(self) -> FlowSolution:
-        """Convert to per-commodity link flows (for analysis and validation)."""
-        flows: Dict[Commodity, Dict[Edge, float]] = {}
-        for c, plist in self.paths.items():
-            per: Dict[Edge, float] = {}
-            for p in plist:
-                for e in p.edges:
-                    per[e] = per.get(e, 0.0) + p.weight
-            flows[c] = per
-        return FlowSolution(concurrent_flow=self.concurrent_flow, flows=flows,
-                            topology=self.topology, solve_seconds=self.solve_seconds,
-                            meta=dict(self.meta))
 
 
 def build_path_mcf(topology: Topology,
@@ -144,10 +114,7 @@ def build_path_mcf(topology: Topology,
     for c in commodities:
         for p in path_sets[c]:
             for e in zip(p[:-1], p[1:]):
-                idx = edge_index.get(e)
-                if idx is None:
-                    raise ValueError(f"path {p} uses non-existent edge {e}")
-                ei.append(idx)
+                ei.append(edge_index[e])
                 vi.append(v)
             v += 1
 
@@ -191,8 +158,7 @@ def solve_path_mcf(topology: Topology,
         if c not in path_sets or not path_sets[c]:
             raise ValueError(f"no candidate paths supplied for commodity {c}")
         for p in path_sets[c]:
-            if p[0] != c[0] or p[-1] != c[1]:
-                raise ValueError(f"path {p} does not connect commodity {c}")
+            _check_path(topology, c, p)
 
     # Freeze the path sets so the assembler and the extraction below read
     # one immutable snapshot.
@@ -237,20 +203,28 @@ def path_schedule_from_single_paths(topology: Topology,
 
     The concurrent flow value is derived from the induced maximum link load:
     with unit demand per commodity and max load L, all commodities can flow
-    concurrently at rate ``1/L``.
+    concurrently at rate ``1/L``.  Raises ValueError for a missing path, a
+    path with the wrong endpoints or a hop over a non-existent edge.
     """
     paths: Dict[Commodity, List[WeightedPath]] = {}
-    loads: Dict[Edge, float] = {e: 0.0 for e in topology.edges}
-    caps = topology.capacities()
     for c in topology.commodities():
         p = single_paths.get(c)
         if p is None:
             raise ValueError(f"missing path for commodity {c}")
-        wp = WeightedPath(nodes=tuple(p), weight=1.0)
-        paths[c] = [wp]
-        for e in wp.edges:
-            loads[e] = loads.get(e, 0.0) + 1.0
-    max_util = max((loads[e] / caps[e]) for e in loads if caps.get(e, 0.0) > 0)
-    flow = 0.0 if max_util == 0 else 1.0 / max_util
-    return PathSchedule(concurrent_flow=flow, paths=paths, topology=topology,
-                        meta={"method": method})
+        _check_path(topology, c, p)
+        paths[c] = [WeightedPath(nodes=tuple(p), weight=1.0)]
+    schedule = PathSchedule(concurrent_flow=0.0, paths=paths, topology=topology,
+                            meta={"method": method})
+    # Every commodity delivers exactly 1, so the time is the max load L.
+    schedule.concurrent_flow = 1.0 / schedule.all_to_all_time()
+    return schedule
+
+
+def _check_path(topology: Topology, commodity: Commodity, path: Sequence[int]) -> None:
+    """Raise ValueError unless ``path`` joins the commodity's endpoints over
+    existing edges."""
+    if path[0] != commodity[0] or path[-1] != commodity[1]:
+        raise ValueError(f"path {path} does not connect commodity {commodity}")
+    for e in zip(path[:-1], path[1:]):
+        if not topology.has_edge(*e):
+            raise ValueError(f"path {path} uses non-existent edge {e}")

@@ -31,8 +31,8 @@ import numpy as np
 
 from ..constants import FLOW_TOL
 from ..engine import solve as engine_solve
-from ..topology.base import Edge, Topology
-from .flow import Commodity
+from ..topology.base import Topology
+from .flow import Commodity, EdgeFlows
 from .solver import LPBuilder
 
 __all__ = ["TimeSteppedFlow", "solve_timestepped_mcf"]
@@ -68,33 +68,12 @@ class TimeSteppedFlow:
         tot = self.total_utilization
         return float("inf") if tot <= 0 else 1.0 / tot
 
-    def step_flows(self, t: int) -> Dict[Commodity, Dict[Edge, float]]:
-        """Per-commodity link flows during step ``t`` (1-based)."""
-        out: Dict[Commodity, Dict[Edge, float]] = {}
-        for c, per in self.flows.items():
-            step: Dict[Edge, float] = {}
-            for (u, v, tt), val in per.items():
-                if tt == t and val > FLOW_TOL:
-                    step[(u, v)] = step.get((u, v), 0.0) + val
-            if step:
-                out[c] = step
-        return out
-
-    def delivered_fraction(self, s: int, d: int) -> float:
-        """Total fraction of shard (s, d) delivered to d over all steps."""
-        per = self.flows.get((s, d), {})
-        arrive = sum(v for (u, w, t), v in per.items() if w == d)
-        leave = sum(v for (u, w, t), v in per.items() if u == d)
-        return arrive - leave
-
-    def link_load(self, t: int) -> Dict[Edge, float]:
-        """Aggregate load per link during step ``t``."""
-        loads: Dict[Edge, float] = {}
-        for c, per in self.flows.items():
-            for (u, v, tt), val in per.items():
-                if tt == t:
-                    loads[(u, v)] = loads.get((u, v), 0.0) + val
-        return loads
+    def edge_flows(self) -> EdgeFlows:
+        """Each commodity's per-step link flows, in commodity order."""
+        return EdgeFlows.collect(
+            self.topology, ((c, (u, v), t - 1, val) for c, per in self.flows.items()
+                            for (u, v, t), val in per.items()),
+            self.meta.get("terminals"), self.num_steps)
 
 
 def build_timestepped_mcf(topology: Topology, num_steps: int,

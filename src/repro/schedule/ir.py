@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..topology.base import Edge, Topology
-from ..core.flow import Commodity
+from ..core.flow import Commodity, EdgeFlows
 
 __all__ = ["Chunk", "LinkSendOp", "LinkSchedule", "RouteAssignment", "RoutedSchedule"]
 
@@ -96,13 +96,12 @@ class LinkSchedule:
             grouped.setdefault((op.src, op.dst), []).append(op)
         return grouped
 
-    def link_bytes(self, step: int, shard_bytes: float) -> Dict[Edge, float]:
-        """Bytes crossing each link during a step."""
-        out: Dict[Edge, float] = {}
-        for op in self.ops_at_step(step):
-            e = (op.src, op.dst)
-            out[e] = out.get(e, 0.0) + op.chunk.bytes(shard_bytes)
-        return out
+    def edge_flows(self) -> EdgeFlows:
+        """Each send's shard fraction, in operation order."""
+        return EdgeFlows.collect(
+            self.topology, ((op.chunk.commodity, (op.src, op.dst), op.step - 1,
+                             op.chunk.fraction) for op in self.operations),
+            self.meta.get("terminals"), self.num_steps)
 
     def total_bytes(self, shard_bytes: float) -> float:
         """Total bytes moved across all links and steps."""
@@ -149,13 +148,12 @@ class RoutedSchedule:
         return [a for a in self.assignments
                 if a.chunk.source == source and a.chunk.destination == destination]
 
-    def link_bytes(self, shard_bytes: float) -> Dict[Edge, float]:
-        """Total bytes crossing each link over the whole collective."""
-        out: Dict[Edge, float] = {}
-        for a in self.assignments:
-            for e in a.edges:
-                out[e] = out.get(e, 0.0) + a.chunk.bytes(shard_bytes)
-        return out
+    def edge_flows(self) -> EdgeFlows:
+        """Each chunk's shard fraction on every hop of its route, in order."""
+        return EdgeFlows.collect(
+            self.topology, ((a.chunk.commodity, e, 0, a.chunk.fraction)
+                            for a in self.assignments for e in a.edges),
+            self.meta.get("terminals"))
 
     def num_layers(self) -> int:
         """Number of distinct virtual-channel layers used."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..topology.base import Edge
+from ..core.flow import link_loads
 from .ir import RoutedSchedule
 
 __all__ = ["RoutedScheduleStats", "routed_schedule_stats"]
@@ -35,16 +35,14 @@ def routed_schedule_stats(schedule: RoutedSchedule) -> RoutedScheduleStats:
     """Compute :class:`RoutedScheduleStats` for a routed schedule."""
     routes = set()
     per_rank: Dict[int, int] = {}
-    link_total: Dict[Edge, float] = {}
     hops: List[int] = []
     for a in schedule.assignments:
         routes.add((a.route, a.layer))
         per_rank[a.chunk.source] = per_rank.get(a.chunk.source, 0) + 1
         hops.append(len(a.route) - 1)
-        for e in a.edges:
-            link_total[e] = link_total.get(e, 0.0) + a.chunk.fraction
-    totals = list(link_total.values())
-    mean_load = sum(totals) / len(totals) if totals else 0.0
+    totals = link_loads(schedule.edge_flows())[0]
+    totals = totals[totals > 0]      # shard fractions on the links routes cross
+    mean_load = float(totals.mean()) if totals.size else 0.0
     return RoutedScheduleStats(
         num_assignments=len(schedule.assignments),
         num_distinct_routes=len(routes),
@@ -52,5 +50,5 @@ def routed_schedule_stats(schedule: RoutedSchedule) -> RoutedScheduleStats:
         max_route_hops=max(hops, default=0),
         mean_route_hops=(sum(hops) / len(hops)) if hops else 0.0,
         queue_pairs_per_rank_max=max(per_rank.values(), default=0),
-        load_imbalance=(max(totals) / mean_load) if mean_load > 0 else 0.0,
+        load_imbalance=(float(totals.max()) / mean_load) if mean_load > 0 else 0.0,
     )

@@ -13,6 +13,7 @@ from typing import Dict, List, Tuple
 
 from ..constants import SCHEDULE_TOL
 from ..core.flow import Commodity
+from ..core.mcf_link import terminal_commodities
 from .ir import LinkSchedule, RoutedSchedule
 
 __all__ = ["validate_link_schedule", "validate_routed_schedule", "ScheduleValidationError"]
@@ -40,15 +41,6 @@ def _covered(intervals: List[Tuple[float, float]]) -> float:
     return sum(hi - lo for lo, hi in _merge(intervals))
 
 
-def _expected_commodities(topology, meta: Dict) -> List[Tuple[int, int]]:
-    """All-to-all commodity set, restricted to ``meta['terminals']`` when present."""
-    terminals = meta.get("terminals")
-    if terminals:
-        terminals = sorted(set(terminals))
-        return [(s, d) for s in terminals for d in terminals if s != d]
-    return list(topology.commodities())
-
-
 def validate_link_schedule(schedule: LinkSchedule, strict_causality: bool = True) -> None:
     """Validate a time-stepped link schedule.
 
@@ -64,7 +56,7 @@ def validate_link_schedule(schedule: LinkSchedule, strict_causality: bool = True
     topo = schedule.topology
     # holdings[(s, d)][node] = list of intervals of shard (s,d) held at node.
     holdings: Dict[Commodity, Dict[int, List[Tuple[float, float]]]] = {}
-    for s, d in _expected_commodities(topo, schedule.meta):
+    for s, d in terminal_commodities(topo, schedule.meta.get("terminals") or None):
         holdings[(s, d)] = {u: [] for u in topo.nodes}
         holdings[(s, d)][s] = [(0.0, 1.0)]
 
@@ -137,7 +129,7 @@ def validate_routed_schedule(schedule: RoutedSchedule) -> None:
     schedule.validate_links()
     topo = schedule.topology
     per_commodity: Dict[Commodity, List[Tuple[float, float]]] = {
-        c: [] for c in _expected_commodities(topo, schedule.meta)}
+        c: [] for c in terminal_commodities(topo, schedule.meta.get("terminals") or None)}
     for a in schedule.assignments:
         c = a.chunk.commodity
         if c not in per_commodity:

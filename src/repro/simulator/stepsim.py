@@ -23,9 +23,12 @@ resources.  Throughput is ``(N - 1) * shard_bytes / total_time``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
+import numpy as np
+
+from ..core.flow import link_loads
 from ..schedule.ir import LinkSchedule
 from .engine import FluidFlow, simulate_program
 from .fabric import FabricModel
@@ -77,33 +80,36 @@ def simulate_link_schedule(schedule: LinkSchedule, shard_bytes: float,
     if overlap < 1:
         raise ValueError(f"overlap must be >= 1, got {overlap}")
 
+    fractions = schedule.edge_flows()
+    # A link joins a step when some send crosses it, even at zero bytes (the
+    # step still costs its latency); bytes are per send, as in Chunk.bytes.
+    sends = link_loads(fractions) > 0
+    link_bytes = link_loads(replace(fractions, amount=fractions.amount * shard_bytes))
+    edges = topo.edges
     step_times: List[float] = []
     max_link_bytes: List[float] = []
     fill_rounds = 0
     events = 0
-    for step in range(1, schedule.num_steps + 1):
-        link_bytes = schedule.link_bytes(step, shard_bytes)
-        if not link_bytes:
+    for step_bytes, step_sends in zip(link_bytes, sends):
+        used = np.flatnonzero(step_sends)
+        if not used.size:
             step_times.append(0.0)
             max_link_bytes.append(0.0)
             continue
-        # One single-hop flow per (copy, loaded link); forwarding caps do not
-        # apply to single-hop transfers, so only link/injection/ejection
-        # resources constrain the step.
-        flows = []
-        set_ids = []
-        for copy in range(overlap):
-            for (u, v), nbytes in link_bytes.items():
-                flows.append(FluidFlow(path=(u, v), size_bytes=nbytes))
-                set_ids.append(copy)
-        sim = simulate_program(topo, flows, fabric, set_ids=set_ids,
+        # One single-hop flow per (copy, loaded link) in edge order;
+        # forwarding caps do not apply to single-hop transfers, so only
+        # link/injection/ejection resources constrain the step.
+        step_flows = [FluidFlow(path=edges[i], size_bytes=float(step_bytes[i]))
+                      for _ in range(overlap) for i in used]
+        set_ids = [copy for copy in range(overlap) for _ in used]
+        sim = simulate_program(topo, step_flows, fabric, set_ids=set_ids,
                                set_names=tuple(f"copy{c}" for c in range(overlap)),
                                include_latency=False, include_ejection=True)
         fill_rounds += sim.fill_rounds
         events += sim.events_processed
         per_message = fabric.per_message_overhead / max(num_channels, 1)
         step_times.append(fabric.per_step_latency + per_message + sim.completion_time)
-        max_link_bytes.append(max(link_bytes.values()) * overlap)
+        max_link_bytes.append(float(step_bytes[used].max()) * overlap)
 
     return StepSimResult(
         total_time=sum(step_times),

@@ -1,13 +1,17 @@
 """Tests for flow data structures and hygiene utilities (repro.core.flow)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.flow import (
+    EdgeFlows,
     FlowSolution,
     WeightedPath,
     conservation_violation,
+    delivered,
     flow_to_paths,
-    max_link_utilization,
+    link_loads,
     repair_conservation,
 )
 from repro.topology import ring, Topology
@@ -92,17 +96,18 @@ class TestFlowSolution:
     def test_link_loads_and_utilization(self):
         topo = ring(4)
         sol = self._make(topo)
-        loads = sol.link_loads()
-        assert set(loads.keys()) == set(topo.edges)
+        loads = link_loads(sol.edge_flows())
+        assert loads.shape == (1, topo.num_edges)
         # Each link is used by commodities at distance covering it: 1+2+3 = 6 -> 0.6.
-        assert max(loads.values()) == pytest.approx(0.6)
-        assert max_link_utilization(sol) == pytest.approx(0.6)
+        assert loads == pytest.approx(0.6)
 
     def test_delivered_and_all_to_all_time(self):
         topo = ring(4)
         sol = self._make(topo)
-        assert sol.delivered(0, 2) == pytest.approx(0.1)
-        assert sol.min_delivered() == pytest.approx(0.1)
+        flows = sol.edge_flows()
+        got = delivered(flows)
+        assert got[flows.commodities.index((0, 2))] == pytest.approx(0.1)
+        assert got.min() == pytest.approx(0.1)
         assert sol.all_to_all_time() == pytest.approx(10.0)
 
     def test_all_to_all_time_infinite_for_zero_flow(self):
@@ -127,12 +132,63 @@ class TestRepairConservation:
         repaired = repair_conservation(sol)
         per = repaired.commodity_flow(0, 2)
         assert conservation_violation(per, 0, 2) < 1e-9
-        delivered = repaired.delivered(0, 2)
-        assert delivered == pytest.approx(0.3, abs=1e-9)
+        flows = repaired.edge_flows()
+        got = delivered(flows)[flows.commodities.index((0, 2))]
+        assert got == pytest.approx(0.3, abs=1e-9)
 
     def test_repair_preserves_value_on_clean_solution(self, cube3_link_mcf):
         repaired = repair_conservation(cube3_link_mcf)
         assert repaired.concurrent_flow == cube3_link_mcf.concurrent_flow
-        for s, d in cube3_link_mcf.topology.commodities():
-            assert repaired.delivered(s, d) == pytest.approx(
-                cube3_link_mcf.concurrent_flow, abs=1e-6)
+        assert delivered(repaired.edge_flows()) == pytest.approx(
+            cube3_link_mcf.concurrent_flow, abs=1e-6)
+
+
+class TestEdgeFlows:
+    def test_loads_per_step_and_net_delivery(self):
+        topo = ring(3)                  # edges (0,1), (1,2), (2,0)
+        flows = EdgeFlows.collect(topo, [
+            ((0, 2), (0, 1), 0, 1.0),
+            ((0, 2), (1, 2), 1, 1.0),
+            ((0, 2), (2, 0), 1, 0.25),  # leaves the destination again
+            ((1, 2), (1, 2), 1, 0.5),
+        ], num_steps=2)
+        loads = link_loads(flows)
+        assert loads.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.5, 0.25]]
+        got = dict(zip(flows.commodities, delivered(flows).tolist()))
+        assert got[(0, 2)] == 0.75
+        assert got[(1, 2)] == 0.5
+        assert got[(2, 1)] == 0.0
+
+    def test_commodities_follow_the_terminal_rule(self):
+        topo = ring(4)
+        assert EdgeFlows.collect(topo, [], [2, 0, 2]).commodities == [(0, 2), (2, 0)]
+        assert len(EdgeFlows.collect(topo, [], []).commodities) == 12
+        with pytest.raises(ValueError, match="at least two terminals"):
+            EdgeFlows.collect(topo, [], [1])
+
+    @pytest.mark.parametrize("entry,match", [
+        (((0, 2), (0, 2), 0, 1.0), "non-existent edge"),
+        (((1, 3), (1, 2), 0, 1.0), "does not serve"),
+        (((0, 2), (0, 1), 1, 1.0), "outside 0..0"),
+    ])
+    def test_collect_rejects_bad_entries(self, entry, match):
+        with pytest.raises(ValueError, match=match):
+            EdgeFlows.collect(ring(4), [entry], [0, 1, 2])
+
+    @pytest.mark.parametrize("spec", ["hypercube:dim=3", "torus:dims=3x3"])
+    def test_busiest_link_matches_the_flow_compiler(self, spec):
+        """``link_loads`` against the simulator's independently built incidence."""
+        from repro.core import solve_mcf_extract_paths
+        from repro.schedule import chunk_path_schedule
+        from repro.simulator.engine import FluidFlow, compile_flows
+        from repro.topology import from_spec
+
+        topo = from_spec(spec)
+        routed = chunk_path_schedule(solve_mcf_extract_paths(topo))
+        shard = 3.0 * 2 ** 20
+        program = compile_flows(topo, [
+            FluidFlow(path=a.route, size_bytes=a.chunk.bytes(shard))
+            for a in routed.assignments])
+        flows = routed.edge_flows()
+        busiest = link_loads(replace(flows, amount=flows.amount * shard)).max()
+        assert busiest == pytest.approx(program.max_link_bytes, rel=1e-12)

@@ -1,8 +1,15 @@
 """Tests for the path-based MCF (pMCF, §3.1.4) and PathSchedule."""
 
+import numpy as np
 import pytest
 
-from repro.core import solve_decomposed_mcf, solve_path_mcf, path_schedule_from_single_paths
+from repro.core import (
+    delivered,
+    link_loads,
+    path_schedule_from_single_paths,
+    solve_decomposed_mcf,
+    solve_path_mcf,
+)
 from repro.paths import bounded_length_path_sets, edge_disjoint_path_sets, first_shortest_path_sets
 
 
@@ -64,10 +71,8 @@ class TestPMCFValidation:
 class TestPathScheduleObject:
     def test_link_loads_respect_capacity(self, cube3):
         schedule = solve_path_mcf(cube3, edge_disjoint_path_sets(cube3))
-        caps = cube3.capacities()
-        for e, load in schedule.link_loads().items():
-            assert load <= caps[e] + 1e-6
-        assert schedule.max_link_utilization() <= 1.0 + 1e-6
+        caps = np.array([cube3.capacities()[e] for e in cube3.edges])
+        assert (link_loads(schedule.edge_flows())[0] <= caps + 1e-6).all()
 
     def test_all_to_all_time_is_inverse_flow(self, cube3):
         schedule = solve_path_mcf(cube3, edge_disjoint_path_sets(cube3))
@@ -76,15 +81,18 @@ class TestPathScheduleObject:
 
     def test_normalized_delivers_one_per_commodity(self, genkautz_extp):
         norm = genkautz_extp.normalized()
-        for c in genkautz_extp.topology.commodities():
-            assert norm.delivered(*c) == pytest.approx(1.0, abs=1e-9)
+        assert delivered(norm.edge_flows()) == pytest.approx(1.0, abs=1e-9)
 
-    def test_to_flow_solution_roundtrip(self, genkautz_extp):
-        flow = genkautz_extp.to_flow_solution()
-        assert flow.concurrent_flow == genkautz_extp.concurrent_flow
+    def test_edge_flows_deliver_the_path_weights(self, genkautz_extp):
+        flows = genkautz_extp.edge_flows()
+        assert flows.commodities == list(genkautz_extp.topology.commodities())
+        got = delivered(flows)
         for (s, d), plist in genkautz_extp.paths.items():
-            assert flow.delivered(s, d) == pytest.approx(
+            assert got[flows.commodities.index((s, d))] == pytest.approx(
                 sum(p.weight for p in plist), abs=1e-9)
+        hops = sum(len(p) * p.weight for plist in genkautz_extp.paths.values()
+                   for p in plist)
+        assert link_loads(flows).sum() == pytest.approx(hops, rel=1e-12)
 
     def test_single_path_wrapper_load_derivation(self, complete4):
         routes = first_shortest_path_sets(complete4)
@@ -98,3 +106,16 @@ class TestPathScheduleObject:
         del routes[(0, 1)]
         with pytest.raises(ValueError, match="missing path"):
             path_schedule_from_single_paths(complete4, routes)
+
+    def test_single_path_wrapper_rejects_non_existent_edge(self, cube3):
+        # Direct routes on the 3-cube used to give F = 1 by skipping the
+        # missing links; shortest paths give F = 1/9.
+        direct = {(s, d): [s, d] for s, d in cube3.commodities()}
+        with pytest.raises(ValueError, match="non-existent edge"):
+            path_schedule_from_single_paths(cube3, direct)
+
+    def test_single_path_wrapper_rejects_wrong_endpoints(self, cube3):
+        routes = first_shortest_path_sets(cube3)
+        routes[(0, 1)] = [0, 2]
+        with pytest.raises(ValueError, match="does not connect"):
+            path_schedule_from_single_paths(cube3, routes)

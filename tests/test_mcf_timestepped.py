@@ -1,8 +1,9 @@
 """Tests for the time-stepped MCF (tsMCF, §3.1.3)."""
 
+import numpy as np
 import pytest
 
-from repro.core import solve_decomposed_mcf, solve_timestepped_mcf
+from repro.core import delivered, link_loads, solve_decomposed_mcf, solve_timestepped_mcf
 from repro.topology import Topology, complete, ring
 
 
@@ -36,18 +37,17 @@ class TestOptimality:
 
 class TestStructure:
     def test_every_commodity_fully_delivered(self, cube3_tsmcf):
-        for s, d in cube3_tsmcf.topology.commodities():
-            assert cube3_tsmcf.delivered_fraction(s, d) == pytest.approx(1.0, abs=1e-5)
+        flows = cube3_tsmcf.edge_flows()
+        assert flows.commodities == list(cube3_tsmcf.topology.commodities())
+        assert delivered(flows) == pytest.approx(1.0, abs=1e-5)
 
     def test_step_utilization_bounds_link_loads(self, cube3_tsmcf):
-        for t in range(1, cube3_tsmcf.num_steps + 1):
-            loads = cube3_tsmcf.link_load(t)
-            if not loads:
-                continue
-            u_t = cube3_tsmcf.step_utilizations[t - 1]
-            caps = cube3_tsmcf.topology.capacities()
-            for e, load in loads.items():
-                assert load <= u_t * caps[e] + 1e-6
+        topo = cube3_tsmcf.topology
+        caps = np.array([topo.capacities()[e] for e in topo.edges])
+        loads = link_loads(cube3_tsmcf.edge_flows())
+        assert loads.shape == (cube3_tsmcf.num_steps, topo.num_edges)
+        for u_t, step in zip(cube3_tsmcf.step_utilizations, loads):
+            assert (step <= u_t * caps + 1e-6).all()
 
     def test_causality_cumulative(self, cube3_tsmcf):
         """A node never forwards more of a shard than it has received so far."""
@@ -67,11 +67,10 @@ class TestStructure:
                 assert 1 <= t <= cube3_tsmcf.num_steps
                 assert cube3_tsmcf.topology.has_edge(u, v)
 
-    def test_step_flows_accessor(self, cube3_tsmcf):
-        step1 = cube3_tsmcf.step_flows(1)
-        assert step1, "step 1 must carry traffic"
-        total = sum(sum(per.values()) for per in step1.values())
-        assert total > 0
+    def test_step_one_carries_traffic(self, cube3_tsmcf):
+        flows = cube3_tsmcf.edge_flows()
+        assert (flows.step == 0).any(), "step 1 must carry traffic"
+        assert link_loads(flows)[0].sum() > 0
 
 
 class TestParameters:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (
     augment_host_nic_bottleneck,
+    delivered,
     solve_timestepped_mcf,
     solve_timestepped_mcf_decomposed,
 )
@@ -37,8 +38,9 @@ class TestSolutionStructure:
         return solve_timestepped_mcf_decomposed(hypercube(3))
 
     def test_every_commodity_delivered(self, cube_flow):
-        for s, d in cube_flow.topology.commodities():
-            assert cube_flow.delivered_fraction(s, d) == pytest.approx(1.0, abs=1e-5)
+        flows = cube_flow.edge_flows()
+        assert flows.commodities == list(cube_flow.topology.commodities())
+        assert delivered(flows) == pytest.approx(1.0, abs=1e-5)
 
     def test_causality(self, cube_flow):
         topo = cube_flow.topology
@@ -75,10 +77,10 @@ class TestTerminals:
         decomposed = solve_timestepped_mcf_decomposed(aug.topology, terminals=hosts)
         mono = solve_timestepped_mcf(aug.topology, terminals=hosts)
         assert decomposed.total_utilization == pytest.approx(mono.total_utilization, rel=1e-3)
-        for s in hosts:
-            for d in hosts:
-                if s != d:
-                    assert decomposed.delivered_fraction(s, d) == pytest.approx(1.0, abs=1e-5)
+        flows = decomposed.edge_flows()
+        hosts = sorted(hosts)
+        assert flows.commodities == [(s, d) for s in hosts for d in hosts if s != d]
+        assert delivered(flows) == pytest.approx(1.0, abs=1e-5)
 
     def test_rejects_disconnected(self):
         topo = Topology.from_edges(4, [(0, 1), (1, 0), (2, 3), (3, 2)])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import solve_decomposed_mcf, widest_path
+from repro.core import delivered, link_loads, solve_decomposed_mcf, widest_path
 from repro.paths import (
     dor_route,
     dor_routes,
@@ -61,8 +61,7 @@ class TestSSSP:
 
     def test_congestion_awareness_spreads_load(self, bipartite44):
         schedule = sssp_schedule(bipartite44)
-        loads = schedule.link_loads().values()
-        naive_max = max(loads)
+        naive_max = link_loads(schedule.edge_flows()).max()
         # SSSP must do no worse than 2x the optimal max load on K4,4 (optimal 2.5).
         assert naive_max <= 2 * 2.5 + 1e-9
 
@@ -84,8 +83,7 @@ class TestSSSP:
 class TestEwSP:
     def test_ewsp_weights_sum_to_one(self, cube3):
         schedule = ewsp_schedule(cube3)
-        for c in cube3.commodities():
-            assert schedule.delivered(*c) == pytest.approx(1.0, abs=1e-9)
+        assert delivered(schedule.edge_flows()) == pytest.approx(1.0, abs=1e-9)
 
     def test_ewsp_optimal_on_symmetric_topologies(self, cube3):
         # On the hypercube, equal splitting over shortest paths is optimal.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import link_loads
 from repro.schedule import Chunk, LinkSchedule, LinkSendOp, RouteAssignment, RoutedSchedule
 from repro.topology import hypercube, ring
 
@@ -64,7 +65,8 @@ class TestLinkSchedule:
 
     def test_link_bytes(self):
         sched = self._schedule()
-        per_link = sched.link_bytes(1, shard_bytes=100.0)
+        per_link = dict(zip(sched.topology.edges,
+                            100.0 * link_loads(sched.edge_flows())[0]))
         assert per_link[(0, 1)] == pytest.approx(200.0)
         assert per_link[(2, 0)] == pytest.approx(100.0)
 
@@ -109,9 +111,11 @@ class TestRoutedSchedule:
 
     def test_link_bytes(self):
         sched = self._schedule()
-        per_link = sched.link_bytes(shard_bytes=100.0)
+        per_link = dict(zip(sched.topology.edges,
+                            100.0 * link_loads(sched.edge_flows())[0]))
         assert per_link[(0, 1)] == pytest.approx(50.0)
         assert per_link[(2, 3)] == pytest.approx(50.0)
+        assert per_link[(1, 0)] == 0.0
 
     def test_num_layers(self):
         assert self._schedule().num_layers() == 2

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (
     augment_host_nic_bottleneck,
+    delivered,
     solve_decomposed_mcf,
     solve_link_mcf,
     solve_master_lp,
@@ -65,8 +66,9 @@ class TestTerminalRestrictedMCF:
         topo = bidirectional_ring(4)
         aug = augment_host_nic_bottleneck(topo, host_bandwidth=1.0)
         flow = solve_timestepped_mcf(aug.topology, terminals=list(aug.host_nodes()))
-        for s, d in terminal_commodities(aug.topology, list(aug.host_nodes())):
-            assert flow.delivered_fraction(s, d) == pytest.approx(1.0, abs=1e-5)
+        flows = flow.edge_flows()
+        assert flows.commodities == terminal_commodities(aug.topology, list(aug.host_nodes()))
+        assert delivered(flows) == pytest.approx(1.0, abs=1e-5)
         schedule = chunk_timestepped_flow(flow)
         schedule.meta["terminals"] = list(aug.host_nodes())
         validate_link_schedule(schedule)

@@ -97,6 +97,13 @@ class TestLinkValidation:
         with pytest.raises(ScheduleValidationError, match="unexpected commodity"):
             validate_link_schedule(schedule)
 
+    def test_one_terminal_meta_rejected(self):
+        # Same terminal rule as the MCF solvers: fewer than two terminals
+        # is an error, not an empty commodity set.
+        schedule = LinkSchedule(_complete3(), 1, [], meta={"terminals": [1]})
+        with pytest.raises(ValueError, match="at least two terminals"):
+            validate_link_schedule(schedule)
+
 
 class TestRoutedValidation:
     def test_valid_multi_path_cover(self):
