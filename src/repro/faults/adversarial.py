@@ -34,6 +34,23 @@ extensions) resumes from the prefix and fires its strike, then each step
 fills the pending requests of a group of candidates in one stacked fill.
 The results equal one-after-another evaluations bit for bit.
 
+The search is cached.  Its result is a deterministic function of what it
+reads, so :func:`worst_case_failures` stores it in the stage cache
+(:func:`~repro.experiments.get_plan_cache`, the one cache with a disk tier)
+and a second run of the same search, in this process or in a new one with
+the same ``REPRO_CACHE_DIR``, reads it back instead of re-running it.  The
+key (:func:`search_key`) is a sha256, salted with the package version, over
+the topology's node count and its edges in ``topology.edges`` order with
+their capacities, every route assignment in order (endpoints, chunk bounds,
+route and layer), the fabric the search runs on (by content, minus its
+cosmetic name) and the arguments ``buffer_bytes``, ``k``, ``at``,
+``candidates``, ``mode`` and ``seed``.  Changing any of them, or upgrading
+the package, misses.  The key follows the edge order the search indexes,
+not a sorted canonical form, so a reordering can cost a miss but never
+serve a wrong result.  Arguments are validated before the lookup, so a bad
+``k``, ``mode`` or ``at`` raises even when a matching entry exists;
+``configure_plan_cache(enabled=False)`` turns the cache off.
+
 The returned :class:`AdversarialResult` carries the worst set, its
 slowdown, and the full sorted evaluation table (the ``repro robustness``
 CLI prints it; the ``fig_robustness`` artifact plots the degradation curve
@@ -42,8 +59,9 @@ against failure count).
 
 from __future__ import annotations
 
+import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..schedule.ir import RoutedSchedule
@@ -53,7 +71,8 @@ from .context import PreparedFaultContext
 from .runner import capture_fault_prefix, run_faulted_lockstep
 from .spec import FaultEvent, FaultSpec
 
-__all__ = ["AdversarialResult", "ranked_physical_links", "worst_case_failures"]
+__all__ = ["AdversarialResult", "ranked_physical_links", "search_key",
+           "worst_case_failures"]
 
 Link = Tuple[int, int]
 
@@ -115,6 +134,31 @@ def _evaluation(links: Tuple[Link, ...], result,
             "stranded_bytes": result.meta["stranded_bytes"]}
 
 
+def search_key(schedule: RoutedSchedule, fabric: FabricModel,
+               buffer_bytes: float, k: int, at: float, candidates: int,
+               mode: str, seed: int) -> str:
+    """Stage-cache key of one adversarial search.
+
+    A sha256 over everything the search reads (see the module docstring),
+    salted with the package version the way
+    :func:`~repro.experiments.stage_artifact_key` is.  ``fabric`` is the
+    fabric the search runs on, not the argument it was given.
+    """
+    from ..experiments.plan import _salted
+
+    topology = schedule.topology
+    payload = repr((
+        "adversarial",
+        topology.num_nodes,
+        tuple((u, v, topology.capacity(u, v)) for u, v in topology.edges),
+        tuple((a.chunk.source, a.chunk.destination, a.chunk.lo, a.chunk.hi,
+               tuple(a.route), a.layer) for a in schedule.assignments),
+        tuple(sorted((name, value) for name, value in asdict(fabric).items()
+                     if name != "name")),
+        float(buffer_bytes), k, float(at), candidates, mode, seed))
+    return _salted(hashlib.sha256(payload.encode("utf-8")).hexdigest())
+
+
 def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
                         k: int = 1,
                         fabric: Optional[FabricModel] = None,
@@ -132,6 +176,10 @@ def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
     ``auto`` (exhaustive while C(candidates, k) stays under ~500 sets,
     greedy beyond).  ``context`` shares a prepared fault context built elsewhere
     (e.g. by a sweep over ``k``); by default one is built here.
+
+    The result is read from the stage cache when the same search ran
+    before (:func:`search_key`), and stored there otherwise; a cached
+    result is shared, so treat it as read-only.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -141,13 +189,23 @@ def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
     if not 0.0 < at < 1.0:
         raise ValueError(f"at must be a fraction in (0, 1), got {at}")
 
+    if context is not None:
+        if context.schedule is not schedule:
+            raise ValueError("context was prepared for a different schedule")
+        if fabric is not None and fabric != context.fabric:
+            raise ValueError("context was prepared for a different fabric")
+        fabric = context.fabric
+    fabric = fabric or FabricModel()
+
+    from ..experiments.plan import get_plan_cache
+
+    cache = get_plan_cache()
+    key = search_key(schedule, fabric, buffer_bytes, k, at, candidates, mode, seed)
+    cached = cache.get(key)
+    if cached is not None:
+        return cached
     if context is None:
         context = PreparedFaultContext(schedule, fabric)
-    elif context.schedule is not schedule:
-        raise ValueError("context was prepared for a different schedule")
-    elif fabric is not None and fabric != context.fabric:
-        raise ValueError("context was prepared for a different fabric")
-    fabric = context.fabric
 
     baseline = run_routed_collective(schedule, buffer_bytes, fabric=fabric,
                                      validate=False).completion_time
@@ -201,7 +259,7 @@ def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
     evaluations.sort(key=sort_key)
     full = [ev for ev in evaluations if len(ev["links"]) == k]
     worst = full[0]
-    return AdversarialResult(
+    result = AdversarialResult(
         k=k,
         at_seconds=at_seconds,
         baseline_seconds=baseline,
@@ -212,3 +270,5 @@ def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
         mode=mode,
         seed=seed,
     )
+    cache.put(key, result)
+    return result

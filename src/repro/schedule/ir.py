@@ -103,10 +103,6 @@ class LinkSchedule:
                              op.chunk.fraction) for op in self.operations),
             self.meta.get("terminals"), self.num_steps)
 
-    def total_bytes(self, shard_bytes: float) -> float:
-        """Total bytes moved across all links and steps."""
-        return sum(op.chunk.bytes(shard_bytes) for op in self.operations)
-
     def validate_links(self) -> None:
         """Check every send uses an existing directed link."""
         for op in self.operations:

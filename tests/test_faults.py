@@ -12,6 +12,8 @@ spec-grammar errors, adversarial search determinism, and the
 scenario/sweep/CLI wiring.
 """
 
+import dataclasses
+import pickle
 import random
 from pathlib import Path
 
@@ -21,7 +23,8 @@ import pytest
 
 from repro import obs
 from repro.constants import SIM_BYTES_EPS, SIM_EPS
-from repro.experiments import Plan, Scenario, run_sweep
+from repro.experiments import (Plan, Scenario, configure_plan_cache,
+                               get_plan_cache, reset_plan_cache, run_sweep)
 from repro.faults import (
     FaultSpec,
     PreparedFaultContext,
@@ -35,10 +38,13 @@ from repro.faults import (
     surviving_adjacency,
     worst_case_failures,
 )
+from repro.faults.adversarial import search_key
 from repro.faults.runner import _result, _start
 from repro.faults.spec import FaultEvent, FaultTimeline
 from repro.faults.reroute import certify_routes, effective_path
+from repro.schedule import Chunk, RoutedSchedule
 from repro.simulator import (
+    FabricModel,
     FluidFlow,
     cerio_hpc_fabric,
     fabric_from_spec,
@@ -48,6 +54,17 @@ from repro.simulator.reference import max_min_rates_reference
 from repro.topology import from_spec
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture
+def stage_cache_off():
+    """Turn the stage cache off for one test, so that every adversarial
+    search computes instead of reading an earlier search's result."""
+    cache = get_plan_cache()
+    enabled = cache.enabled
+    configure_plan_cache(enabled=False)
+    yield
+    cache.enabled = enabled
 
 def _lowered(topology: str, scheme: str = "ewsp"):
     """Synthesize + lower one scenario to its RoutedSchedule."""
@@ -427,6 +444,7 @@ class TestDeltaEngine:
         assert "route-cache:" in footer and "delta:" not in footer
         assert "compile" in footer and "reroute]" in footer
 
+    @pytest.mark.usefixtures("stage_cache_off")
     def test_adversarial_serial_parallel_and_oracle_agree(self):
         """A search on a warm shared context returns the table of one on a
         fresh context, and every prefix-resumed evaluation agrees with the
@@ -667,6 +685,7 @@ class TestVcLayers:
 
 
 class TestAdversarial:
+    @pytest.mark.usefixtures("stage_cache_off")
     def test_exhaustive_search_is_deterministic_and_worst_first(self):
         schedule = _lowered("hypercube:dim=3", "mcf-extp")
         a = worst_case_failures(schedule, 2 ** 20, k=1, candidates=4,
@@ -708,6 +727,7 @@ class TestAdversarial:
         ("ring:n=4", "ewsp", 2, "greedy"),
     ])
     @pytest.mark.parametrize("group", [3, 22])
+    @pytest.mark.usefixtures("stage_cache_off")
     def test_lockstep_equals_sequential_runs(self, monkeypatch, topology,
                                              scheme, k, mode, group):
         """Every evaluation, their order and the fill, event and reroute
@@ -798,6 +818,131 @@ class TestAdversarial:
         assert downs and downs[0].time == pytest.approx(res.at_seconds)
         failed = {tuple(sorted(link)) for e in downs for link in e.links}
         assert failed == set(res.worst_links)
+
+
+class TestSearchCache:
+    """The adversarial search reads a repeated search from the stage cache."""
+
+    BUF = 2.0 ** 20
+    ARGS = dict(k=2, at=0.5, candidates=5, mode="auto", seed=0)
+
+    @pytest.fixture
+    def fresh_stage_cache(self):
+        """A fresh memory-only stage cache, dropped afterwards."""
+        reset_plan_cache()
+        yield configure_plan_cache(enabled=True)
+        reset_plan_cache()
+
+    @staticmethod
+    def _key(schedule, fabric=None, **changes):
+        args = {**TestSearchCache.ARGS, "buffer_bytes": TestSearchCache.BUF, **changes}
+        return search_key(schedule, fabric or cerio_hpc_fabric(), **args)
+
+    def test_every_input_changes_the_key(self):
+        schedule = _lowered("hypercube:dim=3", "mcf-extp")
+        topology = schedule.topology
+        base = self._key(schedule)
+        i, a = next((i, a) for i, a in enumerate(schedule.assignments)
+                    if len(a.route) > 2)
+
+        def replaced(**changes):
+            assignments = list(schedule.assignments)
+            assignments[i] = dataclasses.replace(a, **changes)
+            return RoutedSchedule(topology, assignments)
+
+        graph = topology.graph.copy()
+        u, v = topology.edges[0]
+        graph.edges[u, v]["cap"] *= 2.0
+
+        class Reordered(type(topology)):
+            @property
+            def edges(self):
+                return super().edges[::-1]
+
+        detour = next(n for n in range(topology.num_nodes) if n not in a.route)
+        chunk = a.chunk
+        variants = {
+            "route hop": replaced(route=(a.route[0], detour) + a.route[2:]),
+            "chunk bound": replaced(chunk=Chunk(chunk.source, chunk.destination,
+                                                chunk.lo, chunk.hi * (1 - 1e-12))),
+            "layer": replaced(layer=a.layer + 1),
+            "capacity": RoutedSchedule(dataclasses.replace(topology, graph=graph),
+                                       schedule.assignments),
+            "edge order": RoutedSchedule(Reordered(topology.graph, topology.name),
+                                         schedule.assignments),
+        }
+        keys = {name: self._key(variant) for name, variant in variants.items()}
+        fabric = cerio_hpc_fabric()
+        keys["fabric field"] = self._key(
+            schedule, dataclasses.replace(fabric, per_hop_latency=2e-6))
+        keys.update((name, self._key(schedule, **{name: value})) for name, value in [
+            ("buffer_bytes", 2 * self.BUF), ("k", 1), ("at", 0.25),
+            ("candidates", 6), ("mode", "exhaustive"), ("seed", 1)])
+        assert base not in keys.values(), [n for n, key in keys.items() if key == base]
+        assert len(set(keys.values())) == len(keys)
+        # The fabric's cosmetic name is not part of the key; at is keyed as a float.
+        assert self._key(schedule, dataclasses.replace(fabric, name="other")) == base
+        assert self._key(schedule, at=0.5) == self._key(schedule, at="0.5") == base
+
+    def test_pickle_round_trip_keeps_the_key(self):
+        schedule = _lowered("hypercube:dim=3", "mcf-extp")
+        assert self._key(pickle.loads(pickle.dumps(schedule))) == self._key(schedule)
+
+    def test_context_fabric_is_keyed_when_fabric_is_none(self, fresh_stage_cache):
+        schedule = _lowered("hypercube:dim=3", "mcf-extp")
+        fabric = cerio_hpc_fabric()
+        assert fabric != FabricModel()
+        result = worst_case_failures(schedule, self.BUF, k=1, candidates=3,
+                                     context=PreparedFaultContext(schedule, fabric))
+        args = dict(k=1, candidates=3)
+        assert fresh_stage_cache.get(self._key(schedule, fabric, **args)) is result
+        assert fresh_stage_cache.get(self._key(schedule, FabricModel(), **args)) is None
+
+    @pytest.mark.parametrize("bad", [{"k": 0}, {"mode": "random"}, {"at": 1.5},
+                                     {"at": 0.0}])
+    def test_bad_arguments_raise_despite_a_matching_entry(self, fresh_stage_cache,
+                                                          bad):
+        schedule = _lowered("hypercube:dim=3", "mcf-extp")
+        fabric = cerio_hpc_fabric()
+        args = dict(self.ARGS, k=1, candidates=3)
+        result = worst_case_failures(schedule, self.BUF, fabric=fabric, **args)
+        args.update(bad)
+        fresh_stage_cache.put(search_key(schedule, fabric, self.BUF, **args), result)
+        with pytest.raises(ValueError):
+            worst_case_failures(schedule, self.BUF, fabric=fabric, **args)
+
+    @pytest.mark.parametrize("topology, scheme, mode", [
+        ("hypercube:dim=3", "mcf-extp", "exhaustive"),
+        ("hypercube:dim=3", "mcf-extp", "greedy"),
+        ("ring:n=4", "ewsp", "exhaustive"),
+    ])
+    def test_warm_search_equals_cold(self, tmp_path, topology, scheme, mode):
+        """A second search, on a fresh cache over the same directory, reads
+        the first one's table with one disk read and runs nothing; the
+        ring's two-link cuts carry ``inf`` and stranded rows."""
+        schedule = _lowered(topology, scheme)
+        fabric = cerio_hpc_fabric()
+        searches = []
+        try:
+            for _ in range(2):
+                configure_plan_cache(cache_dir=str(tmp_path), enabled=True)
+                obs.reset()
+                searches.append((worst_case_failures(
+                    schedule, self.BUF, k=2, fabric=fabric, candidates=5,
+                    mode=mode), obs.snapshot()))
+        finally:
+            reset_plan_cache()
+        (cold, cold_counts), (warm, warm_counts) = searches
+        assert cold_counts["sim.fill_rounds"] > 0
+        assert repr(warm.evaluations) == repr(cold.evaluations)
+        assert repr(warm) == repr(cold)
+        assert warm_counts.get("sim.fill_rounds", 0) == 0
+        assert warm_counts.get("sim.events", 0) == 0
+        assert warm_counts["stage-cache.disk_hits"] == warm_counts["stage-cache.hits"] == 1
+        assert "stage-cache.misses" not in warm_counts
+        if topology.startswith("ring"):
+            assert any(ev["stranded"] and ev["slowdown"] == float("inf")
+                       for ev in warm.evaluations)
 
 
 class TestScenarioWiring:

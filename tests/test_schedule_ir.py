@@ -72,7 +72,7 @@ class TestLinkSchedule:
 
     def test_total_bytes(self):
         sched = self._schedule()
-        assert sched.total_bytes(10.0) == pytest.approx(90.0)
+        assert link_loads(sched.edge_flows()).sum() * 10.0 == pytest.approx(90.0)
 
     def test_validate_links_rejects_missing_edge(self):
         topo = ring(3)
