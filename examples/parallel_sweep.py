@@ -10,6 +10,11 @@ once and hands the schedule to the parent; a second pool, which inherits
 it, runs every simulation: the per-record ``stage_cache`` shows one
 synthesize miss per key and hits for the rest.
 
+A second, warm pass over the same disk cache (as a new process with the
+same ``REPRO_CACHE_DIR`` would run it) finds every scenario's entry, so the
+parent serves them all and starts no pool; the example fails unless each
+warm record is all cache hits with the cold pass's metrics.
+
 The same sweep is available from the command line::
 
     python -m repro.cli sweep \
@@ -24,7 +29,7 @@ import os
 import tempfile
 
 from repro.analysis import format_table
-from repro.experiments import SweepGrid, run_sweep
+from repro.experiments import SweepGrid, configure_plan_cache, run_sweep
 
 
 def main() -> None:
@@ -42,7 +47,9 @@ def main() -> None:
           f"({' x '.join(f'{k}={len(v)}' for k, v in grid.axes.items())}), "
           f"{len(keys)} synthesize keys")
 
-    out = os.path.join(tempfile.mkdtemp(prefix="repro-psweep-"), "results.jsonl")
+    work = tempfile.mkdtemp(prefix="repro-psweep-")
+    configure_plan_cache(cache_dir=os.path.join(work, "stages"))
+    out = os.path.join(work, "results.jsonl")
     results = run_sweep(scenarios, out_path=out, workers=2)
 
     rows = []
@@ -65,6 +72,19 @@ def main() -> None:
     if solved > len(keys):
         raise SystemExit("a synthesize key was solved more than once")
     print(f"hash-sorted JSONL at {out}")
+
+    # A fresh cache object on the same directory: memory empty, disk warm.
+    configure_plan_cache(cache_dir=os.path.join(work, "stages"))
+    warm = run_sweep(scenarios, out_path=os.path.join(work, "warm.jsonl"),
+                     workers=2)
+    differ = [res for res, again in zip(results, warm)
+              if set(again.stage_cache.values()) != {"hit"}
+              or again.metrics != res.metrics]
+    print(f"warm pass: {len(warm) - len(differ)} of {len(warm)} scenario(s) "
+          "read from the stage cache with the cold pass's metrics")
+    if differ:
+        raise SystemExit("warm pass differs from the cold pass: " + ", ".join(
+            res.scenario.label() for res in differ))
 
 
 if __name__ == "__main__":

@@ -66,6 +66,20 @@ class SolutionCache:
         self._count("hits", "disk_hits")
         return payload
 
+    def __contains__(self, key: str) -> bool:
+        """Whether ``key`` has an entry in either tier; counts nothing.
+
+        A membership test, not a lookup: the memory tier, then one ``stat``
+        of the disk file.  Nothing is loaded, so an existing but corrupt
+        entry is "in" the cache and still reads as a miss in :meth:`get`.
+        """
+        if not self.enabled:
+            return False
+        with self._lock:
+            if key in self._memory:
+                return True
+        return bool(self.cache_dir) and os.path.exists(self._path(key))
+
     def put(self, key: str, payload: object) -> None:
         """Store ``payload`` under ``key`` in both tiers, as given.
 

@@ -1,15 +1,18 @@
 """Multiprocess sweep executor: a process pool, one task per scenario.
 
-:func:`run_sweep_workers` (``run_sweep(workers=N)``) runs two pool passes.
-The first runs one *leader* per synthesize stage key; a leader whose key is
-shared stops before simulate and sends its plan result back, whose artifacts
-the parent puts in its stage cache.  The second forks a fresh pool, which
-inherits that cache, for the *followers* and the stopped leaders: each
-schedule is solved once per sweep, and every simulation (buffers, overlaps,
-traces) spreads over the workers.  The parent is the only writer.  Each
-task runs as :func:`repro.obs.counted`, and the parent adds the counters
-it changed to its own, so the ``[stats]`` footer and report provenance count
-the workers' work.
+:func:`run_sweep_workers` (``run_sweep(workers=N)``) first serves, in the
+parent, every scenario whose deepest requested stage-cache entry exists:
+such a scenario is one cache read, cheaper than a task, so a sweep that
+hits everywhere starts no pool at all.  The misses go through two pool
+passes.  The first runs one *leader* per synthesize stage key; a leader
+whose key is shared stops before simulate and sends its plan result back,
+whose artifacts the parent puts in its stage cache.  The second forks a
+fresh pool, which inherits that cache, for the *followers* and the stopped
+leaders: each schedule is solved once per sweep, and every simulation
+(buffers, overlaps, traces) spreads over the workers.  The parent is the
+only writer.  Each task runs as :func:`repro.obs.counted`, and the parent
+adds the counters it changed to its own, so the ``[stats]`` footer and
+report provenance count the workers' work.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from . import sweep
-from .plan import Plan, PlanResult
+from .plan import Plan, PlanResult, _salted, get_plan_cache
 from .scenario import STAGES, Scenario
 
 __all__ = ["merge_shards", "run_sweep_workers"]
@@ -84,6 +87,12 @@ def run_sweep_workers(scenarios: Sequence[Scenario],
     capture.  ``out_path`` ends up hash-sorted and deduped, so it matches a
     serial run's output apart from the :data:`VOLATILE_RECORD_FIELDS`.
 
+    A scenario whose ``through`` entry is in the parent's stage cache
+    (a membership test that counts nothing) runs in the parent, reading
+    that entry as a worker would; only the rest reach a pool.  An entry
+    that exists but is corrupt reads as a miss there, and the parent
+    recomputes the scenario itself.
+
     Workers are forked: the e2e tracer relies on them inheriting its
     wrappers, and the second pass on them inheriting the stage cache.  If a
     worker dies the pool breaks, losing the scenarios then running (at most
@@ -94,9 +103,11 @@ def run_sweep_workers(scenarios: Sequence[Scenario],
     done = (sweep.completed_records([out_path], through=through)
             if resume and out_path and os.path.exists(out_path) else {})
 
+    cache = get_plan_cache()
     resumed: Dict[int, Dict[str, object]] = {}
     keys: Dict[int, Optional[Dict[str, str]]] = {}
     leader_of: Dict[str, int] = {}
+    cached: List[int] = []  # served in the parent
     leaders, followers = [], []  # (index, plan result to continue from)
     for i, scenario in enumerate(scenarios):
         try:
@@ -106,6 +117,8 @@ def run_sweep_workers(scenarios: Sequence[Scenario],
             keys[i], key, group = None, "", None
         if key in done:
             resumed[i] = done[key]
+        elif group is not None and _salted(keys[i][through]) in cache:
+            cached.append(i)
         elif group is None or leader_of.setdefault(group, i) == i:
             leaders.append((i, None))
         else:
@@ -116,6 +129,15 @@ def run_sweep_workers(scenarios: Sequence[Scenario],
     fresh: Dict[int, Dict[str, object]] = {}
     broken = False
     with (sweep._open_append(out_path) if out_path else nullcontext()) as out_fh:
+        def write(i: int, record: Dict[str, object]) -> None:
+            fresh[i] = record
+            if out_fh is not None:
+                out_fh.write(json.dumps(record, sort_keys=True) + "\n")
+                out_fh.flush()
+
+        for i in cached:
+            write(i, sweep._execute(scenarios[i], through, None, 1,
+                                    keys=keys[i]).to_record())
         # Pass one appends the leaders it stopped early to ``followers``.
         for batch in (leaders, followers):
             if broken or not batch:
@@ -141,15 +163,14 @@ def run_sweep_workers(scenarios: Sequence[Scenario],
                             sharing.discard(i)
                             followers.append((i, plan))
                             continue
-                    fresh[i] = record
-                    if out_fh is not None:
-                        out_fh.write(json.dumps(record, sort_keys=True) + "\n")
-                        out_fh.flush()
-    kept = merge_shards(out_path) if out_path else len(fresh)
+                    write(i, record)
+    kept = merge_shards(out_path) if out_path else 0
     if broken:
-        raise RuntimeError(
-            f"a sweep worker process died; {kept} record(s) kept in "
-            f"{out_path} — re-run with resume=True to complete the sweep")
+        raise RuntimeError("a sweep worker process died; " + (
+            f"{kept} record(s) kept in {out_path} — re-run with resume=True "
+            "to complete the sweep" if out_path else
+            "the sweep has no output file, so no record was kept and there "
+            "is nothing to resume — run it again"))
     return [sweep.ScenarioResult.from_record(s, resumed.get(i) or fresh[i],
                                              resumed=i in resumed)
             for i, s in enumerate(scenarios)]

@@ -286,6 +286,23 @@ class TestSolutionCache:
         assert info["backend"] == "scipy-highs"
         assert info["num_variables"] == solution.meta["num_variables"]
 
+    def test_membership_loads_and_counts_nothing(self, tmp_path, monkeypatch):
+        # The executor's parent asks this of every pending scenario, so it
+        # must not read an entry or move a counter; a corrupt file is "in".
+        cache = SolutionCache(cache_dir=str(tmp_path), name="stage-cache")
+        cache.put("kept", ("artifact", {}))
+        (tmp_path / "junk.stage-cache.pkl").write_bytes(b"not a pickle")
+        before = obs.snapshot()
+        monkeypatch.setattr(pickle, "load", None)  # any load would raise
+        assert "kept" in cache
+        cache.clear()
+        assert "kept" in cache and "junk" in cache and "absent" not in cache
+        assert obs.snapshot() == before
+        assert "kept" not in SolutionCache(enabled=False)
+        memory = SolutionCache()
+        memory.put("k", 1)
+        assert "k" in memory and "other" not in memory
+
     def test_eviction_bounds_memory(self, cube):
         cache = SolutionCache(max_entries=2)
         from repro.core.solver import LPSolution

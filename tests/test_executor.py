@@ -1,8 +1,10 @@
 """Tests for the multiprocess sweep executor.
 
 Covers the one-file compaction (:func:`merge_shards`) and the executor's
-guarantees: worker output canonically identical to the serial path, one synthesize per shared key with the simulations still spread over
-the workers, and a killed worker losing only the scenario it was running,
+guarantees: worker output canonically identical to the serial path, one
+synthesize per shared key with the simulations still spread over the
+workers, cached scenarios served in the parent (a fully warm sweep starts
+no pool), and a killed worker losing only the scenario it was running,
 which a ``resume=True`` re-run finishes without duplicate records.
 """
 
@@ -15,7 +17,10 @@ from pathlib import Path
 
 import pytest
 
+import repro.experiments.executor as executor_module
 import repro.experiments.sweep as sweep_module
+from repro import obs
+from repro.engine import reset_engine
 from repro.experiments import (
     SweepGrid,
     completed_records,
@@ -27,6 +32,7 @@ from repro.experiments import (
     scenario_schema_version,
 )
 from repro.experiments.executor import VOLATILE_RECORD_FIELDS
+from repro.experiments.plan import stage_artifact_key
 
 
 def _grid12() -> SweepGrid:
@@ -89,13 +95,42 @@ def _kill_workers_after(monkeypatch, calls):
     monkeypatch.setattr(sweep_module, "_execute", execute)
 
 
+def _record_calls(monkeypatch, scenarios, calls):
+    """Touch ``<pid>-<scenario index>-<through>`` in ``calls`` for every
+    scenario run, in the parent or a worker, then run it."""
+    real = sweep_module._execute
+
+    def execute(scenario, through, *args, **kwargs):
+        index = scenarios.index(scenario)
+        (calls / f"{os.getpid()}-{index}-{through}").touch()
+        time.sleep(0.05)  # long enough that one worker cannot take all
+        return real(scenario, through, *args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "_execute", execute)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("the sweep started a process pool")
+
+
 @pytest.fixture
 def cold_plan_cache(monkeypatch):
     """Workers fork from this process and the parent keeps the schedules the
-    first pass hands back, so start (and leave) its stage cache empty."""
+    first pass hands back, so start (and leave) its stage cache empty.
+    A scenario already in the parent's cache would also never reach a
+    worker: the parent serves it itself."""
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     reset_plan_cache()
     yield
+    reset_plan_cache()
+
+
+@pytest.fixture
+def disk_plan_cache(tmp_path, monkeypatch):
+    """A stage cache with a disk tier under ``tmp_path``; yields its directory."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    reset_plan_cache()
+    yield tmp_path / "cache" / "stages"
     reset_plan_cache()
 
 
@@ -156,6 +191,7 @@ class TestRunSweepWorkers:
         serial = str(tmp_path / "serial.jsonl")
         workers = str(tmp_path / "workers.jsonl")
         run_sweep(scenarios, out_path=serial)
+        reset_plan_cache()  # or the serial leg's entries keep every task home
         results = run_sweep_workers(scenarios, out_path=workers, workers=2)
         assert _canonical(serial) == _canonical(workers)
         assert len(results) == 12
@@ -183,7 +219,7 @@ class TestRunSweepWorkers:
                    for rec in records) == 6
 
     def test_killed_worker_then_resume_completes_without_duplicates(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, cold_plan_cache):
         scenarios = _grid12().scenarios()
         out = str(tmp_path / "crash.jsonl")
         with monkeypatch.context() as patch:
@@ -209,7 +245,7 @@ class TestRunSweepWorkers:
         assert all(r.status == "ok" for r in results)
 
     def test_crash_among_shared_key_scenarios_keeps_finished_ones(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, cold_plan_cache):
         # Six scenarios sharing one schedule: the first pass only solves it,
         # the second runs all six simulations one task each, so a worker that
         # dies after two of them leaves exactly those two records behind.
@@ -229,6 +265,15 @@ class TestRunSweepWorkers:
         assert len(load_results(out)) == 6
         assert all(r.status == "ok" for r in results)
 
+    def test_dead_worker_without_an_output_file_says_nothing_was_kept(
+            self, monkeypatch, cold_plan_cache):
+        scenarios = _grid12().scenarios()[:2]
+        _kill_workers_after(monkeypatch, 0)
+        with pytest.raises(RuntimeError, match="no output file") as info:
+            run_sweep_workers(scenarios, workers=1)
+        assert "None" not in str(info.value)
+        assert "resume=True" not in str(info.value)
+
     def test_shared_key_simulations_spread_over_workers(self, tmp_path,
                                                          cold_plan_cache):
         # The first pass only solves the one shared schedule; all eight
@@ -239,15 +284,8 @@ class TestRunSweepWorkers:
                      for k in range(16, 24)]
         calls = tmp_path / "calls"
         calls.mkdir()
-        real = sweep_module._execute
-
-        def execute(scenario, through, *args, **kwargs):
-            (calls / f"{os.getpid()}-{scenario.buffers[0]}-{through}").touch()
-            time.sleep(0.05)  # long enough that one worker cannot take all
-            return real(scenario, through, *args, **kwargs)
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sweep_module, "_execute", execute)
+            _record_calls(patch, scenarios, calls)
             results = run_sweep_workers(scenarios, workers=2)
         seen = [name.split("-") for name in os.listdir(calls)]
         first = {pid for pid, _, through in seen if through == "validate"}
@@ -283,6 +321,86 @@ class TestRunSweepWorkers:
             dict.fromkeys(("synthesize", "lower", "validate", "simulate"), "hit")] * 4
         assert results[4].stage_cache == {"synthesize": "hit", "lower": "hit",
                                           "validate": "hit", "simulate": "miss"}
+
+    def test_fully_warm_sweep_starts_no_pool(self, tmp_path, monkeypatch,
+                                             disk_plan_cache):
+        scenarios = _grid12().scenarios()
+        serial = str(tmp_path / "serial.jsonl")
+        run_sweep(scenarios, out_path=serial)
+        reset_plan_cache()  # read the disk as a new process would
+        obs.reset()
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", _no_pool)
+        warm = str(tmp_path / "warm.jsonl")
+        results = run_sweep_workers(scenarios, out_path=warm, workers=2)
+        assert _canonical(warm) == _canonical(serial)
+        keys = [rec["key"] for rec in load_results(warm)]
+        assert keys == sorted(keys)
+        assert [r.scenario for r in results] == scenarios
+        counts = obs.snapshot()
+        assert counts["stage-cache.hits"] == len(scenarios)
+        assert counts.get("stage-cache.misses", 0) == 0
+        assert all(set(r.stage_cache.values()) == {"hit"} for r in results)
+
+    def test_only_misses_reach_the_pool(self, tmp_path, monkeypatch,
+                                        cold_plan_cache):
+        # Scenarios 0 and 2 are cached; 1 and 3 share their schedules but
+        # miss simulate (another overlap), and 4 misses everywhere.
+        scenarios = _grid12().scenarios()[:5]
+        run_sweep([scenarios[0], scenarios[2]])
+        calls = tmp_path / "calls"
+        calls.mkdir()
+        out = str(tmp_path / "mixed.jsonl")
+        with monkeypatch.context() as patch:
+            _record_calls(patch, scenarios, calls)
+            results = run_sweep_workers(scenarios, out_path=out, workers=2)
+        where = {}
+        for name in os.listdir(calls):
+            pid, index, through = name.split("-")
+            assert through == "simulate"  # no shared key among the misses
+            assert int(index) not in where  # each scenario runs once
+            where[int(index)] = pid == str(os.getpid())
+        assert where == {0: True, 1: False, 2: True, 3: False, 4: False}
+        assert [r.stage_cache["synthesize"] for r in results] == [
+            "hit", "hit", "hit", "hit", "miss"]
+        assert [r.stage_cache["simulate"] for r in results] == [
+            "hit", "miss", "hit", "miss", "miss"]
+        reset_plan_cache()
+        serial = str(tmp_path / "serial.jsonl")
+        run_sweep(scenarios, out_path=serial)
+        assert _canonical(out) == _canonical(serial)
+
+    def test_corrupt_cached_entry_recomputed_in_the_parent(
+            self, tmp_path, monkeypatch, disk_plan_cache):
+        scenarios = _grid12().scenarios()[:2]
+        cold = str(tmp_path / "cold.jsonl")
+        run_sweep_workers(scenarios, out_path=cold, workers=2)
+        entry = disk_plan_cache / (
+            stage_artifact_key(scenarios[0], "simulate") + ".stage-cache.pkl")
+        entry.write_bytes(b"not a pickle")
+        reset_plan_cache()
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", _no_pool)
+        warm = str(tmp_path / "warm.jsonl")
+        results = run_sweep_workers(scenarios, out_path=warm, workers=2)
+        assert results[0].stage_cache == {"synthesize": "hit", "lower": "hit",
+                                          "validate": "hit", "simulate": "miss"}
+        assert set(results[1].stage_cache.values()) == {"hit"}
+        assert _canonical(warm) == _canonical(cold)
+
+    def test_cold_sweep_counters_unchanged(self, tmp_path, cold_plan_cache):
+        # A cold pass pays one stat per scenario and counts nothing for it:
+        # the totals are those of a sweep that sends every scenario to the
+        # pool.  (ewsp and sssp solve no LP.)
+        reset_engine()
+        try:
+            run_sweep_workers(_grid12().scenarios(),
+                              out_path=str(tmp_path / "cold.jsonl"), workers=2)
+        finally:
+            reset_engine()
+        counts = obs.snapshot()
+        assert {name: counts.get(f"stage-cache.{name}", 0)
+                for name in ("hits", "misses", "stores")} == {
+            "hits": 12, "misses": 30, "stores": 48}
+        assert counts.get("lp-cache.misses", 0) == 0
 
     def test_resume_is_a_no_op_when_complete(self, tmp_path):
         scenarios = _grid12().scenarios()[:4]
