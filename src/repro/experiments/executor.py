@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from . import sweep
-from .plan import Plan, PlanResult, _salted, get_plan_cache
-from .scenario import STAGES, Scenario
+from .plan import Plan, PlanResult, get_plan_cache
+from .scenario import STAGES, Scenario, salted
 
 __all__ = ["merge_shards", "run_sweep_workers"]
 
@@ -117,7 +117,7 @@ def run_sweep_workers(scenarios: Sequence[Scenario],
             keys[i], key, group = None, "", None
         if key in done:
             resumed[i] = done[key]
-        elif group is not None and _salted(keys[i][through]) in cache:
+        elif group is not None and salted(keys[i][through]) in cache:
             cached.append(i)
         elif group is None or leader_of.setdefault(group, i) == i:
             leaders.append((i, None))

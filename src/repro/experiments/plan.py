@@ -57,7 +57,7 @@ from ..schedule import (
     validate_routed_schedule,
 )
 from ..simulator import CollectiveResult, throughput_sweep
-from .scenario import STAGES, SYNTHESIZE_ONLY, Scenario, resolve_scheme
+from .scenario import STAGES, SYNTHESIZE_ONLY, Scenario, resolve_scheme, salted
 
 __all__ = ["Plan", "PlanResult", "get_plan_cache", "configure_plan_cache",
            "reset_plan_cache", "stage_artifact_key"]
@@ -70,26 +70,11 @@ _plan_cache: Optional[SolutionCache] = None
 _plan_cache_lock = threading.Lock()
 
 
-def _code_version() -> str:
-    """The installed repro version (lazy: the package imports this module)."""
-    from .. import __version__
-
-    return __version__
-
-
 def stage_artifact_key(scenario: Scenario, stage: str) -> str:
-    """Stage-cache key of one scenario stage's artifact.
-
-    The scenario's :meth:`~repro.experiments.scenario.Scenario.stage_key`
-    salted with the package version: a persistent ``REPRO_CACHE_DIR``
-    written by another release reads as a miss instead of serving that
-    release's schedules and results.
-    """
-    return _salted(scenario.stage_key(stage))
-
-
-def _salted(stage_key: str) -> str:
-    return f"{stage_key}-{_code_version()}"
+    """Stage-cache key of one scenario stage's artifact: the scenario's
+    :meth:`~repro.experiments.scenario.Scenario.stage_key`, passed through
+    :func:`~repro.experiments.scenario.salted`."""
+    return salted(scenario.stage_key(stage))
 
 
 def _stage_cache_dir() -> Optional[str]:
@@ -289,7 +274,7 @@ class Plan:
         return self._keys
 
     def _key(self, stage: str) -> str:
-        return _salted(self.keys[stage])
+        return salted(self.keys[stage])
 
     # ------------------------------------------------------------------ #
     def run(self, through: str = "simulate") -> PlanResult:

@@ -10,12 +10,14 @@ two questions:
   :meth:`Scenario.resolved_fabric` and :func:`resolve_scheme` turn the data
   into the concrete objects the :class:`~repro.experiments.plan.Plan`
   pipeline executes;
-* *what it is* — :meth:`Scenario.key` is a content-addressed digest (the
-  topology contributes its :meth:`~repro.topology.base.Topology.canonical_hash`,
-  so a spec string and an equivalent hand-built topology hash identically).
+* *what it is* — :meth:`Scenario.key` is a content-addressed digest.
   Per-stage keys (:meth:`Scenario.stage_key`) only cover the fields that
   stage depends on, so scenarios differing only in buffer sizes share their
   synthesized schedule artifacts.
+
+The key format lives here alone: :func:`topology_key`, :func:`fabric_key`
+and the version salt :func:`salted` build every stage key and the
+adversarial search key.
 
 The scheme registry here, :data:`SCHEMES`, is the only one: it holds the
 path-based schemes the paper's figures compare, the link-based schemes
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..baselines import (
@@ -60,8 +62,8 @@ from ..simulator import FabricModel, fabric_from_spec
 from ..topology import Topology, from_spec
 
 __all__ = ["Scenario", "STAGES", "SCHEMES", "SYNTHESIZE_ONLY",
-           "available_scenario_schemes", "buffer_key", "resolve_scheme",
-           "scenario_schema_version"]
+           "available_scenario_schemes", "buffer_key", "fabric_key",
+           "resolve_scheme", "salted", "scenario_schema_version", "topology_key"]
 
 #: Pipeline stages, in execution order.
 STAGES: Tuple[str, ...] = ("synthesize", "lower", "validate", "simulate")
@@ -75,7 +77,9 @@ STAGES: Tuple[str, ...] = ("synthesize", "lower", "validate", "simulate")
 #:    their parsed canonical form so equivalent spellings share keys).
 #: 4: simulate stage gained ``faults`` (timed fabric-event specs, hashed by
 #:    their parsed canonical form — key-order invariant like cluster).
-_SCENARIO_SCHEMA = 4
+#: 5: topology keyed by everything it holds (name, metadata, successor and
+#:    predecessor order), not by its sorted edge set alone.
+_SCENARIO_SCHEMA = 5
 
 
 def scenario_schema_version() -> int:
@@ -228,6 +232,38 @@ def canonical_value(obj: object) -> object:
     return obj
 
 
+def topology_key(topology: Topology) -> str:
+    """sha256 over everything ``topology`` holds.
+
+    Its name, default capacity and metadata (through :func:`canonical_value`)
+    and, in the graph's insertion order, each node's successors with their
+    capacities and its predecessors.  The path schemes follow networkx's
+    adjacency order and DOR reads the metadata, so two topologies that share
+    a key build the same schedules.
+    """
+    graph = topology.graph
+    payload = repr((topology.name, topology.default_cap,
+                    canonical_value(topology.metadata),
+                    [(u, list(succ), [d["cap"] for d in succ.values()])
+                     for u, succ in graph.adjacency()],
+                    [list(pred) for pred in graph.pred.values()]))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def fabric_key(fabric: FabricModel) -> Tuple[Tuple[str, object], ...]:
+    """The fabric's content minus its cosmetic name, as sorted field items."""
+    return tuple(sorted((f.name, getattr(fabric, f.name))
+                        for f in dataclass_fields(fabric) if f.name != "name"))
+
+
+def salted(key: str) -> str:
+    """``key`` salted with the package version: a ``REPRO_CACHE_DIR``
+    written by another release reads as a miss."""
+    from .. import __version__  # lazy: the package imports this module
+
+    return f"{key}-{__version__}"
+
+
 @dataclass
 class Scenario:
     """One declarative experiment: topology x workload x fabric x scheme.
@@ -236,7 +272,7 @@ class Scenario:
     ----------
     topology:
         A spec string (see :func:`repro.topology.from_spec`) or a concrete
-        :class:`Topology`.  Both hash by topology *content*.
+        :class:`Topology`.  Both hash by :func:`topology_key`.
     workload:
         Traffic pattern; currently only ``"alltoall"`` (the paper's headline
         collective) flows through the full pipeline.
@@ -321,6 +357,13 @@ class Scenario:
                              f"available: {available_scenario_schemes()}")
         if self.overlap < 1:
             raise ValueError(f"overlap must be >= 1, got {self.overlap}")
+        for name in ("link_bandwidth", "host_bandwidth"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if self.max_disjoint_paths is not None and self.max_disjoint_paths < 1:
+            raise ValueError(f"max_disjoint_paths must be >= 1, "
+                             f"got {self.max_disjoint_paths}")
         if isinstance(self.fabric, str):
             fabric_from_spec(self.fabric)  # eager validation
         if self.cluster is not None:
@@ -393,14 +436,11 @@ class Scenario:
     def _canonical_field(self, fname: str) -> object:
         value = getattr(self, fname)
         if fname == "topology":
-            return ("topology", self.resolved_topology().canonical_hash())
+            return ("topology", topology_key(self.resolved_topology()))
         if fname == "fabric":
-            # Hash the fabric by content, minus the cosmetic name — so
-            # "hpc:scale=0~1:0.5" and an equivalently degrade()d FabricModel
-            # share keys, like spec-string vs. hand-built topologies do.
-            fabric = self.resolved_fabric()
-            payload = {k: v for k, v in asdict(fabric).items() if k != "name"}
-            return ("fabric", tuple(sorted(payload.items())))
+            # By content, so "hpc:scale=0~1:0.5" and an equivalently
+            # degrade()d FabricModel share keys.
+            return ("fabric", fabric_key(self.resolved_fabric()))
         if fname == "forwarding":
             # Only the "auto" scheme branches on the forwarding model, and
             # "auto" forwarding resolves through the fabric — hash the
@@ -432,8 +472,8 @@ class Scenario:
     def stage_key(self, stage: str) -> str:
         """Content digest of the fields the given stage depends on.
 
-        Stable across processes and construction styles: the topology enters
-        via its canonical hash, mappings are order-canonicalized, and the
+        Stable across processes: the topology enters via
+        :func:`topology_key`, mappings are order-canonicalized, and the
         scenario schema version guards against layout changes.
         """
         if stage not in _STAGE_FIELDS:
@@ -473,7 +513,7 @@ class Scenario:
         for f in dataclass_fields(self):
             value = getattr(self, f.name)
             if f.name == "topology" and isinstance(value, Topology):
-                value = f"{value.name}#{value.canonical_hash()[:16]}"
+                value = f"{value.name}#{topology_key(value)[:16]}"
             elif f.name == "fabric" and isinstance(value, FabricModel):
                 value = f"{value.name}#object"
             elif f.name == "scheme_params":

@@ -11,7 +11,7 @@ an ``ok`` record.
 Record schema (one JSON object per line)::
 
     {
-      "schema_version": 4,
+      "schema_version": 5,
       "key": "<scenario content digest>",
       "label": "hypercube:dim=3/mcf-extp",
       "status": "ok" | "error",

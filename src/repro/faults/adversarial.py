@@ -40,14 +40,13 @@ reads, so :func:`worst_case_failures` stores it in the stage cache
 and a second run of the same search, in this process or in a new one with
 the same ``REPRO_CACHE_DIR``, reads it back instead of re-running it.  The
 key (:func:`search_key`) is a sha256, salted with the package version, over
-the topology's node count and its edges in ``topology.edges`` order with
-their capacities, every route assignment in order (endpoints, chunk bounds,
-route and layer), the fabric the search runs on (by content, minus its
+the topology (:func:`~repro.experiments.scenario.topology_key`: everything it
+holds), every route assignment in order (endpoints, chunk bounds, route and
+layer), the fabric the search runs on
+(:func:`~repro.experiments.scenario.fabric_key`: its content, minus its
 cosmetic name) and the arguments ``buffer_bytes``, ``k``, ``at``,
 ``candidates``, ``mode`` and ``seed``.  Changing any of them, or upgrading
-the package, misses.  The key follows the edge order the search indexes,
-not a sorted canonical form, so a reordering can cost a miss but never
-serve a wrong result.  Arguments are validated before the lookup, so a bad
+the package, misses.  Arguments are validated before the lookup, so a bad
 ``k``, ``mode`` or ``at`` raises even when a matching entry exists;
 ``configure_plan_cache(enabled=False)`` turns the cache off.
 
@@ -61,9 +60,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..experiments.plan import get_plan_cache
+from ..experiments.scenario import fabric_key, salted, topology_key
 from ..schedule.ir import RoutedSchedule
 from ..simulator.collective import run_routed_collective
 from ..simulator.fabric import FabricModel
@@ -140,23 +141,18 @@ def search_key(schedule: RoutedSchedule, fabric: FabricModel,
     """Stage-cache key of one adversarial search.
 
     A sha256 over everything the search reads (see the module docstring),
-    salted with the package version the way
-    :func:`~repro.experiments.stage_artifact_key` is.  ``fabric`` is the
-    fabric the search runs on, not the argument it was given.
+    salted the way :func:`~repro.experiments.stage_artifact_key` is.
+    ``fabric`` is the fabric the search runs on, not the argument it was
+    given.
     """
-    from ..experiments.plan import _salted
-
-    topology = schedule.topology
     payload = repr((
         "adversarial",
-        topology.num_nodes,
-        tuple((u, v, topology.capacity(u, v)) for u, v in topology.edges),
+        topology_key(schedule.topology),
         tuple((a.chunk.source, a.chunk.destination, a.chunk.lo, a.chunk.hi,
                tuple(a.route), a.layer) for a in schedule.assignments),
-        tuple(sorted((name, value) for name, value in asdict(fabric).items()
-                     if name != "name")),
+        fabric_key(fabric),
         float(buffer_bytes), k, float(at), candidates, mode, seed))
-    return _salted(hashlib.sha256(payload.encode("utf-8")).hexdigest())
+    return salted(hashlib.sha256(payload.encode("utf-8")).hexdigest())
 
 
 def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
@@ -196,8 +192,6 @@ def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
             raise ValueError("context was prepared for a different fabric")
         fabric = context.fabric
     fabric = fabric or FabricModel()
-
-    from ..experiments.plan import get_plan_cache
 
     cache = get_plan_cache()
     key = search_key(schedule, fabric, buffer_bytes, k, at, candidates, mode, seed)

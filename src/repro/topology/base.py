@@ -159,23 +159,6 @@ class Topology:
             raise ValueError("diameter undefined: topology is not strongly connected")
         return int(nx.diameter(self.graph))
 
-    def canonical_hash(self) -> str:
-        """Content hash of the topology: node count, edges and capacities.
-
-        The hash is independent of construction order, name and metadata —
-        two topologies with the same node count and the same capacitated edge
-        set hash identically no matter how they were built.  It is the
-        topology component of scenario stage keys
-        (:meth:`repro.experiments.Scenario.stage_key`), so it must stay
-        stable across processes and sessions.  LP solution keys do not use
-        it: they digest the assembled LP itself.
-        """
-        import hashlib
-
-        items = sorted((u, v, self.capacity(u, v)) for u, v in self.graph.edges())
-        payload = repr((self.num_nodes, items))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
     def commodities(self) -> Iterator[Tuple[int, int]]:
         """Iterate over all ``N(N-1)`` ordered (source, destination) pairs."""
         n = self.num_nodes

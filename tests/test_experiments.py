@@ -28,7 +28,9 @@ from repro.experiments import (
     sweep_stats,
     write_csv,
 )
+from repro.experiments import scenario as scenario_module
 from repro.experiments.plan import stage_artifact_key
+from repro.experiments.scenario import topology_key
 from repro.topology import Topology, hypercube
 
 
@@ -135,6 +137,23 @@ class TestScenarioHashing:
                 Scenario.from_dict(data)
         else:
             assert Scenario.from_dict(data).decompose_ts is expected
+
+    @pytest.mark.parametrize("name, value", [
+        ("link_bandwidth", "-1"), ("link_bandwidth", "0"), ("link_bandwidth", "nan"),
+        ("link_bandwidth", "inf"), ("host_bandwidth", "0"), ("host_bandwidth", "NaN"),
+        ("host_bandwidth", "-2.5"), ("max_disjoint_paths", "0"),
+        ("max_disjoint_paths", "-3")])
+    def test_from_dict_rejects_out_of_range_knobs(self, name, value):
+        # A non-positive link_bandwidth used to drop the host-NIC
+        # augmentation silently; max_disjoint_paths=0 failed inside the solve.
+        with pytest.raises(ValueError, match=name):
+            Scenario.from_dict({"topology": "hypercube:dim=2", "scheme": "tsmcf",
+                                "host_bandwidth": "1.0", name: value})
+
+    def test_from_dict_accepts_in_range_knobs(self):
+        s = Scenario.from_dict({"topology": "hypercube:dim=2", "link_bandwidth": "0.5",
+                                "host_bandwidth": "none", "max_disjoint_paths": "1"})
+        assert (s.link_bandwidth, s.host_bandwidth, s.max_disjoint_paths) == (0.5, None, 1)
 
     def test_from_dict_rejects_non_mapping_scheme_params(self):
         with pytest.raises(ValueError, match="scheme_params must be a mapping"):
@@ -329,7 +348,7 @@ def _same(a, b) -> bool:
     if type(a) is not type(b):
         return False
     if isinstance(a, Topology):
-        return a.canonical_hash() == b.canonical_hash()
+        return topology_key(a) == topology_key(b)
     if isinstance(a, np.ndarray):
         return np.array_equal(a, b)
     if isinstance(a, dict):
@@ -423,9 +442,9 @@ class TestRunSweep:
         # The keys run_sweep computes travel into the plan: a cold and a warm
         # run each hash every scenario's topology once.
         calls = []
-        real = Topology.canonical_hash
-        monkeypatch.setattr(Topology, "canonical_hash",
-                            lambda self: calls.append(self) or real(self))
+        real = scenario_module.topology_key
+        monkeypatch.setattr(scenario_module, "topology_key",
+                            lambda topology: calls.append(topology) or real(topology))
         cache = _stage_cache()
         for _ in range(2):
             calls.clear()

@@ -854,10 +854,9 @@ class TestSearchCache:
         u, v = topology.edges[0]
         graph.edges[u, v]["cap"] *= 2.0
 
-        class Reordered(type(topology)):
-            @property
-            def edges(self):
-                return super().edges[::-1]
+        backward = nx.DiGraph()
+        backward.add_nodes_from(topology.graph)
+        backward.add_edges_from(reversed(list(topology.graph.edges(data=True))))
 
         detour = next(n for n in range(topology.num_nodes) if n not in a.route)
         chunk = a.chunk
@@ -868,7 +867,7 @@ class TestSearchCache:
             "layer": replaced(layer=a.layer + 1),
             "capacity": RoutedSchedule(dataclasses.replace(topology, graph=graph),
                                        schedule.assignments),
-            "edge order": RoutedSchedule(Reordered(topology.graph, topology.name),
+            "edge order": RoutedSchedule(dataclasses.replace(topology, graph=backward),
                                          schedule.assignments),
         }
         keys = {name: self._key(variant) for name, variant in variants.items()}

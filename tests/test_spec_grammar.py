@@ -102,6 +102,15 @@ def test_scenario_keys_match_golden():
     assert probe_keys() == json.loads(GOLDEN.read_text())
 
 
+@pytest.mark.parametrize("label", sorted(probe_scenarios()))
+def test_record_scenario_rebuilds_the_key(label):
+    # A sweep record's "scenario" dict must rebuild the scenario resume
+    # matches on.
+    scenario = probe_scenarios()[label]
+    rebuilt = Scenario.from_dict(json.loads(json.dumps(scenario.to_dict())))
+    assert rebuilt.key() == scenario.key()
+
+
 def _shuffled_fields(spec: str, rng: random.Random):
     head, *fields = spec.split(":")
     fields = [f for f in fields if f]

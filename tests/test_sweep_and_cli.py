@@ -1,7 +1,9 @@
 """Tests for the scheme registry, scheme comparison and the command-line interface."""
 
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +205,15 @@ class TestSweepCLI:
     def test_sweep_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             main(["sweep"])
+
+    def test_check_sweep_schema_version_tracks_the_package(self):
+        # benchmarks/check_sweep.py runs without the package on its path, so
+        # it mirrors the schema version; this ties the copy to the source.
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "check_sweep.py"
+        spec = importlib.util.spec_from_file_location("check_sweep", path)
+        check_sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_sweep)
+        assert check_sweep.SCHEMA_VERSION == scenario_schema_version()
 
 
 class TestJobsKnob:

@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from repro.experiments.scenario import topology_key
 from repro.topology import Topology, ring, complete, hypercube
 
 
@@ -143,29 +144,38 @@ class TestDerivedTopologies:
 
 
 class TestCanonicalHash:
-    """The hash is the solve-engine cache key; it must be content-stable."""
+    """:func:`topology_key` keys the stage cache; it must cover everything a
+    topology holds and be stable across processes."""
 
-    def test_construction_order_invariance(self):
+    def test_construction_order_changes_key(self):
+        # The path schemes follow the graph's insertion order, so a rebuild
+        # with its edges inserted in another order must not share a key.
         edges = [(0, 1), (1, 2), (2, 0), (0, 2)]
         forward = Topology.from_edges(3, edges)
         backward = Topology.from_edges(3, list(reversed(edges)))
-        assert forward.canonical_hash() == backward.canonical_hash()
+        assert forward.edges == backward.edges
+        assert topology_key(forward) != topology_key(backward)
+        assert topology_key(forward) == topology_key(Topology.from_edges(3, edges))
 
-    def test_name_and_metadata_do_not_matter(self):
+    def test_name_and_metadata_change_key(self):
+        # DOR reads the metadata and the XML writer the name.
         a = ring(5)
-        b = ring(5).copy(name="renamed")
-        b.metadata["extra"] = "stuff"
-        assert a.canonical_hash() == b.canonical_hash()
+        renamed = ring(5).copy(name="renamed")
+        extra = ring(5)
+        extra.metadata["extra"] = "stuff"
+        keys = {topology_key(t) for t in (a, renamed, extra)}
+        assert len(keys) == 3
+        assert topology_key(a) == topology_key(ring(5).copy())
 
     def test_capacity_changes_hash(self):
         a = ring(4)
         b = ring(4).with_capacity(2.0)
-        assert a.canonical_hash() != b.canonical_hash()
+        assert topology_key(a) != topology_key(b)
 
     def test_edge_set_changes_hash(self):
         a = complete(4)
         b = complete(4).remove_edges([(0, 1)])
-        assert a.canonical_hash() != b.canonical_hash()
+        assert topology_key(a) != topology_key(b)
 
     def test_isolated_node_count_changes_hash(self):
         g1 = nx.DiGraph()
@@ -173,10 +183,10 @@ class TestCanonicalHash:
         g1.add_edges_from([(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)])
         small = Topology(g1)
         big = complete(4)
-        assert small.canonical_hash() != big.canonical_hash()
+        assert topology_key(small) != topology_key(big)
 
     def test_hash_is_hex_digest(self):
-        h = ring(4).canonical_hash()
+        h = topology_key(ring(4))
         assert len(h) == 64
         assert int(h, 16) >= 0
 
@@ -189,12 +199,13 @@ class TestCanonicalHash:
         import sys
 
         src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        code = ("from repro.topology import ring;"
-                "print(ring(6).canonical_hash())")
+        code = ("from repro.experiments.scenario import topology_key;"
+                "from repro.topology import ring;"
+                "print(topology_key(ring(6)))")
         env = dict(os.environ)
         env["PYTHONHASHSEED"] = "12345"
         env["PYTHONPATH"] = src
         out = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True, env=env)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == ring(6).canonical_hash()
+        assert out.stdout.strip() == topology_key(ring(6))
