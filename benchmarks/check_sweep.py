@@ -41,7 +41,7 @@ REQUIRED_FIELDS = ("schema_version", "key", "label", "status", "through",
 
 #: Mirrors repro.experiments.scenario_schema_version() without importing the
 #: package (this script runs without PYTHONPATH=src in CI).
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: Mirrors repro.experiments.executor.VOLATILE_RECORD_FIELDS: execution
 #: accounting (wall clock, cache luck) that legitimately differs between a

@@ -34,7 +34,7 @@ from .mcf_path import PathSchedule, path_schedule_from_single_paths, solve_path_
 from .mcf_timestepped import TimeSteppedFlow, solve_timestepped_mcf
 from .mcf_ts_decomposed import solve_timestepped_mcf_decomposed
 from .path_extraction import extract_paths, solve_mcf_extract_paths
-from .pipeline import ForwardingModel, SchedulingRequest, estimate_path_diversity, generate_schedule
+from .pipeline import ForwardingModel, estimate_path_diversity, generate_schedule
 from .solver import LPBuilder, LPSolution, SolverError
 
 __all__ = [
@@ -72,7 +72,6 @@ __all__ = [
     "extract_paths",
     "solve_mcf_extract_paths",
     "ForwardingModel",
-    "SchedulingRequest",
     "estimate_path_diversity",
     "generate_schedule",
     "LPBuilder",

@@ -3,7 +3,7 @@
 The paper's Fig. 1 flow (topology -> MCF variant -> schedule IR ->
 simulator) expressed as data instead of glue code:
 
-* :class:`Scenario` — one experiment (topology x workload x fabric x scheme
+* :class:`Scenario` — one all-to-all experiment (topology x fabric x scheme
   plus chunking/simulation knobs) with canonical, per-stage content hashing;
 * :class:`Plan` — executes a scenario as explicit synthesize -> lower ->
   validate -> simulate stages with per-stage artifact caching (memory +
@@ -19,7 +19,7 @@ simulator) expressed as data instead of glue code:
 
 The ``repro compare``, ``repro synthesize`` and ``repro sweep`` CLI
 subcommands and the Fig. 3 / Fig. 4 / Table 1 benchmarks are all thin
-layers over this module, so adding a topology x workload x fabric combination is a data
+layers over this module, so adding a topology x fabric combination is a data
 change, not a code change.
 """
 
@@ -36,7 +36,6 @@ from .scenario import (
 from .sweep import (
     ScenarioResult,
     SweepGrid,
-    completed_keys,
     completed_records,
     load_results,
     metrics_from_plan,
@@ -63,7 +62,6 @@ __all__ = [
     "run_sweep_workers",
     "ScenarioResult",
     "SweepGrid",
-    "completed_keys",
     "completed_records",
     "load_results",
     "metrics_from_plan",

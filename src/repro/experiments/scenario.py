@@ -2,7 +2,7 @@
 
 A :class:`Scenario` is a pure-data description of one experiment: which
 topology (a ``family:key=value`` spec string or a concrete
-:class:`~repro.topology.base.Topology`), which workload, which fabric, which
+:class:`~repro.topology.base.Topology`), which fabric, which
 schedule-generation scheme, and the chunking/simulation knobs.  It answers
 two questions:
 
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -45,7 +46,6 @@ from ..baselines import (
 )
 from ..core import (
     ForwardingModel,
-    SchedulingRequest,
     generate_schedule,
     solve_mcf_extract_paths,
     solve_mcf_objective,
@@ -79,7 +79,10 @@ STAGES: Tuple[str, ...] = ("synthesize", "lower", "validate", "simulate")
 #:    their parsed canonical form — key-order invariant like cluster).
 #: 5: topology keyed by everything it holds (name, metadata, successor and
 #:    predecessor order), not by its sorted edge set alone.
-_SCENARIO_SCHEMA = 5
+#: 6: synthesize stage lost workload, link_bandwidth, num_steps,
+#:    path_diversity_threshold and max_disjoint_paths; forwarding is
+#:    derived from the fabric only.
+_SCENARIO_SCHEMA = 6
 
 
 def scenario_schema_version() -> int:
@@ -91,31 +94,17 @@ def scenario_schema_version() -> int:
 # Scheme registry
 # --------------------------------------------------------------------------- #
 def _auto_scheme(topology: Topology, *, scenario: "Scenario", n_jobs: int = 1):
-    """The paper's Fig. 1 decision flow, driven by scenario knobs."""
-    request = SchedulingRequest(
-        forwarding=scenario.resolved_forwarding(),
-        host_bandwidth=scenario.host_bandwidth,
-        link_bandwidth=scenario.link_bandwidth,
-        num_steps=scenario.num_steps,
-        path_diversity_threshold=scenario.path_diversity_threshold,
-        max_disjoint_paths=scenario.max_disjoint_paths,
-        decompose_ts=scenario.decompose_ts,
-        n_jobs=n_jobs,
-    )
-    return generate_schedule(topology, request)
+    """The paper's Fig. 1 decision flow, forwarding picked by the fabric."""
+    return generate_schedule(topology, forwarding=scenario.resolved_forwarding(),
+                             host_bandwidth=scenario.host_bandwidth, n_jobs=n_jobs,
+                             decompose_ts=scenario.decompose_ts)
 
 
 def _tsmcf_scheme(topology: Topology, *, scenario: "Scenario", n_jobs: int = 1):
-    """Link-based tsMCF, honoring host-bottleneck augmentation and num_steps."""
-    request = SchedulingRequest(
-        forwarding=ForwardingModel.HOST,
-        host_bandwidth=scenario.host_bandwidth,
-        link_bandwidth=scenario.link_bandwidth,
-        num_steps=scenario.num_steps,
-        decompose_ts=scenario.decompose_ts,
-        n_jobs=n_jobs,
-    )
-    return generate_schedule(topology, request)
+    """Link-based tsMCF, honoring host-bottleneck augmentation."""
+    return generate_schedule(topology, forwarding=ForwardingModel.HOST,
+                             host_bandwidth=scenario.host_bandwidth, n_jobs=n_jobs,
+                             decompose_ts=scenario.decompose_ts)
 
 
 def _pmcf_shortest(topology: Topology, limit_per_pair: int = 16):
@@ -184,20 +173,18 @@ def resolve_scheme(scenario: "Scenario", topology: Topology, n_jobs: int = 1):
 # Scenario
 # --------------------------------------------------------------------------- #
 #: Content fields each stage's artifact depends on.  ``lower``/``validate``
-#: extend ``synthesize``; ``simulate`` extends ``lower``.  Execution knobs
-#: (worker counts) are deliberately absent: they change how fast an artifact
-#: is produced, never what it is.
+#: extend ``synthesize``; ``simulate`` extends ``lower``.  ``forwarding`` is
+#: no field: it is the model the ``auto`` scheme derives from the fabric.
+#: Execution knobs (worker counts) are deliberately absent: they change how
+#: fast an artifact is produced, never what it is.
 _STAGE_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "synthesize": ("topology", "workload", "forwarding", "scheme", "scheme_params",
-                   "host_bandwidth", "link_bandwidth", "num_steps",
-                   "path_diversity_threshold", "max_disjoint_paths", "decompose_ts"),
+    "synthesize": ("topology", "forwarding", "scheme", "scheme_params",
+                   "host_bandwidth", "decompose_ts"),
 }
 _STAGE_FIELDS["lower"] = _STAGE_FIELDS["synthesize"] + ("max_denominator",)
 _STAGE_FIELDS["validate"] = _STAGE_FIELDS["lower"]
 _STAGE_FIELDS["simulate"] = _STAGE_FIELDS["lower"] + ("fabric", "buffers", "overlap",
                                                      "cluster", "faults")
-
-_SUPPORTED_WORKLOADS = ("alltoall",)
 
 
 def _stage_digest(stage: str, canonical: Mapping[str, object]) -> str:
@@ -266,40 +253,40 @@ def salted(key: str) -> str:
 
 @dataclass
 class Scenario:
-    """One declarative experiment: topology x workload x fabric x scheme.
+    """One declarative all-to-all experiment: topology x fabric x scheme.
 
     Attributes
     ----------
     topology:
         A spec string (see :func:`repro.topology.from_spec`) or a concrete
         :class:`Topology`.  Both hash by :func:`topology_key`.
-    workload:
-        Traffic pattern; currently only ``"alltoall"`` (the paper's headline
-        collective) flows through the full pipeline.
     fabric:
         Fabric spec string (see :func:`repro.simulator.fabric_from_spec`) or
-        a concrete :class:`FabricModel`; drives the simulate stage and the
-        default forwarding model.
-    forwarding:
-        ``"auto"`` (derive from the fabric's ``nic_forwarding``), ``"host"``
-        or ``"nic"``.  Only consulted by the ``auto`` scheme.
+        a concrete :class:`FabricModel`; drives the simulate stage and, via
+        its ``nic_forwarding``, the forwarding model of the ``auto`` scheme.
     scheme:
         Scheme name from :data:`SCHEMES`; any other name is rejected at
         construction.
     scheme_params:
         Keyword arguments for the scheme callable (e.g. ILP gap/time limits).
-    host_bandwidth / link_bandwidth / num_steps / path_diversity_threshold /
-    max_disjoint_paths / decompose_ts:
-        The :class:`~repro.core.pipeline.SchedulingRequest` knobs.
+    host_bandwidth:
+        Host injection bandwidth in link-capacity units, stored as a float.
+        ``auto`` on a host-forwarding fabric and ``tsmcf`` solve on the
+        host-NIC bottleneck augmented graph when it is below a node's
+        aggregate link capacity.
+    decompose_ts:
+        Solve host-forwarding schedules with the decomposed tsMCF.
     max_denominator:
-        Chunking granularity for path schedules (lower stage).
+        Chunking granularity for path schedules (lower stage); an
+        integer >= 1.
     buffers:
         Per-node buffer sizes (bytes) swept by the simulate stage.
     overlap:
         Concurrent copies of the collective sharing the fabric during the
         simulate stage (the overlapping-collectives axis); results carry
-        per-collective completion times.  Part of the simulate stage key
-        only, so overlap variants share their synthesized schedule.
+        per-collective completion times; an integer >= 1.  Part of the
+        simulate stage key only, so overlap variants share their
+        synthesized schedule.
     cluster:
         Optional multi-job trace spec (``"cluster:jobs=8:arrival=poisson~200:
         placement=packed"``, see :mod:`repro.cluster.trace`).  When set, the
@@ -328,16 +315,10 @@ class Scenario:
     """
 
     topology: Union[str, Topology]
-    workload: str = "alltoall"
     fabric: Union[str, FabricModel] = "hpc"
-    forwarding: str = "auto"
     scheme: str = "auto"
     scheme_params: Mapping[str, object] = field(default_factory=dict)
     host_bandwidth: Optional[float] = None
-    link_bandwidth: float = 1.0
-    num_steps: Optional[int] = None
-    path_diversity_threshold: float = 4.0
-    max_disjoint_paths: Optional[int] = None
     decompose_ts: bool = False
     max_denominator: int = 64
     buffers: Tuple[float, ...] = ()
@@ -347,23 +328,23 @@ class Scenario:
     name: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.workload not in _SUPPORTED_WORKLOADS:
-            raise ValueError(f"unsupported workload {self.workload!r}; "
-                             f"supported: {_SUPPORTED_WORKLOADS}")
-        if self.forwarding not in ("auto", "host", "nic"):
-            raise ValueError(f"forwarding must be auto/host/nic, got {self.forwarding!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; "
                              f"available: {available_scenario_schemes()}")
-        if self.overlap < 1:
-            raise ValueError(f"overlap must be >= 1, got {self.overlap}")
-        for name in ("link_bandwidth", "host_bandwidth"):
+        # Numbers are normalized here, so equal values of different types
+        # (2 and 2.0, numpy and Python ints) share every key.
+        for name in ("max_denominator", "overlap"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if self.max_disjoint_paths is not None and self.max_disjoint_paths < 1:
-            raise ValueError(f"max_disjoint_paths must be >= 1, "
-                             f"got {self.max_disjoint_paths}")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            setattr(self, name, int(value))
+        if self.host_bandwidth is not None:
+            value = self.host_bandwidth
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not (math.isfinite(value) and value > 0)):
+                raise ValueError(f"host_bandwidth must be finite and > 0, got {value!r}")
+            self.host_bandwidth = float(value)
         if isinstance(self.fabric, str):
             fabric_from_spec(self.fabric)  # eager validation
         if self.cluster is not None:
@@ -415,11 +396,7 @@ class Scenario:
         return fabric_from_spec(self.fabric)
 
     def resolved_forwarding(self) -> ForwardingModel:
-        """The forwarding model, deriving ``auto`` from the fabric."""
-        if self.forwarding == "host":
-            return ForwardingModel.HOST
-        if self.forwarding == "nic":
-            return ForwardingModel.NIC
+        """The forwarding model the fabric implies (Table 1)."""
         return (ForwardingModel.NIC if self.resolved_fabric().nic_forwarding
                 else ForwardingModel.HOST)
 
@@ -434,7 +411,6 @@ class Scenario:
     # Hashing
     # ------------------------------------------------------------------ #
     def _canonical_field(self, fname: str) -> object:
-        value = getattr(self, fname)
         if fname == "topology":
             return ("topology", topology_key(self.resolved_topology()))
         if fname == "fabric":
@@ -442,15 +418,16 @@ class Scenario:
             # degrade()d FabricModel share keys.
             return ("fabric", fabric_key(self.resolved_fabric()))
         if fname == "forwarding":
-            # Only the "auto" scheme branches on the forwarding model, and
-            # "auto" forwarding resolves through the fabric — hash the
-            # *resolved* model so scenarios differing only in fabric never
-            # share a synthesize artifact when the fabric picked the branch.
-            # Every other scheme ignores forwarding ("tsmcf" forces HOST),
-            # so a constant keeps their artifacts shared across fabrics.
+            # Only the "auto" scheme branches on the forwarding model, which
+            # the fabric picks — hash the resolved model so scenarios
+            # differing only in fabric never share a synthesize artifact when
+            # the fabric picked the branch.  Every other scheme ignores
+            # forwarding ("tsmcf" forces HOST), so a constant keeps their
+            # artifacts shared across fabrics.
             if self.scheme == "auto":
                 return ("forwarding", self.resolved_forwarding().value)
             return ("forwarding", "ignored")
+        value = getattr(self, fname)
         if fname == "cluster":
             # Hash the parsed canonical form so key order / whitespace /
             # default spelling differences in the trace spec share keys.
@@ -536,8 +513,7 @@ class Scenario:
         return cls(**kwargs)
 
 
-_FLOAT_FIELDS = ("host_bandwidth", "link_bandwidth", "path_diversity_threshold")
-_INT_FIELDS = ("num_steps", "max_disjoint_paths", "max_denominator", "overlap")
+_NUMBER_FIELDS = {"host_bandwidth": float, "max_denominator": int, "overlap": int}
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
@@ -550,10 +526,13 @@ def _coerce_field(name: str, value: object) -> object:
         return value
     if not isinstance(value, str):
         return value
-    if name in _FLOAT_FIELDS:
-        return None if value.lower() in ("", "none") else float(value)
-    if name in _INT_FIELDS:
-        return None if value.lower() in ("", "none") else int(value)
+    if name in _NUMBER_FIELDS:
+        if value.lower() in ("", "none"):
+            return None
+        try:
+            return _NUMBER_FIELDS[name](value)
+        except ValueError:
+            raise ValueError(f"cannot read {name} from {value!r}") from None
     if name == "decompose_ts":
         if value.lower() not in _TRUE + _FALSE:
             raise ValueError(f"decompose_ts must be one of {_TRUE + _FALSE} "

@@ -11,7 +11,7 @@ an ``ok`` record.
 Record schema (one JSON object per line)::
 
     {
-      "schema_version": 5,
+      "schema_version": 6,
       "key": "<scenario content digest>",
       "label": "hypercube:dim=3/mcf-extp",
       "status": "ok" | "error",
@@ -56,7 +56,7 @@ from .plan import Plan, PlanResult
 from .scenario import Scenario, buffer_key, scenario_schema_version
 
 __all__ = ["SweepGrid", "ScenarioResult", "run_scenarios", "run_sweep",
-           "load_results", "completed_keys", "completed_records", "write_csv",
+           "load_results", "completed_records", "write_csv",
            "sweep_stats", "metrics_from_plan", "result_from_plan"]
 
 
@@ -399,19 +399,6 @@ def load_results(path: str) -> List[Dict[str, object]]:
             if isinstance(rec, dict) and "key" in rec:
                 records.append(rec)
     return records
-
-
-def completed_keys(path: str) -> List[str]:
-    """Keys of scenarios with an ``ok`` record in a sweep JSONL file.
-
-    Deduplicated (first occurrence wins): a scenario appended twice (a
-    non-resumed re-run into the same file) counts once.
-    """
-    seen: Dict[str, None] = {}
-    for rec in load_results(path):
-        if rec.get("status") == "ok":
-            seen.setdefault(str(rec["key"]), None)
-    return list(seen)
 
 
 def completed_records(paths: Sequence[str],

@@ -18,7 +18,7 @@ from repro.experiments import (
     Plan,
     Scenario,
     SweepGrid,
-    completed_keys,
+    completed_records,
     configure_plan_cache,
     load_results,
     reset_plan_cache,
@@ -114,9 +114,14 @@ class TestScenarioHashing:
         assert a.stage_key("synthesize") == b.stage_key("synthesize")
         assert a.stage_key("lower") != b.stage_key("lower")
 
-    def test_unsupported_workload_rejected(self):
-        with pytest.raises(ValueError):
-            Scenario(topology="hypercube:dim=3", workload="allreduce")
+    @pytest.mark.parametrize("name", [
+        "workload", "forwarding", "link_bandwidth", "num_steps",
+        "path_diversity_threshold", "max_disjoint_paths"])
+    def test_retired_field_rejected(self, name):
+        # Every scenario is an all-to-all, the fabric picks the forwarding
+        # model, and repro.core.pipeline fixes the other knobs.
+        with pytest.raises(ValueError, match=f"unknown scenario field.*{name}"):
+            Scenario.from_dict({"topology": "hypercube:dim=3", name: "1"})
 
     def test_from_dict_coerces_cli_strings(self):
         s = Scenario.from_dict({"topology": "hypercube:dim=3", "scheme": "ewsp",
@@ -139,21 +144,44 @@ class TestScenarioHashing:
             assert Scenario.from_dict(data).decompose_ts is expected
 
     @pytest.mark.parametrize("name, value", [
-        ("link_bandwidth", "-1"), ("link_bandwidth", "0"), ("link_bandwidth", "nan"),
-        ("link_bandwidth", "inf"), ("host_bandwidth", "0"), ("host_bandwidth", "NaN"),
-        ("host_bandwidth", "-2.5"), ("max_disjoint_paths", "0"),
-        ("max_disjoint_paths", "-3")])
+        ("host_bandwidth", "0"), ("host_bandwidth", "NaN"), ("host_bandwidth", "-2.5"),
+        ("host_bandwidth", "inf"), ("host_bandwidth", "fast"), ("max_denominator", "0"),
+        ("max_denominator", "16.0"), ("max_denominator", "none"), ("overlap", "0"),
+        ("overlap", "2.0")])
     def test_from_dict_rejects_out_of_range_knobs(self, name, value):
-        # A non-positive link_bandwidth used to drop the host-NIC
-        # augmentation silently; max_disjoint_paths=0 failed inside the solve.
+        # A non-positive host_bandwidth used to drop the host-NIC
+        # augmentation silently; max_denominator=0 failed in the lower stage.
         with pytest.raises(ValueError, match=name):
             Scenario.from_dict({"topology": "hypercube:dim=2", "scheme": "tsmcf",
-                                "host_bandwidth": "1.0", name: value})
+                                name: value})
 
     def test_from_dict_accepts_in_range_knobs(self):
-        s = Scenario.from_dict({"topology": "hypercube:dim=2", "link_bandwidth": "0.5",
-                                "host_bandwidth": "none", "max_disjoint_paths": "1"})
-        assert (s.link_bandwidth, s.host_bandwidth, s.max_disjoint_paths) == (0.5, None, 1)
+        s = Scenario.from_dict({"topology": "hypercube:dim=2", "host_bandwidth": "2",
+                                "max_denominator": "1", "overlap": "3"})
+        assert (s.host_bandwidth, s.max_denominator, s.overlap) == (2.0, 1, 3)
+        assert type(s.host_bandwidth) is float
+        s = Scenario.from_dict({"topology": "hypercube:dim=2", "host_bandwidth": "none"})
+        assert s.host_bandwidth is None
+
+    @pytest.mark.parametrize("name, value", [
+        ("host_bandwidth", 0), ("host_bandwidth", -1.5), ("host_bandwidth", float("nan")),
+        ("host_bandwidth", True), ("host_bandwidth", "2"), ("max_denominator", 0),
+        ("max_denominator", 16.0), ("max_denominator", True), ("max_denominator", None),
+        ("overlap", 0), ("overlap", 2.0), ("overlap", True), ("overlap", False)])
+    def test_constructor_rejects_bad_numbers(self, name, value):
+        # overlap=2.0 used to fail at simulate with a TypeError, overlap=True
+        # was accepted, and max_denominator=0 failed only in the lower stage.
+        with pytest.raises(ValueError, match=name):
+            Scenario(topology="hypercube:dim=2", scheme="ewsp", **{name: value})
+
+    @pytest.mark.parametrize("name, a, b", [
+        ("host_bandwidth", 2, 2.0), ("host_bandwidth", np.float32(2.0), 2.0),
+        ("max_denominator", np.int64(16), 16), ("overlap", np.int32(2), 2)])
+    def test_equal_numbers_share_keys(self, name, a, b):
+        one = Scenario(topology="hypercube:dim=2", scheme="tsmcf", **{name: a})
+        two = Scenario(topology="hypercube:dim=2", scheme="tsmcf", **{name: b})
+        assert one.stage_keys() == two.stage_keys()
+        assert type(getattr(one, name)) is type(getattr(two, name))
 
     def test_from_dict_rejects_non_mapping_scheme_params(self):
         with pytest.raises(ValueError, match="scheme_params must be a mapping"):
@@ -436,7 +464,7 @@ class TestRunSweep:
             assert len(rec["key"]) == 64
             assert rec["metrics"]["concurrent_flow"] > 0
             assert rec["timings"]["total_seconds"] >= 0
-        assert sorted(completed_keys(out)) == sorted(r.key for r in results)
+        assert sorted(completed_records([out])) == sorted(r.key for r in results)
 
     def test_each_topology_hashed_once_per_run(self, tmp_path, monkeypatch):
         # The keys run_sweep computes travel into the plan: a cold and a warm
@@ -458,7 +486,7 @@ class TestRunSweep:
         results = run_sweep(scenarios, out_path=out, cache=_stage_cache())
         assert results[0].status == "error" and results[0].error
         assert load_results(out)[0]["status"] == "error"
-        assert completed_keys(out) == []
+        assert completed_records([out]) == {}
 
     def test_resume_skips_completed_and_retries_errors(self, tmp_path):
         out = str(tmp_path / "resume.jsonl")
@@ -473,7 +501,7 @@ class TestRunSweep:
                             cache=_stage_cache())
         assert [r.resumed for r in resumed] == [True, True, False, False]
         assert [r.status for r in resumed] == ["ok"] * 4
-        assert len(completed_keys(out)) == 4
+        assert len(completed_records([out])) == 4
         # Resumed metrics come from the file and match the recomputed shape.
         assert resumed[0].metrics["concurrent_flow"] > 0
 

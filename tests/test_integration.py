@@ -10,7 +10,6 @@ from repro.analysis import normalize_times
 from repro.baselines import native_alltoall_schedule, taccl_like_schedule
 from repro.core import (
     ForwardingModel,
-    SchedulingRequest,
     generate_schedule,
     solve_decomposed_mcf,
     solve_mcf_extract_paths,
@@ -115,16 +114,15 @@ class TestPathPipeline:
 
 class TestPipelineAPI:
     def test_generate_schedule_host_vs_nic_consistency(self, bipartite44):
-        host = generate_schedule(bipartite44, SchedulingRequest(forwarding=ForwardingModel.HOST))
-        nic = generate_schedule(bipartite44, SchedulingRequest(forwarding=ForwardingModel.NIC))
+        host = generate_schedule(bipartite44, forwarding=ForwardingModel.HOST)
+        nic = generate_schedule(bipartite44, forwarding=ForwardingModel.NIC)
         # Same topology, no extra forwarding bandwidth -> same asymptotic rate.
         assert host.equivalent_concurrent_flow() == pytest.approx(
             nic.concurrent_flow, rel=0.05)
 
     def test_bottlenecked_host_schedule_loses_throughput(self, torus33):
         """§5.2: host-injection bottleneck reduces the achievable flow value."""
-        free = generate_schedule(torus33, SchedulingRequest(
-            forwarding=ForwardingModel.HOST))
-        capped = generate_schedule(torus33, SchedulingRequest(
-            forwarding=ForwardingModel.HOST, host_bandwidth=2.0, link_bandwidth=1.0))
+        free = generate_schedule(torus33, forwarding=ForwardingModel.HOST)
+        capped = generate_schedule(torus33, forwarding=ForwardingModel.HOST,
+                                   host_bandwidth=2.0)
         assert capped.equivalent_concurrent_flow() < free.equivalent_concurrent_flow()

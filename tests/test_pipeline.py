@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.core import (
-    ForwardingModel,
-    SchedulingRequest,
-    estimate_path_diversity,
-    generate_schedule,
-)
+from repro.core import ForwardingModel, estimate_path_diversity, generate_schedule
 from repro.core.mcf_path import PathSchedule
 from repro.core.mcf_timestepped import TimeSteppedFlow
+from repro.core.pipeline import PATH_DIVERSITY_THRESHOLD
 from repro.topology import torus_2d
 
 
@@ -29,15 +25,13 @@ class TestPathDiversity:
 
 class TestHostForwarding:
     def test_host_forwarding_returns_timestepped_flow(self, cube3):
-        request = SchedulingRequest(forwarding=ForwardingModel.HOST)
-        schedule = generate_schedule(cube3, request)
+        schedule = generate_schedule(cube3, forwarding=ForwardingModel.HOST)
         assert isinstance(schedule, TimeSteppedFlow)
         assert schedule.total_utilization == pytest.approx(4.0, rel=1e-3)
 
     def test_host_bottleneck_triggers_augmentation(self, cube3):
-        request = SchedulingRequest(forwarding=ForwardingModel.HOST,
-                                    host_bandwidth=1.5, link_bandwidth=1.0)
-        schedule = generate_schedule(cube3, request)
+        schedule = generate_schedule(cube3, forwarding=ForwardingModel.HOST,
+                                     host_bandwidth=1.5)
         assert isinstance(schedule, TimeSteppedFlow)
         assert schedule.meta.get("augmented") is True
         assert schedule.meta["num_hosts"] == 8
@@ -45,87 +39,61 @@ class TestHostForwarding:
         assert schedule.topology.num_nodes == 24
 
     def test_generous_host_bandwidth_skips_augmentation(self, cube3):
-        request = SchedulingRequest(forwarding=ForwardingModel.HOST,
-                                    host_bandwidth=10.0, link_bandwidth=1.0)
-        schedule = generate_schedule(cube3, request)
+        schedule = generate_schedule(cube3, forwarding=ForwardingModel.HOST,
+                                     host_bandwidth=10.0)
         assert schedule.topology.num_nodes == 8
         assert "augmented" not in schedule.meta
 
     def test_host_bandwidth_equal_to_aggregate_skips_augmentation(self, cube3):
         # The augmentation triggers strictly below the NIC aggregate (3 links
         # at capacity 1.0), so exactly-matching host bandwidth is a no-op.
-        request = SchedulingRequest(forwarding=ForwardingModel.HOST,
-                                    host_bandwidth=3.0, link_bandwidth=1.0)
-        schedule = generate_schedule(cube3, request)
+        schedule = generate_schedule(cube3, forwarding=ForwardingModel.HOST,
+                                     host_bandwidth=3.0)
         assert schedule.topology.num_nodes == 8
         assert "augmented" not in schedule.meta
 
     def test_decomposed_ts_branch_matches_monolithic(self, cube3):
-        mono = generate_schedule(cube3, SchedulingRequest(
-            forwarding=ForwardingModel.HOST))
-        deco = generate_schedule(cube3, SchedulingRequest(
-            forwarding=ForwardingModel.HOST, decompose_ts=True))
+        mono = generate_schedule(cube3, forwarding=ForwardingModel.HOST)
+        deco = generate_schedule(cube3, forwarding=ForwardingModel.HOST,
+                                 decompose_ts=True)
         assert isinstance(deco, TimeSteppedFlow)
         assert deco.total_utilization == pytest.approx(mono.total_utilization, rel=1e-6)
 
     def test_decomposed_ts_branch_with_augmentation(self, cube3):
-        schedule = generate_schedule(cube3, SchedulingRequest(
-            forwarding=ForwardingModel.HOST, decompose_ts=True,
-            host_bandwidth=1.5, link_bandwidth=1.0))
+        schedule = generate_schedule(cube3, forwarding=ForwardingModel.HOST,
+                                     host_bandwidth=1.5, decompose_ts=True)
         assert schedule.meta.get("augmented") is True
         assert schedule.topology.num_nodes == 24
-
-    def test_num_steps_override_is_honored(self, cube3):
-        schedule = generate_schedule(cube3, SchedulingRequest(
-            forwarding=ForwardingModel.HOST, num_steps=5))
-        assert schedule.num_steps == 5
 
 
 class TestNicForwarding:
     def test_low_diversity_uses_pmcf(self, genkautz_3_10):
-        request = SchedulingRequest(forwarding=ForwardingModel.NIC,
-                                    path_diversity_threshold=4.0)
-        schedule = generate_schedule(genkautz_3_10, request)
+        schedule = generate_schedule(genkautz_3_10, forwarding=ForwardingModel.NIC)
         assert isinstance(schedule, PathSchedule)
         assert schedule.meta["pipeline"] == "pmcf-disjoint"
+        assert schedule.meta["path_diversity"] <= PATH_DIVERSITY_THRESHOLD
 
     def test_high_diversity_uses_mcf_extp(self):
-        torus = torus_2d(3)
-        request = SchedulingRequest(forwarding=ForwardingModel.NIC,
-                                    path_diversity_threshold=1.5)
-        schedule = generate_schedule(torus, request)
+        # A 3x3 torus averages 1.5 shortest paths per pair and stays on
+        # pMCF; a 4x6 torus averages 4.7.
+        torus = torus_2d(4, 6)
+        schedule = generate_schedule(torus, forwarding=ForwardingModel.NIC)
         assert isinstance(schedule, PathSchedule)
         assert schedule.meta["pipeline"] == "mcf-extp"
-
-    def test_threshold_flips_branch_on_same_topology(self, genkautz_3_10):
-        # The same topology goes down either branch depending on where the
-        # path-diversity threshold sits relative to its measured diversity.
-        diversity = estimate_path_diversity(genkautz_3_10)
-        below = generate_schedule(genkautz_3_10, SchedulingRequest(
-            forwarding=ForwardingModel.NIC, path_diversity_threshold=diversity - 0.01))
-        above = generate_schedule(genkautz_3_10, SchedulingRequest(
-            forwarding=ForwardingModel.NIC, path_diversity_threshold=diversity + 0.01))
-        assert below.meta["pipeline"] == "mcf-extp"
-        assert above.meta["pipeline"] == "pmcf-disjoint"
-
-    def test_max_disjoint_paths_caps_candidates(self, bipartite44):
-        schedule = generate_schedule(bipartite44, SchedulingRequest(
-            forwarding=ForwardingModel.NIC, path_diversity_threshold=100.0,
-            max_disjoint_paths=1))
-        assert isinstance(schedule, PathSchedule)
-        assert all(len(paths) <= 1 for paths in schedule.paths.values())
+        assert schedule.meta["path_diversity"] > PATH_DIVERSITY_THRESHOLD
 
     def test_default_request_is_nic(self, genkautz_3_10):
         schedule = generate_schedule(genkautz_3_10)
         assert isinstance(schedule, PathSchedule)
 
     def test_both_branches_reach_near_optimal_flow(self, bipartite44):
-        from repro.core import solve_decomposed_mcf
+        from repro.core import solve_decomposed_mcf, solve_mcf_extract_paths
 
+        # K_{4,4} is path poor, so the pipeline takes pMCF; MCF-extP is
+        # called directly.
         optimal = solve_decomposed_mcf(bipartite44).concurrent_flow
-        pmcf = generate_schedule(bipartite44, SchedulingRequest(
-            forwarding=ForwardingModel.NIC, path_diversity_threshold=100.0))
-        extp = generate_schedule(bipartite44, SchedulingRequest(
-            forwarding=ForwardingModel.NIC, path_diversity_threshold=0.0))
+        pmcf = generate_schedule(bipartite44)
+        extp = solve_mcf_extract_paths(bipartite44)
+        assert pmcf.meta["pipeline"] == "pmcf-disjoint"
         assert pmcf.concurrent_flow >= 0.9 * optimal
         assert extp.concurrent_flow == pytest.approx(optimal, rel=1e-4)
